@@ -25,7 +25,6 @@ from .fields import (
     MatrixField,
     builtin_field,
     conjugate_field,
-    evaluate_jet,
     polynomial_field,
     polynomial_field_from_json,
     restrict_field,

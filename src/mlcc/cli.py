@@ -342,7 +342,8 @@ def _cmd_prekopa(args, diagnostics):
     rule = _build_rule(args, field.n - args.n0)
     return [
         prekopa_check(
-            field, t, args.n0, rule, h=args.marginal_h, n_v0=args.n_v0, seed=args.seed
+            field, t, args.n0, rule, h=args.marginal_h, n_v0=args.n_v0, seed=args.seed,
+            tol_psd=args.tol_psd,
         )
     ]
 
@@ -438,7 +439,6 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bl", help="Brascamp-Lieb variance inequality check")
     _add_common(p)
-    p.add_argument("--dim", type=int, default=None, help="ignored; kept for scripts")
     p.add_argument("--test-fn", required=True, metavar="poly:EXPR[;EXPR...]")
 
     p = subs.add_parser("prekopa", help="marginal N-log-concavity, two routes")

@@ -14,13 +14,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NotPositiveError, SymmetryError
+from .errors import InputError, SymmetryError
 from .fields import Jet2, MatrixField
 from .metric import (
     ColumnBlockMatrix,
     ExtendedReal,
     QuadraticFormSpec,
     SpdMatrix,
+    metric_pencil,
     polar_value,
 )
 
@@ -61,14 +62,13 @@ class CurvatureMatrix:
     """The curvature operator at a point, as a dn x dn symmetric matrix.
 
     Index (j, l) of the flattened space is j*d + l for column j and
-    coordinate l (0-based).  ``metric`` is the block-diagonal id_n (x) g.
+    coordinate l (0-based).  The metric id_n (x) g is carried as ``g``.
     ``asymmetry`` records the pre-symmetrization asymmetry norm.
     """
 
     d: int
     n: int
     theta_tilde: np.ndarray
-    metric: SpdMatrix
     g: SpdMatrix
     asymmetry: float
 
@@ -104,10 +104,7 @@ def curvature_from_jet(jet: Jet2) -> CurvatureMatrix:
         )
     theta = 0.5 * (raw + raw.T)
     theta.setflags(write=False)
-    metric = SpdMatrix(np.kron(np.eye(n), jet.value.entries))
-    return CurvatureMatrix(
-        d=d, n=n, theta_tilde=theta, metric=metric, g=jet.value, asymmetry=asym
-    )
+    return CurvatureMatrix(d=d, n=n, theta_tilde=theta, g=jet.value, asymmetry=asym)
 
 
 def curvature_matrix(field: MatrixField, x) -> CurvatureMatrix:
@@ -122,24 +119,20 @@ class NakanoVerdict(NamedTuple):
 
 
 def nakano_verdict(cm: CurvatureMatrix, tol_psd: float = TOL_PSD) -> NakanoVerdict:
-    """Largest generalized eigenvalue of (theta_tilde, metric) and the verdict.
+    """Largest generalized eigenvalue of (theta_tilde, id_n (x) g) and the verdict.
 
     ``lambda_max_std`` is the largest standard eigenvalue of theta_tilde; it
     shares the sign of ``lambda_max`` since the metric is positive definite.
     """
-    _, invroot = cm.metric.sqrt_and_invsqrt()
-    pencil = invroot @ cm.theta_tilde @ invroot
-    lam = np.linalg.eigvalsh(0.5 * (pencil + pencil.T))
+    lam_max = float(generalized_spectrum(cm)[-1])
     lam_std = np.linalg.eigvalsh(cm.theta_tilde)
-    lam_max = float(lam[-1])
     return NakanoVerdict(lam_max, lam_max <= tol_psd, float(lam_std[-1]))
 
 
 def generalized_spectrum(cm: CurvatureMatrix) -> np.ndarray:
-    """All generalized eigenvalues of (theta_tilde, metric), ascending."""
-    _, invroot = cm.metric.sqrt_and_invsqrt()
-    pencil = invroot @ cm.theta_tilde @ invroot
-    return np.linalg.eigvalsh(0.5 * (pencil + pencil.T))
+    """All generalized eigenvalues of (theta_tilde, id_n (x) g), ascending."""
+    _, invroot = cm.g.sqrt_and_invsqrt()
+    return np.linalg.eigvalsh(metric_pencil(invroot, cm.theta_tilde))
 
 
 def griffiths_min_gap(
@@ -159,8 +152,12 @@ def griffiths_min_gap(
         raise InputError("need at least 8 starts")
     d, n = cm.d, cm.n
     g = cm.g.entries
-    blocks = np.array([[cm.block(j, k) for k in range(n)] for j in range(n)])
-    root, invroot = cm.g.sqrt_and_invsqrt()
+    # [k, a, j, b] is entry (a, b) of block (j, k), of theta_tilde and of its
+    # pencil; the pencil is linear in the block, so the u-step's pencil at any
+    # y is the y-contraction of the one computed here
+    theta4 = cm.theta_tilde.reshape(n, d, n, d)
+    _, invroot = cm.g.sqrt_and_invsqrt()
+    pencil4 = metric_pencil(invroot, cm.theta_tilde).reshape(n, d, n, d)
     rng = np.random.default_rng(seed)
     best = -np.inf
     for _ in range(n_starts):
@@ -171,12 +168,10 @@ def griffiths_min_gap(
         prev = -np.inf
         for _ in range(max_iter):
             # u-step: top generalized eigenpair of (sum y_j y_k block_{j,k}, g)
-            a = np.einsum("j,k,jkab->ab", y, y, blocks)
-            pencil = invroot @ (0.5 * (a + a.T)) @ invroot
-            lam, w = np.linalg.eigh(0.5 * (pencil + pencil.T))
+            _, w = np.linalg.eigh(np.einsum("j,kajb,k->ab", y, pencil4, y))
             u = invroot @ w[:, -1]
             # y-step: top eigenpair of the n x n matrix [u^T block_{j,k} u]
-            b = np.einsum("a,jkab,b->jk", u, blocks, u)
+            b = np.einsum("a,kajb,b->jk", u, theta4, u)
             lam_y, w_y = np.linalg.eigh(0.5 * (b + b.T))
             y = w_y[:, -1]
             val = float(lam_y[-1]) / float(u @ g @ u)
@@ -193,7 +188,8 @@ class BlockSplit:
     """Coordinate split of the curvature matrix into (0,0), (0,1), (1,1) parts.
 
     ``theta01_tilde`` maps flattened V0 to the flattened weighted image; the
-    action of the mixed operator itself requires a solve against the metric.
+    action of the mixed operator itself requires a solve against id_n1 (x) g,
+    done blockwise with ``g``.
     """
 
     d: int
@@ -203,8 +199,6 @@ class BlockSplit:
     theta01_tilde: np.ndarray
     theta11: np.ndarray
     g: SpdMatrix
-    metric0: SpdMatrix
-    metric1: SpdMatrix
 
 
 def block_split(cm: CurvatureMatrix, n0: int) -> BlockSplit:
@@ -223,8 +217,6 @@ def block_split(cm: CurvatureMatrix, n0: int) -> BlockSplit:
         theta01_tilde=t[cut:, :cut],
         theta11=t[cut:, cut:],
         g=cm.g,
-        metric0=SpdMatrix(np.kron(np.eye(n0), cm.g.entries)),
-        metric1=SpdMatrix(np.kron(np.eye(n1), cm.g.entries)),
     )
 
 
@@ -232,9 +224,8 @@ def mixed_block_action(split: BlockSplit, v0: ColumnBlockMatrix) -> ColumnBlockM
     """Theta_{0,1} V0 = [sum_j theta_{j, n0+k} v_j]_k as a d x n1 block matrix."""
     if v0.d != split.d or v0.n != split.n0:
         raise InputError("V0 shape does not match the split")
-    weighted = split.theta01_tilde @ v0.flatten()
-    flat = np.linalg.solve(split.metric1.entries, weighted)
-    return ColumnBlockMatrix.from_flat(flat, split.d)
+    weighted = (split.theta01_tilde @ v0.flatten()).reshape(split.n1, split.d)
+    return ColumnBlockMatrix(np.linalg.solve(split.g.entries, weighted.T).T)
 
 
 def schur_gap(
@@ -245,14 +236,10 @@ def schur_gap(
     Nonnegative (up to numerics) when the parent field is N-log-concave;
     an infinite polar along a degenerate direction yields -inf.
     """
-    if v0.d != split.d or v0.n != split.n0:
-        raise InputError("V0 shape does not match the split")
+    mixed = mixed_block_action(split, v0).flatten()
     flat0 = v0.flatten()
     lead = -float(flat0 @ split.theta00 @ flat0)
-    image = split.theta01_tilde @ flat0
-    mixed = np.linalg.solve(split.metric1.entries, image)
-    spec = QuadraticFormSpec(split.metric1, -split.theta11)
-    polar = polar_value(spec, mixed, rel_null_tol)
+    polar = polar_value(QuadraticFormSpec(split.g, -split.theta11), mixed, rel_null_tol)
     if polar.is_infinite:
         return ExtendedReal.infinite(-1)
     return ExtendedReal(lead - polar.value)

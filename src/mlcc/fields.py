@@ -13,18 +13,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._poly import poly_diff, poly_eval, poly_substitute_prefix
-from .errors import InputError, NotPositiveError
+from .errors import InputError
 from .metric import SpdMatrix
 
 #: Default central-difference step for finite-difference jets.
 DEFAULT_FD_STEP = 1e-4
-
-# Matrix polynomial: list of (degs, symmetric (d, d) coefficient array).
-MatTerm = tuple[tuple[int, ...], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -48,30 +46,52 @@ class Jet2:
         return self.value.dim
 
 
-def _mat_diff(terms: list[MatTerm], j: int) -> list[MatTerm]:
-    out = []
-    for degs, coeff in terms:
-        dj = degs[j]
-        if dj == 0:
-            continue
-        out.append((degs[:j] + (dj - 1,) + degs[j + 1 :], dj * coeff))
-    return out
+def central_differences(fn, x, h: float, richardson: bool = False, second: bool = True):
+    """Central differences of ``fn`` at ``x``: ``(value, d1, d2)``.
 
+    ``d1[j]`` and ``d2[j, k]`` approximate the first and second partials to
+    O(h^2); ``richardson`` combines the steps h and h/2 to O(h^4).  ``fn``
+    runs once at the centre, then at x +- step e_j and, for the mixed
+    partials, at x +- step e_j +- step e_k.  With ``second=False`` only the
+    first differences are formed (value and d2 are None, the centre is not
+    evaluated).  Every caller's SPD or shape checks run inside ``fn``.
+    """
+    n = x.shape[0]
+    value = fn(x) if second else None
 
-def _mat_eval(terms: list[MatTerm], x, d: int) -> np.ndarray:
-    total = np.zeros((d, d))
-    for degs, coeff in terms:
-        m = 1.0
-        for xi, di in zip(x, degs):
-            if di:
-                m *= xi**di
-        total += m * coeff
-    return total
+    def at(step):
+        e = step * np.eye(n)
+        plus = [fn(x + e[j]) for j in range(n)]
+        minus = [fn(x - e[j]) for j in range(n)]
+        d1 = np.stack([(plus[j] - minus[j]) / (2.0 * step) for j in range(n)])
+        if not second:
+            return d1, None
+        d2 = np.empty((n,) + d1.shape)
+        for j in range(n):
+            d2[j, j] = (plus[j] - 2.0 * value + minus[j]) / step**2
+            for k in range(j + 1, n):
+                d2[j, k] = d2[k, j] = (
+                    fn(x + e[j] + e[k])
+                    - fn(x + e[j] - e[k])
+                    - fn(x - e[j] + e[k])
+                    + fn(x - e[j] - e[k])
+                ) / (4.0 * step**2)
+        return d1, d2
+
+    d1, d2 = at(h)
+    if richardson:
+        d1_half, d2_half = at(h / 2.0)
+        d1 = (4.0 * d1_half - d1) / 3.0
+        if second:
+            d2 = (4.0 * d2_half - d2) / 3.0
+    return value, d1, d2
 
 
 class MatrixField:
     """A map x -> exp(-q(x)) * P(x) into the d x d symmetric matrices.
 
+    q and P are term lists of :mod:`mlcc._poly` (P with read-only matrix
+    coefficients); ``p_terms`` are given as ``(degs, matrix)`` pairs.
     Positivity is enforced per evaluation: querying a point where the value
     is not positive definite raises :class:`NotPositiveError`.  Jets come
     either from exact differentiation of the closed form or from central
@@ -101,27 +121,45 @@ class MatrixField:
         self.richardson = bool(richardson)
         self._q = [(float(c), tuple(degs)) for c, degs in q_terms]
         self._p = []
-        for degs, coeff in p_terms:
-            a = np.asarray(coeff, dtype=float)
+        for degs, coeff in list(p_terms) or [((0,) * n, np.zeros((d, d)))]:
+            a = np.array(coeff, dtype=float)
             if a.shape != (d, d):
                 raise InputError("matrix coefficient has wrong shape")
             if np.abs(a - a.T).max() > 0.0:
                 raise InputError("matrix coefficients must be symmetric")
-            self._p.append((tuple(degs), a))
+            a.setflags(write=False)
+            self._p.append((a, tuple(degs)))
         if any(len(degs) != n for _, degs in self._q):
             raise InputError("scalar polynomial degree tuples must have length n")
-        if any(len(degs) != n for degs, _ in self._p):
+        if any(len(degs) != n for _, degs in self._p):
             raise InputError("matrix polynomial degree tuples must have length n")
+
+    def _derived(self, n: int, q, p, name: str, **jet) -> "MatrixField":
+        """A field from (coeff, degs) term lists, keeping the jet settings."""
+        jet = {"jet_mode": self.jet_mode, "h": self.h, "richardson": self.richardson, **jet}
+        return MatrixField(n, self.d, q, [(degs, c) for c, degs in p], name=name, **jet)
+
+    @cached_property
+    def _partials(self):
+        """Term lists of the partials d_j and d_j d_k (k >= j) of q and P, derived once."""
+        q1 = [poly_diff(self._q, j) for j in range(self.n)]
+        p1 = [poly_diff(self._p, j) for j in range(self.n)]
+        q2 = {(j, k): poly_diff(q1[j], k) for j in range(self.n) for k in range(j, self.n)}
+        p2 = {(j, k): poly_diff(p1[j], k) for j in range(self.n) for k in range(j, self.n)}
+        return q1, p1, q2, p2
 
     # -- plain evaluation ---------------------------------------------------
 
-    def raw_value(self, x) -> np.ndarray:
-        """Value without the positivity check (symmetric by construction)."""
+    def _point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,) or not np.isfinite(x).all():
             raise InputError(f"expected a finite point in R^{self.n}")
-        env = math.exp(-poly_eval(self._q, x))
-        return env * _mat_eval(self._p, x, self.d)
+        return x
+
+    def raw_value(self, x) -> np.ndarray:
+        """Value without the positivity check (symmetric by construction)."""
+        x = self._point(x)
+        return math.exp(-poly_eval(self._q, x)) * poly_eval(self._p, x)
 
     def value(self, x) -> np.ndarray:
         """Evaluate at ``x``; raises NotPositiveError off the SPD cone."""
@@ -130,87 +168,36 @@ class MatrixField:
     # -- jets ----------------------------------------------------------------
 
     def jet(self, x) -> Jet2:
-        x = np.asarray(x, dtype=float)
-        if self.jet_mode == "exact":
-            return self._exact_jet(x)
-        jet = self._fd_jet(x, self.h)
-        if self.richardson:
-            finer = self._fd_jet(x, self.h / 2.0)
-            jet = Jet2(
-                value=jet.value,
-                d1=(4.0 * finer.d1 - jet.d1) / 3.0,
-                d2=(4.0 * finer.d2 - jet.d2) / 3.0,
-            )
-        return jet
-
-    def _exact_jet(self, x) -> Jet2:
-        n, d = self.n, self.d
-        value = SpdMatrix(self.raw_value(x))
-        env = math.exp(-poly_eval(self._q, x))
-        p0 = _mat_eval(self._p, x, d)
-        qj = [poly_eval(poly_diff(self._q, j), x) for j in range(n)]
-        pj = [_mat_eval(_mat_diff(self._p, j), x, d) for j in range(n)]
-        d1 = np.empty((n, d, d))
-        for j in range(n):
-            d1[j] = env * (pj[j] - qj[j] * p0)
-        d2 = np.empty((n, n, d, d))
-        for j in range(n):
-            dq_j = poly_diff(self._q, j)
-            dp_j = _mat_diff(self._p, j)
-            for k in range(j, n):
-                qjk = poly_eval(poly_diff(dq_j, k), x)
-                pjk = _mat_eval(_mat_diff(dp_j, k), x, d)
-                block = env * (
-                    pjk
-                    - qj[j] * pj[k]
-                    - qj[k] * pj[j]
-                    + (qj[j] * qj[k] - qjk) * p0
-                )
-                d2[j, k] = block
-                d2[k, j] = block
-        return Jet2(value=value, d1=d1, d2=d2)
-
-    def _fd_jet(self, x, h: float) -> Jet2:
+        x = self._point(x)
+        if self.jet_mode == "finite_difference":
+            value, d1, d2 = central_differences(self.value, x, self.h, self.richardson)
+            return Jet2(value=SpdMatrix(value), d1=d1, d2=d2)
         n = self.n
-        value = SpdMatrix(self.raw_value(x))
-        g0 = value.entries
-        plus = [self.value(x + h * _unit(n, j)) for j in range(n)]
-        minus = [self.value(x - h * _unit(n, j)) for j in range(n)]
-        d1 = np.stack([(plus[j] - minus[j]) / (2.0 * h) for j in range(n)])
+        q1, p1, q2, p2 = self._partials
+        env = math.exp(-poly_eval(self._q, x))
+        p0 = poly_eval(self._p, x)
+        qj = [poly_eval(q, x) for q in q1]
+        pj = [poly_eval(p, x) for p in p1]
+        d1 = np.stack([env * (pj[j] - qj[j] * p0) for j in range(n)])
         d2 = np.empty((n, n, self.d, self.d))
         for j in range(n):
-            d2[j, j] = (plus[j] - 2.0 * g0 + minus[j]) / h**2
-            for k in range(j + 1, n):
-                step_j, step_k = h * _unit(n, j), h * _unit(n, k)
-                cross = (
-                    self.value(x + step_j + step_k)
-                    - self.value(x + step_j - step_k)
-                    - self.value(x - step_j + step_k)
-                    + self.value(x - step_j - step_k)
-                ) / (4.0 * h**2)
-                d2[j, k] = cross
-                d2[k, j] = cross
-        return Jet2(value=value, d1=d1, d2=d2)
+            for k in range(j, n):
+                d2[j, k] = d2[k, j] = env * (
+                    poly_eval(p2[j, k], x)
+                    - qj[j] * pj[k]
+                    - qj[k] * pj[j]
+                    + (qj[j] * qj[k] - poly_eval(q2[j, k], x)) * p0
+                )
+        return Jet2(value=SpdMatrix(env * p0), d1=d1, d2=d2)
 
     # -- derived fields -------------------------------------------------------
 
     def with_jet_mode(
         self, jet_mode: str, h: float = DEFAULT_FD_STEP, richardson: bool = True
     ) -> "MatrixField":
-        return MatrixField(
-            self.n, self.d, self._q, self._p, jet_mode, h, richardson, self.name
+        return self._derived(
+            self.n, self._q, self._p, self.name, jet_mode=jet_mode, h=h, richardson=richardson
         )
-
-
-def _unit(n: int, j: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[j] = 1.0
-    return e
-
-
-def evaluate_jet(field: MatrixField, x) -> Jet2:
-    """Second-order jet of ``field`` at ``x`` (exact or finite-difference)."""
-    return field.jet(x)
 
 
 def conjugate_field(field: MatrixField, p) -> MatrixField:
@@ -221,45 +208,20 @@ def conjugate_field(field: MatrixField, p) -> MatrixField:
     if np.abs(p.T @ p - np.eye(field.d)).max() > 1e-12:
         raise InputError("conjugating matrix is not orthogonal")
     terms = []
-    for degs, coeff in field._p:
+    for coeff, degs in field._p:
         rotated = p.T @ coeff @ p
-        terms.append((degs, 0.5 * (rotated + rotated.T)))
-    return MatrixField(
-        field.n,
-        field.d,
-        field._q,
-        terms,
-        field.jet_mode,
-        field.h,
-        field.richardson,
-        name=f"{field.name}~",
-    )
+        terms.append((0.5 * (rotated + rotated.T), degs))
+    return field._derived(field.n, field._q, terms, f"{field.name}~")
 
 
 def restrict_field(field: MatrixField, t) -> MatrixField:
     """Freeze the leading coordinates at ``t``; returns a field in y alone."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    n0 = t.shape[0]
-    if n0 >= field.n:
+    if t.shape[0] >= field.n:
         raise InputError("cannot freeze all coordinates of the field")
     q = poly_substitute_prefix(field._q, t)
-    p = []
-    for degs, coeff in field._p:
-        scale = 1.0
-        for ti, di in zip(t, degs[:n0]):
-            if di:
-                scale *= ti**di
-        p.append((degs[n0:], scale * coeff))
-    return MatrixField(
-        field.n - n0,
-        field.d,
-        q,
-        p,
-        field.jet_mode,
-        field.h,
-        field.richardson,
-        name=f"{field.name}|t",
-    )
+    p = poly_substitute_prefix(field._p, t)
+    return field._derived(field.n - t.shape[0], q, p, f"{field.name}|t")
 
 
 # -- builtins -----------------------------------------------------------------
@@ -294,7 +256,7 @@ def _spd_from_params(d: int, params: dict) -> np.ndarray:
     return a
 
 
-def _raufi_terms(s: float, corrected: bool) -> list[MatTerm]:
+def _raufi_terms(s: float, corrected: bool) -> list:
     # g = Id_2 - [[s x1^2 + x2^2, x1 x2], [x1 x2, (2,2) entry]],
     # with the (2,2) entry s x1^2 + x2^2 as printed, or x1^2 + s x2^2 corrected.
     e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -368,12 +330,20 @@ def builtin_field(name: str, params: dict | None = None, **jet_kwargs) -> Matrix
     raise InputError(f"unknown builtin field {name!r}")
 
 
-def polynomial_field(n: int, d: int, entries: dict, **jet_kwargs) -> MatrixField:
-    """Field whose entries are polynomials, given per upper-triangle entry.
+def _term_list(monomials, n: int) -> list:
+    """A JSON list of ``[coeff, [deg_1, ..., deg_n]]`` as a (coeff, degs) term list."""
+    try:
+        terms = [(float(c), tuple(int(t) for t in degs)) for c, degs in monomials]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed monomial list {monomials!r}") from exc
+    for _, degs in terms:
+        if len(degs) != n:
+            raise InputError(f"degree tuple {degs} has wrong length")
+    return terms
 
-    ``entries`` maps "i,j" (1-based, i <= j) to a list of
-    ``[coeff, [deg_1, ..., deg_n]]`` monomials.
-    """
+
+def _entry_terms(n: int, d: int, entries: dict) -> list:
+    """Upper-triangle entry polynomials as (degs, symmetric matrix) pairs."""
     terms: dict[tuple[int, ...], np.ndarray] = {}
     for key, monomials in entries.items():
         try:
@@ -383,25 +353,38 @@ def polynomial_field(n: int, d: int, entries: dict, **jet_kwargs) -> MatrixField
             raise InputError(f"malformed entry key {key!r}") from exc
         if not (0 <= i <= j < d):
             raise InputError(f"entry key {key!r} out of range (need i <= j <= d)")
-        for coeff, degs in monomials:
-            degs = tuple(int(t) for t in degs)
-            if len(degs) != n:
-                raise InputError(f"degree tuple {degs} has wrong length")
+        for coeff, degs in _term_list(monomials, n):
             base = terms.setdefault(degs, np.zeros((d, d)))
-            base[i, j] += float(coeff)
+            base[i, j] += coeff
             if i != j:
-                base[j, i] += float(coeff)
-    return MatrixField(n, d, [], list(terms.items()), name="polynomial", **jet_kwargs)
+                base[j, i] += coeff
+    return list(terms.items())
+
+
+def polynomial_field(n: int, d: int, entries: dict, **jet_kwargs) -> MatrixField:
+    """Field whose entries are polynomials, given per upper-triangle entry.
+
+    ``entries`` maps "i,j" (1-based, i <= j) to a list of
+    ``[coeff, [deg_1, ..., deg_n]]`` monomials.
+    """
+    return MatrixField(n, d, [], _entry_terms(n, d, entries), name="polynomial", **jet_kwargs)
 
 
 def polynomial_field_from_json(path_or_obj, **jet_kwargs) -> MatrixField:
-    """Load a polynomial field from the JSON schema used by the CLI."""
+    """Load a polynomial field from the JSON schema used by the CLI.
+
+    Keys: ``n``, ``d``, ``entries`` (as for :func:`polynomial_field`) and an
+    optional scalar envelope ``q`` in the same monomial format.
+    """
     if isinstance(path_or_obj, (str, bytes)):
         with open(path_or_obj) as fh:
             obj = json.load(fh)
     else:
         obj = path_or_obj
     try:
-        return polynomial_field(int(obj["n"]), int(obj["d"]), obj["entries"], **jet_kwargs)
+        n, d = int(obj["n"]), int(obj["d"])
+        q = _term_list(obj.get("q", []), n)
+        return MatrixField(n, d, q, _entry_terms(n, d, obj["entries"]), name="polynomial",
+                           **jet_kwargs)
     except KeyError as exc:
         raise InputError(f"field JSON is missing key {exc}") from exc

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .curvature import (
-    BlockSplit,
     CurvatureMatrix,
     block_split,
     curvature_from_jet,
@@ -22,7 +21,7 @@ from .curvature import (
     schur_gap,
 )
 from .errors import InputError
-from .fields import Jet2, MatrixField, restrict_field
+from .fields import Jet2, MatrixField, central_differences, restrict_field
 from .metric import ColumnBlockMatrix, ExtendedReal, SpdMatrix
 from .quadrature import (
     DirichletEvaluator,
@@ -33,7 +32,6 @@ from .quadrature import (
     variance_functional,
 )
 
-TOL_PSD = 1e-9
 ROUTE_TOL = 1e-4
 
 
@@ -177,43 +175,12 @@ def _marginal_jet(field: MatrixField, t, rule: QuadratureRule, h: float,
                   richardson: bool = True) -> Jet2:
     """2-jet of alpha(t) = int g(t, y) dy by central differences in t."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    n0 = t.shape[0]
 
     def alpha(tt):
         return integrate_field(restrict_field(field, tt), rule).entries
 
-    def jet_at(step):
-        a0 = alpha(t)
-        plus = [alpha(t + step * _unit(n0, j)) for j in range(n0)]
-        minus = [alpha(t - step * _unit(n0, j)) for j in range(n0)]
-        d1 = np.stack([(plus[j] - minus[j]) / (2 * step) for j in range(n0)])
-        d2 = np.empty((n0, n0) + a0.shape)
-        for j in range(n0):
-            d2[j, j] = (plus[j] - 2 * a0 + minus[j]) / step**2
-            for k in range(j + 1, n0):
-                sj, sk = step * _unit(n0, j), step * _unit(n0, k)
-                cross = (
-                    alpha(t + sj + sk)
-                    - alpha(t + sj - sk)
-                    - alpha(t - sj + sk)
-                    + alpha(t - sj - sk)
-                ) / (4 * step**2)
-                d2[j, k] = cross
-                d2[k, j] = cross
-        return a0, d1, d2
-
-    a0, d1, d2 = jet_at(h)
-    if richardson:
-        _, d1f, d2f = jet_at(h / 2)
-        d1 = (4 * d1f - d1) / 3
-        d2 = (4 * d2f - d2) / 3
+    a0, d1, d2 = central_differences(alpha, t, h, richardson)
     return Jet2(value=SpdMatrix(a0), d1=d1, d2=d2)
-
-
-def _unit(n, j):
-    e = np.zeros(n)
-    e[j] = 1.0
-    return e
 
 
 def marginal_theta_fd(
@@ -287,7 +254,7 @@ def prekopa_check(
     for y in rule.nodes:
         cm = curvature_matrix(field, np.concatenate([t, y]))
         worst = max(worst, nakano_verdict(cm).lambda_max)
-        if worst > TOL_PSD:
+        if worst > tol_psd:
             return CheckReport(
                 name="prekopa_check",
                 status="degenerate",

@@ -1,9 +1,9 @@
 """Inner products and quadratic-form calculus induced by a positive matrix.
 
-The metric here is always a symmetric positive definite matrix ``g`` (or its
-block-diagonal extension to column-block matrices).  The module supplies the
-weighted inner products, the g-adjoint, and polar (dual) quadratic forms with
-explicit handling of degenerate directions.
+The metric here is always a symmetric positive definite matrix ``g``; on
+column-block matrices it acts blockwise as id_n (x) g, carried as ``g`` alone.
+The module supplies the weighted inner products, the g-adjoint, and polar
+(dual) quadratic forms with explicit handling of degenerate directions.
 """
 
 from __future__ import annotations
@@ -139,8 +139,9 @@ class ExtendedReal:
 class QuadraticFormSpec:
     """A nonnegative quadratic form Q(u) = <C u, u>_metric on R^{dn}.
 
-    ``form`` is the plain symmetric matrix metric @ C; the metric realizes
-    the block-diagonal weight on the ambient space.
+    ``form`` is the plain symmetric matrix metric @ C.  The metric is a d x d
+    ``g`` weighting R^{dn} blockwise as id_n (x) g (n = 1 when the form is
+    d x d); the block-diagonal matrix itself is never formed.
     """
 
     metric: SpdMatrix
@@ -148,8 +149,8 @@ class QuadraticFormSpec:
 
     def __init__(self, metric: SpdMatrix, form):
         a = np.asarray(form, dtype=float)
-        if a.shape != metric.entries.shape:
-            raise InputError("form and metric dimensions differ")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % metric.dim:
+            raise InputError("form dimension is not a multiple of the metric's")
         scale = np.abs(a).max() if a.size else 0.0
         if np.abs(a - a.T).max() > 1e-10 * max(scale, 1.0):
             raise InputError("form matrix is not symmetric within tolerance")
@@ -160,11 +161,23 @@ class QuadraticFormSpec:
 
     @property
     def dim(self) -> int:
-        return self.metric.dim
+        return self.form.shape[0]
 
     def __call__(self, u) -> float:
         u = np.asarray(u, dtype=float)
         return float(u @ self.form @ u)
+
+
+def metric_pencil(invroot: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """Symmetrized (id_n (x) g)^{-1/2} form (id_n (x) g)^{-1/2}, from g^{-1/2}.
+
+    Each d x d block of ``form`` is congruenced by ``invroot`` in place of
+    two dn x dn products with the block-diagonal inverse root.
+    """
+    d, nd = invroot.shape[0], form.shape[0]
+    left = invroot @ form.reshape(nd // d, d, nd)
+    pencil = (left.reshape(-1, d) @ invroot).reshape(nd, nd)
+    return 0.5 * (pencil + pencil.T)
 
 
 def g_inner(g: SpdMatrix, u, v) -> float:
@@ -201,9 +214,7 @@ class PolarOperator:
 
     def __init__(self, spec: QuadraticFormSpec, psd_tol: float = PSD_TOL):
         root, invroot = spec.metric.sqrt_and_invsqrt()
-        pencil = invroot @ spec.form @ invroot
-        pencil = 0.5 * (pencil + pencil.T)
-        lam, w = np.linalg.eigh(pencil)
+        lam, w = np.linalg.eigh(metric_pencil(invroot, spec.form))
         lam_max = float(lam[-1])
         if lam[0] < -psd_tol * max(lam_max, 0.0) and lam[0] < -psd_tol:
             raise NotPsdError(
@@ -211,8 +222,9 @@ class PolarOperator:
             )
         self.eigenvalues = np.maximum(lam, 0.0)
         self.lam_max = max(lam_max, 0.0)
-        # maps v to its metric-orthonormal eigencoordinates
-        self._coord_map = w.T @ root
+        # maps v to its metric-orthonormal eigencoordinates w^T (id_n (x) root) v
+        d = root.shape[0]
+        self._coord_map = (w.T.reshape(-1, w.shape[0] // d, d) @ root).reshape(w.shape)
 
     def value(self, v, rel_null_tol: float = DEFAULT_NULL_TOL) -> ExtendedReal:
         if not 0.0 < rel_null_tol <= 1e-3:

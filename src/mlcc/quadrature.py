@@ -17,7 +17,7 @@ import numpy as np
 from ._poly import poly_diff, poly_eval
 from .curvature import curvature_matrix
 from .errors import BudgetError, InputError, QuadratureError
-from .fields import MatrixField
+from .fields import MatrixField, central_differences
 from .metric import DEFAULT_NULL_TOL, ExtendedReal, PolarOperator, QuadraticFormSpec, SpdMatrix
 
 #: Cap on the node count of a tensor-product rule.
@@ -121,7 +121,7 @@ class VectorFieldFn:
     """A C^1 (optionally C^2) map R^n -> R^d with derivative oracles.
 
     Gradients are (d, n); Hessians (d, n, n).  Missing oracles fall back to
-    central finite differences on the value.
+    central first differences of the value (gradient) or gradient (Hessian).
     """
 
     def __init__(self, n, d, value, grad=None, hess=None, fd_step: float = 1e-5):
@@ -145,13 +145,8 @@ class VectorFieldFn:
             if out.shape != (self.d, self.n):
                 raise InputError("gradient oracle returned wrong shape")
             return out
-        h = self._h
-        cols = []
-        for j in range(self.n):
-            e = np.zeros(self.n)
-            e[j] = h
-            cols.append((self.value(x + e) - self.value(x - e)) / (2 * h))
-        return np.stack(cols, axis=1)
+        _, d1, _ = central_differences(self.value, x, self._h, second=False)
+        return d1.T
 
     def hess(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -160,13 +155,8 @@ class VectorFieldFn:
             if out.shape != (self.d, self.n, self.n):
                 raise InputError("hessian oracle returned wrong shape")
             return out
-        h = self._h
-        out = np.empty((self.d, self.n, self.n))
-        for j in range(self.n):
-            e = np.zeros(self.n)
-            e[j] = h
-            col = (self.grad(x + e) - self.grad(x - e)) / (2 * h)
-            out[:, :, j] = col
+        _, d1, _ = central_differences(self.grad, x, self._h, second=False)
+        out = np.moveaxis(d1, 0, 2)
         return 0.5 * (out + out.transpose(0, 2, 1))
 
     @classmethod
@@ -273,7 +263,7 @@ class DirichletEvaluator:
         self._polars = []
         for x in rule.nodes:
             cm = curvature_matrix(field, x)
-            spec = QuadraticFormSpec(cm.metric, -cm.theta_tilde)
+            spec = QuadraticFormSpec(cm.g, -cm.theta_tilde)
             self._polars.append(PolarOperator(spec))
 
     def energy(self, f: VectorFieldFn) -> ExtendedReal:

@@ -9,7 +9,6 @@ from mlcc import (
     builtin_field,
     conjugate_field,
     curvature_matrix,
-    evaluate_jet,
     nakano_verdict,
     polynomial_field,
     polynomial_field_from_json,
@@ -56,13 +55,13 @@ class TestBuiltins:
 class TestEvaluateJet:
     def test_constant_field(self):
         f = constant_field([[2.0, 0.5], [0.5, 1.0]])
-        jet = evaluate_jet(f, [0.3, -0.7])
+        jet = f.jet([0.3, -0.7])
         np.testing.assert_allclose(jet.d1, 0.0)
         np.testing.assert_allclose(jet.d2, 0.0)
 
     def test_gaussian_scalar_at_zero(self):
         f = builtin_field("gaussian_scalar", {"n": 1})
-        jet = evaluate_jet(f, [0.0])
+        jet = f.jet([0.0])
         assert jet.value.entries[0, 0] == pytest.approx(1.0)
         assert jet.d1[0][0, 0] == pytest.approx(0.0)
         assert jet.d2[0, 0][0, 0] == pytest.approx(-1.0)
@@ -70,21 +69,21 @@ class TestEvaluateJet:
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
     def test_raufi_corrected_jet_at_zero(self, s):
         f = builtin_field("raufi_corrected", {"s": s})
-        jet = evaluate_jet(f, [0.0, 0.0])
+        jet = f.jet([0.0, 0.0])
         np.testing.assert_allclose(jet.value.entries, np.eye(2))
         np.testing.assert_allclose(jet.d1, 0.0, atol=1e-15)
         np.testing.assert_allclose(jet.d2[0, 0], -np.diag([2 * s, 2.0]), atol=1e-15)
 
     def test_jet_symmetry_exact(self):
         f = builtin_field("raufi_corrected", {"s": 0.7})
-        jet = evaluate_jet(f, [0.02, -0.01])
+        jet = f.jet([0.02, -0.01])
         np.testing.assert_array_equal(jet.d2[0, 1], jet.d2[1, 0])
 
     def test_jet_symmetry_fd(self):
         f = builtin_field("raufi_corrected", {"s": 0.7}).with_jet_mode(
             "finite_difference", h=1e-4
         )
-        jet = evaluate_jet(f, [0.02, -0.01])
+        jet = f.jet([0.02, -0.01])
         np.testing.assert_array_equal(jet.d2[0, 1], jet.d2[1, 0])
 
     def test_fd_matches_exact_on_polynomials(self):
