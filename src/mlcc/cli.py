@@ -14,6 +14,7 @@ import os
 import re
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -186,6 +187,7 @@ def _report_dict(report: CheckReport) -> dict:
         "status": report.status,
         "metrics": report.metrics,
         "tolerances": report.tolerances,
+        "settings": report.settings,
     }
 
 
@@ -257,8 +259,8 @@ def _cmd_griffiths(args, diagnostics):
 def _cmd_scan(args, diagnostics):
     if "=" not in args.param_range or args.param_range.count(":") != 2:
         raise InputError("--param-range must be name=start:stop:step")
-    name, rng = args.param_range.split("=", 1)
-    start, stop, step = (float(v) for v in rng.split(":"))
+    name, span = args.param_range.split("=", 1)
+    start, stop, step = (float(v) for v in span.split(":"))
     if step <= 0:
         raise InputError("scan step must be positive")
     base = _parse_params(args.param)
@@ -342,8 +344,7 @@ def _cmd_prekopa(args, diagnostics):
     rule = _build_rule(args, field.n - args.n0)
     return [
         prekopa_check(
-            field, t, args.n0, rule, h=args.marginal_h, n_v0=args.n_v0, seed=args.seed,
-            tol_psd=args.tol_psd,
+            field, t, args.n0, rule, h=args.marginal_h, tol_psd=args.tol_psd
         )
     ]
 
@@ -446,7 +447,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True, help="frozen coordinates, comma separated")
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--marginal-h", type=float, default=1e-3)
-    p.add_argument("--n-v0", type=int, default=20)
 
     p = subs.add_parser("bochner", help="Bochner integration-by-parts identity")
     _add_common(p)
@@ -492,11 +492,16 @@ def run(argv) -> int:
     diagnostics: list[str] = []
     try:
         _apply_seed_env(args)
-        checks = _DISPATCH[args.command](args, diagnostics)
+        # warnings raised anywhere in the command (quadrature tails, say) are
+        # reported in the JSON diagnostics, once per distinct message
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            checks = _DISPATCH[args.command](args, diagnostics)
     except (InputError, NotPositiveError, NotPsdError, QuadratureError, BudgetError,
             FileNotFoundError, json.JSONDecodeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    diagnostics.extend(dict.fromkeys(str(w.message) for w in caught))
     _emit(_config_echo(args), checks, diagnostics, args)
     return _exit_code(checks)
 

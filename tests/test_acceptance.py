@@ -161,7 +161,7 @@ class TestAcceptance:
         ]
         ok = True
         for field, t in cases:
-            rep = prekopa_check(field, t, 1, gh64, n_v0=20)
+            rep = prekopa_check(field, t, 1, gh64)
             ok &= rep.passed
             ok &= rep.metrics["route_diff"] <= 1e-4
             ok &= rep.metrics["lambda_max_alpha"] <= 1e-8

@@ -1,9 +1,11 @@
 """Reference tests for the shared numerics: the metric pencil, exact jets,
-read-only polynomial coefficients and the central-difference stencil.
+read-only polynomial coefficients, the central-difference stencil and the
+Prekopa route B matrices.
 
 The references are the formulas the shared helpers replaced: a dense
-generalized eigensolve against the block-diagonal metric id_n (x) g, and
-symbolic differentiation of e^{-q} P.
+generalized eigensolve against the block-diagonal metric id_n (x) g,
+symbolic differentiation of e^{-q} P, and route B evaluated one V0 at a time
+as fiber curvature plus the variance of a vector field.
 """
 
 import numpy as np
@@ -11,7 +13,10 @@ import pytest
 
 import mlcc.inequalities
 from mlcc import (
+    ColumnBlockMatrix,
     QuadraticFormSpec,
+    VectorFieldFn,
+    block_split,
     build_rule,
     builtin_field,
     conjugate_field,
@@ -19,8 +24,12 @@ from mlcc import (
     generalized_spectrum,
     marginal_theta_fd,
     nakano_verdict,
+    pairwise_sum,
     polynomial_field_from_json,
+    prekopa_check,
     restrict_field,
+    theta_alpha_decomposed,
+    variance_functional,
 )
 from mlcc._poly import poly_diff, poly_eval, poly_substitute_prefix
 from mlcc.metric import PolarOperator
@@ -174,3 +183,75 @@ def test_marginal_jet_evaluates_the_centre_once(monkeypatch):
     field = builtin_field("gaussian_cross_spd", {"c": 0.5, "d": 2})
     marginal_theta_fd(field, [0.1], build_rule("gauss_hermite", order=32, m=1))
     assert len(calls) == 5
+
+
+# -- Prekopa route B, one V0 at a time --------------------------------------------
+
+
+def _mixed_vector_field(field, t, v0):
+    """F(y) = sum_j (g^{-1} d_{t_j} g)(t, y) v_j as a function of y."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    n0 = t.shape[0]
+
+    def value(y):
+        jet = field.jet(np.concatenate([t, np.atleast_1d(y)]))
+        g = jet.value.entries
+        out = np.zeros(field.d)
+        for j in range(n0):
+            out += np.linalg.solve(g, jet.d1[j]) @ v0.columns[j]
+        return out
+
+    return VectorFieldFn(field.n - n0, field.d, value)
+
+
+def route_b_reference(field, t, v0, rule):
+    """<Theta^alpha V0, V0> as (total, fiber term, variance term) for one V0."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    flat0 = v0.flatten()
+    curv_terms = []
+    for w, y in zip(rule.weights, rule.nodes):
+        split = block_split(curvature_matrix(field, np.concatenate([t, y])), t.shape[0])
+        curv_terms.append(w * float(flat0 @ split.theta00 @ flat0))
+    term_curv00 = float(pairwise_sum(curv_terms))
+    term_var = variance_functional(restrict_field(field, t), _mixed_vector_field(field, t, v0),
+                                   rule)
+    return term_curv00 + term_var, term_curv00, term_var
+
+
+ROUTE_B_FIXTURES = [
+    ("gaussian_cross_spd", {"c": 0.5, "d": 2}),
+    ("perturbed_gaussian_spd", {}),
+    ("gaussian_times_spd", {"n": 2, "A": np.diag([1.0, 2.0])}),
+]
+
+
+def _draws(rng, field, n0, count):
+    return [ColumnBlockMatrix([rng.uniform(-1.0, 1.0, field.d) for _ in range(n0)])
+            for _ in range(count)]
+
+
+class TestRouteBMatrices:
+    @pytest.mark.parametrize("name,params", ROUTE_B_FIXTURES)
+    def test_quadratic_forms_match_the_per_v0_route(self, name, params):
+        field = builtin_field(name, params)
+        rule = build_rule("gauss_hermite", order=32, m=1)
+        mats = theta_alpha_decomposed(field, [0.1], rule)
+        for v0 in _draws(np.random.default_rng(23), field, 1, 10):
+            v = v0.flatten()
+            for m, ref in zip(mats, route_b_reference(field, [0.1], v0, rule)):
+                tol = 1e-12 * max(1.0, abs(ref))
+                assert float(v @ m @ v) == pytest.approx(ref, rel=0, abs=tol)
+
+    @pytest.mark.parametrize("name,params", ROUTE_B_FIXTURES)
+    def test_route_diff_bounds_the_sampled_value(self, name, params):
+        # replays the sampled metric: 20 draws from [-1, 1]^{d n0} with seed 0
+        field = builtin_field(name, params)
+        rule = build_rule("gauss_hermite", order=32, m=1)
+        report = prekopa_check(field, [0.1], 1, rule)
+        cm_alpha = marginal_theta_fd(field, [0.1], rule)
+        sampled = 0.0
+        for v0 in _draws(np.random.default_rng(0), field, 1, 20):
+            total = route_b_reference(field, [0.1], v0, rule)[0]
+            q_a = cm_alpha.quadratic_form(v0)
+            sampled = max(sampled, abs(q_a - total) / (1.0 + abs(total)))
+        assert report.metrics["route_diff"] >= sampled - 1e-14
