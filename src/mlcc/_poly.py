@@ -5,6 +5,7 @@ A polynomial in ``n`` variables is a list of ``(coeff, degs)`` pairs where
 float or a NumPy array (a matrix polynomial then evaluates to a matrix).
 The same term list carries the envelope q, the matrix part P and the
 polynomial test functions.  Coefficients are never modified in place.
+Evaluation takes one point, shape (n,), or a stack of points, shape (N, n).
 Exact differentiation of these term lists is what makes the closed-form jet
 oracles of the field module possible.
 """
@@ -18,14 +19,46 @@ Term = tuple[float | np.ndarray, tuple[int, ...]]
 
 
 def poly_eval(terms: list[Term], x):
-    total = 0.0
+    """Value at ``x`` (shape (..., n)): shape (...) plus the coefficients' shape.
+
+    Every point runs through the same 1-D array operations, so a stack of
+    points gives bit for bit the values of one call per point.
+    """
+    x = np.asarray(x, dtype=float)
+    lead, n = x.shape[:-1], x.shape[-1]
+    shape = np.asarray(terms[0][0]).shape if terms else ()
+    # one contiguous column per variable, shaped to broadcast against the coefficients
+    cols = x.reshape(-1, n).T.copy().reshape((n, -1) + (1,) * len(shape))
+    powers = {}
+    total = np.zeros(cols.shape[1:2] + shape)
     for coeff, degs in terms:
         m = coeff
-        for xi, di in zip(x, degs):
-            if di:
-                m = m * xi**di
-        total += m
-    return total
+        for j, dj in enumerate(degs):
+            if dj:
+                if (j, dj) not in powers:
+                    powers[j, dj] = cols[j] ** dj
+                m = m * powers[j, dj]
+        total = total + m
+    return total.reshape(lead + shape)
+
+
+def poly_stack(polys: list[list[Term]]) -> list[Term]:
+    """One term list that evaluates every polynomial of ``polys`` at once.
+
+    Its coefficients have a new leading axis, entry k holding polynomial k's
+    coefficient of that monomial, so its value at a point is the stack
+    ``[poly_eval(p, x) for p in polys]`` along the axis after the points'
+    (equal up to rounding: like monomials are collected).  Every polynomial
+    needs at least one term.
+    """
+    shape = np.asarray(polys[0][0][0]).shape
+    collected: dict[tuple[int, ...], np.ndarray] = {}
+    for k, terms in enumerate(polys):
+        for coeff, degs in terms:
+            collected.setdefault(degs, np.zeros((len(polys),) + shape))[k] += coeff
+    for c in collected.values():
+        c.setflags(write=False)
+    return [(c, degs) for degs, c in collected.items()]
 
 
 def _or_zero(out: list[Term], terms: list[Term], dropped: int = 0) -> list[Term]:

@@ -21,6 +21,7 @@ from .metric import (
     ExtendedReal,
     QuadraticFormSpec,
     SpdMatrix,
+    _first,
     metric_pencil,
     polar_value,
 )
@@ -45,25 +46,15 @@ def theta_block(jet: Jet2, j: int, k: int) -> np.ndarray:
     return np.linalg.solve(g, inner)
 
 
-def _theta_tilde_blocks(jet: Jet2) -> np.ndarray:
-    """All raw blocks g * theta_{j,k} = d2_{kj} g - (d_k g) g^{-1} (d_j g)."""
-    n, d = jet.n, jet.d
-    g = jet.value.entries
-    ginv_d1 = np.linalg.solve(g, jet.d1)
-    blocks = np.empty((n, n, d, d))
-    for j in range(n):
-        for k in range(n):
-            blocks[j, k] = jet.d2[k, j] - jet.d1[k] @ ginv_d1[j]
-    return blocks
-
-
 @dataclass(frozen=True)
 class CurvatureMatrix:
     """The curvature operator at a point, as a dn x dn symmetric matrix.
 
     Index (j, l) of the flattened space is j*d + l for column j and
     coordinate l (0-based).  The metric id_n (x) g is carried as ``g``.
-    ``asymmetry`` records the pre-symmetrization asymmetry norm.
+    ``asymmetry`` records the pre-symmetrization asymmetry norm.  Built from
+    a stack of jets, ``theta_tilde``, ``g`` and ``asymmetry`` carry a leading
+    node axis.
     """
 
     d: int
@@ -87,28 +78,37 @@ class CurvatureMatrix:
 
 
 def curvature_from_jet(jet: Jet2) -> CurvatureMatrix:
-    """Assemble the symmetric curvature matrix from a 2-jet."""
+    """Assemble the symmetric curvature matrix from a 2-jet, or a stack of them.
+
+    Block (row k, column j) is g * theta_{j,k} = d2_{kj} g - (d_k g) g^{-1} (d_j g).
+    The asymmetry gate runs on every matrix of a stack; the error names the
+    first that fails.
+    """
     n, d = jet.n, jet.d
-    blocks = _theta_tilde_blocks(jet)
-    raw = np.empty((n * d, n * d))
-    for j in range(n):
-        for k in range(n):
-            # quadratic-form consistent placement: row-block k, column-block j
-            raw[k * d : (k + 1) * d, j * d : (j + 1) * d] = blocks[j, k]
-    asym = float(np.linalg.norm(raw - raw.T))
-    scale = float(np.linalg.norm(raw))
-    if scale > 0.0 and asym > ASYMMETRY_TOL * scale:
+    g = jet.value.entries
+    ginv_d1 = np.linalg.solve(g[..., None, :, :], jet.d1)
+    # [..., k, j] = d2_{kj} - (d_k g) g^{-1} (d_j g): row-block k, column-block j
+    blocks = jet.d2 - jet.d1[..., :, None, :, :] @ ginv_d1[..., None, :, :, :]
+    raw = blocks.swapaxes(-3, -2).reshape(g.shape[:-2] + (n * d, n * d))
+    raw_t = raw.swapaxes(-1, -2)
+    asym = np.linalg.norm(raw - raw_t, axis=(-2, -1))
+    scale = np.linalg.norm(raw, axis=(-2, -1))
+    bad = (scale > 0.0) & (asym > ASYMMETRY_TOL * scale)
+    if bad.any():
+        i = _first(bad)
+        where = "" if i is None else f" at node {i}"
         raise SymmetryError(
-            f"curvature matrix asymmetry {asym:.3e} exceeds {ASYMMETRY_TOL:.0e} "
-            f"of norm {scale:.3e}; the jet is inconsistent"
+            f"curvature matrix asymmetry{where} {float(asym.flat[i or 0]):.3e} exceeds "
+            f"{ASYMMETRY_TOL:.0e} of norm {float(scale.flat[i or 0]):.3e}; the jet is inconsistent"
         )
-    theta = 0.5 * (raw + raw.T)
+    theta = 0.5 * (raw + raw_t)
     theta.setflags(write=False)
-    return CurvatureMatrix(d=d, n=n, theta_tilde=theta, g=jet.value, asymmetry=asym)
+    return CurvatureMatrix(d=d, n=n, theta_tilde=theta, g=jet.value,
+                           asymmetry=asym if asym.ndim else float(asym))
 
 
 def curvature_matrix(field: MatrixField, x) -> CurvatureMatrix:
-    """Curvature operator of ``field`` at ``x``."""
+    """Curvature operator of ``field`` at ``x``, or at each point of a stack."""
     return curvature_from_jet(field.jet(x))
 
 
@@ -213,9 +213,9 @@ def block_split(cm: CurvatureMatrix, n0: int) -> BlockSplit:
         d=d,
         n0=n0,
         n1=n1,
-        theta00=t[:cut, :cut],
-        theta01_tilde=t[cut:, :cut],
-        theta11=t[cut:, cut:],
+        theta00=t[..., :cut, :cut],
+        theta01_tilde=t[..., cut:, :cut],
+        theta11=t[..., cut:, cut:],
         g=cm.g,
     )
 

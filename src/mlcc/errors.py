@@ -6,7 +6,15 @@ class InputError(ValueError):
 
 
 class NotPositiveError(ArithmeticError):
-    """A matrix required to be positive definite is not."""
+    """A matrix required to be positive definite is not.
+
+    ``index`` is the position of the first such matrix in a stack (None for a
+    single matrix).
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class NotPsdError(ArithmeticError):

@@ -11,14 +11,13 @@ path.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._poly import poly_diff, poly_eval, poly_substitute_prefix
-from .errors import InputError
+from ._poly import poly_diff, poly_eval, poly_stack, poly_substitute_prefix
+from .errors import InputError, NotPositiveError
 from .metric import SpdMatrix
 
 #: Default central-difference step for finite-difference jets.
@@ -27,19 +26,19 @@ DEFAULT_FD_STEP = 1e-4
 
 @dataclass(frozen=True)
 class Jet2:
-    """Second-order jet of a matrix field at a point.
+    """Second-order jet of a matrix field at a point (or a stack: leading axis N).
 
-    ``value`` is the SPD value, ``d1[j]`` the first partials, ``d2[j][k]``
-    the second partials (symmetrized in (j, k) on assembly).
+    ``value`` is the SPD value, ``d1[..., j]`` the first partials,
+    ``d2[..., j, k]`` the second partials (symmetrized in (j, k) on assembly).
     """
 
     value: SpdMatrix
-    d1: np.ndarray  # (n, d, d)
-    d2: np.ndarray  # (n, n, d, d)
+    d1: np.ndarray  # (..., n, d, d)
+    d2: np.ndarray  # (..., n, n, d, d)
 
     @property
     def n(self) -> int:
-        return self.d1.shape[0]
+        return self.d1.shape[-3]
 
     @property
     def d(self) -> int:
@@ -47,36 +46,45 @@ class Jet2:
 
 
 def central_differences(fn, x, h: float, richardson: bool = False, second: bool = True):
-    """Central differences of ``fn`` at ``x``: ``(value, d1, d2)``.
+    """Central differences of ``fn`` at ``x`` (one point or a stack of centres).
 
-    ``d1[j]`` and ``d2[j, k]`` approximate the first and second partials to
-    O(h^2); ``richardson`` combines the steps h and h/2 to O(h^4).  ``fn``
-    runs once at the centre, then at x +- step e_j and, for the mixed
-    partials, at x +- step e_j +- step e_k.  With ``second=False`` only the
-    first differences are formed (value and d2 are None, the centre is not
+    Returns ``(value, d1, d2)``; ``d1[..., j]`` and ``d2[..., j, k]``
+    approximate the first and second partials to O(h^2), ``richardson``
+    combines the steps h and h/2 to O(h^4).  The stencil is the centre,
+    x +- step e_j and, for the mixed partials, x +- step e_j +- step e_k;
+    ``fn`` maps a stack of points to a stack of values and runs once, on the
+    stencils of all centres.  With ``second=False`` only the first
+    differences are formed (value and d2 are None, the centre is not
     evaluated).  Every caller's SPD or shape checks run inside ``fn``.
     """
-    n = x.shape[0]
-    value = fn(x) if second else None
+    n, lead = x.shape[-1], x.ndim - 1
+    steps = (h, h / 2.0) if richardson else (h,)
+    pts = [x] if second else []
+    for step in steps:
+        e = step * np.eye(n)
+        pts += [x + e[j] for j in range(n)] + [x - e[j] for j in range(n)]
+        if second:
+            for j in range(n):
+                for k in range(j + 1, n):
+                    pts += [x + e[j] + e[k], x + e[j] - e[k], x - e[j] + e[k], x - e[j] - e[k]]
+    vals = fn(np.stack(pts, axis=-2).reshape(-1, n))
+    vals = vals.reshape(x.shape[:-1] + (len(pts),) + vals.shape[1:])
+    vals = iter(np.moveaxis(vals, lead, 0))  # in the order of pts
+    value = next(vals) if second else None
 
     def at(step):
-        e = step * np.eye(n)
-        plus = [fn(x + e[j]) for j in range(n)]
-        minus = [fn(x - e[j]) for j in range(n)]
-        d1 = np.stack([(plus[j] - minus[j]) / (2.0 * step) for j in range(n)])
+        plus = [next(vals) for _ in range(n)]
+        minus = [next(vals) for _ in range(n)]
+        d1 = np.stack([(plus[j] - minus[j]) / (2.0 * step) for j in range(n)], axis=lead)
         if not second:
             return d1, None
-        d2 = np.empty((n,) + d1.shape)
+        d2 = [[None] * n for _ in range(n)]
         for j in range(n):
-            d2[j, j] = (plus[j] - 2.0 * value + minus[j]) / step**2
+            d2[j][j] = (plus[j] - 2.0 * value + minus[j]) / step**2
             for k in range(j + 1, n):
-                d2[j, k] = d2[k, j] = (
-                    fn(x + e[j] + e[k])
-                    - fn(x + e[j] - e[k])
-                    - fn(x - e[j] + e[k])
-                    + fn(x - e[j] - e[k])
-                ) / (4.0 * step**2)
-        return d1, d2
+                pp, pm, mp, mm = (next(vals) for _ in range(4))
+                d2[j][k] = d2[k][j] = (pp - pm - mp + mm) / (4.0 * step**2)
+        return d1, np.stack([np.stack(row, axis=lead) for row in d2], axis=lead)
 
     d1, d2 = at(h)
     if richardson:
@@ -119,7 +127,7 @@ class MatrixField:
         self.jet_mode = jet_mode
         self.h = float(h)
         self.richardson = bool(richardson)
-        self._q = [(float(c), tuple(degs)) for c, degs in q_terms]
+        self._q = [(float(c), tuple(degs)) for c, degs in q_terms] or [(0.0, (0,) * n)]
         self._p = []
         for degs, coeff in list(p_terms) or [((0,) * n, np.zeros((d, d)))]:
             a = np.array(coeff, dtype=float)
@@ -140,55 +148,68 @@ class MatrixField:
         return MatrixField(n, self.d, q, [(degs, c) for c, degs in p], name=name, **jet)
 
     @cached_property
-    def _partials(self):
-        """Term lists of the partials d_j and d_j d_k (k >= j) of q and P, derived once."""
-        q1 = [poly_diff(self._q, j) for j in range(self.n)]
-        p1 = [poly_diff(self._p, j) for j in range(self.n)]
-        q2 = {(j, k): poly_diff(q1[j], k) for j in range(self.n) for k in range(j, self.n)}
-        p2 = {(j, k): poly_diff(p1[j], k) for j in range(self.n) for k in range(j, self.n)}
-        return q1, p1, q2, p2
+    def _jet_terms(self):
+        """q and P with their partials, derived once and each stacked into one
+        term list: entry 0 the polynomial, 1 + j its d_j, ``second[j, k]`` its d_j d_k."""
+        pairs = [(j, k) for j in range(self.n) for k in range(j, self.n)]
+        second = np.empty((self.n, self.n), dtype=int)
+        for i, (j, k) in enumerate(pairs):
+            second[j, k] = second[k, j] = 1 + self.n + i
 
-    # -- plain evaluation ---------------------------------------------------
+        def family(terms):
+            d1 = [poly_diff(terms, j) for j in range(self.n)]
+            return poly_stack([terms] + d1 + [poly_diff(d1[j], k) for j, k in pairs])
 
-    def _point(self, x) -> np.ndarray:
+        return family(self._q), family(self._p), second
+
+    # -- evaluation: at one point, shape (n,), or a stack of them, (N, n) ----
+
+    def _points(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,) or not np.isfinite(x).all():
-            raise InputError(f"expected a finite point in R^{self.n}")
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n or not np.isfinite(x).all():
+            raise InputError(f"expected a finite point in R^{self.n} or a stack of them")
         return x
 
-    def raw_value(self, x) -> np.ndarray:
-        """Value without the positivity check (symmetric by construction)."""
-        x = self._point(x)
-        return math.exp(-poly_eval(self._q, x)) * poly_eval(self._p, x)
+    def _spd(self, x: np.ndarray, values) -> SpdMatrix:
+        """The values at ``x`` as an SpdMatrix; off the cone, the error names the point."""
+        try:
+            return SpdMatrix(values)
+        except NotPositiveError as exc:
+            at = x if exc.index is None else x[exc.index]
+            raise NotPositiveError(
+                f"field {self.name} at x = {np.array2string(at, precision=6)}: {exc}",
+                exc.index,
+            ) from None
 
     def value(self, x) -> np.ndarray:
         """Evaluate at ``x``; raises NotPositiveError off the SPD cone."""
-        return SpdMatrix(self.raw_value(x)).entries
+        x = self._points(x)
+        raw = np.exp(-poly_eval(self._q, x))[..., None, None] * poly_eval(self._p, x)
+        return self._spd(x, raw).entries
 
     # -- jets ----------------------------------------------------------------
 
     def jet(self, x) -> Jet2:
-        x = self._point(x)
+        x = self._points(x)
         if self.jet_mode == "finite_difference":
             value, d1, d2 = central_differences(self.value, x, self.h, self.richardson)
             return Jet2(value=SpdMatrix(value), d1=d1, d2=d2)
         n = self.n
-        q1, p1, q2, p2 = self._partials
-        env = math.exp(-poly_eval(self._q, x))
-        p0 = poly_eval(self._p, x)
-        qj = [poly_eval(q, x) for q in q1]
-        pj = [poly_eval(p, x) for p in p1]
-        d1 = np.stack([env * (pj[j] - qj[j] * p0) for j in range(n)])
-        d2 = np.empty((n, n, self.d, self.d))
-        for j in range(n):
-            for k in range(j, n):
-                d2[j, k] = d2[k, j] = env * (
-                    poly_eval(p2[j, k], x)
-                    - qj[j] * pj[k]
-                    - qj[k] * pj[j]
-                    + (qj[j] * qj[k] - poly_eval(q2[j, k], x)) * p0
-                )
-        return Jet2(value=SpdMatrix(env * p0), d1=d1, d2=d2)
+        q_terms, p_terms, second = self._jet_terms
+        q = poly_eval(q_terms, x)[..., None, None]  # (..., K, 1, 1)
+        p = poly_eval(p_terms, x)  # (..., K, d, d)
+        env = np.exp(-q[..., 0, :, :])
+        p0, q1, p1 = p[..., 0, :, :], q[..., 1 : n + 1, :, :], p[..., 1 : n + 1, :, :]
+        q2, p2 = q[..., second, :, :], p[..., second, :, :]
+        d1 = env[..., None, :, :] * (p1 - q1 * p0[..., None, :, :])
+        # d2[j, k] = e^{-q}(P_jk - (q_j P_k + q_k P_j) + (q_j q_k - q_jk) P), exactly
+        # symmetric in (j, k) since the paired products are added commutatively
+        qj, qk = q1[..., :, None, :, :], q1[..., None, :, :, :]
+        pj, pk = p1[..., :, None, :, :], p1[..., None, :, :, :]
+        d2 = env[..., None, None, :, :] * (
+            p2 - (qj * pk + qk * pj) + (qj * qk - q2) * p0[..., None, None, :, :]
+        )
+        return Jet2(value=self._spd(x, env * p0), d1=d1, d2=d2)
 
     # -- derived fields -------------------------------------------------------
 

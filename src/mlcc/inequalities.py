@@ -58,18 +58,24 @@ def bl_gap(
     tol_gap: float | None = None,
     evaluator: DirichletEvaluator | None = None,
 ) -> CheckReport:
-    """Brascamp-Lieb check: weighted variance of F against the Dirichlet energy."""
+    """Brascamp-Lieb check: weighted variance of F against the Dirichlet energy.
+
+    ``evaluator`` (built on the same field and rule) saves rebuilding the
+    curvature; ``rel_null_tol`` applies either way.
+    """
     lhs = variance_functional(field, f, rule)
     if evaluator is None:
-        evaluator = DirichletEvaluator(field, rule, rel_null_tol)
-    rhs = evaluator.energy(f)
+        evaluator = DirichletEvaluator(field, rule)
+    rhs = evaluator.energy(f, rel_null_tol)
+    settings = {"rule": rule.kind, "nodes": rule.count}
     if rhs.is_infinite:
         return CheckReport(
             name="bl_gap",
             status="degenerate",
             metrics={"lhs": lhs, "rhs": rhs.value, "gap": float("inf")},
-            tolerances={"tol_gap": tol_gap if tol_gap is not None else 1e-6},
-            settings={"rule": rule.kind, "nodes": rule.count},
+            tolerances={"tol_gap": tol_gap if tol_gap is not None else 1e-6,
+                        "rel_null_tol": rel_null_tol},
+            settings=settings,
         )
     gap = rhs.value - lhs
     tol = tol_gap if tol_gap is not None else 1e-6 * max(1.0, rhs.value)
@@ -77,8 +83,8 @@ def bl_gap(
         name="bl_gap",
         status="pass" if gap >= -tol else "fail",
         metrics={"lhs": lhs, "rhs": rhs.value, "gap": gap},
-        tolerances={"tol_gap": tol},
-        settings={"rule": rule.kind, "nodes": rule.count},
+        tolerances={"tol_gap": tol, "rel_null_tol": rel_null_tol},
+        settings=settings,
     )
 
 
@@ -172,8 +178,8 @@ def _marginal_jet(field: MatrixField, t, rule: QuadratureRule, h: float,
     """2-jet of alpha(t) = int g(t, y) dy by central differences in t."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
 
-    def alpha(tt):
-        return integrate_field(restrict_field(field, tt), rule).entries
+    def alpha(ts):
+        return np.stack([integrate_field(restrict_field(field, tt), rule).entries for tt in ts])
 
     a0, d1, d2 = central_differences(alpha, t, h, richardson)
     return Jet2(value=SpdMatrix(a0), d1=d1, d2=d2)
@@ -200,19 +206,17 @@ def theta_alpha_decomposed(
     n0, d = t.shape[0], field.d
     if rule.m != field.n - n0:
         raise InputError("rule dimension must equal the number of integrated variables")
-    curv_terms, sq_terms, d_terms, z_terms = [], [], [], []
-    for w, y in zip(rule.weights, rule.nodes):
-        jet = field.jet(np.concatenate([t, y]))
-        g = jet.value.entries
-        dmat = jet.d1[:n0].transpose(1, 0, 2).reshape(d, n0 * d)
-        curv_terms.append(w * block_split(curvature_from_jet(jet), n0).theta00)
-        sq_terms.append(w * (dmat.T @ np.linalg.solve(g, dmat)))
-        d_terms.append(w * dmat)
-        z_terms.append(w * g)
-    term_curv00 = pairwise_sum(curv_terms)
-    mean_d = pairwise_sum(d_terms)
-    z = pairwise_sum(z_terms)
-    term_var = pairwise_sum(sq_terms) - mean_d.T @ np.linalg.solve(z, mean_d)
+    w = rule.weights[:, None, None]
+    nodes = np.concatenate([np.broadcast_to(t, (rule.count, n0)), rule.nodes], axis=1)
+    jet = field.jet(nodes)
+    g = jet.value.entries
+    # D = [d_{t_1} g | ... | d_{t_n0} g] at every node, (N, d, n0 * d)
+    dmat = jet.d1[:, :n0].swapaxes(1, 2).reshape(rule.count, d, n0 * d)
+    term_curv00 = pairwise_sum(w * block_split(curvature_from_jet(jet), n0).theta00)
+    mean_d = pairwise_sum(w * dmat)
+    z = pairwise_sum(w * g)
+    sq = pairwise_sum(w * (dmat.swapaxes(1, 2) @ np.linalg.solve(g, dmat)))
+    term_var = sq - mean_d.T @ np.linalg.solve(z, mean_d)
     return term_curv00 + term_var, term_curv00, term_var
 
 

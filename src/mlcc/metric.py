@@ -23,40 +23,51 @@ PSD_TOL = 1e-9
 DEFAULT_NULL_TOL = 1e-10
 
 
+def _first(bad: np.ndarray) -> int | None:
+    """Index of the first True flag of a stack (None for one matrix's flag)."""
+    return int(np.argmax(bad)) if bad.ndim else None
+
+
 @dataclass(frozen=True)
 class SpdMatrix:
-    """A dense real symmetric positive definite matrix.
+    """A dense real symmetric positive definite matrix, or a stack (N, d, d).
 
     The entries are symmetrized on construction so the symmetry invariant
-    holds exactly; positivity is checked against ``tol_spd``.
+    holds exactly; positivity is checked against ``tol_spd`` for every
+    matrix, and the error names the first one that fails.
     """
 
     entries: np.ndarray
 
     def __init__(self, entries, tol_spd: float = 0.0):
         a = np.asarray(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InputError(f"expected a square matrix, got shape {a.shape}")
+        if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+            raise InputError(f"expected a square matrix or a stack of them, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise InputError("matrix entries must be finite")
-        sym = 0.5 * (a + a.T)
-        lam_min = float(np.linalg.eigvalsh(sym)[0])
-        if lam_min <= tol_spd:
+        sym = 0.5 * (a + a.swapaxes(-1, -2))
+        lam_min = np.linalg.eigvalsh(sym)[..., 0]
+        if lam_min.min() <= tol_spd:
+            i = _first(lam_min <= tol_spd)
+            which = "matrix" if i is None else f"matrix {i} of {a.shape[0]}"
             raise NotPositiveError(
-                f"matrix is not positive definite (min eigenvalue {lam_min:.3e})"
+                f"{which} is not positive definite "
+                f"(min eigenvalue {float(lam_min.flat[i or 0]):.3e})",
+                i,
             )
         sym.setflags(write=False)
         object.__setattr__(self, "entries", sym)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     def sqrt_and_invsqrt(self) -> tuple[np.ndarray, np.ndarray]:
         """Matrix square root and inverse square root via eigendecomposition."""
         lam, v = np.linalg.eigh(self.entries)
-        root = np.sqrt(lam)
-        return (v * root) @ v.T, (v / root) @ v.T
+        root = np.sqrt(lam)[..., None, :]
+        vt = v.swapaxes(-1, -2)
+        return (v * root) @ vt, (v / root) @ vt
 
 
 @dataclass(frozen=True)
@@ -141,7 +152,8 @@ class QuadraticFormSpec:
 
     ``form`` is the plain symmetric matrix metric @ C.  The metric is a d x d
     ``g`` weighting R^{dn} blockwise as id_n (x) g (n = 1 when the form is
-    d x d); the block-diagonal matrix itself is never formed.
+    d x d); the block-diagonal matrix itself is never formed.  A stack of
+    metrics (N, d, d) goes with a stack of forms (N, dn, dn).
     """
 
     metric: SpdMatrix
@@ -149,19 +161,23 @@ class QuadraticFormSpec:
 
     def __init__(self, metric: SpdMatrix, form):
         a = np.asarray(form, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % metric.dim:
+        if (a.ndim != metric.entries.ndim or a.shape[-1] != a.shape[-2]
+                or a.shape[:-2] != metric.entries.shape[:-2] or a.shape[-1] % metric.dim):
             raise InputError("form dimension is not a multiple of the metric's")
-        scale = np.abs(a).max() if a.size else 0.0
-        if np.abs(a - a.T).max() > 1e-10 * max(scale, 1.0):
+        at = a.swapaxes(-1, -2)
+        dev = np.abs(a - at)
+        # each form's asymmetry against 1e-10 of its own scale (at least 1e-10)
+        if dev.max() > 1e-10 and (dev.max(axis=(-2, -1))
+                                  > 1e-10 * np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)).any():
             raise InputError("form matrix is not symmetric within tolerance")
-        sym = 0.5 * (a + a.T)
+        sym = 0.5 * (a + at)
         sym.setflags(write=False)
         object.__setattr__(self, "metric", metric)
         object.__setattr__(self, "form", sym)
 
     @property
     def dim(self) -> int:
-        return self.form.shape[0]
+        return self.form.shape[-1]
 
     def __call__(self, u) -> float:
         u = np.asarray(u, dtype=float)
@@ -172,12 +188,14 @@ def metric_pencil(invroot: np.ndarray, form: np.ndarray) -> np.ndarray:
     """Symmetrized (id_n (x) g)^{-1/2} form (id_n (x) g)^{-1/2}, from g^{-1/2}.
 
     Each d x d block of ``form`` is congruenced by ``invroot`` in place of
-    two dn x dn products with the block-diagonal inverse root.
+    two dn x dn products with the block-diagonal inverse root; stacks of
+    both give a stack of pencils.
     """
-    d, nd = invroot.shape[0], form.shape[0]
-    left = invroot @ form.reshape(nd // d, d, nd)
-    pencil = (left.reshape(-1, d) @ invroot).reshape(nd, nd)
-    return 0.5 * (pencil + pencil.T)
+    d, nd = invroot.shape[-1], form.shape[-1]
+    lead = form.shape[:-2]
+    left = invroot[..., None, :, :] @ form.reshape(lead + (nd // d, d, nd))
+    pencil = (left.reshape(lead + (nd * nd // d, d)) @ invroot).reshape(lead + (nd, nd))
+    return 0.5 * (pencil + pencil.swapaxes(-1, -2))
 
 
 def g_inner(g: SpdMatrix, u, v) -> float:
@@ -209,36 +227,42 @@ class PolarOperator:
 
     The generalized eigenproblem (form, metric) is symmetrized through the
     metric square root; null directions are detected relative to the largest
-    eigenvalue.  Reusable across many evaluation vectors.
+    eigenvalue.  Reusable across many evaluation vectors.  Built on a stack of
+    forms, it evaluates one vector per form, and checks each form.
     """
 
     def __init__(self, spec: QuadraticFormSpec, psd_tol: float = PSD_TOL):
         root, invroot = spec.metric.sqrt_and_invsqrt()
         lam, w = np.linalg.eigh(metric_pencil(invroot, spec.form))
-        lam_max = float(lam[-1])
-        if lam[0] < -psd_tol * max(lam_max, 0.0) and lam[0] < -psd_tol:
-            raise NotPsdError(
-                f"form is indefinite (generalized eigenvalue {lam[0]:.3e})"
-            )
+        lam_min, lam_max = lam[..., 0], lam[..., -1]
+        if lam_min.min() < -psd_tol:
+            bad = (lam_min < -psd_tol * np.maximum(lam_max, 0.0)) & (lam_min < -psd_tol)
+            if bad.any():
+                i = _first(bad)
+                raise NotPsdError(
+                    f"form{'' if i is None else f' {i} of {bad.shape[0]}'} is indefinite "
+                    f"(generalized eigenvalue {float(lam_min.flat[i or 0]):.3e})"
+                )
         self.eigenvalues = np.maximum(lam, 0.0)
-        self.lam_max = max(lam_max, 0.0)
+        self.lam_max = np.maximum(lam_max, 0.0)
         # maps v to its metric-orthonormal eigencoordinates w^T (id_n (x) root) v
-        d = root.shape[0]
-        self._coord_map = (w.T.reshape(-1, w.shape[0] // d, d) @ root).reshape(w.shape)
+        d, nd = root.shape[-1], w.shape[-1]
+        wt = w.swapaxes(-1, -2).reshape(w.shape[:-2] + (nd * nd // d, d))
+        self._coord_map = (wt @ root).reshape(w.shape)
 
-    def value(self, v, rel_null_tol: float = DEFAULT_NULL_TOL) -> ExtendedReal:
+    def value(self, v, rel_null_tol: float = DEFAULT_NULL_TOL):
+        """Q°(v) as an ExtendedReal; on a stack, v is (N, dn) and the result an
+        (N,) array of floats, inf where v leaves the range of that node's form."""
         if not 0.0 < rel_null_tol <= 1e-3:
             raise InputError("rel_null_tol must lie in (0, 1e-3]")
         v = np.asarray(v, dtype=float)
-        c = self._coord_map @ v
-        norm = float(np.linalg.norm(c))
-        if norm == 0.0:
-            return ExtendedReal(0.0)
-        null = self.eigenvalues <= rel_null_tol * self.lam_max
-        if float(np.linalg.norm(c[null])) > rel_null_tol * norm:
-            return ExtendedReal.infinite()
-        live = ~null
-        return ExtendedReal(float(np.sum(c[live] ** 2 / self.eigenvalues[live])))
+        c2 = (self._coord_map @ v[..., None])[..., 0] ** 2
+        null = self.eigenvalues <= rel_null_tol * self.lam_max[..., None]
+        # v leaves the range when its null part exceeds rel_null_tol of its norm
+        off_range = np.where(null, c2, 0.0).sum(-1) > rel_null_tol**2 * c2.sum(-1)
+        out = (c2 / np.where(null, np.inf, self.eigenvalues)).sum(-1)
+        out = np.where(off_range, np.inf, out)
+        return ExtendedReal(float(out)) if out.ndim == 0 else out
 
 
 def polar_value(

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
 
 import numpy as np
 
-from ._poly import poly_diff, poly_eval
+from ._poly import poly_diff, poly_eval, poly_stack
 from .curvature import curvature_matrix
 from .errors import BudgetError, InputError, QuadratureError
 from .fields import MatrixField, central_differences
@@ -28,15 +28,19 @@ TAIL_WARN_REL = 1e-12
 
 
 def pairwise_sum(terms):
-    """Sum a sequence of arrays (or floats) along a fixed pairwise tree."""
-    items = list(terms)
-    if not items:
+    """Sum along axis 0 by a fixed pairwise tree.
+
+    ``terms`` is an array of shape (N, ...) or a sequence of N equal-shape
+    arrays or floats.  Level by level, items 2i and 2i + 1 are added and an
+    odd last item is carried up, so the result depends on N alone, not on
+    how the items were produced.
+    """
+    items = np.asarray(terms if isinstance(terms, np.ndarray) else list(terms), dtype=float)
+    if items.ndim == 0 or items.shape[0] == 0:
         raise InputError("nothing to sum")
-    while len(items) > 1:
-        paired = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
-        if len(items) % 2:
-            paired.append(items[-1])
-        items = paired
+    while items.shape[0] > 1:
+        paired = items[0:-1:2] + items[1::2]
+        items = np.concatenate([paired, items[-1:]]) if items.shape[0] % 2 else paired
     return items[0]
 
 
@@ -108,91 +112,110 @@ def build_rule(kind: str, **params) -> QuadratureRule:
             axes.append((pts, w))
     else:
         raise InputError(f"unknown rule kind {kind!r}")
-    node_grids = [a[0] for a in axes]
-    weight_grids = [a[1] for a in axes]
-    nodes = np.array(list(product(*node_grids)))
-    weights = np.array([np.prod(ws) for ws in product(*weight_grids)])
+    # tensor product with the last axis fastest; weights multiply left to right
+    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    nodes = np.stack(grids, axis=-1).reshape(-1, len(axes))
+    weights = reduce(np.multiply.outer, [a[1] for a in axes]).reshape(-1)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(m=len(axes), nodes=nodes, weights=weights, kind=kind)
 
 
+def _shaped(out, x: np.ndarray, tail: tuple, what: str) -> np.ndarray:
+    """``out`` as floats, checked to have the shape of x's stack plus ``tail``."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != x.shape[:-1] + tail:
+        raise InputError(f"{what} has shape {out.shape}, want {x.shape[:-1] + tail}")
+    return out
+
+
+def _rowwise(fn):
+    """A per-point callable mapped over the rows of a stack of points."""
+    if fn is None:
+        return None
+
+    def stacked(x):
+        rows = x.reshape(-1, x.shape[-1])
+        out = np.stack([np.atleast_1d(np.asarray(fn(row), dtype=float)) for row in rows])
+        return out.reshape(x.shape[:-1] + out.shape[1:])
+
+    return stacked
+
+
 class VectorFieldFn:
     """A C^1 (optionally C^2) map R^n -> R^d with derivative oracles.
 
-    Gradients are (d, n); Hessians (d, n, n).  Missing oracles fall back to
-    central first differences of the value (gradient) or gradient (Hessian).
+    Values are (d,), gradients (d, n), Hessians (d, n, n) at one point,
+    shape (n,); a stack of points, shape (N, n), adds a leading axis of
+    length N.  The callables given here take one point and are mapped over
+    the rows of a stack; :meth:`polynomial` evaluates whole stacks.  Missing
+    oracles fall back to central first differences of the value (gradient)
+    or gradient (Hessian).
     """
 
     def __init__(self, n, d, value, grad=None, hess=None, fd_step: float = 1e-5):
         self.n = int(n)
         self.d = int(d)
-        self._value = value
-        self._grad = grad
-        self._hess = hess
+        self._value = _rowwise(value)
+        self._grad = _rowwise(grad)
+        self._hess = _rowwise(hess)
         self._h = float(fd_step)
 
     def value(self, x) -> np.ndarray:
-        out = np.atleast_1d(np.asarray(self._value(np.asarray(x, float)), float))
-        if out.shape != (self.d,):
-            raise InputError(f"vector field value has shape {out.shape}, want ({self.d},)")
-        return out
+        x = np.asarray(x, dtype=float)
+        return _shaped(self._value(x), x, (self.d,), "vector field value")
 
     def grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self._grad is not None:
-            out = np.asarray(self._grad(x), dtype=float)
-            if out.shape != (self.d, self.n):
-                raise InputError("gradient oracle returned wrong shape")
-            return out
+            return _shaped(self._grad(x), x, (self.d, self.n), "gradient oracle")
         _, d1, _ = central_differences(self.value, x, self._h, second=False)
-        return d1.T
+        return d1.swapaxes(-1, -2)
 
     def hess(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self._hess is not None:
-            out = np.asarray(self._hess(x), dtype=float)
-            if out.shape != (self.d, self.n, self.n):
-                raise InputError("hessian oracle returned wrong shape")
-            return out
+            return _shaped(self._hess(x), x, (self.d, self.n, self.n), "hessian oracle")
         _, d1, _ = central_differences(self.grad, x, self._h, second=False)
-        out = np.moveaxis(d1, 0, 2)
-        return 0.5 * (out + out.transpose(0, 2, 1))
+        out = np.moveaxis(d1, -3, -1)
+        return 0.5 * (out + out.swapaxes(-1, -2))
 
     @classmethod
     def polynomial(cls, n: int, components) -> "VectorFieldFn":
-        """Exact polynomial vector field; ``components[l]`` is a term list."""
-        comps = [[(float(c), tuple(degs)) for c, degs in comp] for comp in components]
+        """Exact polynomial vector field; ``components[l]`` is a term list.
+
+        The components, their gradients and their Hessians are stacked into
+        one term list each (see ``poly_stack``), so a value, gradient or
+        Hessian is one evaluation for a whole stack of points.
+        """
+        zero = [(0.0, (0,) * n)]
+        comps = [[(float(c), tuple(degs)) for c, degs in comp] or zero for comp in components]
         d = len(comps)
         grads = [[poly_diff(comp, j) for j in range(n)] for comp in comps]
-        hesses = [
-            [[poly_diff(grads[l][j], k) for k in range(n)] for j in range(n)]
-            for l in range(d)
-        ]
+        value_terms = poly_stack(comps)
+        grad_terms = poly_stack([g for row in grads for g in row])
+        hess_terms = poly_stack([poly_diff(g, k) for row in grads for g in row for k in range(n)])
 
         def value(x):
-            return np.array([poly_eval(comp, x) for comp in comps])
+            return poly_eval(value_terms, x)
 
         def grad(x):
-            return np.array(
-                [[poly_eval(grads[l][j], x) for j in range(n)] for l in range(d)]
-            )
+            out = poly_eval(grad_terms, x)
+            return out.reshape(out.shape[:-1] + (d, n))
 
         def hess(x):
-            return np.array(
-                [
-                    [[poly_eval(hesses[l][j][k], x) for k in range(n)] for j in range(n)]
-                    for l in range(d)
-                ]
-            )
+            out = poly_eval(hess_terms, x)
+            return out.reshape(out.shape[:-1] + (d, n, n))
 
-        return cls(n, d, value, grad, hess)
+        fn = cls(n, d, None)
+        fn._value, fn._grad, fn._hess = value, grad, hess  # stack-native, not row-mapped
+        return fn
 
 
-def _node_values(field: MatrixField, rule: QuadratureRule):
+def _node_values(field: MatrixField, rule: QuadratureRule) -> np.ndarray:
     if field.n != rule.m:
         raise InputError("field and rule dimensions differ")
-    return [field.value(x) for x in rule.nodes]
+    return field.value(rule.nodes)
 
 
 def _tail_check(rule: QuadratureRule, terms, total) -> None:
@@ -204,14 +227,13 @@ def _tail_check(rule: QuadratureRule, terms, total) -> None:
         warnings.warn(
             "outermost quadrature node still carries relative weight "
             f"{tail / bulk:.2e}; the rule may not cover the integrand's support",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
-def integrate_field(field: MatrixField, rule: QuadratureRule) -> SpdMatrix:
-    """sum_i w_i g(node_i), validated positive definite."""
-    values = _node_values(field, rule)
-    terms = [w * v for w, v in zip(rule.weights, values)]
+def _integral(rule: QuadratureRule, values: np.ndarray) -> SpdMatrix:
+    """sum_i w_i values_i, validated positive definite, with the tail check."""
+    terms = rule.weights[:, None, None] * values
     total = pairwise_sum(terms)
     _tail_check(rule, terms, total)
     try:
@@ -223,58 +245,55 @@ def integrate_field(field: MatrixField, rule: QuadratureRule) -> SpdMatrix:
         ) from exc
 
 
+def integrate_field(field: MatrixField, rule: QuadratureRule) -> SpdMatrix:
+    """sum_i w_i g(node_i), validated positive definite."""
+    return _integral(rule, _node_values(field, rule))
+
+
 def weighted_mean(field: MatrixField, f: VectorFieldFn, rule: QuadratureRule) -> np.ndarray:
     """Z^{-1} * sum_i w_i g(node_i) F(node_i)."""
-    z = integrate_field(field, rule)
-    terms = [
-        w * (field.value(x) @ f.value(x)) for w, x in zip(rule.weights, rule.nodes)
-    ]
-    return np.linalg.solve(z.entries, pairwise_sum(terms))
+    g = _node_values(field, rule)
+    z = _integral(rule, g)
+    gf = (g @ f.value(rule.nodes)[..., None])[..., 0]
+    return np.linalg.solve(z.entries, pairwise_sum(rule.weights[:, None] * gf))
 
 
 def variance_functional(field: MatrixField, f: VectorFieldFn, rule: QuadratureRule) -> float:
     """Weighted variance of F: int ||F||_g^2 - ||Z^{-1} int gF||_Z^2."""
-    sq_terms = []
-    gf_terms = []
-    z_terms = []
-    for w, x in zip(rule.weights, rule.nodes):
-        g = field.value(x)
-        val = f.value(x)
-        gf = g @ val
-        sq_terms.append(w * float(val @ gf))
-        gf_terms.append(w * gf)
-        z_terms.append(w * g)
-    z = pairwise_sum(z_terms)
-    gf = pairwise_sum(gf_terms)
-    second = float(pairwise_sum(sq_terms))
-    return second - float(gf @ np.linalg.solve(z, gf))
+    w = rule.weights
+    g = _node_values(field, rule)
+    val = f.value(rule.nodes)
+    gf = (g @ val[..., None])[..., 0]
+    z = pairwise_sum(w[:, None, None] * g)
+    mean = pairwise_sum(w[:, None] * gf)
+    second = float(pairwise_sum(w * np.sum(val * gf, axis=-1)))
+    return second - float(mean @ np.linalg.solve(z, mean))
 
 
 class DirichletEvaluator:
-    """Per-node polar operators of -Theta, reusable across test functions."""
+    """Polar operators of -Theta at every node, reusable across test functions.
 
-    def __init__(self, field: MatrixField, rule: QuadratureRule,
-                 rel_null_tol: float = DEFAULT_NULL_TOL):
+    The curvature and its polar data are built once, as one stack over the
+    rule's nodes; a node where -Theta is indefinite raises NotPsdError.
+    """
+
+    def __init__(self, field: MatrixField, rule: QuadratureRule):
         if field.n != rule.m:
             raise InputError("field and rule dimensions differ")
         self.field = field
         self.rule = rule
-        self.rel_null_tol = float(rel_null_tol)
-        self._polars = []
-        for x in rule.nodes:
-            cm = curvature_matrix(field, x)
-            spec = QuadraticFormSpec(cm.g, -cm.theta_tilde)
-            self._polars.append(PolarOperator(spec))
+        cm = curvature_matrix(field, rule.nodes)
+        self._polar = PolarOperator(QuadraticFormSpec(cm.g, -cm.theta_tilde))
 
-    def energy(self, f: VectorFieldFn) -> ExtendedReal:
-        terms = []
-        for w, x, polar in zip(self.rule.weights, self.rule.nodes, self._polars):
-            v = f.grad(x).T.reshape(-1)  # flatten (j, l) -> j*d + l
-            val = polar.value(v, self.rel_null_tol)
-            if val.is_infinite:
-                return ExtendedReal.infinite()
-            terms.append(w * val.value)
-        return ExtendedReal(float(pairwise_sum(terms)))
+    def energy(self, f: VectorFieldFn, rel_null_tol: float = DEFAULT_NULL_TOL) -> ExtendedReal:
+        """int Q°(grad F); infinite when grad F leaves the range of -Theta at any
+        node, null directions judged relative to ``rel_null_tol``."""
+        grad = f.grad(self.rule.nodes)  # (N, d, n)
+        v = grad.swapaxes(-1, -2).reshape(grad.shape[0], -1)  # flatten (j, l) -> j*d + l
+        values = self._polar.value(v, rel_null_tol)
+        if np.isinf(values).any():
+            return ExtendedReal.infinite()
+        return ExtendedReal(float(pairwise_sum(self.rule.weights * values)))
 
 
 def dirichlet_energy(
@@ -284,4 +303,4 @@ def dirichlet_energy(
     rel_null_tol: float = DEFAULT_NULL_TOL,
 ) -> ExtendedReal:
     """int Q°_{id_n (x) g, -Theta}(grad F) dx, infinite on degenerate directions."""
-    return DirichletEvaluator(field, rule, rel_null_tol).energy(f)
+    return DirichletEvaluator(field, rule).energy(f, rel_null_tol)

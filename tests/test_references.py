@@ -1,11 +1,12 @@
 """Reference tests for the shared numerics: the metric pencil, exact jets,
-read-only polynomial coefficients, the central-difference stencil and the
-Prekopa route B matrices.
+read-only polynomial coefficients, the central-difference stencil, the
+Prekopa route B matrices and the stacked node axis.
 
 The references are the formulas the shared helpers replaced: a dense
 generalized eigensolve against the block-diagonal metric id_n (x) g,
-symbolic differentiation of e^{-q} P, and route B evaluated one V0 at a time
-as fiber curvature plus the variance of a vector field.
+symbolic differentiation of e^{-q} P, route B evaluated one V0 at a time
+as fiber curvature plus the variance of a vector field, and the quadrature
+passes as loops over the nodes, one point per call.
 """
 
 import numpy as np
@@ -14,7 +15,11 @@ import pytest
 import mlcc.inequalities
 from mlcc import (
     ColumnBlockMatrix,
+    DirichletEvaluator,
+    NotPositiveError,
+    NotPsdError,
     QuadraticFormSpec,
+    SpdMatrix,
     VectorFieldFn,
     block_split,
     build_rule,
@@ -22,6 +27,7 @@ from mlcc import (
     conjugate_field,
     curvature_matrix,
     generalized_spectrum,
+    integrate_field,
     marginal_theta_fd,
     nakano_verdict,
     pairwise_sum,
@@ -30,8 +36,11 @@ from mlcc import (
     restrict_field,
     theta_alpha_decomposed,
     variance_functional,
+    weighted_mean,
 )
 from mlcc._poly import poly_diff, poly_eval, poly_substitute_prefix
+from mlcc.curvature import curvature_from_jet
+from mlcc.fields import MatrixField
 from mlcc.metric import PolarOperator
 
 FIXTURES = [
@@ -255,3 +264,208 @@ class TestRouteBMatrices:
             q_a = cm_alpha.quadratic_form(v0)
             sampled = max(sampled, abs(q_a - total) / (1.0 + abs(total)))
         assert report.metrics["route_diff"] >= sampled - 1e-14
+
+
+# -- the stacked node axis against the per-node loops it replaced -------------------
+
+
+def integrate_field_loop(field, rule):
+    return pairwise_sum([w * field.value(x) for w, x in zip(rule.weights, rule.nodes)])
+
+
+def weighted_mean_loop(field, f, rule):
+    z = integrate_field_loop(field, rule)
+    terms = [w * (field.value(x) @ f.value(x)) for w, x in zip(rule.weights, rule.nodes)]
+    return np.linalg.solve(z, pairwise_sum(terms))
+
+
+def variance_functional_loop(field, f, rule):
+    sq_terms, gf_terms, z_terms = [], [], []
+    for w, x in zip(rule.weights, rule.nodes):
+        g = field.value(x)
+        val = f.value(x)
+        gf = g @ val
+        sq_terms.append(w * float(val @ gf))
+        gf_terms.append(w * gf)
+        z_terms.append(w * g)
+    z = pairwise_sum(z_terms)
+    gf = pairwise_sum(gf_terms)
+    return float(pairwise_sum(sq_terms)) - float(gf @ np.linalg.solve(z, gf))
+
+
+def energy_loop(field, f, rule, rel_null_tol=1e-10):
+    terms = []
+    for w, x in zip(rule.weights, rule.nodes):
+        cm = curvature_matrix(field, x)
+        polar = PolarOperator(QuadraticFormSpec(cm.g, -cm.theta_tilde))
+        val = polar.value(f.grad(x).T.reshape(-1), rel_null_tol)
+        if val.is_infinite:
+            return np.inf
+        terms.append(w * val.value)
+    return float(pairwise_sum(terms))
+
+
+def theta_alpha_decomposed_loop(field, t, rule):
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    n0, d = t.shape[0], field.d
+    curv_terms, sq_terms, d_terms, z_terms = [], [], [], []
+    for w, y in zip(rule.weights, rule.nodes):
+        jet = field.jet(np.concatenate([t, y]))
+        g = jet.value.entries
+        dmat = jet.d1[:n0].transpose(1, 0, 2).reshape(d, n0 * d)
+        curv_terms.append(w * block_split(curvature_from_jet(jet), n0).theta00)
+        sq_terms.append(w * (dmat.T @ np.linalg.solve(g, dmat)))
+        d_terms.append(w * dmat)
+        z_terms.append(w * g)
+    term_curv00 = pairwise_sum(curv_terms)
+    mean_d = pairwise_sum(d_terms)
+    z = pairwise_sum(z_terms)
+    term_var = pairwise_sum(sq_terms) - mean_d.T @ np.linalg.solve(z, mean_d)
+    return term_curv00 + term_var, term_curv00, term_var
+
+
+def _close(got, ref, rel=1e-12):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert np.abs(got - ref).max() <= rel * max(np.abs(ref).max(), 1e-300)
+
+
+def _cubic_fn(rng, n, d):
+    monos = [e for e in np.ndindex(*(4,) * n) if sum(e) <= 3]
+    return VectorFieldFn.polynomial(
+        n, [[(float(rng.uniform(-1, 1)), tuple(e)) for e in monos] for _ in range(d)])
+
+
+def _random_field():
+    return polynomial_field_from_json(_random_field_spec(np.random.default_rng(5)))
+
+
+STACK_FIXTURES = [
+    # the bench fixtures (the 2-D one at a smaller order), a non-product Gaussian and
+    # a random polynomial field with envelope, whose rule stays where it is SPD
+    (lambda: builtin_field("perturbed_gaussian_spd"), 2, 16, 1.0),
+    (lambda: builtin_field("gaussian_times_spd", {"n": 1, "A": np.diag([1.0, 2.0])}), 1, 64, 1.0),
+    (lambda: builtin_field("gaussian_scalar", {"n": 1}), 1, 64, 1.0),
+    (lambda: builtin_field("gaussian_cross_spd", {"c": 0.5, "d": 2}), 2, 12, 1.0),
+    (_random_field, 2, 12, 0.25),
+]
+
+
+# the random field's rule does not cover its support; only the agreement matters here
+@pytest.mark.filterwarnings("ignore:outermost quadrature node")
+class TestStackedQuadrature:
+    @pytest.mark.parametrize("make,m,order,scale", STACK_FIXTURES)
+    def test_passes_match_the_node_loops(self, make, m, order, scale):
+        field = make()
+        rule = build_rule("gauss_hermite", order=order, m=m, scale=scale)
+        ev = DirichletEvaluator(field, rule)
+        rng = np.random.default_rng(order)
+        _close(integrate_field(field, rule).entries, integrate_field_loop(field, rule))
+        for _ in range(3):
+            fn = _cubic_fn(rng, field.n, field.d)
+            _close(weighted_mean(field, fn, rule), weighted_mean_loop(field, fn, rule))
+            _close(variance_functional(field, fn, rule), variance_functional_loop(field, fn, rule))
+            _close(ev.energy(fn).value, energy_loop(field, fn, rule))
+
+    @pytest.mark.parametrize("name,params", ROUTE_B_FIXTURES)
+    def test_theta_alpha_decomposed_matches_the_node_loop(self, name, params):
+        field = builtin_field(name, params)
+        rule = build_rule("gauss_hermite", order=32, m=1)
+        for got, ref in zip(theta_alpha_decomposed(field, [0.1], rule),
+                            theta_alpha_decomposed_loop(field, [0.1], rule)):
+            _close(got, ref)
+
+    def test_theta_alpha_decomposed_random_field(self):
+        field = _random_field()
+        rule = build_rule("gauss_hermite", order=16, m=1, scale=0.2)
+        for got, ref in zip(theta_alpha_decomposed(field, [0.2], rule),
+                            theta_alpha_decomposed_loop(field, [0.2], rule)):
+            _close(got, ref)
+
+
+class TestStackedPointwise:
+    @pytest.mark.parametrize("jet_mode", ["exact", "finite_difference"])
+    @pytest.mark.parametrize("name,params", FIXTURES + [("gaussian_scalar", {"n": 2})])
+    def test_value_and_jet_equal_the_per_point_calls(self, name, params, jet_mode):
+        field = builtin_field(name, params, jet_mode=jet_mode)
+        xs = _points(29, count=9, radius=0.2)
+        values, jet = field.value(xs), field.jet(xs)
+        for i, x in enumerate(xs):
+            one = field.jet(x)
+            np.testing.assert_array_equal(values[i], field.value(x))
+            np.testing.assert_array_equal(jet.value.entries[i], one.value.entries)
+            np.testing.assert_array_equal(jet.d1[i], one.d1)
+            np.testing.assert_array_equal(jet.d2[i], one.d2)
+
+    def test_random_field_and_test_function_equal_the_per_point_calls(self):
+        field = _random_field()
+        fn = _cubic_fn(np.random.default_rng(3), 2, 2)
+        xs = _points(31, count=9, radius=0.5)
+        jet = field.jet(xs)
+        for i, x in enumerate(xs):
+            np.testing.assert_array_equal(jet.d2[i], field.jet(x).d2)
+            np.testing.assert_array_equal(fn.value(xs)[i], fn.value(x))
+            np.testing.assert_array_equal(fn.grad(xs)[i], fn.grad(x))
+            np.testing.assert_array_equal(fn.hess(xs)[i], fn.hess(x))
+
+    def test_curvature_and_polar_values_match_the_per_point_calls(self):
+        field = builtin_field("perturbed_gaussian_spd")
+        xs = _points(37, count=9, radius=0.5)
+        cm = curvature_matrix(field, xs)
+        polar = PolarOperator(QuadraticFormSpec(cm.g, -cm.theta_tilde))
+        vs = np.random.default_rng(1).standard_normal((9, 4))
+        values = polar.value(vs)
+        for i, x in enumerate(xs):
+            one = curvature_matrix(field, x)
+            _close(cm.theta_tilde[i], one.theta_tilde)
+            one_polar = PolarOperator(QuadraticFormSpec(one.g, -one.theta_tilde))
+            _close(values[i], one_polar.value(vs[i]).value)
+
+
+def pairwise_sum_list(items):
+    """The list form of the pairwise tree."""
+    items = list(items)
+    while len(items) > 1:
+        paired = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
+        if len(items) % 2:
+            paired.append(items[-1])
+        items = paired
+    return items[0]
+
+
+@pytest.mark.parametrize("count", range(1, 34))
+def test_pairwise_sum_of_a_stack_equals_the_list_form(count):
+    rng = np.random.default_rng(count)
+    stack = rng.standard_normal((count, 3, 3)) * np.exp(rng.uniform(-8, 8, (count, 1, 1)))
+    ref = pairwise_sum_list(list(stack))
+    np.testing.assert_array_equal(pairwise_sum(stack), ref)
+    np.testing.assert_array_equal(pairwise_sum(list(stack)), ref)
+
+
+class TestOneBadNodeInAStack:
+    # GH 5 nodes are about (-2.02, -0.96, 0, 0.96, 2.02): only the middle one is y = 0
+    RULE = build_rule("gauss_hermite", order=5, m=1)
+
+    def test_degenerate_node_gives_infinite_energy(self):
+        # -Theta = 12 y^2 vanishes at y = 0 only
+        field = MatrixField(1, 1, [(1.0, (4,))], [((0,), np.eye(1))])
+        fn = VectorFieldFn.polynomial(1, [[(1.0, (1,))]])
+        assert DirichletEvaluator(field, self.RULE).energy(fn).is_infinite
+        even = build_rule("gauss_hermite", order=6, m=1)
+        assert not DirichletEvaluator(field, even).energy(fn).is_infinite
+
+    def test_indefinite_node_raises_not_psd(self):
+        # -Theta = 12 y^2 - 4 is negative for |y| < 0.58: the middle node only
+        field = MatrixField(1, 1, [(1.0, (4,)), (-2.0, (2,))], [((0,), np.eye(1))])
+        with pytest.raises(NotPsdError, match="form 2 of 5 is indefinite"):
+            DirichletEvaluator(field, self.RULE)
+
+    def test_off_cone_node_raises_not_positive(self):
+        # P = y^2 - 0.01 is negative for |y| < 0.1: the middle node only
+        field = MatrixField(1, 1, [], [((2,), np.eye(1)), ((0,), -0.01 * np.eye(1))])
+        with pytest.raises(NotPositiveError, match=r"at x = \[0\.\]: matrix 2 of 5") as exc:
+            field.value(self.RULE.nodes)
+        assert exc.value.index == 2
+        with pytest.raises(NotPositiveError):
+            integrate_field(field, self.RULE)
+        with pytest.raises(NotPositiveError, match="matrix 2 of 5"):
+            SpdMatrix(np.stack([np.eye(2)] * 2 + [-np.eye(2)] + [np.eye(2)] * 2))

@@ -1,14 +1,27 @@
 """Regression tests: tolerances applied as passed, field-JSON envelopes, removed flags,
-the Prekopa Schur margin over all fibers, and warnings and settings in the report."""
+the Prekopa Schur margin over all fibers, warnings and settings in the report, the
+node named by an SPD failure, and the node order of tensor rules."""
 
 import json
+from itertools import product
 
 import numpy as np
 import pytest
 
-from mlcc import CurvatureMatrix, SpdMatrix, build_rule, builtin_field, prekopa_check
+from mlcc import (
+    CurvatureMatrix,
+    DirichletEvaluator,
+    SpdMatrix,
+    VectorFieldFn,
+    bl_gap,
+    build_rule,
+    builtin_field,
+    prekopa_check,
+)
 from mlcc.cli import run
+from mlcc.fields import MatrixField
 from mlcc.inequalities import _schur_margin
+from mlcc.quadrature import _gauss_hermite_axis
 
 
 class TestPrekopaTolPsd:
@@ -110,3 +123,65 @@ class TestReportObservability:
         assert run(["nakano", "--field", "raufi_corrected", "--param", "s=0.75",
                     "--point", "0,0", "--no-timestamp"]) == 0
         assert json.loads(capsys.readouterr().out)["checks"][0]["settings"] == {}
+
+
+class TestBlNullTolerance:
+    # -Theta = diag(2, 2e-6): x2 is a null direction at rel_null_tol 1e-4, not at 1e-10
+    FIELD = MatrixField(2, 1, [(1.0, (2, 0)), (1e-6, (0, 2))], [((0, 0), np.eye(1))])
+    F = VectorFieldFn.polynomial(2, [[(1.0, (0, 1))]])
+
+    def test_energy_takes_the_tolerance_per_call(self):
+        ev = DirichletEvaluator(self.FIELD, build_rule("gauss_hermite", order=8, m=2))
+        assert not ev.energy(self.F, 1e-10).is_infinite
+        assert ev.energy(self.F, 1e-4).is_infinite
+
+    @pytest.mark.parametrize("tol,status", [(1e-10, "pass"), (1e-4, "degenerate")])
+    def test_bl_gap_applies_its_tolerance_with_an_evaluator(self, tol, status):
+        rule = build_rule("gauss_hermite", order=8, m=2)
+        ev = DirichletEvaluator(self.FIELD, rule)
+        with_ev = bl_gap(self.FIELD, self.F, rule, rel_null_tol=tol, evaluator=ev)
+        without = bl_gap(self.FIELD, self.F, rule, rel_null_tol=tol)
+        assert with_ev.status == without.status == status
+        assert with_ev.tolerances["rel_null_tol"] == without.tolerances["rel_null_tol"] == tol
+
+
+def test_cli_names_the_node_off_the_spd_cone(capsys):
+    code = run(["bl", "--field", "raufi_corrected", "--param", "s=0.75",
+                "--test-fn", "poly:x1;x2", "--order", "8", "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert code == 2
+    # GH 8^2 starts at the corner (-2.93, -2.93), where g has eigenvalue 1 - 2.75 * 8.59
+    assert "field raufi_corrected at x = [-2.930637 -2.930637]" in err
+    assert "matrix 0 of 64 is not positive definite (min eigenvalue -2.262e+01)" in err
+
+
+def _product_rule(axes):
+    """Nodes and weights of the tensor rule as itertools.product lists them."""
+    nodes = np.array(list(product(*[a[0] for a in axes])))
+    weights = np.array([np.prod(ws) for ws in product(*[a[1] for a in axes])])
+    return nodes, weights
+
+
+class TestBuildRuleOrder:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_gauss_hermite_matches_the_product_formula(self, m):
+        rule = build_rule("gauss_hermite", order=7, m=m, center=[0.1, -0.2, 0.3][:m],
+                          scale=[1.0, 0.7, 1.3][:m])
+        axes = [_gauss_hermite_axis(7, c, s) for c, s in zip([0.1, -0.2, 0.3], [1.0, 0.7, 1.3])]
+        nodes, weights = _product_rule(axes[:m])
+        np.testing.assert_array_equal(rule.nodes, nodes)
+        np.testing.assert_array_equal(rule.weights, weights)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_uniform_grid_matches_the_product_formula(self, m):
+        box = [(-1.0, 2.0), (-0.5, 0.5), (0.0, 3.0)][:m]
+        rule = build_rule("uniform_grid", box=box, resolution=5)
+        axes = []
+        for lo, hi in box:
+            w = np.full(5, (hi - lo) / 4)
+            w[0] *= 0.5
+            w[-1] *= 0.5
+            axes.append((np.linspace(lo, hi, 5), w))
+        nodes, weights = _product_rule(axes)
+        np.testing.assert_array_equal(rule.nodes, nodes)
+        np.testing.assert_array_equal(rule.weights, weights)
