@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -114,19 +115,19 @@ def _parse_test_fn(spec: str, n: int) -> VectorFieldFn:
     return VectorFieldFn.polynomial(n, comps)
 
 
+def _jet_kwargs(args) -> dict:
+    """The field's jet settings from --jet, --h and --no-richardson."""
+    if getattr(args, "jet", "exact") != "fd":
+        return {}
+    return {"jet_mode": "finite_difference", "h": args.h, "richardson": not args.no_richardson}
+
+
 def _build_field(args):
-    jet_kwargs = {}
-    if getattr(args, "jet", "exact") == "fd":
-        jet_kwargs = {
-            "jet_mode": "finite_difference",
-            "h": args.h,
-            "richardson": not args.no_richardson,
-        }
     if getattr(args, "field_json", None):
-        return polynomial_field_from_json(args.field_json, **jet_kwargs)
+        return polynomial_field_from_json(args.field_json, **_jet_kwargs(args))
     if not getattr(args, "field", None):
         raise InputError("no field given (use --field or --field-json)")
-    return builtin_field(args.field, _parse_params(args.param), **jet_kwargs)
+    return builtin_field(args.field, _parse_params(args.param), **_jet_kwargs(args))
 
 
 def _build_rule(args, m: int):
@@ -257,6 +258,11 @@ def _cmd_griffiths(args, diagnostics):
 
 
 def _cmd_scan(args, diagnostics):
+    if args.field_json:
+        raise InputError("scan varies a parameter of a builtin field; "
+                         "a --field-json field has no named parameters (use --field)")
+    if not args.field:
+        raise InputError("no field given (use --field)")
     if "=" not in args.param_range or args.param_range.count(":") != 2:
         raise InputError("--param-range must be name=start:stop:step")
     name, span = args.param_range.split("=", 1)
@@ -271,7 +277,7 @@ def _cmd_scan(args, diagnostics):
         value = start + i * step
         params = dict(base)
         params[name] = value
-        field = builtin_field(args.field, params)
+        field = builtin_field(args.field, params, **_jet_kwargs(args))
         verdict = nakano_verdict(curvature_matrix(field, point), tol_psd=args.tol_psd)
         rows.append((value, verdict.lambda_max, verdict.is_nlogconcave))
     if args.csv:
@@ -409,7 +415,10 @@ def _add_common(sub):
     sub.add_argument("--no-timestamp", action="store_true")
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and shared by the
+    process (``run`` and ``report``); parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mlcc",
         description="certification checks for matrix-valued log-concave weights",

@@ -221,25 +221,33 @@ def block_split(cm: CurvatureMatrix, n0: int) -> BlockSplit:
 
 
 def mixed_block_action(split: BlockSplit, v0: ColumnBlockMatrix) -> ColumnBlockMatrix:
-    """Theta_{0,1} V0 = [sum_j theta_{j, n0+k} v_j]_k as a d x n1 block matrix."""
+    """Theta_{0,1} V0 = [sum_j theta_{j, n0+k} v_j]_k as a d x n1 block matrix.
+
+    On a stacked split the same V0 is applied at every node, and the columns
+    of the result carry the node axis.
+    """
     if v0.d != split.d or v0.n != split.n0:
         raise InputError("V0 shape does not match the split")
-    weighted = (split.theta01_tilde @ v0.flatten()).reshape(split.n1, split.d)
-    return ColumnBlockMatrix(np.linalg.solve(split.g.entries, weighted.T).T)
+    weighted = split.theta01_tilde @ v0.flatten()
+    weighted = weighted.reshape(weighted.shape[:-1] + (split.n1, split.d))
+    image = np.linalg.solve(split.g.entries, weighted.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return ColumnBlockMatrix(np.moveaxis(image, -2, 0))
 
 
-def schur_gap(
-    split: BlockSplit, v0: ColumnBlockMatrix, rel_null_tol: float = 1e-10
-) -> ExtendedReal:
+def schur_gap(split: BlockSplit, v0: ColumnBlockMatrix, rel_null_tol: float = 1e-10):
     """<-Theta_00 V0, V0> minus the polar Q°_11 at Theta_01 V0.
 
     Nonnegative (up to numerics) when the parent field is N-log-concave;
-    an infinite polar along a degenerate direction yields -inf.
+    an infinite polar along a degenerate direction yields -inf.  One split
+    gives an ExtendedReal; a stacked split gives the gap of the same V0 at
+    every node as an (N,) array, -inf where the polar is infinite.
     """
     mixed = mixed_block_action(split, v0).flatten()
     flat0 = v0.flatten()
-    lead = -float(flat0 @ split.theta00 @ flat0)
+    lead = -(flat0 @ split.theta00 @ flat0)
     polar = polar_value(QuadraticFormSpec(split.g, -split.theta11), mixed, rel_null_tol)
+    if not isinstance(polar, ExtendedReal):
+        return np.where(np.isinf(polar), -np.inf, lead - polar)
     if polar.is_infinite:
         return ExtendedReal.infinite(-1)
     return ExtendedReal(lead - polar.value)

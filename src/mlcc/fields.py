@@ -170,22 +170,28 @@ class MatrixField:
             raise InputError(f"expected a finite point in R^{self.n} or a stack of them")
         return x
 
-    def _spd(self, x: np.ndarray, values) -> SpdMatrix:
-        """The values at ``x`` as an SpdMatrix; off the cone, the error names the point."""
+    def _spd(self, x: np.ndarray, q: np.ndarray, values) -> SpdMatrix:
+        """The values at ``x`` (envelope exponent ``q``) as an SpdMatrix; off the
+        cone, the error names the point, and says so when e^{-q} underflows there."""
         try:
             return SpdMatrix(values)
         except NotPositiveError as exc:
-            at = x if exc.index is None else x[exc.index]
-            raise NotPositiveError(
-                f"field {self.name} at x = {np.array2string(at, precision=6)}: {exc}",
-                exc.index,
-            ) from None
+            i = () if exc.index is None else exc.index
+            where = f"field {self.name} at x = {np.array2string(x[i], precision=6)}"
+            if np.exp(-q[i]) < np.finfo(float).tiny:
+                raise NotPositiveError(
+                    f"{where}: the weight underflows to 0 (e^-q with q = {float(q[i]):.4g}); "
+                    "a quadrature rule reaching this far into the tail needs a lower "
+                    "--order or --scale",
+                    exc.index,
+                ) from None
+            raise NotPositiveError(f"{where}: {exc}", exc.index) from None
 
     def value(self, x) -> np.ndarray:
         """Evaluate at ``x``; raises NotPositiveError off the SPD cone."""
         x = self._points(x)
-        raw = np.exp(-poly_eval(self._q, x))[..., None, None] * poly_eval(self._p, x)
-        return self._spd(x, raw).entries
+        q = poly_eval(self._q, x)
+        return self._spd(x, q, np.exp(-q)[..., None, None] * poly_eval(self._p, x)).entries
 
     # -- jets ----------------------------------------------------------------
 
@@ -209,7 +215,7 @@ class MatrixField:
         d2 = env[..., None, None, :, :] * (
             p2 - (qj * pk + qk * pj) + (qj * qk - q2) * p0[..., None, None, :, :]
         )
-        return Jet2(value=self._spd(x, env * p0), d1=d1, d2=d2)
+        return Jet2(value=self._spd(x, q[..., 0, 0, 0], env * p0), d1=d1, d2=d2)
 
     # -- derived fields -------------------------------------------------------
 

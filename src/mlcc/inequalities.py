@@ -17,12 +17,13 @@ from .curvature import (
     block_split,
     curvature_from_jet,
     curvature_matrix,
+    generalized_spectrum,
     nakano_verdict,
     schur_gap,
 )
 from .errors import InputError
 from .fields import Jet2, MatrixField, central_differences, restrict_field
-from .metric import ColumnBlockMatrix, SpdMatrix, metric_pencil
+from .metric import ColumnBlockMatrix, ExtendedReal, SpdMatrix, metric_pencil
 from .quadrature import (
     DirichletEvaluator,
     QuadratureRule,
@@ -89,20 +90,23 @@ def bl_gap(
 
 
 def weighted_laplacian(field: MatrixField, f: VectorFieldFn, x) -> np.ndarray:
-    """L F = Delta F + sum_k (g^{-1} d_k g) d_k F at the point ``x``.
+    """L F = Delta F + sum_k (g^{-1} d_k g) d_k F at the point ``x``, or at
+    each point of a stack (result (N, d)).
 
     The first-order term carries the plus sign: with g = e^{-phi} this is
     the classical operator Delta - grad phi . grad, and it is the sign that
     makes the integration-by-parts identity hold (see ipp_residual).
     """
-    jet = field.jet(np.asarray(x, dtype=float))
-    g = jet.value.entries
-    grad = f.grad(x)  # (d, n)
-    lap = np.einsum("ljj->l", f.hess(x))
-    first = np.zeros(field.d)
-    for k in range(field.n):
-        first += np.linalg.solve(g, jet.d1[k]) @ grad[:, k]
-    return lap + first
+    x = np.asarray(x, dtype=float)
+    jet = field.jet(x)
+    log_d = np.linalg.solve(jet.value.entries[..., None, :, :], jet.d1)  # g^{-1} d_k g
+    first = np.einsum("...kab,...bk->...a", log_d, f.grad(x))
+    return np.einsum("...ljj->...l", f.hess(x)) + first
+
+
+def _node_form(u, g, v) -> np.ndarray:
+    """u_i . g_i v_i at every node i of stacks u, v (N, d) and g (N, d, d)."""
+    return (u[:, None, :] @ g @ v[:, :, None])[:, 0, 0]
 
 
 def ipp_residual(
@@ -113,17 +117,11 @@ def ipp_residual(
     tol_res: float = 1e-6,
 ) -> CheckReport:
     """Integration by parts: int <LF, G>_g = -int <grad F, grad G>_{id (x) g}."""
-    lhs_terms = []
-    rhs_terms = []
-    for w, x in zip(rule.weights, rule.nodes):
-        gv = field.value(x)
-        lf = weighted_laplacian(field, f, x)
-        lhs_terms.append(w * float(lf @ gv @ g_fn.value(x)))
-        gf = f.grad(x)
-        gg = g_fn.grad(x)
-        rhs_terms.append(-w * float(np.einsum("lk,lm,mk->", gf, gv, gg)))
-    lhs = float(pairwise_sum(lhs_terms))
-    rhs = float(pairwise_sum(rhs_terms))
+    x, w = rule.nodes, rule.weights
+    gv = field.value(x)
+    lhs = float(pairwise_sum(w * _node_form(weighted_laplacian(field, f, x), gv, g_fn.value(x))))
+    grad_pair = np.einsum("nlk,nlm,nmk->n", f.grad(x), gv, g_fn.grad(x))
+    rhs = float(pairwise_sum(-w * grad_pair))
     residual = abs(lhs - rhs)
     tol = tol_res * max(1.0, abs(lhs), abs(rhs))
     return CheckReport(
@@ -142,21 +140,15 @@ def bochner_residual(
     tol_res: float = 1e-6,
 ) -> CheckReport:
     """Bochner identity: int ||L Psi||_g^2 equals curvature plus Hessian terms."""
-    lhs_terms = []
-    curv_terms = []
-    hess_terms = []
-    for w, x in zip(rule.weights, rule.nodes):
-        cm = curvature_matrix(field, x)
-        gv = cm.g.entries
-        lf = weighted_laplacian(field, psi, x)
-        lhs_terms.append(w * float(lf @ gv @ lf))
-        v = psi.grad(x).T.reshape(-1)
-        curv_terms.append(-w * float(v @ cm.theta_tilde @ v))
-        h = psi.hess(x)  # (d, n, n)
-        hess_terms.append(w * float(np.einsum("ljk,lm,mjk->", h, gv, h)))
-    lhs = float(pairwise_sum(lhs_terms))
-    term_curv = float(pairwise_sum(curv_terms))
-    term_hess = float(pairwise_sum(hess_terms))
+    x, w = rule.nodes, rule.weights
+    cm = curvature_matrix(field, x)
+    gv = cm.g.entries
+    lf = weighted_laplacian(field, psi, x)
+    v = psi.grad(x).swapaxes(-1, -2).reshape(rule.count, -1)  # flatten (j, l) -> j*d + l
+    h = psi.hess(x)  # (N, d, n, n)
+    lhs = float(pairwise_sum(w * _node_form(lf, gv, lf)))
+    term_curv = float(pairwise_sum(-w * _node_form(v, cm.theta_tilde, v)))
+    term_hess = float(pairwise_sum(w * np.einsum("nljk,nlm,nmjk->n", h, gv, h)))
     residual = abs(lhs - term_curv - term_hess)
     tol = tol_res * max(1.0, abs(lhs), abs(term_curv) + abs(term_hess))
     return CheckReport(
@@ -207,8 +199,7 @@ def theta_alpha_decomposed(
     if rule.m != field.n - n0:
         raise InputError("rule dimension must equal the number of integrated variables")
     w = rule.weights[:, None, None]
-    nodes = np.concatenate([np.broadcast_to(t, (rule.count, n0)), rule.nodes], axis=1)
-    jet = field.jet(nodes)
+    jet = field.jet(_fiber_nodes(t, rule))
     g = jet.value.entries
     # D = [d_{t_1} g | ... | d_{t_n0} g] at every node, (N, d, n0 * d)
     dmat = jet.d1[:, :n0].swapaxes(1, 2).reshape(rule.count, d, n0 * d)
@@ -221,27 +212,34 @@ def theta_alpha_decomposed(
 
 
 def _schur_margin(cm: CurvatureMatrix, n0: int) -> float:
-    """Smallest generalized eigenvalue of (S, id_n0 (x) g) at one fiber node.
+    """Smallest generalized eigenvalue of (S, id_n0 (x) g) at one fiber node,
+    or the smallest over a stack of them.
 
     S is the matrix of the quadratic form V0 -> schur_gap(split, V0), taken by
-    polarization from the gaps along each e_i and e_i + e_j (i < j); -inf when
-    one of them is infinite (a null direction of Theta_11).
+    polarization from the gaps along each e_i and e_i + e_j (i < j), each one
+    call for the whole stack; -inf when one of them is infinite at some node
+    (a null direction of Theta_11).
     """
     split = block_split(cm, n0)
     dim = split.d * n0
     basis = np.eye(dim)
-    gaps = np.empty((dim, dim))
+    gaps = np.empty(cm.theta_tilde.shape[:-2] + (dim, dim))
     for i in range(dim):
         for j in range(i, dim):
             v = basis[i] if i == j else basis[i] + basis[j]
             gap = schur_gap(split, ColumnBlockMatrix.from_flat(v, split.d))
-            if gap.is_infinite:
-                return -np.inf
-            gaps[i, j] = gaps[j, i] = gap.value
-    diag = np.diag(gaps)
-    s = np.where(np.eye(dim, dtype=bool), gaps, 0.5 * (gaps - diag[:, None] - diag))
+            gaps[..., i, j] = gaps[..., j, i] = gap.value if isinstance(gap, ExtendedReal) else gap
+    if np.isinf(gaps).any():
+        return -np.inf
+    diag = np.diagonal(gaps, axis1=-2, axis2=-1)[..., None, :]
+    s = np.where(np.eye(dim, dtype=bool), gaps, 0.5 * (gaps - diag.swapaxes(-1, -2) - diag))
     _, invroot = cm.g.sqrt_and_invsqrt()
-    return float(np.linalg.eigvalsh(metric_pencil(invroot, s))[0])
+    return float(np.linalg.eigvalsh(metric_pencil(invroot, s))[..., 0].min())
+
+
+def _fiber_nodes(t: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+    """The points (t, y_i) over the rule's nodes y_i, as an (N, n0 + m) stack."""
+    return np.concatenate([np.broadcast_to(t, (rule.count, t.shape[0])), rule.nodes], axis=1)
 
 
 def prekopa_check(
@@ -256,32 +254,40 @@ def prekopa_check(
     """Certify that the marginal of ``field`` over the last variables is
     N-log-concave at ``t``, with two-route agreement on the quadratic form.
 
-    ``route_diff`` is d*n0 times the spectral norm of the difference of the
-    two routes' matrices, which bounds |v (A - B) v| / (1 + |v B v|) over the
-    box [-1, 1]^{d*n0}.  ``schur_margin`` is the smallest generalized
-    eigenvalue of (Schur form, id_n0 (x) g) over all fiber nodes, -inf (and
-    the status degenerate) when the form is infinite along some direction.
+    The hypothesis gate requires N-log-concavity of the field at every fiber
+    node (t, y_i); if it fails, the report is degenerate and
+    ``lambda_max_nodes`` is the largest curvature eigenvalue at the first node
+    above ``tol_psd``.  ``route_diff`` is d*n0 times the spectral norm of the
+    difference of the two routes' matrices, which bounds
+    |v (A - B) v| / (1 + |v B v|) over the box [-1, 1]^{d*n0}.
+    ``schur_margin`` is the smallest generalized eigenvalue of (Schur form,
+    id_n0 (x) g) over the fiber nodes before the first gate failure (all of
+    them on a passing gate), -inf (and the status degenerate) when the form
+    is infinite along some direction.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape[0] != n0 or not 1 <= n0 < field.n:
         raise InputError("t must have length n0 with 1 <= n0 < n")
     settings = {"rule": rule.kind, "nodes": rule.count, "h": h}
-    # hypothesis gate: N-log-concavity of the parent field at every fiber node;
-    # the Schur margin is taken at the same nodes
-    worst = -np.inf
-    schur_margin = np.inf
-    for y in rule.nodes:
-        cm = curvature_matrix(field, np.concatenate([t, y]))
-        worst = max(worst, nakano_verdict(cm).lambda_max)
-        if worst > tol_psd:
-            return CheckReport(
-                name="prekopa_check",
-                status="degenerate",
-                metrics={"lambda_max_nodes": worst},
-                tolerances={"tol_psd": tol_psd},
-                settings=settings,
-            )
-        schur_margin = min(schur_margin, _schur_margin(cm, n0))
+    cm = curvature_matrix(field, _fiber_nodes(t, rule))
+    lambda_max = generalized_spectrum(cm)[:, -1]
+    above = np.flatnonzero(lambda_max > tol_psd)
+    if above.size:
+        first = int(above[0])
+        if first:
+            # the margin goes unreported, but an indefinite -Theta_11 at a node
+            # before the first failure still raises NotPsdError
+            _schur_margin(CurvatureMatrix(cm.d, cm.n, cm.theta_tilde[:first],
+                                          SpdMatrix(cm.g.entries[:first]),
+                                          cm.asymmetry[:first]), n0)
+        return CheckReport(
+            name="prekopa_check",
+            status="degenerate",
+            metrics={"lambda_max_nodes": float(lambda_max[first])},
+            tolerances={"tol_psd": tol_psd},
+            settings=settings,
+        )
+    schur_margin = _schur_margin(cm, n0)
     cm_alpha = marginal_theta_fd(field, t, rule, h)
     lambda_max_alpha = nakano_verdict(cm_alpha).lambda_max
     total, _, _ = theta_alpha_decomposed(field, t, rule)

@@ -72,7 +72,10 @@ class SpdMatrix:
 
 @dataclass(frozen=True)
 class ColumnBlockMatrix:
-    """An element of R^n tensor R^d stored as n columns in R^d."""
+    """An element of R^n tensor R^d stored as n columns in R^d.
+
+    Columns of shape (N, d) hold one such element per node of a stack.
+    """
 
     columns: tuple
 
@@ -81,21 +84,21 @@ class ColumnBlockMatrix:
         if not cols:
             raise InputError("need at least one column")
         d = cols[0].shape
-        if any(c.ndim != 1 or c.shape != d for c in cols):
-            raise InputError("all columns must be vectors of the same dimension")
+        if any(c.ndim not in (1, 2) or c.shape != d for c in cols):
+            raise InputError("all columns must be vectors (or stacks) of the same dimension")
         object.__setattr__(self, "columns", cols)
 
     @property
     def d(self) -> int:
-        return self.columns[0].shape[0]
+        return self.columns[0].shape[-1]
 
     @property
     def n(self) -> int:
         return len(self.columns)
 
     def flatten(self) -> np.ndarray:
-        """Stack columns: entry (j, l) lands at index j*d + l."""
-        return np.concatenate(self.columns)
+        """Stack columns: entry (j, l) lands at index j*d + l (of every node)."""
+        return np.concatenate(self.columns, axis=-1)
 
     @classmethod
     def from_flat(cls, v: np.ndarray, d: int) -> "ColumnBlockMatrix":
@@ -265,14 +268,13 @@ class PolarOperator:
         return ExtendedReal(float(out)) if out.ndim == 0 else out
 
 
-def polar_value(
-    spec: QuadraticFormSpec, v, rel_null_tol: float = DEFAULT_NULL_TOL
-) -> ExtendedReal:
+def polar_value(spec: QuadraticFormSpec, v, rel_null_tol: float = DEFAULT_NULL_TOL):
     """Polar form Q°(v) = sup { <u,v>_metric^2 : Q(u) <= 1 }.
 
     Evaluated through the generalized eigendecomposition of (form, metric);
     eigenvalues below ``rel_null_tol`` times the largest are treated as null,
     and a metric-projection of ``v`` onto the null space beyond the same
-    relative tolerance yields an infinite value.
+    relative tolerance yields an infinite value.  An ExtendedReal for one
+    form; for a stack of forms, an (N,) array as from PolarOperator.value.
     """
     return PolarOperator(spec).value(v, rel_null_tol)

@@ -71,6 +71,12 @@ def _gauss_hermite_axis(order: int, center: float, scale: float):
     return nodes, weights
 
 
+def _rule_dimension(m: int) -> int:
+    if m < 1:
+        raise InputError(f"a rule integrates over m >= 1 variables, got m = {m}")
+    return m
+
+
 def build_rule(kind: str, **params) -> QuadratureRule:
     """Build a tensor-product rule.
 
@@ -80,7 +86,7 @@ def build_rule(kind: str, **params) -> QuadratureRule:
     """
     if kind == "gauss_hermite":
         order = int(params.get("order", 64))
-        m = int(params.get("m", 1))
+        m = _rule_dimension(int(params.get("m", 1)))
         if order < 2:
             raise InputError("gauss_hermite order must be >= 2")
         if order**m > NODE_BUDGET:
@@ -97,9 +103,9 @@ def build_rule(kind: str, **params) -> QuadratureRule:
         resolution = int(params["resolution"])
         if resolution < 2:
             raise InputError("resolution must be >= 2")
-        if np.isscalar(box[0]):
+        if len(box) and np.isscalar(box[0]):
             box = [box]
-        m = len(box)
+        m = _rule_dimension(len(box))
         if resolution**m > NODE_BUDGET:
             raise BudgetError("grid exceeds the node budget")
         axes = []

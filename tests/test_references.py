@@ -6,7 +6,8 @@ The references are the formulas the shared helpers replaced: a dense
 generalized eigensolve against the block-diagonal metric id_n (x) g,
 symbolic differentiation of e^{-q} P, route B evaluated one V0 at a time
 as fiber curvature plus the variance of a vector field, and the quadrature
-passes as loops over the nodes, one point per call.
+passes, the Prekopa fiber pass (gate and Schur margin) and the residual
+checks as loops over the nodes, one point per call.
 """
 
 import numpy as np
@@ -16,32 +17,38 @@ import mlcc.inequalities
 from mlcc import (
     ColumnBlockMatrix,
     DirichletEvaluator,
+    CurvatureMatrix,
     NotPositiveError,
     NotPsdError,
     QuadraticFormSpec,
     SpdMatrix,
     VectorFieldFn,
     block_split,
+    bochner_residual,
     build_rule,
     builtin_field,
     conjugate_field,
     curvature_matrix,
     generalized_spectrum,
     integrate_field,
+    ipp_residual,
     marginal_theta_fd,
     nakano_verdict,
     pairwise_sum,
     polynomial_field_from_json,
     prekopa_check,
     restrict_field,
+    schur_gap,
     theta_alpha_decomposed,
     variance_functional,
+    weighted_laplacian,
     weighted_mean,
 )
 from mlcc._poly import poly_diff, poly_eval, poly_substitute_prefix
 from mlcc.curvature import curvature_from_jet
 from mlcc.fields import MatrixField
-from mlcc.metric import PolarOperator
+from mlcc.inequalities import _schur_margin
+from mlcc.metric import PolarOperator, metric_pencil
 
 FIXTURES = [
     ("raufi_corrected", {"s": 0.75}),
@@ -469,3 +476,164 @@ class TestOneBadNodeInAStack:
             integrate_field(field, self.RULE)
         with pytest.raises(NotPositiveError, match="matrix 2 of 5"):
             SpdMatrix(np.stack([np.eye(2)] * 2 + [-np.eye(2)] + [np.eye(2)] * 2))
+
+
+# -- the Prekopa fiber pass and the residual checks, one node per call ---------------
+
+
+def schur_margin_node(cm, n0):
+    """The Schur margin at one fiber node, one polar operator per direction."""
+    split = block_split(cm, n0)
+    dim = split.d * n0
+    basis = np.eye(dim)
+    gaps = np.empty((dim, dim))
+    for i in range(dim):
+        for j in range(i, dim):
+            v = basis[i] if i == j else basis[i] + basis[j]
+            gap = schur_gap(split, ColumnBlockMatrix.from_flat(v, split.d))
+            if gap.is_infinite:
+                return -np.inf
+            gaps[i, j] = gaps[j, i] = gap.value
+    diag = np.diag(gaps)
+    s = np.where(np.eye(dim, dtype=bool), gaps, 0.5 * (gaps - diag[:, None] - diag))
+    _, invroot = cm.g.sqrt_and_invsqrt()
+    return float(np.linalg.eigvalsh(metric_pencil(invroot, s))[0])
+
+
+def fiber_pass_loop(field, t, n0, rule, tol_psd=1e-8):
+    """The gate and the Schur margin node by node: (largest lambda_max up to the first
+    node above tol_psd, the Schur margin before it, whether the gate failed)."""
+    worst, margin = -np.inf, np.inf
+    for y in rule.nodes:
+        cm = curvature_matrix(field, np.concatenate([t, y]))
+        worst = max(worst, nakano_verdict(cm).lambda_max)
+        if worst > tol_psd:
+            return worst, margin, True
+        margin = min(margin, schur_margin_node(cm, n0))
+    return worst, margin, False
+
+
+def weighted_laplacian_loop(field, f, x):
+    jet = field.jet(np.asarray(x, dtype=float))
+    g = jet.value.entries
+    grad = f.grad(x)
+    first = np.zeros(field.d)
+    for k in range(field.n):
+        first += np.linalg.solve(g, jet.d1[k]) @ grad[:, k]
+    return np.einsum("ljj->l", f.hess(x)) + first
+
+
+def ipp_loop(field, f, g_fn, rule):
+    lhs_terms, rhs_terms = [], []
+    for w, x in zip(rule.weights, rule.nodes):
+        gv = field.value(x)
+        lhs_terms.append(w * float(weighted_laplacian_loop(field, f, x) @ gv @ g_fn.value(x)))
+        rhs_terms.append(-w * float(np.einsum("lk,lm,mk->", f.grad(x), gv, g_fn.grad(x))))
+    return float(pairwise_sum(lhs_terms)), float(pairwise_sum(rhs_terms))
+
+
+def bochner_loop(field, psi, rule):
+    lhs_terms, curv_terms, hess_terms = [], [], []
+    for w, x in zip(rule.weights, rule.nodes):
+        cm = curvature_matrix(field, x)
+        gv = cm.g.entries
+        lf = weighted_laplacian_loop(field, psi, x)
+        lhs_terms.append(w * float(lf @ gv @ lf))
+        v = psi.grad(x).T.reshape(-1)
+        curv_terms.append(-w * float(v @ cm.theta_tilde @ v))
+        h = psi.hess(x)
+        hess_terms.append(w * float(np.einsum("ljk,lm,mjk->", h, gv, h)))
+    return tuple(float(pairwise_sum(t)) for t in (lhs_terms, curv_terms, hess_terms))
+
+
+def _fibers(t, rule):
+    return np.concatenate([np.broadcast_to(t, (rule.count, len(t))), rule.nodes], axis=1)
+
+
+#: q = t^2 - y^2 / 2 + 0.3 y^3 + y^4 is not convex in y for -0.37 < y < 0.22, where the
+#: fiber curvature 1 - 1.8 y - 12 y^2 is positive: on a GH 20 rule at scale 0.5 it reads
+#: 0.03, 1.04 and 0.60 at the nodes y = -0.37, -0.12, 0.12 (indices 8 to 10), and below
+#: 0 at every other node
+WIGGLE = MatrixField(2, 1, [(1.0, (2, 0)), (-0.5, (0, 2)), (0.3, (0, 3)), (1.0, (0, 4))],
+                     [((0, 0), np.eye(1))])
+
+
+class TestStackedFiberPass:
+    @pytest.mark.parametrize("name,params", ROUTE_B_FIXTURES)
+    def test_gate_and_schur_margin_equal_the_node_loop(self, name, params):
+        field = builtin_field(name, params)
+        rule = build_rule("gauss_hermite", order=32, m=1)
+        t = np.array([0.1])
+        cm = curvature_matrix(field, _fibers(t, rule))
+        ref = [nakano_verdict(curvature_matrix(field, x)).lambda_max for x in _fibers(t, rule)]
+        np.testing.assert_array_equal(generalized_spectrum(cm)[:, -1], ref)
+        margins = [schur_margin_node(curvature_matrix(field, x), 1) for x in _fibers(t, rule)]
+        _close(_schur_margin(cm, 1), min(margins))
+        worst, margin, failed = fiber_pass_loop(field, t, 1, rule)
+        report = prekopa_check(field, t, 1, rule)
+        assert not failed and report.passed
+        _close(report.metrics["schur_margin"], margin)
+
+    def test_interior_gate_failure_matches_the_node_loop(self):
+        rule = build_rule("gauss_hermite", order=20, m=1, scale=0.5)
+        t = np.array([0.1])
+        worst, _, failed = fiber_pass_loop(WIGGLE, t, 1, rule)
+        lam = generalized_spectrum(curvature_matrix(WIGGLE, _fibers(t, rule)))[:, -1]
+        # the first node above tol_psd is interior, and not the largest
+        assert failed and worst == lam[8] < lam.max() and (lam[:8] < 0).all()
+        report = prekopa_check(WIGGLE, t, 1, rule)
+        assert report.status == "degenerate"
+        assert report.metrics == {"lambda_max_nodes": worst}
+
+    @pytest.mark.parametrize("tol_psd,nodes", [(0.5, 9), (10.0, 20)])
+    def test_indefinite_theta11_before_the_failure_still_raises(self, tol_psd, nodes):
+        # at tol_psd 0.5 node 9 fails the gate and node 8 passes it, with -Theta_11 =
+        # q_yy = -0.03 there; at 10 every node passes
+        rule = build_rule("gauss_hermite", order=20, m=1, scale=0.5)
+        with pytest.raises(NotPsdError):
+            fiber_pass_loop(WIGGLE, np.array([0.1]), 1, rule, tol_psd=tol_psd)
+        with pytest.raises(NotPsdError, match=f"form 8 of {nodes} is indefinite"):
+            prekopa_check(WIGGLE, [0.1], 1, rule, tol_psd=tol_psd)
+
+    def test_stacked_schur_gap_equals_the_per_split_calls(self):
+        # node 1: Theta_01 V0 has a component along the null direction of Theta_11
+        theta = np.array([[[-1.0, 0.2], [0.2, -1.5]],
+                          [[-1.0, 0.1], [0.1, 0.0]],
+                          [[-2.0, 0.3], [0.3, -0.5]]])
+        g = SpdMatrix(np.array([[[1.0]], [[2.0]], [[0.5]]]))
+        stack = block_split(CurvatureMatrix(1, 2, theta, g, np.zeros(3)), 1)
+        v0 = ColumnBlockMatrix([np.array([0.7])])
+        gaps = schur_gap(stack, v0)
+        ref = [schur_gap(block_split(CurvatureMatrix(1, 2, theta[i], SpdMatrix(g.entries[i]),
+                                                     0.0), 1), v0).value for i in range(3)]
+        assert gaps.shape == (3,) and gaps[1] == -np.inf
+        np.testing.assert_array_equal(gaps, ref)
+
+    @pytest.mark.parametrize("name,params", ROUTE_B_FIXTURES)
+    def test_stacked_schur_gap_on_fibers(self, name, params):
+        field = builtin_field(name, params)
+        xs = _fibers(np.array([0.1]), build_rule("gauss_hermite", order=12, m=1))
+        v0 = ColumnBlockMatrix([np.array([0.6, -0.8])])
+        gaps = schur_gap(block_split(curvature_matrix(field, xs), 1), v0)
+        ref = [schur_gap(block_split(curvature_matrix(field, x), 1), v0).value for x in xs]
+        _close(gaps, ref)
+
+
+# the random field's rule does not cover its support; only the agreement matters here
+@pytest.mark.filterwarnings("ignore:outermost quadrature node")
+class TestStackedResiduals:
+    @pytest.mark.parametrize("make,m,order,scale", STACK_FIXTURES)
+    def test_laplacian_ipp_and_bochner_match_the_node_loops(self, make, m, order, scale):
+        field = make()
+        rule = build_rule("gauss_hermite", order=min(order, 16), m=m, scale=scale)
+        rng = np.random.default_rng(order + 1)
+        f, g_fn = _cubic_fn(rng, field.n, field.d), _cubic_fn(rng, field.n, field.d)
+        lap = weighted_laplacian(field, f, rule.nodes)
+        for i, x in enumerate(rule.nodes):
+            _close(lap[i], weighted_laplacian_loop(field, f, x))
+        ipp = ipp_residual(field, f, g_fn, rule).metrics
+        for got, ref in zip((ipp["lhs"], ipp["rhs"]), ipp_loop(field, f, g_fn, rule)):
+            _close(got, ref)
+        boch = bochner_residual(field, f, rule).metrics
+        for key, ref in zip(("lhs", "term_curv", "term_hess"), bochner_loop(field, f, rule)):
+            _close(boch[key], ref)

@@ -1,6 +1,7 @@
 """Regression tests: tolerances applied as passed, field-JSON envelopes, removed flags,
 the Prekopa Schur margin over all fibers, warnings and settings in the report, the
-node named by an SPD failure, and the node order of tensor rules."""
+node named by an SPD failure, the node order of tensor rules, rules with no
+variables, the scan's jet settings, underflowing envelopes and the shared CLI parser."""
 
 import json
 from itertools import product
@@ -11,6 +12,7 @@ import pytest
 from mlcc import (
     CurvatureMatrix,
     DirichletEvaluator,
+    InputError,
     SpdMatrix,
     VectorFieldFn,
     bl_gap,
@@ -18,7 +20,7 @@ from mlcc import (
     builtin_field,
     prekopa_check,
 )
-from mlcc.cli import run
+from mlcc.cli import _make_parser, run
 from mlcc.fields import MatrixField
 from mlcc.inequalities import _schur_margin
 from mlcc.quadrature import _gauss_hermite_axis
@@ -185,3 +187,115 @@ class TestBuildRuleOrder:
         nodes, weights = _product_rule(axes)
         np.testing.assert_array_equal(rule.nodes, nodes)
         np.testing.assert_array_equal(rule.weights, weights)
+
+
+class TestRuleWithoutVariables:
+    @pytest.mark.parametrize("argv", [
+        ["--field", "gaussian_times_spd", "--t", "0.1", "--n0", "1", "--order", "32"],
+        ["--field", "gaussian_scalar", "--param", "n=2", "--t", "0.1", "--n0", "2",
+         "--order", "8"],
+    ])
+    def test_prekopa_with_n0_at_least_n_is_a_config_error(self, capsys, argv):
+        assert run(["prekopa", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: a rule integrates over m >= 1 variables, got m = 0\n"
+
+    @pytest.mark.parametrize("params", [
+        {"kind": "gauss_hermite", "order": 8, "m": 0},
+        {"kind": "gauss_hermite", "order": 8, "m": -1},
+        {"kind": "uniform_grid", "box": [], "resolution": 8},
+    ])
+    def test_build_rule_rejects_m_below_one(self, params):
+        with pytest.raises(InputError, match="m >= 1"):
+            build_rule(**params)
+
+
+class TestScanSettings:
+    ARGV = ["scan", "--field", "raufi_corrected", "--point", "0,0", "--param-range",
+            "s=0:1:0.05", "--no-timestamp"]
+
+    def _rows(self, tmp_path, *extra):
+        path = tmp_path / "scan.csv"
+        assert run([*self.ARGV, "--csv", str(path), *extra]) == 0
+        return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+    def test_fd_scan_flips_at_one_half(self, tmp_path):
+        exact = self._rows(tmp_path)
+        fd = self._rows(tmp_path, "--jet", "fd")
+        assert [r[0] for r in fd] == [r[0] for r in exact]
+        # fd lambda_max at s = 1/2 reads about -5e-8, inside tol_psd; at 0.45 it is 0.1
+        assert [r[2] for r in fd] == ["false"] * 10 + ["true"] * 11
+        assert float(fd[10][1]) != float(exact[10][1])  # the fd jet is in use
+        assert abs(float(fd[9][1]) - 0.1) < 1e-6
+
+    def test_jet_step_reaches_the_scan(self, tmp_path):
+        fine = self._rows(tmp_path, "--jet", "fd")
+        coarse = self._rows(tmp_path, "--jet", "fd", "--h", "1e-2", "--no-richardson")
+        assert fine[3][1] != coarse[3][1]
+
+    def test_field_json_is_a_config_error(self, tmp_path, capsys):
+        path = _write(tmp_path, {"n": 2, "d": 1, "entries": {"1,1": [[1.0, [0, 0]]]}})
+        assert run(["scan", "--field-json", path, "--point", "0,0",
+                    "--param-range", "s=0:1:0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "--field-json field has no named parameters (use --field)" in err
+        assert "None" not in err
+
+
+def test_underflowing_envelope_is_named(capsys):
+    # e^{-q} is exactly 0 at the outer GH 20^2 nodes of the double well
+    code = run(["bl", "--field", "double_well_scalar", "--test-fn", "poly:x1", "--order", "20"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "field double_well_scalar at x = [-5.387481 -5.387481]: the weight underflows" in err
+    assert "lower --order or --scale" in err
+    assert "not positive definite" not in err
+
+
+def test_fiber_node_off_the_cone_is_a_config_error_after_a_gate_failure(tmp_path, capsys):
+    # q = t^2 - y^4 fails the gate at the first GH 5 fiber node; P = y^2 - 0.01 leaves the
+    # SPD cone at the middle one, y = 0, which the whole fiber stack now reaches
+    path = _write(tmp_path, {"n": 2, "d": 1, "q": [[1.0, [2, 0]], [-1.0, [0, 4]]],
+                             "entries": {"1,1": [[1.0, [0, 2]], [-0.01, [0, 0]]]}})
+    code = run(["prekopa", "--field-json", path, "--t", "0.1", "--n0", "1", "--order", "5"])
+    assert code == 2
+    assert "matrix 2 of 5 is not positive definite" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    CALLS = [
+        ["griffiths", "--field", "raufi_corrected", "--param", "s=0.5", "--param", "a12=0.1",
+         "--point", "0.01,0.02", "--seed", "5", "--n-starts", "8", "--no-timestamp"],
+        ["nakano", "--field", "raufi_corrected", "--param", "s=0.75", "--point", "0,0",
+         "--no-timestamp"],
+        ["prekopa", "--field", "gaussian_cross_spd", "--param", "c=0.6", "--param", "d=2",
+         "--t", "0.1", "--n0", "1", "--order", "16", "--no-timestamp"],
+        ["nakano", "--field", "gaussian_scalar", "--point", "0.3", "--jet", "fd",
+         "--no-timestamp"],
+    ]
+
+    def test_consecutive_runs_equal_fresh_parsers(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            _make_parser.cache_clear()
+            fresh.append((run(argv), capsys.readouterr()))
+        _make_parser.cache_clear()
+        shared = [(run(argv), capsys.readouterr()) for argv in self.CALLS]
+        assert _make_parser.cache_info().misses == 1
+        assert shared == fresh
+        config = json.loads(shared[1][1].out)["config"]
+        assert config["param"] == ["s=0.75"] and config["seed"] == 0
+        assert "n_starts" not in config
+        assert "param" not in json.loads(shared[3][1].out)["config"]
+
+    def test_report_shares_the_parser(self, tmp_path, capsys):
+        cfg = tmp_path / "checks.json"
+        cfg.write_text(json.dumps({"checks": [
+            {"name": "nakano", "args": ["--field", "raufi_corrected", "--param", "s=0.75",
+                                        "--point", "0,0"]},
+            {"name": "nakano", "args": ["--field", "gaussian_scalar", "--point", "0.1"]},
+        ]}))
+        _make_parser.cache_clear()
+        assert run(["report", "--config", str(cfg), "--no-timestamp"]) == 0
+        assert _make_parser.cache_info().misses == 1
+        assert len(json.loads(capsys.readouterr().out)["checks"]) == 2
