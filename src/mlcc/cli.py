@@ -138,7 +138,10 @@ def _build_rule(args, m: int):
     if args.rule == "uniform_grid":
         if args.box is None:
             raise InputError("uniform_grid needs --box lo,hi")
-        lo, hi = (float(v) for v in args.box.split(","))
+        try:
+            lo, hi = (float(v) for v in args.box.split(","))
+        except ValueError as exc:
+            raise InputError(f"--box must be lo,hi, got {args.box!r}") from exc
         return build_rule(
             "uniform_grid", box=[(lo, hi)] * m, resolution=args.resolution
         )
@@ -263,12 +266,13 @@ def _cmd_scan(args, diagnostics):
                          "a --field-json field has no named parameters (use --field)")
     if not args.field:
         raise InputError("no field given (use --field)")
-    if "=" not in args.param_range or args.param_range.count(":") != 2:
-        raise InputError("--param-range must be name=start:stop:step")
-    name, span = args.param_range.split("=", 1)
-    start, stop, step = (float(v) for v in span.split(":"))
-    if step <= 0:
-        raise InputError("scan step must be positive")
+    name, _, span = args.param_range.partition("=")
+    try:
+        start, stop, step = (float(v) for v in span.split(":"))
+    except ValueError as exc:
+        raise InputError("--param-range must be name=start:stop:step") from exc
+    if not (np.isfinite([start, stop, step]).all() and step > 0 and stop >= start):
+        raise InputError(f"--param-range needs finite start <= stop and step > 0, got {span!r}")
     base = _parse_params(args.param)
     point = _parse_point(args.point)
     count = int(round((stop - start) / step)) + 1
@@ -306,27 +310,15 @@ def _cmd_schur(args, diagnostics):
     cm = curvature_matrix(field, point)
     split = block_split(cm, args.n0)
     if args.v0:
-        flat = _parse_point(args.v0)
-        v0 = ColumnBlockMatrix.from_flat(flat, field.d)
+        v0 = ColumnBlockMatrix.from_flat(_parse_point(args.v0), field.d)
     else:
-        cols = [np.zeros(field.d) for _ in range(args.n0)]
-        for c in cols:
-            c[0] = 1.0
-        v0 = ColumnBlockMatrix(cols)
+        v0 = ColumnBlockMatrix([np.eye(field.d)[0]] * args.n0)
     gap = schur_gap(split, v0)
-    if gap.is_infinite:
-        return [
-            CheckReport(
-                name="schur",
-                status="degenerate",
-                metrics={"gap": gap.value},
-                tolerances={"tol_gap": args.tol_gap},
-            )
-        ]
+    status = "degenerate" if gap.is_infinite else "pass" if gap.value >= -args.tol_gap else "fail"
     return [
         CheckReport(
             name="schur",
-            status="pass" if gap.value >= -args.tol_gap else "fail",
+            status=status,
             metrics={"gap": gap.value},
             tolerances={"tol_gap": args.tol_gap},
         )
@@ -374,9 +366,14 @@ def _cmd_report(args, diagnostics):
     with open(args.config) as fh:
         cfg = json.load(fh)
     checks = []
-    for entry in cfg.get("checks", []):
+    for i, entry in enumerate(cfg.get("checks", [])):
         argv = [entry["name"]] + list(entry.get("args", []))
-        sub_args = _make_parser().parse_args(argv)
+        if argv[0] == "report":
+            raise InputError(f"report entry {i} is itself a report")
+        try:
+            sub_args = _make_parser().parse_args(argv)
+        except SystemExit:
+            raise InputError(f"report entry {i} ({argv[0]!r}): its args do not parse") from None
         _apply_seed_env(sub_args)
         checks.extend(_DISPATCH[entry["name"]](sub_args, diagnostics))
     return checks

@@ -23,7 +23,7 @@ from .curvature import (
 )
 from .errors import InputError
 from .fields import Jet2, MatrixField, central_differences, restrict_field
-from .metric import ColumnBlockMatrix, ExtendedReal, SpdMatrix, metric_pencil
+from .metric import ColumnBlockMatrix, PolarOperator, QuadraticFormSpec, SpdMatrix, metric_pencil
 from .quadrature import (
     DirichletEvaluator,
     QuadratureRule,
@@ -211,30 +211,37 @@ def theta_alpha_decomposed(
     return term_curv00 + term_var, term_curv00, term_var
 
 
-def _schur_margin(cm: CurvatureMatrix, n0: int) -> float:
-    """Smallest generalized eigenvalue of (S, id_n0 (x) g) at one fiber node,
-    or the smallest over a stack of them.
-
-    S is the matrix of the quadratic form V0 -> schur_gap(split, V0), taken by
-    polarization from the gaps along each e_i and e_i + e_j (i < j), each one
-    call for the whole stack; -inf when one of them is infinite at some node
-    (a null direction of Theta_11).
+def _schur_margin(cm: CurvatureMatrix, n0: int):
+    """Smallest generalized eigenvalue of (S, id_n0 (x) g) over one fiber node or a
+    stack, the node attaining it (None for one node) and its eigenvector V0 with
+    <V0, V0>_g = 1.  S = -Theta_00 - Theta_10^T (-Theta_11)^+ Theta_10, the matrix of
+    V0 -> schur_gap(split, V0), is the polar form of -Theta_11 on the columns of
+    (id_n1 (x) g)^{-1} Theta_10; -inf (no node, no V0) when a column leaves its range.
     """
     split = block_split(cm, n0)
-    dim = split.d * n0
-    basis = np.eye(dim)
-    gaps = np.empty(cm.theta_tilde.shape[:-2] + (dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            v = basis[i] if i == j else basis[i] + basis[j]
-            gap = schur_gap(split, ColumnBlockMatrix.from_flat(v, split.d))
-            gaps[..., i, j] = gaps[..., j, i] = gap.value if isinstance(gap, ExtendedReal) else gap
-    if np.isinf(gaps).any():
-        return -np.inf
-    diag = np.diagonal(gaps, axis1=-2, axis2=-1)[..., None, :]
-    s = np.where(np.eye(dim, dtype=bool), gaps, 0.5 * (gaps - diag.swapaxes(-1, -2) - diag))
+    d, lead = split.d, cm.theta_tilde.shape[:-2]
+    polar = PolarOperator(QuadraticFormSpec(cm.g, -split.theta11))
+    mixed = np.linalg.solve(cm.g.entries[..., None, :, :],
+                            split.theta01_tilde.reshape(lead + (split.n1, d, n0 * d)))
+    coords = polar._coord_map @ mixed.reshape(lead + (split.n1 * d, n0 * d))
+    null, off_range = polar._null_and_off_range(np.moveaxis(coords, -1, 0) ** 2)
+    if off_range.any():
+        return -np.inf, None, None
+    inv = coords / np.where(null, np.inf, polar.eigenvalues)[..., None]
+    s = -split.theta00 - coords.swapaxes(-1, -2) @ inv
     _, invroot = cm.g.sqrt_and_invsqrt()
-    return float(np.linalg.eigvalsh(metric_pencil(invroot, s))[..., 0].min())
+    lam, w = np.linalg.eigh(metric_pencil(invroot, s))
+    # V0 = (id_n0 (x) g^{-1/2}) w at every node
+    v0 = (w[..., :, 0].reshape(lead + (n0, d)) @ invroot).reshape(-1, n0 * d)
+    lam_min = lam[..., 0].reshape(-1)
+    i = int(np.argmin(lam_min))
+    return float(lam_min[i]), i if lead else None, v0[i]
+
+
+def _nodes(cm: CurvatureMatrix, index) -> CurvatureMatrix:
+    """The curvature at node ``index`` of a stack, or at the nodes a slice selects."""
+    return CurvatureMatrix(cm.d, cm.n, cm.theta_tilde[index], SpdMatrix(cm.g.entries[index]),
+                           cm.asymmetry[index])
 
 
 def _fiber_nodes(t: np.ndarray, rule: QuadratureRule) -> np.ndarray:
@@ -260,10 +267,13 @@ def prekopa_check(
     above ``tol_psd``.  ``route_diff`` is d*n0 times the spectral norm of the
     difference of the two routes' matrices, which bounds
     |v (A - B) v| / (1 + |v B v|) over the box [-1, 1]^{d*n0}.
-    ``schur_margin`` is the smallest generalized eigenvalue of (Schur form,
-    id_n0 (x) g) over the fiber nodes before the first gate failure (all of
-    them on a passing gate), -inf (and the status degenerate) when the form
-    is infinite along some direction.
+    ``schur_margin`` is the smallest generalized eigenvalue of (Schur
+    complement S, id_n0 (x) g) over the fiber nodes before the first gate
+    failure (all of them on a passing gate), -inf (and the status degenerate)
+    when the form is infinite along some direction.  ``schur_route_diff`` is
+    |schur_gap - schur_margin| / max(1, |schur_margin|) for schur_gap at the
+    attaining node and its unit eigenvector V0; it is held to ``tol_route``
+    with ``route_diff``, and absent when the margin is -inf.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape[0] != n0 or not 1 <= n0 < field.n:
@@ -277,9 +287,7 @@ def prekopa_check(
         if first:
             # the margin goes unreported, but an indefinite -Theta_11 at a node
             # before the first failure still raises NotPsdError
-            _schur_margin(CurvatureMatrix(cm.d, cm.n, cm.theta_tilde[:first],
-                                          SpdMatrix(cm.g.entries[:first]),
-                                          cm.asymmetry[:first]), n0)
+            _schur_margin(_nodes(cm, slice(first)), n0)
         return CheckReport(
             name="prekopa_check",
             status="degenerate",
@@ -287,21 +295,25 @@ def prekopa_check(
             tolerances={"tol_psd": tol_psd},
             settings=settings,
         )
-    schur_margin = _schur_margin(cm, n0)
+    schur_margin, node, v0 = _schur_margin(cm, n0)
     cm_alpha = marginal_theta_fd(field, t, rule, h)
     lambda_max_alpha = nakano_verdict(cm_alpha).lambda_max
     total, _, _ = theta_alpha_decomposed(field, t, rule)
     route_diff = field.d * n0 * float(np.linalg.norm(cm_alpha.theta_tilde - total, 2))
-    ok = lambda_max_alpha <= tol_psd and route_diff <= tol_route
-    status = "degenerate" if schur_margin == -np.inf else ("pass" if ok else "fail")
+    metrics = {"lambda_max_alpha": lambda_max_alpha, "route_diff": route_diff,
+               "schur_margin": schur_margin}
+    status = "degenerate"
+    if schur_margin != -np.inf:
+        # the second route: schur_gap at the node and V0 that attain the margin
+        gap = schur_gap(block_split(_nodes(cm, node), n0), ColumnBlockMatrix.from_flat(v0, cm.d))
+        diff = abs(gap.value - schur_margin) / max(1.0, abs(schur_margin))
+        metrics["schur_route_diff"] = diff
+        ok = lambda_max_alpha <= tol_psd and max(route_diff, diff) <= tol_route
+        status = "pass" if ok else "fail"
     return CheckReport(
         name="prekopa_check",
         status=status,
-        metrics={
-            "lambda_max_alpha": lambda_max_alpha,
-            "route_diff": route_diff,
-            "schur_margin": schur_margin,
-        },
+        metrics=metrics,
         tolerances={"tol_psd": tol_psd, "tol_route": tol_route},
         settings=settings,
     )

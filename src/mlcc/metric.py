@@ -72,10 +72,7 @@ class SpdMatrix:
 
 @dataclass(frozen=True)
 class ColumnBlockMatrix:
-    """An element of R^n tensor R^d stored as n columns in R^d.
-
-    Columns of shape (N, d) hold one such element per node of a stack.
-    """
+    """An element of R^n tensor R^d stored as n columns in R^d."""
 
     columns: tuple
 
@@ -84,8 +81,8 @@ class ColumnBlockMatrix:
         if not cols:
             raise InputError("need at least one column")
         d = cols[0].shape
-        if any(c.ndim not in (1, 2) or c.shape != d for c in cols):
-            raise InputError("all columns must be vectors (or stacks) of the same dimension")
+        if any(c.ndim != 1 or c.shape != d for c in cols):
+            raise InputError("all columns must be vectors of the same dimension")
         object.__setattr__(self, "columns", cols)
 
     @property
@@ -97,8 +94,8 @@ class ColumnBlockMatrix:
         return len(self.columns)
 
     def flatten(self) -> np.ndarray:
-        """Stack columns: entry (j, l) lands at index j*d + l (of every node)."""
-        return np.concatenate(self.columns, axis=-1)
+        """Stack columns: entry (j, l) lands at index j*d + l."""
+        return np.concatenate(self.columns)
 
     @classmethod
     def from_flat(cls, v: np.ndarray, d: int) -> "ColumnBlockMatrix":
@@ -130,11 +127,6 @@ class ExtendedReal:
 
     @property
     def value(self) -> float:
-        return self._value
-
-    def finite_value(self) -> float:
-        if self.is_infinite:
-            raise InputError("extended real is infinite")
         return self._value
 
     def __float__(self) -> float:
@@ -253,16 +245,20 @@ class PolarOperator:
         wt = w.swapaxes(-1, -2).reshape(w.shape[:-2] + (nd * nd // d, d))
         self._coord_map = (wt @ root).reshape(w.shape)
 
+    def _null_and_off_range(self, c2, rel_null_tol: float = DEFAULT_NULL_TOL):
+        """Null eigenvalues, and whether vectors with squared eigencoordinates ``c2`` (eigen
+        axis last) leave the range: their null part exceeds rel_null_tol of their norm."""
+        if not 0.0 < rel_null_tol <= 1e-3:
+            raise InputError("rel_null_tol must lie in (0, 1e-3]")
+        null = self.eigenvalues <= rel_null_tol * self.lam_max[..., None]
+        return null, np.where(null, c2, 0.0).sum(-1) > rel_null_tol**2 * c2.sum(-1)
+
     def value(self, v, rel_null_tol: float = DEFAULT_NULL_TOL):
         """Q°(v) as an ExtendedReal; on a stack, v is (N, dn) and the result an
         (N,) array of floats, inf where v leaves the range of that node's form."""
-        if not 0.0 < rel_null_tol <= 1e-3:
-            raise InputError("rel_null_tol must lie in (0, 1e-3]")
         v = np.asarray(v, dtype=float)
         c2 = (self._coord_map @ v[..., None])[..., 0] ** 2
-        null = self.eigenvalues <= rel_null_tol * self.lam_max[..., None]
-        # v leaves the range when its null part exceeds rel_null_tol of its norm
-        off_range = np.where(null, c2, 0.0).sum(-1) > rel_null_tol**2 * c2.sum(-1)
+        null, off_range = self._null_and_off_range(c2, rel_null_tol)
         out = (c2 / np.where(null, np.inf, self.eigenvalues)).sum(-1)
         out = np.where(off_range, np.inf, out)
         return ExtendedReal(float(out)) if out.ndim == 0 else out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -64,8 +64,17 @@ class QuadratureRule:
         return self.weights.shape[0]
 
 
-def _gauss_hermite_axis(order: int, center: float, scale: float):
+@cache
+def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights of one order, computed once, read-only."""
     x, w = np.polynomial.hermite.hermgauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _gauss_hermite_axis(order: int, center: float, scale: float):
+    x, w = _hermgauss(order)
     nodes = center + scale * x
     weights = scale * w * np.exp(x**2)
     return nodes, weights

@@ -18,6 +18,7 @@ from mlcc import (
     ColumnBlockMatrix,
     DirichletEvaluator,
     CurvatureMatrix,
+    InputError,
     NotPositiveError,
     NotPsdError,
     QuadraticFormSpec,
@@ -39,6 +40,7 @@ from mlcc import (
     prekopa_check,
     restrict_field,
     schur_gap,
+    tensor_inner,
     theta_alpha_decomposed,
     variance_functional,
     weighted_laplacian,
@@ -568,7 +570,7 @@ class TestStackedFiberPass:
         ref = [nakano_verdict(curvature_matrix(field, x)).lambda_max for x in _fibers(t, rule)]
         np.testing.assert_array_equal(generalized_spectrum(cm)[:, -1], ref)
         margins = [schur_margin_node(curvature_matrix(field, x), 1) for x in _fibers(t, rule)]
-        _close(_schur_margin(cm, 1), min(margins))
+        _close(_schur_margin(cm, 1)[0], min(margins))
         worst, margin, failed = fiber_pass_loop(field, t, 1, rule)
         report = prekopa_check(field, t, 1, rule)
         assert not failed and report.passed
@@ -595,28 +597,69 @@ class TestStackedFiberPass:
         with pytest.raises(NotPsdError, match=f"form 8 of {nodes} is indefinite"):
             prekopa_check(WIGGLE, [0.1], 1, rule, tol_psd=tol_psd)
 
-    def test_stacked_schur_gap_equals_the_per_split_calls(self):
-        # node 1: Theta_01 V0 has a component along the null direction of Theta_11
+    def test_null_direction_at_one_node_gives_minus_inf(self):
+        # node 1: Theta_10 has a component along the null direction of Theta_11
         theta = np.array([[[-1.0, 0.2], [0.2, -1.5]],
                           [[-1.0, 0.1], [0.1, 0.0]],
                           [[-2.0, 0.3], [0.3, -0.5]]])
         g = SpdMatrix(np.array([[[1.0]], [[2.0]], [[0.5]]]))
-        stack = block_split(CurvatureMatrix(1, 2, theta, g, np.zeros(3)), 1)
+        cm = CurvatureMatrix(1, 2, theta, g, np.zeros(3))
+        assert _schur_margin(cm, 1) == (-np.inf, None, None)
         v0 = ColumnBlockMatrix([np.array([0.7])])
-        gaps = schur_gap(stack, v0)
-        ref = [schur_gap(block_split(CurvatureMatrix(1, 2, theta[i], SpdMatrix(g.entries[i]),
-                                                     0.0), 1), v0).value for i in range(3)]
-        assert gaps.shape == (3,) and gaps[1] == -np.inf
-        np.testing.assert_array_equal(gaps, ref)
+        with pytest.raises(InputError, match="of one node, not a stack"):
+            schur_gap(block_split(cm, 1), v0)
+        assert schur_gap(block_split(mlcc.inequalities._nodes(cm, 1), 1), v0).is_infinite
 
+
+def _random_field_3():
+    """A non-separable N = 3, d = 2 field e^{-q}(A + 0.1 B(x)): q is a random positive
+    definite quadratic with cross terms, A is SPD and B(x) a symmetric linear polynomial."""
+    rng = np.random.default_rng(17)
+    root = rng.uniform(-0.5, 0.5, (3, 3)) + 1.5 * np.eye(3)
+    hess, e = root @ root.T, [tuple(int(v) for v in row) for row in np.eye(3)]
+    # q = x^T hess x / 2, one monomial x_i x_j per ordered pair (i, j)
+    q = [(0.5 * hess[i, j], tuple(a + b for a, b in zip(e[i], e[j])))
+         for i in range(3) for j in range(3)]
+    a = rng.uniform(-0.5, 0.5, (2, 2))
+    terms = [((0, 0, 0), a @ a.T + 2.0 * np.eye(2))]
+    for k in range(3):
+        b = rng.uniform(-0.1, 0.1, (2, 2))
+        terms.append((e[k], b + b.T))
+    return MatrixField(3, 2, q, terms)
+
+
+def schur_margin_dense(cm, n0):
+    """min over the nodes of the smallest eigenvalue of the pencil (S, id_n0 (x) g),
+    S = -Theta_00 - Theta_10^T pinv(-Theta_11) Theta_10, dense."""
+    linalg = pytest.importorskip("scipy.linalg")
+    cut = cm.d * n0
+    margin = np.inf
+    for t, g in zip(cm.theta_tilde, cm.g.entries):
+        s = -t[:cut, :cut] - t[cut:, :cut].T @ np.linalg.pinv(-t[cut:, cut:]) @ t[cut:, :cut]
+        margin = min(margin, linalg.eigh(s, np.kron(np.eye(n0), g), eigvals_only=True)[0])
+    return margin
+
+
+class TestSchurComplement:
     @pytest.mark.parametrize("name,params", ROUTE_B_FIXTURES)
-    def test_stacked_schur_gap_on_fibers(self, name, params):
+    def test_margin_matches_the_dense_oracle_on_fibers(self, name, params):
         field = builtin_field(name, params)
-        xs = _fibers(np.array([0.1]), build_rule("gauss_hermite", order=12, m=1))
-        v0 = ColumnBlockMatrix([np.array([0.6, -0.8])])
-        gaps = schur_gap(block_split(curvature_matrix(field, xs), 1), v0)
-        ref = [schur_gap(block_split(curvature_matrix(field, x), 1), v0).value for x in xs]
-        _close(gaps, ref)
+        cm = curvature_matrix(field, _fibers(np.array([0.1]), build_rule("gauss_hermite",
+                                                                         order=32, m=1)))
+        _close(_schur_margin(cm, 1)[0], schur_margin_dense(cm, 1))
+
+    def test_margin_matches_the_dense_oracle_on_a_random_field(self):
+        field = _random_field_3()
+        xs = np.random.default_rng(19).uniform(-0.3, 0.3, (6, 3))
+        cm = curvature_matrix(field, xs)
+        margin, node, v0 = _schur_margin(cm, 2)
+        _close(margin, schur_margin_dense(cm, 2))
+        _close(margin, min(schur_margin_node(curvature_matrix(field, x), 2) for x in xs))
+        # the second route: the gap at the attaining node's V0, with <V0, V0>_g = 1
+        split = block_split(curvature_matrix(field, xs[node]), 2)
+        v0 = ColumnBlockMatrix.from_flat(v0, 2)
+        assert tensor_inner(split.g, v0, v0) == pytest.approx(1.0, rel=1e-12)
+        _close(schur_gap(split, v0).value, margin)
 
 
 # the random field's rule does not cover its support; only the agreement matters here

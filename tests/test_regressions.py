@@ -23,7 +23,7 @@ from mlcc import (
 from mlcc.cli import _make_parser, run
 from mlcc.fields import MatrixField
 from mlcc.inequalities import _schur_margin
-from mlcc.quadrature import _gauss_hermite_axis
+from mlcc.quadrature import _gauss_hermite_axis, _hermgauss
 
 
 class TestPrekopaTolPsd:
@@ -77,6 +77,7 @@ class TestPrekopaSchurMargin:
         report = prekopa_check(field, [0.2], 1, build_rule("gauss_hermite", order=48, m=1))
         assert report.passed
         assert report.metrics["schur_margin"] == pytest.approx(2.0 - c * c / 2.0, abs=1e-10)
+        assert report.metrics["schur_route_diff"] <= 1e-12
 
     @pytest.mark.parametrize("name,params,margin", [
         ("gaussian_scalar", {"n": 2}, 1.0),
@@ -87,13 +88,14 @@ class TestPrekopaSchurMargin:
                                build_rule("gauss_hermite", order=48, m=1))
         assert report.passed
         assert report.metrics["schur_margin"] == pytest.approx(margin, abs=1e-10)
+        assert report.metrics["schur_route_diff"] <= 1e-12
 
 
     def test_null_direction_of_theta11_is_minus_inf(self):
         # Theta_01 V0 has a component along the null direction of Theta_11
         theta = np.array([[-1.0, 0.1], [0.1, 0.0]])
         cm = CurvatureMatrix(d=1, n=2, theta_tilde=theta, g=SpdMatrix(np.eye(1)), asymmetry=0.0)
-        assert _schur_margin(cm, 1) == -np.inf
+        assert _schur_margin(cm, 1)[0] == -np.inf
 
 
 def test_prekopa_n_v0_flag_is_gone(capsys):
@@ -299,3 +301,52 @@ class TestSharedParser:
         assert run(["report", "--config", str(cfg), "--no-timestamp"]) == 0
         assert _make_parser.cache_info().misses == 1
         assert len(json.loads(capsys.readouterr().out)["checks"]) == 2
+
+
+def test_gauss_hermite_nodes_are_computed_once_and_read_only():
+    x, w = _hermgauss(7)
+    assert _hermgauss(7)[0] is x
+    for a in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+class TestMalformedRanges:
+    @pytest.mark.parametrize("box", ["1", "a,b", "0,1,2"])
+    def test_malformed_box_is_a_config_error(self, capsys, box):
+        code = run(["bl", "--field", "gaussian_scalar", "--test-fn", "poly:y",
+                    "--rule", "uniform_grid", "--box", box])
+        assert code == 2
+        assert f"--box must be lo,hi, got {box!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("span", ["1:0:0.1", "0:1:0", "0:inf:0.1", "nan:1:0.1", "0:a:0.1",
+                                      "0:1"])
+    def test_malformed_scan_range_is_a_config_error(self, capsys, span):
+        code = run(["scan", "--field", "raufi_corrected", "--point", "0,0",
+                    "--param-range", f"s={span}"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+
+class TestReportEntries:
+    @pytest.mark.parametrize("entry,index", [
+        ({"name": "nakano", "args": ["--field", "raufi_corrected", "--bogus"]}, 1),
+        ({"name": "nakano", "args": ["--field", "raufi_corrected"]}, 1),
+        ({"name": "no_such_check", "args": []}, 1),
+    ])
+    def test_unparsable_entry_is_a_config_error(self, tmp_path, capsys, entry, index):
+        cfg = tmp_path / "checks.json"
+        good = {"name": "nakano", "args": ["--field", "gaussian_scalar", "--point", "0.1"]}
+        cfg.write_text(json.dumps({"checks": [good, entry]}))
+        assert run(["report", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: report entry {index} ({entry['name']!r}): its args do not parse" in err
+
+    def test_report_inside_a_report_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "checks.json"
+        cfg.write_text(json.dumps({"checks": [{"name": "report",
+                                               "args": ["--config", str(cfg)]}]}))
+        assert run(["report", "--config", str(cfg)]) == 2
+        assert "error: report entry 0 is itself a report" in capsys.readouterr().err
