@@ -26,7 +26,14 @@ from .curvature import (
     nakano_verdict,
     schur_gap,
 )
-from .errors import BudgetError, InputError, NotPositiveError, NotPsdError, QuadratureError
+from .errors import (
+    NODE_BUDGET,
+    BudgetError,
+    InputError,
+    NotPositiveError,
+    NotPsdError,
+    QuadratureError,
+)
 from .fields import BUILTIN_NAMES, builtin_field, polynomial_field_from_json
 from .inequalities import (
     CheckReport,
@@ -273,9 +280,15 @@ def _cmd_scan(args, diagnostics):
         raise InputError("--param-range must be name=start:stop:step") from exc
     if not (np.isfinite([start, stop, step]).all() and step > 0 and stop >= start):
         raise InputError(f"--param-range needs finite start <= stop and step > 0, got {span!r}")
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise InputError(f"--param-range {span!r} has too many points to count")
+    if steps + 1 > NODE_BUDGET:
+        raise BudgetError(f"--param-range {span!r} has {steps + 1:.3g} points, "
+                          f"beyond the budget of {NODE_BUDGET}")
     base = _parse_params(args.param)
     point = _parse_point(args.point)
-    count = int(round((stop - start) / step)) + 1
+    count = int(round(steps)) + 1
     rows = []
     for i in range(count):
         value = start + i * step
@@ -365,9 +378,18 @@ def _cmd_ipp(args, diagnostics):
 def _cmd_report(args, diagnostics):
     with open(args.config) as fh:
         cfg = json.load(fh)
+    entries = cfg.get("checks", []) if isinstance(cfg, dict) else None
+    if not isinstance(entries, list):
+        raise InputError('report config must be a JSON object whose "checks" is a list')
     checks = []
-    for i, entry in enumerate(cfg.get("checks", [])):
-        argv = [entry["name"]] + list(entry.get("args", []))
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+            raise InputError(f'report entry {i} must be an object with a string "name"')
+        extra = entry.get("args", [])
+        if not (isinstance(extra, list) and all(isinstance(a, str) for a in extra)):
+            raise InputError(f'report entry {i} ({entry["name"]!r}): "args" must be a list '
+                             "of strings")
+        argv = [entry["name"]] + extra
         if argv[0] == "report":
             raise InputError(f"report entry {i} is itself a report")
         try:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, SymmetryError
+from .errors import NODE_BUDGET, BudgetError, InputError, SymmetryError
 from .fields import Jet2, MatrixField
 from .metric import (
     ColumnBlockMatrix,
@@ -141,10 +141,20 @@ def griffiths_min_gap(
 
     Alternating maximization (top generalized eigenvector in u at fixed y,
     top eigenvector in y at fixed u), multi-started; the result is a lower
-    bound on the true rank-one maximum.
+    bound on the true rank-one maximum.  The starts run as one stack: each
+    step makes one batched eigensolve in u and one in y over the starts that
+    are still live, and a start leaves the stack once its value changes by
+    at most ``tol`` relative, or after ``max_iter`` steps.  The result is the
+    largest value over the starts, NaN starts skipped (-inf if none is a
+    number).  ``n_starts`` lies in [8, NODE_BUDGET] and ``seed`` is
+    non-negative; start s draws its y then its u from ``default_rng(seed)``.
     """
     if n_starts < 8:
         raise InputError("need at least 8 starts")
+    if n_starts > NODE_BUDGET:
+        raise BudgetError(f"{n_starts} starts exceed the budget of {NODE_BUDGET}")
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
     d, n = cm.d, cm.n
     g = cm.g.entries
     # [k, a, j, b] is entry (a, b) of block (j, k), of theta_tilde and of its
@@ -153,29 +163,27 @@ def griffiths_min_gap(
     theta4 = cm.theta_tilde.reshape(n, d, n, d)
     _, invroot = cm.g.sqrt_and_invsqrt()
     pencil4 = metric_pencil(invroot, cm.theta_tilde).reshape(n, d, n, d)
-    rng = np.random.default_rng(seed)
-    best = -np.inf
-    for _ in range(n_starts):
-        y = rng.standard_normal(n)
-        y /= np.linalg.norm(y)
-        u = rng.standard_normal(d)
-        u /= np.sqrt(u @ g @ u)
-        prev = -np.inf
-        for _ in range(max_iter):
-            # u-step: top generalized eigenpair of (sum y_j y_k block_{j,k}, g)
-            _, w = np.linalg.eigh(np.einsum("j,kajb,k->ab", y, pencil4, y))
-            u = invroot @ w[:, -1]
-            # y-step: top eigenpair of the n x n matrix [u^T block_{j,k} u]
-            b = np.einsum("a,kajb,b->jk", u, theta4, u)
-            lam_y, w_y = np.linalg.eigh(0.5 * (b + b.T))
-            y = w_y[:, -1]
-            val = float(lam_y[-1]) / float(u @ g @ u)
-            if abs(val - prev) <= tol * max(1.0, abs(val)):
-                prev = val
-                break
-            prev = val
-        best = max(best, prev)
-    return best
+    # row s is start s's y then its u; the u-step overwrites u before it is read
+    y = np.random.default_rng(seed).standard_normal((n_starts, n + d))[:, :n]
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    prev = np.full(n_starts, -np.inf)
+    live = np.arange(n_starts)
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        yl = y[live]
+        # u-step: top generalized eigenpair of (sum y_j y_k block_{j,k}, g)
+        _, w = np.linalg.eigh(np.einsum("sj,kajb,sk->sab", yl, pencil4, yl))
+        u = w[:, :, -1] @ invroot.T
+        # y-step: top eigenpair of the n x n matrix [u^T block_{j,k} u]
+        b = np.einsum("sa,kajb,sb->sjk", u, theta4, u)
+        lam_y, w_y = np.linalg.eigh(0.5 * (b + b.swapaxes(1, 2)))
+        y[live] = w_y[:, :, -1]
+        val = lam_y[:, -1] / np.einsum("sa,ab,sb->s", u, g, u)
+        done = np.abs(val - prev[live]) <= tol * np.maximum(1.0, np.abs(val))
+        prev[live] = val
+        live = live[~done]
+    return float(np.fmax.reduce(prev, initial=-np.inf))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the budget they enforce."""
 
 
 class InputError(ValueError):
@@ -29,5 +29,10 @@ class QuadratureError(ArithmeticError):
     """A quadrature result is unusable (non-positive integral, rule too coarse)."""
 
 
+#: Cap on the node count of a tensor-product rule, the points of a scan and
+#: the starts of a rank-one search.
+NODE_BUDGET = 10**7
+
+
 class BudgetError(ValueError):
-    """A tensor-product rule would exceed the node budget."""
+    """A rule, scan or search would exceed ``NODE_BUDGET``."""

@@ -16,12 +16,9 @@ import numpy as np
 
 from ._poly import poly_diff, poly_eval, poly_stack
 from .curvature import curvature_matrix
-from .errors import BudgetError, InputError, QuadratureError
+from .errors import NODE_BUDGET, BudgetError, InputError, QuadratureError
 from .fields import MatrixField, central_differences
 from .metric import DEFAULT_NULL_TOL, ExtendedReal, PolarOperator, QuadraticFormSpec, SpdMatrix
-
-#: Cap on the node count of a tensor-product rule.
-NODE_BUDGET = 10**7
 
 #: Relative size of the outermost integrand summand that triggers a tail warning.
 TAIL_WARN_REL = 1e-12

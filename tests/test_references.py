@@ -1,14 +1,18 @@
 """Reference tests for the shared numerics: the metric pencil, exact jets,
 read-only polynomial coefficients, the central-difference stencil, the
-Prekopa route B matrices and the stacked node axis.
+Prekopa route B matrices, the stacked node axis and the stacked rank-one
+search.
 
 The references are the formulas the shared helpers replaced: a dense
 generalized eigensolve against the block-diagonal metric id_n (x) g,
 symbolic differentiation of e^{-q} P, route B evaluated one V0 at a time
 as fiber curvature plus the variance of a vector field, and the quadrature
 passes, the Prekopa fiber pass (gate and Schur margin) and the residual
-checks as loops over the nodes, one point per call.
+checks as loops over the nodes, one point per call, and the Griffiths
+search as a loop over its starts.
 """
+
+from itertools import product
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from mlcc import (
     conjugate_field,
     curvature_matrix,
     generalized_spectrum,
+    griffiths_min_gap,
     integrate_field,
     ipp_residual,
     marginal_theta_fd,
@@ -680,3 +685,81 @@ class TestStackedResiduals:
         boch = bochner_residual(field, f, rule).metrics
         for key, ref in zip(("lhs", "term_curv", "term_hess"), bochner_loop(field, f, rule)):
             _close(boch[key], ref)
+
+
+def griffiths_loop(cm, n_starts=32, max_iter=200, seed=0, tol=1e-10):
+    """The rank-one search one start at a time, with Python's ``max`` over the starts."""
+    d, n = cm.d, cm.n
+    g = cm.g.entries
+    theta4 = cm.theta_tilde.reshape(n, d, n, d)
+    _, invroot = cm.g.sqrt_and_invsqrt()
+    pencil4 = metric_pencil(invroot, cm.theta_tilde).reshape(n, d, n, d)
+    rng = np.random.default_rng(seed)
+    best = -np.inf
+    for _ in range(n_starts):
+        y = rng.standard_normal(n)
+        y /= np.linalg.norm(y)
+        u = rng.standard_normal(d)
+        u /= np.sqrt(u @ g @ u)
+        prev = -np.inf
+        for _ in range(max_iter):
+            _, w = np.linalg.eigh(np.einsum("j,kajb,k->ab", y, pencil4, y))
+            u = invroot @ w[:, -1]
+            b = np.einsum("a,kajb,b->jk", u, theta4, u)
+            lam_y, w_y = np.linalg.eigh(0.5 * (b + b.T))
+            y = w_y[:, -1]
+            val = float(lam_y[-1]) / float(u @ g @ u)
+            if abs(val - prev) <= tol * max(1.0, abs(val)):
+                prev = val
+                break
+            prev = val
+        best = max(best, prev)
+    return best
+
+
+GRIFFITHS_SHAPES = [
+    ("gaussian_scalar", {"n": 1}),
+    ("gaussian_scalar", {"n": 3}),
+    ("gaussian_times_spd", {"n": 1}),
+    ("gaussian_times_spd", {"n": 2}),
+    ("perturbed_gaussian_spd", {}),
+    ("gaussian_cross_spd", {"c": 0.5, "d": 2}),
+    ("gaussian_cross_spd", {"c": 0.5, "d": 3}),
+    ("double_well_scalar", {}),
+    ("raufi_corrected", {"s": 0.75}),
+    ("raufi_printed", {"s": 0.5}),
+]
+
+#: seed, n_starts and max_iter; with one step no start converges
+GRIFFITHS_SETTINGS = list(product((0, 5), (8, 32), (1, 200)))
+
+
+def _griffiths_agree(cm):
+    for seed, n_starts, max_iter in GRIFFITHS_SETTINGS:
+        ref = griffiths_loop(cm, n_starts, max_iter, seed)
+        got = griffiths_min_gap(cm, n_starts, max_iter, seed)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (seed, n_starts, max_iter)
+
+
+class TestStackedGriffiths:
+    @pytest.mark.parametrize("name,params", GRIFFITHS_SHAPES)
+    def test_builtin_shapes_match_the_start_loop(self, name, params):
+        field = builtin_field(name, params)
+        for x in np.random.default_rng(3).uniform(-0.5, 0.5, (2, field.n)):
+            _griffiths_agree(curvature_matrix(field, x))
+
+    @pytest.mark.parametrize("jet_mode", ["exact", "finite_difference"])
+    def test_raufi_corrected_over_s_matches_the_start_loop(self, jet_mode):
+        rng = np.random.default_rng(11)
+        # one s from each sixteenth of [0.05, 1], at a point in the disc of radius 0.05
+        for k in range(16):
+            s = 0.05 + (k + rng.uniform()) / 16 * 0.95
+            field = builtin_field("raufi_corrected", {"s": s}, jet_mode=jet_mode)
+            _griffiths_agree(curvature_matrix(field, rng.uniform(-0.035, 0.035, 2)))
+
+    def test_nan_starts_are_skipped(self):
+        # a NaN curvature makes every start NaN; the loop's max then keeps -inf
+        cm = curvature_matrix(builtin_field("gaussian_scalar", {"n": 2}), np.zeros(2))
+        bad = CurvatureMatrix(cm.d, cm.n, np.full_like(cm.theta_tilde, np.nan), cm.g, 0.0)
+        assert griffiths_loop(bad, 8, 3) == -np.inf
+        assert griffiths_min_gap(bad, 8, 3) == -np.inf

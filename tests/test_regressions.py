@@ -1,15 +1,19 @@
 """Regression tests: tolerances applied as passed, field-JSON envelopes, removed flags,
 the Prekopa Schur margin over all fibers, warnings and settings in the report, the
 node named by an SPD failure, the node order of tensor rules, rules with no
-variables, the scan's jet settings, underflowing envelopes and the shared CLI parser."""
+variables, the scan's jet settings, underflowing envelopes, the shared CLI parser, the
+budgets and seeds of the rank-one search and the scan, and the shape of a report config."""
 
 import json
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
+import mlcc.cli
 from mlcc import (
+    BudgetError,
     CurvatureMatrix,
     DirichletEvaluator,
     InputError,
@@ -18,12 +22,14 @@ from mlcc import (
     bl_gap,
     build_rule,
     builtin_field,
+    curvature_matrix,
+    griffiths_min_gap,
     prekopa_check,
 )
 from mlcc.cli import _make_parser, run
 from mlcc.fields import MatrixField
 from mlcc.inequalities import _schur_margin
-from mlcc.quadrature import _gauss_hermite_axis, _hermgauss
+from mlcc.quadrature import NODE_BUDGET, _gauss_hermite_axis, _hermgauss
 
 
 class TestPrekopaTolPsd:
@@ -350,3 +356,82 @@ class TestReportEntries:
                                                "args": ["--config", str(cfg)]}]}))
         assert run(["report", "--config", str(cfg)]) == 2
         assert "error: report entry 0 is itself a report" in capsys.readouterr().err
+
+
+GRIFFITHS_ARGV = ["griffiths", "--field", "raufi_corrected", "--param", "s=0.75",
+                  "--point", "0,0"]
+
+
+class TestGriffithsStartsAndSeed:
+    @pytest.fixture
+    def cm(self):
+        return curvature_matrix(builtin_field("raufi_corrected", {"s": 0.75}), np.zeros(2))
+
+    def test_starts_beyond_the_budget_allocate_nothing(self, cm):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=f"exceed the budget of {NODE_BUDGET}"):
+                griffiths_min_gap(cm, n_starts=10**15)
+            with pytest.raises(BudgetError):
+                griffiths_min_gap(cm, n_starts=NODE_BUDGET + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
+
+    def test_negative_seed_is_an_input_error(self, cm):
+        with pytest.raises(InputError, match="seed must be a non-negative integer, got -1"):
+            griffiths_min_gap(cm, seed=-1)
+
+    @pytest.mark.parametrize("extra,code,message", [
+        (["--n-starts", str(10**15)], 2, f"exceed the budget of {NODE_BUDGET}"),
+        (["--n-starts", "4"], 2, "need at least 8 starts"),
+        (["--seed", "-1"], 2, "got -1"),
+    ])
+    def test_cli_rejects_the_starts_and_seed(self, capsys, extra, code, message):
+        assert run(GRIFFITHS_ARGV + extra) == code
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+    def test_negative_seed_from_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("MLCC_SEED", "-3")
+        assert run(GRIFFITHS_ARGV) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "seed must be a non-negative integer, got -3" in err
+
+
+class TestScanBudget:
+    @pytest.mark.parametrize("span,error", [
+        ("0:1:1e-8", f"beyond the budget of {NODE_BUDGET}"),
+        ("0:1:1e-320", "too many points to count"),
+    ])
+    def test_too_many_points_evaluate_none(self, capsys, monkeypatch, span, error):
+        def no_field(*args, **kwargs):
+            raise AssertionError("the scan evaluated a point")
+
+        monkeypatch.setattr(mlcc.cli, "builtin_field", no_field)
+        code = run(["scan", "--field", "raufi_corrected", "--point", "0,0",
+                    "--param-range", f"s={span}"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert error in err
+
+
+class TestReportConfigShape:
+    @pytest.mark.parametrize("cfg,message", [
+        ({"checks": ["nakano"]}, 'report entry 0 must be an object with a string "name"'),
+        ({"checks": {"name": "nakano"}}, 'report config must be a JSON object whose "checks"'),
+        ([1], 'report config must be a JSON object whose "checks" is a list'),
+        ({"checks": [{"args": ["--point", "0"]}]},
+         'report entry 0 must be an object with a string "name"'),
+        ({"checks": [{"name": "nakano", "args": "--point 0"}]},
+         'report entry 0 (\'nakano\'): "args" must be a list of strings'),
+        ({"checks": [{"name": "nakano", "args": ["--point", 0]}]},
+         'report entry 0 (\'nakano\'): "args" must be a list of strings'),
+    ])
+    def test_malformed_config_is_a_config_error(self, tmp_path, capsys, cfg, message):
+        path = tmp_path / "checks.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["report", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
