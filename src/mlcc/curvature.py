@@ -76,8 +76,8 @@ def curvature_from_jet(jet: Jet2) -> CurvatureMatrix:
     """Assemble the symmetric curvature matrix from a 2-jet, or a stack of them.
 
     Block (row k, column j) is g * theta_{j,k} = d2_{kj} g - (d_k g) g^{-1} (d_j g).
-    The asymmetry gate runs on every matrix of a stack; the error names the
-    first that fails.
+    The asymmetry gate runs on every matrix of a stack; the error carries the
+    flat index of the first that fails (``curvature_matrix`` names its point).
     """
     n, d = jet.n, jet.d
     g = jet.value.entries
@@ -91,11 +91,9 @@ def curvature_from_jet(jet: Jet2) -> CurvatureMatrix:
     bad = (scale > 0.0) & (asym > ASYMMETRY_TOL * scale)
     if bad.any():
         i = _first(bad)
-        where = "" if i is None else f" at node {i}"
-        raise SymmetryError(
-            f"curvature matrix asymmetry{where} {float(asym.flat[i or 0]):.3e} exceeds "
-            f"{ASYMMETRY_TOL:.0e} of norm {float(scale.flat[i or 0]):.3e}; the jet is inconsistent"
-        )
+        a, norm = float(asym.flat[i or 0]), float(scale.flat[i or 0])
+        raise SymmetryError(f"curvature matrix asymmetry {a:.3e} exceeds {ASYMMETRY_TOL:.0e} of "
+                            f"norm {norm:.3e}; the jet is inconsistent", i)
     theta = 0.5 * (raw + raw_t)
     theta.setflags(write=False)
     return CurvatureMatrix(d=d, n=n, theta_tilde=theta, g=jet.value,
@@ -104,13 +102,17 @@ def curvature_from_jet(jet: Jet2) -> CurvatureMatrix:
 
 def curvature_matrix(field: MatrixField, x) -> CurvatureMatrix:
     """Curvature operator of ``field`` at ``x``, or at each point of a stack."""
-    return curvature_from_jet(field.jet(x))
+    x = np.asarray(x, dtype=float)
+    try:
+        return curvature_from_jet(field.jet(x))
+    except SymmetryError as exc:
+        raise SymmetryError(f"{field._where(x, exc.index)}: {exc}", exc.index) from None
 
 
 class NakanoVerdict(NamedTuple):
-    lambda_max: float
-    is_nlogconcave: bool
-    lambda_max_std: float
+    lambda_max: float | list
+    is_nlogconcave: bool | list
+    lambda_max_std: float | list
 
 
 def nakano_verdict(cm: CurvatureMatrix, tol_psd: float = TOL_PSD) -> NakanoVerdict:
@@ -118,10 +120,11 @@ def nakano_verdict(cm: CurvatureMatrix, tol_psd: float = TOL_PSD) -> NakanoVerdi
 
     ``lambda_max_std`` is the largest standard eigenvalue of theta_tilde; it
     shares the sign of ``lambda_max`` since the metric is positive definite.
+    Floats and a bool at one point; lists over a stack (one batched eigensolve).
     """
-    lam_max = float(generalized_spectrum(cm)[-1])
-    lam_std = np.linalg.eigvalsh(cm.theta_tilde)
-    return NakanoVerdict(lam_max, lam_max <= tol_psd, float(lam_std[-1]))
+    lam_max = generalized_spectrum(cm)[..., -1]
+    lam_std = np.linalg.eigvalsh(cm.theta_tilde)[..., -1]
+    return NakanoVerdict(lam_max.tolist(), (lam_max <= tol_psd).tolist(), lam_std.tolist())
 
 
 def generalized_spectrum(cm: CurvatureMatrix) -> np.ndarray:

@@ -5,23 +5,23 @@ class InputError(ValueError):
     """Malformed or dimensionally inconsistent input."""
 
 
-class NotPositiveError(ArithmeticError):
-    """A matrix required to be positive definite is not.
-
-    ``index`` is the position of the first such matrix in a stack (None for a
-    single matrix).
-    """
+class _StackError(ArithmeticError):
+    """A check failed on a matrix; ``index`` is its flat place in a stack, or None."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
 
 
+class NotPositiveError(_StackError):
+    """A matrix required to be positive definite is not."""
+
+
 class NotPsdError(ArithmeticError):
     """A quadratic form required to be positive semidefinite is indefinite."""
 
 
-class SymmetryError(ArithmeticError):
+class SymmetryError(_StackError):
     """An assembled operator violates its symmetry invariant beyond tolerance."""
 
 

@@ -11,6 +11,7 @@ path.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,6 +23,13 @@ from .metric import SpdMatrix
 
 #: Default central-difference step for finite-difference jets.
 DEFAULT_FD_STEP = 1e-4
+
+
+def _step(h, what: str) -> float:
+    """``h`` as a float if it is a finite step > 0, else an InputError naming ``what``."""
+    if not 0.0 < float(h) < np.inf:
+        raise InputError(f"{what} must be finite and > 0, got {float(h)!r}")
+    return float(h)
 
 
 @dataclass(frozen=True)
@@ -103,7 +111,8 @@ class MatrixField:
     Positivity is enforced per evaluation: querying a point where the value
     is not positive definite raises :class:`NotPositiveError`.  Jets come
     either from exact differentiation of the closed form or from central
-    finite differences (optionally Richardson extrapolated).
+    finite differences (optionally Richardson extrapolated).  A field from
+    :func:`stack_fields` has a member axis in place of a node axis.
     """
 
     def __init__(
@@ -124,8 +133,9 @@ class MatrixField:
         self.n = n
         self.d = d
         self.name = name
+        self.members = None  # the member names of a stacked field
         self.jet_mode = jet_mode
-        self.h = float(h)
+        self.h = _step(h, "the finite-difference step h (--h)")
         self.richardson = bool(richardson)
         self._q = [(float(c), tuple(degs)) for c, degs in q_terms] or [(0.0, (0,) * n)]
         self._p = []
@@ -137,20 +147,20 @@ class MatrixField:
                 raise InputError("matrix coefficients must be symmetric")
             a.setflags(write=False)
             self._p.append((a, tuple(degs)))
-        if any(len(degs) != n for _, degs in self._q):
-            raise InputError("scalar polynomial degree tuples must have length n")
-        if any(len(degs) != n for _, degs in self._p):
-            raise InputError("matrix polynomial degree tuples must have length n")
+        if any(len(degs) != n for _, degs in self._q + self._p):
+            raise InputError("polynomial degree tuples must have length n")
 
     def _derived(self, n: int, q, p, name: str, **jet) -> "MatrixField":
         """A field from (coeff, degs) term lists, keeping the jet settings."""
+        if self.members is not None:
+            raise InputError("a stacked field is evaluated, not derived from")
         jet = {"jet_mode": self.jet_mode, "h": self.h, "richardson": self.richardson, **jet}
         return MatrixField(n, self.d, q, [(degs, c) for c, degs in p], name=name, **jet)
 
     @cached_property
     def _jet_terms(self):
-        """q and P with their partials, derived once and each stacked into one
-        term list: entry 0 the polynomial, 1 + j its d_j, ``second[j, k]`` its d_j d_k."""
+        """q and P with their partials, derived once, each stacked into one term list after
+        any member axis: entry 0 the polynomial, 1 + j its d_j, ``second[j, k]`` its d_j d_k."""
         pairs = [(j, k) for j in range(self.n) for k in range(j, self.n)]
         second = np.empty((self.n, self.n), dtype=int)
         for i, (j, k) in enumerate(pairs):
@@ -158,7 +168,8 @@ class MatrixField:
 
         def family(terms):
             d1 = [poly_diff(terms, j) for j in range(self.n)]
-            return poly_stack([terms] + d1 + [poly_diff(d1[j], k) for j, k in pairs])
+            out = poly_stack([terms] + d1 + [poly_diff(d1[j], k) for j, k in pairs])
+            return out if self.members is None else [(np.moveaxis(c, 0, 1), e) for c, e in out]
 
         return family(self._q), family(self._p), second
 
@@ -170,22 +181,33 @@ class MatrixField:
             raise InputError(f"expected a finite point in R^{self.n} or a stack of them")
         return x
 
+    def _where(self, x: np.ndarray, index) -> str:
+        """Names the point (and member) at the flat ``index`` of values over ``x``."""
+        k, members = x.ndim - 1, () if self.members is None else (len(self.members),)
+        i = () if index is None else np.unravel_index(index, x.shape[:k] + members)
+        member = f"{self.members[i[k]]}, " if members else ""
+        return f"field {self.name} at {member}x = {np.array2string(x[i[:k]], precision=6)}"
+
     def _spd(self, x: np.ndarray, q: np.ndarray, values) -> SpdMatrix:
         """The values at ``x`` (envelope exponent ``q``) as an SpdMatrix; off the
         cone, the error names the point, and says so when e^{-q} underflows there."""
         try:
             return SpdMatrix(values)
         except NotPositiveError as exc:
-            i = () if exc.index is None else exc.index
-            where = f"field {self.name} at x = {np.array2string(x[i], precision=6)}"
-            if np.exp(-q[i]) < np.finfo(float).tiny:
+            index, where, q_i = exc.index, self._where(x, exc.index), np.ravel(q)[exc.index or 0]
+            if np.exp(-q_i) < np.finfo(float).tiny:
                 raise NotPositiveError(
-                    f"{where}: the weight underflows to 0 (e^-q with q = {float(q[i]):.4g}); "
+                    f"{where}: the weight underflows to 0 (e^-q with q = {q_i:.4g}); "
                     "a quadrature rule reaching this far into the tail needs a lower "
                     "--order or --scale",
-                    exc.index,
+                    index,
                 ) from None
-            raise NotPositiveError(f"{where}: {exc}", exc.index) from None
+            if self.members is not None:  # named by its member: its own message, not its index
+                try:
+                    SpdMatrix(values.reshape((-1,) + values.shape[-2:])[index])
+                except NotPositiveError as own:
+                    exc = own
+            raise NotPositiveError(f"{where}: {exc}", index) from None
 
     def value(self, x) -> np.ndarray:
         """Evaluate at ``x``; raises NotPositiveError off the SPD cone."""
@@ -199,6 +221,8 @@ class MatrixField:
         x = self._points(x)
         if self.jet_mode == "finite_difference":
             value, d1, d2 = central_differences(self.value, x, self.h, self.richardson)
+            if self.members is not None:  # the derivative axes go behind the member axis
+                d1, d2 = d1.swapaxes(-4, -3), np.moveaxis(d2, -3, -5)
             return Jet2(value=SpdMatrix(value), d1=d1, d2=d2)
         n = self.n
         q_terms, p_terms, second = self._jet_terms
@@ -225,6 +249,19 @@ class MatrixField:
         return self._derived(
             self.n, self._q, self._p, self.name, jet_mode=jet_mode, h=h, richardson=richardson
         )
+
+
+def stack_fields(fields, labels) -> MatrixField:
+    """One field whose member k is ``fields[k]``, named ``labels[k]`` in errors: the
+    term lists are stacked by :func:`poly_stack` (zero-filling a monomial a member
+    lacks), and the jet settings are the first member's."""
+    first = fields[0]
+    if any((f.n, f.d) != (first.n, first.d) for f in fields):
+        raise InputError("stacked fields must share n and d")
+    stacked = first._derived(first.n, [], [], first.name)
+    stacked._q, stacked._p = poly_stack([f._q for f in fields]), poly_stack([f._p for f in fields])
+    stacked.members = tuple(labels)
+    return stacked
 
 
 def conjugate_field(field: MatrixField, p) -> MatrixField:
@@ -255,27 +292,36 @@ def restrict_field(field: MatrixField, t) -> MatrixField:
 
 #: Fixed perturbation direction used by the perturbed_gaussian_spd fixture.
 PERTURBATION_DIRECTION = np.array([[0.3, 0.1], [0.1, -0.2]])
+_E11, _E22, _E12 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
 
-BUILTIN_NAMES = (
-    "gaussian_scalar",
-    "gaussian_times_spd",
-    "raufi_printed",
-    "raufi_corrected",
-    "polynomial",
-    "gaussian_cross_spd",
-    "perturbed_gaussian_spd",
-    "double_well_scalar",
-)
+#: The parameters each builtin reads; those taking ``A`` also take its entries a11, a12, ...
+BUILTIN_PARAMS = {
+    "gaussian_scalar": ("n",),
+    "gaussian_times_spd": ("n", "d", "A"),
+    "raufi_printed": ("s",),
+    "raufi_corrected": ("s",),
+    "polynomial": ("n", "d", "entries"),
+    "gaussian_cross_spd": ("c", "d", "A"),
+    "perturbed_gaussian_spd": ("eps",),
+    "double_well_scalar": (),
+}
 
 
 def _sq_norm_terms(n: int, factor: float) -> list:
     return [(factor, tuple(2 if i == j else 0 for i in range(n))) for j in range(n)]
 
 
-def _spd_from_params(d: int, params: dict) -> np.ndarray:
+_ENTRY = re.compile("a[0-9][0-9]")
+
+
+def _spd_from_params(params: dict) -> np.ndarray:
+    """``A`` of an SPD-envelope builtin, or Id_d (d = 2) with the entries a11, a12, ..."""
+    if params.get("A") is not None:
+        return np.asarray(params["A"], dtype=float)
+    d = int(params.get("d", 2))
     a = np.eye(d)
     for key, val in params.items():
-        if key.startswith("a") and len(key) == 3 and key[1:].isdigit():
+        if _ENTRY.fullmatch(key):
             i, j = int(key[1]) - 1, int(key[2]) - 1
             if not (0 <= i < d and 0 <= j < d):
                 raise InputError(f"matrix entry {key!r} out of range for d={d}")
@@ -286,61 +332,46 @@ def _spd_from_params(d: int, params: dict) -> np.ndarray:
 def _raufi_terms(s: float, corrected: bool) -> list:
     # g = Id_2 - [[s x1^2 + x2^2, x1 x2], [x1 x2, (2,2) entry]],
     # with the (2,2) entry s x1^2 + x2^2 as printed, or x1^2 + s x2^2 corrected.
-    e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    e22 = np.array([[0.0, 0.0], [0.0, 1.0]])
-    e12 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    if corrected:
-        sq1 = s * e11 + e22
-        sq2 = e11 + s * e22
-    else:
-        sq1 = s * (e11 + e22)
-        sq2 = e11 + e22
-    return [
-        ((0, 0), np.eye(2)),
-        ((2, 0), -sq1),
-        ((0, 2), -sq2),
-        ((1, 1), -e12),
-    ]
+    sq1, sq2 = (s * _E11 + _E22, _E11 + s * _E22) if corrected else (s * np.eye(2), np.eye(2))
+    return [((0, 0), np.eye(2)), ((2, 0), -sq1), ((0, 2), -sq2), ((1, 1), -_E12)]
 
 
 def builtin_field(name: str, params: dict | None = None, **jet_kwargs) -> MatrixField:
     """Construct one of the shipped fields by name.
 
     Matrix parameters of the SPD-envelope builtins are passed entrywise as
-    ``a11``, ``a12``, ... in the params map (identity by default).
+    ``a11``, ``a12``, ... in the params map (identity by default).  A key the
+    builtin does not read (see ``BUILTIN_PARAMS``) is an InputError.
     """
     params = dict(params or {})
+    if name not in BUILTIN_PARAMS:
+        raise InputError(f"unknown builtin field {name!r}")
+    accepted = BUILTIN_PARAMS[name]
+    for key in params:
+        if key not in accepted and not ("A" in accepted and _ENTRY.fullmatch(key)):
+            takes = ", ".join(accepted + (("a11", "a12", "...") if "A" in accepted else ()))
+            raise InputError(f"builtin field {name} has no parameter {key!r} (it takes "
+                             f"{takes or 'none'})")
     if name == "gaussian_scalar":
         n = int(params.get("n", 1))
-        return MatrixField(
-            n, 1, _sq_norm_terms(n, 0.5), [((0,) * n, np.eye(1))], name=name, **jet_kwargs
-        )
+        return MatrixField(n, 1, _sq_norm_terms(n, 0.5), [((0,) * n, np.eye(1))], name=name,
+                           **jet_kwargs)
     if name == "gaussian_times_spd":
         n = int(params.get("n", 1))
-        a = params.get("A")
-        if a is None:
-            d = int(params.get("d", 2))
-            a = _spd_from_params(d, params)
-        a = np.asarray(a, dtype=float)
-        return MatrixField(
-            n, a.shape[0], _sq_norm_terms(n, 1.0), [((0,) * n, a)], name=name, **jet_kwargs
-        )
+        a = _spd_from_params(params)
+        return MatrixField(n, a.shape[0], _sq_norm_terms(n, 1.0), [((0,) * n, a)], name=name,
+                           **jet_kwargs)
     if name in ("raufi_printed", "raufi_corrected"):
         s = float(params.get("s", 0.0))
         terms = _raufi_terms(s, corrected=(name == "raufi_corrected"))
         return MatrixField(2, 2, [], terms, name=name, **jet_kwargs)
     if name == "polynomial":
-        return polynomial_field(
-            int(params["n"]), int(params["d"]), params["entries"], **jet_kwargs
-        )
+        return polynomial_field(int(params["n"]), int(params["d"]), params["entries"],
+                                **jet_kwargs)
     if name == "gaussian_cross_spd":
         # exp(-(x1^2 + x2^2 + c x1 x2)) * A, non-product in (t, y) for c != 0
         c = float(params.get("c", 0.5))
-        a = params.get("A")
-        if a is None:
-            d = int(params.get("d", 2))
-            a = _spd_from_params(d, params)
-        a = np.asarray(a, dtype=float)
+        a = _spd_from_params(params)
         q = _sq_norm_terms(2, 1.0) + [(c, (1, 1))]
         return MatrixField(2, a.shape[0], q, [((0, 0), a)], name=name, **jet_kwargs)
     if name == "perturbed_gaussian_spd":
@@ -350,11 +381,10 @@ def builtin_field(name: str, params: dict | None = None, **jet_kwargs) -> Matrix
         b = PERTURBATION_DIRECTION
         p = [((0, 0), np.eye(2)), ((1, 0), eps * b), ((0, 1), eps * b)]
         return MatrixField(2, 2, _sq_norm_terms(2, 1.0), p, name=name, **jet_kwargs)
-    if name == "double_well_scalar":
-        # exp(-((x1^2 - 1)^2 + x2^2)): integrable but not log-concave near 0.
-        q = [(1.0, (4, 0)), (-2.0, (2, 0)), (1.0, (0, 0)), (1.0, (0, 2))]
-        return MatrixField(2, 1, q, [((0, 0), np.eye(1))], name=name, **jet_kwargs)
-    raise InputError(f"unknown builtin field {name!r}")
+    # double_well_scalar, exp(-((x1^2 - 1)^2 + x2^2)): integrable but not
+    # log-concave near 0.
+    q = [(1.0, (4, 0)), (-2.0, (2, 0)), (1.0, (0, 0)), (1.0, (0, 2))]
+    return MatrixField(2, 1, q, [((0, 0), np.eye(1))], name=name, **jet_kwargs)
 
 
 def _term_list(monomials, n: int) -> list:

@@ -22,7 +22,7 @@ from .curvature import (
     schur_gap,
 )
 from .errors import InputError
-from .fields import Jet2, MatrixField, central_differences, restrict_field
+from .fields import Jet2, MatrixField, _step, central_differences, restrict_field
 from .metric import ColumnBlockMatrix, PolarOperator, QuadraticFormSpec, SpdMatrix, metric_pencil
 from .quadrature import (
     DirichletEvaluator,
@@ -168,6 +168,7 @@ def bochner_residual(
 def _marginal_jet(field: MatrixField, t, rule: QuadratureRule, h: float,
                   richardson: bool = True) -> Jet2:
     """2-jet of alpha(t) = int g(t, y) dy by central differences in t."""
+    h = _step(h, "the marginal step h (--marginal-h)")
     t = np.atleast_1d(np.asarray(t, dtype=float))
 
     def alpha(ts):
@@ -278,6 +279,7 @@ def prekopa_check(
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape[0] != n0 or not 1 <= n0 < field.n:
         raise InputError("t must have length n0 with 1 <= n0 < n")
+    h = _step(h, "the marginal step h (--marginal-h)")
     settings = {"rule": rule.kind, "nodes": rule.count, "h": h}
     cm = curvature_matrix(field, _fiber_nodes(t, rule))
     lambda_max = generalized_spectrum(cm)[:, -1]

@@ -24,24 +24,24 @@ DEFAULT_NULL_TOL = 1e-10
 
 
 def _first(bad: np.ndarray) -> int | None:
-    """Index of the first True flag of a stack (None for one matrix's flag)."""
+    """Flat index of the first True flag of a stack (None for one matrix's flag)."""
     return int(np.argmax(bad)) if bad.ndim else None
 
 
 @dataclass(frozen=True)
 class SpdMatrix:
-    """A dense real symmetric positive definite matrix, or a stack (N, d, d).
+    """A dense real symmetric positive definite matrix, or a stack (..., d, d).
 
     The entries are symmetrized on construction so the symmetry invariant
     holds exactly; positivity is checked against ``tol_spd`` for every
-    matrix, and the error names the first one that fails.
+    matrix, and the error names the first one that fails (by its flat index).
     """
 
     entries: np.ndarray
 
     def __init__(self, entries, tol_spd: float = 0.0):
         a = np.asarray(entries, dtype=float)
-        if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
             raise InputError(f"expected a square matrix or a stack of them, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise InputError("matrix entries must be finite")
@@ -49,7 +49,7 @@ class SpdMatrix:
         lam_min = np.linalg.eigvalsh(sym)[..., 0]
         if lam_min.min() <= tol_spd:
             i = _first(lam_min <= tol_spd)
-            which = "matrix" if i is None else f"matrix {i} of {a.shape[0]}"
+            which = "matrix" if i is None else f"matrix {i} of {lam_min.size}"
             raise NotPositiveError(
                 f"{which} is not positive definite "
                 f"(min eigenvalue {float(lam_min.flat[i or 0]):.3e})",

@@ -17,6 +17,8 @@ from itertools import product
 import numpy as np
 import pytest
 
+import mlcc.cli
+import mlcc.curvature
 import mlcc.inequalities
 from mlcc import (
     ColumnBlockMatrix,
@@ -53,7 +55,7 @@ from mlcc import (
 )
 from mlcc._poly import poly_diff, poly_eval, poly_substitute_prefix
 from mlcc.curvature import curvature_from_jet
-from mlcc.fields import MatrixField
+from mlcc.fields import MatrixField, stack_fields
 from mlcc.inequalities import _schur_margin
 from mlcc.metric import PolarOperator, metric_pencil
 
@@ -763,3 +765,120 @@ class TestStackedGriffiths:
         bad = CurvatureMatrix(cm.d, cm.n, np.full_like(cm.theta_tilde, np.nan), cm.g, 0.0)
         assert griffiths_loop(bad, 8, 3) == -np.inf
         assert griffiths_min_gap(bad, 8, 3) == -np.inf
+
+
+# -- the parameter scan, one value per call -----------------------------------------
+
+
+def scan_loop(name, span, point, base=None, tol_psd=1e-9, **jet):
+    """``mlcc scan`` one parameter value at a time: a field, a jet, a curvature and a
+    verdict per value, as (value, lambda_max, verdict) rows."""
+    param, _, rng = span.partition("=")
+    start, stop, step = (float(v) for v in rng.split(":"))
+    rows = []
+    for i in range(int(round((stop - start) / step)) + 1):
+        value = start + i * step
+        field = builtin_field(name, {**(base or {}), param: value}, **jet)
+        verdict = nakano_verdict(curvature_matrix(field, np.asarray(point, dtype=float)),
+                                 tol_psd)
+        rows.append((value, verdict.lambda_max, verdict.is_nlogconcave))
+    return rows
+
+
+def _scan_rows(tmp_path, name, span, point, jet_mode):
+    path = tmp_path / "scan.csv"
+    argv = ["scan", "--field", name, "--point", ",".join(map(repr, point)),
+            "--param-range", span, "--csv", str(path), "--no-timestamp"]
+    if jet_mode == "finite_difference":
+        argv += ["--jet", "fd"]
+    assert mlcc.cli.run(argv) == 0
+    return [(float(v), float(lam), ok == "true")
+            for v, lam, ok in (line.split(",") for line in path.read_text().splitlines()[1:])]
+
+
+def _scan_agrees(tmp_path, name, span, point, jet_mode):
+    got = _scan_rows(tmp_path, name, span, point, jet_mode)
+    ref = scan_loop(name, span, point, jet_mode=jet_mode)
+    assert [r[0] for r in got] == [r[0] for r in ref]
+    assert [r[2] for r in got] == [r[2] for r in ref]
+    _close([r[1] for r in got], [r[1] for r in ref])
+
+
+JET_MODES = ["exact", "finite_difference"]
+
+
+class TestStackedScan:
+    @pytest.mark.parametrize("jet_mode", JET_MODES)
+    @pytest.mark.parametrize("name", ["raufi_corrected", "raufi_printed"])
+    @pytest.mark.parametrize("point", [(0.0, 0.0), (0.031, -0.022), (0.3, -0.4)])
+    def test_raufi_scans_match_the_value_loop(self, tmp_path, name, point, jet_mode):
+        _scan_agrees(tmp_path, name, "s=0:1:0.05", point, jet_mode)
+
+    @pytest.mark.parametrize("jet_mode", JET_MODES)
+    @pytest.mark.parametrize("name,span,point", [
+        ("gaussian_cross_spd", "c=-1:1:0.25", (0.1, 0.2)),
+        ("perturbed_gaussian_spd", "eps=0:0.5:0.05", (0.1, -0.2)),
+        # d = 2, 3, 4: a block per shape
+        ("gaussian_times_spd", "d=2:4:1", (0.1,)),
+    ])
+    def test_other_builtins_match_the_value_loop(self, tmp_path, name, span, point, jet_mode):
+        _scan_agrees(tmp_path, name, span, point, jet_mode)
+
+    @pytest.mark.parametrize("jet_mode", JET_MODES)
+    def test_small_blocks_match_the_value_loop(self, tmp_path, monkeypatch, jet_mode):
+        monkeypatch.setattr(mlcc.cli, "SCAN_BLOCK", 3)
+        _scan_agrees(tmp_path, "raufi_corrected", "s=0:1:0.05", (0.031, -0.022), jet_mode)
+
+    @pytest.mark.parametrize("span,block,calls", [
+        ("s=0:1:0.05", 1024, 1),
+        ("s=0:1:0.05", 3, 7),
+        ("s=0:1:0.05", 21, 1),
+        ("s=0:1:0.05", 20, 2),
+    ])
+    def test_one_curvature_assembly_per_block(self, tmp_path, monkeypatch, span, block, calls):
+        counted = []
+        original = mlcc.curvature.curvature_from_jet
+
+        def counting(jet):
+            counted.append(jet.value.entries.shape[0])
+            return original(jet)
+
+        monkeypatch.setattr(mlcc.curvature, "curvature_from_jet", counting)
+        monkeypatch.setattr(mlcc.cli, "SCAN_BLOCK", block)
+        _scan_rows(tmp_path, "raufi_corrected", span, (0.0, 0.0), "exact")
+        assert len(counted) == calls and sum(counted) == 21
+
+    def test_blocks_split_on_shape(self, tmp_path, monkeypatch):
+        counted = []
+        original = mlcc.curvature.curvature_from_jet
+
+        def counting(jet):
+            counted.append(jet.value.entries.shape)
+            return original(jet)
+
+        monkeypatch.setattr(mlcc.curvature, "curvature_from_jet", counting)
+        _scan_rows(tmp_path, "gaussian_times_spd", "d=2:4:1", (0.1,), "exact")
+        assert counted == [(1, 2, 2), (1, 3, 3), (1, 4, 4)]
+
+    def test_a_stacked_field_is_not_derived_from(self):
+        fields = [builtin_field("raufi_corrected", {"s": s}) for s in (0.0, 1.0)]
+        with pytest.raises(InputError, match="evaluated, not derived from"):
+            stack_fields(fields, ["s = 0", "s = 1"]).with_jet_mode("finite_difference")
+
+
+class TestStackedNakanoVerdict:
+    @pytest.mark.parametrize("name,params", GRIFFITHS_SHAPES)
+    def test_a_stack_matches_the_node_loop(self, name, params):
+        field = builtin_field(name, params)
+        x = np.random.default_rng(5).uniform(-0.5, 0.5, (6, field.n))
+        got = nakano_verdict(curvature_matrix(field, x), tol_psd=1e-3)
+        for i, point in enumerate(x):
+            ref = nakano_verdict(curvature_matrix(field, point), tol_psd=1e-3)
+            assert got.is_nlogconcave[i] == ref.is_nlogconcave
+            _close(got.lambda_max[i], ref.lambda_max)
+            _close(got.lambda_max_std[i], ref.lambda_max_std)
+
+    def test_one_node_gives_floats(self):
+        verdict = nakano_verdict(curvature_matrix(builtin_field("raufi_corrected"), np.zeros(2)))
+        assert type(verdict.lambda_max) is float and type(verdict.lambda_max_std) is float
+        assert type(verdict.is_nlogconcave) is bool

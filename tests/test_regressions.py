@@ -2,9 +2,11 @@
 the Prekopa Schur margin over all fibers, warnings and settings in the report, the
 node named by an SPD failure, the node order of tensor rules, rules with no
 variables, the scan's jet settings, underflowing envelopes, the shared CLI parser, the
-budgets and seeds of the rank-one search and the scan, and the shape of a report config."""
+budgets and seeds of the rank-one search and the scan, the shape of a report config,
+finite-difference steps, unknown builtin parameters and the scan's error messages."""
 
 import json
+import re
 import tracemalloc
 from itertools import product
 
@@ -12,11 +14,13 @@ import numpy as np
 import pytest
 
 import mlcc.cli
+import mlcc.inequalities
 from mlcc import (
     BudgetError,
     CurvatureMatrix,
     DirichletEvaluator,
     InputError,
+    Jet2,
     SpdMatrix,
     VectorFieldFn,
     bl_gap,
@@ -24,6 +28,7 @@ from mlcc import (
     builtin_field,
     curvature_matrix,
     griffiths_min_gap,
+    marginal_theta_fd,
     prekopa_check,
 )
 from mlcc.cli import _make_parser, run
@@ -435,3 +440,111 @@ class TestReportConfigShape:
         assert run(["report", "--config", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and message in err
+
+
+class TestFiniteDifferenceSteps:
+    @pytest.mark.parametrize("h", ["0", "nan", "inf", "-1e-4"])
+    def test_bad_jet_step_is_a_config_error(self, capsys, h):
+        code = run(["nakano", "--field", "raufi_corrected", "--point", "0,0", "--jet", "fd",
+                    f"--h={h}"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: the finite-difference step h (--h) must be finite and > 0")
+
+    @pytest.mark.parametrize("h", ["0", "nan", "-1e-3"])
+    def test_bad_marginal_step_is_a_config_error(self, capsys, monkeypatch, h):
+        def no_curvature(*args, **kwargs):
+            raise AssertionError("the check evaluated the field")
+
+        monkeypatch.setattr(mlcc.inequalities, "curvature_matrix", no_curvature)
+        code = run(["prekopa", "--field", "gaussian_cross_spd", "--t", "0.1", "--n0", "1",
+                    "--order", "16", f"--marginal-h={h}"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: the marginal step h (--marginal-h) must be finite and > 0")
+
+    def test_library_entry_points_check_the_step(self):
+        with pytest.raises(InputError, match=r"step h \(--h\)"):
+            builtin_field("raufi_corrected", jet_mode="finite_difference", h=0.0)
+        field = builtin_field("gaussian_cross_spd")
+        rule = build_rule("gauss_hermite", order=8, m=1)
+        with pytest.raises(InputError, match=r"step h \(--marginal-h\)"):
+            marginal_theta_fd(field, [0.1], rule, h=float("nan"))
+
+
+class TestUnknownBuiltinParameters:
+    def test_param_is_a_config_error(self, capsys):
+        code = run(["nakano", "--field", "raufi_corrected", "--param", "foo=1", "--point", "0,0"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "builtin field raufi_corrected has no parameter 'foo' (it takes s)" in err
+
+    def test_param_range_is_a_config_error(self, capsys):
+        code = run(["scan", "--field", "raufi_corrected", "--point", "0,0",
+                    "--param-range", "foo=0:1:0.5"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "has no parameter 'foo' (it takes s)" in err
+
+    @pytest.mark.parametrize("name,params,takes", [
+        ("gaussian_scalar", {"s": 1.0}, "n"),
+        ("gaussian_times_spd", {"c": 1.0}, "n, d, A, a11, a12, ..."),
+        ("perturbed_gaussian_spd", {"a12": 0.1}, "eps"),
+        ("double_well_scalar", {"n": 2}, "none"),
+    ])
+    def test_each_builtin_names_what_it_takes(self, name, params, takes):
+        with pytest.raises(InputError, match=re.escape(f"(it takes {takes})")):
+            builtin_field(name, params)
+
+    def test_matrix_entries_stay_valid_for_the_spd_envelopes(self):
+        for name in ("gaussian_times_spd", "gaussian_cross_spd"):
+            field = builtin_field(name, {"d": 2, "a12": 0.5})
+            assert field.value(np.zeros(field.n))[0, 1] > 0.0
+
+
+class TestScanErrorsNameTheValue:
+    @pytest.mark.parametrize("jet", ["exact", "fd"])
+    def test_off_cone_member(self, capsys, jet):
+        code = run(["scan", "--field", "raufi_corrected", "--point", "0.9,0.9",
+                    "--param-range", "s=0:1:0.05", "--jet", jet])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("error: field raufi_corrected at s = 0, x = [0.9 0.9]: matrix is not "
+                       "positive definite (min eigenvalue -6.200e-01)\n")
+
+    @pytest.mark.parametrize("block", [1024, 4])
+    def test_off_cone_member_inside_a_block(self, capsys, monkeypatch, block):
+        # g = Id - (x1^2 + x2^2 ...) leaves the cone at (0.66, 0.66) once s > 0.2957
+        monkeypatch.setattr(mlcc.cli, "SCAN_BLOCK", block)
+        code = run(["scan", "--field", "raufi_corrected", "--point", "0.66,0.66",
+                    "--param-range", "s=0:1:0.05"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: field raufi_corrected at s = 0.3, x = [0.66 0.66]: "
+                              "matrix is not positive definite")
+
+    def test_underflowing_member(self, capsys):
+        code = run(["scan", "--field", "gaussian_cross_spd", "--point", "20,20",
+                    "--param-range", "c=0:1:0.5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: field gaussian_cross_spd at c = 0, x = [20. 20.]: "
+                              "the weight underflows to 0")
+
+    def test_asymmetric_member(self, capsys, monkeypatch):
+        jet = MatrixField.jet
+
+        def skewed(self, x):
+            # a d2 that is not symmetric in (j, k) at the member s = 0.1 only
+            out = jet(self, x)
+            d2 = np.array(out.d2)
+            d2[2, 0, 1] += [[0.0, 1.0], [0.0, 0.0]]
+            return Jet2(out.value, out.d1, d2)
+
+        monkeypatch.setattr(MatrixField, "jet", skewed)
+        code = run(["scan", "--field", "raufi_corrected", "--point", "0,0",
+                    "--param-range", "s=0:1:0.05"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: field raufi_corrected at s = 0.1, x = [0. 0.]: curvature "
+                              "matrix asymmetry")
