@@ -71,11 +71,8 @@ def _parse_params(pairs) -> dict:
             num = float(val)
         except ValueError as exc:
             raise InputError(f"parameter value {val!r} is not a number") from exc
-        params[key] = int(num) if key in ("n", "d") else num
+        params[key] = num
     return params
-
-
-_TERM_RE = re.compile(r"^(?P<coeff>[0-9.eE+-]+)?(?P<rest>(\*?[a-z][0-9]*(\^[0-9]+)?)*)$")
 
 
 def _parse_poly_component(expr: str, n: int):
@@ -129,15 +126,15 @@ def _parse_test_fn(spec: str, n: int) -> VectorFieldFn:
 
 def _jet_kwargs(args) -> dict:
     """The field's jet settings from --jet, --h and --no-richardson."""
-    if getattr(args, "jet", "exact") != "fd":
+    if args.jet != "fd":
         return {}
     return {"jet_mode": "finite_difference", "h": args.h, "richardson": not args.no_richardson}
 
 
 def _build_field(args):
-    if getattr(args, "field_json", None):
+    if args.field_json:
         return polynomial_field_from_json(args.field_json, **_jet_kwargs(args))
-    if not getattr(args, "field", None):
+    if not args.field:
         raise InputError("no field given (use --field or --field-json)")
     return builtin_field(args.field, _parse_params(args.param), **_jet_kwargs(args))
 
@@ -163,38 +160,18 @@ def _build_rule(args, m: int):
 # -- report serialization -----------------------------------------------------
 
 
-def _json_scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, str):
-        return json.dumps(v)
-    if v is None:
-        return "null"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    x = float(v)
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    if math.isnan(x):
-        return '"nan"'
-    return format(x, ".17g")
-
-
-def _to_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _plain(obj):
+    """``obj`` for the JSON encoder: NumPy scalars as Python ones, tuples as lists and
+    non-finite floats as the strings "inf", "-inf" and "nan"."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {_to_json(v, indent + 1)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return _json_scalar(obj)
+        return [_plain(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
+    return obj
 
 
 def _report_dict(report: CheckReport) -> dict:
@@ -212,7 +189,7 @@ def _emit(config: dict, checks: list, diagnostics: list, args) -> None:
            "diagnostics": diagnostics}
     if not args.no_timestamp:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    text = _to_json(doc) + "\n"
+    text = json.dumps(_plain(doc), indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -232,12 +209,28 @@ def _exit_code(checks: list) -> int:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_nakano(args, diagnostics):
+def _field_and_curvature(args):
+    """The field and its curvature matrix at --point (nakano, griffiths, schur)."""
     field = _build_field(args)
-    point = _parse_point(args.point)
-    cm = curvature_matrix(field, point)
+    return field, curvature_matrix(field, _parse_point(args.point))
+
+
+def _field_rule_and_test_fns(args, *specs):
+    """The field, the rule over its n variables and one test function per spec, each
+    with the field's d components (bl, bochner, ipp)."""
+    field = _build_field(args)
+    rule = _build_rule(args, field.n)
+    fns = [_parse_test_fn(spec, field.n) for spec in specs]
+    for f in fns:
+        if f.d != field.d:
+            raise InputError(f"test function has {f.d} components but the field needs {field.d}")
+    return field, rule, fns
+
+
+def _cmd_nakano(args, diagnostics):
+    _, cm = _field_and_curvature(args)
     verdict = nakano_verdict(cm, tol_psd=args.tol_psd)
-    if getattr(args, "field", None) == "raufi_printed":
+    if args.field == "raufi_printed":
         diagnostics.append(
             "raufi_printed: the displayed example matrix corresponds to the "
             "corrected field (raufi_corrected); the printed entries give a "
@@ -258,9 +251,7 @@ def _cmd_nakano(args, diagnostics):
 
 
 def _cmd_griffiths(args, diagnostics):
-    field = _build_field(args)
-    point = _parse_point(args.point)
-    cm = curvature_matrix(field, point)
+    _, cm = _field_and_curvature(args)
     value = griffiths_min_gap(cm, n_starts=args.n_starts, seed=args.seed)
     return [
         CheckReport(
@@ -308,8 +299,7 @@ def _cmd_scan(args, diagnostics):
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["param", "lambda_max", "verdict"])
-            writer.writerows([format(value, ".17g"), format(lam, ".17g"), str(ok).lower()]
-                             for value, lam, ok in rows)
+            writer.writerows((value, lam, str(ok).lower()) for value, lam, ok in rows)
     flips = sum(1 for a, b in zip(rows, rows[1:]) if a[2] != b[2])
     return [
         CheckReport(
@@ -323,9 +313,7 @@ def _cmd_scan(args, diagnostics):
 
 
 def _cmd_schur(args, diagnostics):
-    field = _build_field(args)
-    point = _parse_point(args.point)
-    cm = curvature_matrix(field, point)
+    field, cm = _field_and_curvature(args)
     split = block_split(cm, args.n0)
     if args.v0:
         v0 = ColumnBlockMatrix.from_flat(_parse_point(args.v0), field.d)
@@ -344,13 +332,7 @@ def _cmd_schur(args, diagnostics):
 
 
 def _cmd_bl(args, diagnostics):
-    field = _build_field(args)
-    rule = _build_rule(args, field.n)
-    f = _parse_test_fn(args.test_fn, field.n)
-    if f.d != field.d:
-        raise InputError(
-            f"test function has {f.d} components but the field needs {field.d}"
-        )
+    field, rule, (f,) = _field_rule_and_test_fns(args, args.test_fn)
     return [bl_gap(field, f, rule)]
 
 
@@ -366,17 +348,13 @@ def _cmd_prekopa(args, diagnostics):
 
 
 def _cmd_bochner(args, diagnostics):
-    field = _build_field(args)
-    rule = _build_rule(args, field.n)
-    psi = _parse_test_fn(args.test_fn, field.n)
+    field, rule, (psi,) = _field_rule_and_test_fns(args, args.test_fn)
     return [bochner_residual(field, psi, rule, tol_res=args.tol_res)]
 
 
 def _cmd_ipp(args, diagnostics):
-    field = _build_field(args)
-    rule = _build_rule(args, field.n)
-    f = _parse_test_fn(args.test_fn, field.n)
-    g_fn = _parse_test_fn(args.test_fn_g or args.test_fn, field.n)
+    field, rule, (f, g_fn) = _field_rule_and_test_fns(args, args.test_fn,
+                                                       args.test_fn_g or args.test_fn)
     return [ipp_residual(field, f, g_fn, rule, tol_res=args.tol_res)]
 
 
@@ -419,13 +397,19 @@ _DISPATCH = {
 }
 
 
-def _add_common(sub):
+def _field_flags(sub):
+    """The field and its jet (and the seed): every subcommand but report."""
     sub.add_argument("--field", choices=BUILTIN_PARAMS)
     sub.add_argument("--field-json", help="path to a polynomial field JSON file")
     sub.add_argument("--param", action="append", metavar="NAME=VALUE")
     sub.add_argument("--jet", choices=["exact", "fd"], default="exact")
     sub.add_argument("--h", type=float, default=1e-4)
     sub.add_argument("--no-richardson", action="store_true")
+    sub.add_argument("--seed", type=int, default=0)
+
+
+def _rule_flags(sub):
+    """The quadrature rule: the subcommands that integrate (bl, prekopa, bochner, ipp)."""
     sub.add_argument("--rule", choices=["gauss_hermite", "uniform_grid"],
                      default="gauss_hermite")
     sub.add_argument("--order", type=int, default=64)
@@ -433,10 +417,6 @@ def _add_common(sub):
     sub.add_argument("--scale", type=float, default=1.0)
     sub.add_argument("--box", help="lo,hi for uniform_grid rules")
     sub.add_argument("--resolution", type=int, default=256)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tol-psd", type=float, default=1e-9)
-    sub.add_argument("--out", help="write the JSON report here instead of stdout")
-    sub.add_argument("--no-timestamp", action="store_true")
 
 
 @functools.cache
@@ -449,51 +429,54 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("nakano", help="pointwise N-log-concavity verdict")
-    _add_common(p)
-    p.add_argument("--point", required=True)
+    def add(name, summary, *groups):
+        p = subs.add_parser(name, help=summary)
+        for group in groups:
+            group(p)
+        p.add_argument("--out", help="write the JSON report here instead of stdout")
+        p.add_argument("--no-timestamp", action="store_true")
+        return p
 
-    p = subs.add_parser("griffiths", help="rank-one curvature maximization")
-    _add_common(p)
+    p = add("nakano", "pointwise N-log-concavity verdict", _field_flags)
+    p.add_argument("--point", required=True)
+    p.add_argument("--tol-psd", type=float, default=1e-9)
+
+    p = add("griffiths", "rank-one curvature maximization", _field_flags)
     p.add_argument("--point", required=True)
     p.add_argument("--n-starts", type=int, default=32)
+    p.add_argument("--tol-psd", type=float, default=1e-9)
 
-    p = subs.add_parser("scan", help="parameter scan of the Nakano verdict")
-    _add_common(p)
+    p = add("scan", "parameter scan of the Nakano verdict", _field_flags)
     p.add_argument("--point", required=True)
     p.add_argument("--param-range", required=True, metavar="NAME=START:STOP:STEP")
     p.add_argument("--csv", help="write scan rows to this CSV file")
+    p.add_argument("--tol-psd", type=float, default=1e-9)
 
-    p = subs.add_parser("schur", help="block Schur inequality at a point")
-    _add_common(p)
+    p = add("schur", "block Schur inequality at a point", _field_flags)
     p.add_argument("--point", required=True)
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--v0", help="flattened V0, comma separated")
     p.add_argument("--tol-gap", type=float, default=1e-8)
 
-    p = subs.add_parser("bl", help="Brascamp-Lieb variance inequality check")
-    _add_common(p)
+    p = add("bl", "Brascamp-Lieb variance inequality check", _field_flags, _rule_flags)
     p.add_argument("--test-fn", required=True, metavar="poly:EXPR[;EXPR...]")
 
-    p = subs.add_parser("prekopa", help="marginal N-log-concavity, two routes")
-    _add_common(p)
+    p = add("prekopa", "marginal N-log-concavity, two routes", _field_flags, _rule_flags)
     p.add_argument("--t", required=True, help="frozen coordinates, comma separated")
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--marginal-h", type=float, default=1e-3)
+    p.add_argument("--tol-psd", type=float, default=1e-9)
 
-    p = subs.add_parser("bochner", help="Bochner integration-by-parts identity")
-    _add_common(p)
+    p = add("bochner", "Bochner integration-by-parts identity", _field_flags, _rule_flags)
     p.add_argument("--test-fn", required=True)
     p.add_argument("--tol-res", type=float, default=1e-6)
 
-    p = subs.add_parser("ipp", help="first-order integration by parts identity")
-    _add_common(p)
+    p = add("ipp", "first-order integration by parts identity", _field_flags, _rule_flags)
     p.add_argument("--test-fn", required=True)
     p.add_argument("--test-fn-g")
     p.add_argument("--tol-res", type=float, default=1e-6)
 
-    p = subs.add_parser("report", help="run a batch of checks from a config file")
-    _add_common(p)
+    p = add("report", "run a batch of checks from a config file")
     p.add_argument("--config", required=True)
 
     return parser

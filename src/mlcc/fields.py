@@ -300,11 +300,23 @@ BUILTIN_PARAMS = {
     "gaussian_times_spd": ("n", "d", "A"),
     "raufi_printed": ("s",),
     "raufi_corrected": ("s",),
-    "polynomial": ("n", "d", "entries"),
     "gaussian_cross_spd": ("c", "d", "A"),
     "perturbed_gaussian_spd": ("eps",),
     "double_well_scalar": (),
 }
+
+
+def _dimension(key: str, value) -> int:
+    """The dimension ``key`` (n or d) as an int; a value that is not a whole number >= 1
+    is an InputError naming the key and the value."""
+    try:
+        x = float(value)
+        whole = x.is_integer() and x >= 1
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise InputError(f"{key} must be a whole number >= 1, got {value!r}")
+    return int(x)
 
 
 def _sq_norm_terms(n: int, factor: float) -> list:
@@ -318,7 +330,7 @@ def _spd_from_params(params: dict) -> np.ndarray:
     """``A`` of an SPD-envelope builtin, or Id_d (d = 2) with the entries a11, a12, ..."""
     if params.get("A") is not None:
         return np.asarray(params["A"], dtype=float)
-    d = int(params.get("d", 2))
+    d = _dimension("d", params.get("d", 2))
     a = np.eye(d)
     for key, val in params.items():
         if _ENTRY.fullmatch(key):
@@ -353,11 +365,11 @@ def builtin_field(name: str, params: dict | None = None, **jet_kwargs) -> Matrix
             raise InputError(f"builtin field {name} has no parameter {key!r} (it takes "
                              f"{takes or 'none'})")
     if name == "gaussian_scalar":
-        n = int(params.get("n", 1))
+        n = _dimension("n", params.get("n", 1))
         return MatrixField(n, 1, _sq_norm_terms(n, 0.5), [((0,) * n, np.eye(1))], name=name,
                            **jet_kwargs)
     if name == "gaussian_times_spd":
-        n = int(params.get("n", 1))
+        n = _dimension("n", params.get("n", 1))
         a = _spd_from_params(params)
         return MatrixField(n, a.shape[0], _sq_norm_terms(n, 1.0), [((0,) * n, a)], name=name,
                            **jet_kwargs)
@@ -365,9 +377,6 @@ def builtin_field(name: str, params: dict | None = None, **jet_kwargs) -> Matrix
         s = float(params.get("s", 0.0))
         terms = _raufi_terms(s, corrected=(name == "raufi_corrected"))
         return MatrixField(2, 2, [], terms, name=name, **jet_kwargs)
-    if name == "polynomial":
-        return polynomial_field(int(params["n"]), int(params["d"]), params["entries"],
-                                **jet_kwargs)
     if name == "gaussian_cross_spd":
         # exp(-(x1^2 + x2^2 + c x1 x2)) * A, non-product in (t, y) for c != 0
         c = float(params.get("c", 0.5))
@@ -439,7 +448,7 @@ def polynomial_field_from_json(path_or_obj, **jet_kwargs) -> MatrixField:
     else:
         obj = path_or_obj
     try:
-        n, d = int(obj["n"]), int(obj["d"])
+        n, d = _dimension("n", obj["n"]), _dimension("d", obj["d"])
         q = _term_list(obj.get("q", []), n)
         return MatrixField(n, d, q, _entry_terms(n, d, obj["entries"]), name="polynomial",
                            **jet_kwargs)

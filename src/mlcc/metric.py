@@ -33,13 +33,13 @@ class SpdMatrix:
     """A dense real symmetric positive definite matrix, or a stack (..., d, d).
 
     The entries are symmetrized on construction so the symmetry invariant
-    holds exactly; positivity is checked against ``tol_spd`` for every
-    matrix, and the error names the first one that fails (by its flat index).
+    holds exactly; every matrix must have a positive smallest eigenvalue, and
+    the error names the first one that does not (by its flat index).
     """
 
     entries: np.ndarray
 
-    def __init__(self, entries, tol_spd: float = 0.0):
+    def __init__(self, entries):
         a = np.asarray(entries, dtype=float)
         if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
             raise InputError(f"expected a square matrix or a stack of them, got shape {a.shape}")
@@ -47,8 +47,8 @@ class SpdMatrix:
             raise InputError("matrix entries must be finite")
         sym = 0.5 * (a + a.swapaxes(-1, -2))
         lam_min = np.linalg.eigvalsh(sym)[..., 0]
-        if lam_min.min() <= tol_spd:
-            i = _first(lam_min <= tol_spd)
+        if lam_min.min() <= 0.0:
+            i = _first(lam_min <= 0.0)
             which = "matrix" if i is None else f"matrix {i} of {lam_min.size}"
             raise NotPositiveError(
                 f"{which} is not positive definite "
@@ -226,12 +226,12 @@ class PolarOperator:
     forms, it evaluates one vector per form, and checks each form.
     """
 
-    def __init__(self, spec: QuadraticFormSpec, psd_tol: float = PSD_TOL):
+    def __init__(self, spec: QuadraticFormSpec):
         root, invroot = spec.metric.sqrt_and_invsqrt()
         lam, w = np.linalg.eigh(metric_pencil(invroot, spec.form))
         lam_min, lam_max = lam[..., 0], lam[..., -1]
-        if lam_min.min() < -psd_tol:
-            bad = (lam_min < -psd_tol * np.maximum(lam_max, 0.0)) & (lam_min < -psd_tol)
+        if lam_min.min() < -PSD_TOL:
+            bad = (lam_min < -PSD_TOL * np.maximum(lam_max, 0.0)) & (lam_min < -PSD_TOL)
             if bad.any():
                 i = _first(bad)
                 raise NotPsdError(

@@ -122,6 +122,13 @@ class TestOutputFormat:
         payload = read_json(out)
         assert payload["checks"][0]["metrics"]["gap"] == "inf"
 
+    def test_floats_print_in_shortest_round_trip_form(self, capsys):
+        run(["nakano", "--field", "raufi_corrected", "--param", "s=0.75", "--point", "0,0",
+             "--no-timestamp"])
+        out = capsys.readouterr().out
+        assert '"tol_psd": 1e-09\n' in out and '"asymmetry": 0.0\n' in out
+        assert json.loads(out)["checks"][0]["tolerances"]["tol_psd"] == 1e-9
+
     def test_config_echo_reflects_seed_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MLCC_SEED", "99")
         code = run(
@@ -229,6 +236,51 @@ class TestReportBatch:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["checks"]) == 2
         assert all(c["status"] == "pass" for c in payload["checks"])
+
+
+class TestFlagSurface:
+    """Each subcommand takes the flags it reads: rule flags only where a rule is built,
+    --tol-psd only where a PSD gate runs, and report no field at all."""
+
+    POINT = ["--field", "raufi_corrected", "--param", "s=0.75", "--point", "0,0"]
+    RULE_FN = ["--field", "gaussian_scalar", "--test-fn", "poly:y", "--order", "8"]
+
+    @pytest.mark.parametrize("argv", [
+        ["nakano", *POINT, "--order", "8"],
+        ["griffiths", *POINT, "--rule", "uniform_grid"],
+        ["scan", *POINT, "--param-range", "s=0:1:0.5", "--box=-1,1"],
+        ["schur", *POINT, "--n0", "1", "--scale", "2"],
+        ["schur", *POINT, "--n0", "1", "--tol-psd", "1e-6"],
+        ["bl", *RULE_FN, "--tol-psd", "1e-6"],
+        ["bochner", *RULE_FN, "--tol-psd", "1e-6"],
+        ["ipp", *RULE_FN, "--tol-psd", "1e-6"],
+        ["report", "--config", "checks.json", "--field", "gaussian_scalar"],
+    ])
+    def test_a_flag_the_subcommand_does_not_read_is_rejected(self, capsys, argv):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments" in err
+
+    def test_config_lists_only_the_flags_read(self, capsys):
+        assert run(["nakano", *self.POINT, "--no-timestamp"]) == 0
+        nakano = json.loads(capsys.readouterr().out)["config"]
+        assert run(["bl", *self.RULE_FN, "--no-timestamp"]) == 0
+        bl = json.loads(capsys.readouterr().out)["config"]
+        assert not {"order", "rule"} & set(nakano) and {"order", "rule"} <= set(bl)
+
+
+class TestTestFunctionComponents:
+    @pytest.mark.parametrize("argv", [
+        ["bl", "--test-fn", "poly:y"],
+        ["bochner", "--test-fn", "poly:y"],
+        ["ipp", "--test-fn", "poly:y"],
+        ["ipp", "--test-fn", "poly:y;y^2", "--test-fn-g", "poly:y"],
+    ])
+    def test_a_wrong_component_count_is_a_config_error(self, capsys, argv):
+        code = run([*argv, "--field", "gaussian_times_spd", "--param", "d=2", "--order", "8"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "test function has 1 components but the field needs 2" in err
 
 
 def _write_degenerate_field(tmp_path):

@@ -32,7 +32,7 @@ from mlcc import (
     prekopa_check,
 )
 from mlcc.cli import _make_parser, run
-from mlcc.fields import MatrixField
+from mlcc.fields import BUILTIN_PARAMS, MatrixField, polynomial_field_from_json
 from mlcc.inequalities import _schur_margin
 from mlcc.quadrature import NODE_BUDGET, _gauss_hermite_axis, _hermgauss
 
@@ -500,6 +500,34 @@ class TestUnknownBuiltinParameters:
         for name in ("gaussian_times_spd", "gaussian_cross_spd"):
             field = builtin_field(name, {"d": 2, "a12": 0.5})
             assert field.value(np.zeros(field.n))[0, 1] > 0.0
+
+    @pytest.mark.parametrize("argv,message", [
+        (["scan", "--field", "gaussian_times_spd", "--point", "0.1",
+          "--param-range", "d=2:4:0.5"], "d must be a whole number >= 1, got 2.5"),
+        (["nakano", "--field", "gaussian_scalar", "--param", "n=1.5", "--point", "0"],
+         "n must be a whole number >= 1, got 1.5"),
+        (["nakano", "--field", "gaussian_cross_spd", "--param", "d=-1", "--point", "0,0"],
+         "d must be a whole number >= 1, got -1.0"),
+    ])
+    def test_a_bad_dimension_is_a_config_error(self, capsys, argv, message):
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("n,d,key,value", [(1.5, 1, "n", "1.5"), (1, 2.5, "d", "2.5"),
+                                               (1, "two", "d", "'two'"), (0, 1, "n", "0")])
+    def test_field_json_dimensions_are_whole_numbers(self, n, d, key, value):
+        spec = {"n": n, "d": d, "entries": {"1,1": [[1.0, [0]]]}}
+        with pytest.raises(InputError, match=f"^{key} must be a whole number >= 1, got {value}$"):
+            polynomial_field_from_json(spec)
+
+    def test_the_polynomial_builtin_is_gone(self, capsys):
+        assert "polynomial" not in BUILTIN_PARAMS
+        with pytest.raises(InputError, match="unknown builtin field 'polynomial'"):
+            builtin_field("polynomial", {"n": 1, "d": 1})
+        assert run(["nakano", "--field", "polynomial", "--point", "0"]) == 2
+        assert "invalid choice: 'polynomial'" in capsys.readouterr().err
 
 
 class TestScanErrorsNameTheValue:
