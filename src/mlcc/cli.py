@@ -364,7 +364,8 @@ def _cmd_report(args, diagnostics):
     entries = cfg.get("checks", []) if isinstance(cfg, dict) else None
     if not isinstance(entries, list):
         raise InputError('report config must be a JSON object whose "checks" is a list')
-    checks = []
+    # the report's config echoes each entry's parsed args, in order
+    checks, args.entries = [], []
     for i, entry in enumerate(entries):
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
             raise InputError(f'report entry {i} must be an object with a string "name"')
@@ -380,6 +381,7 @@ def _cmd_report(args, diagnostics):
         except SystemExit:
             raise InputError(f"report entry {i} ({argv[0]!r}): its args do not parse") from None
         _apply_seed_env(sub_args)
+        args.entries.append({"name": argv[0], **_config_echo(sub_args)})
         checks.extend(_DISPATCH[entry["name"]](sub_args, diagnostics))
     return checks
 

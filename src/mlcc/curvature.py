@@ -103,8 +103,14 @@ def curvature_from_jet(jet: Jet2) -> CurvatureMatrix:
 def curvature_matrix(field: MatrixField, x) -> CurvatureMatrix:
     """Curvature operator of ``field`` at ``x``, or at each point of a stack."""
     x = np.asarray(x, dtype=float)
+    return _curvature_at(field, x, field.jet(x))
+
+
+def _curvature_at(field: MatrixField, x: np.ndarray, jet: Jet2) -> CurvatureMatrix:
+    """``curvature_from_jet`` of ``jet``, the jet of ``field`` at ``x``; an
+    asymmetric jet names its point."""
     try:
-        return curvature_from_jet(field.jet(x))
+        return curvature_from_jet(jet)
     except SymmetryError as exc:
         raise SymmetryError(f"{field._where(x, exc.index)}: {exc}", exc.index) from None
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .curvature import (
     CurvatureMatrix,
+    _curvature_at,
     block_split,
     curvature_from_jet,
     curvature_matrix,
@@ -61,12 +62,14 @@ def bl_gap(
 ) -> CheckReport:
     """Brascamp-Lieb check: weighted variance of F against the Dirichlet energy.
 
-    ``evaluator`` (built on the same field and rule) saves rebuilding the
-    curvature; ``rel_null_tol`` applies either way.
+    Both sides read the ``evaluator``'s node cache (g, Z and the polar
+    operators of -Theta), so a check evaluates only F.  The evaluator must
+    be built on this very field and rule (else an InputError); without one,
+    the check builds its own.  ``rel_null_tol`` applies either way.
     """
-    lhs = variance_functional(field, f, rule)
     if evaluator is None:
         evaluator = DirichletEvaluator(field, rule)
+    lhs = variance_functional(field, f, rule, evaluator)
     rhs = evaluator.energy(f, rel_null_tol)
     settings = {"rule": rule.kind, "nodes": rule.count}
     if rhs.is_infinite:
@@ -187,24 +190,29 @@ def marginal_theta_fd(
 
 
 def theta_alpha_decomposed(
-    field: MatrixField, t, rule: QuadratureRule
+    field: MatrixField, t, rule: QuadratureRule,
+    fiber: tuple[Jet2, CurvatureMatrix] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Route B for Theta^alpha: (total, fiber term, variance term) as d*n0 x d*n0
     matrices in the flat index j*d + l, so <Theta^alpha V0, V0> = v @ total @ v
     for v = V0.flatten().  The fiber term is int theta_00; the variance term is
     the weighted covariance of V0 -> F = g^{-1} D v, D = [d_{t_1} g | ... | d_{t_n0} g]:
     int D^T g^{-1} D - (int D)^T (int g)^{-1} (int D).
+
+    ``fiber`` is the jet and curvature stack of the field over the fiber
+    nodes (t, y_i), as ``prekopa_check``'s gate made them; without it they
+    are made here.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     n0, d = t.shape[0], field.d
     if rule.m != field.n - n0:
         raise InputError("rule dimension must equal the number of integrated variables")
     w = rule.weights[:, None, None]
-    jet = field.jet(_fiber_nodes(t, rule))
+    jet, cm = fiber or _fiber_pass(field, t, rule)
     g = jet.value.entries
     # D = [d_{t_1} g | ... | d_{t_n0} g] at every node, (N, d, n0 * d)
     dmat = jet.d1[:, :n0].swapaxes(1, 2).reshape(rule.count, d, n0 * d)
-    term_curv00 = pairwise_sum(w * block_split(curvature_from_jet(jet), n0).theta00)
+    term_curv00 = pairwise_sum(w * block_split(cm, n0).theta00)
     mean_d = pairwise_sum(w * dmat)
     z = pairwise_sum(w * g)
     sq = pairwise_sum(w * (dmat.swapaxes(1, 2) @ np.linalg.solve(g, dmat)))
@@ -250,6 +258,15 @@ def _fiber_nodes(t: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     return np.concatenate([np.broadcast_to(t, (rule.count, t.shape[0])), rule.nodes], axis=1)
 
 
+def _fiber_pass(field: MatrixField, t: np.ndarray,
+                rule: QuadratureRule) -> tuple[Jet2, CurvatureMatrix]:
+    """The jet and the curvature stack of ``field`` over the fiber nodes (t, y_i),
+    from one jet evaluation; an asymmetric jet names its fiber point."""
+    x = _fiber_nodes(t, rule)
+    jet = field.jet(x)
+    return jet, _curvature_at(field, x, jet)
+
+
 def prekopa_check(
     field: MatrixField,
     t,
@@ -281,7 +298,7 @@ def prekopa_check(
         raise InputError("t must have length n0 with 1 <= n0 < n")
     h = _step(h, "the marginal step h (--marginal-h)")
     settings = {"rule": rule.kind, "nodes": rule.count, "h": h}
-    cm = curvature_matrix(field, _fiber_nodes(t, rule))
+    jet, cm = _fiber_pass(field, t, rule)
     lambda_max = generalized_spectrum(cm)[:, -1]
     above = np.flatnonzero(lambda_max > tol_psd)
     if above.size:
@@ -300,7 +317,7 @@ def prekopa_check(
     schur_margin, node, v0 = _schur_margin(cm, n0)
     cm_alpha = marginal_theta_fd(field, t, rule, h)
     lambda_max_alpha = nakano_verdict(cm_alpha).lambda_max
-    total, _, _ = theta_alpha_decomposed(field, t, rule)
+    total, _, _ = theta_alpha_decomposed(field, t, rule, (jet, cm))
     route_diff = field.d * n0 * float(np.linalg.norm(cm_alpha.theta_tilde - total, 2))
     metrics = {"lambda_max_alpha": lambda_max_alpha, "route_diff": route_diff,
                "schur_margin": schur_margin}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,11 +64,19 @@ class SpdMatrix:
         return self.entries.shape[-1]
 
     def sqrt_and_invsqrt(self) -> tuple[np.ndarray, np.ndarray]:
-        """Matrix square root and inverse square root via eigendecomposition."""
+        """Matrix square root and inverse square root via eigendecomposition,
+        computed once per instance and returned read-only."""
+        return self._roots
+
+    @cached_property
+    def _roots(self) -> tuple[np.ndarray, np.ndarray]:
         lam, v = np.linalg.eigh(self.entries)
         root = np.sqrt(lam)[..., None, :]
         vt = v.swapaxes(-1, -2)
-        return (v * root) @ vt, (v / root) @ vt
+        out = (v * root) @ vt, (v / root) @ vt
+        for a in out:
+            a.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)

@@ -206,7 +206,11 @@ class VectorFieldFn:
         grads = [[poly_diff(comp, j) for j in range(n)] for comp in comps]
         value_terms = poly_stack(comps)
         grad_terms = poly_stack([g for row in grads for g in row])
-        hess_terms = poly_stack([poly_diff(g, k) for row in grads for g in row for k in range(n)])
+
+        @cache
+        def hess_terms():
+            # built on first use: a variance or energy pass never asks for Hessians
+            return poly_stack([poly_diff(g, k) for row in grads for g in row for k in range(n)])
 
         def value(x):
             return poly_eval(value_terms, x)
@@ -216,7 +220,7 @@ class VectorFieldFn:
             return out.reshape(out.shape[:-1] + (d, n))
 
         def hess(x):
-            out = poly_eval(hess_terms, x)
+            out = poly_eval(hess_terms(), x)
             return out.reshape(out.shape[:-1] + (d, n, n))
 
         fn = cls(n, d, None)
@@ -270,23 +274,49 @@ def weighted_mean(field: MatrixField, f: VectorFieldFn, rule: QuadratureRule) ->
     return np.linalg.solve(z.entries, pairwise_sum(rule.weights[:, None] * gf))
 
 
-def variance_functional(field: MatrixField, f: VectorFieldFn, rule: QuadratureRule) -> float:
-    """Weighted variance of F: int ||F||_g^2 - ||Z^{-1} int gF||_Z^2."""
-    w = rule.weights
+def _weighted_values(field: MatrixField, rule: QuadratureRule):
+    """g at the rule's nodes and Z = sum_i w_i g(node_i), both read-only."""
     g = _node_values(field, rule)
+    z = pairwise_sum(rule.weights[:, None, None] * g)
+    g.setflags(write=False)
+    z.setflags(write=False)
+    return g, z
+
+
+def variance_functional(
+    field: MatrixField,
+    f: VectorFieldFn,
+    rule: QuadratureRule,
+    evaluator: DirichletEvaluator | None = None,
+) -> float:
+    """Weighted variance of F: int ||F||_g^2 - ||Z^{-1} int gF||_Z^2.
+
+    With an ``evaluator`` (built on this very field and rule, else an
+    InputError), g and Z come from its node cache and only F is evaluated.
+    """
+    if evaluator is None:
+        g, z = _weighted_values(field, rule)
+    elif evaluator.field is not field or evaluator.rule is not rule:
+        raise InputError("the DirichletEvaluator was built on another field or rule; "
+                         "build one on the field and rule of the check")
+    else:
+        g, z = evaluator.g, evaluator.z
+    w = rule.weights
     val = f.value(rule.nodes)
     gf = (g @ val[..., None])[..., 0]
-    z = pairwise_sum(w[:, None, None] * g)
     mean = pairwise_sum(w[:, None] * gf)
     second = float(pairwise_sum(w * np.sum(val * gf, axis=-1)))
     return second - float(mean @ np.linalg.solve(z, mean))
 
 
 class DirichletEvaluator:
-    """Polar operators of -Theta at every node, reusable across test functions.
+    """The node cache of one field and rule, reusable across test functions.
 
-    The curvature and its polar data are built once, as one stack over the
-    rule's nodes; a node where -Theta is indefinite raises NotPsdError.
+    Built once: g at every node (``g``, by ``field.value``) and its integral
+    ``z`` = sum_i w_i g(node_i), both read-only, for ``variance_functional``;
+    and the polar operators of -Theta, from one curvature stack over the
+    nodes, for :meth:`energy`.  A node off the SPD cone raises
+    NotPositiveError, one where -Theta is indefinite NotPsdError.
     """
 
     def __init__(self, field: MatrixField, rule: QuadratureRule):
@@ -294,6 +324,7 @@ class DirichletEvaluator:
             raise InputError("field and rule dimensions differ")
         self.field = field
         self.rule = rule
+        self.g, self.z = _weighted_values(field, rule)
         cm = curvature_matrix(field, rule.nodes)
         self._polar = PolarOperator(QuadraticFormSpec(cm.g, -cm.theta_tilde))
 

@@ -237,6 +237,22 @@ class TestReportBatch:
         assert len(payload["checks"]) == 2
         assert all(c["status"] == "pass" for c in payload["checks"])
 
+    def test_config_lists_what_each_entry_computed(self, tmp_path, capsys):
+        point = ["--field", "raufi_corrected", "--param", "s=0.75", "--point", "0,0"]
+        entries = [("nakano", point), ("bl", ["--field", "gaussian_scalar", "--test-fn",
+                                              "poly:y^2", "--order", "32"]),
+                   ("schur", point + ["--n0", "1"])]
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps({"checks": [{"name": n, "args": a} for n, a in entries]}))
+        assert run(["report", "--config", str(path), "--no-timestamp"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert list(config) == ["config", "entries"] and config["config"] == str(path)
+        # each entry echoes what its subcommand reports when run alone
+        for echo, (name, args) in zip(config["entries"], entries, strict=True):
+            assert run([name] + args + ["--no-timestamp"]) == 0
+            assert echo == {"name": name, **json.loads(capsys.readouterr().out)["config"]}
+        assert config["entries"][1]["order"] == 32 and config["entries"][2]["n0"] == 1
+
 
 class TestFlagSurface:
     """Each subcommand takes the flags it reads: rule flags only where a rule is built,

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import mlcc.quadrature
+
 from mlcc import (
     BudgetError,
     DirichletEvaluator,
@@ -205,3 +207,23 @@ class TestVectorFieldFn:
         fd = VectorFieldFn(n=2, d=2, value=exact.value)
         x = np.array([0.3, 0.2])
         np.testing.assert_allclose(fd.hess(x), exact.hess(x), atol=1e-4)
+
+    def test_polynomial_hessian_terms_are_built_on_first_use(self, monkeypatch):
+        stacks, original = [], mlcc.quadrature.poly_stack
+
+        def counting(terms):
+            stacks.append(len(terms))
+            return original(terms)
+
+        monkeypatch.setattr(mlcc.quadrature, "poly_stack", counting)
+        fn = VectorFieldFn.polynomial(2, [[(1.0, (2, 1)), (0.5, (0, 3))], [(2.0, (1, 0))]])
+        x = np.array([[0.7, -0.4], [0.3, 0.2]])
+        fn.value(x), fn.grad(x)
+        assert stacks == [2, 4]  # the values and the gradients
+        first = fn.hess(x)
+        assert np.array_equal(fn.hess(x), first) and stacks == [2, 4, 8]
+        # d^2/dy0^2 of y0^2 y1 + 0.5 y1^3 is 2 y1; d^2/dy1^2 is 3 y1; the rest is exact too
+        np.testing.assert_array_equal(first[:, 0, 0, 0], 2.0 * x[:, 1])
+        np.testing.assert_array_equal(first[:, 0, 1, 1], 3.0 * x[:, 1])
+        np.testing.assert_array_equal(first[:, 0, 0, 1], 2.0 * x[:, 0])
+        np.testing.assert_array_equal(first[:, 1], 0.0)

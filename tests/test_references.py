@@ -1,7 +1,8 @@
 """Reference tests for the shared numerics: the metric pencil, exact jets,
 read-only polynomial coefficients, the central-difference stencil, the
-Prekopa route B matrices, the stacked node axis and the stacked rank-one
-search.
+Prekopa route B matrices, the stacked node axis, the stacked rank-one
+search, the DirichletEvaluator's node cache and the Prekopa check's one
+fiber pass.
 
 The references are the formulas the shared helpers replaced: a dense
 generalized eigensolve against the block-diagonal metric id_n (x) g,
@@ -29,7 +30,9 @@ from mlcc import (
     NotPsdError,
     QuadraticFormSpec,
     SpdMatrix,
+    SymmetryError,
     VectorFieldFn,
+    bl_gap,
     block_split,
     bochner_residual,
     build_rule,
@@ -882,3 +885,149 @@ class TestStackedNakanoVerdict:
         verdict = nakano_verdict(curvature_matrix(builtin_field("raufi_corrected"), np.zeros(2)))
         assert type(verdict.lambda_max) is float and type(verdict.lambda_max_std) is float
         assert type(verdict.is_nlogconcave) is bool
+
+
+# -- the DirichletEvaluator as the node cache of its field and rule ----------------
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` to record each call's arguments; returns the record."""
+    calls, original = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:outermost quadrature node")
+class TestEvaluatorNodeCache:
+    @pytest.mark.parametrize("make,m,order,scale", STACK_FIXTURES)
+    def test_with_and_without_an_evaluator_agree_exactly(self, make, m, order, scale):
+        field = make()
+        rule = build_rule("gauss_hermite", order=order, m=m, scale=scale)
+        ev = DirichletEvaluator(field, rule)
+        rng = np.random.default_rng(order)
+        for _ in range(3):
+            fn = _cubic_fn(rng, field.n, field.d)
+            assert variance_functional(field, fn, rule, ev) == variance_functional(field, fn, rule)
+            with_ev, without = bl_gap(field, fn, rule, evaluator=ev), bl_gap(field, fn, rule)
+            assert with_ev.metrics == without.metrics and with_ev.status == without.status
+
+    def test_a_check_with_an_evaluator_never_evaluates_the_field(self, monkeypatch):
+        field = builtin_field("perturbed_gaussian_spd")
+        rule = build_rule("gauss_hermite", order=12, m=2)
+        calls = _count_calls(monkeypatch, MatrixField, "value")
+        ev = DirichletEvaluator(field, rule)
+        assert len(calls) == 1
+        fn = _cubic_fn(np.random.default_rng(3), field.n, field.d)
+        for _ in range(3):
+            bl_gap(field, fn, rule, evaluator=ev)
+            variance_functional(field, fn, rule, ev)
+        assert len(calls) == 1
+        bl_gap(field, fn, rule)  # the one-shot path builds its own evaluator
+        assert len(calls) == 2
+
+    def test_cached_arrays_are_read_only(self):
+        field = builtin_field("gaussian_times_spd", {"n": 1, "A": np.diag([1.0, 2.0])})
+        rule = build_rule("gauss_hermite", order=16, m=1)
+        ev = DirichletEvaluator(field, rule)
+        assert ev.g.shape == (16, 2, 2) and ev.z.shape == (2, 2)
+        assert np.array_equal(ev.g, field.value(rule.nodes))
+        assert np.array_equal(ev.z, pairwise_sum(rule.weights[:, None, None] * ev.g))
+        for a in (ev.g, ev.z):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_an_evaluator_of_another_field_is_an_input_error(self):
+        # its weight would make the rhs 1.77 where the true value is 10.03: a false fail
+        field = builtin_field("gaussian_scalar", {"n": 1})
+        rule = build_rule("gauss_hermite", order=32, m=1)
+        other = builtin_field("gaussian_times_spd", {"n": 1, "d": 1, "A": [[1.0]]})
+        ev = DirichletEvaluator(other, rule)
+        fn = VectorFieldFn.polynomial(1, [[(1.0, (2,))]])
+        with pytest.raises(InputError, match="another field or rule"):
+            bl_gap(field, fn, rule, evaluator=ev)
+        with pytest.raises(InputError, match="another field or rule"):
+            variance_functional(field, fn, rule, ev)
+
+    def test_an_evaluator_of_another_rule_is_an_input_error(self):
+        # an equal rule built again is another rule too: identity, not equality
+        field = builtin_field("gaussian_scalar", {"n": 1})
+        rule = build_rule("gauss_hermite", order=32, m=1)
+        fn = VectorFieldFn.polynomial(1, [[(1.0, (2,))]])
+        for other in (build_rule("gauss_hermite", order=16, m=1),
+                      build_rule("gauss_hermite", order=32, m=1)):
+            ev = DirichletEvaluator(field, other)
+            with pytest.raises(InputError, match="another field or rule"):
+                bl_gap(field, fn, rule, evaluator=ev)
+            with pytest.raises(InputError, match="another field or rule"):
+                variance_functional(field, fn, rule, ev)
+
+
+# -- one fiber jet per Prekopa check ------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:outermost quadrature node")
+class TestOneFiberPass:
+    @pytest.mark.parametrize("name,params", ROUTE_B_FIXTURES[:2])
+    def test_a_passing_gate_makes_one_jet(self, monkeypatch, name, params):
+        field = builtin_field(name, params)
+        rule = build_rule("gauss_hermite", order=16, m=1)
+        calls = _count_calls(monkeypatch, MatrixField, "jet")
+        assert prekopa_check(field, [0.1], 1, rule).passed
+        assert len(calls) == 1
+
+    def test_the_fiber_inverse_root_is_computed_once(self, monkeypatch):
+        field = builtin_field("gaussian_cross_spd", {"c": 0.5, "d": 2})
+        rule = build_rule("gauss_hermite", order=16, m=1)
+        outs = []
+        original = SpdMatrix.sqrt_and_invsqrt
+
+        def recording(self):
+            out = original(self)
+            if self.entries.shape[0] == rule.count:
+                outs.append(out)
+            return out
+
+        monkeypatch.setattr(SpdMatrix, "sqrt_and_invsqrt", recording)
+        assert prekopa_check(field, [0.1], 1, rule).passed
+        # the gate's spectrum, the polar operator of -Theta_11 and the Schur pencil
+        assert len(outs) == 3 and all(o[1] is outs[0][1] for o in outs)
+
+    def test_the_shared_fiber_gives_the_same_route_b(self):
+        field = builtin_field("perturbed_gaussian_spd")
+        rule = build_rule("gauss_hermite", order=32, m=1)
+        t = np.array([0.1])
+        fiber = mlcc.inequalities._fiber_pass(field, t, rule)
+        for got, ref in zip(theta_alpha_decomposed(field, t, rule, fiber),
+                            theta_alpha_decomposed(field, t, rule)):
+            assert np.array_equal(got, ref)
+
+    def test_an_asymmetric_fiber_jet_names_its_point(self, monkeypatch):
+        field = builtin_field("gaussian_cross_spd", {"c": 0.5, "d": 2})
+        rule = build_rule("gauss_hermite", order=8, m=1)
+        original = MatrixField.jet
+
+        def skewed(self, x):
+            jet = original(self, x)
+            d2 = jet.d2.copy()
+            d2[3, 0, 1, 0, 1] += 1.0  # node 3: d2_{t y} no longer symmetric
+            return type(jet)(value=jet.value, d1=jet.d1, d2=d2)
+
+        monkeypatch.setattr(MatrixField, "jet", skewed)
+        with pytest.raises(SymmetryError, match=r"field gaussian_cross_spd at x = \[ 0\.1 +-0\.381187\]: curvature"):
+            prekopa_check(field, [0.1], 1, rule)
+
+
+def test_matrix_roots_are_computed_once_and_read_only():
+    m = SpdMatrix(np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 4.0]]]))
+    first, second = m.sqrt_and_invsqrt(), m.sqrt_and_invsqrt()
+    assert first[0] is second[0] and first[1] is second[1]
+    for a in first:
+        with pytest.raises(ValueError):
+            a[0, 0, 0] = 1.0
+    _close(first[0] @ first[0], m.entries)
+    _close(first[0] @ first[1], np.broadcast_to(np.eye(2), (2, 2, 2)))
