@@ -100,17 +100,15 @@ def curvature_from_jet(jet: Jet2) -> CurvatureMatrix:
                            asymmetry=asym if asym.ndim else float(asym))
 
 
-def curvature_matrix(field: MatrixField, x) -> CurvatureMatrix:
-    """Curvature operator of ``field`` at ``x``, or at each point of a stack."""
+def curvature_matrix(field: MatrixField, x, jet: Jet2 | None = None) -> CurvatureMatrix:
+    """Curvature operator of ``field`` at ``x``, or at each point of a stack.
+
+    ``jet``, when given, is the jet of ``field`` at ``x``, already evaluated.
+    An asymmetric jet names its point.
+    """
     x = np.asarray(x, dtype=float)
-    return _curvature_at(field, x, field.jet(x))
-
-
-def _curvature_at(field: MatrixField, x: np.ndarray, jet: Jet2) -> CurvatureMatrix:
-    """``curvature_from_jet`` of ``jet``, the jet of ``field`` at ``x``; an
-    asymmetric jet names its point."""
     try:
-        return curvature_from_jet(jet)
+        return curvature_from_jet(field.jet(x) if jet is None else jet)
     except SymmetryError as exc:
         raise SymmetryError(f"{field._where(x, exc.index)}: {exc}", exc.index) from None
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .curvature import (
     CurvatureMatrix,
-    _curvature_at,
     block_split,
     curvature_from_jet,
     curvature_matrix,
@@ -264,7 +263,7 @@ def _fiber_pass(field: MatrixField, t: np.ndarray,
     from one jet evaluation; an asymmetric jet names its fiber point."""
     x = _fiber_nodes(t, rule)
     jet = field.jet(x)
-    return jet, _curvature_at(field, x, jet)
+    return jet, curvature_matrix(field, x, jet)
 
 
 def prekopa_check(

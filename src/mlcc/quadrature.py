@@ -275,10 +275,10 @@ def weighted_mean(field: MatrixField, f: VectorFieldFn, rule: QuadratureRule) ->
 
 
 def _weighted_values(field: MatrixField, rule: QuadratureRule):
-    """g at the rule's nodes and Z = sum_i w_i g(node_i), both read-only."""
+    """g at the rule's nodes and Z = sum_i w_i g(node_i), both read-only (g as
+    ``field.value`` returns it)."""
     g = _node_values(field, rule)
     z = pairwise_sum(rule.weights[:, None, None] * g)
-    g.setflags(write=False)
     z.setflags(write=False)
     return g, z
 
@@ -320,23 +320,33 @@ class DirichletEvaluator:
     """
 
     def __init__(self, field: MatrixField, rule: QuadratureRule):
-        if field.n != rule.m:
-            raise InputError("field and rule dimensions differ")
         self.field = field
         self.rule = rule
         self.g, self.z = _weighted_values(field, rule)
-        cm = curvature_matrix(field, rule.nodes)
-        self._polar = PolarOperator(QuadraticFormSpec(cm.g, -cm.theta_tilde))
+        self._polar = _polar_over_nodes(field, rule)
 
     def energy(self, f: VectorFieldFn, rel_null_tol: float = DEFAULT_NULL_TOL) -> ExtendedReal:
         """int Q°(grad F); infinite when grad F leaves the range of -Theta at any
         node, null directions judged relative to ``rel_null_tol``."""
-        grad = f.grad(self.rule.nodes)  # (N, d, n)
-        v = grad.swapaxes(-1, -2).reshape(grad.shape[0], -1)  # flatten (j, l) -> j*d + l
-        values = self._polar.value(v, rel_null_tol)
-        if np.isinf(values).any():
-            return ExtendedReal.infinite()
-        return ExtendedReal(float(pairwise_sum(self.rule.weights * values)))
+        return _energy(self._polar, self.rule, f, rel_null_tol)
+
+
+def _polar_over_nodes(field: MatrixField, rule: QuadratureRule) -> PolarOperator:
+    """The polar operators of -Theta at the rule's nodes, from one curvature stack."""
+    if field.n != rule.m:
+        raise InputError("field and rule dimensions differ")
+    cm = curvature_matrix(field, rule.nodes)
+    return PolarOperator(QuadraticFormSpec(cm.g, -cm.theta_tilde))
+
+
+def _energy(polar: PolarOperator, rule: QuadratureRule, f: VectorFieldFn,
+            rel_null_tol: float) -> ExtendedReal:
+    grad = f.grad(rule.nodes)  # (N, d, n)
+    v = grad.swapaxes(-1, -2).reshape(grad.shape[0], -1)  # flatten (j, l) -> j*d + l
+    values = polar.value(v, rel_null_tol)
+    if np.isinf(values).any():
+        return ExtendedReal.infinite()
+    return ExtendedReal(float(pairwise_sum(rule.weights * values)))
 
 
 def dirichlet_energy(
@@ -345,5 +355,9 @@ def dirichlet_energy(
     rule: QuadratureRule,
     rel_null_tol: float = DEFAULT_NULL_TOL,
 ) -> ExtendedReal:
-    """int Q°_{id_n (x) g, -Theta}(grad F) dx, infinite on degenerate directions."""
-    return DirichletEvaluator(field, rule).energy(f, rel_null_tol)
+    """int Q°_{id_n (x) g, -Theta}(grad F) dx, infinite on degenerate directions.
+
+    One-shot: one curvature stack over the nodes, without the evaluator's
+    cache of g and Z, which the energy never reads.
+    """
+    return _energy(_polar_over_nodes(field, rule), rule, f, rel_null_tol)

@@ -39,6 +39,7 @@ from mlcc import (
     builtin_field,
     conjugate_field,
     curvature_matrix,
+    dirichlet_energy,
     generalized_spectrum,
     griffiths_min_gap,
     integrate_field,
@@ -929,6 +930,16 @@ class TestEvaluatorNodeCache:
         assert len(calls) == 1
         bl_gap(field, fn, rule)  # the one-shot path builds its own evaluator
         assert len(calls) == 2
+
+    def test_the_one_shot_energy_skips_the_node_cache(self, monkeypatch):
+        # dirichlet_energy never reads g or Z, so it never evaluates the field's value
+        field = builtin_field("perturbed_gaussian_spd")
+        rule = build_rule("gauss_hermite", order=12, m=2)
+        fn = _cubic_fn(np.random.default_rng(5), field.n, field.d)
+        expected = DirichletEvaluator(field, rule).energy(fn)
+        calls = _count_calls(monkeypatch, MatrixField, "value")
+        assert dirichlet_energy(field, fn, rule) == expected
+        assert calls == []
 
     def test_cached_arrays_are_read_only(self):
         field = builtin_field("gaussian_times_spd", {"n": 1, "A": np.diag([1.0, 2.0])})
