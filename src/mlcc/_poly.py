@@ -5,7 +5,10 @@ A polynomial in ``n`` variables is a list of ``(coeff, degs)`` pairs where
 float or a NumPy array (a matrix polynomial then evaluates to a matrix).
 The same term list carries the envelope q, the matrix part P and the
 polynomial test functions.  Coefficients are never modified in place.
-Evaluation takes one point, shape (n,), or a stack of points, shape (N, n).
+Evaluation takes one point, shape (n,), or a stack of points, shape (N, n);
+it works with the points on the last axis (coefficient-major) and forms
+powers by multiplication, so x_j^k for k >= 3 may differ in the last bits
+from ``x**k`` (see ``poly_eval``).
 Exact differentiation of these term lists is what makes the closed-form jet
 oracles of the field module possible.
 """
@@ -21,25 +24,49 @@ Term = tuple[float | np.ndarray, tuple[int, ...]]
 def poly_eval(terms: list[Term], x):
     """Value at ``x`` (shape (..., n)): shape (...) plus the coefficients' shape.
 
-    Every point runs through the same 1-D array operations, so a stack of
-    points gives bit for bit the values of one call per point.
+    The sum is accumulated coefficient-major, with the points on the last
+    axis: each term is one broadcast of ``coeff[..., None]`` over contiguous
+    rows of point values, and the total is moved to a C-contiguous
+    ``(N,) + shape`` array once at the end.  Each power x_j^k is formed once
+    per call by multiplication (see ``_power``), not by libm ``pow``;
+    ``x * x`` has the bits of ``x**2``, so only x_j^k with k >= 3 may differ
+    in the last bits from ``x**k``.  Every point runs through the same 1-D
+    array operations, so a stack of points gives bit for bit the values of
+    one call per point.
     """
     x = np.asarray(x, dtype=float)
     lead, n = x.shape[:-1], x.shape[-1]
     shape = np.asarray(terms[0][0]).shape if terms else ()
-    # one contiguous column per variable, shaped to broadcast against the coefficients
-    cols = x.reshape(-1, n).T.copy().reshape((n, -1) + (1,) * len(shape))
-    powers = {}
-    total = np.zeros(cols.shape[1:2] + shape)
+    cols = x.reshape(-1, n).T.copy()  # (n, N): one contiguous row per variable
+    powers = {}  # (j, k) -> x_j^k
+    total = np.zeros(shape + cols.shape[1:])
     for coeff, degs in terms:
-        m = coeff
+        m = coeff[..., None] if isinstance(coeff, np.ndarray) else coeff
+        fresh = False  # whether m is a new array of this term, safe to update in place
         for j, dj in enumerate(degs):
             if dj:
                 if (j, dj) not in powers:
-                    powers[j, dj] = cols[j] ** dj
-                m = m * powers[j, dj]
-        total = total + m
-    return total.reshape(lead + shape)
+                    powers[j, dj] = _power(cols[j], dj)
+                if fresh:
+                    m *= powers[j, dj]
+                else:
+                    m, fresh = m * powers[j, dj], True
+        total += m
+    points_first = total.transpose((total.ndim - 1,) + tuple(range(total.ndim - 1)))
+    return np.ascontiguousarray(points_first).reshape(lead + shape)
+
+
+def _power(row: np.ndarray, k: int) -> np.ndarray:
+    """row**k for k >= 1 by binary powering: about log2(k) multiplications, and
+    ``row * row`` for the square, which has the bits of ``row**2``."""
+    result, base = None, row
+    while True:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if not k:
+            return result
+        base = base * base
 
 
 def poly_stack(polys: list[list[Term]]) -> list[Term]:

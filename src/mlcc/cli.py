@@ -80,7 +80,8 @@ def _parse_poly_component(expr: str, n: int):
     expr = expr.replace(" ", "")
     if not expr:
         raise InputError("empty polynomial component")
-    chunks = re.findall(r"[+-]?[^+-]+", expr)
+    # a sign right after ^ or * stays in its term: x1*-2 is -2*x1, x1^-1 a bad exponent
+    chunks = re.findall(r"[+-]?(?:[*^][+-]?|[^+-])+", expr)
     terms = []
     for chunk in chunks:
         sign = 1.0
@@ -94,10 +95,13 @@ def _parse_poly_component(expr: str, n: int):
         degs = [0] * n
         for factor in factors:
             if not factor:
-                continue
+                raise InputError(f"term {chunk!r} has an empty factor (powers are written x1^2)")
             if factor[0].isalpha():
-                var, _, power = factor.partition("^")
-                exponent = int(power) if power else 1
+                var, caret, power = factor.partition("^")
+                if caret and not re.fullmatch(r"[0-9]+", power):
+                    raise InputError(f"factor {factor!r}: the exponent must be a whole "
+                                     "number >= 0")
+                exponent = int(power) if caret else 1
                 if var == "y" and n == 1:
                     idx = 0
                 elif var.startswith("x") and var[1:].isdigit():

@@ -232,10 +232,11 @@ def _schur_margin(cm: CurvatureMatrix, n0: int):
     mixed = np.linalg.solve(cm.g.entries[..., None, :, :],
                             split.theta01_tilde.reshape(lead + (split.n1, d, n0 * d)))
     coords = polar._coord_map @ mixed.reshape(lead + (split.n1 * d, n0 * d))
-    null, off_range = polar._null_and_off_range(np.moveaxis(coords, -1, 0) ** 2)
-    if off_range.any():
+    denominators, off_range = polar._denominators_and_off_range(
+        np.moveaxis(coords, -1, 0) ** 2)
+    if off_range is not None and off_range.any():
         return -np.inf, None, None
-    inv = coords / np.where(null, np.inf, polar.eigenvalues)[..., None]
+    inv = coords / denominators[..., None]
     s = -split.theta00 - coords.swapaxes(-1, -2) @ inv
     _, invroot = cm.g.sqrt_and_invsqrt()
     lam, w = np.linalg.eigh(metric_pencil(invroot, s))

@@ -253,23 +253,33 @@ class PolarOperator:
         d, nd = root.shape[-1], w.shape[-1]
         wt = w.swapaxes(-1, -2).reshape(w.shape[:-2] + (nd * nd // d, d))
         self._coord_map = (wt @ root).reshape(w.shape)
+        self._null_split = (None, None, None)  # (rel_null_tol, null flags, denominators)
 
-    def _null_and_off_range(self, c2, rel_null_tol: float = DEFAULT_NULL_TOL):
-        """Null eigenvalues, and whether vectors with squared eigencoordinates ``c2`` (eigen
-        axis last) leave the range: their null part exceeds rel_null_tol of their norm."""
+    def _denominators_and_off_range(self, c2, rel_null_tol: float = DEFAULT_NULL_TOL):
+        """The eigenvalues with inf in place of the null ones, and whether vectors with
+        squared eigencoordinates ``c2`` (eigen axis last) leave the range: their null
+        part exceeds rel_null_tol of their norm (None when no eigenvalue is null).
+        The null split is kept for the last tolerance asked for."""
         if not 0.0 < rel_null_tol <= 1e-3:
             raise InputError("rel_null_tol must lie in (0, 1e-3]")
-        null = self.eigenvalues <= rel_null_tol * self.lam_max[..., None]
-        return null, np.where(null, c2, 0.0).sum(-1) > rel_null_tol**2 * c2.sum(-1)
+        if self._null_split[0] != rel_null_tol:
+            null = self.eigenvalues <= rel_null_tol * self.lam_max[..., None]
+            self._null_split = ((rel_null_tol, null, np.where(null, np.inf, self.eigenvalues))
+                                if null.any() else (rel_null_tol, None, self.eigenvalues))
+        _, null, denominators = self._null_split
+        if null is None:
+            return denominators, None
+        return denominators, np.where(null, c2, 0.0).sum(-1) > rel_null_tol**2 * c2.sum(-1)
 
     def value(self, v, rel_null_tol: float = DEFAULT_NULL_TOL):
         """Q°(v) as an ExtendedReal; on a stack, v is (N, dn) and the result an
         (N,) array of floats, inf where v leaves the range of that node's form."""
         v = np.asarray(v, dtype=float)
         c2 = (self._coord_map @ v[..., None])[..., 0] ** 2
-        null, off_range = self._null_and_off_range(c2, rel_null_tol)
-        out = (c2 / np.where(null, np.inf, self.eigenvalues)).sum(-1)
-        out = np.where(off_range, np.inf, out)
+        denominators, off_range = self._denominators_and_off_range(c2, rel_null_tol)
+        out = (c2 / denominators).sum(-1)
+        if off_range is not None:
+            out = np.where(off_range, np.inf, out)
         return ExtendedReal(float(out)) if out.ndim == 0 else out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -59,6 +59,12 @@ class QuadratureRule:
     @property
     def count(self) -> int:
         return self.weights.shape[0]
+
+    @cached_property
+    def outermost(self) -> int:
+        """Index of the node farthest from the nodes' mean (the tail check's node)."""
+        center = self.nodes.mean(axis=0)
+        return int(np.argmax(np.linalg.norm(self.nodes - center, axis=1)))
 
 
 @cache
@@ -235,9 +241,7 @@ def _node_values(field: MatrixField, rule: QuadratureRule) -> np.ndarray:
 
 
 def _tail_check(rule: QuadratureRule, terms, total) -> None:
-    center = rule.nodes.mean(axis=0)
-    outer = int(np.argmax(np.linalg.norm(rule.nodes - center, axis=1)))
-    tail = float(np.linalg.norm(np.atleast_1d(terms[outer])))
+    tail = float(np.linalg.norm(np.atleast_1d(terms[rule.outermost])))
     bulk = float(np.linalg.norm(np.atleast_1d(total)))
     if bulk > 0 and tail > TAIL_WARN_REL * bulk:
         warnings.warn(

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from mlcc.cli import run
+from mlcc.cli import _parse_poly_component, run
 
 
 def read_json(path):
@@ -311,3 +311,30 @@ def _write_degenerate_field(tmp_path):
     path = tmp_path / "degenerate.json"
     path.write_text(json.dumps(spec))
     return path
+
+
+class TestPolyExponents:
+    ARGV = ["bl", "--field", "perturbed_gaussian_spd", "--order", "8"]
+
+    @pytest.mark.parametrize("factor", ["x1^-1", "x1^", "x1^2.5", "x2^+2", "x1^2^2"])
+    def test_an_exponent_that_is_not_a_whole_number_is_a_config_error(self, capsys, factor):
+        code = run([*self.ARGV, "--test-fn", f"poly:{factor};x2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert f"factor {factor!r}: the exponent must be a whole number >= 0" in err
+        assert "Traceback" not in err
+
+    def test_whole_exponents_parse(self):
+        assert _parse_poly_component("3*x1^2*x2^0 - x2^10 + x1", 2) == [
+            (3.0, (2, 0)), (-1.0, (0, 10)), (1.0, (1, 0))]
+        assert _parse_poly_component("-y^3", 1) == [(-1.0, (3,))]
+        assert _parse_poly_component("x1*-2+1", 1) == [(-2.0, (1,)), (1.0, (0,))]
+
+    @pytest.mark.parametrize("component,message", [
+        ("2*-x1", "malformed factor '-x1'"),  # once ran as 2 - x1
+        ("x1**2", "term 'x1**2' has an empty factor"),  # once ran as 2*x1
+        ("x1*", "term 'x1*' has an empty factor"),
+    ])
+    def test_a_misplaced_sign_or_product_is_a_config_error(self, capsys, component, message):
+        assert run([*self.ARGV, "--test-fn", f"poly:{component};x2"]) == 2
+        assert message in capsys.readouterr().err

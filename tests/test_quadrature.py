@@ -109,6 +109,22 @@ class TestIntegrateField:
         with pytest.warns(UserWarning):
             integrate_field(f, rule)
 
+    @pytest.mark.filterwarnings("ignore:outermost quadrature node")
+    @pytest.mark.parametrize("params", [
+        {"kind": "gauss_hermite", "order": 12, "m": 2, "center": [0.5, -1.0], "scale": 0.5},
+        {"kind": "uniform_grid", "box": [(-1.2, 0.8), (0.0, 3.0)], "resolution": 9},
+    ])
+    def test_outermost_node_is_found_once_per_rule(self, monkeypatch, params):
+        rule = build_rule(**params)
+        center = rule.nodes.mean(axis=0)
+        outer = int(np.argmax(np.linalg.norm(rule.nodes - center, axis=1)))
+        assert rule.outermost == outer
+        # later integrals read the cached index
+        monkeypatch.setattr(np, "argmax",
+                            lambda *a, **k: pytest.fail("outermost node searched again"))
+        for _ in range(2):
+            integrate_field(builtin_field("gaussian_scalar", {"n": 2}), rule)
+
 
 class TestWeightedMean:
     def test_constant(self, gauss1, gh64):

@@ -1,8 +1,8 @@
 """Reference tests for the shared numerics: the metric pencil, exact jets,
 read-only polynomial coefficients, the central-difference stencil, the
 Prekopa route B matrices, the stacked node axis, the stacked rank-one
-search, the DirichletEvaluator's node cache and the Prekopa check's one
-fiber pass.
+search, the DirichletEvaluator's node cache, the Prekopa check's one
+fiber pass, polynomial evaluation and the polar operator's null split.
 
 The references are the formulas the shared helpers replaced: a dense
 generalized eigensolve against the block-diagonal metric id_n (x) g,
@@ -10,9 +10,11 @@ symbolic differentiation of e^{-q} P, route B evaluated one V0 at a time
 as fiber curvature plus the variance of a vector field, and the quadrature
 passes, the Prekopa fiber pass (gate and Schur margin) and the residual
 checks as loops over the nodes, one point per call, and the Griffiths
-search as a loop over its starts.
+search as a loop over its starts; ``poly_eval`` as the point-major sum of
+term-by-term ``**`` powers it was before it went coefficient-major.
 """
 
+import gc
 from itertools import product
 
 import numpy as np
@@ -62,6 +64,8 @@ from mlcc.curvature import curvature_from_jet
 from mlcc.fields import MatrixField, stack_fields
 from mlcc.inequalities import _schur_margin
 from mlcc.metric import PolarOperator, metric_pencil
+
+from conftest import random_orthogonal
 
 FIXTURES = [
     ("raufi_corrected", {"s": 0.75}),
@@ -439,6 +443,31 @@ class TestStackedPointwise:
             _close(cm.theta_tilde[i], one.theta_tilde)
             one_polar = PolarOperator(QuadraticFormSpec(one.g, -one.theta_tilde))
             _close(values[i], one_polar.value(vs[i]).value)
+
+    @staticmethod
+    def _assert_field_equals_the_per_point_calls(field, xs):
+        values, jet = field.value(xs), field.jet(xs)
+        for i, x in enumerate(xs):
+            one = field.jet(x)
+            np.testing.assert_array_equal(values[i], field.value(x))
+            np.testing.assert_array_equal(jet.value.entries[i], one.value.entries)
+            np.testing.assert_array_equal(jet.d1[i], one.d1)
+            np.testing.assert_array_equal(jet.d2[i], one.d2)
+
+    @pytest.mark.parametrize("jet_mode", ["exact", "finite_difference"])
+    def test_quartic_field_equals_the_per_point_calls(self, jet_mode):
+        # x^4 in the envelope: powers beyond the square are formed by multiplication
+        field = builtin_field("double_well_scalar", jet_mode=jet_mode)
+        self._assert_field_equals_the_per_point_calls(field, _points(41, count=9, radius=0.8))
+
+    @pytest.mark.parametrize("jet_mode", ["exact", "finite_difference"])
+    def test_member_stack_equals_the_per_point_calls(self, jet_mode):
+        fields = [builtin_field("raufi_corrected", {"s": s}, jet_mode=jet_mode)
+                  for s in (0.25, 0.75, 1.0)]
+        stacked = stack_fields(fields, ["s = 0.25", "s = 0.75", "s = 1"])
+        xs = _points(43, count=9, radius=0.2)
+        assert stacked.value(xs).shape == (9, 3, 2, 2)
+        self._assert_field_equals_the_per_point_calls(stacked, xs)
 
 
 def pairwise_sum_list(items):
@@ -1042,3 +1071,130 @@ def test_matrix_roots_are_computed_once_and_read_only():
             a[0, 0, 0] = 1.0
     _close(first[0] @ first[0], m.entries)
     _close(first[0] @ first[1], np.broadcast_to(np.eye(2), (2, 2, 2)))
+
+
+# -- poly_eval against term-by-term powers; the polar operator's null split --------
+
+
+def poly_eval_power_reference(terms, x):
+    """poly_eval as a point-major sum of terms, each ``coeff * x_j ** d_j * ...``."""
+    x = np.asarray(x, dtype=float)
+    lead, n = x.shape[:-1], x.shape[-1]
+    shape = np.asarray(terms[0][0]).shape
+    cols = x.reshape(-1, n).T.copy().reshape((n, -1) + (1,) * len(shape))
+    total = np.zeros(cols.shape[1:2] + shape)
+    for coeff, degs in terms:
+        m = coeff
+        for j, dj in enumerate(degs):
+            if dj:
+                m = m * cols[j] ** dj
+        total = total + m
+    return total.reshape(lead + shape)
+
+
+COEFF_SHAPES = [(), (3,), (2, 2), (4, 2, 2)]
+
+
+def _random_terms(rng, n, shape, max_deg, count=8):
+    return [(rng.standard_normal(shape) if shape else float(rng.standard_normal()),
+             tuple(int(k) for k in rng.integers(0, max_deg + 1, n))) for _ in range(count)]
+
+
+class TestPolyEval:
+    @pytest.mark.parametrize("shape", COEFF_SHAPES)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_degree_two_matches_the_power_reference_bit_for_bit(self, n, shape):
+        rng = np.random.default_rng(n)
+        terms = _random_terms(rng, n, shape, 2) + [(np.ones(shape) if shape else 1.0, (0,) * n)]
+        x = rng.uniform(-3, 3, (40, n))
+        got = poly_eval(terms, x)
+        assert got.shape == (40,) + shape and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, poly_eval_power_reference(terms, x))
+        np.testing.assert_array_equal(poly_eval(terms, x[7]), got[7])
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_a_higher_power_is_within_4_ulp_of_pow(self, k):
+        x = np.random.default_rng(k).uniform(-3, 3, (500, 2))
+        terms = [(1.0, (k, 0)), (1.0, (0, k))]
+        for j in range(2):
+            got = poly_eval(terms[j:j + 1], x)
+            ref = poly_eval_power_reference(terms[j:j + 1], x)
+            assert (np.abs(got - ref) <= 4 * np.finfo(float).eps * np.abs(ref)).all()
+
+    @pytest.mark.parametrize("shape", COEFF_SHAPES)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_degree_six_is_within_4_ulp_of_the_power_reference(self, n, shape):
+        # relative to the sum of the terms' magnitudes, which bounds any cancellation
+        rng = np.random.default_rng(10 + n)
+        terms = _random_terms(rng, n, shape, 6)
+        x = rng.uniform(-2, 2, (40, n))
+        got = poly_eval(terms, x)
+        assert got.shape == (40,) + shape and got.flags.c_contiguous
+        magnitude = poly_eval_power_reference([(np.abs(c), d) for c, d in terms], np.abs(x))
+        ref = poly_eval_power_reference(terms, x)
+        assert (np.abs(got - ref) <= 4 * np.finfo(float).eps * magnitude).all()
+
+    def test_a_huge_exponent_takes_a_few_multiplications(self):
+        x = np.array([[-1.0], [0.0], [0.5], [1.0], [2.0]])
+        for k in (10**12, 10**12 + 1):
+            with np.errstate(over="ignore"):
+                got, ref = poly_eval([(1.0, (k,))], x), x[:, 0] ** k
+            np.testing.assert_array_equal(got, ref)
+
+    def test_leaves_no_reference_cycle(self):
+        # a cycle would keep each call's power cache alive until the next full collection
+        terms = [(np.ones(2), (3, 1)), (np.ones(2), (0, 2))]
+        x = np.random.default_rng(4).uniform(-1, 1, (64, 2))
+        gc.collect()
+        gc.disable()
+        try:
+            poly_eval(terms, x)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_lead_shape_of_points_is_kept(self):
+        terms = [(np.eye(2), (3, 1)), (np.ones((2, 2)), (0, 2))]
+        x = np.random.default_rng(2).uniform(-1, 1, (3, 4, 2))
+        got = poly_eval(terms, x)
+        assert got.shape == (3, 4, 2, 2) and got.flags.c_contiguous
+        np.testing.assert_array_equal(got.reshape(12, 2, 2), poly_eval(terms, x.reshape(12, 2)))
+
+
+def _forms_with_null_nodes(rng, count, dim, null_nodes):
+    """A metric stack and PSD forms of full rank but at ``null_nodes``, which lose one
+    direction outright and another to a relative 1e-7, null under a loose tolerance."""
+    a = rng.standard_normal((count, dim, dim))
+    metric = SpdMatrix(a @ a.swapaxes(1, 2) + dim * np.eye(dim))
+    q = np.stack([random_orthogonal(rng, dim) for _ in range(count)])
+    lam = rng.uniform(1.0, 2.0, (count, dim))
+    lam[null_nodes, 0] = 0.0
+    lam[null_nodes, 1] = 1e-7
+    forms = (q * lam[:, None, :]) @ q.swapaxes(1, 2)
+    return QuadraticFormSpec(metric, metric.entries @ forms @ metric.entries)
+
+
+class TestPolarNullSplit:
+    @pytest.mark.parametrize("null_nodes", [[], [1, 4]])
+    def test_tolerances_in_turn_equal_fresh_operators(self, null_nodes):
+        rng = np.random.default_rng(len(null_nodes))
+        spec = _forms_with_null_nodes(rng, 6, 3, null_nodes)
+        vs = rng.standard_normal((6, 3))
+        # at a null node, v has no part along the exact null direction but one along
+        # the near-null one: finite under the tight tolerance, off range under the loose
+        _, invroot = spec.metric.sqrt_and_invsqrt()
+        _, w = np.linalg.eigh(metric_pencil(invroot, spec.form))
+        for i in null_nodes:
+            vs[i] = invroot[i] @ w[i] @ np.array([0.0, 1.0, 1.0])
+        polar = PolarOperator(spec)
+        got = {}
+        for tol in (1e-10, 1e-5, 1e-10):
+            got[tol] = polar.value(vs, tol)
+            np.testing.assert_array_equal(got[tol], PolarOperator(spec).value(vs, tol))
+            for i in range(6):
+                one = QuadraticFormSpec(SpdMatrix(spec.metric.entries[i]), spec.form[i])
+                np.testing.assert_allclose(got[tol][i], PolarOperator(one).value(vs[i], tol).value,
+                                           rtol=1e-9)
+        assert np.isfinite(got[1e-10]).all()
+        assert np.isinf(got[1e-5][null_nodes]).all()
+        assert np.isfinite(np.delete(got[1e-5], null_nodes)).all()
