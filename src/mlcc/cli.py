@@ -80,8 +80,9 @@ def _parse_poly_component(expr: str, n: int):
     expr = expr.replace(" ", "")
     if not expr:
         raise InputError("empty polynomial component")
-    # a sign right after ^ or * stays in its term: x1*-2 is -2*x1, x1^-1 a bad exponent
-    chunks = re.findall(r"[+-]?(?:[*^][+-]?|[^+-])+", expr)
+    # a sign right after ^ or * stays in its term: x1*-2 is -2*x1, x1^-1 a bad exponent;
+    # so does the sign of an exponent after a digit or a point: 1e-3*x1 is 0.001*x1
+    chunks = re.findall(r"[+-]?(?:[*^][+-]?|(?<=[0-9.])[eE][+-]?|[^+-])+", expr)
     terms = []
     for chunk in chunks:
         sign = 1.0
@@ -148,17 +149,15 @@ def _build_rule(args, m: int):
         return build_rule(
             "gauss_hermite", order=args.order, m=m, center=args.center, scale=args.scale
         )
-    if args.rule == "uniform_grid":
-        if args.box is None:
-            raise InputError("uniform_grid needs --box lo,hi")
-        try:
-            lo, hi = (float(v) for v in args.box.split(","))
-        except ValueError as exc:
-            raise InputError(f"--box must be lo,hi, got {args.box!r}") from exc
-        return build_rule(
-            "uniform_grid", box=[(lo, hi)] * m, resolution=args.resolution
-        )
-    raise InputError(f"unknown rule {args.rule!r}")
+    if args.box is None:
+        raise InputError("uniform_grid needs --box lo,hi")
+    try:
+        lo, hi = (float(v) for v in args.box.split(","))
+    except ValueError as exc:
+        raise InputError(f"--box must be lo,hi, got {args.box!r}") from exc
+    return build_rule(
+        "uniform_grid", box=[(lo, hi)] * m, resolution=args.resolution
+    )
 
 
 # -- report serialization -----------------------------------------------------
@@ -404,14 +403,13 @@ _DISPATCH = {
 
 
 def _field_flags(sub):
-    """The field and its jet (and the seed): every subcommand but report."""
+    """The field and its jet: every subcommand but report."""
     sub.add_argument("--field", choices=BUILTIN_PARAMS)
     sub.add_argument("--field-json", help="path to a polynomial field JSON file")
     sub.add_argument("--param", action="append", metavar="NAME=VALUE")
     sub.add_argument("--jet", choices=["exact", "fd"], default="exact")
     sub.add_argument("--h", type=float, default=1e-4)
     sub.add_argument("--no-richardson", action="store_true")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def _rule_flags(sub):
@@ -450,6 +448,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p = add("griffiths", "rank-one curvature maximization", _field_flags)
     p.add_argument("--point", required=True)
     p.add_argument("--n-starts", type=int, default=32)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol-psd", type=float, default=1e-9)
 
     p = add("scan", "parameter scan of the Nakano verdict", _field_flags)
@@ -519,12 +518,12 @@ def run(argv) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             checks = _DISPATCH[args.command](args, diagnostics)
+        diagnostics.extend(dict.fromkeys(str(w.message) for w in caught))
+        _emit(_config_echo(args), checks, diagnostics, args)
     except (InputError, NotPositiveError, NotPsdError, QuadratureError, BudgetError,
             SymmetryError, FileNotFoundError, json.JSONDecodeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    diagnostics.extend(dict.fromkeys(str(w.message) for w in caught))
-    _emit(_config_echo(args), checks, diagnostics, args)
     return _exit_code(checks)
 
 

@@ -32,6 +32,9 @@ TOL_PSD = 1e-9
 #: Relative asymmetry of the assembled operator beyond which the jet is broken.
 ASYMMETRY_TOL = 1e-6
 
+#: Relative change of a start's value at which the rank-one search stops that start.
+RANK_ONE_STOP_TOL = 1e-10
+
 
 def theta_block(jet: Jet2, j: int, k: int) -> np.ndarray:
     """Curvature block theta_{j,k} = g^{-1}[d2_{kj} g - (d_k g) g^{-1} (d_j g)].
@@ -142,7 +145,6 @@ def griffiths_min_gap(
     n_starts: int = 32,
     max_iter: int = 200,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> float:
     """Best found value of <Theta(y (x) u), y (x) u> over unit rank-one pairs.
 
@@ -151,9 +153,9 @@ def griffiths_min_gap(
     bound on the true rank-one maximum.  The starts run as one stack: each
     step makes one batched eigensolve in u and one in y over the starts that
     are still live, and a start leaves the stack once its value changes by
-    at most ``tol`` relative, or after ``max_iter`` steps.  The result is the
-    largest value over the starts, NaN starts skipped (-inf if none is a
-    number).  ``n_starts`` lies in [8, NODE_BUDGET] and ``seed`` is
+    at most ``RANK_ONE_STOP_TOL`` (1e-10) relative, or after ``max_iter``
+    steps.  The result is the largest value over the starts, NaN starts
+    skipped (-inf if none is a number).  ``n_starts`` lies in [8, NODE_BUDGET] and ``seed`` is
     non-negative; start s draws its y then its u from ``default_rng(seed)``.
     """
     if n_starts < 8:
@@ -187,7 +189,7 @@ def griffiths_min_gap(
         lam_y, w_y = np.linalg.eigh(0.5 * (b + b.swapaxes(1, 2)))
         y[live] = w_y[:, :, -1]
         val = lam_y[:, -1] / np.einsum("sa,ab,sb->s", u, g, u)
-        done = np.abs(val - prev[live]) <= tol * np.maximum(1.0, np.abs(val))
+        done = np.abs(val - prev[live]) <= RANK_ONE_STOP_TOL * np.maximum(1.0, np.abs(val))
         prev[live] = val
         live = live[~done]
     return float(np.fmax.reduce(prev, initial=-np.inf))
@@ -239,16 +241,17 @@ def mixed_block_action(split: BlockSplit, v0: ColumnBlockMatrix) -> ColumnBlockM
     return ColumnBlockMatrix(np.linalg.solve(split.g.entries, weighted.T).T)
 
 
-def schur_gap(split: BlockSplit, v0: ColumnBlockMatrix, rel_null_tol: float = 1e-10):
+def schur_gap(split: BlockSplit, v0: ColumnBlockMatrix):
     """<-Theta_00 V0, V0> minus the polar Q°_11 at Theta_01 V0, at one point.
 
     Nonnegative (up to numerics) when the parent field is N-log-concave;
-    an infinite polar along a degenerate direction yields -inf.
+    an infinite polar along a degenerate direction (null directions judged at
+    ``DEFAULT_NULL_TOL``) yields -inf.
     """
     mixed = mixed_block_action(split, v0).flatten()
     flat0 = v0.flatten()
     lead = -(flat0 @ split.theta00 @ flat0)
-    polar = polar_value(QuadraticFormSpec(split.g, -split.theta11), mixed, rel_null_tol)
+    polar = polar_value(QuadraticFormSpec(split.g, -split.theta11), mixed)
     if polar.is_infinite:
         return ExtendedReal.infinite(-1)
     return ExtendedReal(lead - polar.value)

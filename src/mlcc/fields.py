@@ -329,7 +329,11 @@ _ENTRY = re.compile("a[0-9][0-9]")
 def _spd_from_params(params: dict) -> np.ndarray:
     """``A`` of an SPD-envelope builtin, or Id_d (d = 2) with the entries a11, a12, ..."""
     if params.get("A") is not None:
-        return np.asarray(params["A"], dtype=float)
+        a = np.asarray(params["A"], dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise InputError(f"parameter 'A' must be a square matrix, got {params['A']!r} "
+                             "(give its entries as a11, a12, ...)")
+        return a
     d = _dimension("d", params.get("d", 2))
     a = np.eye(d)
     for key, val in params.items():
@@ -410,6 +414,9 @@ def _term_list(monomials, n: int) -> list:
 
 def _entry_terms(n: int, d: int, entries: dict) -> list:
     """Upper-triangle entry polynomials as (degs, symmetric matrix) pairs."""
+    if not isinstance(entries, dict):
+        raise InputError("field key 'entries' must be an object keyed \"i,j\", got "
+                         f"{type(entries).__name__}")
     terms: dict[tuple[int, ...], np.ndarray] = {}
     for key, monomials in entries.items():
         try:
@@ -447,6 +454,9 @@ def polynomial_field_from_json(path_or_obj, **jet_kwargs) -> MatrixField:
             obj = json.load(fh)
     else:
         obj = path_or_obj
+    if not isinstance(obj, dict):
+        raise InputError("field JSON must be an object with keys n, d and entries, got "
+                         f"{type(obj).__name__}")
     try:
         n, d = _dimension("n", obj["n"]), _dimension("d", obj["d"])
         q = _term_list(obj.get("q", []), n)

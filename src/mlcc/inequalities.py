@@ -23,7 +23,8 @@ from .curvature import (
 )
 from .errors import InputError
 from .fields import Jet2, MatrixField, _step, central_differences, restrict_field
-from .metric import ColumnBlockMatrix, PolarOperator, QuadraticFormSpec, SpdMatrix, metric_pencil
+from .metric import (DEFAULT_NULL_TOL, ColumnBlockMatrix, PolarOperator, QuadraticFormSpec,
+                     SpdMatrix, metric_pencil)
 from .quadrature import (
     DirichletEvaluator,
     QuadratureRule,
@@ -33,6 +34,7 @@ from .quadrature import (
     variance_functional,
 )
 
+#: Largest route_diff and schur_route_diff of a passing Prekopa check.
 ROUTE_TOL = 1e-4
 
 
@@ -55,8 +57,7 @@ def bl_gap(
     field: MatrixField,
     f: VectorFieldFn,
     rule: QuadratureRule,
-    rel_null_tol: float = 1e-10,
-    tol_gap: float | None = None,
+    rel_null_tol: float = DEFAULT_NULL_TOL,
     evaluator: DirichletEvaluator | None = None,
 ) -> CheckReport:
     """Brascamp-Lieb check: weighted variance of F against the Dirichlet energy.
@@ -76,12 +77,11 @@ def bl_gap(
             name="bl_gap",
             status="degenerate",
             metrics={"lhs": lhs, "rhs": rhs.value, "gap": float("inf")},
-            tolerances={"tol_gap": tol_gap if tol_gap is not None else 1e-6,
-                        "rel_null_tol": rel_null_tol},
+            tolerances={"tol_gap": 1e-6, "rel_null_tol": rel_null_tol},
             settings=settings,
         )
     gap = rhs.value - lhs
-    tol = tol_gap if tol_gap is not None else 1e-6 * max(1.0, rhs.value)
+    tol = 1e-6 * max(1.0, rhs.value)
     return CheckReport(
         name="bl_gap",
         status="pass" if gap >= -tol else "fail",
@@ -167,25 +167,23 @@ def bochner_residual(
     )
 
 
-def _marginal_jet(field: MatrixField, t, rule: QuadratureRule, h: float,
-                  richardson: bool = True) -> Jet2:
-    """2-jet of alpha(t) = int g(t, y) dy by central differences in t."""
+def _marginal_jet(field: MatrixField, t, rule: QuadratureRule, h: float) -> Jet2:
+    """2-jet of alpha(t) = int g(t, y) dy by Richardson-extrapolated differences in t."""
     h = _step(h, "the marginal step h (--marginal-h)")
     t = np.atleast_1d(np.asarray(t, dtype=float))
 
     def alpha(ts):
         return np.stack([integrate_field(restrict_field(field, tt), rule).entries for tt in ts])
 
-    a0, d1, d2 = central_differences(alpha, t, h, richardson)
+    a0, d1, d2 = central_differences(alpha, t, h, richardson=True)
     return Jet2(value=SpdMatrix(a0), d1=d1, d2=d2)
 
 
 def marginal_theta_fd(
-    field: MatrixField, t, rule: QuadratureRule, h: float = 1e-3,
-    richardson: bool = True,
+    field: MatrixField, t, rule: QuadratureRule, h: float = 1e-3
 ) -> CurvatureMatrix:
     """Route A: curvature of the marginal by differentiating the integral."""
-    return curvature_from_jet(_marginal_jet(field, t, rule, h, richardson))
+    return curvature_from_jet(_marginal_jet(field, t, rule, h))
 
 
 def theta_alpha_decomposed(
@@ -274,7 +272,6 @@ def prekopa_check(
     rule: QuadratureRule,
     h: float = 1e-3,
     tol_psd: float = 1e-8,
-    tol_route: float = ROUTE_TOL,
 ) -> CheckReport:
     """Certify that the marginal of ``field`` over the last variables is
     N-log-concave at ``t``, with two-route agreement on the quadratic form.
@@ -290,8 +287,9 @@ def prekopa_check(
     failure (all of them on a passing gate), -inf (and the status degenerate)
     when the form is infinite along some direction.  ``schur_route_diff`` is
     |schur_gap - schur_margin| / max(1, |schur_margin|) for schur_gap at the
-    attaining node and its unit eigenvector V0; it is held to ``tol_route``
-    with ``route_diff``, and absent when the margin is -inf.
+    attaining node and its unit eigenvector V0; it is held to ``ROUTE_TOL``
+    (1e-4, reported as ``tol_route``) with ``route_diff``, and absent when the
+    margin is -inf.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape[0] != n0 or not 1 <= n0 < field.n:
@@ -327,12 +325,12 @@ def prekopa_check(
         gap = schur_gap(block_split(_nodes(cm, node), n0), ColumnBlockMatrix.from_flat(v0, cm.d))
         diff = abs(gap.value - schur_margin) / max(1.0, abs(schur_margin))
         metrics["schur_route_diff"] = diff
-        ok = lambda_max_alpha <= tol_psd and max(route_diff, diff) <= tol_route
+        ok = lambda_max_alpha <= tol_psd and max(route_diff, diff) <= ROUTE_TOL
         status = "pass" if ok else "fail"
     return CheckReport(
         name="prekopa_check",
         status=status,
         metrics=metrics,
-        tolerances={"tol_psd": tol_psd, "tol_route": tol_route},
+        tolerances={"tol_psd": tol_psd, "tol_route": ROUTE_TOL},
         settings=settings,
     )

@@ -23,6 +23,14 @@ from .metric import DEFAULT_NULL_TOL, ExtendedReal, PolarOperator, QuadraticForm
 #: Relative size of the outermost integrand summand that triggers a tail warning.
 TAIL_WARN_REL = 1e-12
 
+#: Central-difference step of the derivatives of a callable test function.
+FD_STEP = 1e-5
+
+#: Highest Gauss-Hermite order whose weights are finite and positive: at 371
+#: NumPy's ``hermgauss`` (measured on NumPy 2.4) returns a zero weight and
+#: overflows, and its n x n companion matrix grows as n^2 (74.5 GiB at n = 10^5).
+GH_MAX_ORDER = 370
+
 
 def pairwise_sum(terms):
     """Sum along axis 0 by a fixed pairwise tree.
@@ -92,15 +100,16 @@ def _rule_dimension(m: int) -> int:
 def build_rule(kind: str, **params) -> QuadratureRule:
     """Build a tensor-product rule.
 
-    gauss_hermite: order (>= 2), m, center (scalar or per-axis), scale > 0.
-    uniform_grid: box (pair or list of pairs), resolution (>= 8 unless
-    explicitly small for didactic cases), trapezoid weights.
+    gauss_hermite: order (2 to ``GH_MAX_ORDER`` = 370, checked before any node
+    is computed), m, center (scalar or per-axis), scale > 0.
+    uniform_grid: box (a list of one (lo, hi) pair per axis), resolution
+    (>= 2 points per axis), trapezoid weights.
     """
     if kind == "gauss_hermite":
         order = int(params.get("order", 64))
         m = _rule_dimension(int(params.get("m", 1)))
-        if order < 2:
-            raise InputError("gauss_hermite order must be >= 2")
+        if not 2 <= order <= GH_MAX_ORDER:
+            raise InputError(f"gauss_hermite order must lie in [2, {GH_MAX_ORDER}], got {order}")
         if order**m > NODE_BUDGET:
             raise BudgetError(f"{order}^{m} nodes exceed the budget of {NODE_BUDGET}")
         center = np.broadcast_to(
@@ -115,8 +124,6 @@ def build_rule(kind: str, **params) -> QuadratureRule:
         resolution = int(params["resolution"])
         if resolution < 2:
             raise InputError("resolution must be >= 2")
-        if len(box) and np.isscalar(box[0]):
-            box = [box]
         m = _rule_dimension(len(box))
         if resolution**m > NODE_BUDGET:
             raise BudgetError("grid exceeds the node budget")
@@ -139,18 +146,8 @@ def build_rule(kind: str, **params) -> QuadratureRule:
     return QuadratureRule(m=len(axes), nodes=nodes, weights=weights, kind=kind)
 
 
-def _shaped(out, x: np.ndarray, tail: tuple, what: str) -> np.ndarray:
-    """``out`` as floats, checked to have the shape of x's stack plus ``tail``."""
-    out = np.asarray(out, dtype=float)
-    if out.shape != x.shape[:-1] + tail:
-        raise InputError(f"{what} has shape {out.shape}, want {x.shape[:-1] + tail}")
-    return out
-
-
 def _rowwise(fn):
     """A per-point callable mapped over the rows of a stack of points."""
-    if fn is None:
-        return None
 
     def stacked(x):
         rows = x.reshape(-1, x.shape[-1])
@@ -165,36 +162,38 @@ class VectorFieldFn:
 
     Values are (d,), gradients (d, n), Hessians (d, n, n) at one point,
     shape (n,); a stack of points, shape (N, n), adds a leading axis of
-    length N.  The callables given here take one point and are mapped over
-    the rows of a stack; :meth:`polynomial` evaluates whole stacks.  Missing
-    oracles fall back to central first differences of the value (gradient)
-    or gradient (Hessian).
+    length N.  The value callable given here takes one point and is mapped
+    over the rows of a stack; its gradient and Hessian are central first
+    differences (step ``FD_STEP``) of the value and of the gradient.
+    :meth:`polynomial` evaluates whole stacks, with exact derivatives.
     """
 
-    def __init__(self, n, d, value, grad=None, hess=None, fd_step: float = 1e-5):
+    def __init__(self, n, d, value):
         self.n = int(n)
         self.d = int(d)
         self._value = _rowwise(value)
-        self._grad = _rowwise(grad)
-        self._hess = _rowwise(hess)
-        self._h = float(fd_step)
+        self._grad = self._hess = None
 
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return _shaped(self._value(x), x, (self.d,), "vector field value")
+        out = np.asarray(self._value(x), dtype=float)
+        if out.shape != x.shape[:-1] + (self.d,):
+            raise InputError(f"vector field value has shape {out.shape}, "
+                             f"want {x.shape[:-1] + (self.d,)}")
+        return out
 
     def grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self._grad is not None:
-            return _shaped(self._grad(x), x, (self.d, self.n), "gradient oracle")
-        _, d1, _ = central_differences(self.value, x, self._h, second=False)
+            return self._grad(x)
+        _, d1, _ = central_differences(self.value, x, FD_STEP, second=False)
         return d1.swapaxes(-1, -2)
 
     def hess(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self._hess is not None:
-            return _shaped(self._hess(x), x, (self.d, self.n, self.n), "hessian oracle")
-        _, d1, _ = central_differences(self.grad, x, self._h, second=False)
+            return self._hess(x)
+        _, d1, _ = central_differences(self.grad, x, FD_STEP, second=False)
         out = np.moveaxis(d1, -3, -1)
         return 0.5 * (out + out.swapaxes(-1, -2))
 
@@ -229,7 +228,7 @@ class VectorFieldFn:
             out = poly_eval(hess_terms(), x)
             return out.reshape(out.shape[:-1] + (d, n, n))
 
-        fn = cls(n, d, None)
+        fn = cls(n, d, value)
         fn._value, fn._grad, fn._hess = value, grad, hess  # stack-native, not row-mapped
         return fn
 
@@ -357,11 +356,11 @@ def dirichlet_energy(
     field: MatrixField,
     f: VectorFieldFn,
     rule: QuadratureRule,
-    rel_null_tol: float = DEFAULT_NULL_TOL,
 ) -> ExtendedReal:
-    """int Q°_{id_n (x) g, -Theta}(grad F) dx, infinite on degenerate directions.
+    """int Q°_{id_n (x) g, -Theta}(grad F) dx, infinite on degenerate directions
+    (null directions judged at ``DEFAULT_NULL_TOL``).
 
     One-shot: one curvature stack over the nodes, without the evaluator's
     cache of g and Z, which the energy never reads.
     """
-    return _energy(_polar_over_nodes(field, rule), rule, f, rel_null_tol)
+    return _energy(_polar_over_nodes(field, rule), rule, f, DEFAULT_NULL_TOL)

@@ -1,9 +1,10 @@
 import csv
+import itertools
 import json
 
 import pytest
 
-from mlcc.cli import _parse_poly_component, run
+from mlcc.cli import _DISPATCH, _make_parser, _parse_poly_component, run
 
 
 def read_json(path):
@@ -271,6 +272,14 @@ class TestFlagSurface:
         ["bochner", *RULE_FN, "--tol-psd", "1e-6"],
         ["ipp", *RULE_FN, "--tol-psd", "1e-6"],
         ["report", "--config", "checks.json", "--field", "gaussian_scalar"],
+        # only the rank-one search draws random numbers
+        ["nakano", *POINT, "--seed", "1"],
+        ["scan", *POINT, "--param-range", "s=0:1:0.5", "--seed", "1"],
+        ["schur", *POINT, "--n0", "1", "--seed", "1"],
+        ["bl", *RULE_FN, "--seed", "1"],
+        ["prekopa", "--field", "gaussian_cross_spd", "--t", "0.1", "--n0", "1", "--seed", "1"],
+        ["bochner", *RULE_FN, "--seed", "1"],
+        ["ipp", *RULE_FN, "--seed", "1"],
     ])
     def test_a_flag_the_subcommand_does_not_read_is_rejected(self, capsys, argv):
         assert run(argv) == 2
@@ -283,6 +292,56 @@ class TestFlagSurface:
         assert run(["bl", *self.RULE_FN, "--no-timestamp"]) == 0
         bl = json.loads(capsys.readouterr().out)["config"]
         assert not {"order", "rule"} & set(nakano) and {"order", "rule"} <= set(bl)
+
+
+class _ReadRecorder:
+    """Parsed args that record the name of every attribute read from them."""
+
+    def __init__(self, args):
+        self.__dict__.update(args=args, read=set())
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.args, name)
+
+    def __setattr__(self, name, value):
+        setattr(self.args, name, value)
+
+
+class TestEveryFlagIsRead:
+    """Each subcommand reads every flag its parser declares, over both jet modes and
+    both rule kinds; only --out and --no-timestamp are read by the report writer."""
+
+    POINT = ["--field", "raufi_corrected", "--param", "s=0.75", "--point", "0,0"]
+    SCALAR = ["--field", "gaussian_scalar", "--order", "8"]
+    UNIFORM = ["--rule", "uniform_grid", "--box=-8,8", "--resolution", "33"]
+    CALLS = {
+        "nakano": POINT,
+        "griffiths": POINT + ["--n-starts", "8"],
+        "scan": POINT + ["--param-range", "s=0:1:0.5", "--csv", "{tmp}/scan.csv"],
+        "schur": POINT + ["--n0", "1"],
+        "bl": SCALAR + ["--test-fn", "poly:y^2"],
+        "prekopa": ["--field", "gaussian_cross_spd", "--t", "0.1", "--n0", "1", "--order", "8"],
+        "bochner": SCALAR + ["--test-fn", "poly:y^2"],
+        "ipp": SCALAR + ["--test-fn", "poly:y^2", "--test-fn-g", "poly:y"],
+        "report": ["--config", "{tmp}/checks.json"],
+    }
+
+    @pytest.mark.filterwarnings("ignore:outermost quadrature node")
+    @pytest.mark.parametrize("command", sorted(CALLS))
+    def test_every_declared_flag_is_read(self, tmp_path, command):
+        (tmp_path / "checks.json").write_text('{"checks": []}')
+        argv = [command] + [a.format(tmp=tmp_path) for a in self.CALLS[command]]
+        declared = set(vars(_make_parser().parse_args(argv))) - {"command", "out", "no_timestamp"}
+        jets = [["--jet", "exact"], ["--jet", "fd"]] if "jet" in declared else [[]]
+        rules = [[], self.UNIFORM] if "rule" in declared else [[]]
+        read = set()
+        for jet, rule in itertools.product(jets, rules):
+            recorder = _ReadRecorder(_make_parser().parse_args(argv + jet + rule))
+            # called directly, not through run, whose seed lookup is no read of --seed
+            _DISPATCH[command](recorder, [])
+            read |= recorder.read
+        assert not declared - read, f"{command} never reads {sorted(declared - read)}"
 
 
 class TestTestFunctionComponents:
@@ -329,6 +388,20 @@ class TestPolyExponents:
             (3.0, (2, 0)), (-1.0, (0, 10)), (1.0, (1, 0))]
         assert _parse_poly_component("-y^3", 1) == [(-1.0, (3,))]
         assert _parse_poly_component("x1*-2+1", 1) == [(-2.0, (1,)), (1.0, (0,))]
+
+    @pytest.mark.parametrize("component,terms", [
+        ("1e-3*x1+x2", [(1e-3, (1, 0)), (1.0, (0, 1))]),
+        ("2.5e+1*x1", [(25.0, (1, 0))]),
+        ("1E-2-x1", [(1e-2, (0, 0)), (-1.0, (1, 0))]),
+        (".5e-1*x2", [(0.05, (0, 1))]),
+        ("x2*-1e3", [(-1000.0, (0, 1))]),
+    ])
+    def test_scientific_coefficients_keep_their_exponent_sign(self, component, terms):
+        assert _parse_poly_component(component, 2) == terms
+
+    def test_a_scientific_coefficient_runs_from_the_cli(self, capsys):
+        assert run([*self.ARGV, "--test-fn", "poly:1e-3*x1+x2;x2", "--no-timestamp"]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"][0]["status"] == "pass"
 
     @pytest.mark.parametrize("component,message", [
         ("2*-x1", "malformed factor '-x1'"),  # once ran as 2 - x1

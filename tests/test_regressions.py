@@ -3,7 +3,9 @@ the Prekopa Schur margin over all fibers, warnings and settings in the report, t
 node named by an SPD failure, the node order of tensor rules, rules with no
 variables, the scan's jet settings, underflowing envelopes, the shared CLI parser, the
 budgets and seeds of the rank-one search and the scan, the shape of a report config,
-finite-difference steps, unknown builtin parameters and the scan's error messages."""
+finite-difference steps, unknown builtin parameters and the scan's error messages, the
+library settings no caller set, malformed matrices and field JSON, an unwritable --out
+and the highest Gauss-Hermite order."""
 
 import json
 import re
@@ -27,14 +29,16 @@ from mlcc import (
     build_rule,
     builtin_field,
     curvature_matrix,
+    dirichlet_energy,
     griffiths_min_gap,
     marginal_theta_fd,
     prekopa_check,
+    schur_gap,
 )
 from mlcc.cli import _make_parser, run
 from mlcc.fields import BUILTIN_PARAMS, MatrixField, polynomial_field_from_json
 from mlcc.inequalities import _schur_margin
-from mlcc.quadrature import NODE_BUDGET, _gauss_hermite_axis, _hermgauss
+from mlcc.quadrature import GH_MAX_ORDER, NODE_BUDGET, _gauss_hermite_axis, _hermgauss
 
 
 class TestPrekopaTolPsd:
@@ -297,7 +301,7 @@ class TestSharedParser:
         assert _make_parser.cache_info().misses == 1
         assert shared == fresh
         config = json.loads(shared[1][1].out)["config"]
-        assert config["param"] == ["s=0.75"] and config["seed"] == 0
+        assert config["param"] == ["s=0.75"] and "seed" not in config
         assert "n_starts" not in config
         assert "param" not in json.loads(shared[3][1].out)["config"]
 
@@ -576,3 +580,77 @@ class TestScanErrorsNameTheValue:
         assert code == 2
         assert err.startswith("error: field raufi_corrected at s = 0.1, x = [0. 0.]: curvature "
                               "matrix asymmetry")
+
+
+class TestRemovedSettings:
+    """The library settings no caller set are gone; their defaults are the values applied."""
+
+    @pytest.mark.parametrize("fn,args,keyword", [
+        (bl_gap, 3, "tol_gap"),
+        (prekopa_check, 4, "tol_route"),
+        (griffiths_min_gap, 1, "tol"),
+        (schur_gap, 2, "rel_null_tol"),
+        (dirichlet_energy, 3, "rel_null_tol"),
+        (marginal_theta_fd, 3, "richardson"),
+        (VectorFieldFn, 3, "grad"),
+        (VectorFieldFn, 3, "hess"),
+        (VectorFieldFn, 3, "fd_step"),
+    ])
+    def test_a_removed_keyword_is_a_type_error(self, fn, args, keyword):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            fn(*[None] * args, **{keyword: None})
+
+
+class TestMalformedMatrixInput:
+    @pytest.mark.parametrize("argv", [
+        ["nakano", "--field", "gaussian_times_spd", "--param", "A=2", "--point", "0"],
+        ["nakano", "--field", "gaussian_cross_spd", "--param", "A=2", "--point", "0,0"],
+        ["scan", "--field", "gaussian_times_spd", "--point", "0", "--param-range", "A=0:1:0.5"],
+    ])
+    def test_a_scalar_A_is_a_config_error_naming_the_entries(self, capsys, argv):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: parameter 'A' must be a square matrix, got ")
+        assert "a11, a12, ..." in err
+
+    @pytest.mark.parametrize("spec,message", [
+        ([1], "field JSON must be an object with keys n, d and entries, got list"),
+        ({"n": 1, "d": 1, "entries": [1]}, "field key 'entries' must be an object keyed "
+                                           '"i,j", got list'),
+    ])
+    def test_field_json_of_the_wrong_type_is_a_config_error(self, tmp_path, capsys, spec,
+                                                            message):
+        code = run(["nakano", "--field-json", _write(tmp_path, spec), "--point", "0"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+def test_an_unwritable_out_path_is_a_config_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "report.json"
+    for flag in ("--out", "--csv"):
+        argv = ["scan", "--field", "raufi_corrected", "--point", "0,0", "--param-range",
+                "s=0:1:0.5", flag, str(out_path)]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: [Errno 2] No such file or directory")
+        assert err.count("\n") == 1
+
+
+class TestGaussHermiteOrderLimit:
+    def test_the_highest_order_builds_with_finite_positive_weights(self):
+        rule = build_rule("gauss_hermite", order=GH_MAX_ORDER, m=1)
+        assert rule.count == GH_MAX_ORDER
+        assert np.isfinite(rule.weights).all() and (rule.weights > 0).all()
+
+    @pytest.mark.parametrize("order", [GH_MAX_ORDER + 1, 100000])
+    def test_a_higher_order_is_rejected_before_any_node_is_computed(self, monkeypatch, capsys,
+                                                                   order):
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
+                            lambda n: pytest.fail(f"hermgauss({n}) was called"))
+        with pytest.raises(InputError, match=rf"must lie in \[2, 370\], got {order}"):
+            build_rule("gauss_hermite", order=order, m=1)
+        assert run(["bl", "--field", "gaussian_scalar", "--test-fn", "poly:y",
+                    "--order", str(order)]) == 2
+        assert capsys.readouterr().err == ("error: gauss_hermite order must lie in "
+                                           f"[2, 370], got {order}\n")
