@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import math
 import os
@@ -36,7 +35,7 @@ from .errors import (
     QuadratureError,
     SymmetryError,
 )
-from .fields import BUILTIN_PARAMS, builtin_field, polynomial_field_from_json, stack_fields
+from .fields import BUILTIN_PARAMS, SHAPE_PARAMS, builtin_field, polynomial_field_from_json
 from .inequalities import (
     CheckReport,
     bl_gap,
@@ -49,6 +48,9 @@ from .quadrature import VectorFieldFn, build_rule
 
 #: Most parameter values of a scan in one member stack, to bound its intermediates.
 SCAN_BLOCK = 1024
+
+#: Relative rounding forgiven when a scan counts its whole steps from start to stop.
+SCAN_STEP_TOL = 1e-9
 
 
 # -- parsing helpers -----------------------------------------------------------
@@ -287,17 +289,17 @@ def _cmd_scan(args, diagnostics):
                           f"beyond the budget of {NODE_BUDGET}")
     base = _parse_params(args.param)
     point = _parse_point(args.point)
-    count = int(round(steps)) + 1
+    # whole steps, forgiving rounding: 0:0.3:0.1 is 2.9999999999999996 steps, 0:1:0.6 one
+    count = math.floor(steps + SCAN_STEP_TOL * (1.0 + steps)) + 1
+    # one field, jet, curvature assembly and batched eigensolve per block; a value of n
+    # or d sets the shape, so it is a block of its own
+    block = 1 if name in SHAPE_PARAMS else SCAN_BLOCK
     rows = []
-    for lo in range(0, count, SCAN_BLOCK):
-        chunk = [start + i * step for i in range(lo, min(lo + SCAN_BLOCK, count))]
-        fields = [builtin_field(args.field, {**base, name: v}, **_jet_kwargs(args)) for v in chunk]
-        # one jet, curvature assembly and batched eigensolve per run of equal (n, d)
-        for _, block in itertools.groupby(zip(chunk, fields), lambda vf: (vf[1].n, vf[1].d)):
-            vals, members = zip(*block)
-            field = stack_fields(members, [f"{name} = {v:.15g}" for v in vals])
-            verdict = nakano_verdict(curvature_matrix(field, point), tol_psd=args.tol_psd)
-            rows += zip(vals, verdict.lambda_max, verdict.is_nlogconcave)
+    for lo in range(0, count, block):
+        values = start + np.arange(lo, min(lo + block, count)) * step
+        field = builtin_field(args.field, {**base, name: values}, **_jet_kwargs(args))
+        verdict = nakano_verdict(curvature_matrix(field, point), tol_psd=args.tol_psd)
+        rows += zip(values.tolist(), verdict.lambda_max, verdict.is_nlogconcave)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -168,10 +168,14 @@ def griffiths_min_gap(
     g = cm.g.entries
     # [k, a, j, b] is entry (a, b) of block (j, k), of theta_tilde and of its
     # pencil; the pencil is linear in the block, so the u-step's pencil at any
-    # y is the y-contraction of the one computed here
+    # y is the y-contraction of the one computed here.  Both contractions are
+    # one matrix product: by (y (x) y) with the pencil as P[(j, k), (a, b)], and
+    # by (u (x) u) with theta_tilde as T[(a, b), (j, k)]
     theta4 = cm.theta_tilde.reshape(n, d, n, d)
     _, invroot = cm.g.sqrt_and_invsqrt()
     pencil4 = metric_pencil(invroot, cm.theta_tilde).reshape(n, d, n, d)
+    p_mat = pencil4.transpose(2, 0, 1, 3).reshape(n * n, d * d)
+    t_mat = theta4.transpose(1, 3, 2, 0).reshape(d * d, n * n)
     # row s is start s's y then its u; the u-step overwrites u before it is read
     y = np.random.default_rng(seed).standard_normal((n_starts, n + d))[:, :n]
     y /= np.linalg.norm(y, axis=1, keepdims=True)
@@ -182,13 +186,15 @@ def griffiths_min_gap(
             break
         yl = y[live]
         # u-step: top generalized eigenpair of (sum y_j y_k block_{j,k}, g)
-        _, w = np.linalg.eigh(np.einsum("sj,kajb,sk->sab", yl, pencil4, yl))
+        yy = (yl[:, :, None] * yl[:, None, :]).reshape(-1, n * n)
+        _, w = np.linalg.eigh((yy @ p_mat).reshape(-1, d, d))
         u = w[:, :, -1] @ invroot.T
         # y-step: top eigenpair of the n x n matrix [u^T block_{j,k} u]
-        b = np.einsum("sa,kajb,sb->sjk", u, theta4, u)
+        uu = (u[:, :, None] * u[:, None, :]).reshape(-1, d * d)
+        b = (uu @ t_mat).reshape(-1, n, n)
         lam_y, w_y = np.linalg.eigh(0.5 * (b + b.swapaxes(1, 2)))
         y[live] = w_y[:, :, -1]
-        val = lam_y[:, -1] / np.einsum("sa,ab,sb->s", u, g, u)
+        val = lam_y[:, -1] / ((u @ g) * u).sum(1)
         done = np.abs(val - prev[live]) <= RANK_ONE_STOP_TOL * np.maximum(1.0, np.abs(val))
         prev[live] = val
         live = live[~done]

@@ -11,9 +11,10 @@ path.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -103,6 +104,27 @@ def central_differences(fn, x, h: float, richardson: bool = False, second: bool 
     return value, d1, d2
 
 
+def _coefficient(c, lead: tuple, shape: tuple):
+    """A read-only copy of the coefficient ``c`` of the given ``shape``, behind the member
+    axis ``lead`` (a coefficient without it is repeated); a float if both are empty.  A
+    wrong shape, a non-finite entry or an asymmetric matrix is an InputError."""
+    if not lead + shape:
+        if not math.isfinite(x := float(c)):
+            raise InputError("field coefficients must be finite")
+        return x
+    a, full = np.array(c, dtype=float), lead + shape
+    if a.shape != shape and a.shape != full:
+        raise InputError(f"field coefficient has shape {a.shape}, expected {shape}")
+    if np.count_nonzero(np.isfinite(a)) < a.size:
+        raise InputError("field coefficients must be finite")
+    if shape and np.count_nonzero(a - a.swapaxes(-1, -2)):
+        raise InputError("matrix coefficients must be symmetric")
+    if a.shape != full:
+        a = np.array(np.broadcast_to(a, full))
+    a.setflags(write=False)
+    return a
+
+
 class MatrixField:
     """A map x -> exp(-q(x)) * P(x) into the d x d symmetric matrices.
 
@@ -111,8 +133,13 @@ class MatrixField:
     Positivity is enforced per evaluation: querying a point where the value
     is not positive definite raises :class:`NotPositiveError`.  Jets come
     either from exact differentiation of the closed form or from central
-    finite differences (optionally Richardson extrapolated).  A field from
-    :func:`stack_fields` has a member axis in place of a node axis.
+    finite differences (optionally Richardson extrapolated).
+
+    ``members``, a ``(name, values)`` pair, makes a stacked field: member k is
+    the field at parameter ``name`` = ``values[k]`` (so named in errors), every
+    coefficient has a leading member axis of length ``len(values)`` (one
+    without it is shared by every member), and values and jets carry that
+    axis after any node axis.
     """
 
     def __init__(
@@ -125,6 +152,7 @@ class MatrixField:
         h: float = DEFAULT_FD_STEP,
         richardson: bool = True,
         name: str = "custom",
+        members: tuple | None = None,
     ):
         if n < 1 or d < 1:
             raise InputError("field dimensions must be positive")
@@ -133,20 +161,15 @@ class MatrixField:
         self.n = n
         self.d = d
         self.name = name
-        self.members = None  # the member names of a stacked field
+        self.members = members
         self.jet_mode = jet_mode
         self.h = _step(h, "the finite-difference step h (--h)")
         self.richardson = bool(richardson)
-        self._q = [(float(c), tuple(degs)) for c, degs in q_terms] or [(0.0, (0,) * n)]
-        self._p = []
-        for degs, coeff in list(p_terms) or [((0,) * n, np.zeros((d, d)))]:
-            a = np.array(coeff, dtype=float)
-            if a.shape != (d, d):
-                raise InputError("matrix coefficient has wrong shape")
-            if np.abs(a - a.T).max() > 0.0:
-                raise InputError("matrix coefficients must be symmetric")
-            a.setflags(write=False)
-            self._p.append((a, tuple(degs)))
+        lead = () if members is None else (len(members[1]),)
+        self._q = [(_coefficient(c, lead, ()), tuple(degs))
+                   for c, degs in list(q_terms) or [(0.0, (0,) * n)]]
+        self._p = [(_coefficient(c, lead, (d, d)), tuple(degs))
+                   for degs, c in list(p_terms) or [((0,) * n, np.zeros((d, d)))]]
         if any(len(degs) != n for _, degs in self._q + self._p):
             raise InputError("polynomial degree tuples must have length n")
 
@@ -183,9 +206,9 @@ class MatrixField:
 
     def _where(self, x: np.ndarray, index) -> str:
         """Names the point (and member) at the flat ``index`` of values over ``x``."""
-        k, members = x.ndim - 1, () if self.members is None else (len(self.members),)
+        k, members = x.ndim - 1, () if self.members is None else (len(self.members[1]),)
         i = () if index is None else np.unravel_index(index, x.shape[:k] + members)
-        member = f"{self.members[i[k]]}, " if members else ""
+        member = f"{self.members[0]} = {self.members[1][i[k]]:.15g}, " if members else ""
         return f"field {self.name} at {member}x = {np.array2string(x[i[:k]], precision=6)}"
 
     def _spd(self, x: np.ndarray, q: np.ndarray, values) -> SpdMatrix:
@@ -251,19 +274,6 @@ class MatrixField:
         )
 
 
-def stack_fields(fields, labels) -> MatrixField:
-    """One field whose member k is ``fields[k]``, named ``labels[k]`` in errors: the
-    term lists are stacked by :func:`poly_stack` (zero-filling a monomial a member
-    lacks), and the jet settings are the first member's."""
-    first = fields[0]
-    if any((f.n, f.d) != (first.n, first.d) for f in fields):
-        raise InputError("stacked fields must share n and d")
-    stacked = first._derived(first.n, [], [], first.name)
-    stacked._q, stacked._p = poly_stack([f._q for f in fields]), poly_stack([f._p for f in fields])
-    stacked.members = tuple(labels)
-    return stacked
-
-
 def conjugate_field(field: MatrixField, p) -> MatrixField:
     """Congruence of the field by an orthogonal matrix: x -> P^T g(x) P."""
     p = np.asarray(p, dtype=float)
@@ -293,6 +303,7 @@ def restrict_field(field: MatrixField, t) -> MatrixField:
 #: Fixed perturbation direction used by the perturbed_gaussian_spd fixture.
 PERTURBATION_DIRECTION = np.array([[0.3, 0.1], [0.1, -0.2]])
 _E11, _E22, _E12 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+_ID2 = np.eye(2)
 
 #: The parameters each builtin reads; those taking ``A`` also take its entries a11, a12, ...
 BUILTIN_PARAMS = {
@@ -325,31 +336,61 @@ def _sq_norm_terms(n: int, factor: float) -> list:
 
 _ENTRY = re.compile("a[0-9][0-9]")
 
+#: The parameters that set a builtin's shape; as an array they take one value.
+SHAPE_PARAMS = ("n", "d")
 
-def _spd_from_params(params: dict) -> np.ndarray:
-    """``A`` of an SPD-envelope builtin, or Id_d (d = 2) with the entries a11, a12, ..."""
+
+def _member_axis(params: dict):
+    """``(name, values)`` of the one parameter given as an array (or a list or tuple) of
+    values, or None.
+
+    More than one array, an array that is not 1-D or is empty, or an array of
+    more than one n or d is an InputError (``A`` is a matrix, not an array of values).
+    """
+    arrays = [key for key, val in params.items()
+              if key != "A" and isinstance(val, (np.ndarray, list, tuple))]
+    if not arrays:
+        return None
+    if len(arrays) > 1:
+        raise InputError(f"only one parameter may take an array of values, got {arrays}")
+    key = arrays[0]
+    values = np.array(params[key], dtype=float)
+    if values.ndim != 1 or not values.size:
+        raise InputError(f"parameter {key!r} must be a number or a 1-D array of numbers")
+    if key in SHAPE_PARAMS and values.size > 1:
+        raise InputError(f"{key} sets the field's shape: give one value at a time")
+    return key, values
+
+
+def _spd_from_params(params: dict, lead: tuple) -> np.ndarray:
+    """``A`` of an SPD-envelope builtin, or Id_d (d = 2) with the entries a11, a12, ...
+    (behind the member axis ``lead`` when an entry is an array of values)."""
     if params.get("A") is not None:
         a = np.asarray(params["A"], dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InputError(f"parameter 'A' must be a square matrix, got {params['A']!r} "
+            shown = np.asarray(params["A"]).tolist()
+            raise InputError(f"parameter 'A' must be a square matrix, got {shown!r} "
                              "(give its entries as a11, a12, ...)")
         return a
     d = _dimension("d", params.get("d", 2))
-    a = np.eye(d)
+    a = np.empty(lead + (d, d))
+    a[...] = np.eye(d)
     for key, val in params.items():
         if _ENTRY.fullmatch(key):
             i, j = int(key[1]) - 1, int(key[2]) - 1
             if not (0 <= i < d and 0 <= j < d):
                 raise InputError(f"matrix entry {key!r} out of range for d={d}")
-            a[i, j] = a[j, i] = float(val)
+            a[..., i, j] = a[..., j, i] = val
     return a
 
 
-def _raufi_terms(s: float, corrected: bool) -> list:
+def _raufi_terms(s: np.ndarray, corrected: bool) -> list:
     # g = Id_2 - [[s x1^2 + x2^2, x1 x2], [x1 x2, (2,2) entry]],
-    # with the (2,2) entry s x1^2 + x2^2 as printed, or x1^2 + s x2^2 corrected.
-    sq1, sq2 = (s * _E11 + _E22, _E11 + s * _E22) if corrected else (s * np.eye(2), np.eye(2))
-    return [((0, 0), np.eye(2)), ((2, 0), -sq1), ((0, 2), -sq2), ((1, 1), -_E12)]
+    # with the (2,2) entry s x1^2 + x2^2 as printed, or x1^2 + s x2^2 corrected;
+    # s is a 0-d array or an array of values, each member by the same arithmetic
+    s = s[..., None, None]
+    sq1, sq2 = (s * _E11 + _E22, _E11 + s * _E22) if corrected else (s * _ID2, _ID2)
+    return [((0, 0), _ID2), ((2, 0), -sq1), ((0, 2), -sq2), ((1, 1), -_E12)]
 
 
 def builtin_field(name: str, params: dict | None = None, **jet_kwargs) -> MatrixField:
@@ -358,6 +399,12 @@ def builtin_field(name: str, params: dict | None = None, **jet_kwargs) -> Matrix
     Matrix parameters of the SPD-envelope builtins are passed entrywise as
     ``a11``, ``a12``, ... in the params map (identity by default).  A key the
     builtin does not read (see ``BUILTIN_PARAMS``) is an InputError.
+
+    One parameter may be a 1-D array of values: the result is then one stacked
+    field with a member per value (see :class:`MatrixField`), member k built by
+    the arithmetic of the number ``values[k]``, so its values and jets equal,
+    bit for bit, those of the field built from that number.  An array of n or d
+    holds one value, since they set the shape.
     """
     params = dict(params or {})
     if name not in BUILTIN_PARAMS:
@@ -368,36 +415,43 @@ def builtin_field(name: str, params: dict | None = None, **jet_kwargs) -> Matrix
             takes = ", ".join(accepted + (("a11", "a12", "...") if "A" in accepted else ()))
             raise InputError(f"builtin field {name} has no parameter {key!r} (it takes "
                              f"{takes or 'none'})")
+    members, lead = _member_axis(params), ()
+    if members is not None:
+        key, values = members
+        if key in SHAPE_PARAMS:
+            params[key] = float(values[0])
+        else:
+            params[key], lead = values, values.shape
+    field = partial(MatrixField, name=name, members=members, **jet_kwargs)
+
+    def number(key, default):
+        return np.asarray(params.get(key, default), dtype=float)
+
     if name == "gaussian_scalar":
         n = _dimension("n", params.get("n", 1))
-        return MatrixField(n, 1, _sq_norm_terms(n, 0.5), [((0,) * n, np.eye(1))], name=name,
-                           **jet_kwargs)
+        return field(n, 1, _sq_norm_terms(n, 0.5), [((0,) * n, np.eye(1))])
     if name == "gaussian_times_spd":
         n = _dimension("n", params.get("n", 1))
-        a = _spd_from_params(params)
-        return MatrixField(n, a.shape[0], _sq_norm_terms(n, 1.0), [((0,) * n, a)], name=name,
-                           **jet_kwargs)
+        a = _spd_from_params(params, lead)
+        return field(n, a.shape[-1], _sq_norm_terms(n, 1.0), [((0,) * n, a)])
     if name in ("raufi_printed", "raufi_corrected"):
-        s = float(params.get("s", 0.0))
-        terms = _raufi_terms(s, corrected=(name == "raufi_corrected"))
-        return MatrixField(2, 2, [], terms, name=name, **jet_kwargs)
+        terms = _raufi_terms(number("s", 0.0), corrected=(name == "raufi_corrected"))
+        return field(2, 2, [], terms)
     if name == "gaussian_cross_spd":
         # exp(-(x1^2 + x2^2 + c x1 x2)) * A, non-product in (t, y) for c != 0
-        c = float(params.get("c", 0.5))
-        a = _spd_from_params(params)
-        q = _sq_norm_terms(2, 1.0) + [(c, (1, 1))]
-        return MatrixField(2, a.shape[0], q, [((0, 0), a)], name=name, **jet_kwargs)
+        a = _spd_from_params(params, lead)
+        q = _sq_norm_terms(2, 1.0) + [(number("c", 0.5), (1, 1))]
+        return field(2, a.shape[-1], q, [((0, 0), a)])
     if name == "perturbed_gaussian_spd":
         # exp(-|x|^2) * (Id + eps (x1 + x2) B): integrable, N-log-concave for
         # small eps, with a genuinely nonconstant matrix direction.
-        eps = float(params.get("eps", 0.02))
-        b = PERTURBATION_DIRECTION
-        p = [((0, 0), np.eye(2)), ((1, 0), eps * b), ((0, 1), eps * b)]
-        return MatrixField(2, 2, _sq_norm_terms(2, 1.0), p, name=name, **jet_kwargs)
+        eps_b = number("eps", 0.02)[..., None, None] * PERTURBATION_DIRECTION
+        p = [((0, 0), np.eye(2)), ((1, 0), eps_b), ((0, 1), eps_b)]
+        return field(2, 2, _sq_norm_terms(2, 1.0), p)
     # double_well_scalar, exp(-((x1^2 - 1)^2 + x2^2)): integrable but not
     # log-concave near 0.
     q = [(1.0, (4, 0)), (-2.0, (2, 0)), (1.0, (0, 0)), (1.0, (0, 2))]
-    return MatrixField(2, 1, q, [((0, 0), np.eye(1))], name=name, **jet_kwargs)
+    return field(2, 1, q, [((0, 0), np.eye(1))])
 
 
 def _term_list(monomials, n: int) -> list:

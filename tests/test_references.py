@@ -2,7 +2,8 @@
 read-only polynomial coefficients, the central-difference stencil, the
 Prekopa route B matrices, the stacked node axis, the stacked rank-one
 search, the DirichletEvaluator's node cache, the Prekopa check's one
-fiber pass, polynomial evaluation and the polar operator's null split.
+fiber pass, polynomial evaluation, the polar operator's null split and
+the builtins built from an array of parameter values.
 
 The references are the formulas the shared helpers replaced: a dense
 generalized eigensolve against the block-diagonal metric id_n (x) g,
@@ -11,7 +12,8 @@ as fiber curvature plus the variance of a vector field, and the quadrature
 passes, the Prekopa fiber pass (gate and Schur margin) and the residual
 checks as loops over the nodes, one point per call, and the Griffiths
 search as a loop over its starts; ``poly_eval`` as the point-major sum of
-term-by-term ``**`` powers it was before it went coefficient-major.
+term-by-term ``**`` powers it was before it went coefficient-major; a
+builtin built from an array of values as one build per value.
 """
 
 import gc
@@ -61,7 +63,7 @@ from mlcc import (
 )
 from mlcc._poly import poly_diff, poly_eval, poly_substitute_prefix
 from mlcc.curvature import curvature_from_jet
-from mlcc.fields import MatrixField, stack_fields
+from mlcc.fields import MatrixField
 from mlcc.inequalities import _schur_margin
 from mlcc.metric import PolarOperator, metric_pencil
 
@@ -462,9 +464,8 @@ class TestStackedPointwise:
 
     @pytest.mark.parametrize("jet_mode", ["exact", "finite_difference"])
     def test_member_stack_equals_the_per_point_calls(self, jet_mode):
-        fields = [builtin_field("raufi_corrected", {"s": s}, jet_mode=jet_mode)
-                  for s in (0.25, 0.75, 1.0)]
-        stacked = stack_fields(fields, ["s = 0.25", "s = 0.75", "s = 1"])
+        stacked = builtin_field("raufi_corrected", {"s": np.array([0.25, 0.75, 1.0])},
+                                jet_mode=jet_mode)
         xs = _points(43, count=9, radius=0.2)
         assert stacked.value(xs).shape == (9, 3, 2, 2)
         self._assert_field_equals_the_per_point_calls(stacked, xs)
@@ -894,9 +895,86 @@ class TestStackedScan:
         assert counted == [(1, 2, 2), (1, 3, 3), (1, 4, 4)]
 
     def test_a_stacked_field_is_not_derived_from(self):
-        fields = [builtin_field("raufi_corrected", {"s": s}) for s in (0.0, 1.0)]
+        stacked = builtin_field("raufi_corrected", {"s": np.array([0.0, 1.0])})
         with pytest.raises(InputError, match="evaluated, not derived from"):
-            stack_fields(fields, ["s = 0", "s = 1"]).with_jet_mode("finite_difference")
+            stacked.with_jet_mode("finite_difference")
+
+
+#: Every scannable parameter: builtin, fixed parameters, the parameter and its values
+ARRAY_PARAMETERS = [
+    ("raufi_corrected", {}, "s", [0.0, 0.25, 0.5, 0.75, 1.0]),
+    ("raufi_printed", {}, "s", [0.0, 0.3, 0.55, 1.0]),
+    ("gaussian_cross_spd", {}, "c", [-1.0, -0.25, 0.5, 1.0]),
+    ("perturbed_gaussian_spd", {}, "eps", [0.0, 0.02, 0.25, 0.5]),
+    ("gaussian_times_spd", {}, "a11", [0.5, 1.0, 2.0]),
+    ("gaussian_times_spd", {"n": 2}, "a12", [-0.5, 0.0, 0.3]),
+    ("gaussian_times_spd", {"d": 3}, "a22", [0.5, 1.0, 2.0]),
+    ("gaussian_cross_spd", {}, "a11", [0.5, 1.5, 3.0]),
+    ("gaussian_cross_spd", {"d": 3}, "a12", [-0.4, 0.1, 0.7]),
+    ("gaussian_cross_spd", {}, "a22", [0.25, 1.0, 4.0]),
+]
+
+
+class TestArrayParameter:
+    """A builtin built from an array of values against one build per value."""
+
+    @pytest.mark.parametrize("jet_mode", JET_MODES)
+    @pytest.mark.parametrize("name,base,key,values", ARRAY_PARAMETERS)
+    def test_members_equal_the_per_value_fields(self, name, base, key, values, jet_mode):
+        stacked = builtin_field(name, {**base, key: np.array(values)}, jet_mode=jet_mode)
+        assert stacked.members[0] == key and stacked.members[1].tolist() == values
+        xs = _points(47, count=5, radius=0.3)[:, : stacked.n]
+        got, jet = stacked.value(xs), stacked.jet(xs)
+        assert got.shape == (5, len(values), stacked.d, stacked.d)
+        for k, v in enumerate(values):
+            one = builtin_field(name, {**base, key: v}, jet_mode=jet_mode)
+            ref = one.jet(xs)
+            np.testing.assert_array_equal(got[:, k], one.value(xs))
+            np.testing.assert_array_equal(jet.value.entries[:, k], ref.value.entries)
+            np.testing.assert_array_equal(jet.d1[:, k], ref.d1)
+            np.testing.assert_array_equal(jet.d2[:, k], ref.d2)
+
+    @pytest.mark.parametrize("name,key", [("gaussian_times_spd", "d"), ("gaussian_scalar", "n")])
+    def test_a_shape_parameter_gives_one_member(self, name, key):
+        stacked = builtin_field(name, {key: np.array([3.0])})
+        one = builtin_field(name, {key: 3})
+        assert stacked.members[0] == key and (stacked.n, stacked.d) == (one.n, one.d)
+        x = np.full(one.n, 0.1)
+        np.testing.assert_array_equal(stacked.value(x), one.value(x)[None])
+        with pytest.raises(InputError, match=f"{key} sets the field's shape"):
+            builtin_field(name, {key: np.array([2.0, 3.0])})
+
+    @pytest.mark.parametrize("params,message", [
+        ({"c": np.array([0.1, 0.2]), "a12": np.array([0.0, 0.1])},
+         "only one parameter may take an array of values"),
+        ({"c": np.zeros((2, 2))}, "'c' must be a number or a 1-D array"),
+        ({"c": np.array([])}, "'c' must be a number or a 1-D array"),
+        ({"c": np.array([0.5, np.nan])}, "field coefficients must be finite"),
+        ({"a12": np.array([0.5, np.inf])}, "field coefficients must be finite"),
+    ])
+    def test_malformed_arrays_are_input_errors(self, params, message):
+        with pytest.raises(InputError, match=message):
+            builtin_field("gaussian_cross_spd", params)
+
+    @pytest.mark.parametrize("name,span,point,calls", [
+        ("raufi_corrected", "s=0:1:0.0005", (0.1, 0.2), [1024, 977]),
+        ("raufi_corrected", "s=0:1:0.05", (0.1, 0.2), [21]),
+        # d sets the shape: one call per value
+        ("gaussian_times_spd", "d=2:4:1", (0.1,), [1, 1, 1]),
+    ])
+    def test_one_builtin_field_call_per_block(self, tmp_path, monkeypatch, name, span, point,
+                                              calls):
+        counted = []
+        original = mlcc.cli.builtin_field
+
+        def counting(field, params, **jet):
+            counted.append(np.size(params[span.partition("=")[0]]))
+            return original(field, params, **jet)
+
+        monkeypatch.setattr(mlcc.cli, "builtin_field", counting)
+        monkeypatch.setattr(mlcc.cli, "SCAN_BLOCK", 1024)
+        rows = _scan_rows(tmp_path, name, span, point, "exact")
+        assert counted == calls and len(rows) == sum(calls)
 
 
 class TestStackedNakanoVerdict:

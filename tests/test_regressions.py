@@ -4,8 +4,8 @@ node named by an SPD failure, the node order of tensor rules, rules with no
 variables, the scan's jet settings, underflowing envelopes, the shared CLI parser, the
 budgets and seeds of the rank-one search and the scan, the shape of a report config,
 finite-difference steps, unknown builtin parameters and the scan's error messages, the
-library settings no caller set, malformed matrices and field JSON, an unwritable --out
-and the highest Gauss-Hermite order."""
+library settings no caller set, malformed matrices and field JSON, an unwritable --out,
+the highest Gauss-Hermite order and the last value of a scan."""
 
 import json
 import re
@@ -555,6 +555,16 @@ class TestScanErrorsNameTheValue:
         assert err.startswith("error: field raufi_corrected at s = 0.3, x = [0.66 0.66]: "
                               "matrix is not positive definite")
 
+    @pytest.mark.parametrize("jet", ["exact", "fd"])
+    def test_off_cone_matrix_entry_member(self, capsys, jet):
+        # A = [[1, a12], [a12, 1]] is singular at a12 = 1
+        code = run(["scan", "--field", "gaussian_times_spd", "--point", "0.1",
+                    "--param-range", "a12=0:2:0.5", "--jet", jet])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: field gaussian_times_spd at a12 = 1, x = [0.1]: "
+                              "matrix is not positive definite")
+
     def test_underflowing_member(self, capsys):
         code = run(["scan", "--field", "gaussian_cross_spd", "--point", "20,20",
                     "--param-range", "c=0:1:0.5"])
@@ -654,3 +664,21 @@ class TestGaussHermiteOrderLimit:
                     "--order", str(order)]) == 2
         assert capsys.readouterr().err == ("error: gauss_hermite order must lie in "
                                            f"[2, 370], got {order}\n")
+
+
+class TestScanEndpoint:
+    """A scan counts whole steps: no value lies beyond stop by more than rounding."""
+
+    @pytest.mark.parametrize("span,values", [
+        ("0:1:0.6", [0.0, 0.6]),
+        ("0:1:0.55", [0.0, 0.55]),
+        ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.30000000000000004]),  # 2.9999999999999996 steps
+        ("0.25:0.25:1", [0.25]),
+        ("0:1:0.05", [0.05 * i for i in range(21)]),
+    ])
+    def test_values_stop_at_stop(self, tmp_path, span, values):
+        path = tmp_path / "scan.csv"
+        assert run(["scan", "--field", "raufi_corrected", "--point", "0,0", "--param-range",
+                    f"s={span}", "--csv", str(path), "--no-timestamp"]) == 0
+        got = [float(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
+        assert got == values
