@@ -82,7 +82,10 @@ def poly_stack(polys: list[list[Term]]) -> list[Term]:
     collected: dict[tuple[int, ...], np.ndarray] = {}
     for k, terms in enumerate(polys):
         for coeff, degs in terms:
-            collected.setdefault(degs, np.zeros((len(polys),) + shape))[k] += coeff
+            c = collected.get(degs)
+            if c is None:
+                c = collected[degs] = np.zeros((len(polys),) + shape)
+            c[k] += coeff
     for c in collected.values():
         c.setflags(write=False)
     return [(c, degs) for degs, c in collected.items()]
@@ -111,7 +114,9 @@ def poly_diff(terms: list[Term], j: int) -> list[Term]:
 def poly_substitute_prefix(terms: list[Term], t) -> list[Term]:
     """Freeze the first ``len(t)`` variables at the values ``t``.
 
-    Returns a polynomial in the remaining trailing variables.
+    Returns a polynomial in the remaining trailing variables, without the
+    terms whose collected coefficient is all zeros (0.0, -0.0 or a zero
+    matrix; a NaN coefficient stays).
     """
     n0 = len(t)
     collected: dict[tuple[int, ...], float | np.ndarray] = {}
@@ -122,5 +127,6 @@ def poly_substitute_prefix(terms: list[Term], t) -> list[Term]:
                 c = c * ti**di
         rest = degs[n0:]
         collected[rest] = collected[rest] + c if rest in collected else c
-    out = [(c, degs) for degs, c in collected.items() if np.any(c)]
+    out = [(c, degs) for degs, c in collected.items()
+           if (c.any() if isinstance(c, np.ndarray) else c != 0.0)]
     return _or_zero(out, terms, n0)

@@ -22,6 +22,7 @@ import numpy as np
 from .curvature import (
     block_split,
     curvature_matrix,
+    generalized_spectrum,
     griffiths_min_gap,
     nakano_verdict,
     schur_gap,
@@ -51,6 +52,9 @@ SCAN_BLOCK = 1024
 
 #: Relative rounding forgiven when a scan counts its whole steps from start to stop.
 SCAN_STEP_TOL = 1e-9
+
+#: The tolerance flags' destinations; each must be a finite number.
+TOLERANCES = ("tol_psd", "tol_gap", "tol_res")
 
 
 # -- parsing helpers -----------------------------------------------------------
@@ -291,15 +295,15 @@ def _cmd_scan(args, diagnostics):
     point = _parse_point(args.point)
     # whole steps, forgiving rounding: 0:0.3:0.1 is 2.9999999999999996 steps, 0:1:0.6 one
     count = math.floor(steps + SCAN_STEP_TOL * (1.0 + steps)) + 1
-    # one field, jet, curvature assembly and batched eigensolve per block; a value of n
-    # or d sets the shape, so it is a block of its own
+    # one field, jet, curvature assembly and generalized spectrum per block; a value
+    # of n or d sets the shape, so it is a block of its own
     block = 1 if name in SHAPE_PARAMS else SCAN_BLOCK
     rows = []
     for lo in range(0, count, block):
         values = start + np.arange(lo, min(lo + block, count)) * step
         field = builtin_field(args.field, {**base, name: values}, **_jet_kwargs(args))
-        verdict = nakano_verdict(curvature_matrix(field, point), tol_psd=args.tol_psd)
-        rows += zip(values.tolist(), verdict.lambda_max, verdict.is_nlogconcave)
+        lam_max = generalized_spectrum(curvature_matrix(field, point))[..., -1]
+        rows += zip(values.tolist(), lam_max.tolist(), (lam_max <= args.tol_psd).tolist())
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -321,7 +325,10 @@ def _cmd_schur(args, diagnostics):
     field, cm = _field_and_curvature(args)
     split = block_split(cm, args.n0)
     if args.v0:
-        v0 = ColumnBlockMatrix.from_flat(_parse_point(args.v0), field.d)
+        flat = _parse_point(args.v0)
+        if not np.isfinite(flat).all():
+            raise InputError(f"--v0 must be finite, got {args.v0!r}")
+        v0 = ColumnBlockMatrix.from_flat(flat, field.d)
     else:
         v0 = ColumnBlockMatrix([np.eye(field.d)[0]] * args.n0)
     gap = schur_gap(split, v0)
@@ -385,7 +392,7 @@ def _cmd_report(args, diagnostics):
             sub_args = _make_parser().parse_args(argv)
         except SystemExit:
             raise InputError(f"report entry {i} ({argv[0]!r}): its args do not parse") from None
-        _apply_seed_env(sub_args)
+        _settle(sub_args)
         args.entries.append({"name": argv[0], **_config_echo(sub_args)})
         checks.extend(_DISPATCH[entry["name"]](sub_args, diagnostics))
     return checks
@@ -489,7 +496,14 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_seed_env(args) -> None:
+def _settle(args) -> None:
+    """Check the tolerances and apply MLCC_SEED: a tolerance flag that is not a
+    finite number is an InputError naming the flag; MLCC_SEED sets --seed
+    where the subcommand has one."""
+    for key in TOLERANCES:
+        value = getattr(args, key, 0.0)
+        if not math.isfinite(value):
+            raise InputError(f"--{key.replace('_', '-')} must be a finite number, got {value!r}")
     env = os.environ.get("MLCC_SEED")
     if env is not None and hasattr(args, "seed"):
         try:
@@ -514,7 +528,7 @@ def run(argv) -> int:
         return int(exc.code or 0) and 2
     diagnostics: list[str] = []
     try:
-        _apply_seed_env(args)
+        _settle(args)
         # warnings raised anywhere in the command (quadrature tails, say) are
         # reported in the JSON diagnostics, once per distinct message
         with warnings.catch_warnings(record=True) as caught:

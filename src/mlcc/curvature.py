@@ -89,8 +89,10 @@ def curvature_from_jet(jet: Jet2) -> CurvatureMatrix:
     blocks = jet.d2 - jet.d1[..., :, None, :, :] @ ginv_d1[..., None, :, :, :]
     raw = blocks.swapaxes(-3, -2).reshape(g.shape[:-2] + (n * d, n * d))
     raw_t = raw.swapaxes(-1, -2)
-    asym = np.linalg.norm(raw - raw_t, axis=(-2, -1))
-    scale = np.linalg.norm(raw, axis=(-2, -1))
+    # Frobenius norms per matrix, with np.linalg.norm's arithmetic
+    diff = raw - raw_t
+    asym = np.sqrt(np.add.reduce(diff * diff, axis=(-2, -1)))
+    scale = np.sqrt(np.add.reduce(raw * raw, axis=(-2, -1)))
     bad = (scale > 0.0) & (asym > ASYMMETRY_TOL * scale)
     if bad.any():
         i = _first(bad)

@@ -63,6 +63,23 @@ class SpdMatrix:
     def dim(self) -> int:
         return self.entries.shape[-1]
 
+    def __getitem__(self, index) -> "SpdMatrix":
+        """The matrix at ``index`` of a stack, or the stack a slice of it selects.
+
+        It is validated with the stack, not again, and shares the stack's
+        roots once they are computed (NumPy's batched eigensolvers give each
+        matrix of a stack the bits they give it on its own).
+        """
+        entries = self.entries[index] if self.entries.ndim > 2 else None
+        if entries is None or entries.shape[-2:] != self.entries.shape[-2:]:
+            raise InputError(f"index {index!r} does not select matrices of a stack of shape "
+                             f"{self.entries.shape}")
+        node = object.__new__(SpdMatrix)
+        object.__setattr__(node, "entries", entries)
+        if "_roots" in self.__dict__:
+            node.__dict__["_roots"] = tuple(r[index] for r in self._roots)
+        return node
+
     def sqrt_and_invsqrt(self) -> tuple[np.ndarray, np.ndarray]:
         """Matrix square root and inverse square root via eigendecomposition,
         computed once per instance and returned read-only."""

@@ -8,6 +8,7 @@ depend on evaluation order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
@@ -239,9 +240,15 @@ def _node_values(field: MatrixField, rule: QuadratureRule) -> np.ndarray:
     return field.value(rule.nodes)
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """sqrt(a . a) over every entry: ``np.linalg.norm(a)``'s arithmetic, bit for bit."""
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def _tail_check(rule: QuadratureRule, terms, total) -> None:
-    tail = float(np.linalg.norm(np.atleast_1d(terms[rule.outermost])))
-    bulk = float(np.linalg.norm(np.atleast_1d(total)))
+    tail = _frobenius(terms[rule.outermost])
+    bulk = _frobenius(total)
     if bulk > 0 and tail > TAIL_WARN_REL * bulk:
         warnings.warn(
             "outermost quadrature node still carries relative weight "

@@ -5,7 +5,8 @@ variables, the scan's jet settings, underflowing envelopes, the shared CLI parse
 budgets and seeds of the rank-one search and the scan, the shape of a report config,
 finite-difference steps, unknown builtin parameters and the scan's error messages, the
 library settings no caller set, malformed matrices and field JSON, an unwritable --out,
-the highest Gauss-Hermite order and the last value of a scan."""
+the highest Gauss-Hermite order, the last value of a scan, non-finite tolerances and
+V0, and the scan's one spectrum."""
 
 import json
 import re
@@ -32,6 +33,7 @@ from mlcc import (
     dirichlet_energy,
     griffiths_min_gap,
     marginal_theta_fd,
+    nakano_verdict,
     prekopa_check,
     schur_gap,
 )
@@ -682,3 +684,90 @@ class TestScanEndpoint:
                     f"s={span}", "--csv", str(path), "--no-timestamp"]) == 0
         got = [float(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
         assert got == values
+
+
+class TestNonFiniteTolerances:
+    """A tolerance flag that is not a finite number is a config error naming the flag:
+    it was accepted, and --tol-psd=inf passed every Nakano verdict."""
+
+    POINT = ["--field", "raufi_corrected", "--param", "s=0.2", "--point", "0,0"]
+    RULE = ["--field", "gaussian_scalar", "--order", "8", "--test-fn", "poly:y"]
+    CASES = [
+        (["nakano", *POINT], "--tol-psd"),
+        (["griffiths", *POINT, "--n-starts", "8"], "--tol-psd"),
+        (["scan", "--field", "raufi_corrected", "--point", "0,0", "--param-range", "s=0:1:0.5"],
+         "--tol-psd"),
+        (["prekopa", "--field", "gaussian_cross_spd", "--t", "0.1", "--n0", "1", "--order", "8"],
+         "--tol-psd"),
+        (["schur", *POINT, "--n0", "1"], "--tol-gap"),
+        (["bochner", *RULE], "--tol-res"),
+        (["ipp", *RULE], "--tol-res"),
+    ]
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("argv,flag", CASES, ids=[c[0][0] for c in CASES])
+    def test_is_a_config_error_naming_the_flag(self, capsys, argv, flag, value):
+        assert run(argv + [f"{flag}={value}", "--no-timestamp"]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"error: {flag} must be a finite number, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("tol,code", [("0.7", 0), ("1e-9", 1)])
+    def test_a_finite_tolerance_still_decides(self, capsys, tol, code):
+        # lambda_max = 1 - 2s = 0.6 at the origin
+        assert run(["nakano", *self.POINT, f"--tol-psd={tol}", "--no-timestamp"]) == code
+        assert json.loads(capsys.readouterr().out)["checks"][0]["tolerances"] == {
+            "tol_psd": float(tol)}
+
+    def test_in_a_report_entry(self, tmp_path, capsys):
+        cfg = tmp_path / "checks.json"
+        cfg.write_text(json.dumps({"checks": [
+            {"name": "nakano", "args": self.POINT},
+            {"name": "bochner", "args": self.RULE + ["--tol-res=nan"]},
+        ]}))
+        assert run(["report", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == "error: --tol-res must be a finite number, got nan\n"
+
+
+class TestSchurV0:
+    POINT = ["schur", "--field", "raufi_corrected", "--param", "s=0.75", "--point", "0,0",
+             "--n0", "1", "--no-timestamp"]
+
+    @pytest.mark.parametrize("v0", ["inf,0", "nan,0", "1,-inf"])
+    def test_a_non_finite_v0_is_a_config_error(self, capsys, v0):
+        assert run(self.POINT + ["--v0", v0]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"error: --v0 must be finite, got {v0!r}\n"
+
+    def test_a_finite_v0_gives_the_worked_gap(self, capsys):
+        assert run(self.POINT + ["--v0", "1,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"][0]["metrics"]["gap"] == \
+            pytest.approx(5.0 / 6.0, abs=1e-12)
+
+
+class TestScanReadsOneSpectrum:
+    """The scan takes lambda_max and the verdict from the generalized spectrum alone,
+    with the rows nakano_verdict gives."""
+
+    @pytest.mark.parametrize("jet", ["exact", "fd"])
+    def test_rows_equal_the_nakano_verdict(self, tmp_path, monkeypatch, capsys, jet):
+        monkeypatch.setattr(mlcc.cli, "nakano_verdict",
+                            lambda *a, **k: pytest.fail("the scan called nakano_verdict"))
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a))
+        path = tmp_path / "scan.csv"
+        assert run(["scan", "--field", "raufi_corrected", "--point", "0.1,0.2", "--jet", jet,
+                    "--param-range", "s=0:1:0.05", "--csv", str(path), "--no-timestamp"]) == 0
+        # one block: the SPD check of g (of every stencil point, then of the centre,
+        # with fd jets) and the generalized spectrum, no standard spectrum
+        assert len(solves) == (2 if jet == "exact" else 3)
+        values = 0.05 * np.arange(21)
+        field = builtin_field("raufi_corrected", {"s": values},
+                              **({"jet_mode": "finite_difference"} if jet == "fd" else {}))
+        verdict = nakano_verdict(curvature_matrix(field, np.array([0.1, 0.2])), tol_psd=1e-9)
+        rows = ["param,lambda_max,verdict"] + [
+            f"{v!r},{lam!r},{str(ok).lower()}"
+            for v, lam, ok in zip(values.tolist(), verdict.lambda_max, verdict.is_nlogconcave)]
+        assert path.read_bytes().decode() == "\r\n".join(rows) + "\r\n"
