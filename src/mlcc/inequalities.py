@@ -170,8 +170,7 @@ def _marginal_jet(field: MatrixField, t, rule: QuadratureRule, h: float) -> Jet2
     """2-jet of alpha(t) = int g(t, y) dy by Richardson-extrapolated differences in t."""
     h = _step(h, "the marginal step h (--marginal-h)")
     t = np.atleast_1d(np.asarray(t, dtype=float))
-
-    integrals = []  # in stencil order, the centre first
+    integrals = []  # validated, in stencil order: the centre is the jet's value
 
     def alpha(ts):
         integrals[:] = [integrate_field(restrict_field(field, tt), rule) for tt in ts]
