@@ -7,7 +7,6 @@ Exit codes: 0 all checks pass, 1 any check fails, 2 input/config error,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -305,10 +304,10 @@ def _cmd_scan(args, diagnostics):
         lam_max = generalized_spectrum(curvature_matrix(field, point))[..., -1]
         rows += zip(values.tolist(), lam_max.tolist(), (lam_max <= args.tol_psd).tolist())
     if args.csv:
+        lines = ["param,lambda_max,verdict"]
+        lines += [f"{value!r},{lam!r},{str(ok).lower()}" for value, lam, ok in rows]
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["param", "lambda_max", "verdict"])
-            writer.writerows((value, lam, str(ok).lower()) for value, lam, ok in rows)
+            fh.write("\r\n".join(lines) + "\r\n")
     flips = sum(1 for a, b in zip(rows, rows[1:]) if a[2] != b[2])
     return [
         CheckReport(

@@ -234,19 +234,33 @@ class MatrixField:
 
     def value(self, x) -> np.ndarray:
         """Evaluate at ``x``; raises NotPositiveError off the SPD cone."""
+        return self._value(x).entries
+
+    def _value(self, x) -> SpdMatrix:
+        """The values at ``x`` as one validated SpdMatrix (a stack for a stack of points)."""
         x = self._points(x)
         q = poly_eval(self._q, x)
-        return self._spd(x, q, np.exp(-q)[..., None, None] * poly_eval(self._p, x)).entries
+        return self._spd(x, q, np.exp(-q)[..., None, None] * poly_eval(self._p, x))
 
     # -- jets ----------------------------------------------------------------
 
     def jet(self, x) -> Jet2:
         x = self._points(x)
         if self.jet_mode == "finite_difference":
-            value, d1, d2 = central_differences(self.value, x, self.h, self.richardson)
+            stencil = []
+
+            def values(points):
+                stencil.append(self._value(points))
+                return stencil[0].entries
+
+            _, d1, d2 = central_differences(values, x, self.h, self.richardson)
             if self.members is not None:  # the derivative axes go behind the member axis
                 d1, d2 = d1.swapaxes(-4, -3), np.moveaxis(d2, -3, -5)
-            return Jet2(value=SpdMatrix(value), d1=d1, d2=d2)
+            # the validated stencil holds P points per centre, the centre first: its
+            # value is a node of that stack, not validated again
+            stack = stencil[0]
+            value = stack[:: stack.entries.shape[0] // len(x)] if x.ndim == 2 else stack[0]
+            return Jet2(value=value, d1=d1, d2=d2)
         n = self.n
         q_terms, p_terms, second = self._jet_terms
         q = poly_eval(q_terms, x)[..., None, None]  # (..., K, 1, 1)

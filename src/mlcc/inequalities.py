@@ -28,6 +28,7 @@ from .quadrature import (
     DirichletEvaluator,
     QuadratureRule,
     VectorFieldFn,
+    _integral,
     integrate_field,
     pairwise_sum,
     variance_functional,
@@ -70,23 +71,17 @@ def bl_gap(
         evaluator = DirichletEvaluator(field, rule)
     lhs = variance_functional(field, f, rule, evaluator)
     rhs = evaluator.energy(f, rel_null_tol)
-    settings = {"rule": rule.kind, "nodes": rule.count}
     if rhs.is_infinite:
-        return CheckReport(
-            name="bl_gap",
-            status="degenerate",
-            metrics={"lhs": lhs, "rhs": rhs.value, "gap": float("inf")},
-            tolerances={"tol_gap": 1e-6, "rel_null_tol": rel_null_tol},
-            settings=settings,
-        )
-    gap = rhs.value - lhs
-    tol = 1e-6 * max(1.0, rhs.value)
+        gap, tol, status = float("inf"), 1e-6, "degenerate"
+    else:
+        gap, tol = rhs.value - lhs, 1e-6 * max(1.0, rhs.value)
+        status = "pass" if gap >= -tol else "fail"
     return CheckReport(
         name="bl_gap",
-        status="pass" if gap >= -tol else "fail",
+        status=status,
         metrics={"lhs": lhs, "rhs": rhs.value, "gap": gap},
         tolerances={"tol_gap": tol, "rel_null_tol": rel_null_tol},
-        settings=settings,
+        settings={"rule": rule.kind, "nodes": rule.count},
     )
 
 
@@ -99,10 +94,14 @@ def weighted_laplacian(field: MatrixField, f: VectorFieldFn, x) -> np.ndarray:
     makes the integration-by-parts identity hold (see ipp_residual).
     """
     x = np.asarray(x, dtype=float)
-    jet = field.jet(x)
+    return _laplacian(field.jet(x), f.grad(x), f.hess(x))
+
+
+def _laplacian(jet: Jet2, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """L F from the field's jet and F's gradient and Hessian at the same points."""
     log_d = np.linalg.solve(jet.value.entries[..., None, :, :], jet.d1)  # g^{-1} d_k g
-    first = np.einsum("...kab,...bk->...a", log_d, f.grad(x))
-    return np.einsum("...ljj->...l", f.hess(x)) + first
+    first = np.einsum("...kab,...bk->...a", log_d, grad)
+    return np.einsum("...ljj->...l", hess) + first
 
 
 def _node_form(u, g, v) -> np.ndarray:
@@ -119,9 +118,13 @@ def ipp_residual(
 ) -> CheckReport:
     """Integration by parts: int <LF, G>_g = -int <grad F, grad G>_{id (x) g}."""
     x, w = rule.nodes, rule.weights
-    gv = field.value(x)
-    lhs = float(pairwise_sum(w * _node_form(weighted_laplacian(field, f, x), gv, g_fn.value(x))))
-    grad_pair = np.einsum("nlk,nlm,nmk->n", f.grad(x), gv, g_fn.grad(x))
+    jet = field.jet(x)
+    gv = jet.value.entries
+    _integral(rule, gv)  # the gate on the weight: Z positive definite, the tail checked
+    f_grad = f.grad(x)
+    lf = _laplacian(jet, f_grad, f.hess(x))
+    lhs = float(pairwise_sum(w * _node_form(lf, gv, g_fn.value(x))))
+    grad_pair = np.einsum("nlk,nlm,nmk->n", f_grad, gv, g_fn.grad(x))
     rhs = float(pairwise_sum(-w * grad_pair))
     residual = abs(lhs - rhs)
     tol = tol_res * max(1.0, abs(lhs), abs(rhs))
@@ -142,11 +145,13 @@ def bochner_residual(
 ) -> CheckReport:
     """Bochner identity: int ||L Psi||_g^2 equals curvature plus Hessian terms."""
     x, w = rule.nodes, rule.weights
-    cm = curvature_matrix(field, x)
-    gv = cm.g.entries
-    lf = weighted_laplacian(field, psi, x)
-    v = psi.grad(x).swapaxes(-1, -2).reshape(rule.count, -1)  # flatten (j, l) -> j*d + l
-    h = psi.hess(x)  # (N, d, n, n)
+    jet = field.jet(x)
+    gv = jet.value.entries
+    _integral(rule, gv)  # the gate on the weight: Z positive definite, the tail checked
+    cm = curvature_matrix(field, x, jet)
+    grad, h = psi.grad(x), psi.hess(x)  # (N, d, n), (N, d, n, n)
+    lf = _laplacian(jet, grad, h)
+    v = grad.swapaxes(-1, -2).reshape(rule.count, -1)  # flatten (j, l) -> j*d + l
     lhs = float(pairwise_sum(w * _node_form(lf, gv, lf)))
     term_curv = float(pairwise_sum(-w * _node_form(v, cm.theta_tilde, v)))
     term_hess = float(pairwise_sum(w * np.einsum("nljk,nlm,nmjk->n", h, gv, h)))

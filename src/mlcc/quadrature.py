@@ -258,7 +258,12 @@ def _tail_check(rule: QuadratureRule, terms, total) -> None:
 
 
 def _integral(rule: QuadratureRule, values: np.ndarray) -> SpdMatrix:
-    """sum_i w_i values_i, validated positive definite, with the tail check."""
+    """sum_i w_i values_i, validated positive definite, with the tail check.
+
+    The one path of every integral of g over a rule, and so the gate on the
+    weight of every quadrature check.  A weighted sum of exactly symmetric
+    matrices is exactly symmetric, so the result's entries are the sum's bits.
+    """
     terms = rule.weights[:, None, None] * values
     total = pairwise_sum(terms)
     _tail_check(rule, terms, total)
@@ -286,11 +291,9 @@ def weighted_mean(field: MatrixField, f: VectorFieldFn, rule: QuadratureRule) ->
 
 def _weighted_values(field: MatrixField, rule: QuadratureRule):
     """g at the rule's nodes and Z = sum_i w_i g(node_i), both read-only (g as
-    ``field.value`` returns it)."""
+    ``field.value`` returns it), Z checked by ``_integral``."""
     g = _node_values(field, rule)
-    z = pairwise_sum(rule.weights[:, None, None] * g)
-    z.setflags(write=False)
-    return g, z
+    return g, _integral(rule, g).entries
 
 
 def variance_functional(
@@ -323,7 +326,8 @@ class DirichletEvaluator:
     """The node cache of one field and rule, reusable across test functions.
 
     Built once: g at every node (``g``, by ``field.value``) and its integral
-    ``z`` = sum_i w_i g(node_i), both read-only, for ``variance_functional``;
+    ``z`` = sum_i w_i g(node_i), both read-only, for ``variance_functional``
+    (``z`` from ``_integral``: not positive definite, a QuadratureError);
     and the polar operators of -Theta, from one curvature stack over the
     nodes, for :meth:`energy`.  A node off the SPD cone raises
     NotPositiveError, one where -Theta is indefinite NotPsdError.

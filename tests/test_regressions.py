@@ -760,9 +760,9 @@ class TestScanReadsOneSpectrum:
         path = tmp_path / "scan.csv"
         assert run(["scan", "--field", "raufi_corrected", "--point", "0.1,0.2", "--jet", jet,
                     "--param-range", "s=0:1:0.05", "--csv", str(path), "--no-timestamp"]) == 0
-        # one block: the SPD check of g (of every stencil point, then of the centre,
-        # with fd jets) and the generalized spectrum, no standard spectrum
-        assert len(solves) == (2 if jet == "exact" else 3)
+        # one block: the SPD check of g (of every stencil point with fd jets, the
+        # centres among them) and the generalized spectrum, no standard spectrum
+        assert len(solves) == 2
         values = 0.05 * np.arange(21)
         field = builtin_field("raufi_corrected", {"s": values},
                               **({"jet_mode": "finite_difference"} if jet == "fd" else {}))
