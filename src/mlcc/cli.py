@@ -224,15 +224,11 @@ def _field_and_curvature(args):
 
 
 def _field_rule_and_test_fns(args, *specs):
-    """The field, the rule over its n variables and one test function per spec, each
-    with the field's d components (bl, bochner, ipp)."""
+    """The field, the rule over its n variables and one test function per spec
+    (bl, bochner, ipp); the checks reject one without the field's d components."""
     field = _build_field(args)
     rule = _build_rule(args, field.n)
-    fns = [_parse_test_fn(spec, field.n) for spec in specs]
-    for f in fns:
-        if f.d != field.d:
-            raise InputError(f"test function has {f.d} components but the field needs {field.d}")
-    return field, rule, fns
+    return field, rule, [_parse_test_fn(spec, field.n) for spec in specs]
 
 
 def _cmd_nakano(args, diagnostics):

@@ -28,7 +28,9 @@ from .quadrature import (
     DirichletEvaluator,
     QuadratureRule,
     VectorFieldFn,
+    _check_test_fns,
     _integral,
+    _spd_integral,
     integrate_field,
     pairwise_sum,
     variance_functional,
@@ -67,6 +69,7 @@ def bl_gap(
     be built on this very field and rule (else an InputError); without one,
     the check builds its own.  ``rel_null_tol`` applies either way.
     """
+    _check_test_fns(field, f)
     if evaluator is None:
         evaluator = DirichletEvaluator(field, rule)
     lhs = variance_functional(field, f, rule, evaluator)
@@ -117,6 +120,7 @@ def ipp_residual(
     tol_res: float = 1e-6,
 ) -> CheckReport:
     """Integration by parts: int <LF, G>_g = -int <grad F, grad G>_{id (x) g}."""
+    _check_test_fns(field, f, g_fn)
     x, w = rule.nodes, rule.weights
     jet = field.jet(x)
     gv = jet.value.entries
@@ -144,6 +148,7 @@ def bochner_residual(
     tol_res: float = 1e-6,
 ) -> CheckReport:
     """Bochner identity: int ||L Psi||_g^2 equals curvature plus Hessian terms."""
+    _check_test_fns(field, psi)
     x, w = rule.nodes, rule.weights
     jet = field.jet(x)
     gv = jet.value.entries
@@ -204,7 +209,7 @@ def theta_alpha_decomposed(
 
     ``fiber`` is the jet and curvature stack of the field over the fiber
     nodes (t, y_i), as ``prekopa_check``'s gate made them; without it they
-    are made here.
+    are made here.  int g not positive definite is a QuadratureError.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     n0, d = t.shape[0], field.d
@@ -220,7 +225,7 @@ def theta_alpha_decomposed(
     sums = np.split(pairwise_sum(rule.weights[:, None] * flat),
                     np.cumsum([a[0].size for a in stacks[:-1]]))
     term_curv00, mean_d, z, sq = (s.reshape(a.shape[1:]) for s, a in zip(sums, stacks))
-    term_var = sq - mean_d.T @ np.linalg.solve(z, mean_d)
+    term_var = sq - mean_d.T @ np.linalg.solve(_spd_integral(z).entries, mean_d)
     return term_curv00 + term_var, term_curv00, term_var
 
 

@@ -292,7 +292,10 @@ class PolarOperator:
         """Q°(v) as an ExtendedReal; on a stack, v is (N, dn) and the result an
         (N,) array of floats, inf where v leaves the range of that node's form."""
         v = np.asarray(v, dtype=float)
-        c2 = (self._coord_map @ v[..., None])[..., 0] ** 2
+        # an einsum, not a stacked @ (~2-3x slower on tiny matrices); on a node
+        # stack the subscripts are spelt out, which einsum runs faster than "..."
+        stack = "nij,nj->ni" if v.ndim == 2 and self._coord_map.ndim == 3 else "...ij,...j->...i"
+        c2 = np.einsum(stack, self._coord_map, v) ** 2
         denominators, off_range = self._denominators_and_off_range(c2, rel_null_tol)
         out = (c2 / denominators).sum(-1)
         if off_range is not None:

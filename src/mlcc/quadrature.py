@@ -9,6 +9,7 @@ depend on evaluation order.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
@@ -175,8 +176,15 @@ class VectorFieldFn:
         self._value = _rowwise(value)
         self._grad = self._hess = None
 
-    def value(self, x) -> np.ndarray:
+    def _points(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.n,):
+            raise InputError(f"points of shape {x.shape} do not have the test function's "
+                             f"n = {self.n} coordinates")
+        return x
+
+    def value(self, x) -> np.ndarray:
+        x = self._points(x)
         out = np.asarray(self._value(x), dtype=float)
         if out.shape != x.shape[:-1] + (self.d,):
             raise InputError(f"vector field value has shape {out.shape}, "
@@ -184,14 +192,14 @@ class VectorFieldFn:
         return out
 
     def grad(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = self._points(x)
         if self._grad is not None:
             return self._grad(x)
         _, d1, _ = central_differences(self.value, x, FD_STEP, second=False)
         return d1.swapaxes(-1, -2)
 
     def hess(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = self._points(x)
         if self._hess is not None:
             return self._hess(x)
         _, d1, _ = central_differences(self.grad, x, FD_STEP, second=False)
@@ -246,6 +254,16 @@ def _frobenius(a: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
+def _caller_stacklevel() -> int:
+    """The ``warnings.warn`` stacklevel, for a warning issued by this function's
+    caller, of the first frame outside the mlcc package (counted frame by frame:
+    ``skip_file_prefixes`` needs Python 3.12)."""
+    frame, level = sys._getframe(2), 2
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == "mlcc":
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _tail_check(rule: QuadratureRule, terms, total) -> None:
     tail = _frobenius(terms[rule.outermost])
     bulk = _frobenius(total)
@@ -253,20 +271,12 @@ def _tail_check(rule: QuadratureRule, terms, total) -> None:
         warnings.warn(
             "outermost quadrature node still carries relative weight "
             f"{tail / bulk:.2e}; the rule may not cover the integrand's support",
-            stacklevel=4,
+            stacklevel=_caller_stacklevel(),
         )
 
 
-def _integral(rule: QuadratureRule, values: np.ndarray) -> SpdMatrix:
-    """sum_i w_i values_i, validated positive definite, with the tail check.
-
-    The one path of every integral of g over a rule, and so the gate on the
-    weight of every quadrature check.  A weighted sum of exactly symmetric
-    matrices is exactly symmetric, so the result's entries are the sum's bits.
-    """
-    terms = rule.weights[:, None, None] * values
-    total = pairwise_sum(terms)
-    _tail_check(rule, terms, total)
+def _spd_integral(total: np.ndarray) -> SpdMatrix:
+    """An integral of g, validated positive definite (else a QuadratureError)."""
     try:
         return SpdMatrix(total)
     except Exception as exc:
@@ -276,6 +286,43 @@ def _integral(rule: QuadratureRule, values: np.ndarray) -> SpdMatrix:
         ) from exc
 
 
+def _integral(rule: QuadratureRule, values: np.ndarray) -> SpdMatrix:
+    """sum_i w_i values_i, validated positive definite, with the tail check.
+
+    The path of every integral of g over a rule but route B's fused sums,
+    which share its check (``_spd_integral``), and so the gate on the weight
+    of every quadrature check.  A weighted sum of exactly symmetric
+    matrices is exactly symmetric, so the result's entries are the sum's bits.
+    """
+    terms = rule.weights[:, None, None] * values
+    total = pairwise_sum(terms)
+    _tail_check(rule, terms, total)
+    return _spd_integral(total)
+
+
+def _check_test_fns(field: MatrixField, *fns: VectorFieldFn) -> None:
+    """Each test function maps the field's n variables to its d components, else
+    an InputError (before any node is evaluated)."""
+    for f in fns:
+        if f.n != field.n:
+            raise InputError(f"test function takes {f.n} variables but the field has {field.n}")
+        if f.d != field.d:
+            raise InputError(f"test function has {f.d} components but the field needs {field.d}")
+
+
+def _moments(g: np.ndarray, val: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """sum_i w_i g_i F_i and sum_i w_i F_i . g_i F_i, from one pairwise tree.
+
+    g F is an einsum over the node stack (a stacked ``@`` costs ~3x more on
+    2 x 2 matrices); the tree adds column by column, so the two sums carry
+    the bits of two separate trees.
+    """
+    gf = np.einsum("nab,nb->na", g, val)
+    cols = np.concatenate([gf, np.sum(val * gf, axis=-1)[:, None]], axis=1)
+    sums = pairwise_sum(w[:, None] * cols)
+    return sums[:-1], float(sums[-1])
+
+
 def integrate_field(field: MatrixField, rule: QuadratureRule) -> SpdMatrix:
     """sum_i w_i g(node_i), validated positive definite."""
     return _integral(rule, _node_values(field, rule))
@@ -283,10 +330,11 @@ def integrate_field(field: MatrixField, rule: QuadratureRule) -> SpdMatrix:
 
 def weighted_mean(field: MatrixField, f: VectorFieldFn, rule: QuadratureRule) -> np.ndarray:
     """Z^{-1} * sum_i w_i g(node_i) F(node_i)."""
+    _check_test_fns(field, f)
     g = _node_values(field, rule)
     z = _integral(rule, g)
-    gf = (g @ f.value(rule.nodes)[..., None])[..., 0]
-    return np.linalg.solve(z.entries, pairwise_sum(rule.weights[:, None] * gf))
+    mean, _ = _moments(g, f.value(rule.nodes), rule.weights)
+    return np.linalg.solve(z.entries, mean)
 
 
 def _weighted_values(field: MatrixField, rule: QuadratureRule):
@@ -307,6 +355,7 @@ def variance_functional(
     With an ``evaluator`` (built on this very field and rule, else an
     InputError), g and Z come from its node cache and only F is evaluated.
     """
+    _check_test_fns(field, f)
     if evaluator is None:
         g, z = _weighted_values(field, rule)
     elif evaluator.field is not field or evaluator.rule is not rule:
@@ -314,11 +363,7 @@ def variance_functional(
                          "build one on the field and rule of the check")
     else:
         g, z = evaluator.g, evaluator.z
-    w = rule.weights
-    val = f.value(rule.nodes)
-    gf = (g @ val[..., None])[..., 0]
-    mean = pairwise_sum(w[:, None] * gf)
-    second = float(pairwise_sum(w * np.sum(val * gf, axis=-1)))
+    mean, second = _moments(g, f.value(rule.nodes), rule.weights)
     return second - float(mean @ np.linalg.solve(z, mean))
 
 
@@ -342,6 +387,7 @@ class DirichletEvaluator:
     def energy(self, f: VectorFieldFn, rel_null_tol: float = DEFAULT_NULL_TOL) -> ExtendedReal:
         """int Q°(grad F); infinite when grad F leaves the range of -Theta at any
         node, null directions judged relative to ``rel_null_tol``."""
+        _check_test_fns(self.field, f)
         return _energy(self._polar, self.rule, f, rel_null_tol)
 
 
@@ -374,4 +420,5 @@ def dirichlet_energy(
     One-shot: one curvature stack over the nodes, without the evaluator's
     cache of g and Z, which the energy never reads.
     """
+    _check_test_fns(field, f)
     return _energy(_polar_over_nodes(field, rule), rule, f, DEFAULT_NULL_TOL)

@@ -13,6 +13,7 @@ import pytest
 from mlcc import (
     BudgetError,
     ColumnBlockMatrix,
+    DirichletEvaluator,
     InputError,
     MatrixField,
     QuadraticFormSpec,
@@ -20,15 +21,20 @@ from mlcc import (
     QuadratureRule,
     SpdMatrix,
     VectorFieldFn,
+    bl_gap,
+    bochner_residual,
     build_rule,
     builtin_field,
     conjugate_field,
     dirichlet_energy,
     g_adjoint,
     integrate_field,
+    ipp_residual,
     pairwise_sum,
     polynomial_field_from_json,
     theta_alpha_decomposed,
+    variance_functional,
+    weighted_mean,
 )
 from mlcc.cli import run
 
@@ -179,3 +185,66 @@ def test_library_error(case):
     call, error, message = LIBRARY_ERRORS[case]
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+@pytest.mark.filterwarnings("ignore:outermost quadrature node")
+class TestTestFunctionShape:
+    """A test function must take the field's n coordinates and have its d
+    components; on ``perturbed_gaussian_spd`` (n = d = 2) at GH 8^2 a wrong one
+    gave a silent variance, a passing ipp check or a raw NumPy ValueError.
+    Each check rejects it before any node work."""
+
+    FIELD = builtin_field("perturbed_gaussian_spd")
+    RULE = build_rule("gauss_hermite", order=8, m=2)
+    GOOD = VectorFieldFn.polynomial(2, [[(1.0, (1, 0))], [(1.0, (0, 1))]])
+    ONE_VARIABLE = VectorFieldFn.polynomial(1, [[(1.0, (1,))], [(1.0, (2,))]])
+    THREE_COMPONENTS = VectorFieldFn.polynomial(2, [[(1.0, (1, 0))], [(1.0, (0, 1))],
+                                                    [(1.0, (1, 1))]])
+    WRONG_D = "test function has 3 components but the field needs 2"
+    WRONG_N = "test function takes 1 variables but the field has 2"
+
+    @pytest.fixture(scope="class")
+    def ev(self):
+        return DirichletEvaluator(self.FIELD, self.RULE)
+
+    def _entry_points(self, ev, f):
+        field, rule, good = self.FIELD, self.RULE, self.GOOD
+        return {
+            "bl_gap": lambda: bl_gap(field, f, rule),
+            "bl_gap_with_evaluator": lambda: bl_gap(field, f, rule, evaluator=ev),
+            "variance_functional": lambda: variance_functional(field, f, rule),
+            "variance_functional_with_evaluator": lambda: variance_functional(field, f, rule, ev),
+            "energy": lambda: ev.energy(f),
+            "dirichlet_energy": lambda: dirichlet_energy(field, f, rule),
+            "weighted_mean": lambda: weighted_mean(field, f, rule),
+            "ipp_residual_f": lambda: ipp_residual(field, f, good, rule),
+            "ipp_residual_g": lambda: ipp_residual(field, good, f, rule),
+            "bochner_residual": lambda: bochner_residual(field, f, rule),
+        }
+
+    ENTRY_POINTS = ["bl_gap", "bl_gap_with_evaluator", "variance_functional",
+                    "variance_functional_with_evaluator", "energy", "dirichlet_energy",
+                    "weighted_mean", "ipp_residual_f", "ipp_residual_g", "bochner_residual"]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_a_wrong_component_count_is_an_input_error(self, ev, entry):
+        with pytest.raises(InputError, match=re.escape(self.WRONG_D)):
+            self._entry_points(ev, self.THREE_COMPONENTS)[entry]()
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_a_wrong_variable_count_is_an_input_error(self, ev, entry, monkeypatch):
+        monkeypatch.setattr(MatrixField, "jet", None)  # no node work before the error
+        monkeypatch.setattr(MatrixField, "value", None)
+        with pytest.raises(InputError, match=re.escape(self.WRONG_N)):
+            self._entry_points(ev, self.ONE_VARIABLE)[entry]()
+
+    @pytest.mark.parametrize("method", ["value", "grad", "hess"])
+    @pytest.mark.parametrize("kind", ["polynomial", "callable"])
+    def test_points_with_the_wrong_last_axis(self, method, kind):
+        f = (VectorFieldFn.polynomial(2, [[(1.0, (1, 1))]]) if kind == "polynomial"
+             else VectorFieldFn(2, 1, lambda x: [x[0] * x[1]]))
+        for x, shape in ((np.zeros((5, 3)), "(5, 3)"), (np.zeros(1), "(1,)"),
+                         (np.float64(0.5), "()")):
+            with pytest.raises(InputError, match=re.escape(
+                    f"points of shape {shape} do not have the test function's n = 2 coordinates")):
+                getattr(f, method)(x)

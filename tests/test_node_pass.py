@@ -20,6 +20,7 @@ import pytest
 import mlcc.inequalities
 from mlcc import (
     DirichletEvaluator,
+    MatrixField,
     QuadratureError,
     SpdMatrix,
     VectorFieldFn,
@@ -28,13 +29,16 @@ from mlcc import (
     build_rule,
     builtin_field,
     curvature_matrix,
+    integrate_field,
     ipp_residual,
     pairwise_sum,
+    prekopa_check,
+    theta_alpha_decomposed,
     variance_functional,
     weighted_laplacian,
 )
 from mlcc.cli import run
-from mlcc.fields import MatrixField, polynomial_field_from_json
+from mlcc.fields import polynomial_field_from_json
 from mlcc.inequalities import _node_form
 
 pytestmark = pytest.mark.filterwarnings("ignore:outermost quadrature node")
@@ -180,6 +184,41 @@ class TestOneIntegralPath:
                       lambda: variance_functional(field, f, rule)):
             with pytest.warns(UserWarning, match=r"relative weight 1\.23e-01"):
                 check()
+
+
+def _tail_calls():
+    """Each path to the tail check, on item 1's under-resolved Gaussian (the
+    Prekopa check on its n = 2 version, whose route A integrates over y)."""
+    field = builtin_field("gaussian_scalar", {"n": 1})
+    rule = build_rule("gauss_hermite", order=8, m=1, scale=0.3)
+    f = VectorFieldFn.polynomial(1, [[(1.0, (2,))]])
+    plane = builtin_field("gaussian_scalar", {"n": 2})
+    return {
+        "evaluator": lambda: DirichletEvaluator(field, rule),
+        "bl_gap": lambda: bl_gap(field, f, rule),
+        "integrate_field": lambda: integrate_field(field, rule),
+        "ipp_residual": lambda: ipp_residual(field, f, f, rule),
+        "prekopa_route_a": lambda: prekopa_check(plane, [0.1], 1, rule),
+    }
+
+
+@pytest.mark.parametrize("path", sorted(_tail_calls()))
+def test_the_tail_warning_names_its_caller(path):
+    """The warning points at the first frame outside mlcc, however deep the
+    library path to the tail check is."""
+    with pytest.warns(UserWarning, match="outermost quadrature node") as caught:
+        _tail_calls()[path]()
+    assert {w.filename for w in caught} == {__file__}
+
+
+def test_route_b_validates_its_integral():
+    """Route B sums Z with its other integrals; Z underflowing to 0 is the same
+    QuadratureError as on every other path, not a raw LinAlgError."""
+    field = MatrixField(2, 1, [(744.0, (0, 0)), (0.5, (2, 0)), (0.5, (0, 2))],
+                        [((0, 0), np.eye(1))])
+    with pytest.raises(QuadratureError, match="integrated field is not positive definite; "
+                       "the rule is too coarse or the field is not integrable"):
+        theta_alpha_decomposed(field, [0.0], build_rule("gauss_hermite", **UNDERFLOWING_RULE))
 
 
 class TestUnderflowingWeight:

@@ -81,12 +81,12 @@ class TestPrekopaCounts:
         counts.clear()
         assert prekopa_check(field, [t], 1, rule).status == "pass"
         # eigvalsh: the fiber stack's validation, the gate's spectrum, the 5 node stacks
-        # and 5 integrals of route A, and the marginal's spectrum
-        assert counts["eigvalsh"] == 13
+        # and 5 integrals of route A, route B's integral and the marginal's spectrum
+        assert counts["eigvalsh"] == 14
         # eigh: the fiber's and the marginal's roots, the polar operator and the pencil
         # of the Schur margin, and the polar operator of its second route
         assert counts["eigh"] == 5
-        assert counts["SpdMatrix"] == 11
+        assert counts["SpdMatrix"] == 12
         assert counts["restrict_field"] == 5
         assert counts["np.any"] == 0
 
