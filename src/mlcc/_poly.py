@@ -75,8 +75,8 @@ def poly_stack(polys: list[list[Term]]) -> list[Term]:
     Its coefficients have a new leading axis, entry k holding polynomial k's
     coefficient of that monomial, so its value at a point is the stack
     ``[poly_eval(p, x) for p in polys]`` along the axis after the points'
-    (equal up to rounding: like monomials are collected).  Every polynomial
-    needs at least one term.
+    (bit for bit for the first polynomial if it is collected, see ``poly_collect``;
+    up to rounding otherwise).  Every polynomial needs at least one term.
     """
     shape = np.asarray(polys[0][0][0]).shape
     collected: dict[tuple[int, ...], np.ndarray] = {}
@@ -101,32 +101,38 @@ def _or_zero(out: list[Term], terms: list[Term], dropped: int = 0) -> list[Term]
 
 def poly_diff(terms: list[Term], j: int) -> list[Term]:
     """Partial derivative with respect to variable ``j``."""
-    out = []
-    for coeff, degs in terms:
-        dj = degs[j]
-        if dj == 0:
-            continue
-        newdegs = degs[:j] + (dj - 1,) + degs[j + 1 :]
-        out.append((coeff * dj, newdegs))
+    out = [(coeff * degs[j], degs[:j] + (degs[j] - 1,) + degs[j + 1 :])
+           for coeff, degs in terms if degs[j]]
     return _or_zero(out, terms)
+
+
+def poly_collect(terms: list[Term]) -> list[Term]:
+    """One term per monomial, in the order of first occurrence; repeats are summed from the
+    left, with no zero start (a lone coefficient stays the same object, a sum is read-only)."""
+    collected: dict[tuple[int, ...], float | np.ndarray] = {}
+    for coeff, degs in terms:
+        if degs in collected:
+            coeff = collected[degs] + coeff
+            if isinstance(coeff, np.ndarray):
+                coeff.setflags(write=False)
+        collected[degs] = coeff
+    return [(c, degs) for degs, c in collected.items()]
 
 
 def poly_substitute_prefix(terms: list[Term], t) -> list[Term]:
     """Freeze the first ``len(t)`` variables at the values ``t``.
 
-    Returns a polynomial in the remaining trailing variables, without the
-    terms whose collected coefficient is all zeros (0.0, -0.0 or a zero
-    matrix; a NaN coefficient stays).
+    Returns a polynomial in the remaining trailing variables, collected (see
+    ``poly_collect``), without the terms whose coefficient is all zeros (0.0, -0.0 or a
+    zero matrix; a NaN coefficient stays).
     """
     n0 = len(t)
-    collected: dict[tuple[int, ...], float | np.ndarray] = {}
+    out = []
     for coeff, degs in terms:
-        c = coeff
         for ti, di in zip(t, degs[:n0]):
             if di:
-                c = c * ti**di
-        rest = degs[n0:]
-        collected[rest] = collected[rest] + c if rest in collected else c
-    out = [(c, degs) for degs, c in collected.items()
+                coeff = coeff * ti**di
+        out.append((coeff, degs[n0:]))
+    out = [(c, degs) for c, degs in poly_collect(out)
            if (c.any() if isinstance(c, np.ndarray) else c != 0.0)]
     return _or_zero(out, terms, n0)

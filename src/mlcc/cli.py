@@ -387,6 +387,9 @@ def _cmd_report(args, diagnostics):
             sub_args = _make_parser().parse_args(argv)
         except SystemExit:
             raise InputError(f"report entry {i} ({argv[0]!r}): its args do not parse") from None
+        if sub_args.out is not None or sub_args.no_timestamp:
+            flag = "--out" if sub_args.out is not None else "--no-timestamp"
+            raise InputError(f"report entry {i} ({argv[0]!r}): {flag} is the report's own flag")
         _settle(sub_args)
         args.entries.append({"name": argv[0], **_config_echo(sub_args)})
         checks.extend(_DISPATCH[entry["name"]](sub_args, diagnostics))

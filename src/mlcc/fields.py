@@ -18,7 +18,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from ._poly import poly_diff, poly_eval, poly_stack, poly_substitute_prefix
+from ._poly import poly_collect, poly_diff, poly_eval, poly_stack, poly_substitute_prefix
 from .errors import InputError, NotPositiveError
 from .metric import SpdMatrix
 
@@ -129,7 +129,8 @@ class MatrixField:
     """A map x -> exp(-q(x)) * P(x) into the d x d symmetric matrices.
 
     q and P are term lists of :mod:`mlcc._poly` (P with read-only matrix
-    coefficients); ``p_terms`` are given as ``(degs, matrix)`` pairs.
+    coefficients); ``p_terms`` are given as ``(degs, matrix)`` pairs.  Both are collected
+    here, once (``poly_collect``), so values and jets read g by one formula.
     Positivity is enforced per evaluation: querying a point where the value
     is not positive definite raises :class:`NotPositiveError`.  Jets come
     either from exact differentiation of the closed form or from central
@@ -166,10 +167,10 @@ class MatrixField:
         self.h = _step(h, "the finite-difference step h (--h)")
         self.richardson = bool(richardson)
         lead = () if members is None else (len(members[1]),)
-        self._q = [(_coefficient(c, lead, ()), tuple(degs))
-                   for c, degs in list(q_terms) or [(0.0, (0,) * n)]]
-        self._p = [(_coefficient(c, lead, (d, d)), tuple(degs))
-                   for degs, c in list(p_terms) or [((0,) * n, np.zeros((d, d)))]]
+        self._q = poly_collect([(_coefficient(c, lead, ()), tuple(degs))
+                                for c, degs in list(q_terms) or [(0.0, (0,) * n)]])
+        self._p = poly_collect([(_coefficient(c, lead, (d, d)), tuple(degs))
+                                for degs, c in list(p_terms) or [((0,) * n, np.zeros((d, d)))]])
         if any(len(degs) != n for _, degs in self._q + self._p):
             raise InputError("polynomial degree tuples must have length n")
 
@@ -202,6 +203,8 @@ class MatrixField:
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.n or not np.isfinite(x).all():
             raise InputError(f"expected a finite point in R^{self.n} or a stack of them")
+        if not x.size:
+            raise InputError(f"expected at least one point in R^{self.n}, got an empty stack")
         return x
 
     def _where(self, x: np.ndarray, index) -> str:
@@ -295,10 +298,8 @@ def conjugate_field(field: MatrixField, p) -> MatrixField:
         raise InputError("conjugating matrix has wrong shape")
     if np.abs(p.T @ p - np.eye(field.d)).max() > 1e-12:
         raise InputError("conjugating matrix is not orthogonal")
-    terms = []
-    for coeff, degs in field._p:
-        rotated = p.T @ coeff @ p
-        terms.append((0.5 * (rotated + rotated.T), degs))
+    rotated = [(p.T @ coeff @ p, degs) for coeff, degs in field._p]
+    terms = [(0.5 * (r + r.T), degs) for r, degs in rotated]
     return field._derived(field.n, field._q, terms, f"{field.name}~")
 
 
@@ -468,24 +469,21 @@ def builtin_field(name: str, params: dict | None = None, **jet_kwargs) -> Matrix
     return field(2, 1, q, [((0, 0), np.eye(1))])
 
 
-def _term_list(monomials, n: int) -> list:
+def _term_list(monomials) -> list:
     """A JSON list of ``[coeff, [deg_1, ..., deg_n]]`` as a (coeff, degs) term list."""
     try:
-        terms = [(float(c), tuple(int(t) for t in degs)) for c, degs in monomials]
+        return [(float(c), tuple(int(t) for t in degs)) for c, degs in monomials]
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed monomial list {monomials!r}") from exc
-    for _, degs in terms:
-        if len(degs) != n:
-            raise InputError(f"degree tuple {degs} has wrong length")
-    return terms
 
 
-def _entry_terms(n: int, d: int, entries: dict) -> list:
-    """Upper-triangle entry polynomials as (degs, symmetric matrix) pairs."""
+def _entry_terms(d: int, entries: dict) -> list:
+    """Upper-triangle entry polynomials as (degs, coeff (E_ij + E_ji)) pairs (E_ii on the
+    diagonal), one per monomial: the field collects them."""
     if not isinstance(entries, dict):
         raise InputError("field key 'entries' must be an object keyed \"i,j\", got "
                          f"{type(entries).__name__}")
-    terms: dict[tuple[int, ...], np.ndarray] = {}
+    terms = []
     for key, monomials in entries.items():
         try:
             i_s, j_s = key.split(",")
@@ -494,12 +492,10 @@ def _entry_terms(n: int, d: int, entries: dict) -> list:
             raise InputError(f"malformed entry key {key!r}") from exc
         if not (0 <= i <= j < d):
             raise InputError(f"entry key {key!r} out of range (need i <= j <= d)")
-        for coeff, degs in _term_list(monomials, n):
-            base = terms.setdefault(degs, np.zeros((d, d)))
-            base[i, j] += coeff
-            if i != j:
-                base[j, i] += coeff
-    return list(terms.items())
+        e = np.zeros((d, d))
+        e[i, j] = e[j, i] = 1.0
+        terms += [(degs, coeff * e) for coeff, degs in _term_list(monomials)]
+    return terms
 
 
 def polynomial_field(n: int, d: int, entries: dict, **jet_kwargs) -> MatrixField:
@@ -508,7 +504,7 @@ def polynomial_field(n: int, d: int, entries: dict, **jet_kwargs) -> MatrixField
     ``entries`` maps "i,j" (1-based, i <= j) to a list of
     ``[coeff, [deg_1, ..., deg_n]]`` monomials.
     """
-    return MatrixField(n, d, [], _entry_terms(n, d, entries), name="polynomial", **jet_kwargs)
+    return MatrixField(n, d, [], _entry_terms(d, entries), name="polynomial", **jet_kwargs)
 
 
 def polynomial_field_from_json(path_or_obj, **jet_kwargs) -> MatrixField:
@@ -527,8 +523,8 @@ def polynomial_field_from_json(path_or_obj, **jet_kwargs) -> MatrixField:
                          f"{type(obj).__name__}")
     try:
         n, d = _dimension("n", obj["n"]), _dimension("d", obj["d"])
-        q = _term_list(obj.get("q", []), n)
-        return MatrixField(n, d, q, _entry_terms(n, d, obj["entries"]), name="polynomial",
+        q = _term_list(obj.get("q", []))
+        return MatrixField(n, d, q, _entry_terms(d, obj["entries"]), name="polynomial",
                            **jet_kwargs)
     except KeyError as exc:
         raise InputError(f"field JSON is missing key {exc}") from exc

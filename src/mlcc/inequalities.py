@@ -109,7 +109,7 @@ def _laplacian(jet: Jet2, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
 
 def _node_form(u, g, v) -> np.ndarray:
     """u_i . g_i v_i at every node i of stacks u, v (N, d) and g (N, d, d)."""
-    return (u[:, None, :] @ g @ v[:, :, None])[:, 0, 0]
+    return np.einsum("na,nab,nb->n", u, g, v)
 
 
 def ipp_residual(

@@ -99,6 +99,12 @@ FIELD_JSON_ERRORS = {
     "malformed_entry_key": ({"n": 1, "d": 1, "entries": {"1;1": [[1.0, [0]]]}},
                             "malformed entry key '1;1'"),
     "missing_entries": ({"n": 1, "d": 1}, "field JSON is missing key 'entries'"),
+    # the field checks every degree tuple, from JSON or not, once
+    "q_degrees_of_the_wrong_length": ({"n": 1, "d": 1, "q": [[0.5, [2, 0]]],
+                                       "entries": {"1,1": [[1.0, [0]]]}},
+                                      "polynomial degree tuples must have length n"),
+    "entry_degrees_of_the_wrong_length": ({"n": 1, "d": 1, "entries": {"1,1": [[1.0, []]]}},
+                                          "polynomial degree tuples must have length n"),
 }
 
 
@@ -177,6 +183,19 @@ LIBRARY_ERRORS = {
     "conjugating_shape": (lambda: conjugate_field(builtin_field("perturbed_gaussian_spd"),
                                                   np.eye(3)),
                           InputError, "conjugating matrix has wrong shape"),
+    # an empty stack of points failed inside SpdMatrix with NumPy's bare ValueError
+    "empty_stack_value": (lambda: builtin_field("perturbed_gaussian_spd").value(np.empty((0, 2))),
+                          InputError, "expected at least one point in R^2, got an empty stack"),
+    "empty_stack_exact_jet": (lambda: builtin_field("perturbed_gaussian_spd").jet(
+                                  np.empty((0, 2))),
+                              InputError, "expected at least one point in R^2, got an empty stack"),
+    "empty_stack_fd_jet": (lambda: builtin_field("gaussian_scalar", jet_mode="finite_difference")
+                           .jet(np.empty((0, 1))),
+                           InputError, "expected at least one point in R^1, got an empty stack"),
+    "empty_stack_member_value": (lambda: builtin_field("raufi_corrected", {"s": [0.5, 0.75]})
+                                 .value(np.empty((0, 2))),
+                                 InputError, "expected at least one point in R^2, got an empty "
+                                 "stack"),
 }
 
 

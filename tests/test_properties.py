@@ -1,5 +1,6 @@
 """Property tests (hypothesis): the Prekopa check on the cross Gaussian family,
-and the rank-one search against the Nakano spectrum on random polynomial fields.
+the rank-one search against the Nakano spectrum on random polynomial fields, and
+one formula for g on those fields with their terms written as repeated monomials.
 
 For g = exp(-(t^2 + y^2 + c t y)) A the marginal is N-log-concave for |c| < 2,
 and the Schur form is (2 - c^2/2) id (x) g at every fiber node.  Every rank-one
@@ -67,3 +68,24 @@ def test_rank_one_maximum_is_at_most_the_nakano_maximum(n, d, seed):
     if n == 1 or d == 1:
         # every direction is rank-one
         assert rank_one == pytest.approx(lam, rel=1e-8, abs=1e-8)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), d=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2**32 - 1), jet_mode=st.sampled_from(["exact", "finite_difference"]))
+def test_value_and_jet_value_are_one_formula_with_repeated_terms(n, d, seed, jet_mode):
+    """Each term of the random field written as two or three monomials, shuffled: the
+    field collects them once, so its value and its jet's value agree bit for bit."""
+    rng = np.random.default_rng(seed)
+    field = _random_polynomial_field(rng, n, d)
+
+    def repeated(terms):
+        pieces = [(c * w, degs) for c, degs in terms
+                  for w in rng.dirichlet(np.ones(rng.integers(2, 4)))]
+        return [pieces[i] for i in rng.permutation(len(pieces))]
+
+    split = MatrixField(n, d, repeated(field._q), [(degs, c) for c, degs in repeated(field._p)],
+                        jet_mode=jet_mode)
+    for x in (rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, (64, n))):
+        value, jet_value = split.value(x), split.jet(x).value.entries
+        assert value.shape == jet_value.shape and value.tobytes() == jet_value.tobytes()

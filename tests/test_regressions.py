@@ -361,6 +361,25 @@ class TestReportEntries:
         assert out == ""
         assert f"error: report entry {index} ({entry['name']!r}): its args do not parse" in err
 
+    @pytest.mark.parametrize("flag,extra", [
+        ("--out", ["--out", "entry.json"]),
+        ("--out", ["--ou", "entry.json"]),  # argparse's prefix match of --out
+        ("--no-timestamp", ["--no-timestamp"]),
+    ])
+    def test_report_output_flags_in_an_entry_are_a_config_error(self, tmp_path, capsys,
+                                                               monkeypatch, flag, extra):
+        """--out and --no-timestamp belong to the report; an entry's parsed and was dropped."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "checks.json"
+        good = {"name": "nakano", "args": ["--field", "gaussian_scalar", "--point", "0"]}
+        entry = {"name": "nakano", "args": good["args"] + extra}
+        cfg.write_text(json.dumps({"checks": [good, entry]}))
+        assert run(["report", "--config", str(cfg), "--no-timestamp"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert f"error: report entry 1 ('nakano'): {flag} is the report's own flag" in err
+        assert not (tmp_path / "entry.json").exists()
+
     def test_report_inside_a_report_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "checks.json"
         cfg.write_text(json.dumps({"checks": [{"name": "report",
