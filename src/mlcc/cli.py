@@ -7,7 +7,9 @@ Exit codes: 0 all checks pass, 1 any check fails, 2 input/config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import math
 import os
@@ -365,6 +367,21 @@ def _cmd_ipp(args, diagnostics):
     return [ipp_residual(field, f, g_fn, rule, tol_res=args.tol_res)]
 
 
+def _parse_entry(argv: list, i: int):
+    """Report entry ``i``'s argv through the shared parser.  What argparse prints
+    (usage, help) is held back: an entry that does not parse is one InputError
+    that ends with argparse's own reason."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            return _make_parser().parse_args(argv)
+    except SystemExit as exc:
+        last = printed.getvalue().rstrip().rpartition("\n")[2]
+        reason = last.partition(": error: ")[2] if exc.code else "they ask for --help"
+        raise InputError(f"report entry {i} ({argv[0]!r}): its args do not parse: "
+                         f"{reason}") from None
+
+
 def _cmd_report(args, diagnostics):
     with open(args.config) as fh:
         cfg = json.load(fh)
@@ -383,10 +400,7 @@ def _cmd_report(args, diagnostics):
         argv = [entry["name"]] + extra
         if argv[0] == "report":
             raise InputError(f"report entry {i} is itself a report")
-        try:
-            sub_args = _make_parser().parse_args(argv)
-        except SystemExit:
-            raise InputError(f"report entry {i} ({argv[0]!r}): its args do not parse") from None
+        sub_args = _parse_entry(argv, i)
         if sub_args.out is not None or sub_args.no_timestamp:
             flag = "--out" if sub_args.out is not None else "--no-timestamp"
             raise InputError(f"report entry {i} ({argv[0]!r}): {flag} is the report's own flag")

@@ -243,6 +243,18 @@ def g_adjoint(g: SpdMatrix, a) -> np.ndarray:
     return np.linalg.solve(g.entries, a.T @ g.entries)
 
 
+def _sum_rows(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ..., added in index order.
+
+    NumPy's ``sum`` adds 8 or more contiguous terms pairwise but strided ones in
+    order, so its bits would depend on the memory layout; this order does not.
+    """
+    out = terms[0]
+    for term in terms[1:]:
+        out = out + term
+    return out
+
+
 class PolarOperator:
     """Precomputed spectral data for evaluating a polar quadratic form.
 
@@ -250,6 +262,19 @@ class PolarOperator:
     metric square root; null directions are detected relative to the largest
     eigenvalue.  Reusable across many evaluation vectors.  Built on a stack of
     forms, it evaluates one vector per form, and checks each form.
+
+    On a stack of N forms of dimension dn, :meth:`value` keeps the node axis
+    last: the eigencoordinate map as contiguous (dn, dn, N) rows and the
+    eigenvalues as (dn, N) rows, so NumPy's inner loops run over the N nodes
+    rather than over an eigen axis of a few entries (the einsum runs 3-4x
+    faster on 2304 4 x 4 forms).  The first stacked :meth:`value` builds
+    them, so a stack that evaluates no vector (the Prekopa fiber's) never
+    pays for them; from then on ``_coord_map`` (N, dn, dn) and
+    ``eigenvalues`` (N, dn) are node-first views of them.  One form needs no
+    rows: it adds the same products in the same order as the stack's einsum
+    does at each node, and every sum over the eigen axis runs in index order
+    (``_sum_rows``), so its value carries the bits it has as a node of a
+    stack.
     """
 
     def __init__(self, spec: QuadraticFormSpec):
@@ -272,6 +297,21 @@ class PolarOperator:
         self._coord_map = (wt @ root).reshape(w.shape)
         self._null_split = (None, None, None)  # (rel_null_tol, null flags, denominators)
 
+    @cached_property
+    def _coord_rows(self) -> np.ndarray:
+        """A stack's eigencoordinate map, node axis last: (dn, dn, N), contiguous.
+
+        The eigenvalues move to contiguous (dn, N) rows with it, and
+        ``_coord_map`` and ``eigenvalues`` become node-first views of the two.
+        """
+        rows = np.ascontiguousarray(np.moveaxis(self._coord_map, 0, -1))
+        eigen_rows = np.ascontiguousarray(self.eigenvalues.T)
+        for a in (rows, eigen_rows):
+            a.setflags(write=False)
+        self._coord_map, self.eigenvalues = np.moveaxis(rows, -1, 0), eigen_rows.T
+        self._null_split = (None, None, None)  # rebuilt from the rows, so it is laid out as they are
+        return rows
+
     def _denominators_and_off_range(self, c2, rel_null_tol: float = DEFAULT_NULL_TOL):
         """The eigenvalues with inf in place of the null ones, and whether vectors with
         squared eigencoordinates ``c2`` (eigen axis last) leave the range: their null
@@ -286,18 +326,22 @@ class PolarOperator:
         _, null, denominators = self._null_split
         if null is None:
             return denominators, None
-        return denominators, np.where(null, c2, 0.0).sum(-1) > rel_null_tol**2 * c2.sum(-1)
+        null_part, norm = (_sum_rows(np.moveaxis(a, -1, 0)) for a in (np.where(null, c2, 0.0), c2))
+        return denominators, null_part > rel_null_tol**2 * norm
 
     def value(self, v, rel_null_tol: float = DEFAULT_NULL_TOL):
         """Q°(v) as an ExtendedReal; on a stack, v is (N, dn) and the result an
         (N,) array of floats, inf where v leaves the range of that node's form."""
         v = np.asarray(v, dtype=float)
-        # an einsum, not a stacked @ (~2-3x slower on tiny matrices); on a node
-        # stack the subscripts are spelt out, which einsum runs faster than "..."
-        stack = "nij,nj->ni" if v.ndim == 2 and self._coord_map.ndim == 3 else "...ij,...j->...i"
-        c2 = np.einsum(stack, self._coord_map, v) ** 2
+        if self._coord_map.ndim == 2:
+            # one form: column by column, the products added in index order, as the
+            # stack's einsum adds them at each node
+            c = _sum_rows((self._coord_map.T * v[..., None]).swapaxes(0, -2))
+        else:
+            c = np.einsum("ijn,jn->in", self._coord_rows, v.T if v.ndim == 2 else v[:, None]).T
+        c2 = c**2  # eigen axis last; on a stack, a node-first view of (dn, N) rows
         denominators, off_range = self._denominators_and_off_range(c2, rel_null_tol)
-        out = (c2 / denominators).sum(-1)
+        out = _sum_rows((c2 / denominators).T)
         if off_range is not None:
             out = np.where(off_range, np.inf, out)
         return ExtendedReal(float(out)) if out.ndim == 0 else out

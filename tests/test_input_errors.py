@@ -63,6 +63,17 @@ CLI_ERRORS = {
                                "flat vector length is not a multiple of d"),
     "zero_scale": (["bl", *GAUSS1, "--test-fn", "poly:y", "--scale", "0"],
                    "scale must be positive"),
+    # a non-finite centre or scale was blamed on the field's points, a bad box on the weights
+    "nan_center": (["bl", *GAUSS1, "--test-fn", "poly:y", "--center", "nan"],
+                   "center must be finite, got nan"),
+    "infinite_scale": (["bl", *GAUSS1, "--test-fn", "poly:y", "--scale", "inf"],
+                       "scale must be finite, got inf"),
+    "nan_box": (["bl", *GAUSS1, "--test-fn", "poly:y", "--rule", "uniform_grid", "--box=0,nan",
+                 "--resolution", "5"],
+                "box must be finite with lo < hi on every axis, got (0.0, nan)"),
+    "reversed_box": (["bl", *GAUSS1, "--test-fn", "poly:y", "--rule", "uniform_grid",
+                      "--box=1,0", "--resolution", "5"],
+                     "box must be finite with lo < hi on every axis, got (1.0, 0.0)"),
     "one_point_grid": (["bl", *GAUSS1, "--test-fn", "poly:y", "--rule", "uniform_grid",
                         "--box=-1,1", "--resolution", "1"], "resolution must be >= 2"),
     "grid_over_the_budget": (["bl", *GAUSS2, "--test-fn", "poly:x1", "--rule", "uniform_grid",
@@ -153,6 +164,15 @@ LIBRARY_ERRORS = {
     "grid_over_the_budget": (lambda: build_rule("uniform_grid", box=[(-1.0, 1.0)] * 2,
                                                 resolution=4000),
                              BudgetError, "grid exceeds the node budget"),
+    "nan_center": (lambda: build_rule("gauss_hermite", order=4, m=2, center=[0.0, np.nan]),
+                   InputError, "center must be finite, got [0.0, nan]"),
+    "infinite_scale": (lambda: build_rule("gauss_hermite", order=4, m=1, scale=-np.inf),
+                       InputError, "scale must be finite, got -inf"),
+    "nan_box": (lambda: build_rule("uniform_grid", box=[(-1.0, 1.0), (np.nan, 1.0)],
+                                   resolution=5),
+                InputError, "box must be finite with lo < hi on every axis, got (nan, 1.0)"),
+    "empty_box": (lambda: build_rule("uniform_grid", box=[(0.5, 0.5)], resolution=5),
+                  InputError, "box must be finite with lo < hi on every axis, got (0.5, 0.5)"),
     "empty_sum": (lambda: pairwise_sum([]), InputError, "nothing to sum"),
     "integral_dimension": (lambda: integrate_field(_gauss2(), _gh(1)), InputError,
                            "field and rule dimensions differ"),

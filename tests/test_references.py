@@ -1059,6 +1059,24 @@ class TestEvaluatorNodeCache:
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
 
+    @pytest.mark.parametrize("make,m,order,scale", STACK_FIXTURES[:4])
+    def test_node_first_caches_are_read_only_views_of_node_last_rows(self, make, m, order, scale):
+        field = make()
+        rule = build_rule("gauss_hermite", order=order, m=m, scale=scale)
+        ev = DirichletEvaluator(field, rule)
+        ev.energy(_cubic_fn(np.random.default_rng(order), field.n, field.d))  # lays out the rows
+        cm = curvature_matrix(field, rule.nodes)
+        fresh = PolarOperator(QuadraticFormSpec(cm.g, -cm.theta_tilde))
+        dn = field.n * field.d
+        for view, ref, shape in ((ev.g, field.value(rule.nodes), (rule.count, field.d, field.d)),
+                                 (ev._polar._coord_map, fresh._coord_map, (rule.count, dn, dn)),
+                                 (ev._polar.eigenvalues, fresh.eigenvalues, (rule.count, dn))):
+            assert view.shape == shape and np.array_equal(view, ref)
+            # a view, not a copy, of rows with the node axis last
+            assert view.base is not None and np.moveaxis(view, 0, -1).flags.c_contiguous
+            assert not view.flags.writeable
+        assert np.shares_memory(ev._polar._coord_map, ev._polar._coord_rows)
+
     def test_an_evaluator_of_another_field_is_an_input_error(self):
         # its weight would make the rhs 1.77 where the true value is 10.03: a false fail
         field = builtin_field("gaussian_scalar", {"n": 1})

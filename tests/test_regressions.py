@@ -361,6 +361,29 @@ class TestReportEntries:
         assert out == ""
         assert f"error: report entry {index} ({entry['name']!r}): its args do not parse" in err
 
+    @pytest.mark.parametrize("args,reason", [
+        (["--field", "raufi_corrected", "--bogus"], "the following arguments are required: --point"),
+        (["--field", "raufi_corrected", "--point", "0,0", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["--field", "raufi_corrected", "--point", "0,0", "--tol-psd", "x"],
+         "argument --tol-psd: invalid float value: 'x'"),
+        (["--help"], "they ask for --help"),
+    ])
+    def test_an_unparsable_entry_prints_one_error_line(self, tmp_path, capsys, args, reason):
+        """argparse's usage block is held back; its reason ends the one line."""
+        cfg = tmp_path / "checks.json"
+        cfg.write_text(json.dumps({"checks": [{"name": "nakano", "args": args}]}))
+        assert run(["report", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: report entry 0 ('nakano'): its args do not parse: {reason}\n"
+
+    def test_a_top_level_parse_error_keeps_the_usage(self, capsys):
+        assert run(["nakano", "--field", "raufi_corrected", "--bogus"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: mlcc nakano")
+        assert err.endswith("mlcc nakano: error: the following arguments are required: --point\n")
+
     @pytest.mark.parametrize("flag,extra", [
         ("--out", ["--out", "entry.json"]),
         ("--out", ["--ou", "entry.json"]),  # argparse's prefix match of --out

@@ -11,20 +11,27 @@ fuse a multiply and an add, so they agree to the last bits, not bit for bit.
 import numpy as np
 import pytest
 
+import mlcc.inequalities
 from mlcc import (
+    ColumnBlockMatrix,
     DirichletEvaluator,
     MatrixField,
     QuadraticFormSpec,
     SpdMatrix,
     VectorFieldFn,
     bl_gap,
+    block_split,
     build_rule,
     builtin_field,
     curvature_matrix,
     pairwise_sum,
+    polar_value,
+    prekopa_check,
+    schur_gap,
     variance_functional,
     weighted_mean,
 )
+from mlcc.cli import run
 from mlcc.metric import PolarOperator
 from mlcc.quadrature import _moments
 from test_node_pass import CASES
@@ -144,15 +151,47 @@ def test_one_tree_carries_the_two_trees_bits():
 
 @pytest.mark.parametrize("name,params", [("perturbed_gaussian_spd", {}),
                                          ("gaussian_cross_spd", {"c": 0.5, "d": 2}),
-                                         ("gaussian_times_spd", {"n": 1})])
+                                         ("gaussian_times_spd", {"n": 1}),
+                                         ("gaussian_scalar", {"n": 1}),  # 1 x 1 forms
+                                         ("gaussian_cross_spd", {"c": 0.5, "d": 3}),  # 6 x 6
+                                         # the evaluator's stack over GH 48^2: 2304 forms
+                                         ("perturbed_gaussian_spd", {"order": 48})])
 def test_stacked_and_one_node_polar_values_agree(name, params):
+    params = dict(params)
+    order = params.pop("order", None)
     field = builtin_field(name, params)
-    xs = np.random.default_rng(7).uniform(-0.8, 0.8, (9, field.n))
+    xs = (np.random.default_rng(7).uniform(-0.8, 0.8, (9, field.n)) if order is None
+          else build_rule("gauss_hermite", order=order, m=field.n).nodes)
     cm = curvature_matrix(field, xs)
     polar = PolarOperator(QuadraticFormSpec(cm.g, -cm.theta_tilde))
-    vs = np.random.default_rng(8).standard_normal((9, field.n * field.d))
+    vs = np.random.default_rng(8).standard_normal((len(xs), field.n * field.d))
     stacked = polar.value(vs)
+    # the layout of v does not matter: node-first, or node-last rows as the energy passes it
+    assert polar.value(np.ascontiguousarray(vs.T).T).tobytes() == stacked.tobytes()
     _close(stacked, _polar_as_before(polar, vs, 1e-10))
-    for i in range(9):
+    for i in range(len(xs)):
         one = PolarOperator(QuadraticFormSpec(SpdMatrix(cm.g.entries[i]), -cm.theta_tilde[i]))
         assert one.value(vs[i]).value == stacked[i]
+
+
+def test_single_forms_and_the_prekopa_fiber_build_no_node_last_rows(monkeypatch):
+    """Only a stacked value lays out the coordinate rows: schur_gap and polar_value
+    on one form, and the Schur margin over a fiber stack, never ask for them."""
+    built, lay_out = [], PolarOperator.__dict__["_coord_rows"].func
+    monkeypatch.setattr(PolarOperator, "_coord_rows",
+                        property(lambda self: built.append(self) or lay_out(self)))
+    field = builtin_field("gaussian_cross_spd", {"c": 0.5, "d": 2})
+    cm = curvature_matrix(field, np.array([0.1, -0.2]))
+    schur_gap(block_split(cm, 1), ColumnBlockMatrix([np.array([0.6, 0.8])]))
+    polar_value(QuadraticFormSpec(cm.g, -cm.theta_tilde), np.ones(4))
+    rule = build_rule("gauss_hermite", order=48, m=1)
+    _, fiber = mlcc.inequalities._fiber_pass(field, np.array([0.1]), rule)
+    mlcc.inequalities._schur_margin(fiber, 1)
+    assert prekopa_check(field, [0.1], 1, rule).passed
+    assert run(["schur", "--field", "raufi_corrected", "--param", "s=0.75", "--point", "0,0",
+                "--n0", "1", "--no-timestamp"]) == 0
+    assert built == []
+    # the evaluator's stacked energy does ask for them
+    ev = _evaluator(field)
+    ev.energy(VectorFieldFn.polynomial(2, [[(1.0, (1, 0))], [(1.0, (0, 1))]]))
+    assert built == [ev._polar]
