@@ -8,7 +8,8 @@ polynomial test functions.  Coefficients are never modified in place.
 Evaluation takes one point, shape (n,), or a stack of points, shape (N, n);
 it works with the points on the last axis (coefficient-major) and forms
 powers by multiplication, so x_j^k for k >= 3 may differ in the last bits
-from ``x**k`` (see ``poly_eval``).
+from ``x**k``.  ``poly_rows`` returns that sum as it is, points last;
+``poly_eval`` copies it points first.
 Exact differentiation of these term lists is what makes the closed-form jet
 oracles of the field module possible.
 """
@@ -17,25 +18,25 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
 
 Term = tuple[float | np.ndarray, tuple[int, ...]]
 
 
-def poly_eval(terms: list[Term], x):
-    """Value at ``x`` (shape (..., n)): shape (...) plus the coefficients' shape.
+def poly_rows(terms: list[Term], x) -> np.ndarray:
+    """Value at ``x`` (shape (..., n)) with the points last: the coefficients' shape
+    plus (N,), N the number of points, as one C-contiguous array of rows.
 
-    The sum is accumulated coefficient-major, with the points on the last
-    axis: each term is one broadcast of ``coeff[..., None]`` over contiguous
-    rows of point values, and the total is moved to a C-contiguous
-    ``(N,) + shape`` array once at the end.  Each power x_j^k is formed once
-    per call by multiplication (see ``_power``), not by libm ``pow``;
-    ``x * x`` has the bits of ``x**2``, so only x_j^k with k >= 3 may differ
-    in the last bits from ``x**k``.  Every point runs through the same 1-D
-    array operations, so a stack of points gives bit for bit the values of
-    one call per point.
+    The sum is accumulated coefficient-major: each term is one broadcast of
+    ``coeff[..., None]`` over contiguous rows of point values.  Each power
+    x_j^k is formed once per call by multiplication (see ``_power``), not by
+    libm ``pow``; ``x * x`` has the bits of ``x**2``, so only x_j^k with
+    k >= 3 may differ in the last bits from ``x**k``.  Every point runs
+    through the same 1-D array operations, so a stack of points gives bit for
+    bit the values of one call per point.
     """
     x = np.asarray(x, dtype=float)
-    lead, n = x.shape[:-1], x.shape[-1]
+    n = x.shape[-1]
     shape = np.asarray(terms[0][0]).shape if terms else ()
     cols = x.reshape(-1, n).T.copy()  # (n, N): one contiguous row per variable
     powers = {}  # (j, k) -> x_j^k
@@ -52,8 +53,18 @@ def poly_eval(terms: list[Term], x):
                 else:
                     m, fresh = m * powers[j, dj], True
         total += m
-    points_first = total.transpose((total.ndim - 1,) + tuple(range(total.ndim - 1)))
-    return np.ascontiguousarray(points_first).reshape(lead + shape)
+    return total
+
+
+def poly_eval(terms: list[Term], x):
+    """Value at ``x`` (shape (..., n)): shape (...) plus the coefficients' shape.
+
+    ``poly_rows``' sum, moved to a C-contiguous ``(...) + shape`` array by one
+    copy: the same bits, points first.
+    """
+    rows = poly_rows(terms, x)
+    points_first = rows.transpose((rows.ndim - 1,) + tuple(range(rows.ndim - 1)))
+    return np.ascontiguousarray(points_first).reshape(np.shape(x)[:-1] + rows.shape[:-1])
 
 
 def _power(row: np.ndarray, k: int) -> np.ndarray:
@@ -67,6 +78,34 @@ def _power(row: np.ndarray, k: int) -> np.ndarray:
         if not k:
             return result
         base = base * base
+
+
+def poly_degrees(degs, n: int) -> tuple[int, ...]:
+    """The degree tuple ``degs`` of one monomial in ``n`` variables, as ints.
+
+    A tuple of another length is an InputError, and so is a degree that is not
+    a whole number >= 0 (an integral float such as 2.0 is taken as 2): ``_power``
+    forms no other, and a negative one would never end.  The error names the
+    monomial by its degrees.
+    """
+    degs = tuple(degs)
+    if len(degs) != n:
+        raise InputError("polynomial degree tuples must have length n")
+    for k in degs:
+        if type(k) is not int or k < 0:  # plain ints >= 0 pass as they are
+            return tuple(_whole(k, degs) for k in degs)
+    return degs
+
+
+def _whole(k, degs) -> int:
+    """The degree ``k`` of the monomial of degrees ``degs`` as an int, if it is whole and >= 0."""
+    try:
+        i = int(k)
+    except (TypeError, ValueError, OverflowError):
+        i = -1
+    if i < 0 or i != k:
+        raise InputError(f"monomial of degrees {degs}: each degree must be a whole number >= 0")
+    return i
 
 
 def poly_stack(polys: list[list[Term]]) -> list[Term]:

@@ -18,7 +18,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from ._poly import poly_collect, poly_diff, poly_eval, poly_stack, poly_substitute_prefix
+from ._poly import (poly_collect, poly_degrees, poly_diff, poly_eval, poly_stack,
+                    poly_substitute_prefix)
 from .errors import InputError, NotPositiveError
 from .metric import SpdMatrix
 
@@ -129,8 +130,10 @@ class MatrixField:
     """A map x -> exp(-q(x)) * P(x) into the d x d symmetric matrices.
 
     q and P are term lists of :mod:`mlcc._poly` (P with read-only matrix
-    coefficients); ``p_terms`` are given as ``(degs, matrix)`` pairs.  Both are collected
-    here, once (``poly_collect``), so values and jets read g by one formula.
+    coefficients); ``p_terms`` are given as ``(degs, matrix)`` pairs.  Each degree tuple
+    is checked (``poly_degrees``: length n, whole degrees >= 0, else an InputError).
+    Both are collected here, once (``poly_collect``), so values and jets read g by one
+    formula.
     Positivity is enforced per evaluation: querying a point where the value
     is not positive definite raises :class:`NotPositiveError`.  Jets come
     either from exact differentiation of the closed form or from central
@@ -167,12 +170,10 @@ class MatrixField:
         self.h = _step(h, "the finite-difference step h (--h)")
         self.richardson = bool(richardson)
         lead = () if members is None else (len(members[1]),)
-        self._q = poly_collect([(_coefficient(c, lead, ()), tuple(degs))
+        self._q = poly_collect([(_coefficient(c, lead, ()), poly_degrees(degs, n))
                                 for c, degs in list(q_terms) or [(0.0, (0,) * n)]])
-        self._p = poly_collect([(_coefficient(c, lead, (d, d)), tuple(degs))
+        self._p = poly_collect([(_coefficient(c, lead, (d, d)), poly_degrees(degs, n))
                                 for degs, c in list(p_terms) or [((0,) * n, np.zeros((d, d)))]])
-        if any(len(degs) != n for _, degs in self._q + self._p):
-            raise InputError("polynomial degree tuples must have length n")
 
     def _derived(self, n: int, q, p, name: str, **jet) -> "MatrixField":
         """A field from (coeff, degs) term lists, keeping the jet settings."""
@@ -470,9 +471,11 @@ def builtin_field(name: str, params: dict | None = None, **jet_kwargs) -> Matrix
 
 
 def _term_list(monomials) -> list:
-    """A JSON list of ``[coeff, [deg_1, ..., deg_n]]`` as a (coeff, degs) term list."""
+    """A JSON list of ``[coeff, [deg_1, ..., deg_n]]`` as a (coeff, degs) term list.
+    The degrees are kept as written, for the field to check (``poly_degrees``):
+    2.7 is not truncated to 2."""
     try:
-        return [(float(c), tuple(int(t) for t in degs)) for c, degs in monomials]
+        return [(float(c), tuple(degs)) for c, degs in monomials]
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed monomial list {monomials!r}") from exc
 

@@ -101,9 +101,14 @@ def weighted_laplacian(field: MatrixField, f: VectorFieldFn, x) -> np.ndarray:
 
 
 def _laplacian(jet: Jet2, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """L F from the field's jet and F's gradient and Hessian at the same points."""
+    """L F from the field's jet and F's gradient and Hessian at the same points.
+
+    The einsum adds its k and b products in an order set by its operands' layout, so
+    the gradient is read C-contiguous: L F has the same bits whether F hands it
+    node-first or as a view of node-last rows (``VectorFieldFn.polynomial``).
+    """
     log_d = np.linalg.solve(jet.value.entries[..., None, :, :], jet.d1)  # g^{-1} d_k g
-    first = np.einsum("...kab,...bk->...a", log_d, grad)
+    first = np.einsum("...kab,...bk->...a", log_d, np.ascontiguousarray(grad))
     return np.einsum("...ljj->...l", hess) + first
 
 

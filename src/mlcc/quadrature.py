@@ -16,7 +16,7 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from ._poly import poly_diff, poly_eval, poly_stack
+from ._poly import poly_degrees, poly_diff, poly_eval, poly_rows, poly_stack
 from .curvature import curvature_matrix
 from .errors import NODE_BUDGET, BudgetError, InputError, QuadratureError
 from .fields import MatrixField, central_differences
@@ -219,31 +219,42 @@ class VectorFieldFn:
     def polynomial(cls, n: int, components) -> "VectorFieldFn":
         """Exact polynomial vector field; ``components[l]`` is a term list.
 
-        The components, their gradients and their Hessians are stacked into
-        one term list each (see ``poly_stack``), so a value, gradient or
-        Hessian is one evaluation for a whole stack of points.
+        Each degree tuple must have length n with whole degrees >= 0 (see
+        ``poly_degrees``) and each coefficient must be finite, else an
+        InputError.  The components, their gradients and their Hessians are
+        stacked into one term list each (see ``poly_stack``), so a value,
+        gradient or Hessian is one evaluation for a whole stack of points.
+        Values and gradients are node-first views of ``poly_rows``' node-last
+        rows, (d, N) and (d n, N) with row l n + j for d_j F_l, not copies:
+        the Brascamp-Lieb node pass reads F node-last (``_moments``,
+        ``_energy``).  At one point, or as Hessians, they are contiguous.
         """
+
+        def term(c, degs):
+            if not math.isfinite(c := float(c)):
+                raise InputError(f"test function coefficients must be finite, got {c!r}")
+            return c, poly_degrees(degs, n)
+
         zero = [(0.0, (0,) * n)]
-        comps = [[(float(c), tuple(degs)) for c, degs in comp] or zero for comp in components]
+        comps = [[term(c, degs) for c, degs in comp] or zero for comp in components]
         d = len(comps)
         grads = [[poly_diff(comp, j) for j in range(n)] for comp in comps]
         value_terms = poly_stack(comps)
         grad_terms = poly_stack([g for row in grads for g in row])
-
-        @cache
-        def hess_terms():
-            # built on first use: a variance or energy pass never asks for Hessians
-            return poly_stack([poly_diff(g, k) for row in grads for g in row for k in range(n)])
+        hess_terms = None  # built on first use: a variance or energy pass never asks for them
 
         def value(x):
-            return poly_eval(value_terms, x)
+            return poly_rows(value_terms, x).T.reshape(x.shape[:-1] + (d,))
 
         def grad(x):
-            out = poly_eval(grad_terms, x)
-            return out.reshape(out.shape[:-1] + (d, n))
+            return poly_rows(grad_terms, x).T.reshape(x.shape[:-1] + (d, n))
 
         def hess(x):
-            out = poly_eval(hess_terms(), x)
+            nonlocal hess_terms
+            if hess_terms is None:
+                hess_terms = poly_stack([poly_diff(g, k) for row in grads for g in row
+                                         for k in range(n)])
+            out = poly_eval(hess_terms, x)
             return out.reshape(out.shape[:-1] + (d, n, n))
 
         fn = cls(n, d, value)
@@ -329,7 +340,9 @@ def _moments(g: np.ndarray, val: np.ndarray, w: np.ndarray) -> tuple[np.ndarray,
     nodes, not over a row's d entries, and no columns are concatenated: at
     GH 48^2 the whole takes half the time it took node-first.  The tree runs
     over the block's (N, d + 1) transpose and adds column by column, so the
-    two sums carry the bits of two separate trees.
+    two sums carry the bits of two separate trees.  A polynomial F
+    (``VectorFieldFn.polynomial``) is a node-first view of contiguous (d, N)
+    rows, so ``val.T`` is read as rows too, with no copy.
     """
     d = val.shape[-1]
     block = np.empty((d + 1, val.shape[0]))
@@ -425,7 +438,7 @@ def _polar_over_nodes(field: MatrixField, rule: QuadratureRule) -> PolarOperator
 
 def _energy(polar: PolarOperator, rule: QuadratureRule, f: VectorFieldFn,
             rel_null_tol: float) -> ExtendedReal:
-    grad = f.grad(rule.nodes)  # (N, d, n)
+    grad = f.grad(rule.nodes)  # (N, d, n); a polynomial F's is a view of (d n, N) rows
     # node axis last, (j, l) -> row j*d + l: one copy of the gradient
     rows = grad.transpose(2, 1, 0).reshape(-1, grad.shape[0])
     values = polar.value(rows.T, rel_null_tol)

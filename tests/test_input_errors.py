@@ -85,6 +85,9 @@ CLI_ERRORS = {
     "matrix_entry_out_of_range": (["nakano", "--field", "gaussian_times_spd", "--param",
                                    "a31=0.5", "--point", "0"],
                                   "matrix entry 'a31' out of range for d=2"),
+    # an overflowing coefficient made ipp and bl report fail on inf or nan sums
+    "infinite_test_function_coefficient": (["bl", *GAUSS1, "--test-fn", "poly:1e999*y"],
+                                           "test function coefficients must be finite, got inf"),
 }
 
 
@@ -116,6 +119,19 @@ FIELD_JSON_ERRORS = {
                                       "polynomial degree tuples must have length n"),
     "entry_degrees_of_the_wrong_length": ({"n": 1, "d": 1, "entries": {"1,1": [[1.0, []]]}},
                                           "polynomial degree tuples must have length n"),
+    # a negative degree never finished evaluating; 2.7 was truncated to 2
+    "negative_q_degree": ({"n": 1, "d": 1, "q": [[0.5, [-2]]], "entries": {"1,1": [[1.0, [0]]]}},
+                          "monomial of degrees (-2,): each degree must be a whole number >= 0"),
+    "fractional_q_degree": ({"n": 1, "d": 1, "q": [[0.5, [2.7]]],
+                             "entries": {"1,1": [[1.0, [0]]]}},
+                            "monomial of degrees (2.7,): each degree must be a whole number >= 0"),
+    "fractional_entry_degree": ({"n": 2, "d": 1, "entries": {"1,1": [[1.0, [0, 0]],
+                                                                   [0.1, [1, 0.5]]]}},
+                                "monomial of degrees (1, 0.5): each degree must be a whole "
+                                "number >= 0"),
+    "degree_that_is_not_a_number": ({"n": 1, "d": 1, "entries": {"1,1": [[1.0, ["2"]]]}},
+                                    "monomial of degrees ('2',): each degree must be a whole "
+                                    "number >= 0"),
 }
 
 
@@ -128,6 +144,35 @@ def test_field_json_config_error(tmp_path, capsys, case):
     _assert_config_error(capsys, code, message)
     with pytest.raises(InputError, match=re.escape(message)):
         polynomial_field_from_json(spec)
+
+
+def test_a_field_json_degree_error_in_a_report_entry(tmp_path, capsys):
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps(FIELD_JSON_ERRORS["negative_q_degree"][0]))
+    cfg = tmp_path / "checks.json"
+    cfg.write_text(json.dumps({"checks": [{"name": "nakano", "args": [
+        "--field-json", str(field), "--point", "0.5"]}]}))
+    code = run(["report", "--config", str(cfg), "--no-timestamp"])
+    _assert_config_error(capsys, code, FIELD_JSON_ERRORS["negative_q_degree"][1])
+
+
+def test_integral_float_degrees_are_whole_numbers(tmp_path, capsys):
+    """2.0 in a JSON field or a term list is the degree 2, as before."""
+    reports = []
+    for degree in (2, 2.0):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"n": 1, "d": 1, "q": [[0.5, [degree]]],
+                                    "entries": {"1,1": [[1.0, [0]], [0.25, [degree]]]}}))
+        code = run(["nakano", "--field-json", str(path), "--point", "0.5", "--no-timestamp"])
+        reports.append((code, capsys.readouterr()))
+    assert reports[0] == reports[1] and reports[0][0] == 0
+    x = np.linspace(-1.0, 1.0, 5)[:, None]
+    whole = VectorFieldFn.polynomial(1, [[(1.0, (2,))]])
+    assert VectorFieldFn.polynomial(1, [[(1.0, (2.0,))]]).grad(x).tobytes() == \
+        whole.grad(x).tobytes()
+    p_terms = [((0,), np.eye(1)), ((2,), np.eye(1))]
+    assert MatrixField(1, 1, [(1.0, (np.int64(2),))], p_terms[:1] + [((2.0,), np.eye(1))]) \
+        .value(x).tobytes() == MatrixField(1, 1, [(1.0, (2,))], p_terms).value(x).tobytes()
 
 
 def _gauss2():
@@ -156,6 +201,37 @@ LIBRARY_ERRORS = {
     "degree_tuple_of_the_wrong_length": (lambda: MatrixField(2, 1, [(1.0, (2,))], []),
                                          InputError,
                                          "polynomial degree tuples must have length n"),
+    # a negative degree never finished evaluating, a fractional one raised a TypeError
+    "negative_field_degree": (lambda: MatrixField(1, 1, [(1.0, (-1,))], [((0,), np.eye(1))]),
+                              InputError,
+                              "monomial of degrees (-1,): each degree must be a whole number >= 0"),
+    "fractional_field_degree": (lambda: MatrixField(2, 1, [], [((1.5, 0), np.eye(1))]),
+                                InputError, "monomial of degrees (1.5, 0): each degree must be "
+                                "a whole number >= 0"),
+    "negative_test_function_degree": (lambda: VectorFieldFn.polynomial(1, [[(1.0, (-1,))]]),
+                                      InputError, "monomial of degrees (-1,): each degree must "
+                                      "be a whole number >= 0"),
+    "fractional_test_function_degree": (lambda: VectorFieldFn.polynomial(
+                                            2, [[(1.0, (0, 1))], [(1.0, (1.5, 0))]]),
+                                        InputError, "monomial of degrees (1.5, 0): each degree "
+                                        "must be a whole number >= 0"),
+    # too short or too long, a degree tuple raised an IndexError or was taken silently
+    "short_test_function_degrees": (lambda: VectorFieldFn.polynomial(2, [[(1.0, (1,))]]),
+                                    InputError, "polynomial degree tuples must have length n"),
+    "long_test_function_degrees": (lambda: VectorFieldFn.polynomial(2, [[(1.0, (0, 0, 1))]]),
+                                   InputError, "polynomial degree tuples must have length n"),
+    "long_test_function_degrees_of_zero": (lambda: VectorFieldFn.polynomial(
+                                               2, [[(1.0, (1, 0, 0))]]),
+                                           InputError,
+                                           "polynomial degree tuples must have length n"),
+    # bl_gap reported fail with nan lhs, rhs and gap; ipp_residual failed on inf
+    "nan_test_function_coefficient": (lambda: VectorFieldFn.polynomial(1, [[(np.nan, (1,))]]),
+                                      InputError,
+                                      "test function coefficients must be finite, got nan"),
+    "infinite_test_function_coefficient": (lambda: VectorFieldFn.polynomial(
+                                               1, [[(1.0, (1,))], [(-np.inf, (0,))]]),
+                                           InputError,
+                                           "test function coefficients must be finite, got -inf"),
     "rule_shapes": (lambda: QuadratureRule(1, np.zeros((3, 2)), np.ones(3), "custom"),
                     InputError, "node/weight shapes inconsistent"),
     "rule_weights": (lambda: QuadratureRule(1, np.zeros((3, 1)), np.array([1.0, 0.0, 1.0]),

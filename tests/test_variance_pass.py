@@ -21,9 +21,12 @@ from mlcc import (
     VectorFieldFn,
     bl_gap,
     block_split,
+    bochner_residual,
     build_rule,
     builtin_field,
     curvature_matrix,
+    dirichlet_energy,
+    ipp_residual,
     pairwise_sum,
     polar_value,
     prekopa_check,
@@ -147,6 +150,58 @@ def test_one_tree_carries_the_two_trees_bits():
         mean, second = _moments(g, val, w)
         assert mean.tobytes() == pairwise_sum(w[:, None] * gf).tobytes()
         assert second == float(pairwise_sum(w * np.sum(val * gf, axis=-1)))
+
+
+def _contiguous(f: VectorFieldFn) -> VectorFieldFn:
+    """The same polynomial F with its values and gradients as C-contiguous node-first
+    copies, not views of node-last rows."""
+    copy = VectorFieldFn(f.n, f.d, None)
+    copy._value = lambda x: np.ascontiguousarray(f.value(x))
+    copy._grad = lambda x: np.ascontiguousarray(f.grad(x))
+    copy._hess = f.hess
+    return copy
+
+
+def _bits(out):
+    """The bits of a float, an array, an extended real, a tuple of them or a report."""
+    if isinstance(out, tuple):
+        return tuple(_bits(o) for o in out)
+    if hasattr(out, "metrics"):
+        return out.status, _bits(tuple(out.metrics.values()))
+    return np.asarray(getattr(out, "value", out), dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name,params", [("gaussian_scalar", {"n": 1}),  # d = 1
+                                         ("gaussian_times_spd", {"n": 1}),  # d = 2
+                                         ("perturbed_gaussian_spd", {}),  # n = d = 2
+                                         ("gaussian_cross_spd", {"c": 0.5, "d": 3})])  # d = 3
+def test_views_of_node_last_rows_and_contiguous_copies_of_f_give_the_same_bits(name, params):
+    """A polynomial F hands its value and gradient over as views of node-last rows; every
+    check that reads them, on the evaluator's stack or one-shot, has the bits it has on
+    C-contiguous node-first copies of them."""
+    field = builtin_field(name, params)
+    ev = _evaluator(field)
+    x, w, rng = ev.rule.nodes, ev.rule.weights, np.random.default_rng(13)
+    monos = [e for e in np.ndindex(*(4,) * field.n) if sum(e) <= 3]
+    f, g = (VectorFieldFn.polynomial(field.n, [[(float(rng.uniform(-1, 1)), e) for e in monos]
+                                               for _ in range(field.d)]) for _ in range(2))
+    fc, gc = _contiguous(f), _contiguous(g)
+    if field.d > 1:
+        assert not (f.value(x).flags.c_contiguous or f.grad(x).flags.c_contiguous)
+    assert fc.value(x).flags.c_contiguous and fc.grad(x).flags.c_contiguous
+    checks = {
+        "_moments": lambda h, k: _moments(ev.g, h.value(x), w),
+        "energy": lambda h, k: ev.energy(h),
+        "dirichlet_energy": lambda h, k: dirichlet_energy(field, h, ev.rule),
+        "variance_functional": lambda h, k: variance_functional(field, h, ev.rule),
+        "weighted_mean": lambda h, k: weighted_mean(field, h, ev.rule),
+        "bl_gap_with_evaluator": lambda h, k: bl_gap(field, h, ev.rule, evaluator=ev),
+        "bl_gap": lambda h, k: bl_gap(field, h, ev.rule),
+        "ipp_residual": lambda h, k: ipp_residual(field, h, k, ev.rule),
+        "bochner_residual": lambda h, k: bochner_residual(field, h, ev.rule),
+    }
+    for check, call in checks.items():
+        assert _bits(call(f, g)) == _bits(call(fc, gc)), check
 
 
 @pytest.mark.parametrize("name,params", [("perturbed_gaussian_spd", {}),
