@@ -153,11 +153,14 @@ def griffiths_min_gap(
     Alternating maximization (top generalized eigenvector in u at fixed y,
     top eigenvector in y at fixed u), multi-started; the result is a lower
     bound on the true rank-one maximum.  The starts run as one stack: each
-    step makes one batched eigensolve in u and one in y over the starts that
-    are still live, and a start leaves the stack once its value changes by
-    at most ``RANK_ONE_STOP_TOL`` (1e-10) relative, or after ``max_iter``
-    steps.  The result is the largest value over the starts, NaN starts
-    skipped (-inf if none is a number).  ``n_starts`` lies in [8, NODE_BUDGET] and ``seed`` is
+    step moves the starts that are still live, and a start leaves the stack
+    once its value changes by at most ``RANK_ONE_STOP_TOL`` (1e-10)
+    relative, or after ``max_iter`` steps.  When n = d = 2 both half-steps
+    run on the circle, in half angles (``_circle_steps``: a few array
+    operations, no eigensolve); every other shape makes one batched
+    eigensolve in u and one in y per step (``_eigh_steps``).  The result is
+    the largest value over the starts, NaN starts skipped (-inf if none is a
+    number).  ``n_starts`` lies in [8, NODE_BUDGET] and ``seed`` is
     non-negative; start s draws its y then its u from ``default_rng(seed)``.
     """
     if n_starts < 8:
@@ -167,25 +170,39 @@ def griffiths_min_gap(
     if seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed}")
     d, n = cm.d, cm.n
+    _, invroot = cm.g.sqrt_and_invsqrt()
+    pencil = metric_pencil(invroot, cm.theta_tilde)
+    # row s is start s's y then its u, which the first u-step replaces unread
+    y = np.random.default_rng(seed).standard_normal((n_starts, n + d))[:, :n]
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    step = _circle_steps(pencil, y) if n == d == 2 else _eigh_steps(cm, invroot, pencil, y)
+    prev = np.full(n_starts, -np.inf)
+    live = np.arange(n_starts)
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        val = step(live)
+        done = np.abs(val - prev[live]) <= RANK_ONE_STOP_TOL * np.maximum(1.0, np.abs(val))
+        prev[live] = val
+        live = live[~done]
+    return float(np.fmax.reduce(prev, initial=-np.inf))
+
+
+def _eigh_steps(cm: CurvatureMatrix, invroot: np.ndarray, pencil: np.ndarray, y: np.ndarray):
+    """The search's step for any shape: ``step(live)`` moves the starts ``live`` of the
+    unit rows ``y`` (updated in place) by one batched eigensolve in u and one in y, and
+    returns their values."""
+    d, n = cm.d, cm.n
     g = cm.g.entries
     # [k, a, j, b] is entry (a, b) of block (j, k), of theta_tilde and of its
     # pencil; the pencil is linear in the block, so the u-step's pencil at any
     # y is the y-contraction of the one computed here.  Both contractions are
     # one matrix product: by (y (x) y) with the pencil as P[(j, k), (a, b)], and
     # by (u (x) u) with theta_tilde as T[(a, b), (j, k)]
-    theta4 = cm.theta_tilde.reshape(n, d, n, d)
-    _, invroot = cm.g.sqrt_and_invsqrt()
-    pencil4 = metric_pencil(invroot, cm.theta_tilde).reshape(n, d, n, d)
-    p_mat = pencil4.transpose(2, 0, 1, 3).reshape(n * n, d * d)
-    t_mat = theta4.transpose(1, 3, 2, 0).reshape(d * d, n * n)
-    # row s is start s's y then its u; the u-step overwrites u before it is read
-    y = np.random.default_rng(seed).standard_normal((n_starts, n + d))[:, :n]
-    y /= np.linalg.norm(y, axis=1, keepdims=True)
-    prev = np.full(n_starts, -np.inf)
-    live = np.arange(n_starts)
-    for _ in range(max_iter):
-        if not live.size:
-            break
+    p_mat = pencil.reshape(n, d, n, d).transpose(2, 0, 1, 3).reshape(n * n, d * d)
+    t_mat = cm.theta_tilde.reshape(n, d, n, d).transpose(1, 3, 2, 0).reshape(d * d, n * n)
+
+    def step(live):
         yl = y[live]
         # u-step: top generalized eigenpair of (sum y_j y_k block_{j,k}, g)
         yy = (yl[:, :, None] * yl[:, None, :]).reshape(-1, n * n)
@@ -196,11 +213,52 @@ def griffiths_min_gap(
         b = (uu @ t_mat).reshape(-1, n, n)
         lam_y, w_y = np.linalg.eigh(0.5 * (b + b.swapaxes(1, 2)))
         y[live] = w_y[:, :, -1]
-        val = lam_y[:, -1] / ((u @ g) * u).sum(1)
-        done = np.abs(val - prev[live]) <= RANK_ONE_STOP_TOL * np.maximum(1.0, np.abs(val))
-        prev[live] = val
-        live = live[~done]
-    return float(np.fmax.reduce(prev, initial=-np.inf))
+        return lam_y[:, -1] / ((u @ g) * u).sum(1)
+
+    return step
+
+
+#: Rows: the coefficients of 1, cos 2t and sin 2t in (cos t, sin t) m (cos t, sin t)^T,
+#: for m a 2 x 2 matrix flattened as (m00, m01, m10, m11).
+_HALF_ANGLE = 0.5 * np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0]])
+
+
+def _unit(v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The rows of ``v`` over their lengths ``r``; (1, 0) where r is 0."""
+    zero = r == 0.0
+    out = v / (r + zero)[:, None]
+    out[:, 0] += zero
+    return out
+
+
+def _circle_steps(pencil: np.ndarray, y: np.ndarray):
+    """The search's step when n = d = 2, in half angles: ``step(live)`` moves the starts
+    ``live`` and returns their values, with no eigensolve.
+
+    With e(t) = (1, cos 2t, sin 2t), the pencil's form at y = (cos phi, sin phi) and
+    w = g^{1/2} u = (cos psi, sin psi) is e(phi)^T K e(psi), K = H P H^T for P the
+    pencil as P[(j, k), (a, b)] and H the rows of ``_HALF_ANGLE``.  A symmetric
+    2 x 2 matrix h0 id + [[h1, h2], [h2, -h1]] has the top eigenvalue
+    h0 + hypot(h1, h2) at (cos t, sin t) with (cos 2t, sin 2t) = (h1, h2) / hypot(h1, h2).
+    So the u-step reads (h1, h2) from e(phi)^T K, and the y-step (h0, h1, h2) from
+    K e(psi), whose top eigenvalue is the start's value (|w| = 1, so u^T g u = 1): a step
+    maps (cos 2phi, sin 2phi) to (cos 2psi, sin 2psi) to the next (cos 2phi, sin 2phi).
+    A step matrix that is a multiple of the identity takes the direction (1, 0).  The
+    unit rows ``y`` are read once, for the starts' (cos 2phi, sin 2phi).
+    """
+    p_mat = pencil.reshape(2, 2, 2, 2).transpose(2, 0, 1, 3).reshape(4, 4)
+    k = _HALF_ANGLE @ p_mat @ _HALF_ANGLE.T
+    k_u, k0_u, k_y, k0_y = k[1:, 1:].copy(), k[0, 1:].copy(), k[:, 1:].T.copy(), k[:, 0].copy()
+    cs = np.stack([y[:, 0] * y[:, 0] - y[:, 1] * y[:, 1], 2.0 * y[:, 0] * y[:, 1]], axis=1)
+
+    def step(live):
+        h = cs[live] @ k_u + k0_u
+        h = _unit(h, np.hypot(h[:, 0], h[:, 1])) @ k_y + k0_y
+        r = np.hypot(h[:, 1], h[:, 2])
+        cs[live] = _unit(h[:, 1:], r)
+        return h[:, 0] + r
+
+    return step
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ from .metric import SpdMatrix
 #: Default central-difference step for finite-difference jets.
 DEFAULT_FD_STEP = 1e-4
 
+_FD_STEP_NAME = "the finite-difference step h (--h)"
+
 
 def _step(h, what: str) -> float:
     """``h`` as a float if it is a finite step > 0, else an InputError naming ``what``."""
@@ -65,7 +67,10 @@ def central_differences(fn, x, h: float, richardson: bool = False, second: bool 
     ``fn`` maps a stack of points to a stack of values and runs once, on the
     stencils of all centres.  With ``second=False`` only the first
     differences are formed (value and d2 are None, the centre is not
-    evaluated).  Every caller's SPD or shape checks run inside ``fn``.
+    evaluated).  Every caller's SPD or shape checks run inside ``fn``.  The
+    differences are formed with NumPy's floating-point warnings off: a step
+    too small for them (h^2 underflowing to 0, say) gives entries that are not
+    finite, and ``_checked_differences`` turns those into an InputError.
     """
     n, lead = x.shape[-1], x.ndim - 1
     steps = (h, h / 2.0) if richardson else (h,)
@@ -96,12 +101,23 @@ def central_differences(fn, x, h: float, richardson: bool = False, second: bool 
                 d2[j][k] = d2[k][j] = (pp - pm - mp + mm) / (4.0 * step**2)
         return d1, np.stack([np.stack(row, axis=lead) for row in d2], axis=lead)
 
-    d1, d2 = at(h)
-    if richardson:
-        d1_half, d2_half = at(h / 2.0)
-        d1 = (4.0 * d1_half - d1) / 3.0
-        if second:
-            d2 = (4.0 * d2_half - d2) / 3.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d1, d2 = at(h)
+        if richardson:
+            d1_half, d2_half = at(h / 2.0)
+            d1 = (4.0 * d1_half - d1) / 3.0
+            if second:
+                d2 = (4.0 * d2_half - d2) / 3.0
+    return value, d1, d2
+
+
+def _checked_differences(fn, x, h: float, richardson: bool, what: str):
+    """``central_differences(fn, x, h, richardson)``, where first or second
+    differences that are not all finite are an InputError naming ``what`` and h."""
+    value, d1, d2 = central_differences(fn, x, h, richardson)
+    if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
+        raise InputError(f"{what} = {h!r} gives derivatives that are not finite; "
+                         "central differences need a larger step")
     return value, d1, d2
 
 
@@ -167,7 +183,7 @@ class MatrixField:
         self.name = name
         self.members = members
         self.jet_mode = jet_mode
-        self.h = _step(h, "the finite-difference step h (--h)")
+        self.h = _step(h, _FD_STEP_NAME)
         self.richardson = bool(richardson)
         lead = () if members is None else (len(members[1]),)
         self._q = poly_collect([(_coefficient(c, lead, ()), poly_degrees(degs, n))
@@ -257,7 +273,7 @@ class MatrixField:
                 stencil.append(self._value(points))
                 return stencil[0].entries
 
-            _, d1, d2 = central_differences(values, x, self.h, self.richardson)
+            _, d1, d2 = _checked_differences(values, x, self.h, self.richardson, _FD_STEP_NAME)
             if self.members is not None:  # the derivative axes go behind the member axis
                 d1, d2 = d1.swapaxes(-4, -3), np.moveaxis(d2, -3, -5)
             # the validated stencil holds P points per centre, the centre first: its

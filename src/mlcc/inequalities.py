@@ -21,7 +21,7 @@ from .curvature import (
     schur_gap,
 )
 from .errors import InputError
-from .fields import Jet2, MatrixField, _step, central_differences, restrict_field
+from .fields import Jet2, MatrixField, _checked_differences, _step, restrict_field
 from .metric import (DEFAULT_NULL_TOL, ColumnBlockMatrix, PolarOperator, QuadraticFormSpec,
                      metric_pencil)
 from .quadrature import (
@@ -38,6 +38,8 @@ from .quadrature import (
 
 #: Largest route_diff and schur_route_diff of a passing Prekopa check.
 ROUTE_TOL = 1e-4
+
+_MARGINAL_STEP_NAME = "the marginal step h (--marginal-h)"
 
 
 @dataclass
@@ -183,7 +185,7 @@ def bochner_residual(
 
 def _marginal_jet(field: MatrixField, t, rule: QuadratureRule, h: float) -> Jet2:
     """2-jet of alpha(t) = int g(t, y) dy by Richardson-extrapolated differences in t."""
-    h = _step(h, "the marginal step h (--marginal-h)")
+    h = _step(h, _MARGINAL_STEP_NAME)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     integrals = []  # validated, in stencil order: the centre is the jet's value
 
@@ -191,7 +193,7 @@ def _marginal_jet(field: MatrixField, t, rule: QuadratureRule, h: float) -> Jet2
         integrals[:] = [integrate_field(restrict_field(field, tt), rule) for tt in ts]
         return np.stack([a.entries for a in integrals])
 
-    _, d1, d2 = central_differences(alpha, t, h, richardson=True)
+    _, d1, d2 = _checked_differences(alpha, t, h, richardson=True, what=_MARGINAL_STEP_NAME)
     return Jet2(value=integrals[0], d1=d1, d2=d2)
 
 
@@ -311,7 +313,7 @@ def prekopa_check(
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape[0] != n0 or not 1 <= n0 < field.n:
         raise InputError("t must have length n0 with 1 <= n0 < n")
-    h = _step(h, "the marginal step h (--marginal-h)")
+    h = _step(h, _MARGINAL_STEP_NAME)
     settings = {"rule": rule.kind, "nodes": rule.count, "h": h}
     jet, cm = _fiber_pass(field, t, rule)
     lambda_max = generalized_spectrum(cm)[:, -1]

@@ -42,6 +42,9 @@ RAUFI = ["--field", "raufi_corrected", "--param", "s=0.75", "--point", "0,0"]
 GAUSS1 = ["--field", "gaussian_scalar", "--order", "4"]
 GAUSS2 = ["--field", "gaussian_scalar", "--param", "n=2", "--order", "4"]
 
+FD_1E300 = ("the finite-difference step h (--h) = 1e-300 gives derivatives that are not "
+            "finite; central differences need a larger step")
+
 CLI_ERRORS = {
     "param_without_equals": (["nakano", "--field", "raufi_corrected", "--param", "s",
                               "--point", "0,0"],
@@ -85,6 +88,18 @@ CLI_ERRORS = {
     "matrix_entry_out_of_range": (["nakano", "--field", "gaussian_times_spd", "--param",
                                    "a31=0.5", "--point", "0"],
                                   "matrix entry 'a31' out of range for d=2"),
+    # h^2 underflowing to 0 made the second differences 0/0: griffiths passed on -inf,
+    # schur and bochner failed on nan, nakano, scan and prekopa crashed in LAPACK
+    **{f"fd_step_too_small_{argv[0]}": (argv + ["--jet", "fd", "--h", "1e-300"], FD_1E300)
+       for argv in (["griffiths", *RAUFI], ["nakano", *RAUFI], ["schur", *RAUFI, "--n0", "1"],
+                    ["bochner", "--field", "gaussian_scalar", "--param", "n=1",
+                     "--test-fn", "poly:y^2", "--order", "8"],
+                    ["scan", "--field", "raufi_corrected", "--point", "0,0",
+                     "--param-range", "s=0:1:0.5"])},
+    "marginal_step_too_small": (["prekopa", *GAUSS2[:4], "--t", "0", "--n0", "1",
+                                 "--marginal-h", "1e-300"],
+                                "the marginal step h (--marginal-h) = 1e-300 gives derivatives "
+                                "that are not finite; central differences need a larger step"),
     # an overflowing coefficient made ipp and bl report fail on inf or nan sums
     "infinite_test_function_coefficient": (["bl", *GAUSS1, "--test-fn", "poly:1e999*y"],
                                            "test function coefficients must be finite, got inf"),

@@ -1,5 +1,6 @@
 """Property tests (hypothesis): the Prekopa check on the cross Gaussian family,
-the rank-one search against the Nakano spectrum on random polynomial fields, and
+the rank-one search against the Nakano spectrum and, when n = d = 2, against the
+eigensolve loop of ``test_references`` on random polynomial fields, and
 one formula for g on those fields with their terms written as repeated monomials.
 
 For g = exp(-(t^2 + y^2 + c t y)) A the marginal is N-log-concave for |c| < 2,
@@ -24,6 +25,7 @@ from mlcc import (  # noqa: E402
     prekopa_check,
 )
 from mlcc.fields import MatrixField  # noqa: E402
+from test_references import griffiths_loop  # noqa: E402
 
 GH32 = build_rule("gauss_hermite", order=32, m=1)
 
@@ -68,6 +70,16 @@ def test_rank_one_maximum_is_at_most_the_nakano_maximum(n, d, seed):
     if n == 1 or d == 1:
         # every direction is rank-one
         assert rank_one == pytest.approx(lam, rel=1e-8, abs=1e-8)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_iter=st.sampled_from([1, 200]))
+def test_the_circle_steps_match_the_start_loop(seed, max_iter):
+    """n = d = 2: the search's half-angle steps find the values of the eigensolve loop."""
+    rng = np.random.default_rng(seed)
+    cm = curvature_matrix(_random_polynomial_field(rng, 2, 2), rng.uniform(-0.5, 0.5, 2))
+    ref = griffiths_loop(cm, max_iter=max_iter)
+    assert griffiths_min_gap(cm, max_iter=max_iter) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

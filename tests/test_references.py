@@ -811,12 +811,30 @@ class TestStackedGriffiths:
             field = builtin_field("raufi_corrected", {"s": s}, jet_mode=jet_mode)
             _griffiths_agree(curvature_matrix(field, rng.uniform(-0.035, 0.035, 2)))
 
+    @pytest.mark.parametrize("name,params,max_iter,calls", [
+        # n = d = 2: g's roots only, the steps run on the circle
+        ("raufi_corrected", {"s": 0.75}, 1, 1),
+        ("raufi_corrected", {"s": 0.75}, 200, 1),
+        # one eigensolve in u and one in y per step; no start stops before its second
+        ("gaussian_scalar", {"n": 3}, 1, 3),
+        ("gaussian_scalar", {"n": 3}, 2, 5),
+        ("gaussian_cross_spd", {"c": 0.5, "d": 3}, 2, 5),
+    ])
+    def test_eigensolves_per_search(self, monkeypatch, name, params, max_iter, calls):
+        field = builtin_field(name, params)
+        cm = curvature_matrix(field, np.full(field.n, 0.1))
+        counted = _count_calls(monkeypatch, np.linalg, "eigh")
+        griffiths_min_gap(cm, max_iter=max_iter)
+        assert len(counted) == calls
+
     def test_nan_starts_are_skipped(self):
-        # a NaN curvature makes every start NaN; the loop's max then keeps -inf
-        cm = curvature_matrix(builtin_field("gaussian_scalar", {"n": 2}), np.zeros(2))
-        bad = CurvatureMatrix(cm.d, cm.n, np.full_like(cm.theta_tilde, np.nan), cm.g, 0.0)
-        assert griffiths_loop(bad, 8, 3) == -np.inf
-        assert griffiths_min_gap(bad, 8, 3) == -np.inf
+        # a NaN curvature makes every start NaN; the loop's max then keeps -inf.  n = 2
+        # with d = 1 takes the eigensolve steps, with d = 2 the steps on the circle
+        for field in (builtin_field("gaussian_scalar", {"n": 2}), builtin_field("raufi_corrected")):
+            cm = curvature_matrix(field, np.zeros(2))
+            bad = CurvatureMatrix(cm.d, cm.n, np.full_like(cm.theta_tilde, np.nan), cm.g, 0.0)
+            assert griffiths_loop(bad, 8, 3) == -np.inf
+            assert griffiths_min_gap(bad, 8, 3) == -np.inf
 
 
 # -- the parameter scan, one value per call -----------------------------------------
