@@ -171,11 +171,15 @@ def griffiths_min_gap(
         raise InputError(f"seed must be a non-negative integer, got {seed}")
     d, n = cm.d, cm.n
     _, invroot = cm.g.sqrt_and_invsqrt()
-    pencil = metric_pencil(invroot, cm.theta_tilde)
+    # theta_tilde and its pencil, shaped (n, d, n, d), hold entry (a, b) of block
+    # (j, k) at [k, a, j, b]; row (j, k) of P is the pencil of block (j, k), and as
+    # the pencil is linear in the block, the u-step's pencil at y is (y (x) y) P
+    p_mat = metric_pencil(invroot, cm.theta_tilde).reshape(n, d, n, d)
+    p_mat = p_mat.transpose(2, 0, 1, 3).reshape(n * n, d * d)
     # row s is start s's y then its u, which the first u-step replaces unread
     y = np.random.default_rng(seed).standard_normal((n_starts, n + d))[:, :n]
     y /= np.linalg.norm(y, axis=1, keepdims=True)
-    step = _circle_steps(pencil, y) if n == d == 2 else _eigh_steps(cm, invroot, pencil, y)
+    step = _circle_steps(p_mat, y) if n == d == 2 else _eigh_steps(cm, invroot, p_mat, y)
     prev = np.full(n_starts, -np.inf)
     live = np.arange(n_starts)
     for _ in range(max_iter):
@@ -188,18 +192,14 @@ def griffiths_min_gap(
     return float(np.fmax.reduce(prev, initial=-np.inf))
 
 
-def _eigh_steps(cm: CurvatureMatrix, invroot: np.ndarray, pencil: np.ndarray, y: np.ndarray):
+def _eigh_steps(cm: CurvatureMatrix, invroot: np.ndarray, p_mat: np.ndarray, y: np.ndarray):
     """The search's step for any shape: ``step(live)`` moves the starts ``live`` of the
     unit rows ``y`` (updated in place) by one batched eigensolve in u and one in y, and
     returns their values."""
     d, n = cm.d, cm.n
     g = cm.g.entries
-    # [k, a, j, b] is entry (a, b) of block (j, k), of theta_tilde and of its
-    # pencil; the pencil is linear in the block, so the u-step's pencil at any
-    # y is the y-contraction of the one computed here.  Both contractions are
-    # one matrix product: by (y (x) y) with the pencil as P[(j, k), (a, b)], and
-    # by (u (x) u) with theta_tilde as T[(a, b), (j, k)]
-    p_mat = pencil.reshape(n, d, n, d).transpose(2, 0, 1, 3).reshape(n * n, d * d)
+    # both contractions are one matrix product: by (y (x) y) with the pencil as
+    # P[(j, k), (a, b)], and by (u (x) u) with theta_tilde as T[(a, b), (j, k)]
     t_mat = cm.theta_tilde.reshape(n, d, n, d).transpose(1, 3, 2, 0).reshape(d * d, n * n)
 
     def step(live):
@@ -231,13 +231,13 @@ def _unit(v: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _circle_steps(pencil: np.ndarray, y: np.ndarray):
+def _circle_steps(p_mat: np.ndarray, y: np.ndarray):
     """The search's step when n = d = 2, in half angles: ``step(live)`` moves the starts
     ``live`` and returns their values, with no eigensolve.
 
     With e(t) = (1, cos 2t, sin 2t), the pencil's form at y = (cos phi, sin phi) and
     w = g^{1/2} u = (cos psi, sin psi) is e(phi)^T K e(psi), K = H P H^T for P the
-    pencil as P[(j, k), (a, b)] and H the rows of ``_HALF_ANGLE``.  A symmetric
+    pencil as P[(j, k), (a, b)] (``p_mat``) and H the rows of ``_HALF_ANGLE``.  A symmetric
     2 x 2 matrix h0 id + [[h1, h2], [h2, -h1]] has the top eigenvalue
     h0 + hypot(h1, h2) at (cos t, sin t) with (cos 2t, sin 2t) = (h1, h2) / hypot(h1, h2).
     So the u-step reads (h1, h2) from e(phi)^T K, and the y-step (h0, h1, h2) from
@@ -246,7 +246,6 @@ def _circle_steps(pencil: np.ndarray, y: np.ndarray):
     A step matrix that is a multiple of the identity takes the direction (1, 0).  The
     unit rows ``y`` are read once, for the starts' (cos 2phi, sin 2phi).
     """
-    p_mat = pencil.reshape(2, 2, 2, 2).transpose(2, 0, 1, 3).reshape(4, 4)
     k = _HALF_ANGLE @ p_mat @ _HALF_ANGLE.T
     k_u, k0_u, k_y, k0_y = k[1:, 1:].copy(), k[0, 1:].copy(), k[:, 1:].T.copy(), k[:, 0].copy()
     cs = np.stack([y[:, 0] * y[:, 0] - y[:, 1] * y[:, 1], 2.0 * y[:, 0] * y[:, 1]], axis=1)
