@@ -184,18 +184,9 @@ def _plain(obj):
     return obj
 
 
-def _report_dict(report: CheckReport) -> dict:
-    return {
-        "name": report.name,
-        "status": report.status,
-        "metrics": report.metrics,
-        "tolerances": report.tolerances,
-        "settings": report.settings,
-    }
-
-
 def _emit(config: dict, checks: list, diagnostics: list, args) -> None:
-    doc = {"config": config, "checks": [_report_dict(c) for c in checks],
+    # a report's fields, in order; _plain copies them (asdict would deep-copy them first)
+    doc = {"config": config, "checks": [vars(c) for c in checks],
            "diagnostics": diagnostics}
     if not args.no_timestamp:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
@@ -259,10 +250,14 @@ def _cmd_nakano(args, diagnostics):
 def _cmd_griffiths(args, diagnostics):
     _, cm = _field_and_curvature(args)
     value = griffiths_min_gap(cm, n_starts=args.n_starts, seed=args.seed)
+    if not math.isfinite(value):  # -inf when every start was NaN: no verdict
+        status = "degenerate"
+    else:
+        status = "pass" if value <= args.tol_psd else "fail"
     return [
         CheckReport(
             name="griffiths",
-            status="pass" if value <= args.tol_psd else "fail",
+            status=status,
             metrics={"rank_one_max": value},
             tolerances={"tol_psd": args.tol_psd},
         )

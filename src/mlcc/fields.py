@@ -153,7 +153,9 @@ class MatrixField:
     Positivity is enforced per evaluation: querying a point where the value
     is not positive definite raises :class:`NotPositiveError`.  Jets come
     either from exact differentiation of the closed form or from central
-    finite differences (optionally Richardson extrapolated).
+    finite differences (optionally Richardson extrapolated); derivatives that
+    are not finite are an InputError either way, the exact jet's naming the
+    point.
 
     ``members``, a ``(name, values)`` pair, makes a stacked field: member k is
     the field at parameter ``name`` = ``values[k]`` (so named in errors), every
@@ -288,15 +290,24 @@ class MatrixField:
         env = np.exp(-q[..., 0, :, :])
         p0, q1, p1 = p[..., 0, :, :], q[..., 1 : n + 1, :, :], p[..., 1 : n + 1, :, :]
         q2, p2 = q[..., second, :, :], p[..., second, :, :]
-        d1 = env[..., None, :, :] * (p1 - q1 * p0[..., None, :, :])
         # d2[j, k] = e^{-q}(P_jk - (q_j P_k + q_k P_j) + (q_j q_k - q_jk) P), exactly
-        # symmetric in (j, k) since the paired products are added commutatively
+        # symmetric in (j, k) since the paired products are added commutatively;
+        # an overflow is the InputError below, not a floating-point warning
         qj, qk = q1[..., :, None, :, :], q1[..., None, :, :, :]
         pj, pk = p1[..., :, None, :, :], p1[..., None, :, :, :]
-        d2 = env[..., None, None, :, :] * (
-            p2 - (qj * pk + qk * pj) + (qj * qk - q2) * p0[..., None, None, :, :]
-        )
-        return Jet2(value=self._spd(x, q[..., 0, 0, 0], env * p0), d1=d1, d2=d2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1 = env[..., None, :, :] * (p1 - q1 * p0[..., None, :, :])
+            d2 = env[..., None, None, :, :] * (
+                p2 - (qj * pk + qk * pj) + (qj * qk - q2) * p0[..., None, None, :, :]
+            )
+        value = self._spd(x, q[..., 0, 0, 0], env * p0)
+        if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
+            bad = ~(np.isfinite(d1).all(axis=(-3, -2, -1))
+                    & np.isfinite(d2).all(axis=(-4, -3, -2, -1)))
+            index = int(np.argmax(bad)) if bad.ndim else None  # the first point (and member)
+            raise InputError(f"{self._where(x, index)}: the jet has derivatives that are not "
+                             "finite")
+        return Jet2(value=value, d1=d1, d2=d2)
 
     # -- derived fields -------------------------------------------------------
 

@@ -8,6 +8,7 @@ quadrature marginal versus the curvature-plus-variance decomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -30,9 +31,7 @@ from .quadrature import (
     VectorFieldFn,
     _check_test_fns,
     _integral,
-    _spd_integral,
     integrate_field,
-    pairwise_sum,
     variance_functional,
 )
 
@@ -119,6 +118,12 @@ def _node_form(u, g, v) -> np.ndarray:
     return np.einsum("na,nab,nb->n", u, g, v)
 
 
+def _residual_status(residual: float, tol: float) -> str:
+    """pass or fail by ``tol``; degenerate when an integral overflowed and the
+    residual is not a finite number."""
+    return "degenerate" if not math.isfinite(residual) else "pass" if residual <= tol else "fail"
+
+
 def ipp_residual(
     field: MatrixField,
     f: VectorFieldFn,
@@ -128,20 +133,20 @@ def ipp_residual(
 ) -> CheckReport:
     """Integration by parts: int <LF, G>_g = -int <grad F, grad G>_{id (x) g}."""
     _check_test_fns(field, f, g_fn)
-    x, w = rule.nodes, rule.weights
+    x = rule.nodes
     jet = field.jet(x)
     gv = jet.value.entries
-    _integral(rule, gv)  # the gate on the weight: Z positive definite, the tail checked
     f_grad = f.grad(x)
     lf = _laplacian(jet, f_grad, f.hess(x))
-    lhs = float(pairwise_sum(w * _node_form(lf, gv, g_fn.value(x))))
-    grad_pair = np.einsum("nlk,nlm,nmk->n", f_grad, gv, g_fn.grad(x))
-    rhs = float(pairwise_sum(-w * grad_pair))
+    # Z is the gate on the weight: positive definite, the tail checked
+    lhs, rhs = map(float, _integral(
+        rule, gv, _node_form(lf, gv, g_fn.value(x)),
+        -np.einsum("nlk,nlm,nmk->n", f_grad, gv, g_fn.grad(x)))[1:])
     residual = abs(lhs - rhs)
     tol = tol_res * max(1.0, abs(lhs), abs(rhs))
     return CheckReport(
         name="ipp_residual",
-        status="pass" if residual <= tol else "fail",
+        status=_residual_status(residual, tol),
         metrics={"lhs": lhs, "rhs": rhs, "residual": residual},
         tolerances={"tol_res": tol},
         settings={"rule": rule.kind, "nodes": rule.count},
@@ -156,22 +161,22 @@ def bochner_residual(
 ) -> CheckReport:
     """Bochner identity: int ||L Psi||_g^2 equals curvature plus Hessian terms."""
     _check_test_fns(field, psi)
-    x, w = rule.nodes, rule.weights
+    x = rule.nodes
     jet = field.jet(x)
     gv = jet.value.entries
-    _integral(rule, gv)  # the gate on the weight: Z positive definite, the tail checked
     cm = curvature_matrix(field, x, jet)
     grad, h = psi.grad(x), psi.hess(x)  # (N, d, n), (N, d, n, n)
     lf = _laplacian(jet, grad, h)
     v = grad.swapaxes(-1, -2).reshape(rule.count, -1)  # flatten (j, l) -> j*d + l
-    lhs = float(pairwise_sum(w * _node_form(lf, gv, lf)))
-    term_curv = float(pairwise_sum(-w * _node_form(v, cm.theta_tilde, v)))
-    term_hess = float(pairwise_sum(w * np.einsum("nljk,nlm,nmjk->n", h, gv, h)))
+    # Z is the gate on the weight: positive definite, the tail checked
+    lhs, term_curv, term_hess = map(float, _integral(
+        rule, gv, _node_form(lf, gv, lf), -_node_form(v, cm.theta_tilde, v),
+        np.einsum("nljk,nlm,nmjk->n", h, gv, h))[1:])
     residual = abs(lhs - term_curv - term_hess)
     tol = tol_res * max(1.0, abs(lhs), abs(term_curv) + abs(term_hess))
     return CheckReport(
         name="bochner_residual",
-        status="pass" if residual <= tol else "fail",
+        status=_residual_status(residual, tol),
         metrics={
             "lhs": lhs,
             "term_curv": term_curv,
@@ -216,7 +221,8 @@ def theta_alpha_decomposed(
 
     ``fiber`` is the jet and curvature stack of the field over the fiber
     nodes (t, y_i), as ``prekopa_check``'s gate made them; without it they
-    are made here.  int g not positive definite is a QuadratureError.
+    are made here.  int g comes from ``_integral`` with the three other sums:
+    its tail is checked, and not positive definite it is a QuadratureError.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     n0, d = t.shape[0], field.d
@@ -226,13 +232,9 @@ def theta_alpha_decomposed(
     g = jet.value.entries
     # D = [d_{t_1} g | ... | d_{t_n0} g] at every node, (N, d, n0 * d)
     dmat = jet.d1[:, :n0].swapaxes(1, 2).reshape(rule.count, d, n0 * d)
-    stacks = (block_split(cm, n0).theta00, dmat, g, dmat.swapaxes(1, 2) @ np.linalg.solve(g, dmat))
-    # the four weighted sums as one: entry by entry, the same products and pairing tree
-    flat = np.concatenate([a.reshape(rule.count, -1) for a in stacks], axis=1)
-    sums = np.split(pairwise_sum(rule.weights[:, None] * flat),
-                    np.cumsum([a[0].size for a in stacks[:-1]]))
-    term_curv00, mean_d, z, sq = (s.reshape(a.shape[1:]) for s, a in zip(sums, stacks))
-    term_var = sq - mean_d.T @ np.linalg.solve(_spd_integral(z).entries, mean_d)
+    z, term_curv00, mean_d, sq = _integral(rule, g, block_split(cm, n0).theta00, dmat,
+                                           dmat.swapaxes(1, 2) @ np.linalg.solve(g, dmat))
+    term_var = sq - mean_d.T @ np.linalg.solve(z.entries, mean_d)
     return term_curv00 + term_var, term_curv00, term_var
 
 

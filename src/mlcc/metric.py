@@ -34,8 +34,8 @@ class SpdMatrix:
     """A dense real symmetric positive definite matrix, or a stack (..., d, d).
 
     The entries are symmetrized on construction so the symmetry invariant
-    holds exactly; every matrix must have a positive smallest eigenvalue, and
-    the error names the first one that does not (by its flat index).
+    holds exactly; every matrix must have a smallest eigenvalue > 0 (NaN is
+    not), and the error names the first one that does not (by its flat index).
     """
 
     entries: np.ndarray
@@ -46,10 +46,11 @@ class SpdMatrix:
             raise InputError(f"expected a square matrix or a stack of them, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise InputError("matrix entries must be finite")
-        sym = 0.5 * (a + a.swapaxes(-1, -2))
+        half = 0.5 * a  # halved before the sum: finite entries cannot overflow
+        sym = half + half.swapaxes(-1, -2)
         lam_min = np.linalg.eigvalsh(sym)[..., 0]
-        if lam_min.min() <= 0.0:
-            i = _first(lam_min <= 0.0)
+        if not lam_min.min() > 0.0:  # a NaN eigenvalue is not > 0 either
+            i = _first(~(lam_min > 0.0))
             which = "matrix" if i is None else f"matrix {i} of {lam_min.size}"
             raise NotPositiveError(
                 f"{which} is not positive definite "
@@ -267,14 +268,12 @@ class PolarOperator:
     last: the eigencoordinate map as contiguous (dn, dn, N) rows and the
     eigenvalues as (dn, N) rows, so NumPy's inner loops run over the N nodes
     rather than over an eigen axis of a few entries (the einsum runs 3-4x
-    faster on 2304 4 x 4 forms).  The first stacked :meth:`value` builds
-    them, so a stack that evaluates no vector (the Prekopa fiber's) never
-    pays for them; from then on ``_coord_map`` (N, dn, dn) and
-    ``eigenvalues`` (N, dn) are node-first views of them.  One form needs no
-    rows: it adds the same products in the same order as the stack's einsum
-    does at each node, and every sum over the eigen axis runs in index order
-    (``_sum_rows``), so its value carries the bits it has as a node of a
-    stack.
+    faster on 2304 4 x 4 forms).  The constructor builds them, read-only, and
+    ``_coord_map`` (N, dn, dn) and ``eigenvalues`` (N, dn) are their
+    node-first views.  One form needs no rows: it adds the same products in
+    the same order as the stack's einsum does at each node, and every sum
+    over the eigen axis runs in index order (``_sum_rows``), so its value
+    carries the bits it has as a node of a stack.
     """
 
     def __init__(self, spec: QuadraticFormSpec):
@@ -295,22 +294,13 @@ class PolarOperator:
         d, nd = root.shape[-1], w.shape[-1]
         wt = w.swapaxes(-1, -2).reshape(w.shape[:-2] + (nd * nd // d, d))
         self._coord_map = (wt @ root).reshape(w.shape)
+        if w.ndim > 2:  # a stack: (dn, dn, N) and (dn, N) rows behind node-first views
+            self._coord_rows = np.ascontiguousarray(self._coord_map.transpose(1, 2, 0))
+            eigen_rows = np.ascontiguousarray(self.eigenvalues.T)
+            for a in (self._coord_rows, eigen_rows):
+                a.setflags(write=False)
+            self._coord_map, self.eigenvalues = self._coord_rows.transpose(2, 0, 1), eigen_rows.T
         self._null_split = (None, None, None)  # (rel_null_tol, null flags, denominators)
-
-    @cached_property
-    def _coord_rows(self) -> np.ndarray:
-        """A stack's eigencoordinate map, node axis last: (dn, dn, N), contiguous.
-
-        The eigenvalues move to contiguous (dn, N) rows with it, and
-        ``_coord_map`` and ``eigenvalues`` become node-first views of the two.
-        """
-        rows = np.ascontiguousarray(np.moveaxis(self._coord_map, 0, -1))
-        eigen_rows = np.ascontiguousarray(self.eigenvalues.T)
-        for a in (rows, eigen_rows):
-            a.setflags(write=False)
-        self._coord_map, self.eigenvalues = np.moveaxis(rows, -1, 0), eigen_rows.T
-        self._null_split = (None, None, None)  # rebuilt from the rows, so it is laid out as they are
-        return rows
 
     def _denominators_and_off_range(self, c2, rel_null_tol: float = DEFAULT_NULL_TOL):
         """The eigenvalues with inf in place of the null ones, and whether vectors with

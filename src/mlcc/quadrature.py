@@ -295,29 +295,36 @@ def _tail_check(rule: QuadratureRule, terms, total) -> None:
         )
 
 
-def _spd_integral(total: np.ndarray) -> SpdMatrix:
-    """An integral of g, validated positive definite (else a QuadratureError)."""
+def _integral(rule: QuadratureRule, values: np.ndarray, *integrands: np.ndarray) -> tuple:
+    """(Z, then sum_i w_i a_i for each further node stack a): Z = sum_i w_i values_i,
+    validated positive definite (else a QuadratureError), with the tail check.
+
+    The path of every weighted sum of a quadrature check, and so the gate on
+    its weight.  The stacks' entries are the columns of one block, summed by
+    one pairwise tree that adds column by column, so each sum keeps the bits
+    of a tree of its own; Z alone is summed with no block.  A weighted sum of
+    exactly symmetric matrices is exactly symmetric, so Z's entries are the
+    sum's bits.
+    """
+    if integrands:
+        stacks = (values, *integrands)
+        terms = rule.weights[:, None] * np.concatenate(
+            [a.reshape(rule.count, -1) for a in stacks], axis=1)
+        sums = [s.reshape(a.shape[1:]) for s, a in zip(
+            np.split(pairwise_sum(terms), np.cumsum([a[0].size for a in stacks[:-1]])), stacks)]
+        terms = terms[:, :values[0].size]  # Z's
+    else:
+        terms = rule.weights[:, None, None] * values
+        sums = [pairwise_sum(terms)]
+    _tail_check(rule, terms, sums[0])
     try:
-        return SpdMatrix(total)
+        sums[0] = SpdMatrix(sums[0])
     except Exception as exc:
         raise QuadratureError(
             "integrated field is not positive definite; the rule is too coarse "
             "or the field is not integrable"
         ) from exc
-
-
-def _integral(rule: QuadratureRule, values: np.ndarray) -> SpdMatrix:
-    """sum_i w_i values_i, validated positive definite, with the tail check.
-
-    The path of every integral of g over a rule but route B's fused sums,
-    which share its check (``_spd_integral``), and so the gate on the weight
-    of every quadrature check.  A weighted sum of exactly symmetric
-    matrices is exactly symmetric, so the result's entries are the sum's bits.
-    """
-    terms = rule.weights[:, None, None] * values
-    total = pairwise_sum(terms)
-    _tail_check(rule, terms, total)
-    return _spd_integral(total)
+    return tuple(sums)
 
 
 def _check_test_fns(field: MatrixField, *fns: VectorFieldFn) -> None:
@@ -354,7 +361,7 @@ def _moments(g: np.ndarray, val: np.ndarray, w: np.ndarray) -> tuple[np.ndarray,
 
 def integrate_field(field: MatrixField, rule: QuadratureRule) -> SpdMatrix:
     """sum_i w_i g(node_i), validated positive definite."""
-    return _integral(rule, _node_values(field, rule))
+    return _integral(rule, _node_values(field, rule))[0]
 
 
 def weighted_mean(field: MatrixField, f: VectorFieldFn, rule: QuadratureRule) -> np.ndarray:
@@ -372,7 +379,7 @@ def _weighted_values(field: MatrixField, rule: QuadratureRule):
     rows = np.ascontiguousarray(np.moveaxis(_node_values(field, rule), 0, -1))
     rows.setflags(write=False)
     g = np.moveaxis(rows, -1, 0)
-    return g, _integral(rule, g).entries
+    return g, _integral(rule, g)[0].entries
 
 
 def variance_functional(

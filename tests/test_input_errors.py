@@ -100,6 +100,23 @@ CLI_ERRORS = {
                                  "--marginal-h", "1e-300"],
                                 "the marginal step h (--marginal-h) = 1e-300 gives derivatives "
                                 "that are not finite; central differences need a larger step"),
+    # g = -1e308 Id - ..., symmetrized as 0.5 (g + g^T), overflowed to -inf: its NaN
+    # eigenvalues passed the SPD check and LAPACK crashed on the curvature
+    "negative_definite_at_1e308": (["nakano", "--field", "raufi_corrected", "--param",
+                                    "s=1e308", "--point", "1,1"],
+                                   "field raufi_corrected at x = [1. 1.]: matrix is not "
+                                   "positive definite (min eigenvalue -1.000e+308)"),
+    # an exact jet whose second derivative overflows: nakano failed on a NaN lambda_max,
+    # prekopa crashed in LAPACK
+    "exact_jet_overflow_nakano": (["nakano", "--field", "gaussian_times_spd", "--param",
+                                   "a11=1e308", "--param", "a22=1e308", "--point", "0"],
+                                  "field gaussian_times_spd at x = [0.]: the jet has "
+                                  "derivatives that are not finite"),
+    "exact_jet_overflow_prekopa": (["prekopa", "--field", "gaussian_cross_spd", "--param",
+                                    "a11=1e308", "--param", "a22=1e308", "--t", "0", "--n0",
+                                    "1", "--order", "8"],
+                                   "field gaussian_cross_spd at x = [ 0.       -2.930637]: "
+                                   "the jet has derivatives that are not finite"),
     # an overflowing coefficient made ipp and bl report fail on inf or nan sums
     "infinite_test_function_coefficient": (["bl", *GAUSS1, "--test-fn", "poly:1e999*y"],
                                            "test function coefficients must be finite, got inf"),

@@ -28,6 +28,21 @@ class TestSpdMatrix:
         with pytest.raises(InputError):
             SpdMatrix(np.ones((2, 3)))
 
+    def test_rejects_a_negative_definite_matrix_at_the_overflow_threshold(self):
+        # 0.5 (a + a^T) overflowed to -inf and its NaN eigenvalues passed the check
+        with pytest.raises(NotPositiveError, match=r"min eigenvalue -1\.000e\+308"):
+            SpdMatrix([[-1e308, -1.0], [-1.0, -1e308]])
+
+    def test_accepts_a_positive_definite_matrix_at_the_overflow_threshold(self):
+        big = np.diag([1e308, 1e308])
+        assert SpdMatrix(big).entries.tobytes() == big.tobytes()
+
+    def test_rejects_a_nan_eigenvalue(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full_like(eigvalsh(a), np.nan))
+        with pytest.raises(NotPositiveError, match=r"matrix 0 of 2 is not positive definite"):
+            SpdMatrix(np.stack([np.eye(2)] * 2))
+
 
 class TestInnerProducts:
     def test_identity_metric(self):

@@ -91,9 +91,9 @@ def calls(monkeypatch):
         counted(VectorFieldFn, name)
     integral = mlcc.inequalities._integral
 
-    def gate(rule, values):
+    def gate(rule, values, *integrands):
         seen["gate", values.shape] += 1
-        return integral(rule, values)
+        return integral(rule, values, *integrands)
 
     monkeypatch.setattr(mlcc.inequalities, "_integral", gate)
     return seen
@@ -188,7 +188,8 @@ class TestOneIntegralPath:
 
 def _tail_calls():
     """Each path to the tail check, on item 1's under-resolved Gaussian (the
-    Prekopa check on its n = 2 version, whose route A integrates over y)."""
+    Prekopa check on its n = 2 version, whose route A integrates over y, and
+    route B alone on it)."""
     field = builtin_field("gaussian_scalar", {"n": 1})
     rule = build_rule("gauss_hermite", order=8, m=1, scale=0.3)
     f = VectorFieldFn.polynomial(1, [[(1.0, (2,))]])
@@ -199,6 +200,7 @@ def _tail_calls():
         "integrate_field": lambda: integrate_field(field, rule),
         "ipp_residual": lambda: ipp_residual(field, f, f, rule),
         "prekopa_route_a": lambda: prekopa_check(plane, [0.1], 1, rule),
+        "prekopa_route_b": lambda: theta_alpha_decomposed(plane, [0.1], rule),
     }
 
 

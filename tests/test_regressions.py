@@ -6,7 +6,7 @@ budgets and seeds of the rank-one search and the scan, the shape of a report con
 finite-difference steps, unknown builtin parameters and the scan's error messages, the
 library settings no caller set, malformed matrices and field JSON, an unwritable --out,
 the highest Gauss-Hermite order, the last value of a scan, non-finite tolerances and
-V0, and the scan's one spectrum."""
+V0, the scan's one spectrum, and no status from a NaN."""
 
 import json
 import re
@@ -813,3 +813,33 @@ class TestScanReadsOneSpectrum:
             f"{v!r},{lam!r},{str(ok).lower()}"
             for v, lam, ok in zip(values.tolist(), verdict.lambda_max, verdict.is_nlogconcave)]
         assert path.read_bytes().decode() == "\r\n".join(rows) + "\r\n"
+
+
+class TestNoStatusFromNan:
+    """A rank-one maximum that is not finite and a residual that is NaN give no
+    verdict: degenerate, exit 3, not pass or fail."""
+
+    @pytest.mark.parametrize("value", [-np.inf, np.inf, np.nan])
+    def test_griffiths(self, capsys, monkeypatch, value):
+        # -inf is what griffiths_min_gap returns when every start was NaN
+        monkeypatch.setattr(mlcc.cli, "griffiths_min_gap", lambda *a, **k: value)
+        assert run(GRIFFITHS_ARGV + ["--no-timestamp"]) == 3
+        check = json.loads(capsys.readouterr().out)["checks"][0]
+        assert check["status"] == "degenerate"
+        assert check["metrics"]["rank_one_max"] == str(value)
+
+    @pytest.mark.parametrize("command", ["ipp", "bochner"])
+    def test_an_overflowing_test_function(self, capsys, command):
+        # y^400 and its derivatives overflow at the outer GH 64 nodes: the sums are NaN
+        assert run([command, "--field", "gaussian_scalar", "--test-fn", "poly:y^400",
+                    "--order", "64", "--no-timestamp"]) == 3
+        check = json.loads(capsys.readouterr().out)["checks"][0]
+        assert check["status"] == "degenerate" and check["metrics"]["residual"] == "nan"
+
+    def test_an_overflowing_exact_jet_names_its_point(self):
+        field = builtin_field("gaussian_cross_spd", {"a11": 1e308, "a22": 1e308})
+        x = np.array([[0.0, 0.0], [0.5, -0.25]])
+        with pytest.raises(InputError, match=re.escape(
+                "field gaussian_cross_spd at x = [0. 0.]: the jet has derivatives that are "
+                "not finite")):
+            field.jet(x)

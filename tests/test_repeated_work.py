@@ -314,8 +314,8 @@ def test_route_b_sums_equal_four_pairwise_sums(case, order):
 
 def test_route_b_makes_one_pairwise_sum(monkeypatch):
     calls = []
-    original = mlcc.inequalities.pairwise_sum
-    monkeypatch.setattr(mlcc.inequalities, "pairwise_sum",
+    original = mlcc.quadrature.pairwise_sum
+    monkeypatch.setattr(mlcc.quadrature, "pairwise_sum",
                         lambda terms: calls.append(terms.shape) or original(terms))
     field = builtin_field("gaussian_cross_spd", BENCH_FIXTURES["gaussian_cross_spd"])
     theta_alpha_decomposed(field, [0.1], build_rule("gauss_hermite", order=8, m=1))

@@ -229,24 +229,31 @@ def test_stacked_and_one_node_polar_values_agree(name, params):
         assert one.value(vs[i]).value == stacked[i]
 
 
-def test_single_forms_and_the_prekopa_fiber_build_no_node_last_rows(monkeypatch):
-    """Only a stacked value lays out the coordinate rows: schur_gap and polar_value
-    on one form, and the Schur margin over a fiber stack, never ask for them."""
-    built, lay_out = [], PolarOperator.__dict__["_coord_rows"].func
-    monkeypatch.setattr(PolarOperator, "_coord_rows",
-                        property(lambda self: built.append(self) or lay_out(self)))
+def test_single_forms_build_no_node_last_rows_and_a_stack_has_them_from_construction(
+        monkeypatch):
+    """schur_gap and polar_value on one form build no coordinate rows; a stack, the
+    Prekopa fiber's or the evaluator's, has them from its construction: contiguous
+    read-only rows, node axis last, behind the node-first ``_coord_map`` and
+    ``eigenvalues``."""
+    built, init = [], PolarOperator.__init__
+    monkeypatch.setattr(PolarOperator, "__init__",
+                        lambda self, spec: built.append(self) or init(self, spec))
     field = builtin_field("gaussian_cross_spd", {"c": 0.5, "d": 2})
     cm = curvature_matrix(field, np.array([0.1, -0.2]))
     schur_gap(block_split(cm, 1), ColumnBlockMatrix([np.array([0.6, 0.8])]))
     polar_value(QuadraticFormSpec(cm.g, -cm.theta_tilde), np.ones(4))
-    rule = build_rule("gauss_hermite", order=48, m=1)
-    _, fiber = mlcc.inequalities._fiber_pass(field, np.array([0.1]), rule)
-    mlcc.inequalities._schur_margin(fiber, 1)
-    assert prekopa_check(field, [0.1], 1, rule).passed
     assert run(["schur", "--field", "raufi_corrected", "--param", "s=0.75", "--point", "0,0",
                 "--n0", "1", "--no-timestamp"]) == 0
-    assert built == []
-    # the evaluator's stacked energy does ask for them
+    assert len(built) == 3 and not any(hasattr(p, "_coord_rows") for p in built)
+    built.clear()
+    # the fiber's stack for the Schur margin, then one form for schur_gap at its node
+    assert prekopa_check(field, [0.1], 1, build_rule("gauss_hermite", order=48, m=1)).passed
+    assert [p._coord_map.ndim for p in built] == [3, 2]
+    assert not hasattr(built[1], "_coord_rows")
     ev = _evaluator(field)
-    ev.energy(VectorFieldFn.polynomial(2, [[(1.0, (1, 0))], [(1.0, (0, 1))]]))
-    assert built == [ev._polar]
+    for polar, dn, count in ((built[0], 2, 48), (ev._polar, 4, 144)):  # -Theta_11, -Theta
+        rows = polar._coord_rows
+        assert rows.shape == (dn, dn, count) and rows.flags.c_contiguous
+        assert polar._coord_map.base is rows and polar.eigenvalues.shape == (count, dn)
+        for view in (polar._coord_map, polar.eigenvalues):
+            assert np.moveaxis(view, 0, -1).flags.c_contiguous and not view.flags.writeable
