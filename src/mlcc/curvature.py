@@ -44,9 +44,7 @@ def theta_block(jet: Jet2, j: int, k: int) -> np.ndarray:
     n = jet.n
     if not (0 <= j < n and 0 <= k < n):
         raise InputError(f"block index ({j}, {k}) out of range for n={n}")
-    g = jet.value.entries
-    inner = jet.d2[k, j] - jet.d1[k] @ np.linalg.solve(g, jet.d1[j])
-    return np.linalg.solve(g, inner)
+    return np.linalg.solve(jet.value.entries, jet.d2[k, j] - jet.d1[k] @ jet._log_d1[j])
 
 
 @dataclass(frozen=True)
@@ -83,11 +81,9 @@ def curvature_from_jet(jet: Jet2) -> CurvatureMatrix:
     flat index of the first that fails (``curvature_matrix`` names its point).
     """
     n, d = jet.n, jet.d
-    g = jet.value.entries
-    ginv_d1 = np.linalg.solve(g[..., None, :, :], jet.d1)
     # [..., k, j] = d2_{kj} - (d_k g) g^{-1} (d_j g): row-block k, column-block j
-    blocks = jet.d2 - jet.d1[..., :, None, :, :] @ ginv_d1[..., None, :, :, :]
-    raw = blocks.swapaxes(-3, -2).reshape(g.shape[:-2] + (n * d, n * d))
+    blocks = jet.d2 - jet.d1[..., :, None, :, :] @ jet._log_d1[..., None, :, :, :]
+    raw = blocks.swapaxes(-3, -2).reshape(jet.d1.shape[:-3] + (n * d, n * d))
     raw_t = raw.swapaxes(-1, -2)
     # Frobenius norms per matrix, with np.linalg.norm's arithmetic
     diff = raw - raw_t
@@ -179,7 +175,7 @@ def griffiths_min_gap(
     # row s is start s's y then its u, which the first u-step replaces unread
     y = np.random.default_rng(seed).standard_normal((n_starts, n + d))[:, :n]
     y /= np.linalg.norm(y, axis=1, keepdims=True)
-    step = _circle_steps(p_mat, y) if n == d == 2 else _eigh_steps(cm, invroot, p_mat, y)
+    step = (_circle_steps if n == d == 2 else _eigh_steps)(p_mat, y)
     prev = np.full(n_starts, -np.inf)
     live = np.arange(n_starts)
     for _ in range(max_iter):
@@ -192,28 +188,23 @@ def griffiths_min_gap(
     return float(np.fmax.reduce(prev, initial=-np.inf))
 
 
-def _eigh_steps(cm: CurvatureMatrix, invroot: np.ndarray, p_mat: np.ndarray, y: np.ndarray):
+def _eigh_steps(p_mat: np.ndarray, y: np.ndarray):
     """The search's step for any shape: ``step(live)`` moves the starts ``live`` of the
     unit rows ``y`` (updated in place) by one batched eigensolve in u and one in y, and
-    returns their values."""
-    d, n = cm.d, cm.n
-    g = cm.g.entries
-    # both contractions are one matrix product: by (y (x) y) with the pencil as
-    # P[(j, k), (a, b)], and by (u (x) u) with theta_tilde as T[(a, b), (j, k)]
-    t_mat = cm.theta_tilde.reshape(n, d, n, d).transpose(1, 3, 2, 0).reshape(d * d, n * n)
+    returns their values.  Both read the pencil P[(j, k), (a, b)] (``p_mat``) alone: the
+    u-step's matrix is (y (x) y) P, with top unit eigenvector w = g^{1/2} u, and the
+    y-step's is [w^T P_{jk} w] = (w (x) w) P^T, whose top eigenvalue is the value."""
+    n, d = y.shape[1], round(p_mat.shape[1] ** 0.5)
 
     def step(live):
         yl = y[live]
-        # u-step: top generalized eigenpair of (sum y_j y_k block_{j,k}, g)
         yy = (yl[:, :, None] * yl[:, None, :]).reshape(-1, n * n)
-        _, w = np.linalg.eigh((yy @ p_mat).reshape(-1, d, d))
-        u = w[:, :, -1] @ invroot.T
-        # y-step: top eigenpair of the n x n matrix [u^T block_{j,k} u]
-        uu = (u[:, :, None] * u[:, None, :]).reshape(-1, d * d)
-        b = (uu @ t_mat).reshape(-1, n, n)
+        w = np.linalg.eigh((yy @ p_mat).reshape(-1, d, d))[1][:, :, -1]
+        ww = (w[:, :, None] * w[:, None, :]).reshape(-1, d * d)
+        b = (ww @ p_mat.T).reshape(-1, n, n)
         lam_y, w_y = np.linalg.eigh(0.5 * (b + b.swapaxes(1, 2)))
         y[live] = w_y[:, :, -1]
-        return lam_y[:, -1] / ((u @ g) * u).sum(1)
+        return lam_y[:, -1]
 
     return step
 

@@ -21,7 +21,7 @@ import numpy as np
 from ._poly import (poly_collect, poly_degrees, poly_diff, poly_eval, poly_stack,
                     poly_substitute_prefix)
 from .errors import InputError, NotPositiveError
-from .metric import SpdMatrix
+from .metric import SpdMatrix, _first
 
 #: Default central-difference step for finite-difference jets.
 DEFAULT_FD_STEP = 1e-4
@@ -42,11 +42,20 @@ class Jet2:
 
     ``value`` is the SPD value, ``d1[..., j]`` the first partials,
     ``d2[..., j, k]`` the second partials (symmetrized in (j, k) on assembly).
+    The log-derivatives g^{-1} d_j g are solved once per jet, on first use
+    (``_log_d1``), for the curvature, the weighted Laplacian and route B.
     """
 
     value: SpdMatrix
     d1: np.ndarray  # (..., n, d, d)
     d2: np.ndarray  # (..., n, n, d, d)
+
+    @cached_property
+    def _log_d1(self) -> np.ndarray:
+        """g^{-1} d_j g at ``[..., j, :, :]``, (..., n, d, d): one batched solve, read-only."""
+        out = np.linalg.solve(self.value.entries[..., None, :, :], self.d1)
+        out.setflags(write=False)
+        return out
 
     @property
     def n(self) -> int:
@@ -234,10 +243,13 @@ class MatrixField:
         return f"field {self.name} at {member}x = {np.array2string(x[i[:k]], precision=6)}"
 
     def _spd(self, x: np.ndarray, q: np.ndarray, values) -> SpdMatrix:
-        """The values at ``x`` (envelope exponent ``q``) as an SpdMatrix; off the
-        cone, the error names the point, and says so when e^{-q} underflows there."""
+        """The values at ``x`` (envelope exponent ``q``) as an SpdMatrix; not finite or
+        off the cone, the error names the point, and says so when e^{-q} underflows there."""
         try:
             return SpdMatrix(values)
+        except InputError as exc:
+            bad = ~np.isfinite(values).all(axis=(-2, -1))
+            raise InputError(f"{self._where(x, _first(bad))}: {exc}") from None
         except NotPositiveError as exc:
             index, where, q_i = exc.index, self._where(x, exc.index), np.ravel(q)[exc.index or 0]
             if np.exp(-q_i) < np.finfo(float).tiny:

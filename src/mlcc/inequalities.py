@@ -102,14 +102,14 @@ def weighted_laplacian(field: MatrixField, f: VectorFieldFn, x) -> np.ndarray:
 
 
 def _laplacian(jet: Jet2, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """L F from the field's jet and F's gradient and Hessian at the same points.
+    """L F from the field's jet and F's gradient and Hessian at the same points; the
+    log-derivatives g^{-1} d_k g are the jet's, solved once per jet.
 
     The einsum adds its k and b products in an order set by its operands' layout, so
     the gradient is read C-contiguous: L F has the same bits whether F hands it
     node-first or as a view of node-last rows (``VectorFieldFn.polynomial``).
     """
-    log_d = np.linalg.solve(jet.value.entries[..., None, :, :], jet.d1)  # g^{-1} d_k g
-    first = np.einsum("...kab,...bk->...a", log_d, np.ascontiguousarray(grad))
+    first = np.einsum("...kab,...bk->...a", jet._log_d1, np.ascontiguousarray(grad))
     return np.einsum("...ljj->...l", hess) + first
 
 
@@ -229,11 +229,11 @@ def theta_alpha_decomposed(
     if rule.m != field.n - n0:
         raise InputError("rule dimension must equal the number of integrated variables")
     jet, cm = fiber or _fiber_pass(field, t, rule)
-    g = jet.value.entries
-    # D = [d_{t_1} g | ... | d_{t_n0} g] at every node, (N, d, n0 * d)
-    dmat = jet.d1[:, :n0].swapaxes(1, 2).reshape(rule.count, d, n0 * d)
-    z, term_curv00, mean_d, sq = _integral(rule, g, block_split(cm, n0).theta00, dmat,
-                                           dmat.swapaxes(1, 2) @ np.linalg.solve(g, dmat))
+    # D = [d_{t_1} g | ... | d_{t_n0} g] at every node, (N, d, n0 * d), and g^{-1} D alike
+    dmat, ginv_d = (a[:, :n0].swapaxes(1, 2).reshape(rule.count, d, n0 * d)
+                    for a in (jet.d1, jet._log_d1))
+    z, term_curv00, mean_d, sq = _integral(rule, jet.value.entries, block_split(cm, n0).theta00,
+                                           dmat, dmat.swapaxes(1, 2) @ ginv_d)
     term_var = sq - mean_d.T @ np.linalg.solve(z.entries, mean_d)
     return term_curv00 + term_var, term_curv00, term_var
 

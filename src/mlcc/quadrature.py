@@ -302,21 +302,18 @@ def _integral(rule: QuadratureRule, values: np.ndarray, *integrands: np.ndarray)
     The path of every weighted sum of a quadrature check, and so the gate on
     its weight.  The stacks' entries are the columns of one block, summed by
     one pairwise tree that adds column by column, so each sum keeps the bits
-    of a tree of its own; Z alone is summed with no block.  A weighted sum of
-    exactly symmetric matrices is exactly symmetric, so Z's entries are the
-    sum's bits.
+    of a tree of its own; each is read off the tree's output at its running
+    offset.  A weighted sum of exactly symmetric matrices is exactly
+    symmetric, so Z's entries are the sum's bits.
     """
-    if integrands:
-        stacks = (values, *integrands)
-        terms = rule.weights[:, None] * np.concatenate(
-            [a.reshape(rule.count, -1) for a in stacks], axis=1)
-        sums = [s.reshape(a.shape[1:]) for s, a in zip(
-            np.split(pairwise_sum(terms), np.cumsum([a[0].size for a in stacks[:-1]])), stacks)]
-        terms = terms[:, :values[0].size]  # Z's
-    else:
-        terms = rule.weights[:, None, None] * values
-        sums = [pairwise_sum(terms)]
-    _tail_check(rule, terms, sums[0])
+    stacks = (values, *integrands)
+    terms = rule.weights[:, None] * np.concatenate(
+        [a.reshape(rule.count, -1) for a in stacks], axis=1)
+    total, sums, start = pairwise_sum(terms), [], 0
+    for a in stacks:
+        sums.append(total[start:start + a[0].size].reshape(a.shape[1:]))
+        start += a[0].size
+    _tail_check(rule, terms[:, :values[0].size], sums[0])
     try:
         sums[0] = SpdMatrix(sums[0])
     except Exception as exc:

@@ -42,6 +42,11 @@ RAUFI = ["--field", "raufi_corrected", "--param", "s=0.75", "--point", "0,0"]
 GAUSS1 = ["--field", "gaussian_scalar", "--order", "4"]
 GAUSS2 = ["--field", "gaussian_scalar", "--param", "n=2", "--order", "4"]
 
+#: A field JSON whose value overflows near 0: e^{1 - x^2 / 2} 1e308.  In an argv of
+#: ``CLI_ERRORS`` it stands for a file holding it.
+OVERFLOWING_FIELD = {"n": 1, "d": 1, "q": [[-1.0, [0]], [0.5, [2]]],
+                     "entries": {"1,1": [[1e308, [0]]]}}
+
 FD_1E300 = ("the finite-difference step h (--h) = 1e-300 gives derivatives that are not "
             "finite; central differences need a larger step")
 
@@ -117,6 +122,15 @@ CLI_ERRORS = {
                                     "1", "--order", "8"],
                                    "field gaussian_cross_spd at x = [ 0.       -2.930637]: "
                                    "the jet has derivatives that are not finite"),
+    # a value that overflows named neither the field nor the point
+    **{f"overflowing_value_{name}": (argv, f"field polynomial at x = {x}: matrix entries "
+                                           "must be finite")
+       for name, argv, x in (
+           ("nakano", ["nakano", "--field-json", OVERFLOWING_FIELD, "--point", "0"], "[0.]"),
+           ("nakano_fd", ["nakano", "--field-json", OVERFLOWING_FIELD, "--point", "0",
+                          "--jet", "fd"], "[0.]"),
+           ("bl", ["bl", "--field-json", OVERFLOWING_FIELD, "--test-fn", "poly:y", "--order",
+                   "8"], "[-0.381187]"))},
     # an overflowing coefficient made ipp and bl report fail on inf or nan sums
     "infinite_test_function_coefficient": (["bl", *GAUSS1, "--test-fn", "poly:1e999*y"],
                                            "test function coefficients must be finite, got inf"),
@@ -130,8 +144,11 @@ def _assert_config_error(capsys, code, message):
 
 
 @pytest.mark.parametrize("case", sorted(CLI_ERRORS))
-def test_cli_config_error(capsys, case):
+def test_cli_config_error(tmp_path, capsys, case):
     argv, message = CLI_ERRORS[case]
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(OVERFLOWING_FIELD))
+    argv = [str(path) if arg is OVERFLOWING_FIELD else arg for arg in argv]
     _assert_config_error(capsys, run(argv + ["--no-timestamp"]), message)
 
 

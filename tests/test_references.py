@@ -1100,7 +1100,8 @@ class TestEvaluatorNodeCache:
         field = make()
         rule = build_rule("gauss_hermite", order=order, m=m, scale=scale)
         ev = DirichletEvaluator(field, rule)
-        ev.energy(_cubic_fn(np.random.default_rng(order), field.n, field.d))  # lays out the rows
+        # the constructor laid out the rows; a check reads them, not a copy
+        ev.energy(_cubic_fn(np.random.default_rng(order), field.n, field.d))
         cm = curvature_matrix(field, rule.nodes)
         fresh = PolarOperator(QuadraticFormSpec(cm.g, -cm.theta_tilde))
         dn = field.n * field.d

@@ -5,8 +5,8 @@ The references are the replaced formulas: ``np.any`` as the zero test of
 ``poly_substitute_prefix``, ``np.linalg.norm`` for the tail check's and the
 curvature gate's Frobenius norms, ``nakano_verdict(...).lambda_max`` for
 ``lambda_max_alpha``, a fresh ``SpdMatrix`` for a node of a validated stack,
-a fresh validation of the marginal's centre integral, and one ``pairwise_sum``
-call per weighted sum of route B.
+a fresh validation of the marginal's centre integral, one ``pairwise_sum``
+call per weighted sum of route B, and one solve of g^{-1} d_j g per jet.
 """
 
 from collections import Counter
@@ -20,7 +20,9 @@ import mlcc.inequalities
 from mlcc import (
     InputError,
     SpdMatrix,
+    VectorFieldFn,
     block_split,
+    bochner_residual,
     build_rule,
     builtin_field,
     marginal_theta_fd,
@@ -48,7 +50,8 @@ def _bits(a) -> bytes:
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of the eigensolvers, np.any, SpdMatrix's validation and restrict_field."""
+    """Calls of the eigensolvers, np.linalg.solve, np.any, SpdMatrix's validation and
+    restrict_field."""
     seen = Counter()
 
     def counted(owner, name, key):
@@ -60,7 +63,7 @@ def counts(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "solve"):
         counted(np.linalg, name, name)
     counted(np, "any", "np.any")
     counted(SpdMatrix, "__init__", "SpdMatrix")
@@ -71,7 +74,8 @@ def counts(monkeypatch):
 class TestPrekopaCounts:
     """One GH 16 check on each benchmark field, counted call by call: the fiber
     stack and every integral of route A validated once, no standard spectrum,
-    one g^{-1/2} per stack, and no np.any in the restrictions."""
+    one g^{-1/2} per stack, one g^{-1} d_j g per jet, and no np.any in the
+    restrictions."""
 
     @pytest.mark.parametrize("name", sorted(BENCH_FIXTURES))
     @pytest.mark.parametrize("t", [-0.3, 0.1])
@@ -89,6 +93,10 @@ class TestPrekopaCounts:
         assert counts["SpdMatrix"] == 12
         assert counts["restrict_field"] == 5
         assert counts["np.any"] == 0
+        # solve: g^{-1} d_j g of the fiber jet (route B's g^{-1} D is its first block)
+        # and of the marginal's, the Schur margin's mixed block, route B's
+        # (int g)^{-1} int D and schur_gap's mixed block
+        assert counts["solve"] == 5
 
     def test_a_restriction_makes_no_np_any_call(self, counts):
         field = builtin_field("perturbed_gaussian_spd")
@@ -320,3 +328,33 @@ def test_route_b_makes_one_pairwise_sum(monkeypatch):
     field = builtin_field("gaussian_cross_spd", BENCH_FIXTURES["gaussian_cross_spd"])
     theta_alpha_decomposed(field, [0.1], build_rule("gauss_hermite", order=8, m=1))
     assert calls == [(8, 4 * 4)]  # theta_00, D, g and D^T g^-1 D: 4 entries each
+
+
+def test_bochner_solves_for_the_log_derivatives_once(monkeypatch):
+    field = builtin_field("perturbed_gaussian_spd")
+    jets, rhs = [], []
+    jet_of, solve = field.jet, np.linalg.solve
+    monkeypatch.setattr(field, "jet", lambda x: jets.append(jet_of(x)) or jets[-1])
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: rhs.append(b) or solve(a, b))
+    psi = VectorFieldFn.polynomial(2, [[(1.0, (2, 1))], [(0.5, (0, 3)), (-1.0, (1, 0))]])
+    bochner_residual(field, psi, build_rule("gauss_hermite", order=8, m=2))
+    # the curvature and L Psi both read the jet's g^{-1} d_j g
+    assert len(jets) == 1 and sum(b is jets[0].d1 for b in rhs) == 1
+
+
+def test_route_b_reads_d_transpose_times_the_jets_log_derivatives(monkeypatch):
+    field, t = _polynomial_field_n3(), np.array([0.1, -0.2])
+    rule = build_rule("gauss_hermite", order=16, m=1)
+    sums, integral = [], mlcc.inequalities._integral
+    monkeypatch.setattr(mlcc.inequalities, "_integral",
+                        lambda *args: sums.append(integral(*args)) or sums[-1])
+    jet, cm = _fiber_pass(field, t, rule)
+    theta_alpha_decomposed(field, t, rule, (jet, cm))
+    log_d = jet._log_d1
+    assert log_d is jet._log_d1 and not log_d.flags.writeable  # cached, read-only
+    residual = jet.value.entries[:, None] @ log_d - jet.d1
+    assert np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(jet.d1)
+    # int D^T g^{-1} D, (j, b) x (k, c), from D's blocks d_j g and the jet's g^{-1} d_k g
+    ref = np.einsum("i,ijab,ikac->jbkc", rule.weights, jet.d1[:, :2], log_d[:, :2])
+    sq = sums[0][3]
+    assert np.linalg.norm(sq - ref.reshape(4, 4)) <= 1e-14 * np.linalg.norm(sq)
