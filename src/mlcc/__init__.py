@@ -33,9 +33,12 @@ from .inequalities import (
     CheckReport,
     bl_gap,
     bochner_residual,
+    griffiths_check,
     ipp_residual,
     marginal_theta_fd,
+    nakano_check,
     prekopa_check,
+    schur_check,
     theta_alpha_decomposed,
     weighted_laplacian,
 )

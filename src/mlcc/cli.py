@@ -20,14 +20,7 @@ import warnings
 
 import numpy as np
 
-from .curvature import (
-    block_split,
-    curvature_matrix,
-    generalized_spectrum,
-    griffiths_min_gap,
-    nakano_verdict,
-    schur_gap,
-)
+from .curvature import curvature_matrix, generalized_spectrum
 from .errors import (
     NODE_BUDGET,
     BudgetError,
@@ -42,8 +35,11 @@ from .inequalities import (
     CheckReport,
     bl_gap,
     bochner_residual,
+    griffiths_check,
     ipp_residual,
+    nakano_check,
     prekopa_check,
+    schur_check,
 )
 from .metric import ColumnBlockMatrix
 from .quadrature import VectorFieldFn, build_rule
@@ -210,10 +206,9 @@ def _exit_code(checks: list) -> int:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _field_and_curvature(args):
-    """The field and its curvature matrix at --point (nakano, griffiths, schur)."""
-    field = _build_field(args)
-    return field, curvature_matrix(field, _parse_point(args.point))
+def _curvature(args):
+    """The field's curvature matrix at --point (nakano, griffiths, schur)."""
+    return curvature_matrix(_build_field(args), _parse_point(args.point))
 
 
 def _field_rule_and_test_fns(args, *specs):
@@ -225,43 +220,19 @@ def _field_rule_and_test_fns(args, *specs):
 
 
 def _cmd_nakano(args, diagnostics):
-    _, cm = _field_and_curvature(args)
-    verdict = nakano_verdict(cm, tol_psd=args.tol_psd)
+    report = nakano_check(_curvature(args), tol_psd=args.tol_psd)
     if args.field == "raufi_printed":
         diagnostics.append(
             "raufi_printed: the displayed example matrix corresponds to the "
             "corrected field (raufi_corrected); the printed entries give a "
             "different spectrum"
         )
-    return [
-        CheckReport(
-            name="nakano",
-            status="pass" if verdict.is_nlogconcave else "fail",
-            metrics={
-                "lambda_max": verdict.lambda_max,
-                "lambda_max_std": verdict.lambda_max_std,
-                "asymmetry": cm.asymmetry,
-            },
-            tolerances={"tol_psd": args.tol_psd},
-        )
-    ]
+    return [report]
 
 
 def _cmd_griffiths(args, diagnostics):
-    _, cm = _field_and_curvature(args)
-    value = griffiths_min_gap(cm, n_starts=args.n_starts, seed=args.seed)
-    if not math.isfinite(value):  # -inf when every start was NaN: no verdict
-        status = "degenerate"
-    else:
-        status = "pass" if value <= args.tol_psd else "fail"
-    return [
-        CheckReport(
-            name="griffiths",
-            status=status,
-            metrics={"rank_one_max": value},
-            tolerances={"tol_psd": args.tol_psd},
-        )
-    ]
+    return [griffiths_check(_curvature(args), n_starts=args.n_starts, seed=args.seed,
+                            tol_psd=args.tol_psd)]
 
 
 def _cmd_scan(args, diagnostics):
@@ -314,25 +285,14 @@ def _cmd_scan(args, diagnostics):
 
 
 def _cmd_schur(args, diagnostics):
-    field, cm = _field_and_curvature(args)
-    split = block_split(cm, args.n0)
+    cm = _curvature(args)
+    v0 = None
     if args.v0:
         flat = _parse_point(args.v0)
         if not np.isfinite(flat).all():
             raise InputError(f"--v0 must be finite, got {args.v0!r}")
-        v0 = ColumnBlockMatrix.from_flat(flat, field.d)
-    else:
-        v0 = ColumnBlockMatrix([np.eye(field.d)[0]] * args.n0)
-    gap = schur_gap(split, v0)
-    status = "degenerate" if gap.is_infinite else "pass" if gap.value >= -args.tol_gap else "fail"
-    return [
-        CheckReport(
-            name="schur",
-            status=status,
-            metrics={"gap": gap.value},
-            tolerances={"tol_gap": args.tol_gap},
-        )
-    ]
+        v0 = ColumnBlockMatrix.from_flat(flat, cm.d)
+    return [schur_check(cm, args.n0, v0, tol_gap=args.tol_gap)]
 
 
 def _cmd_bl(args, diagnostics):

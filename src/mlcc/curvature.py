@@ -39,12 +39,14 @@ RANK_ONE_STOP_TOL = 1e-10
 def theta_block(jet: Jet2, j: int, k: int) -> np.ndarray:
     """Curvature block theta_{j,k} = g^{-1}[d2_{kj} g - (d_k g) g^{-1} (d_j g)].
 
-    Indices are 0-based.  Solves against g, never forming its inverse.
+    Indices are 0-based.  Solves against g, never forming its inverse.  On a
+    stack of jets, the result is each point's block, with the stack's lead axes.
     """
     n = jet.n
     if not (0 <= j < n and 0 <= k < n):
         raise InputError(f"block index ({j}, {k}) out of range for n={n}")
-    return np.linalg.solve(jet.value.entries, jet.d2[k, j] - jet.d1[k] @ jet._log_d1[j])
+    return np.linalg.solve(jet.value.entries, jet.d2[..., k, j, :, :]
+                           - jet.d1[..., k, :, :] @ jet._log_d1[..., j, :, :])
 
 
 @dataclass(frozen=True)
@@ -148,15 +150,16 @@ def griffiths_min_gap(
 
     Alternating maximization (top generalized eigenvector in u at fixed y,
     top eigenvector in y at fixed u), multi-started; the result is a lower
-    bound on the true rank-one maximum.  The starts run as one stack: each
-    step moves the starts that are still live, and a start leaves the stack
-    once its value changes by at most ``RANK_ONE_STOP_TOL`` (1e-10)
-    relative, or after ``max_iter`` steps.  When n = d = 2 both half-steps
-    run on the circle, in half angles (``_circle_steps``: a few array
-    operations, no eigensolve); every other shape makes one batched
-    eigensolve in u and one in y per step (``_eigh_steps``).  The result is
-    the largest value over the starts, NaN starts skipped (-inf if none is a
-    number).  ``n_starts`` lies in [8, NODE_BUDGET] and ``seed`` is
+    bound on the true rank-one maximum only up to the rounding of g^{-1/2}
+    and of the pencil, which can leave it a few units in the last place above
+    the maximum.  The starts run as one stack: each step moves the starts
+    that are still live, and a start leaves the stack once its value changes
+    by at most ``RANK_ONE_STOP_TOL`` (1e-10) relative, or after ``max_iter``
+    steps.  When n = d = 2 both half-steps run on the circle, in half angles
+    (``_circle_steps``: a few array operations, no eigensolve); every other
+    shape makes one batched eigensolve in u and one in y per step
+    (``_eigh_steps``).  The result is the largest value over the starts, NaN
+    starts skipped (-inf if none is a number).  ``n_starts`` lies in [8, NODE_BUDGET] and ``seed`` is
     non-negative; start s draws its y then its u from ``default_rng(seed)``.
     """
     if n_starts < 8:

@@ -69,17 +69,18 @@ class Jet2:
 def central_differences(fn, x, h: float, richardson: bool = False, second: bool = True):
     """Central differences of ``fn`` at ``x`` (one point or a stack of centres).
 
-    Returns ``(value, d1, d2)``; ``d1[..., j]`` and ``d2[..., j, k]``
-    approximate the first and second partials to O(h^2), ``richardson``
-    combines the steps h and h/2 to O(h^4).  The stencil is the centre,
-    x +- step e_j and, for the mixed partials, x +- step e_j +- step e_k;
-    ``fn`` maps a stack of points to a stack of values and runs once, on the
-    stencils of all centres.  With ``second=False`` only the first
-    differences are formed (value and d2 are None, the centre is not
-    evaluated).  Every caller's SPD or shape checks run inside ``fn``.  The
-    differences are formed with NumPy's floating-point warnings off: a step
-    too small for them (h^2 underflowing to 0, say) gives entries that are not
-    finite, and ``_checked_differences`` turns those into an InputError.
+    Returns ``(d1, d2)``; ``d1[..., j]`` and ``d2[..., j, k]`` approximate the
+    first and second partials to O(h^2), ``richardson`` combines the steps h
+    and h/2 to O(h^4).  The stencil is the centre (first, so a caller that
+    wants the value keeps it from ``fn``), x +- step e_j and, for the mixed
+    partials, x +- step e_j +- step e_k; ``fn`` maps a stack of points to a
+    stack of values and runs once, on the stencils of all centres.  With
+    ``second=False`` only the first differences are formed (d2 is None, the
+    centre is not evaluated).  Every caller's SPD or shape checks run inside
+    ``fn``.  The differences are formed with NumPy's floating-point warnings
+    off: a step too small for them (h^2 underflowing to 0, say) gives entries
+    that are not finite, and ``_checked_differences`` turns those into an
+    InputError.
     """
     n, lead = x.shape[-1], x.ndim - 1
     steps = (h, h / 2.0) if richardson else (h,)
@@ -117,17 +118,17 @@ def central_differences(fn, x, h: float, richardson: bool = False, second: bool 
             d1 = (4.0 * d1_half - d1) / 3.0
             if second:
                 d2 = (4.0 * d2_half - d2) / 3.0
-    return value, d1, d2
+    return d1, d2
 
 
 def _checked_differences(fn, x, h: float, richardson: bool, what: str):
     """``central_differences(fn, x, h, richardson)``, where first or second
     differences that are not all finite are an InputError naming ``what`` and h."""
-    value, d1, d2 = central_differences(fn, x, h, richardson)
+    d1, d2 = central_differences(fn, x, h, richardson)
     if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
         raise InputError(f"{what} = {h!r} gives derivatives that are not finite; "
                          "central differences need a larger step")
-    return value, d1, d2
+    return d1, d2
 
 
 def _coefficient(c, lead: tuple, shape: tuple):
@@ -287,7 +288,7 @@ class MatrixField:
                 stencil.append(self._value(points))
                 return stencil[0].entries
 
-            _, d1, d2 = _checked_differences(values, x, self.h, self.richardson, _FD_STEP_NAME)
+            d1, d2 = _checked_differences(values, x, self.h, self.richardson, _FD_STEP_NAME)
             if self.members is not None:  # the derivative axes go behind the member axis
                 d1, d2 = d1.swapaxes(-4, -3), np.moveaxis(d2, -3, -5)
             # the validated stencil holds P points per centre, the centre first: its

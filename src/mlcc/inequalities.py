@@ -1,8 +1,11 @@
-"""Executable certifications: variance inequality, Bochner identities, marginals.
+"""Executable certifications: pointwise curvature verdicts, variance inequality,
+Bochner identities, marginals.
 
-Each check compares two independent computation routes and returns a
-structured :class:`CheckReport`.  The headline anti-bug oracle is the
-two-route computation of the marginal's curvature: finite differences on the
+Each check returns a structured :class:`CheckReport` whose status comes from
+one rule (``_status``).  The pointwise checks (Nakano, rank-one, Schur) read
+one curvature matrix; the quadrature checks compare two independent
+computation routes.  The headline anti-bug oracle is the two-route
+computation of the marginal's curvature: finite differences on the
 quadrature marginal versus the curvature-plus-variance decomposition.
 """
 
@@ -14,11 +17,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .curvature import (
+    TOL_PSD,
     CurvatureMatrix,
     block_split,
     curvature_from_jet,
     curvature_matrix,
     generalized_spectrum,
+    griffiths_min_gap,
+    nakano_verdict,
     schur_gap,
 )
 from .errors import InputError
@@ -56,6 +62,46 @@ class CheckReport:
         return self.status == "pass"
 
 
+def _status(value: float, ok: bool) -> str:
+    """The status of every check from its metric ``value``: degenerate when the value
+    is not a finite number (an overflowed integral, an infinite polar, a NaN
+    eigenvalue), else pass when ``ok`` and fail when not.  A Prekopa check whose
+    hypothesis gate fails is the one report that is degenerate without it."""
+    return "degenerate" if not math.isfinite(value) else "pass" if ok else "fail"
+
+
+def nakano_check(cm: CurvatureMatrix, tol_psd: float = TOL_PSD) -> CheckReport:
+    """Nakano check at one point: N-log-concave when the largest generalized
+    eigenvalue of (theta_tilde, id_n (x) g) is at most ``tol_psd``."""
+    verdict = nakano_verdict(cm, tol_psd=tol_psd)
+    return CheckReport(name="nakano", status=_status(verdict.lambda_max, verdict.is_nlogconcave),
+                       metrics={"lambda_max": verdict.lambda_max,
+                                "lambda_max_std": verdict.lambda_max_std,
+                                "asymmetry": cm.asymmetry},
+                       tolerances={"tol_psd": tol_psd})
+
+
+def griffiths_check(cm: CurvatureMatrix, n_starts: int = 32, seed: int = 0,
+                    tol_psd: float = TOL_PSD) -> CheckReport:
+    """Rank-one check at one point: ``griffiths_min_gap``'s best value is at most
+    ``tol_psd``.  A search that found no number (-inf, every start NaN) is degenerate."""
+    value = griffiths_min_gap(cm, n_starts=n_starts, seed=seed)
+    return CheckReport(name="griffiths", status=_status(value, value <= tol_psd),
+                       metrics={"rank_one_max": value}, tolerances={"tol_psd": tol_psd})
+
+
+def schur_check(cm: CurvatureMatrix, n0: int, v0: ColumnBlockMatrix | None = None,
+                tol_gap: float = 1e-8) -> CheckReport:
+    """Block Schur inequality at one point: ``schur_gap`` of the first ``n0``
+    column-blocks at ``v0`` (e_1 in every column when None) is at least
+    -``tol_gap``.  An infinite polar (gap -inf) is degenerate."""
+    if v0 is None:
+        v0 = ColumnBlockMatrix([np.eye(cm.d)[0]] * n0)
+    gap = schur_gap(block_split(cm, n0), v0).value
+    return CheckReport(name="schur", status=_status(gap, gap >= -tol_gap),
+                       metrics={"gap": gap}, tolerances={"tol_gap": tol_gap})
+
+
 def bl_gap(
     field: MatrixField,
     f: VectorFieldFn,
@@ -75,14 +121,11 @@ def bl_gap(
         evaluator = DirichletEvaluator(field, rule)
     lhs = variance_functional(field, f, rule, evaluator)
     rhs = evaluator.energy(f, rel_null_tol)
-    if rhs.is_infinite:
-        gap, tol, status = float("inf"), 1e-6, "degenerate"
-    else:
-        gap, tol = rhs.value - lhs, 1e-6 * max(1.0, rhs.value)
-        status = "pass" if gap >= -tol else "fail"
+    gap, tol = ((math.inf, 1e-6) if rhs.is_infinite
+                else (rhs.value - lhs, 1e-6 * max(1.0, rhs.value)))
     return CheckReport(
         name="bl_gap",
-        status=status,
+        status=_status(gap, gap >= -tol),
         metrics={"lhs": lhs, "rhs": rhs.value, "gap": gap},
         tolerances={"tol_gap": tol, "rel_null_tol": rel_null_tol},
         settings={"rule": rule.kind, "nodes": rule.count},
@@ -118,12 +161,6 @@ def _node_form(u, g, v) -> np.ndarray:
     return np.einsum("na,nab,nb->n", u, g, v)
 
 
-def _residual_status(residual: float, tol: float) -> str:
-    """pass or fail by ``tol``; degenerate when an integral overflowed and the
-    residual is not a finite number."""
-    return "degenerate" if not math.isfinite(residual) else "pass" if residual <= tol else "fail"
-
-
 def ipp_residual(
     field: MatrixField,
     f: VectorFieldFn,
@@ -146,7 +183,7 @@ def ipp_residual(
     tol = tol_res * max(1.0, abs(lhs), abs(rhs))
     return CheckReport(
         name="ipp_residual",
-        status=_residual_status(residual, tol),
+        status=_status(residual, residual <= tol),
         metrics={"lhs": lhs, "rhs": rhs, "residual": residual},
         tolerances={"tol_res": tol},
         settings={"rule": rule.kind, "nodes": rule.count},
@@ -176,7 +213,7 @@ def bochner_residual(
     tol = tol_res * max(1.0, abs(lhs), abs(term_curv) + abs(term_hess))
     return CheckReport(
         name="bochner_residual",
-        status=_residual_status(residual, tol),
+        status=_status(residual, residual <= tol),
         metrics={
             "lhs": lhs,
             "term_curv": term_curv,
@@ -198,7 +235,7 @@ def _marginal_jet(field: MatrixField, t, rule: QuadratureRule, h: float) -> Jet2
         integrals[:] = [integrate_field(restrict_field(field, tt), rule) for tt in ts]
         return np.stack([a.entries for a in integrals])
 
-    _, d1, d2 = _checked_differences(alpha, t, h, richardson=True, what=_MARGINAL_STEP_NAME)
+    d1, d2 = _checked_differences(alpha, t, h, richardson=True, what=_MARGINAL_STEP_NAME)
     return Jet2(value=integrals[0], d1=d1, d2=d2)
 
 
@@ -340,17 +377,16 @@ def prekopa_check(
     route_diff = field.d * n0 * float(np.linalg.norm(cm_alpha.theta_tilde - total, 2))
     metrics = {"lambda_max_alpha": lambda_max_alpha, "route_diff": route_diff,
                "schur_margin": schur_margin}
-    status = "degenerate"
+    ok = False
     if schur_margin != -np.inf:
         # the second route: schur_gap at the node and V0 that attain the margin
         gap = schur_gap(block_split(_nodes(cm, node), n0), ColumnBlockMatrix.from_flat(v0, cm.d))
         diff = abs(gap.value - schur_margin) / max(1.0, abs(schur_margin))
         metrics["schur_route_diff"] = diff
         ok = lambda_max_alpha <= tol_psd and max(route_diff, diff) <= ROUTE_TOL
-        status = "pass" if ok else "fail"
     return CheckReport(
         name="prekopa_check",
-        status=status,
+        status=_status(schur_margin, ok),
         metrics=metrics,
         tolerances={"tol_psd": tol_psd, "tol_route": ROUTE_TOL},
         settings=settings,

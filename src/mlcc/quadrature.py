@@ -204,14 +204,14 @@ class VectorFieldFn:
         x = self._points(x)
         if self._grad is not None:
             return self._grad(x)
-        _, d1, _ = central_differences(self.value, x, FD_STEP, second=False)
+        d1, _ = central_differences(self.value, x, FD_STEP, second=False)
         return d1.swapaxes(-1, -2)
 
     def hess(self, x) -> np.ndarray:
         x = self._points(x)
         if self._hess is not None:
             return self._hess(x)
-        _, d1, _ = central_differences(self.grad, x, FD_STEP, second=False)
+        d1, _ = central_differences(self.grad, x, FD_STEP, second=False)
         out = np.moveaxis(d1, -3, -1)
         return 0.5 * (out + out.swapaxes(-1, -2))
 

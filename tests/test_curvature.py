@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,21 @@ class TestThetaBlock:
         jet = gauss1.jet(np.array([0.0]))
         with pytest.raises(InputError):
             theta_block(jet, 0, 1)
+
+    @pytest.mark.parametrize("jet_mode", ["exact", "finite_difference"])
+    def test_a_stack_gives_each_points_blocks(self, jet_mode):
+        field = builtin_field("raufi_corrected", {"s": 0.75}, jet_mode=jet_mode)
+        x = np.array([[0.1, 0.2], [0.2, -0.1]])
+        jet = field.jet(x)
+        theta = curvature_from_jet(jet).theta_tilde
+        for j, k in itertools.product(range(2), repeat=2):
+            stacked = theta_block(jet, j, k)
+            assert stacked.shape == (2, 2, 2)
+            for i, point in enumerate(x):
+                np.testing.assert_array_equal(stacked[i], theta_block(field.jet(point), j, k))
+            # g theta_{j,k} is block (row k, column j) of theta_tilde
+            block = theta[:, 2 * k:2 * k + 2, 2 * j:2 * j + 2]
+            np.testing.assert_allclose(jet.value.entries @ stacked, block, rtol=0, atol=1e-12)
 
 
 class TestCurvatureMatrix:

@@ -1,8 +1,11 @@
+import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
+import mlcc
 from mlcc import (
     ColumnBlockMatrix,
     VectorFieldFn,
@@ -13,15 +16,19 @@ from mlcc import (
     builtin_field,
     curvature_matrix,
     generalized_spectrum,
+    griffiths_check,
     ipp_residual,
     marginal_theta_fd,
     mixed_block_action,
+    nakano_check,
     nakano_verdict,
     prekopa_check,
+    schur_check,
     theta_alpha_decomposed,
     weighted_laplacian,
 )
 from test_references import _mixed_vector_field
+from mlcc.cli import run
 from mlcc.quadrature import DirichletEvaluator, variance_functional
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -29,6 +36,44 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def poly_fn(n, comps):
     return VectorFieldFn.polynomial(n, comps)
+
+
+def _same_as_cli(capsys, report, argv):
+    """Whether ``report`` equals the first check of ``mlcc`` on ``argv``, keys in order."""
+    run(argv + ["--no-timestamp"])
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    return vars(report) == check and json.dumps(vars(report)) == json.dumps(check)
+
+
+class TestPointwiseChecks:
+    """nakano_check, griffiths_check and schur_check give the report of the matching
+    subcommand, key for key."""
+
+    @pytest.mark.parametrize("s, point, jet", product(
+        [0.3, 0.75], [(0.1, 0.2), (0.2, -0.1)], ["exact", "fd"]))
+    def test_raufi_corrected(self, capsys, s, point, jet):
+        field = builtin_field("raufi_corrected", {"s": s},
+                              **({"jet_mode": "finite_difference"} if jet == "fd" else {}))
+        cm = curvature_matrix(field, np.array(point))
+        argv = ["--field", "raufi_corrected", "--param", f"s={s}",
+                "--point", ",".join(map(str, point)), "--jet", jet]
+        assert _same_as_cli(capsys, nakano_check(cm), ["nakano", *argv])
+        assert _same_as_cli(capsys, griffiths_check(cm), ["griffiths", *argv])
+        assert _same_as_cli(capsys, schur_check(cm, 1), ["schur", *argv, "--n0", "1"])
+        v0 = ColumnBlockMatrix([np.array([0.3, -0.7])])
+        assert _same_as_cli(capsys, schur_check(cm, 1, v0),
+                            ["schur", *argv, "--n0", "1", "--v0", "0.3,-0.7"])
+
+    def test_griffiths_with_d_3(self, capsys):
+        params = {"n": 2, "d": 3, "a12": 0.3, "a23": -0.2}
+        cm = curvature_matrix(builtin_field("gaussian_times_spd", params), np.array([0.1, -0.2]))
+        argv = ["griffiths", "--field", "gaussian_times_spd", "--point", "0.1,-0.2"]
+        argv += [arg for k, v in params.items() for arg in ("--param", f"{k}={v}")]
+        assert _same_as_cli(capsys, griffiths_check(cm), argv)
+
+    def test_the_checks_are_exported(self):
+        for name in ("nakano_check", "griffiths_check", "schur_check"):
+            assert getattr(mlcc, name) is getattr(mlcc.inequalities, name)
 
 
 class TestBrascampLieb:

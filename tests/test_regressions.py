@@ -22,6 +22,7 @@ from mlcc import (
     BudgetError,
     CurvatureMatrix,
     DirichletEvaluator,
+    ExtendedReal,
     InputError,
     Jet2,
     SpdMatrix,
@@ -38,6 +39,7 @@ from mlcc import (
     schur_gap,
 )
 from mlcc.cli import _make_parser, run
+from mlcc.curvature import NakanoVerdict
 from mlcc.fields import BUILTIN_PARAMS, MatrixField, polynomial_field_from_json
 from mlcc.inequalities import _schur_margin
 from mlcc.quadrature import GH_MAX_ORDER, NODE_BUDGET, _gauss_hermite_axis, _hermgauss
@@ -794,7 +796,7 @@ class TestScanReadsOneSpectrum:
 
     @pytest.mark.parametrize("jet", ["exact", "fd"])
     def test_rows_equal_the_nakano_verdict(self, tmp_path, monkeypatch, capsys, jet):
-        monkeypatch.setattr(mlcc.cli, "nakano_verdict",
+        monkeypatch.setattr(mlcc.inequalities, "nakano_verdict",
                             lambda *a, **k: pytest.fail("the scan called nakano_verdict"))
         solves = []
         eigvalsh = np.linalg.eigvalsh
@@ -816,17 +818,35 @@ class TestScanReadsOneSpectrum:
 
 
 class TestNoStatusFromNan:
-    """A rank-one maximum that is not finite and a residual that is NaN give no
-    verdict: degenerate, exit 3, not pass or fail."""
+    """A metric that is not a finite number gives no verdict: a rank-one maximum, a
+    Nakano lambda_max, a Schur gap and a residual are degenerate, exit 3, not pass or
+    fail."""
 
     @pytest.mark.parametrize("value", [-np.inf, np.inf, np.nan])
     def test_griffiths(self, capsys, monkeypatch, value):
         # -inf is what griffiths_min_gap returns when every start was NaN
-        monkeypatch.setattr(mlcc.cli, "griffiths_min_gap", lambda *a, **k: value)
+        monkeypatch.setattr(mlcc.inequalities, "griffiths_min_gap", lambda *a, **k: value)
         assert run(GRIFFITHS_ARGV + ["--no-timestamp"]) == 3
         check = json.loads(capsys.readouterr().out)["checks"][0]
         assert check["status"] == "degenerate"
         assert check["metrics"]["rank_one_max"] == str(value)
+
+    @pytest.mark.parametrize("value", [-np.inf, np.inf, np.nan])
+    def test_nakano(self, capsys, monkeypatch, value):
+        # lambda_max <= tol_psd alone would call -inf a pass and NaN and inf a fail
+        monkeypatch.setattr(mlcc.inequalities, "nakano_verdict",
+                            lambda *a, **k: NakanoVerdict(value, value <= 1e-9, value))
+        assert run(["nakano", *GRIFFITHS_ARGV[1:], "--no-timestamp"]) == 3
+        check = json.loads(capsys.readouterr().out)["checks"][0]
+        assert check["status"] == "degenerate"
+        assert check["metrics"]["lambda_max"] == str(value)
+
+    def test_schur(self, capsys, monkeypatch):
+        monkeypatch.setattr(mlcc.inequalities, "schur_gap",
+                            lambda *a, **k: ExtendedReal(np.nan))
+        assert run(["schur", *GRIFFITHS_ARGV[1:], "--n0", "1", "--no-timestamp"]) == 3
+        check = json.loads(capsys.readouterr().out)["checks"][0]
+        assert check["status"] == "degenerate" and check["metrics"]["gap"] == "nan"
 
     @pytest.mark.parametrize("command", ["ipp", "bochner"])
     def test_an_overflowing_test_function(self, capsys, command):
