@@ -14,7 +14,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -66,6 +66,33 @@ class Jet2:
         return self.value.dim
 
 
+@lru_cache(maxsize=32)
+def _stencil_plan(n: int, richardson: bool, second: bool):
+    """``(units, half, order)``: the stencil of ``central_differences`` in n variables.
+
+    Row p of ``units`` (P, n) is point p's offset at unit step: the centre (with
+    ``second``), then per step +e_j, -e_j and, with ``second``, +-e_j +-e_k for j < k
+    (pp, pm, mp, mm), each formed from -0.0 by the same additions, so x + step * row
+    has the bits of x +- step e_j (+- step e_k), signed zeros too.  The rows from
+    ``half`` on take the step h/2.  ``order`` picks d2's (j, k), row-major, from the
+    n diagonal then the mixed second differences.
+    """
+    eye, zero = np.eye(n), np.full(n, -0.0)
+    block = [zero + eye[j] for j in range(n)] + [zero - eye[j] for j in range(n)]
+    order = np.empty((n, n), dtype=int)
+    order[range(n), range(n)] = range(n)
+    if second:
+        for i, (j, k) in enumerate((j, k) for j in range(n) for k in range(j + 1, n)):
+            block += [zero + eye[j] + eye[k], zero + eye[j] - eye[k],
+                      zero - eye[j] + eye[k], zero - eye[j] - eye[k]]
+            order[j, k] = order[k, j] = n + i
+    units = np.array(([zero] if second else []) + block * (2 if richardson else 1))
+    order = order.ravel()
+    for a in (units, order):
+        a.setflags(write=False)
+    return units, len(units) - len(block) if richardson else len(units), order
+
+
 def central_differences(fn, x, h: float, richardson: bool = False, second: bool = True):
     """Central differences of ``fn`` at ``x`` (one point or a stack of centres).
 
@@ -73,51 +100,44 @@ def central_differences(fn, x, h: float, richardson: bool = False, second: bool 
     first and second partials to O(h^2), ``richardson`` combines the steps h
     and h/2 to O(h^4).  The stencil is the centre (first, so a caller that
     wants the value keeps it from ``fn``), x +- step e_j and, for the mixed
-    partials, x +- step e_j +- step e_k; ``fn`` maps a stack of points to a
-    stack of values and runs once, on the stencils of all centres.  With
-    ``second=False`` only the first differences are formed (d2 is None, the
-    centre is not evaluated).  Every caller's SPD or shape checks run inside
-    ``fn``.  The differences are formed with NumPy's floating-point warnings
-    off: a step too small for them (h^2 underflowing to 0, say) gives entries
-    that are not finite, and ``_checked_differences`` turns those into an
-    InputError.
+    partials, x +- step e_j +- step e_k (a plan cached per shape,
+    ``_stencil_plan``); ``fn`` maps a stack of points to a stack of values and
+    runs once, on the stencils of all centres, and the differences are slices of
+    that one stack.  With ``second=False`` only the first differences are formed
+    (d2 is None, the centre is not evaluated).  Every caller's SPD or shape
+    checks run inside ``fn``.  The differences are formed with NumPy's
+    floating-point warnings off: a step too small for them (h^2 underflowing to
+    0, say) gives entries that are not finite, and ``_checked_differences`` turns
+    those into an InputError.
     """
-    n, lead = x.shape[-1], x.ndim - 1
-    steps = (h, h / 2.0) if richardson else (h,)
-    pts = [x] if second else []
-    for step in steps:
-        e = step * np.eye(n)
-        pts += [x + e[j] for j in range(n)] + [x - e[j] for j in range(n)]
-        if second:
-            for j in range(n):
-                for k in range(j + 1, n):
-                    pts += [x + e[j] + e[k], x + e[j] - e[k], x - e[j] + e[k], x - e[j] - e[k]]
-    vals = fn(np.stack(pts, axis=-2).reshape(-1, n))
-    vals = vals.reshape(x.shape[:-1] + (len(pts),) + vals.shape[1:])
-    vals = iter(np.moveaxis(vals, lead, 0))  # in the order of pts
-    value = next(vals) if second else None
+    n, lead = x.shape[-1], x.shape[:-1]
+    units, half, order = _stencil_plan(n, richardson, second)
+    offsets = units * h
+    offsets[half:] = units[half:] * (h / 2.0)
+    vals = fn((x.reshape(-1, 1, n) + offsets).reshape(-1, n))
+    vals = vals.reshape((math.prod(lead), len(units)) + vals.shape[1:]).swapaxes(0, 1)
 
-    def at(step):
-        plus = [next(vals) for _ in range(n)]
-        minus = [next(vals) for _ in range(n)]
-        d1 = np.stack([(plus[j] - minus[j]) / (2.0 * step) for j in range(n)], axis=lead)
+    def diffs(b, step):  # from the rows b, b + 1, ... of one step
+        plus, minus = vals[b : b + n], vals[b + n : b + 2 * n]
+        d1 = (plus - minus) / (2.0 * step)
         if not second:
             return d1, None
-        d2 = [[None] * n for _ in range(n)]
-        for j in range(n):
-            d2[j][j] = (plus[j] - 2.0 * value + minus[j]) / step**2
-            for k in range(j + 1, n):
-                pp, pm, mp, mm = (next(vals) for _ in range(4))
-                d2[j][k] = d2[k][j] = (pp - pm - mp + mm) / (4.0 * step**2)
-        return d1, np.stack([np.stack(row, axis=lead) for row in d2], axis=lead)
+        diag = (plus - 2.0 * vals[0] + minus) / step**2
+        pp, pm, mp, mm = (vals[b + 2 * n + i : b + 2 * n * n : 4] for i in range(4))
+        return d1, np.concatenate([diag, (pp - pm - mp + mm) / (4.0 * step**2)])[order]
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d1, d2 = at(h)
+        d1, d2 = diffs(1 if second else 0, h)
         if richardson:
-            d1_half, d2_half = at(h / 2.0)
+            d1_half, d2_half = diffs(half, h / 2.0)
             d1 = (4.0 * d1_half - d1) / 3.0
             if second:
                 d2 = (4.0 * d2_half - d2) / 3.0
+    # the derivative axes go behind the centres' axes, C-contiguous
+    shape = vals.shape[2:]
+    d1 = np.ascontiguousarray(d1.swapaxes(0, 1)).reshape(lead + (n,) + shape)
+    if second:
+        d2 = np.ascontiguousarray(d2.swapaxes(0, 1)).reshape(lead + (n, n) + shape)
     return d1, d2
 
 
@@ -131,25 +151,37 @@ def _checked_differences(fn, x, h: float, richardson: bool, what: str):
     return d1, d2
 
 
-def _coefficient(c, lead: tuple, shape: tuple):
-    """A read-only copy of the coefficient ``c`` of the given ``shape``, behind the member
-    axis ``lead`` (a coefficient without it is repeated); a float if both are empty.  A
-    wrong shape, a non-finite entry or an asymmetric matrix is an InputError."""
-    if not lead + shape:
-        if not math.isfinite(x := float(c)):
-            raise InputError("field coefficients must be finite")
-        return x
-    a, full = np.array(c, dtype=float), lead + shape
-    if a.shape != shape and a.shape != full:
-        raise InputError(f"field coefficient has shape {a.shape}, expected {shape}")
-    if np.count_nonzero(np.isfinite(a)) < a.size:
-        raise InputError("field coefficients must be finite")
-    if shape and np.count_nonzero(a - a.swapaxes(-1, -2)):
-        raise InputError("matrix coefficients must be symmetric")
-    if a.shape != full:
-        a = np.array(np.broadcast_to(a, full))
-    a.setflags(write=False)
-    return a
+def _checked_terms(terms, n: int, lead: tuple, shape: tuple) -> list:
+    """The ``(coeff, degs)`` terms of a field, each degree tuple checked (``poly_degrees``)
+    and each coefficient of ``shape``, behind the member axis ``lead`` (or repeated
+    along it), finite and, as a matrix, symmetric; else an InputError for the first
+    bad term, its shape, entries and degrees checked in that order.  The coefficients
+    become views of one checked read-only block (floats with no shape and no axis)."""
+    full, coeffs, degs = lead + shape, [], []
+    try:
+        for c, d in terms:
+            if not full:
+                if not math.isfinite(c := float(c)):
+                    raise InputError("field coefficients must be finite")
+            elif (c := np.asarray(c, dtype=float)).shape != full:
+                if c.shape != shape:
+                    raise InputError(f"field coefficient has shape {c.shape}, expected {shape}")
+                c = np.broadcast_to(c, full)
+            coeffs.append(c)
+            degs.append(poly_degrees(d, n))
+    finally:  # the entries of the terms before a failing one are checked first
+        if full and coeffs:
+            block = np.array(coeffs)
+            if (np.count_nonzero(np.isfinite(block)) < block.size
+                    or shape and np.count_nonzero(block - block.swapaxes(-1, -2))):
+                for c in block:  # the first bad term's fault
+                    if not np.isfinite(c).all():
+                        raise InputError("field coefficients must be finite")
+                    if shape and np.count_nonzero(c - c.swapaxes(-1, -2)):
+                        raise InputError("matrix coefficients must be symmetric")
+            block.setflags(write=False)
+            coeffs = [block[i] for i in range(len(block))]
+    return list(zip(coeffs, degs))
 
 
 class MatrixField:
@@ -198,10 +230,9 @@ class MatrixField:
         self.h = _step(h, _FD_STEP_NAME)
         self.richardson = bool(richardson)
         lead = () if members is None else (len(members[1]),)
-        self._q = poly_collect([(_coefficient(c, lead, ()), poly_degrees(degs, n))
-                                for c, degs in list(q_terms) or [(0.0, (0,) * n)]])
-        self._p = poly_collect([(_coefficient(c, lead, (d, d)), poly_degrees(degs, n))
-                                for degs, c in list(p_terms) or [((0,) * n, np.zeros((d, d)))]])
+        self._q = poly_collect(_checked_terms(list(q_terms) or [(0.0, (0,) * n)], n, lead, ()))
+        p = [(c, degs) for degs, c in p_terms] or [(np.zeros((d, d)), (0,) * n)]
+        self._p = poly_collect(_checked_terms(p, n, lead, (d, d)))
 
     def _derived(self, n: int, q, p, name: str, **jet) -> "MatrixField":
         """A field from (coeff, degs) term lists, keeping the jet settings."""
@@ -221,8 +252,8 @@ class MatrixField:
 
         def family(terms):
             d1 = [poly_diff(terms, j) for j in range(self.n)]
-            out = poly_stack([terms] + d1 + [poly_diff(d1[j], k) for j, k in pairs])
-            return out if self.members is None else [(np.moveaxis(c, 0, 1), e) for c, e in out]
+            return poly_stack([terms] + d1 + [poly_diff(d1[j], k) for j, k in pairs],
+                              lead=0 if self.members is None else 1)
 
         return family(self._q), family(self._p), second
 

@@ -70,9 +70,18 @@ def _status(value: float, ok: bool) -> str:
     return "degenerate" if not math.isfinite(value) else "pass" if ok else "fail"
 
 
+def _one_point(cm: CurvatureMatrix, check: str) -> None:
+    """The pointwise checks' guard: the curvature of a stack of points is an InputError
+    naming the ``check``."""
+    if cm.theta_tilde.ndim != 2:
+        raise InputError(f"{check} takes the curvature at one point, not a stack of "
+                         f"{math.prod(cm.theta_tilde.shape[:-2])}")
+
+
 def nakano_check(cm: CurvatureMatrix, tol_psd: float = TOL_PSD) -> CheckReport:
     """Nakano check at one point: N-log-concave when the largest generalized
     eigenvalue of (theta_tilde, id_n (x) g) is at most ``tol_psd``."""
+    _one_point(cm, "nakano_check")
     verdict = nakano_verdict(cm, tol_psd=tol_psd)
     return CheckReport(name="nakano", status=_status(verdict.lambda_max, verdict.is_nlogconcave),
                        metrics={"lambda_max": verdict.lambda_max,
@@ -85,6 +94,7 @@ def griffiths_check(cm: CurvatureMatrix, n_starts: int = 32, seed: int = 0,
                     tol_psd: float = TOL_PSD) -> CheckReport:
     """Rank-one check at one point: ``griffiths_min_gap``'s best value is at most
     ``tol_psd``.  A search that found no number (-inf, every start NaN) is degenerate."""
+    _one_point(cm, "griffiths_check")
     value = griffiths_min_gap(cm, n_starts=n_starts, seed=seed)
     return CheckReport(name="griffiths", status=_status(value, value <= tol_psd),
                        metrics={"rank_one_max": value}, tolerances={"tol_psd": tol_psd})
@@ -95,6 +105,7 @@ def schur_check(cm: CurvatureMatrix, n0: int, v0: ColumnBlockMatrix | None = Non
     """Block Schur inequality at one point: ``schur_gap`` of the first ``n0``
     column-blocks at ``v0`` (e_1 in every column when None) is at least
     -``tol_gap``.  An infinite polar (gap -inf) is degenerate."""
+    _one_point(cm, "schur_check")
     if v0 is None:
         v0 = ColumnBlockMatrix([np.eye(cm.d)[0]] * n0)
     gap = schur_gap(block_split(cm, n0), v0).value

@@ -1,0 +1,101 @@
+"""Same-answers runner: one SHA-256 line per fixed ``mlcc`` command line.
+
+    PYTHONPATH=src python3 tests/same_answers.py > answers.txt
+
+Each command runs in process through ``cli.run``, in a fresh temporary
+directory that holds the ``checks.json`` the README's ``report`` command reads.
+Its line hashes the exit code, stdout, stderr and every file the command wrote
+there (the scan CSVs).  Every command gets ``--no-timestamp``, so the output is
+the same from run to run.  Run it with ``PYTHONPATH`` on two checkouts and diff
+the outputs: a change that keeps every answer prints the same lines.  The
+commands cover the README's CLI block; ``nakano``, ``griffiths``, ``schur`` and
+``scan`` on ``raufi_corrected`` with exact, fd and fd ``--no-richardson`` jets;
+``prekopa`` at GH 16 and 48; and ``bl``, ``ipp`` and ``bochner`` at GH 8 and 16.
+Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ.pop("MLCC_SEED", None)  # it would override every --seed
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import shlex  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from mlcc.cli import run  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from test_readme import CHECKS, readme_commands  # noqa: E402
+
+JETS = (["--jet", "exact"], ["--jet", "fd"], ["--jet", "fd", "--no-richardson"])
+
+#: (s, point) pairs of the pointwise commands on raufi_corrected.
+POINTWISE = (("0.75", "0,0"), ("0.3", "0.03,-0.02"), ("0.9", "0.01,0.04"))
+
+#: (field arguments, test function, second test function) of the quadrature checks.
+QUADRATURE = (
+    (["--field", "gaussian_scalar", "--param", "n=2"], "poly:x1^2+x1*x2", "poly:x2^3"),
+    (["--field", "perturbed_gaussian_spd"], "poly:x1*x2^2;x1-x2", "poly:x1;x2^2"),
+    (["--field", "gaussian_times_spd", "--param", "a12=0.3"], "poly:y^3;y", "poly:y;y^2"),
+)
+
+
+def argvs() -> list[list[str]]:
+    """The fixed command lines, without ``--no-timestamp``."""
+    out = [shlex.split(cmd)[1:] for cmd in readme_commands()]
+    for jet in JETS:
+        for s, point in POINTWISE:
+            at = ["--field", "raufi_corrected", "--param", f"s={s}", f"--point={point}", *jet]
+            out += [["nakano", *at], ["griffiths", *at], ["schur", *at, "--n0", "1"]]
+        out.append(["scan", "--field", "raufi_corrected", "--point", "0.02,0.01",
+                    "--param-range", "s=0:1:0.05", "--csv", "scan.csv", *jet])
+        out.append(["nakano", "--field", "gaussian_scalar", "--param", "n=3",
+                    "--point=0.1,-0.2,0.3", *jet])
+        for order in ("16", "48"):
+            out.append(["prekopa", "--field", "gaussian_cross_spd", "--t", "0.1", "--n0", "1",
+                        "--order", order, *jet])
+            out.append(["prekopa", "--field", "perturbed_gaussian_spd", "--t", "-0.2", "--n0",
+                        "1", "--order", order, *jet])
+        for order in ("8", "16"):
+            for field, f, g in QUADRATURE:
+                rule = [*field, "--order", order, *jet]
+                out += [["bl", *rule, "--test-fn", f], ["ipp", *rule, "--test-fn", f,
+                        "--test-fn-g", g], ["bochner", *rule, "--test-fn", f]]
+    return out
+
+
+def answer(argv: list[str]) -> str:
+    """SHA-256 over the exit code, stdout, stderr and written files of one command."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp, "checks.json")
+        config.write_text(json.dumps(CHECKS))
+        stdout, stderr, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run([*argv, "--no-timestamp"])
+        finally:
+            os.chdir(cwd)
+        digest = hashlib.sha256(f"{code}\0{stdout.getvalue()}\0{stderr.getvalue()}".encode())
+        for path in sorted(Path(tmp).iterdir()):
+            if path != config:
+                digest.update(b"\0" + path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def main() -> None:
+    for argv in argvs():
+        print(answer(argv), shlex.join(argv))
+
+
+if __name__ == "__main__":
+    main()

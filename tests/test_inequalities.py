@@ -8,6 +8,7 @@ import pytest
 import mlcc
 from mlcc import (
     ColumnBlockMatrix,
+    InputError,
     VectorFieldFn,
     bl_gap,
     block_split,
@@ -70,6 +71,17 @@ class TestPointwiseChecks:
         argv = ["griffiths", "--field", "gaussian_times_spd", "--point", "0.1,-0.2"]
         argv += [arg for k, v in params.items() for arg in ("--param", f"{k}={v}")]
         assert _same_as_cli(capsys, griffiths_check(cm), argv)
+
+    @pytest.mark.parametrize("check", [nakano_check, griffiths_check,
+                                       lambda cm: schur_check(cm, 1)],
+                             ids=["nakano", "griffiths", "schur"])
+    def test_a_stack_of_points_is_an_input_error(self, check):
+        # nakano raised a TypeError and griffiths a ValueError on a stack
+        field = builtin_field("raufi_corrected", {"s": 0.75})
+        cm = curvature_matrix(field, np.array([[0.1, 0.2], [0.2, -0.1]]))
+        with pytest.raises(InputError, match="_check takes the curvature at one point, not a "
+                                             "stack of 2"):
+            check(cm)
 
     def test_the_checks_are_exported(self):
         for name in ("nakano_check", "griffiths_check", "schur_check"):

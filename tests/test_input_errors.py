@@ -243,6 +243,35 @@ LIBRARY_ERRORS = {
                                        "field coefficient has shape (3, 3), expected (2, 2)"),
     "asymmetric_coefficient": (lambda: MatrixField(1, 2, [], [((0,), [[1.0, 0.5], [0.0, 1.0]])]),
                                InputError, "matrix coefficients must be symmetric"),
+    # behind a member axis, and the first failing term's message when several fail
+    "asymmetric_member_coefficient": (lambda: MatrixField(
+                                          1, 2, [], [((0,), np.eye(2)),
+                                                     ((1,), [np.eye(2), [[1.0, 0.5], [0.0, 1.0]]])],
+                                          members=("s", np.array([0.1, 0.2]))),
+                                      InputError, "matrix coefficients must be symmetric"),
+    "member_coefficient_of_the_wrong_shape": (lambda: MatrixField(
+                                                  1, 2, [], [((0,), np.ones((3, 2, 2)))],
+                                                  members=("s", np.array([0.1, 0.2]))),
+                                              InputError, "field coefficient has shape "
+                                              "(3, 2, 2), expected (2, 2)"),
+    "nan_member_scalar_coefficient": (lambda: MatrixField(
+                                          1, 1, [(1.0, (0,)), ([0.5, np.nan], (2,))],
+                                          [((0,), np.eye(1))], members=("s", np.array([0.1, 0.2]))),
+                                      InputError, "field coefficients must be finite"),
+    "asymmetric_before_a_wrong_shape": (lambda: MatrixField(
+                                            1, 2, [], [((0,), [[1.0, 0.5], [0.0, 1.0]]),
+                                                       ((1,), np.eye(3))]),
+                                        InputError, "matrix coefficients must be symmetric"),
+    "wrong_shape_before_a_nan": (lambda: MatrixField(1, 2, [], [((0,), np.eye(3)),
+                                                                ((1,), np.full((2, 2), np.nan))]),
+                                 InputError, "field coefficient has shape (3, 3), expected (2, 2)"),
+    "asymmetric_coefficient_of_a_bad_degree": (lambda: MatrixField(
+                                                   1, 2, [], [((-1,), [[1.0, 0.5], [0.0, 1.0]])]),
+                                               InputError, "matrix coefficients must be symmetric"),
+    "bad_degree_before_a_nan": (lambda: MatrixField(1, 2, [], [((-1,), np.eye(2)),
+                                                               ((0,), np.full((2, 2), np.nan))]),
+                                InputError, "monomial of degrees (-1,): each degree must be a "
+                                "whole number >= 0"),
     "no_variables": (lambda: MatrixField(0, 1, [], []), InputError,
                      "field dimensions must be positive"),
     "unknown_jet_mode": (lambda: MatrixField(1, 1, [], [], jet_mode="spectral"), InputError,
