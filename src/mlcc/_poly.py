@@ -98,9 +98,10 @@ def poly_degrees(degs, n: int) -> tuple[int, ...]:
 
 
 def _whole(k, degs) -> int:
-    """The degree ``k`` of the monomial of degrees ``degs`` as an int, if it is whole and >= 0."""
+    """The degree ``k`` of the monomial of degrees ``degs`` as an int, if it is whole and >= 0
+    (a bool is not a degree)."""
     try:
-        i = int(k)
+        i = -1 if isinstance(k, (bool, np.bool_)) else int(k)
     except (TypeError, ValueError, OverflowError):
         i = -1
     if i < 0 or i != k:

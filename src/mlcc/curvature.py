@@ -149,16 +149,18 @@ def griffiths_min_gap(
     """Best found value of <Theta(y (x) u), y (x) u> over unit rank-one pairs.
 
     Alternating maximization (top generalized eigenvector in u at fixed y,
-    top eigenvector in y at fixed u), multi-started; the result is a lower
-    bound on the true rank-one maximum only up to the rounding of g^{-1/2}
+    top eigenvector in y at fixed u), multi-started.  The starts run as one
+    stack: each step moves the starts that are still live, and a start leaves
+    the stack once its value changes by at most ``RANK_ONE_STOP_TOL`` (1e-10)
+    relative, or after ``max_iter`` steps.  When n = d = 2 both half-steps run
+    on the circle, in half angles, with no eigensolve (``_circle_steps``), and
+    from the second step on each step also takes a safeguarded Newton step on
+    the one-angle function that the u-step leaves; the result is then the
+    rank-one maximum up to rounding.  Every other shape makes one batched
+    eigensolve in u and one in y per step (``_eigh_steps``), and its result is
+    a lower bound on the rank-one maximum only up to the rounding of g^{-1/2}
     and of the pencil, which can leave it a few units in the last place above
-    the maximum.  The starts run as one stack: each step moves the starts
-    that are still live, and a start leaves the stack once its value changes
-    by at most ``RANK_ONE_STOP_TOL`` (1e-10) relative, or after ``max_iter``
-    steps.  When n = d = 2 both half-steps run on the circle, in half angles
-    (``_circle_steps``: a few array operations, no eigensolve); every other
-    shape makes one batched eigensolve in u and one in y per step
-    (``_eigh_steps``).  The result is the largest value over the starts, NaN
+    the maximum.  The result is the largest value over the starts, NaN
     starts skipped (-inf if none is a number).  ``n_starts`` lies in [8, NODE_BUDGET] and ``seed`` is
     non-negative; start s draws its y then its u from ``default_rng(seed)``.
     """
@@ -225,6 +227,16 @@ def _unit(v: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
+#: (a0, a1) @ _QUARTER = (-a1, a0): (cos t, sin t) turned by a quarter turn.
+_QUARTER = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+#: Largest turn of theta = 2 phi in a Newton step on the circle; where F'' >= 0 the step
+#: turns this far uphill.
+_MAX_TURN = np.pi / 4
+
+_TINY = np.finfo(float).tiny
+
+
 def _circle_steps(p_mat: np.ndarray, y: np.ndarray):
     """The search's step when n = d = 2, in half angles: ``step(live)`` moves the starts
     ``live`` and returns their values, with no eigensolve.
@@ -235,21 +247,62 @@ def _circle_steps(p_mat: np.ndarray, y: np.ndarray):
     2 x 2 matrix h0 id + [[h1, h2], [h2, -h1]] has the top eigenvalue
     h0 + hypot(h1, h2) at (cos t, sin t) with (cos 2t, sin 2t) = (h1, h2) / hypot(h1, h2).
     So the u-step reads (h1, h2) from e(phi)^T K, and the y-step (h0, h1, h2) from
-    K e(psi), whose top eigenvalue is the start's value (|w| = 1, so u^T g u = 1): a step
-    maps (cos 2phi, sin 2phi) to (cos 2psi, sin 2psi) to the next (cos 2phi, sin 2phi).
+    K e(psi), whose top eigenvalue is the start's value (|w| = 1, so u^T g u = 1): a plain
+    step maps (cos 2phi, sin 2phi) to (cos 2psi, sin 2psi) to the next (cos 2phi, sin 2phi).
     A step matrix that is a multiple of the identity takes the direction (1, 0).  The
     unit rows ``y`` are read once, for the starts' (cos 2phi, sin 2phi).
+
+    The first step is plain.  As the u-step maximizes over psi exactly, the search
+    maximizes F(theta) = (e K)_0 + |c| over theta = 2 phi, with c = (e K)_{1:} and e
+    = e(phi).  Each later step takes the plain successor and a Newton step on F from the
+    start's point, and keeps whichever has the larger F, which is the step's value.  The
+    Newton step turns by -F'/F'', at most ``_MAX_TURN``; where F'' >= 0 it turns by
+    ``_MAX_TURN`` uphill.  F' and F'' are closed forms in the u-step's c and |c| and in
+    e' K, for e' = (0, -sin theta, cos theta), as e'' = (1, 0, 0) - e; so each start keeps
+    the row (cos theta, sin theta, e K, e' K) of its point from step to step.  Where
+    |c| = 0, u follows ``_unit``'s rule.
     """
     k = _HALF_ANGLE @ p_mat @ _HALF_ANGLE.T
     k_u, k0_u, k_y, k0_y = k[1:, 1:].copy(), k[0, 1:].copy(), k[:, 1:].T.copy(), k[:, 0].copy()
+    # (cos theta, sin theta) @ k_t + k0_t is the row (cos theta, sin theta, e K, e' K)
+    k_t = np.hstack([np.eye(2), k[1:], _QUARTER @ k[1:]])
+    k0_t = np.concatenate([np.zeros(2), k[0], np.zeros(3)])
     cs = np.stack([y[:, 0] * y[:, 0] - y[:, 1] * y[:, 1], 2.0 * y[:, 0] * y[:, 1]], axis=1)
+    rows = np.empty((len(cs), 8))
+    plain = True
 
     def step(live):
-        h = cs[live] @ k_u + k0_u
-        h = _unit(h, np.hypot(h[:, 0], h[:, 1])) @ k_y + k0_y
-        r = np.hypot(h[:, 1], h[:, 2])
-        cs[live] = _unit(h[:, 1:], r)
-        return h[:, 0] + r
+        nonlocal plain
+        if plain:
+            plain = False
+            h = cs[live] @ k_u + k0_u
+            h = _unit(h, np.hypot(h[:, 0], h[:, 1])) @ k_y + k0_y
+            r = np.hypot(h[:, 1], h[:, 2])
+            rows[live] = _unit(h[:, 1:], r) @ k_t + k0_t
+            return h[:, 0] + r
+        row = rows[live]
+        c = row[:, 3:5]
+        r = np.hypot(c[:, 0], c[:, 1])
+        u = _unit(c, r)
+        h = u @ k_y + k0_y
+        # u.c' + i (u x c') for c' = (e' K)_{1:}; then F' = (e' K)_0 + u.c' and, as
+        # h_0 = K_00 + u.K_{0,1:}, F'' = (u x c')^2 / |c| + h_0 - |c| - (e K)_0
+        t = (u.view(complex).conj() * row[:, 6:8].view(complex))[:, 0]
+        f1 = row[:, 5] + t.real
+        f2 = t.imag * t.imag / (r + (r == 0.0)) + (h[:, 0] - r) - row[:, 2]
+        # -F'/F'' where F'' < 0 and the turn is at most _MAX_TURN, else _MAX_TURN uphill
+        turn = f1 / np.maximum(-f2, np.abs(f1) / _MAX_TURN + _TINY)
+        # the plain successor's (cos theta, sin theta) over the Newton point's
+        both = np.concatenate([_unit(h[:, 1:], np.hypot(h[:, 1], h[:, 2])),
+                               (row[:, :2].view(complex) * np.exp(1j * turn)[:, None]).view(float)])
+        both = both @ k_t + k0_t
+        f = both[:, 2] + np.hypot(both[:, 3], both[:, 4])
+        m = len(live)
+        newton = f[m:] > f[:m]
+        np.copyto(both[:m], both[m:], where=newton[:, None])
+        np.copyto(f[:m], f[m:], where=newton)
+        rows[live] = both[:m]
+        return f[:m]
 
     return step
 

@@ -376,13 +376,27 @@ def conjugate_field(field: MatrixField, p) -> MatrixField:
 
 
 def restrict_field(field: MatrixField, t) -> MatrixField:
-    """Freeze the leading coordinates at ``t``; returns a field in y alone."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.shape[0] >= field.n:
+    """Freeze the leading coordinates at ``t``; returns a field in y alone.
+
+    ``t`` is a number or a finite 1-D vector shorter than n.  Frozen coefficients
+    that are not finite (powers of t that overflow) are an InputError naming the
+    field and t, raised without a floating-point warning.
+    """
+    try:
+        vec = np.atleast_1d(np.asarray(t, dtype=float))
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.ndim != 1 or not np.isfinite(vec).all():
+        raise InputError(f"{field.name}: t must be a finite 1-D vector, got {t!r}")
+    if vec.shape[0] >= field.n:
         raise InputError("cannot freeze all coordinates of the field")
-    q = poly_substitute_prefix(field._q, t)
-    p = poly_substitute_prefix(field._p, t)
-    return field._derived(field.n - t.shape[0], q, p, f"{field.name}|t")
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = poly_substitute_prefix(field._q, vec)
+        p = poly_substitute_prefix(field._p, vec)
+    try:
+        return field._derived(field.n - vec.shape[0], q, p, f"{field.name}|t")
+    except InputError as exc:
+        raise InputError(f"{field.name} at t = {vec.tolist()}: {exc}") from None
 
 
 # -- builtins -----------------------------------------------------------------
@@ -405,11 +419,11 @@ BUILTIN_PARAMS = {
 
 
 def _dimension(key: str, value) -> int:
-    """The dimension ``key`` (n or d) as an int; a value that is not a whole number >= 1
-    is an InputError naming the key and the value."""
+    """The dimension ``key`` (n or d) as an int; a value that is not a whole number >= 1,
+    a bool among them, is an InputError naming the key and the value."""
     try:
         x = float(value)
-        whole = x.is_integer() and x >= 1
+        whole = x.is_integer() and x >= 1 and not isinstance(value, (bool, np.bool_))
     except (TypeError, ValueError):
         whole = False
     if not whole:

@@ -219,9 +219,9 @@ class VectorFieldFn:
     def polynomial(cls, n: int, components) -> "VectorFieldFn":
         """Exact polynomial vector field; ``components[l]`` is a term list.
 
-        Each degree tuple must have length n with whole degrees >= 0 (see
-        ``poly_degrees``) and each coefficient must be finite, else an
-        InputError.  The components, their gradients and their Hessians are
+        ``n`` is an int >= 1 and there is at least one component; each degree
+        tuple must have length n with whole degrees >= 0 (see ``poly_degrees``)
+        and each coefficient must be finite, else an InputError.  The components, their gradients and their Hessians are
         stacked into one term list each (see ``poly_stack``), so a value,
         gradient or Hessian is one evaluation for a whole stack of points.
         Values and gradients are node-first views of ``poly_rows``' node-last
@@ -229,6 +229,11 @@ class VectorFieldFn:
         the Brascamp-Lieb node pass reads F node-last (``_moments``,
         ``_energy``).  At one point, or as Hessians, they are contiguous.
         """
+
+        components = list(components)
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1 or not components:
+            raise InputError(f"a polynomial test function needs n >= 1 variables and at least "
+                             f"one component, got n = {n!r} and {len(components)} components")
 
         def term(c, degs):
             if not math.isfinite(c := float(c)):

@@ -10,6 +10,7 @@ the same from run to run.  Run it with ``PYTHONPATH`` on two checkouts and diff
 the outputs: a change that keeps every answer prints the same lines.  The
 commands cover the README's CLI block; ``nakano``, ``griffiths``, ``schur`` and
 ``scan`` on ``raufi_corrected`` with exact, fd and fd ``--no-richardson`` jets;
+``griffiths`` near s = 0 on ``raufi_corrected`` and on an n = 2, d = 3 field;
 ``prekopa`` at GH 16 and 48; and ``bl``, ``ipp`` and ``bochner`` at GH 8 and 16.
 Pytest does not collect this file.
 """
@@ -41,6 +42,10 @@ JETS = (["--jet", "exact"], ["--jet", "fd"], ["--jet", "fd", "--no-richardson"])
 #: (s, point) pairs of the pointwise commands on raufi_corrected.
 POINTWISE = (("0.75", "0,0"), ("0.3", "0.03,-0.02"), ("0.9", "0.01,0.04"))
 
+#: s of raufi_corrected at the griffiths point (0.01, -0.02): the plain alternating steps
+#: take 132 steps at s = 0.05 and stop at 200 below s = 0.03.
+RANK_ONE_S = ("0.05", "0.005", "-3e-9")
+
 #: (field arguments, test function, second test function) of the quadrature checks.
 QUADRATURE = (
     (["--field", "gaussian_scalar", "--param", "n=2"], "poly:x1^2+x1*x2", "poly:x2^3"),
@@ -60,6 +65,11 @@ def argvs() -> list[list[str]]:
                     "--param-range", "s=0:1:0.05", "--csv", "scan.csv", *jet])
         out.append(["nakano", "--field", "gaussian_scalar", "--param", "n=3",
                     "--point=0.1,-0.2,0.3", *jet])
+        for s in RANK_ONE_S:
+            out.append(["griffiths", "--field", "raufi_corrected", "--param", f"s={s}",
+                        "--point=0.01,-0.02", *jet])
+        out.append(["griffiths", "--field", "gaussian_times_spd", "--param", "n=2", "--param",
+                    "d=3", "--point=0.1,-0.2", *jet])
         for order in ("16", "48"):
             out.append(["prekopa", "--field", "gaussian_cross_spd", "--t", "0.1", "--n0", "1",
                         "--order", order, *jet])

@@ -32,6 +32,7 @@ from mlcc import (
     ipp_residual,
     pairwise_sum,
     polynomial_field_from_json,
+    restrict_field,
     theta_alpha_decomposed,
     variance_functional,
     weighted_mean,
@@ -174,6 +175,11 @@ FIELD_JSON_ERRORS = {
     "fractional_q_degree": ({"n": 1, "d": 1, "q": [[0.5, [2.7]]],
                              "entries": {"1,1": [[1.0, [0]]]}},
                             "monomial of degrees (2.7,): each degree must be a whole number >= 0"),
+    # JSON's true was read as n = 1 and as the degree 1
+    "boolean_n": ({"n": True, "d": 1, "entries": {"1,1": [[1.0, [0]]]}},
+                  "n must be a whole number >= 1, got True"),
+    "boolean_degree": ({"n": 1, "d": 1, "entries": {"1,1": [[1.0, [0]], [0.5, [True]]]}},
+                       "monomial of degrees (True,): each degree must be a whole number >= 0"),
     "fractional_entry_degree": ({"n": 2, "d": 1, "entries": {"1,1": [[1.0, [0, 0]],
                                                                    [0.1, [1, 0.5]]]}},
                                 "monomial of degrees (1, 0.5): each degree must be a whole "
@@ -370,6 +376,27 @@ LIBRARY_ERRORS = {
                                  .value(np.empty((0, 2))),
                                  InputError, "expected at least one point in R^2, got an empty "
                                  "stack"),
+    # both raised an IndexError from poly_stack
+    "test_function_without_components": (lambda: VectorFieldFn.polynomial(2, []), InputError,
+                                         "a polynomial test function needs n >= 1 variables and "
+                                         "at least one component, got n = 2 and 0 components"),
+    "test_function_in_no_variables": (lambda: VectorFieldFn.polynomial(0, [[(1.0, ())]]),
+                                      InputError, "a polynomial test function needs n >= 1 "
+                                      "variables and at least one component, got n = 0 and 1 "
+                                      "components"),
+    # a TypeError; and a RuntimeWarning from the frozen powers before the finiteness error
+    "restriction_to_a_matrix_of_t": (lambda: restrict_field(
+                                         builtin_field("perturbed_gaussian_spd"), [[0.1]]),
+                                     InputError, "perturbed_gaussian_spd: t must be a finite 1-D "
+                                     "vector, got [[0.1]]"),
+    "restriction_to_a_nan_t": (lambda: restrict_field(
+                                   builtin_field("perturbed_gaussian_spd"), [np.nan]),
+                               InputError, "perturbed_gaussian_spd: t must be a finite 1-D "
+                               "vector, got [nan]"),
+    "restriction_that_overflows": (lambda: restrict_field(
+                                       builtin_field("perturbed_gaussian_spd"), [1e200]),
+                                   InputError, "perturbed_gaussian_spd at t = [1e+200]: field "
+                                   "coefficients must be finite"),
 }
 
 

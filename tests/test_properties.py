@@ -9,14 +9,20 @@ direction y (x) u is a direction of the full space, so the Griffiths maximum is
 at most the largest Nakano eigenvalue, with equality when n = 1 or d = 1.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+
+import mlcc.curvature
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from mlcc import (  # noqa: E402
+    CurvatureMatrix,
+    SpdMatrix,
     build_rule,
     builtin_field,
     curvature_matrix,
@@ -25,6 +31,7 @@ from mlcc import (  # noqa: E402
     prekopa_check,
 )
 from mlcc.fields import MatrixField  # noqa: E402
+from mlcc.metric import metric_pencil  # noqa: E402
 from test_references import griffiths_loop  # noqa: E402
 
 GH32 = build_rule("gauss_hermite", order=32, m=1)
@@ -80,6 +87,51 @@ def test_the_circle_steps_match_the_start_loop(seed, max_iter):
     cm = curvature_matrix(_random_polynomial_field(rng, 2, 2), rng.uniform(-0.5, 0.5, 2))
     ref = griffiths_loop(cm, max_iter=max_iter)
     assert griffiths_min_gap(cm, max_iter=max_iter) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), start_seed=st.integers(0, 9),
+       n_starts=st.sampled_from([8, 32]), max_iter=st.sampled_from([1, 2, 3, 5, 200]))
+def test_the_newton_steps_find_no_less_than_the_start_loop(seed, start_seed, n_starts, max_iter):
+    """n = d = 2: the search is at least the eigensolve loop's value at the same starts
+    and steps, up to rounding.  The two differ by up to 2e-15 at one step, where both
+    take the same plain step, so the rounding allowance scales with the pencil's entries."""
+    rng = np.random.default_rng(seed)
+    cm = curvature_matrix(_random_polynomial_field(rng, 2, 2), rng.uniform(-0.5, 0.5, 2))
+    ref = griffiths_loop(cm, n_starts, max_iter, start_seed)
+    _, invroot = cm.g.sqrt_and_invsqrt()
+    scale = max(1.0, abs(ref), float(np.abs(metric_pencil(invroot, cm.theta_tilde)).max()))
+    assert griffiths_min_gap(cm, n_starts, max_iter, start_seed) >= ref - 1e-15 * scale
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), start_seed=st.integers(0, 9))
+def test_a_start_never_loses_value_on_the_circle(seed, start_seed):
+    """n = d = 2: a step keeps the better of the Newton point and the plain successor, so
+    no start's value falls from step to step beyond rounding, also on indefinite pencils,
+    where a Newton step alone can land lower."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((4, 4)), rng.standard_normal((2, 2))
+    cm = CurvatureMatrix(2, 2, a + a.T, SpdMatrix(b @ b.T + np.eye(2)), 0.0)
+    steps, circle_steps = [], mlcc.curvature._circle_steps
+
+    def recording(p_mat, y):
+        step = circle_steps(p_mat, y)
+
+        def recorded(live):
+            steps.append((live.copy(), step(live)))
+            return steps[-1][1]
+
+        return recorded
+
+    with mock.patch.object(mlcc.curvature, "_circle_steps", recording):
+        griffiths_min_gap(cm, n_starts=8, seed=start_seed)
+    _, invroot = cm.g.sqrt_and_invsqrt()
+    scale = max(1.0, float(np.abs(metric_pencil(invroot, cm.theta_tilde)).max()))
+    best = np.full(8, -np.inf)
+    for live, value in steps:
+        assert (value >= best[live] - 1e-15 * scale).all()
+        best[live] = value
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

@@ -17,6 +17,7 @@ builtin built from an array of values as one build per value.
 """
 
 import gc
+import json
 from itertools import product
 
 import numpy as np
@@ -771,6 +772,43 @@ def griffiths_loop(cm, n_starts=32, max_iter=200, seed=0, tol=1e-10):
     return best
 
 
+def rank_one_circle_max(cm, dps=40):
+    """n = d = 2: the rank-one maximum of ``cm``'s pencil, to ``dps`` digits (mpmath).
+
+    At y = (cos phi, sin phi) the maximum over unit w = g^{1/2} u is the top eigenvalue
+    of the 2 x 2 matrix B = sum_jk y_j y_k P_jk, (B00 + B11)/2 + hypot((B00 - B11)/2, B01).
+    Its maximum over phi in [0, pi) starts from 64 equally spaced angles: each angle whose
+    value is at least its neighbours' brackets a root of the derivative, refined by a
+    bracketing root-finder."""
+    import mpmath
+
+    _, invroot = cm.g.sqrt_and_invsqrt()
+    # entry (a, b) of the pencil's block (j, k) at [k, a, j, b]
+    p = metric_pencil(invroot, cm.theta_tilde).reshape(2, 2, 2, 2)
+    with mpmath.workdps(dps):
+        pen = [[[[mpmath.mpf(float(p[k, a, j, b])) for b in range(2)] for a in range(2)]
+                for k in range(2)] for j in range(2)]
+
+        def top(phi):
+            y = (mpmath.cos(phi), mpmath.sin(phi))
+            m = [[sum(y[j] * y[k] * pen[j][k][a][b] for j in range(2) for k in range(2))
+                  for b in range(2)] for a in range(2)]
+            return (m[0][0] + m[1][1]) / 2 + mpmath.sqrt(((m[0][0] - m[1][1]) / 2) ** 2
+                                                         + ((m[0][1] + m[1][0]) / 2) ** 2)
+
+        def slope(phi):
+            return mpmath.diff(top, phi)
+
+        step = mpmath.pi / 64
+        vals = [top(i * step) for i in range(64)]
+        best = max(vals)
+        for i in range(64):
+            lo, hi = (i - 1) * step, (i + 1) * step
+            if vals[i] >= max(vals[i - 1], vals[(i + 1) % 64]) and slope(lo) > 0 > slope(hi):
+                best = max(best, top(mpmath.findroot(slope, (lo, hi), solver="anderson")))
+        return float(best)
+
+
 GRIFFITHS_SHAPES = [
     ("gaussian_scalar", {"n": 1}),
     ("gaussian_scalar", {"n": 3}),
@@ -788,9 +826,14 @@ GRIFFITHS_SHAPES = [
 GRIFFITHS_SETTINGS = list(product((0, 5), (8, 32), (1, 200)))
 
 
-def _griffiths_agree(cm):
+def _griffiths_agree(cm, converged=None):
+    """The search against the start loop; at ``max_iter`` = 200, against ``converged``
+    where given (the loop stops on its own rule, short of the maximum)."""
     for seed, n_starts, max_iter in GRIFFITHS_SETTINGS:
-        ref = griffiths_loop(cm, n_starts, max_iter, seed)
+        if max_iter > 1 and converged is not None:
+            ref = converged
+        else:
+            ref = griffiths_loop(cm, n_starts, max_iter, seed)
         got = griffiths_min_gap(cm, n_starts, max_iter, seed)
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (seed, n_starts, max_iter)
 
@@ -809,7 +852,8 @@ class TestStackedGriffiths:
         for k in range(16):
             s = 0.05 + (k + rng.uniform()) / 16 * 0.95
             field = builtin_field("raufi_corrected", {"s": s}, jet_mode=jet_mode)
-            _griffiths_agree(curvature_matrix(field, rng.uniform(-0.035, 0.035, 2)))
+            cm = curvature_matrix(field, rng.uniform(-0.035, 0.035, 2))
+            _griffiths_agree(cm, converged=rank_one_circle_max(cm))
 
     @pytest.mark.parametrize("name,params,max_iter,calls", [
         # n = d = 2: g's roots only, the steps run on the circle
@@ -835,6 +879,62 @@ class TestStackedGriffiths:
             bad = CurvatureMatrix(cm.d, cm.n, np.full_like(cm.theta_tilde, np.nan), cm.g, 0.0)
             assert griffiths_loop(bad, 8, 3) == -np.inf
             assert griffiths_min_gap(bad, 8, 3) == -np.inf
+
+
+#: s of raufi_corrected, down to a maximum of +4.1e-9 at s = -3e-9 (RAUFI_POINT)
+RAUFI_S = [1.0, 0.5, 0.15, 0.05, 0.02, 0.005, -3e-9]
+RAUFI_POINT = (0.01, -0.02)
+
+
+class TestNewtonOnTheCircle:
+    """n = d = 2: Newton's steps on the circle find the rank-one maximum, where the
+    plain alternating steps converge at a rate of 1 - O(s) and stop short of it."""
+
+    @staticmethod
+    def _raufi(s, jet_mode="exact"):
+        field = builtin_field("raufi_corrected", {"s": s}, jet_mode=jet_mode)
+        return curvature_matrix(field, np.array(RAUFI_POINT))
+
+    @pytest.mark.parametrize("jet_mode", ["exact", "finite_difference"])
+    @pytest.mark.parametrize("s", RAUFI_S)
+    def test_the_value_is_the_maximum(self, s, jet_mode):
+        cm = self._raufi(s, jet_mode)
+        m = rank_one_circle_max(cm)
+        assert abs(griffiths_min_gap(cm) - m) <= 1e-12 * max(1.0, abs(m))
+
+    @pytest.mark.parametrize("s", RAUFI_S)
+    def test_every_start_stops_within_ten_steps(self, monkeypatch, s):
+        moved, circle_steps = [], mlcc.curvature._circle_steps
+
+        def counted(p_mat, y):
+            step = circle_steps(p_mat, y)
+
+            def counting(live):
+                moved.append(live.copy())
+                return step(live)
+
+            return counting
+
+        monkeypatch.setattr(mlcc.curvature, "_circle_steps", counted)
+        griffiths_min_gap(self._raufi(s))
+        assert np.bincount(np.concatenate(moved), minlength=32).max() <= 10
+
+    def test_a_maximum_just_above_tol_psd_fails(self, capsys):
+        argv = ["griffiths", "--field", "raufi_corrected", "--param", "s=-3e-9",
+                "--point", "0.01,-0.02", "--no-timestamp"]
+        assert mlcc.cli.run(argv) == 1
+        check = json.loads(capsys.readouterr().out)["checks"][0]
+        assert check["status"] == "fail"
+        assert check["metrics"]["rank_one_max"] == pytest.approx(4.080016e-9, rel=1e-6)
+
+    @pytest.mark.parametrize("name,params", [("gaussian_times_spd", {"n": 2, "d": 2}),
+                                             ("gaussian_cross_spd", {"c": 0.0, "d": 2})])
+    def test_no_floating_point_warning_where_c_is_zero(self, name, params):
+        # an isotropic pencil: c = 0 at every angle, and u follows _unit's rule
+        cm = curvature_matrix(builtin_field(name, params), np.zeros(2))
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            value = griffiths_min_gap(cm)
+        assert value == pytest.approx(nakano_verdict(cm).lambda_max, abs=1e-12)
 
 
 # -- the parameter scan, one value per call -----------------------------------------
