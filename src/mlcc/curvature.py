@@ -265,7 +265,7 @@ def _circle_steps(p_mat: np.ndarray, y: np.ndarray):
     k = _HALF_ANGLE @ p_mat @ _HALF_ANGLE.T
     k_u, k0_u, k_y, k0_y = k[1:, 1:].copy(), k[0, 1:].copy(), k[:, 1:].T.copy(), k[:, 0].copy()
     # (cos theta, sin theta) @ k_t + k0_t is the row (cos theta, sin theta, e K, e' K)
-    k_t = np.hstack([np.eye(2), k[1:], _QUARTER @ k[1:]])
+    k_t = np.concatenate([np.eye(2), k[1:], _QUARTER @ k[1:]], axis=1)
     k0_t = np.concatenate([np.zeros(2), k[0], np.zeros(3)])
     cs = np.stack([y[:, 0] * y[:, 0] - y[:, 1] * y[:, 1], 2.0 * y[:, 0] * y[:, 1]], axis=1)
     rows = np.empty((len(cs), 8))
