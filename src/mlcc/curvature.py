@@ -259,14 +259,16 @@ def _circle_steps(p_mat: np.ndarray, y: np.ndarray):
     Newton step turns by -F'/F'', at most ``_MAX_TURN``; where F'' >= 0 it turns by
     ``_MAX_TURN`` uphill.  F' and F'' are closed forms in the u-step's c and |c| and in
     e' K, for e' = (0, -sin theta, cos theta), as e'' = (1, 0, 0) - e; so each start keeps
-    the row (cos theta, sin theta, e K, e' K) of its point from step to step.  Where
-    |c| = 0, u follows ``_unit``'s rule.
+    (cos theta, sin theta), e K and e' K at its point from step to step.  Where |c| = 0,
+    u follows ``_unit``'s rule.
     """
     k = _HALF_ANGLE @ p_mat @ _HALF_ANGLE.T
     k_u, k0_u, k_y, k0_y = k[1:, 1:].copy(), k[0, 1:].copy(), k[:, 1:].T.copy(), k[:, 0].copy()
-    # (cos theta, sin theta) @ k_t + k0_t is the row (cos theta, sin theta, e K, e' K)
-    k_t = np.concatenate([np.eye(2), k[1:], _QUARTER @ k[1:]], axis=1)
-    k0_t = np.concatenate([np.zeros(2), k[0], np.zeros(3)])
+    # (cos theta, sin theta) @ k_t + k0_t is a start's row: as complex pairs, cos theta +
+    # i sin theta, c, c' = (e' K)_{1:} and (e K)_0 + i (e' K)_0
+    k1, dk1 = k[1:], _QUARTER @ k[1:]
+    k_t = np.concatenate([np.eye(2), k1[:, 1:], dk1[:, 1:], k1[:, :1], dk1[:, :1]], axis=1)
+    k0_t = np.concatenate([np.zeros(2), k[0, 1:], np.zeros(2), k[0, :1], np.zeros(1)])
     cs = np.stack([y[:, 0] * y[:, 0] - y[:, 1] * y[:, 1], 2.0 * y[:, 0] * y[:, 1]], axis=1)
     rows = np.empty((len(cs), 8))
     plain = True
@@ -280,23 +282,26 @@ def _circle_steps(p_mat: np.ndarray, y: np.ndarray):
             r = np.hypot(h[:, 1], h[:, 2])
             rows[live] = _unit(h[:, 1:], r) @ k_t + k0_t
             return h[:, 0] + r
-        row = rows[live]
-        c = row[:, 3:5]
-        r = np.hypot(c[:, 0], c[:, 1])
-        u = _unit(c, r)
-        h = u @ k_y + k0_y
-        # u.c' + i (u x c') for c' = (e' K)_{1:}; then F' = (e' K)_0 + u.c' and, as
-        # h_0 = K_00 + u.K_{0,1:}, F'' = (u x c')^2 / |c| + h_0 - |c| - (e K)_0
-        t = (u.view(complex).conj() * row[:, 6:8].view(complex))[:, 0]
-        f1 = row[:, 5] + t.real
-        f2 = t.imag * t.imag / (r + (r == 0.0)) + (h[:, 0] - r) - row[:, 2]
+        a, c, dc, e = rows[live].view(complex).T
+        r = np.abs(c)
+        zero = r == 0.0
+        inv = 1.0 / (r + zero)
+        u = c * inv + zero  # _unit's rule in complex, without a complex division (NaN warns)
+        h = u.view(float).reshape(-1, 2) @ k_y + k0_y
+        # conj(u) c' = u.c' + i (u x c'); so F' = (e' K)_0 + u.c' and, as h_0 = K_00 +
+        # u.K_{0,1:}, F'' = (u x c')^2 / |c| + h_0 - |c| - (e K)_0
+        t = u.conj() * dc
+        f1 = e.imag + t.real
+        f2 = t.imag * t.imag * inv + (h[:, 0] - r) - e.real
         # -F'/F'' where F'' < 0 and the turn is at most _MAX_TURN, else _MAX_TURN uphill
         turn = f1 / np.maximum(-f2, np.abs(f1) / _MAX_TURN + _TINY)
-        # the plain successor's (cos theta, sin theta) over the Newton point's
-        both = np.concatenate([_unit(h[:, 1:], np.hypot(h[:, 1], h[:, 2])),
-                               (row[:, :2].view(complex) * np.exp(1j * turn)[:, None]).view(float)])
-        both = both @ k_t + k0_t
-        f = both[:, 2] + np.hypot(both[:, 3], both[:, 4])
+        g = h[:, 1:].view(complex)[:, 0]
+        r = np.abs(g)
+        zero = r == 0.0
+        # the plain successor over the Newton point, as cos theta + i sin theta
+        both = np.concatenate([g * (1.0 / (r + zero)) + zero, a * np.exp(1j * turn)])
+        both = both.view(float).reshape(-1, 2) @ k_t + k0_t
+        f = both[:, 6] + np.hypot(both[:, 2], both[:, 3])
         m = len(live)
         newton = f[m:] > f[:m]
         np.copyto(both[:m], both[m:], where=newton[:, None])
