@@ -234,6 +234,7 @@ _QUARTER = np.array([[0.0, 1.0], [-1.0, 0.0]])
 #: turns this far uphill.
 _MAX_TURN = np.pi / 4
 
+#: Keeps that step's denominator positive where F' = 0 and F'' >= 0.
 _TINY = np.finfo(float).tiny
 
 
