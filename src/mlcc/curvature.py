@@ -227,9 +227,6 @@ def _unit(v: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-#: (a0, a1) @ _QUARTER = (-a1, a0): (cos t, sin t) turned by a quarter turn.
-_QUARTER = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 #: Largest turn of theta = 2 phi in a Newton step on the circle; where F'' >= 0 the step
 #: turns this far uphill.
 _MAX_TURN = np.pi / 4
@@ -267,7 +264,7 @@ def _circle_steps(p_mat: np.ndarray, y: np.ndarray):
     k_u, k0_u, k_y, k0_y = k[1:, 1:].copy(), k[0, 1:].copy(), k[:, 1:].T.copy(), k[:, 0].copy()
     # (cos theta, sin theta) @ k_t + k0_t is a start's row: as complex pairs, cos theta +
     # i sin theta, c, c' = (e' K)_{1:} and (e K)_0 + i (e' K)_0
-    k1, dk1 = k[1:], _QUARTER @ k[1:]
+    k1, dk1 = k[1:], np.stack([k[2], -k[1]])
     k_t = np.concatenate([np.eye(2), k1[:, 1:], dk1[:, 1:], k1[:, :1], dk1[:, :1]], axis=1)
     k0_t = np.concatenate([np.zeros(2), k[0, 1:], np.zeros(2), k[0, :1], np.zeros(1)])
     cs = np.stack([y[:, 0] * y[:, 0] - y[:, 1] * y[:, 1], 2.0 * y[:, 0] * y[:, 1]], axis=1)
