@@ -221,8 +221,9 @@ class VectorFieldFn:
 
         ``n`` is an int >= 1 and there is at least one component; each degree
         tuple must have length n with whole degrees >= 0 (see ``poly_degrees``)
-        and each coefficient must be finite, else an InputError.  The components, their gradients and their Hessians are
-        stacked into one term list each (see ``poly_stack``), so a value,
+        and each coefficient must be finite, else an InputError.  The
+        components, their gradients and their Hessians are stacked into one
+        term list each (see ``poly_stack``), so a value,
         gradient or Hessian is one evaluation for a whole stack of points.
         Values and gradients are node-first views of ``poly_rows``' node-last
         rows, (d, N) and (d n, N) with row l n + j for d_j F_l, not copies:

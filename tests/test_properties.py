@@ -1,6 +1,7 @@
 """Property tests (hypothesis): the Prekopa check on the cross Gaussian family,
 the rank-one search against the Nakano spectrum and, when n = d = 2, against the
-eigensolve loop of ``test_references`` on random polynomial fields, and
+eigensolve loop of ``test_references`` on random polynomial fields and step by step
+on random indefinite pencils, and
 one formula for g on those fields with their terms written as repeated monomials.
 
 For g = exp(-(t^2 + y^2 + c t y)) A the marginal is N-log-concave for |c| < 2,

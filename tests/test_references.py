@@ -11,7 +11,8 @@ symbolic differentiation of e^{-q} P, route B evaluated one V0 at a time
 as fiber curvature plus the variance of a vector field, and the quadrature
 passes, the Prekopa fiber pass (gate and Schur margin) and the residual
 checks as loops over the nodes, one point per call, and the Griffiths
-search as a loop over its starts; ``poly_eval`` as the point-major sum of
+search as a loop over its starts (and, when n = d = 2, as a 40-digit mpmath
+maximum over one angle); ``poly_eval`` as the point-major sum of
 term-by-term ``**`` powers it was before it went coefficient-major; a
 builtin built from an array of values as one build per value.
 """
