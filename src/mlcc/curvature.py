@@ -156,11 +156,12 @@ def griffiths_min_gap(
     on the circle, in half angles, with no eigensolve (``_circle_steps``), and
     from the second step on each step also takes a safeguarded Newton step on
     the one-angle function that the u-step leaves; the result is then the
-    rank-one maximum up to rounding.  Every other shape makes one batched
-    eigensolve in u and one in y per step (``_eigh_steps``), and its result is
-    a lower bound on the rank-one maximum only up to the rounding of g^{-1/2}
-    and of the pencil, which can leave it a few units in the last place above
-    the maximum.  The result is the largest value over the starts, NaN
+    rank-one maximum up to rounding, unless no start reaches the basin of the
+    global maximum (that function can have two local maxima).  Every other
+    shape makes one batched eigensolve in u and one in y per step
+    (``_eigh_steps``), and its result is a lower bound on the rank-one maximum
+    only up to the rounding of g^{-1/2} and of the pencil, which can leave it
+    a few units in the last place above the maximum.  The result is the largest value over the starts, NaN
     starts skipped (-inf if none is a number).  ``n_starts`` lies in [8, NODE_BUDGET] and ``seed`` is
     non-negative; start s draws its y then its u from ``default_rng(seed)``.
     """
