@@ -146,31 +146,37 @@ def griffiths_min_gap(
     max_iter: int = 200,
     seed: int = 0,
 ) -> float:
-    """Best found value of <Theta(y (x) u), y (x) u> over unit rank-one pairs.
+    """Largest found value of <Theta(y (x) u), y (x) u> over unit rank-one pairs.
 
-    Alternating maximization (top generalized eigenvector in u at fixed y,
-    top eigenvector in y at fixed u), multi-started.  The starts run as one
-    stack: each step moves the starts that are still live, and a start leaves
-    the stack once its value changes by at most ``RANK_ONE_STOP_TOL`` (1e-10)
-    relative, or after ``max_iter`` steps.  When n = d = 2 both half-steps run
-    on the circle, in half angles, with no eigensolve (``_circle_steps``), and
-    from the second step on each step also takes a safeguarded Newton step on
-    the one-angle function that the u-step leaves; the result is then the
-    rank-one maximum up to rounding, unless no start reaches the basin of the
-    global maximum (that function can have two local maxima).  Every other
-    shape makes one batched eigensolve in u and one in y per step
-    (``_eigh_steps``), and its result is a lower bound on the rank-one maximum
-    only up to the rounding of g^{-1/2} and of the pencil, which can leave it
-    a few units in the last place above the maximum.  The result is the largest value over the starts, NaN
-    starts skipped (-inf if none is a number).  ``n_starts`` lies in [8, NODE_BUDGET] and ``seed`` is
-    non-negative; start s draws its y then its u from ``default_rng(seed)``.
+    When n = d = 2 the value is the rank-one maximum up to rounding, in closed form
+    (``_circle_max``): every stationary angle of the one-angle function that the
+    maximization over u leaves is a root of one polynomial of degree 8, and the value is
+    the largest at those angles, each refined by one Newton step.  There ``n_starts``,
+    ``max_iter`` and ``seed`` are checked but not used, and no random number is drawn.
+
+    Every other shape runs an alternating maximization (top generalized eigenvector in u
+    at fixed y, top eigenvector in y at fixed u), multi-started.  The starts run as one
+    stack: each step makes one batched eigensolve in u and one in y for the starts that
+    are still live (``_eigh_steps``), and a start leaves the stack once its value changes
+    by at most ``RANK_ONE_STOP_TOL`` (1e-10) relative, or after ``max_iter`` steps.  The
+    result is the largest value over the starts, NaN starts skipped (-inf if none is a
+    number); it is a lower bound on the rank-one maximum only up to the rounding of
+    g^{-1/2} and of the pencil, which can leave it a few units in the last place above
+    the maximum.  Start s draws its y then its u from ``default_rng(seed)``.
+
+    ``n_starts`` is an integer in [8, NODE_BUDGET], ``max_iter`` a positive integer and
+    ``seed`` a non-negative integer (a bool is none of them), on every shape.
     """
+    if not _is_integer(n_starts):
+        raise InputError(f"n_starts must be an integer, got {n_starts!r}")
     if n_starts < 8:
         raise InputError("need at least 8 starts")
     if n_starts > NODE_BUDGET:
         raise BudgetError(f"{n_starts} starts exceed the budget of {NODE_BUDGET}")
-    if seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed}")
+    if not _is_integer(max_iter) or max_iter < 1:
+        raise InputError(f"max_iter must be a positive integer, got {max_iter!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     d, n = cm.d, cm.n
     _, invroot = cm.g.sqrt_and_invsqrt()
     # theta_tilde and its pencil, shaped (n, d, n, d), hold entry (a, b) of block
@@ -178,10 +184,12 @@ def griffiths_min_gap(
     # the pencil is linear in the block, the u-step's pencil at y is (y (x) y) P
     p_mat = metric_pencil(invroot, cm.theta_tilde).reshape(n, d, n, d)
     p_mat = p_mat.transpose(2, 0, 1, 3).reshape(n * n, d * d)
+    if n == d == 2:
+        return _circle_max(p_mat)
     # row s is start s's y then its u, which the first u-step replaces unread
     y = np.random.default_rng(seed).standard_normal((n_starts, n + d))[:, :n]
     y /= np.linalg.norm(y, axis=1, keepdims=True)
-    step = (_circle_steps if n == d == 2 else _eigh_steps)(p_mat, y)
+    step = _eigh_steps(p_mat, y)
     prev = np.full(n_starts, -np.inf)
     live = np.arange(n_starts)
     for _ in range(max_iter):
@@ -192,6 +200,11 @@ def griffiths_min_gap(
         prev[live] = val
         live = live[~done]
     return float(np.fmax.reduce(prev, initial=-np.inf))
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer other than a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _eigh_steps(p_mat: np.ndarray, y: np.ndarray):
@@ -219,96 +232,83 @@ def _eigh_steps(p_mat: np.ndarray, y: np.ndarray):
 #: for m a 2 x 2 matrix flattened as (m00, m01, m10, m11).
 _HALF_ANGLE = 0.5 * np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0]])
 
+#: Share of the largest coefficient below which an end coefficient of ``_circle_max``'s
+#: polynomial is rounding of zero.
+_EPS = np.finfo(float).eps
 
-def _unit(v: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The rows of ``v`` over their lengths ``r``; (1, 0) where r is 0."""
-    zero = r == 0.0
-    out = v / (r + zero)[:, None]
-    out[:, 0] += zero
-    return out
+#: e^{i theta} at the 9 angles 2 pi j / 9, whose samples determine a trigonometric
+#: polynomial of degree 4.
+_NODES = np.exp(2j * np.pi * np.arange(9) / 9)
+
+#: Maps the samples at ``_NODES`` of a trigonometric polynomial T of degree 4 to the
+#: coefficients, of t^8 first, of the real polynomial (1 + t^2)^4 T(2 arctan t): as
+#: e^{i theta} = (1 + i t)^2 / (1 + t^2), T's coefficient of e^{i k theta} multiplies
+#: (1 + i t)^{4+k} (1 - i t)^{4-k} = (-1)^k (t - i)^{4+k} (t + i)^{4-k}.
+_SAMPLES_TO_POLY = (
+    np.array([(-1) ** k * np.poly([1j] * (4 + k) + [-1j] * (4 - k)) for k in range(4, -5, -1)]).T
+    @ _NODES.conj() ** np.arange(4, -5, -1)[:, None] / 9
+).real
 
 
-#: Largest turn of theta = 2 phi in a Newton step on the circle; where F'' >= 0 the step
-#: turns this far uphill.
-_MAX_TURN = np.pi / 4
+def _circle_rows(z: np.ndarray, k: np.ndarray):
+    """e K and e' K at each z = e^{i theta} of ``z``, for e = (1, cos theta, sin theta)
+    and e' = (0, -sin theta, cos theta)."""
+    m = len(z)
+    rows = np.concatenate([z, 1j * z]).view(float).reshape(2 * m, 2) @ k[1:]
+    rows[:m] += k[0]
+    return rows[:m], rows[m:]
 
-#: Keeps that step's denominator positive where F' = 0 and F'' >= 0.
-_TINY = np.finfo(float).tiny
 
-
-def _circle_steps(p_mat: np.ndarray, y: np.ndarray):
-    """The search's step when n = d = 2, in half angles: ``step(live)`` moves the starts
-    ``live`` and returns their values, with no eigensolve.
+def _circle_max(p_mat: np.ndarray) -> float:
+    """The rank-one maximum when n = d = 2, from its stationary angles.
 
     With e(t) = (1, cos 2t, sin 2t), the pencil's form at y = (cos phi, sin phi) and
     w = g^{1/2} u = (cos psi, sin psi) is e(phi)^T K e(psi), K = H P H^T for P the
-    pencil as P[(j, k), (a, b)] (``p_mat``) and H the rows of ``_HALF_ANGLE``.  A symmetric
-    2 x 2 matrix h0 id + [[h1, h2], [h2, -h1]] has the top eigenvalue
-    h0 + hypot(h1, h2) at (cos t, sin t) with (cos 2t, sin 2t) = (h1, h2) / hypot(h1, h2).
-    So the u-step reads (h1, h2) from e(phi)^T K, and the y-step (h0, h1, h2) from
-    K e(psi), whose top eigenvalue is the start's value (|w| = 1, so u^T g u = 1): a plain
-    step maps (cos 2phi, sin 2phi) to (cos 2psi, sin 2psi) to the next (cos 2phi, sin 2phi).
-    A step matrix that is a multiple of the identity takes the direction (1, 0).  The
-    unit rows ``y`` are read once, for the starts' (cos 2phi, sin 2phi).
+    pencil as P[(j, k), (a, b)] (``p_mat``) and H the rows of ``_HALF_ANGLE``.  As
+    h0 id + [[h1, h2], [h2, -h1]] has the top eigenvalue h0 + hypot(h1, h2), the maximum
+    over psi is F(theta) = (e K)_0 + |c|, with theta = 2 phi, e = e(phi), c = (e K)_{1:}.
+    |c| has no maximum at a kink, so F's maximum is where F' = (e' K)_0 + c.c'/|c| = 0,
+    with e' = de/dtheta and c' = (e' K)_{1:}.  Those angles are roots of the degree-4
+    trigonometric polynomial T = (e' K)_0^2 |c|^2 - (c.c')^2, and so of the degree-8
+    polynomial (1 + t^2)^4 T in t = tan(theta / 2), whose companion matrix gives them
+    all, with the spurious roots that the squaring adds.  Its coefficients at either end
+    below eps of the largest are rounding of zero, and are dropped with their roots near
+    t = 0 and t = infinity, so theta = 0 and pi are candidates too.  So are the angles of
+    +-K_{1:,0}, which hold the maximum where T vanishes identically (c = 0 at every
+    angle, or F' = 2 (e' K)_0 on an arc).
 
-    The first step is plain.  As the u-step maximizes over psi exactly, the search
-    maximizes F(theta) = (e K)_0 + |c| over theta = 2 phi, with c = (e K)_{1:} and e
-    = e(phi).  Each later step takes the plain successor and a Newton step on F from the
-    start's point, and keeps whichever has the larger F, which is the step's value.  The
-    Newton step turns by -F'/F'', at most ``_MAX_TURN``; where F'' >= 0 it turns by
-    ``_MAX_TURN`` uphill.  F' and F'' are closed forms in the u-step's c and |c| and in
-    e' K, for e' = (0, -sin theta, cos theta), as e'' = (1, 0, 0) - e; so each start keeps
-    (cos theta, sin theta), e K and e' K at its point from step to step.  Where |c| = 0,
-    u follows ``_unit``'s rule.
+    Where c nearly vanishes close to the maximum, T is flat there and its roots can be
+    off by 1e-7, which costs F a few 1e-14.  So each candidate also takes one Newton step
+    on F' where F'' < 0: F'' = K_00 - (e K)_0 + (c x c')^2 / |c|^3 + c.K_{0,1:} / |c| - |c|,
+    as e'' = (1, 0, 0) - e.  Every candidate and every step is an attained value, so the
+    largest, NaN skipped (-inf if none is a number), is the maximum up to rounding.
     """
     k = _HALF_ANGLE @ p_mat @ _HALF_ANGLE.T
-    k_u, k0_u, k_y, k0_y = k[1:, 1:].copy(), k[0, 1:].copy(), k[:, 1:].T.copy(), k[:, 0].copy()
-    # (cos theta, sin theta) @ k_t + k0_t is a start's row: as complex pairs, cos theta +
-    # i sin theta, c, c' = (e' K)_{1:} and (e K)_0 + i (e' K)_0
-    k1, dk1 = k[1:], np.stack([k[2], -k[1]])
-    k_t = np.concatenate([np.eye(2), k1[:, 1:], dk1[:, 1:], k1[:, :1], dk1[:, :1]], axis=1)
-    k0_t = np.concatenate([np.zeros(2), k[0, 1:], np.zeros(2), k[0, :1], np.zeros(1)])
-    cs = np.stack([y[:, 0] * y[:, 0] - y[:, 1] * y[:, 1], 2.0 * y[:, 0] * y[:, 1]], axis=1)
-    rows = np.empty((len(cs), 8))
-    plain = True
-
-    def step(live):
-        nonlocal plain
-        if plain:
-            plain = False
-            h = cs[live] @ k_u + k0_u
-            h = _unit(h, np.hypot(h[:, 0], h[:, 1])) @ k_y + k0_y
-            r = np.hypot(h[:, 1], h[:, 2])
-            rows[live] = _unit(h[:, 1:], r) @ k_t + k0_t
-            return h[:, 0] + r
-        a, c, dc, e = rows[live].view(complex).T
-        r = np.abs(c)
-        zero = r == 0.0
-        inv = 1.0 / (r + zero)
-        u = c * inv + zero  # _unit's rule in complex, without a complex division (NaN warns)
-        h = u.view(float).reshape(-1, 2) @ k_y + k0_y
-        # conj(u) c' = u.c' + i (u x c'); so F' = (e' K)_0 + u.c' and, as h_0 = K_00 +
-        # u.K_{0,1:}, F'' = (u x c')^2 / |c| + h_0 - |c| - (e K)_0
-        t = u.conj() * dc
-        f1 = e.imag + t.real
-        f2 = t.imag * t.imag * inv + (h[:, 0] - r) - e.real
-        # -F'/F'' where F'' < 0 and the turn is at most _MAX_TURN, else _MAX_TURN uphill
-        turn = f1 / np.maximum(-f2, np.abs(f1) / _MAX_TURN + _TINY)
-        g = h[:, 1:].view(complex)[:, 0]
-        r = np.abs(g)
-        zero = r == 0.0
-        # the plain successor over the Newton point, as cos theta + i sin theta
-        both = np.concatenate([g * (1.0 / (r + zero)) + zero, a * np.exp(1j * turn)])
-        both = both.view(float).reshape(-1, 2) @ k_t + k0_t
-        f = both[:, 6] + np.hypot(both[:, 2], both[:, 3])
-        m = len(live)
-        newton = f[m:] > f[:m]
-        np.copyto(both[:m], both[m:], where=newton[:, None])
-        np.copyto(f[:m], f[m:], where=newton)
-        rows[live] = both[:m]
-        return f[:m]
-
-    return step
+    ek, dek = _circle_rows(_NODES, k)
+    c, dc = ek[:, 1:], dek[:, 1:]
+    dot = (c * dc).sum(axis=1)
+    coef = _SAMPLES_TO_POLY @ (dek[:, 0] ** 2 * (c * c).sum(axis=1) - dot * dot)
+    size = np.abs(coef)
+    keep = np.flatnonzero(size > _EPS * size.max())
+    phi = np.arctan2(k[2, 0], k[1, 0])
+    theta = np.array([0.0, np.pi, phi, phi + np.pi])
+    if keep.size > 1:
+        poly = coef[keep[0]:keep[-1] + 1]
+        companion = np.eye(len(poly) - 1, k=-1)
+        companion[0] = -poly[1:] / poly[0]
+        theta = np.concatenate([theta, 2.0 * np.arctan(np.linalg.eigvals(companion).real)])
+    z = np.exp(1j * theta)
+    ek, dek = _circle_rows(z, k)
+    c, dc = ek[:, 1:], dek[:, 1:]
+    r = np.hypot(c[:, 0], c[:, 1])
+    inv = 1.0 / (r + (r == 0.0))  # where c = 0, F' and F'' are those of (e K)_0
+    f1 = dek[:, 0] + (c * dc).sum(axis=1) * inv
+    q = (c[:, 0] * dc[:, 1] - c[:, 1] * dc[:, 0]) * inv
+    f2 = k[0, 0] - ek[:, 0] + (q * q + c @ k[0, 1:]) * inv - r
+    turn = np.divide(f1, -f2, out=np.zeros_like(f1), where=f2 < 0.0)
+    step, _ = _circle_rows(z * np.exp(1j * turn), k)
+    f = np.concatenate([ek[:, 0] + r, step[:, 0] + np.hypot(step[:, 1], step[:, 2])])
+    return float(np.fmax.reduce(f, initial=-np.inf))
 
 
 @dataclass(frozen=True)

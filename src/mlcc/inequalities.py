@@ -104,10 +104,14 @@ def schur_check(cm: CurvatureMatrix, n0: int, v0: ColumnBlockMatrix | None = Non
                 tol_gap: float = 1e-8) -> CheckReport:
     """Block Schur inequality at one point: ``schur_gap`` of the first ``n0``
     column-blocks at ``v0`` (e_1 in every column when None) is at least
-    -``tol_gap``.  An infinite polar (gap -inf) is degenerate."""
+    -``tol_gap``.  An infinite polar (gap -inf) is degenerate.  A zero ``v0`` is an
+    InputError: its gap is 0 on every field, so the check would pass unread."""
     _one_point(cm, "schur_check")
     if v0 is None:
         v0 = ColumnBlockMatrix([np.eye(cm.d)[0]] * n0)
+    elif not v0.flatten().any():
+        raise InputError("V0 (--v0) is zero; the Schur inequality holds at V0 = 0 for every "
+                         "field, so it tests nothing")
     gap = schur_gap(block_split(cm, n0), v0).value
     return CheckReport(name="schur", status=_status(gap, gap >= -tol_gap),
                        metrics={"gap": gap}, tolerances={"tol_gap": tol_gap})

@@ -26,13 +26,16 @@ from mlcc import (
     build_rule,
     builtin_field,
     conjugate_field,
+    curvature_matrix,
     dirichlet_energy,
     g_adjoint,
+    griffiths_min_gap,
     integrate_field,
     ipp_residual,
     pairwise_sum,
     polynomial_field_from_json,
     restrict_field,
+    schur_check,
     theta_alpha_decomposed,
     variance_functional,
     weighted_mean,
@@ -50,6 +53,9 @@ OVERFLOWING_FIELD = {"n": 1, "d": 1, "q": [[-1.0, [0]], [0.5, [2]]],
 
 FD_1E300 = ("the finite-difference step h (--h) = 1e-300 gives derivatives that are not "
             "finite; central differences need a larger step")
+
+ZERO_V0 = ("V0 (--v0) is zero; the Schur inequality holds at V0 = 0 for every field, so it "
+           "tests nothing")
 
 CLI_ERRORS = {
     "param_without_equals": (["nakano", "--field", "raufi_corrected", "--param", "s",
@@ -70,6 +76,8 @@ CLI_ERRORS = {
                            "no field given (use --field)"),
     "v0_of_the_wrong_length": (["schur", *RAUFI, "--n0", "1", "--v0", "1,2,3"],
                                "flat vector length is not a multiple of d"),
+    # a zero V0 passed with a gap of -0.0
+    "zero_v0": (["schur", *RAUFI, "--n0", "1", "--v0", "0,-0"], ZERO_V0),
     "zero_scale": (["bl", *GAUSS1, "--test-fn", "poly:y", "--scale", "0"],
                    "scale must be positive"),
     # a non-finite centre or scale was blamed on the field's points, a bad box on the weights
@@ -238,6 +246,15 @@ def _gh(m):
     return build_rule("gauss_hermite", order=4, m=m)
 
 
+def _curvature(name, params, n):
+    return curvature_matrix(builtin_field(name, params), np.zeros(n))
+
+
+#: (field, parameters, n) of a shape on the circle (n = d = 2) and of one off it
+GRIFFITHS_SHAPES = {"circle": ("raufi_corrected", {"s": 0.75}, 2),
+                    "stack": ("gaussian_scalar", {"n": 3}, 3)}
+
+
 #: name -> (call, exception type, message)
 LIBRARY_ERRORS = {
     "nan_scalar_coefficient": (lambda: MatrixField(1, 1, [(np.nan, (0,))], []),
@@ -393,6 +410,21 @@ LIBRARY_ERRORS = {
                                    builtin_field("perturbed_gaussian_spd"), [np.nan]),
                                InputError, "perturbed_gaussian_spd: t must be a finite 1-D "
                                "vector, got [nan]"),
+    # 8.5, 2.5 and 1.5 raised a TypeError, and max_iter = 0 gave -inf; on the circle, where
+    # they are not read, they would pass unread, and so would a bool
+    **{f"{what}_{shape}": (lambda shape=shape, kw=kw: griffiths_min_gap(
+                               _curvature(*GRIFFITHS_SHAPES[shape]), **kw), InputError, message)
+       for shape in GRIFFITHS_SHAPES
+       for what, kw, message in (
+           ("fractional_starts", {"n_starts": 8.5}, "n_starts must be an integer, got 8.5"),
+           ("boolean_starts", {"n_starts": True}, "n_starts must be an integer, got True"),
+           ("no_steps", {"max_iter": 0}, "max_iter must be a positive integer, got 0"),
+           ("fractional_steps", {"max_iter": 2.5}, "max_iter must be a positive integer, got 2.5"),
+           ("boolean_steps", {"max_iter": True}, "max_iter must be a positive integer, got True"),
+           ("fractional_seed", {"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+           ("boolean_seed", {"seed": False}, "seed must be a non-negative integer, got False"))},
+    "zero_v0": (lambda: schur_check(_curvature("raufi_corrected", {"s": 0.75}, 2), 1,
+                                    ColumnBlockMatrix([[0.0, 0.0]])), InputError, ZERO_V0),
     "restriction_that_overflows": (lambda: restrict_field(
                                        builtin_field("perturbed_gaussian_spd"), [1e200]),
                                    InputError, "perturbed_gaussian_spd at t = [1e+200]: field "

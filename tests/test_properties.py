@@ -1,7 +1,7 @@
 """Property tests (hypothesis): the Prekopa check on the cross Gaussian family,
 the rank-one search against the Nakano spectrum and, when n = d = 2, against the
-eigensolve loop of ``test_references`` on random polynomial fields and step by step
-on random indefinite pencils, and
+eigensolve loop of ``test_references`` on random polynomial fields and against dense
+sampling and the Nakano spectrum on random indefinite pencils, and
 one formula for g on those fields with their terms written as repeated monomials.
 
 For g = exp(-(t^2 + y^2 + c t y)) A the marginal is N-log-concave for |c| < 2,
@@ -10,12 +10,8 @@ direction y (x) u is a direction of the full space, so the Griffiths maximum is
 at most the largest Nakano eigenvalue, with equality when n = 1 or d = 1.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
-
-import mlcc.curvature
 
 pytest.importorskip("hypothesis")
 
@@ -80,14 +76,25 @@ def test_rank_one_maximum_is_at_most_the_nakano_maximum(n, d, seed):
         assert rank_one == pytest.approx(lam, rel=1e-8, abs=1e-8)
 
 
+def _pencil_scale(cm):
+    """max(1, the largest entry of the pencil): the scale of a value's rounding."""
+    _, invroot = cm.g.sqrt_and_invsqrt()
+    return max(1.0, float(np.abs(metric_pencil(invroot, cm.theta_tilde)).max()))
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), max_iter=st.sampled_from([1, 200]))
 def test_the_circle_steps_match_the_start_loop(seed, max_iter):
-    """n = d = 2: the search's half-angle steps find the values of the eigensolve loop."""
+    """n = d = 2: the closed form finds the converged value of the eigensolve loop, and
+    at one step, where the loop stops short of the maximum, no less than its value."""
     rng = np.random.default_rng(seed)
     cm = curvature_matrix(_random_polynomial_field(rng, 2, 2), rng.uniform(-0.5, 0.5, 2))
     ref = griffiths_loop(cm, max_iter=max_iter)
-    assert griffiths_min_gap(cm, max_iter=max_iter) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    if max_iter == 1:
+        scale = max(abs(ref), _pencil_scale(cm))
+        assert griffiths_min_gap(cm, max_iter=max_iter) >= ref - 1e-15 * scale
+    else:
+        assert griffiths_min_gap(cm, max_iter=max_iter) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -106,33 +113,24 @@ def test_the_newton_steps_find_no_less_than_the_start_loop(seed, start_seed, n_s
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), start_seed=st.integers(0, 9))
-def test_a_start_never_loses_value_on_the_circle(seed, start_seed):
-    """n = d = 2: a step keeps the better of the Newton point and the plain successor, so
-    no start's value falls from step to step beyond rounding, also on indefinite pencils,
-    where a Newton step alone can land lower."""
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-6.0, 6.0))
+def test_the_circle_maximum_lies_between_dense_sampling_and_nakano(seed, log_scale):
+    """n = d = 2, random indefinite pencils and SPD g: the value is at least the largest
+    rank-one value at 4096 equally spaced angles of y, each the top eigenvalue of
+    sum_jk y_j y_k P_jk, and at most the largest Nakano eigenvalue, up to rounding."""
     rng = np.random.default_rng(seed)
     a, b = rng.standard_normal((4, 4)), rng.standard_normal((2, 2))
-    cm = CurvatureMatrix(2, 2, a + a.T, SpdMatrix(b @ b.T + np.eye(2)), 0.0)
-    steps, circle_steps = [], mlcc.curvature._circle_steps
-
-    def recording(p_mat, y):
-        step = circle_steps(p_mat, y)
-
-        def recorded(live):
-            steps.append((live.copy(), step(live)))
-            return steps[-1][1]
-
-        return recorded
-
-    with mock.patch.object(mlcc.curvature, "_circle_steps", recording):
-        griffiths_min_gap(cm, n_starts=8, seed=start_seed)
+    cm = CurvatureMatrix(2, 2, 10.0**log_scale * (a + a.T), SpdMatrix(b @ b.T + np.eye(2)), 0.0)
+    value = griffiths_min_gap(cm)
     _, invroot = cm.g.sqrt_and_invsqrt()
-    scale = max(1.0, float(np.abs(metric_pencil(invroot, cm.theta_tilde)).max()))
-    best = np.full(8, -np.inf)
-    for live, value in steps:
-        assert (value >= best[live] - 1e-15 * scale).all()
-        best[live] = value
+    # entry (a, b) of the pencil's block (j, k) at [k, a, j, b]
+    pencil = metric_pencil(invroot, cm.theta_tilde).reshape(2, 2, 2, 2)
+    phi = np.pi * np.arange(4096) / 4096
+    y = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    sampled = np.linalg.eigvalsh(np.einsum("ij,ik,kajb->iab", y, y, pencil))[:, -1].max()
+    assert value >= sampled - 1e-15 * _pencil_scale(cm)
+    lam = nakano_verdict(cm).lambda_max
+    assert value <= lam + 1e-12 * max(1.0, abs(lam))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

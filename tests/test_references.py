@@ -827,14 +827,13 @@ GRIFFITHS_SHAPES = [
 GRIFFITHS_SETTINGS = list(product((0, 5), (8, 32), (1, 200)))
 
 
-def _griffiths_agree(cm, converged=None):
-    """The search against the start loop; at ``max_iter`` = 200, against ``converged``
-    where given (the loop stops on its own rule, short of the maximum)."""
+def _griffiths_agree(cm):
+    """The search against the start loop; when n = d = 2, the closed form against
+    ``rank_one_circle_max`` at every setting (the loop stops short of the maximum, and
+    at one step far from it)."""
+    circle = rank_one_circle_max(cm) if cm.n == cm.d == 2 else None
     for seed, n_starts, max_iter in GRIFFITHS_SETTINGS:
-        if max_iter > 1 and converged is not None:
-            ref = converged
-        else:
-            ref = griffiths_loop(cm, n_starts, max_iter, seed)
+        ref = griffiths_loop(cm, n_starts, max_iter, seed) if circle is None else circle
         got = griffiths_min_gap(cm, n_starts, max_iter, seed)
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (seed, n_starts, max_iter)
 
@@ -854,10 +853,10 @@ class TestStackedGriffiths:
             s = 0.05 + (k + rng.uniform()) / 16 * 0.95
             field = builtin_field("raufi_corrected", {"s": s}, jet_mode=jet_mode)
             cm = curvature_matrix(field, rng.uniform(-0.035, 0.035, 2))
-            _griffiths_agree(cm, converged=rank_one_circle_max(cm))
+            _griffiths_agree(cm)
 
     @pytest.mark.parametrize("name,params,max_iter,calls", [
-        # n = d = 2: g's roots only, the steps run on the circle
+        # n = d = 2: g's roots only, the closed form makes no eigh call
         ("raufi_corrected", {"s": 0.75}, 1, 1),
         ("raufi_corrected", {"s": 0.75}, 200, 1),
         # one eigensolve in u and one in y per step; no start stops before its second
@@ -874,7 +873,8 @@ class TestStackedGriffiths:
 
     def test_nan_starts_are_skipped(self):
         # a NaN curvature makes every start NaN; the loop's max then keeps -inf.  n = 2
-        # with d = 1 takes the eigensolve steps, with d = 2 the steps on the circle
+        # with d = 1 takes the eigensolve steps, with d = 2 the closed form, whose
+        # candidates are then all NaN
         for field in (builtin_field("gaussian_scalar", {"n": 2}), builtin_field("raufi_corrected")):
             cm = curvature_matrix(field, np.zeros(2))
             bad = CurvatureMatrix(cm.d, cm.n, np.full_like(cm.theta_tilde, np.nan), cm.g, 0.0)
@@ -888,37 +888,40 @@ RAUFI_POINT = (0.01, -0.02)
 
 
 class TestNewtonOnTheCircle:
-    """n = d = 2: Newton's steps on the circle find the rank-one maximum, where the
-    plain alternating steps converge at a rate of 1 - O(s) and stop short of it."""
+    """n = d = 2: the closed form (the stationary angles as the roots of one polynomial,
+    each with one Newton step) finds the rank-one maximum, where the plain alternating
+    steps converge at a rate of 1 - O(s) and stop short of it."""
 
     @staticmethod
-    def _raufi(s, jet_mode="exact"):
+    def _raufi(s, jet_mode="exact", x=RAUFI_POINT):
         field = builtin_field("raufi_corrected", {"s": s}, jet_mode=jet_mode)
-        return curvature_matrix(field, np.array(RAUFI_POINT))
+        return curvature_matrix(field, np.array(x))
 
+    @pytest.mark.parametrize("x", [RAUFI_POINT, (0.3, 0.2), (0.02, 0.03), (-0.4, 0.45)])
     @pytest.mark.parametrize("jet_mode", ["exact", "finite_difference"])
     @pytest.mark.parametrize("s", RAUFI_S)
-    def test_the_value_is_the_maximum(self, s, jet_mode):
-        cm = self._raufi(s, jet_mode)
+    def test_the_value_is_the_maximum(self, s, jet_mode, x):
+        cm = self._raufi(s, jet_mode, x)
         m = rank_one_circle_max(cm)
         assert abs(griffiths_min_gap(cm) - m) <= 1e-12 * max(1.0, abs(m))
 
     @pytest.mark.parametrize("s", RAUFI_S)
-    def test_every_start_stops_within_ten_steps(self, monkeypatch, s):
-        moved, circle_steps = [], mlcc.curvature._circle_steps
+    def test_the_value_is_the_same_for_every_seed_start_count_and_step_count(self, s):
+        cm = self._raufi(s)
+        values = {griffiths_min_gap(cm, n_starts, max_iter, seed)
+                  for seed, n_starts, max_iter in product(range(4), (8, 32), (1, 200))}
+        assert len(values) == 1
 
-        def counted(p_mat, y):
-            step = circle_steps(p_mat, y)
+    def test_no_random_number_is_drawn(self, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a random number generator was made")
 
-            def counting(live):
-                moved.append(live.copy())
-                return step(live)
-
-            return counting
-
-        monkeypatch.setattr(mlcc.curvature, "_circle_steps", counted)
-        griffiths_min_gap(self._raufi(s))
-        assert np.bincount(np.concatenate(moved), minlength=32).max() <= 10
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        griffiths_min_gap(self._raufi(0.5))
+        # other shapes draw their starts
+        with pytest.raises(AssertionError, match="generator was made"):
+            griffiths_min_gap(curvature_matrix(builtin_field("gaussian_scalar", {"n": 3}),
+                                               np.zeros(3)))
 
     def test_a_maximum_just_above_tol_psd_fails(self, capsys):
         argv = ["griffiths", "--field", "raufi_corrected", "--param", "s=-3e-9",
@@ -928,14 +931,36 @@ class TestNewtonOnTheCircle:
         assert check["status"] == "fail"
         assert check["metrics"]["rank_one_max"] == pytest.approx(4.080016e-9, rel=1e-6)
 
+    @staticmethod
+    def _k(cm):
+        """K = H P H^T of the closed form, from the pencil P of ``cm``."""
+        _, invroot = cm.g.sqrt_and_invsqrt()
+        p = metric_pencil(invroot, cm.theta_tilde).reshape(2, 2, 2, 2)
+        h = mlcc.curvature._HALF_ANGLE
+        return h @ p.transpose(2, 0, 1, 3).reshape(4, 4) @ h.T
+
     @pytest.mark.parametrize("name,params", [("gaussian_times_spd", {"n": 2, "d": 2}),
                                              ("gaussian_cross_spd", {"c": 0.0, "d": 2})])
     def test_no_floating_point_warning_where_c_is_zero(self, name, params):
-        # an isotropic pencil: c = 0 at every angle, and u follows _unit's rule
+        # an isotropic pencil: c = 0 at every angle, up to rounding, and T vanishes
         cm = curvature_matrix(builtin_field(name, params), np.zeros(2))
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
+        with np.errstate(all="raise"):
             value = griffiths_min_gap(cm)
         assert value == pytest.approx(nakano_verdict(cm).lambda_max, abs=1e-12)
+        k = self._k(cm)
+        assert value == pytest.approx(k[0, 0] + np.hypot(k[1, 0], k[2, 0]), abs=1e-14)
+
+    def test_a_pencil_whose_c_is_zero(self):
+        # theta_tilde = S (x) id at g = id: K[0, 1:] = 0 and K[1:, 1:] = 0 exactly, so T = 0
+        # at every angle and the maximum is K00 + |K[1:, 0]|, the top eigenvalue of S
+        s = np.array([[-1.5, 0.7], [0.7, 0.4]])
+        cm = CurvatureMatrix(2, 2, np.kron(s, np.eye(2)), SpdMatrix(np.eye(2)), 0.0)
+        k = self._k(cm)
+        assert not k[0, 1:].any() and not k[1:, 1:].any() and k[1:, 0].all()
+        with np.errstate(all="raise"):
+            value = griffiths_min_gap(cm)
+        assert value == pytest.approx(k[0, 0] + np.hypot(k[1, 0], k[2, 0]), rel=1e-15)
+        assert value == pytest.approx(np.linalg.eigvalsh(s)[-1], rel=1e-15)
 
 
 # -- the parameter scan, one value per call -----------------------------------------
