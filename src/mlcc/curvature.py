@@ -157,12 +157,12 @@ def griffiths_min_gap(
     Every other shape runs an alternating maximization (top generalized eigenvector in u
     at fixed y, top eigenvector in y at fixed u), multi-started.  The starts run as one
     stack: each step makes one batched eigensolve in u and one in y for the starts that
-    are still live (``_eigh_steps``), and a start leaves the stack once its value changes
-    by at most ``RANK_ONE_STOP_TOL`` (1e-10) relative, or after ``max_iter`` steps.  The
-    result is the largest value over the starts, NaN starts skipped (-inf if none is a
-    number); it is a lower bound on the rank-one maximum only up to the rounding of
-    g^{-1/2} and of the pencil, which can leave it a few units in the last place above
-    the maximum.  Start s draws its y then its u from ``default_rng(seed)``.
+    are still live, and a start leaves the stack once its value changes by at most
+    ``RANK_ONE_STOP_TOL`` (1e-10) relative, or after ``max_iter`` steps.  The result is
+    the largest value over the starts, NaN starts skipped (-inf if none is a number); it
+    is a lower bound on the rank-one maximum only up to the rounding of g^{-1/2} and of
+    the pencil, which can leave it a few units in the last place above the maximum.
+    Start s draws its y then its u from ``default_rng(seed)``.
 
     ``n_starts`` is an integer in [8, NODE_BUDGET], ``max_iter`` a positive integer and
     ``seed`` a non-negative integer (a bool is none of them), on every shape.
@@ -189,43 +189,28 @@ def griffiths_min_gap(
     # row s is start s's y then its u, which the first u-step replaces unread
     y = np.random.default_rng(seed).standard_normal((n_starts, n + d))[:, :n]
     y /= np.linalg.norm(y, axis=1, keepdims=True)
-    step = _eigh_steps(p_mat, y)
     prev = np.full(n_starts, -np.inf)
     live = np.arange(n_starts)
     for _ in range(max_iter):
         if not live.size:
             break
-        val = step(live)
+        # the u-step's matrix is (y (x) y) P, with top unit eigenvector w = g^{1/2} u, and
+        # the y-step's is [w^T P_{jk} w] = (w (x) w) P^T, whose top eigenvalue is the value
+        yy = (y[:, :, None] * y[:, None, :]).reshape(-1, n * n)
+        w = np.linalg.eigh((yy @ p_mat).reshape(-1, d, d))[1][:, :, -1]
+        ww = (w[:, :, None] * w[:, None, :]).reshape(-1, d * d)
+        b = (ww @ p_mat.T).reshape(-1, n, n)
+        lam_y, w_y = np.linalg.eigh(0.5 * (b + b.swapaxes(1, 2)))
+        val = lam_y[:, -1]
         done = np.abs(val - prev[live]) <= RANK_ONE_STOP_TOL * np.maximum(1.0, np.abs(val))
         prev[live] = val
-        live = live[~done]
+        live, y = live[~done], w_y[~done, :, -1]
     return float(np.fmax.reduce(prev, initial=-np.inf))
 
 
 def _is_integer(value) -> bool:
     """Whether ``value`` is a Python or NumPy integer other than a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _eigh_steps(p_mat: np.ndarray, y: np.ndarray):
-    """The search's step for any shape: ``step(live)`` moves the starts ``live`` of the
-    unit rows ``y`` (updated in place) by one batched eigensolve in u and one in y, and
-    returns their values.  Both read the pencil P[(j, k), (a, b)] (``p_mat``) alone: the
-    u-step's matrix is (y (x) y) P, with top unit eigenvector w = g^{1/2} u, and the
-    y-step's is [w^T P_{jk} w] = (w (x) w) P^T, whose top eigenvalue is the value."""
-    n, d = y.shape[1], round(p_mat.shape[1] ** 0.5)
-
-    def step(live):
-        yl = y[live]
-        yy = (yl[:, :, None] * yl[:, None, :]).reshape(-1, n * n)
-        w = np.linalg.eigh((yy @ p_mat).reshape(-1, d, d))[1][:, :, -1]
-        ww = (w[:, :, None] * w[:, None, :]).reshape(-1, d * d)
-        b = (ww @ p_mat.T).reshape(-1, n, n)
-        lam_y, w_y = np.linalg.eigh(0.5 * (b + b.swapaxes(1, 2)))
-        y[live] = w_y[:, :, -1]
-        return lam_y[:, -1]
-
-    return step
 
 
 #: Rows: the coefficients of 1, cos 2t and sin 2t in (cos t, sin t) m (cos t, sin t)^T,
@@ -236,27 +221,25 @@ _HALF_ANGLE = 0.5 * np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0], [0.0,
 #: polynomial is rounding of zero.
 _EPS = np.finfo(float).eps
 
-#: e^{i theta} at the 9 angles 2 pi j / 9, whose samples determine a trigonometric
-#: polynomial of degree 4.
-_NODES = np.exp(2j * np.pi * np.arange(9) / 9)
-
-#: Maps the samples at ``_NODES`` of a trigonometric polynomial T of degree 4 to the
-#: coefficients, of t^8 first, of the real polynomial (1 + t^2)^4 T(2 arctan t): as
-#: e^{i theta} = (1 + i t)^2 / (1 + t^2), T's coefficient of e^{i k theta} multiplies
-#: (1 + i t)^{4+k} (1 - i t)^{4-k} = (-1)^k (t - i)^{4+k} (t + i)^{4-k}.
-_SAMPLES_TO_POLY = (
-    np.array([(-1) ** k * np.poly([1j] * (4 + k) + [-1j] * (4 - k)) for k in range(4, -5, -1)]).T
-    @ _NODES.conj() ** np.arange(4, -5, -1)[:, None] / 9
-).real
+#: Rows: the quadratics in t = tan(theta / 2), of t^2 first, of (1 + t^2) e and
+#: (1 + t^2) e' for e = (1, cos theta, sin theta) and e' = (0, -sin theta, cos theta).
+_E = np.array([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
+_DE = np.array([[0.0, 0.0, 0.0], [0.0, -2.0, 0.0], [-1.0, 0.0, 1.0]])
 
 
-def _circle_rows(z: np.ndarray, k: np.ndarray):
-    """e K and e' K at each z = e^{i theta} of ``z``, for e = (1, cos theta, sin theta)
-    and e' = (0, -sin theta, cos theta)."""
-    m = len(z)
-    rows = np.concatenate([z, 1j * z]).view(float).reshape(2 * m, 2) @ k[1:]
-    rows[:m] += k[0]
-    return rows[:m], rows[m:]
+def _circle_rows(theta: np.ndarray, k: np.ndarray):
+    """e K and e' K at each angle of ``theta``."""
+    cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    return k[0] + cos * k[1] + sin * k[2], cos * k[2] - sin * k[1]
+
+
+def _circle_poly(k: np.ndarray) -> np.ndarray:
+    """The coefficients, of t^8 first, of (1 + t^2)^4 T(2 arctan t) (``_circle_max``): the
+    rows of K^T ``_E`` and K^T ``_DE`` are the quadratics of (1 + t^2) times e K and e' K."""
+    a, da = k.T @ _E, k.T @ _DE
+    dot = np.convolve(a[1], da[1]) + np.convolve(a[2], da[2])
+    sq = np.convolve(a[1], a[1]) + np.convolve(a[2], a[2])
+    return np.convolve(np.convolve(da[0], da[0]), sq) - np.convolve(dot, dot)
 
 
 def _circle_max(p_mat: np.ndarray) -> float:
@@ -270,12 +253,12 @@ def _circle_max(p_mat: np.ndarray) -> float:
     |c| has no maximum at a kink, so F's maximum is where F' = (e' K)_0 + c.c'/|c| = 0,
     with e' = de/dtheta and c' = (e' K)_{1:}.  Those angles are roots of the degree-4
     trigonometric polynomial T = (e' K)_0^2 |c|^2 - (c.c')^2, and so of the degree-8
-    polynomial (1 + t^2)^4 T in t = tan(theta / 2), whose companion matrix gives them
-    all, with the spurious roots that the squaring adds.  Its coefficients at either end
-    below eps of the largest are rounding of zero, and are dropped with their roots near
-    t = 0 and t = infinity, so theta = 0 and pi are candidates too.  So are the angles of
-    +-K_{1:,0}, which hold the maximum where T vanishes identically (c = 0 at every
-    angle, or F' = 2 (e' K)_0 on an arc).
+    polynomial (1 + t^2)^4 T in t = tan(theta / 2) (``_circle_poly``), whose companion
+    matrix gives them all, with the spurious roots that the squaring adds.  Its
+    coefficients at either end below eps of the largest are rounding of zero, and are
+    dropped with their roots near t = 0 and t = infinity, so theta = 0 and pi are
+    candidates too.  So are the angles of +-K_{1:,0}, which hold the maximum where T
+    vanishes identically (c = 0 at every angle, or F' = 2 (e' K)_0 on an arc).
 
     Where c nearly vanishes close to the maximum, T is flat there and its roots can be
     off by 1e-7, which costs F a few 1e-14.  So each candidate also takes one Newton step
@@ -284,10 +267,7 @@ def _circle_max(p_mat: np.ndarray) -> float:
     largest, NaN skipped (-inf if none is a number), is the maximum up to rounding.
     """
     k = _HALF_ANGLE @ p_mat @ _HALF_ANGLE.T
-    ek, dek = _circle_rows(_NODES, k)
-    c, dc = ek[:, 1:], dek[:, 1:]
-    dot = (c * dc).sum(axis=1)
-    coef = _SAMPLES_TO_POLY @ (dek[:, 0] ** 2 * (c * c).sum(axis=1) - dot * dot)
+    coef = _circle_poly(k)
     size = np.abs(coef)
     keep = np.flatnonzero(size > _EPS * size.max())
     phi = np.arctan2(k[2, 0], k[1, 0])
@@ -297,8 +277,7 @@ def _circle_max(p_mat: np.ndarray) -> float:
         companion = np.eye(len(poly) - 1, k=-1)
         companion[0] = -poly[1:] / poly[0]
         theta = np.concatenate([theta, 2.0 * np.arctan(np.linalg.eigvals(companion).real)])
-    z = np.exp(1j * theta)
-    ek, dek = _circle_rows(z, k)
+    ek, dek = _circle_rows(theta, k)
     c, dc = ek[:, 1:], dek[:, 1:]
     r = np.hypot(c[:, 0], c[:, 1])
     inv = 1.0 / (r + (r == 0.0))  # where c = 0, F' and F'' are those of (e K)_0
@@ -306,7 +285,7 @@ def _circle_max(p_mat: np.ndarray) -> float:
     q = (c[:, 0] * dc[:, 1] - c[:, 1] * dc[:, 0]) * inv
     f2 = k[0, 0] - ek[:, 0] + (q * q + c @ k[0, 1:]) * inv - r
     turn = np.divide(f1, -f2, out=np.zeros_like(f1), where=f2 < 0.0)
-    step, _ = _circle_rows(z * np.exp(1j * turn), k)
+    step, _ = _circle_rows(theta + turn, k)
     f = np.concatenate([ek[:, 0] + r, step[:, 0] + np.hypot(step[:, 1], step[:, 2])])
     return float(np.fmax.reduce(f, initial=-np.inf))
 

@@ -418,17 +418,17 @@ BUILTIN_PARAMS = {
 }
 
 
-def _dimension(key: str, value) -> int:
-    """The dimension ``key`` (n or d) as an int; a value that is not a whole number >= 1,
-    a bool among them, is an InputError naming the key and the value."""
+def _whole_number(key: str, value, least: int | None = None) -> int:
+    """``value`` as an int if it is a whole number such as 64 or 64.0, not a bool or a
+    string, and at least ``least`` when one is given; else an InputError naming ``key``."""
     try:
-        x = float(value)
-        whole = x.is_integer() and x >= 1 and not isinstance(value, (bool, np.bool_))
+        whole = float(value).is_integer() and not isinstance(value, (bool, np.bool_, str, bytes))
     except (TypeError, ValueError):
         whole = False
-    if not whole:
-        raise InputError(f"{key} must be a whole number >= 1, got {value!r}")
-    return int(x)
+    if not whole or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise InputError(f"{key} must be a whole number{bound}, got {value!r}")
+    return int(value)
 
 
 def _sq_norm_terms(n: int, factor: float) -> list:
@@ -473,7 +473,7 @@ def _spd_from_params(params: dict, lead: tuple) -> np.ndarray:
             raise InputError(f"parameter 'A' must be a square matrix, got {shown!r} "
                              "(give its entries as a11, a12, ...)")
         return a
-    d = _dimension("d", params.get("d", 2))
+    d = _whole_number("d", params.get("d", 2), 1)
     a = np.empty(lead + (d, d))
     a[...] = np.eye(d)
     for key, val in params.items():
@@ -529,10 +529,10 @@ def builtin_field(name: str, params: dict | None = None, **jet_kwargs) -> Matrix
         return np.asarray(params.get(key, default), dtype=float)
 
     if name == "gaussian_scalar":
-        n = _dimension("n", params.get("n", 1))
+        n = _whole_number("n", params.get("n", 1), 1)
         return field(n, 1, _sq_norm_terms(n, 0.5), [((0,) * n, np.eye(1))])
     if name == "gaussian_times_spd":
-        n = _dimension("n", params.get("n", 1))
+        n = _whole_number("n", params.get("n", 1), 1)
         a = _spd_from_params(params, lead)
         return field(n, a.shape[-1], _sq_norm_terms(n, 1.0), [((0,) * n, a)])
     if name in ("raufi_printed", "raufi_corrected"):
@@ -610,7 +610,7 @@ def polynomial_field_from_json(path_or_obj, **jet_kwargs) -> MatrixField:
         raise InputError("field JSON must be an object with keys n, d and entries, got "
                          f"{type(obj).__name__}")
     try:
-        n, d = _dimension("n", obj["n"]), _dimension("d", obj["d"])
+        n, d = _whole_number("n", obj["n"], 1), _whole_number("d", obj["d"], 1)
         q = _term_list(obj.get("q", []))
         return MatrixField(n, d, q, _entry_terms(d, obj["entries"]), name="polynomial",
                            **jet_kwargs)

@@ -70,6 +70,12 @@ def _status(value: float, ok: bool) -> str:
     return "degenerate" if not math.isfinite(value) else "pass" if ok else "fail"
 
 
+def _finite_tolerance(key: str, value) -> None:
+    """A tolerance ``key`` that is not a finite number is an InputError: inf passes, NaN fails."""
+    if not math.isfinite(value):
+        raise InputError(f"{key} must be a finite number, got {value!r}")
+
+
 def _one_point(cm: CurvatureMatrix, check: str) -> None:
     """The pointwise checks' guard: the curvature of a stack of points is an InputError
     naming the ``check``."""
@@ -81,6 +87,7 @@ def _one_point(cm: CurvatureMatrix, check: str) -> None:
 def nakano_check(cm: CurvatureMatrix, tol_psd: float = TOL_PSD) -> CheckReport:
     """Nakano check at one point: N-log-concave when the largest generalized
     eigenvalue of (theta_tilde, id_n (x) g) is at most ``tol_psd``."""
+    _finite_tolerance("tol_psd", tol_psd)
     _one_point(cm, "nakano_check")
     verdict = nakano_verdict(cm, tol_psd=tol_psd)
     return CheckReport(name="nakano", status=_status(verdict.lambda_max, verdict.is_nlogconcave),
@@ -94,6 +101,7 @@ def griffiths_check(cm: CurvatureMatrix, n_starts: int = 32, seed: int = 0,
                     tol_psd: float = TOL_PSD) -> CheckReport:
     """Rank-one check at one point: ``griffiths_min_gap``'s best value is at most
     ``tol_psd``.  A search that found no number (-inf, every start NaN) is degenerate."""
+    _finite_tolerance("tol_psd", tol_psd)
     _one_point(cm, "griffiths_check")
     value = griffiths_min_gap(cm, n_starts=n_starts, seed=seed)
     return CheckReport(name="griffiths", status=_status(value, value <= tol_psd),
@@ -106,6 +114,7 @@ def schur_check(cm: CurvatureMatrix, n0: int, v0: ColumnBlockMatrix | None = Non
     column-blocks at ``v0`` (e_1 in every column when None) is at least
     -``tol_gap``.  An infinite polar (gap -inf) is degenerate.  A zero ``v0`` is an
     InputError: its gap is 0 on every field, so the check would pass unread."""
+    _finite_tolerance("tol_gap", tol_gap)
     _one_point(cm, "schur_check")
     if v0 is None:
         v0 = ColumnBlockMatrix([np.eye(cm.d)[0]] * n0)
@@ -184,6 +193,7 @@ def ipp_residual(
     tol_res: float = 1e-6,
 ) -> CheckReport:
     """Integration by parts: int <LF, G>_g = -int <grad F, grad G>_{id (x) g}."""
+    _finite_tolerance("tol_res", tol_res)
     _check_test_fns(field, f, g_fn)
     x = rule.nodes
     jet = field.jet(x)
@@ -212,6 +222,7 @@ def bochner_residual(
     tol_res: float = 1e-6,
 ) -> CheckReport:
     """Bochner identity: int ||L Psi||_g^2 equals curvature plus Hessian terms."""
+    _finite_tolerance("tol_res", tol_res)
     _check_test_fns(field, psi)
     x = rule.nodes
     jet = field.jet(x)
@@ -364,6 +375,7 @@ def prekopa_check(
     (1e-4, reported as ``tol_route``) with ``route_diff``, and absent when the
     margin is -inf.
     """
+    _finite_tolerance("tol_psd", tol_psd)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape[0] != n0 or not 1 <= n0 < field.n:
         raise InputError("t must have length n0 with 1 <= n0 < n")

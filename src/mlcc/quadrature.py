@@ -19,7 +19,7 @@ import numpy as np
 from ._poly import poly_degrees, poly_diff, poly_eval, poly_rows, poly_stack
 from .curvature import curvature_matrix
 from .errors import NODE_BUDGET, BudgetError, InputError, QuadratureError
-from .fields import MatrixField, central_differences
+from .fields import MatrixField, _whole_number, central_differences
 from .metric import DEFAULT_NULL_TOL, ExtendedReal, PolarOperator, QuadraticFormSpec, SpdMatrix
 
 #: Relative size of the outermost integrand summand that triggers a tail warning.
@@ -105,12 +105,13 @@ def build_rule(kind: str, **params) -> QuadratureRule:
     gauss_hermite: order (2 to ``GH_MAX_ORDER`` = 370), m, center (finite,
     scalar or per-axis), scale (finite and > 0).
     uniform_grid: box (a list of one finite (lo, hi) pair per axis, lo < hi),
-    resolution (>= 2 points per axis), trapezoid weights.
-    Every parameter is checked before any node is computed.
+    resolution (>= 2 points per axis), trapezoid weights.  order, m and resolution are
+    whole numbers (64.0 is one; 8.9, "12" and True are not), and every parameter is
+    checked before any node is computed.
     """
     if kind == "gauss_hermite":
-        order = int(params.get("order", 64))
-        m = _rule_dimension(int(params.get("m", 1)))
+        order = _whole_number("order", params.get("order", 64))
+        m = _rule_dimension(_whole_number("m", params.get("m", 1)))
         if not 2 <= order <= GH_MAX_ORDER:
             raise InputError(f"gauss_hermite order must lie in [2, {GH_MAX_ORDER}], got {order}")
         if order**m > NODE_BUDGET:
@@ -132,7 +133,7 @@ def build_rule(kind: str, **params) -> QuadratureRule:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise InputError(f"box must be finite with lo < hi on every axis, got "
                                  f"({lo!r}, {hi!r})")
-        resolution = int(params["resolution"])
+        resolution = _whole_number("resolution", params["resolution"])
         if resolution < 2:
             raise InputError("resolution must be >= 2")
         m = _rule_dimension(len(box))

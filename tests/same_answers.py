@@ -10,7 +10,9 @@ the same from run to run.  Run it with ``PYTHONPATH`` on two checkouts and diff
 the outputs: a change that keeps every answer prints the same lines.  The
 commands cover the README's CLI block; ``nakano``, ``griffiths``, ``schur`` and
 ``scan`` on ``raufi_corrected`` with exact, fd and fd ``--no-richardson`` jets;
-``griffiths`` near s = 0 on ``raufi_corrected`` and on an n = 2, d = 3 field;
+``griffiths`` near s = 0 on ``raufi_corrected``, on an n = 2, d = 3 field, on
+``perturbed_gaussian_spd`` off the origin and on the isotropic n = d = 2 pencil of
+``gaussian_times_spd``, where the circle's polynomial vanishes;
 ``prekopa`` at GH 16 and 48; and ``bl``, ``ipp`` and ``bochner`` at GH 8 and 16.
 Pytest does not collect this file.
 """
@@ -70,6 +72,9 @@ def argvs() -> list[list[str]]:
                         "--point=0.01,-0.02", *jet])
         out.append(["griffiths", "--field", "gaussian_times_spd", "--param", "n=2", "--param",
                     "d=3", "--point=0.1,-0.2", *jet])
+        out.append(["griffiths", "--field", "perturbed_gaussian_spd", "--point=0.3,-0.2", *jet])
+        out.append(["griffiths", "--field", "gaussian_times_spd", "--param", "n=2",
+                    "--point=0.1,-0.2", *jet])
         for order in ("16", "48"):
             out.append(["prekopa", "--field", "gaussian_cross_spd", "--t", "0.1", "--n0", "1",
                         "--order", order, *jet])

@@ -1,8 +1,11 @@
+import importlib
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
 
+import mlcc
 from mlcc import (
     ColumnBlockMatrix,
     InputError,
@@ -194,6 +197,15 @@ class TestGriffiths:
         cm = curvature_matrix(gauss2, np.zeros(2))
         with pytest.raises(InputError):
             griffiths_min_gap(cm, n_starts=4)
+
+    def test_no_module_holds_a_complex_array(self):
+        # the circle's polynomial is built from real quadratics in each call, so no
+        # module computes a complex table when it is imported
+        for info in pkgutil.iter_modules(mlcc.__path__, "mlcc."):
+            module = importlib.import_module(info.name)
+            held = [name for name, value in vars(module).items()
+                    if isinstance(value, np.ndarray) and np.iscomplexobj(value)]
+            assert not held, f"{info.name} holds complex arrays {held}"
 
 
 class TestBlockSplit:

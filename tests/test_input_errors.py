@@ -29,11 +29,14 @@ from mlcc import (
     curvature_matrix,
     dirichlet_energy,
     g_adjoint,
+    griffiths_check,
     griffiths_min_gap,
     integrate_field,
     ipp_residual,
+    nakano_check,
     pairwise_sum,
     polynomial_field_from_json,
+    prekopa_check,
     restrict_field,
     schur_check,
     theta_alpha_decomposed,
@@ -341,6 +344,15 @@ LIBRARY_ERRORS = {
     "grid_over_the_budget": (lambda: build_rule("uniform_grid", box=[(-1.0, 1.0)] * 2,
                                                 resolution=4000),
                              BudgetError, "grid exceeds the node budget"),
+    # 8.9 and 1.5 were truncated to a 1-D rule of order 8, 3.7 to 3 points, and "12" read as 12
+    **{f"{what}_{key}": (lambda kind=kind, kw=kw: build_rule(kind, **kw), InputError,
+                         f"{key} must be a whole number, got {kw[key]!r}")
+       for kind, what, key, kw in (
+           ("gauss_hermite", "fractional", "order", {"order": 8.9, "m": 1.5}),
+           ("gauss_hermite", "fractional", "m", {"order": 8, "m": 1.5}),
+           ("gauss_hermite", "string", "order", {"order": "12"}),
+           ("gauss_hermite", "boolean", "m", {"order": 4, "m": True}),
+           ("uniform_grid", "fractional", "resolution", {"box": [(0, 1)], "resolution": 3.7}))},
     "nan_center": (lambda: build_rule("gauss_hermite", order=4, m=2, center=[0.0, np.nan]),
                    InputError, "center must be finite, got [0.0, nan]"),
     "infinite_scale": (lambda: build_rule("gauss_hermite", order=4, m=1, scale=-np.inf),
@@ -437,6 +449,48 @@ def test_library_error(case):
     call, error, message = LIBRARY_ERRORS[case]
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+def test_integral_float_rule_sizes_are_whole_numbers():
+    for kind, whole, integral in (("gauss_hermite", {"order": 64, "m": 2}, {"order": 64.0,
+                                                                            "m": np.float64(2)}),
+                                  ("uniform_grid", {"box": [(0, 1)], "resolution": 3},
+                                   {"box": [(0, 1)], "resolution": 3.0})):
+        a, b = build_rule(kind, **whole), build_rule(kind, **integral)
+        assert a.nodes.tobytes() == b.nodes.tobytes() and a.weights.tobytes() == b.weights.tobytes()
+
+
+GH64 = build_rule("gauss_hermite", order=64, m=1)
+
+#: check -> (call at a tolerance, the tolerance's name)
+TOLERANCE_CHECKS = {
+    "nakano_check": (lambda tol: nakano_check(_curvature("raufi_corrected", {"s": 0.75}, 2),
+                                              tol_psd=tol), "tol_psd"),
+    "griffiths_check": (lambda tol: griffiths_check(_curvature("raufi_corrected", {"s": 0.75}, 2),
+                                                    tol_psd=tol), "tol_psd"),
+    "schur_check": (lambda tol: schur_check(_curvature("raufi_corrected", {"s": 0.75}, 2), 1,
+                                            tol_gap=tol), "tol_gap"),
+    "prekopa_check": (lambda tol: prekopa_check(builtin_field("double_well_scalar"), [0.0], 1,
+                                                _gh(1), tol_psd=tol), "tol_psd"),
+    "ipp_residual": (lambda tol: ipp_residual(builtin_field("gaussian_scalar"),
+                                              VectorFieldFn.polynomial(1, [[(1.0, (2,))]]),
+                                              VectorFieldFn.polynomial(1, [[(1.0, (1,))]]),
+                                              GH64, tol_res=tol), "tol_res"),
+    "bochner_residual": (lambda tol: bochner_residual(builtin_field("gaussian_scalar"),
+                                                      VectorFieldFn.polynomial(1, [[(1.0, (2,))]]),
+                                                      GH64, tol_res=tol), "tol_res"),
+}
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("check", sorted(TOLERANCE_CHECKS))
+def test_a_tolerance_that_is_not_finite(check, tol):
+    # the CLI names the flag; in the library an infinite tol_psd passed prekopa_check,
+    # where the default gives degenerate, and a NaN one made the pointwise checks fail
+    call, key = TOLERANCE_CHECKS[check]
+    call(1e-6)
+    with pytest.raises(InputError, match=re.escape(f"{key} must be a finite number, got {tol!r}")):
+        call(tol)
 
 
 @pytest.mark.filterwarnings("ignore:outermost quadrature node")

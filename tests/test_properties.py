@@ -1,8 +1,9 @@
 """Property tests (hypothesis): the Prekopa check on the cross Gaussian family,
 the rank-one search against the Nakano spectrum and, when n = d = 2, against the
 eigensolve loop of ``test_references`` on random polynomial fields and against dense
-sampling and the Nakano spectrum on random indefinite pencils, and
-one formula for g on those fields with their terms written as repeated monomials.
+sampling and the Nakano spectrum on random indefinite pencils, the circle's polynomial
+against the function whose stationary angles it holds, and one formula for g on those
+fields with their terms written as repeated monomials.
 
 For g = exp(-(t^2 + y^2 + c t y)) A the marginal is N-log-concave for |c| < 2,
 and the Schur form is (2 - c^2/2) id (x) g at every fiber node.  Every rank-one
@@ -27,6 +28,7 @@ from mlcc import (  # noqa: E402
     nakano_verdict,
     prekopa_check,
 )
+from mlcc.curvature import _circle_poly  # noqa: E402
 from mlcc.fields import MatrixField  # noqa: E402
 from mlcc.metric import metric_pencil  # noqa: E402
 from test_references import griffiths_loop  # noqa: E402
@@ -131,6 +133,29 @@ def test_the_circle_maximum_lies_between_dense_sampling_and_nakano(seed, log_sca
     assert value >= sampled - 1e-15 * _pencil_scale(cm)
     lam = nakano_verdict(cm).lambda_max
     assert value <= lam + 1e-12 * max(1.0, abs(lam))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-6.0, 6.0))
+def test_the_circle_polynomial_is_t_in_the_half_angle_tangent(seed, log_scale):
+    """For a random 3 x 3 K the coefficients of the circle's polynomial give
+    (1 + t^2)^4 T(2 arctan t), T = (e' K)_0^2 |c|^2 - (c.c')^2 for c = (e K)_{1:} and
+    c' = (e' K)_{1:}, at random t, to 1e-12 of the largest coefficient times
+    (1 + t^2)^4, which bounds the polynomial's size at t."""
+    rng = np.random.default_rng(seed)
+    k = 10.0**log_scale * rng.standard_normal((3, 3))
+    coef = _circle_poly(k)
+    t = np.tan(rng.uniform(-0.5 * np.pi, 0.5 * np.pi, 32))
+    theta = 2.0 * np.arctan(t)
+    cos, sin = np.cos(theta), np.sin(theta)
+    ek = np.stack([np.ones_like(t), cos, sin], axis=1) @ k
+    dek = np.stack([np.zeros_like(t), -sin, cos], axis=1) @ k
+    c, dc = ek[:, 1:], dek[:, 1:]
+    t_value = dek[:, 0] ** 2 * (c * c).sum(axis=1) - (c * dc).sum(axis=1) ** 2
+    scale = (1.0 + t * t) ** 4
+    assert coef.shape == (9,)
+    assert np.all(np.abs(np.polyval(coef, t) - scale * t_value)
+                  <= 1e-12 * np.abs(coef).max() * scale)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
