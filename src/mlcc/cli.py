@@ -17,6 +17,7 @@ import re
 import sys
 import time
 import warnings
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -166,27 +167,37 @@ def _build_rule(args, m: int):
 # -- report serialization -----------------------------------------------------
 
 
-def _plain(obj):
-    """``obj`` for the JSON encoder: NumPy scalars as Python ones, tuples as lists and
-    non-finite floats as the strings "inf", "-inf" and "nan"."""
-    if isinstance(obj, np.generic):
-        obj = obj.item()
+def _json(obj, pad: str = "\n") -> str:
+    """``obj`` as ``json.dumps(obj, indent=2)`` writes it, in one walk, with NumPy
+    scalars as Python ones, tuples as lists and non-finite floats as the strings
+    "inf", "-inf" and "nan"; ``pad`` is the newline and indent of ``obj``'s level."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, float):  # np.float64 too; inf, -inf and nan go in quotes
+        return float.__repr__(obj) if math.isfinite(obj) else f'"{float.__repr__(obj)}"'
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
+        items = [f"{_quote(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + f",{inner}".join(items) + pad + "}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
-    return obj
+        items = [_json(v, inner) for v in obj]
+        return "[" + inner + f",{inner}".join(items) + pad + "]" if items else "[]"
+    if isinstance(obj, np.generic):
+        return _json(obj.item(), pad)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(config: dict, checks: list, diagnostics: list, args) -> None:
-    # a report's fields, in order; _plain copies them (asdict would deep-copy them first)
+    # a report's fields, in order (asdict would deep-copy them first)
     doc = {"config": config, "checks": [vars(c) for c in checks],
            "diagnostics": diagnostics}
     if not args.no_timestamp:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    text = json.dumps(_plain(doc), indent=2) + "\n"
+    text = _json(doc) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -329,7 +340,7 @@ def _parse_entry(argv: list, i: int):
     printed = io.StringIO()
     try:
         with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
-            return _make_parser().parse_args(argv)
+            return _parse(argv)
     except SystemExit as exc:
         last = printed.getvalue().rstrip().rpartition("\n")[2]
         reason = last.partition(": error: ")[2] if exc.code else "they ask for --help"
@@ -408,9 +419,10 @@ def _make_parser() -> argparse.ArgumentParser:
         description="certification checks for matrix-valued log-concave weights",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = {}  # each subcommand's own parser, by name, for _parse
 
     def add(name, summary, *groups):
-        p = subs.add_parser(name, help=summary)
+        p = parser.subcommands[name] = subs.add_parser(name, help=summary)
         for group in groups:
             group(p)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -463,6 +475,19 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """``_make_parser().parse_args(argv)`` in one argparse pass: the words after a
+    subcommand go to its own parser alone, any other argv to the top-level one."""
+    parser = _make_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def _settle(args) -> None:
     """Check the tolerances and apply MLCC_SEED: a tolerance flag that is not a
     finite number is an InputError naming the flag; MLCC_SEED sets --seed
@@ -488,9 +513,8 @@ def _config_echo(args) -> dict:
 
 def run(argv) -> int:
     """Execute one CLI invocation; returns the process exit code."""
-    parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0) and 2
     diagnostics: list[str] = []

@@ -13,8 +13,10 @@ commands cover the README's CLI block; ``nakano``, ``griffiths``, ``schur`` and
 ``griffiths`` near s = 0 on ``raufi_corrected``, on an n = 2, d = 3 field, on
 ``perturbed_gaussian_spd`` off the origin and on the isotropic n = d = 2 pencil of
 ``gaussian_times_spd``, where the circle's polynomial vanishes;
-``prekopa`` at GH 16 and 48; and ``bl``, ``ipp`` and ``bochner`` at GH 8 and 16.
-Pytest does not collect this file.
+``prekopa`` at GH 16 and 48; ``bl``, ``ipp`` and ``bochner`` at GH 8 and 16;
+what the front end prints for argvs that do not parse or that a check rejects
+(``FRONT_END``); a ``schur`` report with a "-inf" gap and empty settings (exit 3);
+and a ``bl`` report with diagnostics.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -55,6 +57,22 @@ QUADRATURE = (
     (["--field", "gaussian_times_spd", "--param", "a12=0.3"], "poly:y^3;y", "poly:y;y^2"),
 )
 
+_AT = ["--field", "raufi_corrected", "--point", "0,0"]
+
+#: Argvs that end in a usage error, help or an input error: no command, help, an
+#: unknown subcommand, a missing required flag, an unknown flag, a stray word, a
+#: bad choice, an ambiguous abbreviation, a bad number, "--", a value that looks
+#: like a flag and a parameter that overflows.
+FRONT_END = (
+    [], ["--help"], ["-h", "nakano"], ["nakano", "-h"], ["frob", *_AT],
+    ["nakano", "--field", "raufi_corrected"], ["schur", *_AT], ["nakano", *_AT, "--bogus"],
+    ["nakano", *_AT, "stray"], ["nakano", "--field", "no_such_field", "--point", "0,0"],
+    ["nakano", "--fie", "raufi_corrected", "--point", "0,0"],
+    ["nakano", *_AT, "--tol-psd", "x"], ["nakano", *_AT, "--"],
+    ["nakano", "--field", "raufi_corrected", "--point", "-0.1,0"],
+    ["nakano", *_AT, "--param", "s=1e999"],
+)
+
 
 def argvs() -> list[list[str]]:
     """The fixed command lines, without ``--no-timestamp``."""
@@ -85,6 +103,11 @@ def argvs() -> list[list[str]]:
                 rule = [*field, "--order", order, *jet]
                 out += [["bl", *rule, "--test-fn", f], ["ipp", *rule, "--test-fn", f,
                         "--test-fn-g", g], ["bochner", *rule, "--test-fn", f]]
+    out += FRONT_END
+    out.append(["schur", "--field", "raufi_corrected", "--param", "s=0", "--point", "0,0",
+                "--n0", "1"])
+    out.append(["bl", "--field", "gaussian_scalar", "--test-fn", "poly:y^2", "--order", "8",
+                "--scale", "0.3"])
     return out
 
 
