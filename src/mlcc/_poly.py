@@ -1,29 +1,73 @@
-"""Multivariate polynomial helpers (term lists, exact differentiation).
+"""Multivariate polynomials: one exponent matrix and one coefficient block.
 
-A polynomial in ``n`` variables is a list of ``(coeff, degs)`` pairs where
-``degs`` is an n-tuple of nonnegative integer exponents and ``coeff`` is a
-float or a NumPy array (a matrix polynomial then evaluates to a matrix).
-The same term list carries the envelope q, the matrix part P and the
-polynomial test functions.  Coefficients are never modified in place.
+A polynomial in ``n`` variables is a :class:`Poly`: a read-only integer exponent
+matrix ``exps`` (T, n), row t the degrees of term t, and a read-only coefficient
+block ``coeffs`` (T, then any member axis, then the coefficient shape: () for a
+float, (d, d) for a matrix), row t the coefficient of term t; T = 0 is a zero
+polynomial.  ``poly_collect`` builds one with a row per monomial, like monomials
+collected; the fields' q and P and everything derived from them are built so.
+``(coeff, degs)`` term lists are only the input format, checked and collected by
+``MatrixField``; ``VectorFieldFn.polynomial`` stacks its components as written.
 Evaluation takes one point, shape (n,), or a stack of points, shape (N, n);
 it works with the points on the last axis (coefficient-major) and forms
 powers by multiplication, so x_j^k for k >= 3 may differ in the last bits
 from ``x**k``.  ``poly_rows`` returns that sum as it is, points last;
 ``poly_eval`` copies it points first.
-Exact differentiation of these term lists is what makes the closed-form jet
-oracles of the field module possible.
+Exact differentiation (``poly_diff``, ``poly_family``) is what makes the
+closed-form jet oracles of the field module possible.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import accumulate, chain, count
 
 import numpy as np
 
 from .errors import InputError
 
-Term = tuple[float | np.ndarray, tuple[int, ...]]
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Poly:
+    """``exps`` (T, n) and ``coeffs`` (T, ...), a row per term, both made read-only."""
+
+    exps: np.ndarray
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        self.exps.setflags(write=False)
+        self.coeffs.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.exps.shape[1]
 
 
-def poly_rows(terms: list[Term], x) -> np.ndarray:
+def poly_collect(exps, coeffs) -> Poly:
+    """The polynomial of the terms with degrees ``exps`` (T, n) and coefficients ``coeffs``
+    (T, ...): like monomials collected, in the order of first occurrence.  Repeats are
+    found by hashing the rows and summed from the left, starting from the first
+    coefficient and not from 0.0 (a lone -0.0 stays), by one unbuffered ``np.add.at``;
+    with none, the polynomial keeps the given arrays."""
+    exps, coeffs = np.asarray(exps), np.asarray(coeffs, dtype=float)
+    rows = list(map(tuple, exps.tolist()))
+    if len(set(rows)) == len(rows):
+        return Poly(exps, coeffs)
+    index, kept, rest, slots = {}, [], [], []
+    for t, row in enumerate(rows):
+        u = index.setdefault(row, len(index))
+        if u == len(kept):
+            kept.append(t)
+        else:
+            rest.append(t)
+            slots.append(u)
+    block = coeffs.take(kept, axis=0)
+    np.add.at(block, np.array(slots, dtype=np.intp), coeffs.take(rest, axis=0))
+    return Poly(exps.take(kept, axis=0), block)
+
+
+def poly_rows(poly: Poly, x) -> np.ndarray:
     """Value at ``x`` (shape (..., n)) with the points last: the coefficients' shape
     plus (N,), N the number of points, as one C-contiguous array of rows.
 
@@ -37,12 +81,10 @@ def poly_rows(terms: list[Term], x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    shape = np.asarray(terms[0][0]).shape if terms else ()
     cols = x.reshape(-1, n).T.copy()  # (n, N): one contiguous row per variable
     powers = {}  # (j, k) -> x_j^k
-    total = np.zeros(shape + cols.shape[1:])
-    for coeff, degs in terms:
-        m = coeff[..., None] if isinstance(coeff, np.ndarray) else coeff
+    total = np.zeros(poly.coeffs.shape[1:] + cols.shape[1:])
+    for m, degs in zip(poly.coeffs[..., None], poly.exps.tolist()):
         fresh = False  # whether m is a new array of this term, safe to update in place
         for j, dj in enumerate(degs):
             if dj:
@@ -56,13 +98,13 @@ def poly_rows(terms: list[Term], x) -> np.ndarray:
     return total
 
 
-def poly_eval(terms: list[Term], x):
+def poly_eval(poly: Poly, x):
     """Value at ``x`` (shape (..., n)): shape (...) plus the coefficients' shape.
 
     ``poly_rows``' sum, moved to a C-contiguous ``(...) + shape`` array by one
     copy: the same bits, points first.
     """
-    rows = poly_rows(terms, x)
+    rows = poly_rows(poly, x)
     points_first = rows.transpose((rows.ndim - 1,) + tuple(range(rows.ndim - 1)))
     return np.ascontiguousarray(points_first).reshape(np.shape(x)[:-1] + rows.shape[:-1])
 
@@ -85,106 +127,135 @@ def poly_degrees(degs, n: int) -> tuple[int, ...]:
 
     A tuple of another length is an InputError, and so is a degree that is not
     a whole number >= 0 (an integral float such as 2.0 is taken as 2): ``_power``
-    forms no other, and a negative one would never end.  The error names the
+    forms no other, and a negative one would never end.  A degree of 2**63 or more
+    does not fit the exponent matrix and is an InputError too.  The error names the
     monomial by its degrees.
     """
     degs = tuple(degs)
     if len(degs) != n:
         raise InputError("polynomial degree tuples must have length n")
     for k in degs:
-        if type(k) is not int or k < 0:  # plain ints >= 0 pass as they are
+        if type(k) is not int or not 0 <= k < 2**63:  # plain ints in range pass as they are
             return tuple(_whole(k, degs) for k in degs)
     return degs
 
 
 def _whole(k, degs) -> int:
-    """The degree ``k`` of the monomial of degrees ``degs`` as an int, if it is whole and >= 0
-    (a bool is not a degree)."""
+    """The degree ``k`` of the monomial of degrees ``degs`` as an int, if it is whole, >= 0
+    and below 2**63 (a bool is not a degree)."""
     try:
         i = -1 if isinstance(k, (bool, np.bool_)) else int(k)
     except (TypeError, ValueError, OverflowError):
         i = -1
     if i < 0 or i != k:
         raise InputError(f"monomial of degrees {degs}: each degree must be a whole number >= 0")
+    if i >= 2**63:
+        raise InputError(f"monomial of degrees {degs}: each degree must be below 2**63")
     return i
 
 
-def poly_stack(polys: list[list[Term]], lead: int = 0) -> list[Term]:
-    """One term list that evaluates every polynomial of ``polys`` at once.
+def poly_stack(polys: list[Poly], lead: int = 0) -> Poly:
+    """One polynomial that evaluates every polynomial of ``polys`` at once.
 
-    Its coefficients have a new axis behind their first ``lead`` axes (a member
-    axis), entry k holding polynomial k's coefficient of that monomial, so its value
-    at a point is the stack ``[poly_eval(p, x) for p in polys]`` along that axis
-    (bit for bit for the first polynomial if it is collected, see ``poly_collect``;
-    up to rounding otherwise).  The coefficients are read-only views of one block,
-    and a polynomial's repeats of a monomial are summed from 0.0, left to right.
-    Every polynomial needs at least one term, and all coefficients one shape.
+    Its monomials are the union of theirs, in the order of first occurrence, and its
+    coefficients have a new axis, behind their first axis with ``lead`` = 1 (a member
+    axis), entry k holding polynomial k's coefficient of that monomial or 0.0, so its
+    value at a point is the stack ``[poly_eval(p, x) for p in polys]`` along that axis
+    (bit for bit for the first polynomial; up to rounding otherwise, as the union may
+    order another polynomial's monomials differently).  See ``poly_family``.
     """
-    index: dict[tuple[int, ...], int] = {}
-    slots, coeffs = [], []  # each term's (monomial, polynomial) slot, row-major
-    for k, terms in enumerate(polys):
-        for c, degs in terms:
-            slots.append(index.setdefault(degs, len(index)) * len(polys) + k)
-            coeffs.append(c)
-    size = len(index) * len(polys)
-    if isinstance(coeffs[0], np.ndarray):
-        coeffs = np.array(coeffs, dtype=float)
-        block = np.zeros((size,) + coeffs.shape[1:])
-        np.add.at(block, np.array(slots), coeffs)  # unbuffered: a repeat adds in term order
-    else:  # floats: the same IEEE sums, without a NumPy call per term
-        flat = [0.0] * size
-        for slot, c in zip(slots, coeffs):
-            flat[slot] += c
-        block = np.array(flat)
-    block = block.reshape((len(index), len(polys)) + block.shape[1:])
-    if lead:
-        block = np.moveaxis(block, 1, 1 + lead)
-    block.setflags(write=False)
-    return [(block[m], degs) for m, degs in enumerate(index)]
+    return poly_partials(polys, [(i, ()) for i in range(len(polys))], lead)
 
 
-def _or_zero(out: list[Term], terms: list[Term], dropped: int = 0) -> list[Term]:
-    """``out``, or a zero term of the coefficients' shape if every term dropped out."""
-    if out or not terms:
-        return out
-    coeff, degs = terms[0]
-    return [(0.0 * coeff, (0,) * (len(degs) - dropped))]
+def poly_diff(poly: Poly, j: int) -> Poly:
+    """Partial derivative with respect to variable ``j``: the monomials with e_j > 0, each
+    coefficient times e_j and e_j lowered by one (a zero polynomial if there are none)."""
+    rows = poly.exps[:, j].nonzero()[0]
+    exps = poly.exps.take(rows, axis=0)
+    degree = exps[:, j]
+    coeffs = poly.coeffs.take(rows, axis=0)
+    coeffs *= degree.reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    degree -= 1
+    return Poly(exps, coeffs)
 
 
-def poly_diff(terms: list[Term], j: int) -> list[Term]:
-    """Partial derivative with respect to variable ``j``."""
-    out = [(coeff * degs[j], degs[:j] + (degs[j] - 1,) + degs[j + 1 :])
-           for coeff, degs in terms if degs[j]]
-    return _or_zero(out, terms)
+def poly_family(n: int, rows: list, coeffs: np.ndarray, groups, lead: int = 0) -> list[Poly]:
+    """A stack (see ``poly_stack``) per group of parts: of the polynomials and first
+    partials named by the group's parts, (i, None) polynomial i and (i, j) its d_j, as
+    ``poly_diff`` forms it.
+
+    Polynomial i in ``n`` variables is given by its exponent rows ``rows[i]`` (tuples of
+    its exponent matrix's rows) and its coefficients, those of every polynomial
+    concatenated in ``coeffs``.  A part's terms are its polynomial's rows in their order
+    (for d_j those with e_j > 0, e_j lowered, the coefficient times e_j), and a
+    polynomial's repeats of a monomial are summed with the rest.  A group's monomials,
+    the union of its parts', are found by hashing the rows (a dict keeps the order of
+    first occurrence); the coefficients of every group are gathered, scaled and summed
+    from 0.0 into one block by one ``np.add.at``.
+    """
+    start = list(accumulate(map(len, rows), initial=0))
+    unions, slots, picks, scales, size = [], [], [], [], 0
+    for parts in groups:
+        index, width = {}, len(parts)
+        setdefault = index.setdefault
+        for k, (i, j) in enumerate(parts):
+            if j is None:
+                slots += [size + setdefault(e, len(index)) * width + k for e in rows[i]]
+                picks += range(start[i], start[i + 1])
+                scales += [1] * len(rows[i])
+                continue
+            for t, e in enumerate(rows[i], start[i]):
+                if e[j]:
+                    slots.append(size + setdefault(e[:j] + (e[j] - 1,) + e[j + 1 :], len(index))
+                                 * width + k)
+                    picks.append(t)
+                    scales.append(e[j])
+        unions.append((index, width))
+        size += len(index) * width
+    shape = coeffs.shape[1:]
+    if picks != list(range(len(coeffs))):
+        coeffs = coeffs.take(picks, axis=0)
+    if len(scales) > scales.count(1):
+        coeffs = coeffs * np.array(scales).reshape((-1,) + (1,) * len(shape))
+    block = np.zeros((size,) + shape)
+    np.add.at(block, np.array(slots, dtype=np.intp), coeffs)
+    out = []
+    for index, width in unions:
+        stack, block = block[: len(index) * width], block[len(index) * width :]
+        stack = stack.reshape((len(index), width) + shape)
+        exps = np.fromiter(chain.from_iterable(index), np.int64, len(index) * n).reshape(-1, n)
+        out.append(Poly(exps, stack.swapaxes(1, 2) if lead else stack))
+    return out
 
 
-def poly_collect(terms: list[Term]) -> list[Term]:
-    """One term per monomial, in the order of first occurrence; repeats are summed from the
-    left, with no zero start (a lone coefficient stays the same object, a sum is read-only)."""
-    collected: dict[tuple[int, ...], float | np.ndarray] = {}
-    for coeff, degs in terms:
-        if degs in collected:
-            coeff = collected[degs] + coeff
-            if isinstance(coeff, np.ndarray):
-                coeff.setflags(write=False)
-        collected[degs] = coeff
-    return [(c, degs) for degs, c in collected.items()]
+def poly_partials(polys: list[Poly], parts, lead: int = 0) -> Poly:
+    """``poly_family`` of the partials named by ``parts``: (i, ()) is ``polys[i]``, (i, (j,))
+    its d_j and (i, (j, k)) the d_k of its d_j, ``poly_diff(polys[i], j)``."""
+    if not any(len(p.exps) for p in polys):  # zero polynomials: a zero stack
+        block = np.zeros((0, len(parts)) + polys[0].coeffs.shape[1:])
+        return Poly(np.zeros((0, polys[0].n), dtype=np.int64), block.swapaxes(1, 2) if lead else block)
+    firsts = {(i, part[0]): None for i, part in parts if len(part) == 2}
+    polys = [*polys, *(poly_diff(polys[i], j) for i, j in firsts)]
+    firsts = dict(zip(firsts, count(len(polys) - len(firsts))))
+    coeffs = polys[0].coeffs if len(polys) == 1 else np.concatenate([p.coeffs for p in polys])
+    return poly_family(polys[0].n, [list(map(tuple, p.exps.tolist())) for p in polys], coeffs,
+                       [[(i, part[0] if part else None) if len(part) < 2
+                         else (firsts[i, part[0]], part[1]) for i, part in parts]], lead)[0]
 
 
-def poly_substitute_prefix(terms: list[Term], t) -> list[Term]:
+def poly_substitute_prefix(poly: Poly, t) -> Poly:
     """Freeze the first ``len(t)`` variables at the values ``t``.
 
-    Returns a polynomial in the remaining trailing variables, collected (see
-    ``poly_collect``), without the terms whose coefficient is all zeros (0.0, -0.0 or a
-    zero matrix; a NaN coefficient stays).
+    Each coefficient is multiplied by t_1^{e_1}, then t_2^{e_2}, ..., each power by the
+    scalar ``pow`` of a NumPy float (NumPy's array power may round differently), and a
+    power t_j^0 is 1.0, an exact factor.  Returns a polynomial in the remaining
+    trailing variables, collected (see ``poly_collect``), without the monomials whose
+    coefficient is all zeros (0.0, -0.0 or a zero matrix; a NaN coefficient stays).
     """
-    n0 = len(t)
-    out = []
-    for coeff, degs in terms:
-        for ti, di in zip(t, degs[:n0]):
-            if di:
-                coeff = coeff * ti**di
-        out.append((coeff, degs[n0:]))
-    out = [(c, degs) for c, degs in poly_collect(out)
-           if (c.any() if isinstance(c, np.ndarray) else c != 0.0)]
-    return _or_zero(out, terms, n0)
+    rows, coeffs = poly.exps.tolist(), poly.coeffs
+    lift = (-1,) + (1,) * (coeffs.ndim - 1)
+    for j, tj in enumerate(map(np.float64, t)):
+        coeffs = coeffs * np.array([tj ** e[j] for e in rows]).reshape(lift)
+    out = poly_collect(poly.exps[:, len(t) :], coeffs)
+    nonzero = (out.coeffs != 0.0).reshape(len(out.exps), math.prod(out.coeffs.shape[1:])).any(1)
+    return out if nonzero.all() else Poly(out.exps[nonzero], out.coeffs[nonzero])

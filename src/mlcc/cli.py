@@ -75,6 +75,8 @@ def _parse_params(pairs) -> dict:
             num = float(val)
         except ValueError as exc:
             raise InputError(f"parameter value {val!r} is not a number") from exc
+        if not math.isfinite(num):
+            raise InputError(f"--param {key}: the value must be a finite number, got {val!r}")
         params[key] = num
     return params
 
@@ -410,6 +412,13 @@ def _rule_flags(sub):
     sub.add_argument("--resolution", type=int, default=256)
 
 
+#: A word that argparse reads as a value although it starts with "-": its negative numbers
+#: (-1, -0.5) widened to comma-separated lists of numbers with exponents, so that
+#: ``--point -0.1,0`` parses as ``--point=-0.1,0`` does.
+_NEGATIVE_VALUE = re.compile(r"^-(?:\d*\.)?\d+(?:[eE][-+]?\d+)?"
+                             r"(?:,-?(?:\d*\.)?\d+(?:[eE][-+]?\d+)?)*$")
+
+
 @functools.cache
 def _make_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on first use and shared by the
@@ -423,6 +432,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     def add(name, summary, *groups):
         p = parser.subcommands[name] = subs.add_parser(name, help=summary)
+        p._negative_number_matcher = _NEGATIVE_VALUE
         for group in groups:
             group(p)
         p.add_argument("--out", help="write the JSON report here instead of stdout")

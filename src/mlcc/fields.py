@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from ._poly import (poly_collect, poly_degrees, poly_diff, poly_eval, poly_stack,
+from ._poly import (Poly, poly_collect, poly_degrees, poly_eval, poly_partials,
                     poly_substitute_prefix)
 from .errors import InputError, NotPositiveError
 from .metric import SpdMatrix, _first
@@ -151,47 +151,52 @@ def _checked_differences(fn, x, h: float, richardson: bool, what: str):
     return d1, d2
 
 
-def _checked_terms(terms, n: int, lead: tuple, shape: tuple) -> list:
-    """The ``(coeff, degs)`` terms of a field, each degree tuple checked (``poly_degrees``)
-    and each coefficient of ``shape``, behind the member axis ``lead`` (or repeated
-    along it), finite and, as a matrix, symmetric; else an InputError for the first
-    bad term, its shape, entries and degrees checked in that order.  The coefficients
-    become views of one checked read-only block (floats with no shape and no axis)."""
-    full, coeffs, degs = lead + shape, [], []
-    try:
-        for c, d in terms:
-            if not full:
-                if not math.isfinite(c := float(c)):
-                    raise InputError("field coefficients must be finite")
-            elif (c := np.asarray(c, dtype=float)).shape != full:
-                if c.shape != shape:
-                    raise InputError(f"field coefficient has shape {c.shape}, expected {shape}")
-                c = np.broadcast_to(c, full)
-            coeffs.append(c)
-            degs.append(poly_degrees(d, n))
-    finally:  # the entries of the terms before a failing one are checked first
-        if full and coeffs:
-            block = np.array(coeffs)
-            if (np.count_nonzero(np.isfinite(block)) < block.size
-                    or shape and np.count_nonzero(block - block.swapaxes(-1, -2))):
-                for c in block:  # the first bad term's fault
-                    if not np.isfinite(c).all():
-                        raise InputError("field coefficients must be finite")
-                    if shape and np.count_nonzero(c - c.swapaxes(-1, -2)):
-                        raise InputError("matrix coefficients must be symmetric")
-            block.setflags(write=False)
-            coeffs = [block[i] for i in range(len(block))]
-    return list(zip(coeffs, degs))
+def _checked_poly(terms, n: int, lead: tuple, shape: tuple) -> Poly:
+    """q or P of a field from its ``(coeff, degs)`` terms, collected (``poly_collect``), or
+    a derived field's polynomial as it is.
+
+    Each coefficient has ``shape``, behind the member axis ``lead`` (or is repeated along
+    it), and each degree tuple is checked (``poly_degrees``); the block of coefficients
+    is then checked once: finite and, as matrices, symmetric.  The first bad term is the
+    InputError, its shape, entries and degrees checked in that order.
+    """
+    if isinstance(terms, Poly):
+        block, fault = terms.coeffs, None
+    else:
+        full, coeffs, exps, fault = lead + shape, [], [], None
+        for c, degs in terms:
+            c = np.asarray(c, dtype=float)
+            if c.shape not in (full, shape):
+                fault = InputError(f"field coefficient has shape {c.shape}, expected {shape}")
+                break
+            coeffs.append(c if c.shape == full else np.broadcast_to(c, full))
+            try:
+                exps.append(poly_degrees(degs, n))
+            except InputError as exc:
+                fault = exc
+                break
+        block = np.array(coeffs).reshape((len(coeffs),) + full)
+    if not (np.isfinite(block).all() and (not shape or (block == block.swapaxes(-1, -2)).all())):
+        bad = ~np.isfinite(block) | (block != block.swapaxes(-1, -2) if shape else False)
+        if not np.isfinite(block[np.argmax(bad.any(axis=tuple(range(1, bad.ndim))))]).all():
+            raise InputError("field coefficients must be finite")  # the first bad term's fault
+        raise InputError("matrix coefficients must be symmetric")
+    if fault is not None:
+        raise fault
+    if isinstance(terms, Poly):
+        return terms
+    return poly_collect(np.array(exps, dtype=np.int64).reshape(-1, n), block)
 
 
 class MatrixField:
     """A map x -> exp(-q(x)) * P(x) into the d x d symmetric matrices.
 
-    q and P are term lists of :mod:`mlcc._poly` (P with read-only matrix
-    coefficients); ``p_terms`` are given as ``(degs, matrix)`` pairs.  Each degree tuple
-    is checked (``poly_degrees``: length n, whole degrees >= 0, else an InputError).
-    Both are collected here, once (``poly_collect``), so values and jets read g by one
-    formula.
+    q and P are given as term lists, ``q_terms`` as ``(coeff, degs)`` and ``p_terms`` as
+    ``(degs, matrix)`` pairs (no terms give 0), and kept as polynomials of
+    :mod:`mlcc._poly`; a field derived from another passes its polynomials as they are.
+    Each degree tuple is checked (``poly_degrees``: length n, whole degrees >= 0, else an
+    InputError), and so is each polynomial's coefficient block, once.  Both are
+    collected here, once (``poly_collect``), so values and jets read g by one formula.
     Positivity is enforced per evaluation: querying a point where the value
     is not positive definite raises :class:`NotPositiveError`.  Jets come
     either from exact differentiation of the closed form or from central
@@ -230,32 +235,28 @@ class MatrixField:
         self.h = _step(h, _FD_STEP_NAME)
         self.richardson = bool(richardson)
         lead = () if members is None else (len(members[1]),)
-        self._q = poly_collect(_checked_terms(list(q_terms) or [(0.0, (0,) * n)], n, lead, ()))
-        p = [(c, degs) for degs, c in p_terms] or [(np.zeros((d, d)), (0,) * n)]
-        self._p = poly_collect(_checked_terms(p, n, lead, (d, d)))
+        self._q = _checked_poly(q_terms, n, lead, ())
+        p = p_terms if isinstance(p_terms, Poly) else [(c, degs) for degs, c in p_terms]
+        self._p = _checked_poly(p, n, lead, (d, d))
 
-    def _derived(self, n: int, q, p, name: str, **jet) -> "MatrixField":
-        """A field from (coeff, degs) term lists, keeping the jet settings."""
+    def _derived(self, q: Poly, p: Poly, name: str, **jet) -> "MatrixField":
+        """A field of the polynomials q and P, keeping the jet settings."""
         if self.members is not None:
             raise InputError("a stacked field is evaluated, not derived from")
         jet = {"jet_mode": self.jet_mode, "h": self.h, "richardson": self.richardson, **jet}
-        return MatrixField(n, self.d, q, [(degs, c) for c, degs in p], name=name, **jet)
+        return MatrixField(q.n, self.d, q, p, name=name, **jet)
 
     @cached_property
     def _jet_terms(self):
-        """q and P with their partials, derived once, each stacked into one term list after
+        """q and P with their partials, derived once, each stacked into one polynomial after
         any member axis: entry 0 the polynomial, 1 + j its d_j, ``second[j, k]`` its d_j d_k."""
         pairs = [(j, k) for j in range(self.n) for k in range(j, self.n)]
         second = np.empty((self.n, self.n), dtype=int)
         for i, (j, k) in enumerate(pairs):
             second[j, k] = second[k, j] = 1 + self.n + i
-
-        def family(terms):
-            d1 = [poly_diff(terms, j) for j in range(self.n)]
-            return poly_stack([terms] + d1 + [poly_diff(d1[j], k) for j, k in pairs],
-                              lead=0 if self.members is None else 1)
-
-        return family(self._q), family(self._p), second
+        parts = [(0, part) for part in [(), *((j,) for j in range(self.n)), *pairs]]
+        lead = int(self.members is not None)
+        return poly_partials([self._q], parts, lead), poly_partials([self._p], parts, lead), second
 
     # -- evaluation: at one point, shape (n,), or a stack of them, (N, n) ----
 
@@ -358,9 +359,8 @@ class MatrixField:
     def with_jet_mode(
         self, jet_mode: str, h: float = DEFAULT_FD_STEP, richardson: bool = True
     ) -> "MatrixField":
-        return self._derived(
-            self.n, self._q, self._p, self.name, jet_mode=jet_mode, h=h, richardson=richardson
-        )
+        return self._derived(self._q, self._p, self.name, jet_mode=jet_mode, h=h,
+                             richardson=richardson)
 
 
 def conjugate_field(field: MatrixField, p) -> MatrixField:
@@ -370,9 +370,9 @@ def conjugate_field(field: MatrixField, p) -> MatrixField:
         raise InputError("conjugating matrix has wrong shape")
     if np.abs(p.T @ p - np.eye(field.d)).max() > 1e-12:
         raise InputError("conjugating matrix is not orthogonal")
-    rotated = [(p.T @ coeff @ p, degs) for coeff, degs in field._p]
-    terms = [(0.5 * (r + r.T), degs) for r, degs in rotated]
-    return field._derived(field.n, field._q, terms, f"{field.name}~")
+    rotated = p.T @ field._p.coeffs @ p
+    symmetric = Poly(field._p.exps, 0.5 * (rotated + rotated.swapaxes(-1, -2)))
+    return field._derived(field._q, symmetric, f"{field.name}~")
 
 
 def restrict_field(field: MatrixField, t) -> MatrixField:
@@ -394,7 +394,7 @@ def restrict_field(field: MatrixField, t) -> MatrixField:
         q = poly_substitute_prefix(field._q, vec)
         p = poly_substitute_prefix(field._p, vec)
     try:
-        return field._derived(field.n - vec.shape[0], q, p, f"{field.name}|t")
+        return field._derived(q, p, f"{field.name}|t")
     except InputError as exc:
         raise InputError(f"{field.name} at t = {vec.tolist()}: {exc}") from None
 

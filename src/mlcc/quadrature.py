@@ -16,7 +16,7 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from ._poly import poly_degrees, poly_diff, poly_eval, poly_rows, poly_stack
+from ._poly import Poly, poly_degrees, poly_eval, poly_family, poly_partials, poly_rows
 from .curvature import curvature_matrix
 from .errors import NODE_BUDGET, BudgetError, InputError, QuadratureError
 from .fields import MatrixField, _whole_number, central_differences
@@ -222,10 +222,11 @@ class VectorFieldFn:
 
         ``n`` is an int >= 1 and there is at least one component; each degree
         tuple must have length n with whole degrees >= 0 (see ``poly_degrees``)
-        and each coefficient must be finite, else an InputError.  The
-        components, their gradients and their Hessians are stacked into one
-        term list each (see ``poly_stack``), so a value,
-        gradient or Hessian is one evaluation for a whole stack of points.
+        and each coefficient must be finite, else an InputError.  The components, as
+        written, their first partials and their second partials are stacked into one
+        polynomial each (``poly_family``; a component's repeats of a monomial are summed
+        there, from 0.0), so a value, gradient or Hessian is one evaluation for a whole
+        stack of points.
         Values and gradients are node-first views of ``poly_rows``' node-last
         rows, (d, N) and (d n, N) with row l n + j for d_j F_l, not copies:
         the Brascamp-Lieb node pass reads F node-last (``_moments``,
@@ -237,17 +238,17 @@ class VectorFieldFn:
             raise InputError(f"a polynomial test function needs n >= 1 variables and at least "
                              f"one component, got n = {n!r} and {len(components)} components")
 
-        def term(c, degs):
-            if not math.isfinite(c := float(c)):
-                raise InputError(f"test function coefficients must be finite, got {c!r}")
-            return c, poly_degrees(degs, n)
-
-        zero = [(0.0, (0,) * n)]
-        comps = [[term(c, degs) for c, degs in comp] or zero for comp in components]
-        d = len(comps)
-        grads = [[poly_diff(comp, j) for j in range(n)] for comp in comps]
-        value_terms = poly_stack(comps)
-        grad_terms = poly_stack([g for row in grads for g in row])
+        rows, coeffs = [], []  # per component its exponent rows; every coefficient
+        for comp in components:
+            rows.append([])
+            for c, degs in comp:
+                if not math.isfinite(c := float(c)):
+                    raise InputError(f"test function coefficients must be finite, got {c!r}")
+                rows[-1].append(poly_degrees(degs, n))
+                coeffs.append(c)
+        coeffs, d = np.array(coeffs), len(rows)
+        value_terms, grad_terms = poly_family(n, rows, coeffs, [
+            [(l, None) for l in range(d)], [(l, j) for l in range(d) for j in range(n)]])
         hess_terms = None  # built on first use: a variance or energy pass never asks for them
 
         def value(x):
@@ -258,11 +259,12 @@ class VectorFieldFn:
 
         def hess(x):
             nonlocal hess_terms
-            if hess_terms is None:
-                hess_terms = poly_stack([poly_diff(g, k) for row in grads for g in row
-                                         for k in range(n)])
-            out = poly_eval(hess_terms, x)
-            return out.reshape(out.shape[:-1] + (d, n, n))
+            if hess_terms is None:  # the components as written, d_k of each d_j F_l
+                comps = [Poly(np.array(r, dtype=np.int64).reshape(-1, n), c) for r, c in
+                         zip(rows, np.split(coeffs, np.cumsum([len(r) for r in rows])))]
+                hess_terms = poly_partials(comps, [(l, (j, k)) for l in range(d)
+                                                   for j in range(n) for k in range(n)])
+            return poly_eval(hess_terms, x).reshape(x.shape[:-1] + (d, n, n))
 
         fn = cls(n, d, value)
         fn._value, fn._grad, fn._hess = value, grad, hess  # stack-native, not row-mapped

@@ -3,7 +3,8 @@
     PYTHONPATH=src python3 tests/same_answers.py > answers.txt
 
 Each command runs in process through ``cli.run``, in a fresh temporary
-directory that holds the ``checks.json`` the README's ``report`` command reads.
+directory that holds the ``checks.json`` the README's ``report`` command reads
+and the ``field.json`` of ``FIELD_JSON``.
 Its line hashes the exit code, stdout, stderr and every file the command wrote
 there (the scan CSVs).  Every command gets ``--no-timestamp``, so the output is
 the same from run to run.  Run it with ``PYTHONPATH`` on two checkouts and diff
@@ -13,7 +14,10 @@ commands cover the README's CLI block; ``nakano``, ``griffiths``, ``schur`` and
 ``griffiths`` near s = 0 on ``raufi_corrected``, on an n = 2, d = 3 field, on
 ``perturbed_gaussian_spd`` off the origin and on the isotropic n = d = 2 pencil of
 ``gaussian_times_spd``, where the circle's polynomial vanishes;
-``prekopa`` at GH 16 and 48; ``bl``, ``ipp`` and ``bochner`` at GH 8 and 16;
+``prekopa`` at GH 16 and 48; ``nakano``, ``griffiths``, ``schur`` and ``prekopa`` with one
+and two frozen coordinates on an n = 3, d = 2 ``--field-json`` field (``FIELD_JSON``) whose
+q writes a monomial twice and whose P has mixed cubic terms; ``bl``, ``ipp`` and
+``bochner`` at GH 8 and 16;
 what the front end prints for argvs that do not parse or that a check rejects
 (``FRONT_END``); a ``schur`` report with a "-inf" gap and empty settings (exit 3);
 and a ``bl`` report with diagnostics.  Pytest does not collect this file.
@@ -57,12 +61,23 @@ QUADRATURE = (
     (["--field", "gaussian_times_spd", "--param", "a12=0.3"], "poly:y^3;y", "poly:y;y^2"),
 )
 
+#: An n = 3, d = 2 polynomial field: q is a coupled positive-definite quadratic that writes
+#: x1 x2 twice, P has the mixed cubic terms x1^2 x3, x1 x2 x3 and x2^2 x3.
+FIELD_JSON = {
+    "n": 3, "d": 2,
+    "q": [[0.5, [2, 0, 0]], [0.6, [0, 2, 0]], [0.7, [0, 0, 2]], [0.2, [1, 1, 0]],
+          [0.1, [0, 1, 1]], [0.15, [1, 1, 0]]],
+    "entries": {"1,1": [[1.0, [0, 0, 0]], [0.02, [2, 0, 1]], [0.015, [1, 1, 1]]],
+                "1,2": [[0.03, [1, 0, 0]], [0.01, [1, 1, 1]]],
+                "2,2": [[1.0, [0, 0, 0]], [0.012, [0, 2, 1]], [-0.01, [2, 0, 1]]]},
+}
+
 _AT = ["--field", "raufi_corrected", "--point", "0,0"]
 
-#: Argvs that end in a usage error, help or an input error: no command, help, an
-#: unknown subcommand, a missing required flag, an unknown flag, a stray word, a
-#: bad choice, an ambiguous abbreviation, a bad number, "--", a value that looks
-#: like a flag and a parameter that overflows.
+#: Argvs of the front end: no command, help, an unknown subcommand, a missing
+#: required flag, an unknown flag, a stray word, a bad choice, an ambiguous
+#: abbreviation, a bad number and "--" (usage errors); a negative point as the next
+#: word (a value, as after "="); a parameter that overflows (an input error).
 FRONT_END = (
     [], ["--help"], ["-h", "nakano"], ["nakano", "-h"], ["frob", *_AT],
     ["nakano", "--field", "raufi_corrected"], ["schur", *_AT], ["nakano", *_AT, "--bogus"],
@@ -98,6 +113,11 @@ def argvs() -> list[list[str]]:
                         "--order", order, *jet])
             out.append(["prekopa", "--field", "perturbed_gaussian_spd", "--t", "-0.2", "--n0",
                         "1", "--order", order, *jet])
+        at = ["--field-json", "field.json", "--point=0.1,-0.2,0.15", *jet]
+        out += [["nakano", *at], ["griffiths", *at], ["schur", *at, "--n0", "1"]]
+        for n0, t in (("1", "--t=0.1"), ("2", "--t=0.1,-0.05")):
+            out.append(["prekopa", "--field-json", "field.json", "--n0", n0, t, "--order", "16",
+                        "--scale", "0.5", *jet])
         for order in ("8", "16"):
             for field, f, g in QUADRATURE:
                 rule = [*field, "--order", order, *jet]
@@ -114,8 +134,9 @@ def argvs() -> list[list[str]]:
 def answer(argv: list[str]) -> str:
     """SHA-256 over the exit code, stdout, stderr and written files of one command."""
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp, "checks.json")
+        config, field = Path(tmp, "checks.json"), Path(tmp, "field.json")
         config.write_text(json.dumps(CHECKS))
+        field.write_text(json.dumps(FIELD_JSON))
         stdout, stderr, cwd = io.StringIO(), io.StringIO(), os.getcwd()
         os.chdir(tmp)
         try:
@@ -125,7 +146,7 @@ def answer(argv: list[str]) -> str:
             os.chdir(cwd)
         digest = hashlib.sha256(f"{code}\0{stdout.getvalue()}\0{stderr.getvalue()}".encode())
         for path in sorted(Path(tmp).iterdir()):
-            if path != config:
+            if path not in (config, field):
                 digest.update(b"\0" + path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
 

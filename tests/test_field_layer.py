@@ -3,16 +3,22 @@
 ``fields.central_differences`` forms its stencil from a cached plan and its
 differences by slicing one value stack; ``_poly.poly_stack`` sums a family's
 coefficients into one block.  The per-direction and per-monomial loops they
-replaced are kept here as the references.
+replaced are kept here as the references, and ``term_lists`` keeps the term-list
+polynomials that the exponent matrix and coefficient block replaced.
 """
 
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import term_lists
+from conftest import poly_arrays, poly_terms, poly_written
+from hypothesis import given, settings, strategies as st
 from mlcc import VectorFieldFn, builtin_field, polynomial_field
-from mlcc._poly import poly_diff, poly_stack
+from mlcc._poly import (poly_collect, poly_diff, poly_eval, poly_partials, poly_stack,
+                        poly_substitute_prefix)
 from mlcc.fields import central_differences
 from mlcc.quadrature import FD_STEP
 
@@ -60,8 +66,10 @@ def _loop_central_differences(fn, x, h, richardson=False, second=True):
 
 def _loop_poly_stack(polys):
     """The per-monomial accumulation that ``poly_stack`` replaced."""
-    shape = np.asarray(polys[0][0][0]).shape
     collected = {}
+    if not any(polys):
+        return []
+    shape = np.asarray(next(c for terms in polys for c, _ in terms)).shape
     for k, terms in enumerate(polys):
         for coeff, degs in terms:
             c = collected.get(degs)
@@ -135,39 +143,114 @@ class TestCentralDifferences:
             assert _same(fn.hess(x), 0.5 * (hess + hess.swapaxes(-1, -2)))
 
 
-def _family(terms, n):
-    d1 = [poly_diff(terms, j) for j in range(n)]
-    return [terms] + d1 + [poly_diff(d1[j], k) for j in range(n) for k in range(j, n)]
+def _family(poly, n):
+    d1 = [poly_diff(poly, j) for j in range(n)]
+    return [poly] + d1 + [poly_diff(d1[j], k) for j in range(n) for k in range(j, n)]
 
 
 #: name -> polynomials to stack; the repeats are summed in an order that rounding shows
 POLYS = {
-    "scalar repeats": [[(1e16, (1, 0)), (1.0, (0, 1)), (1.0, (1, 0)), (-1e16, (1, 0))],
-                       [(-0.0, (0, 1)), (0.1, (2, 0)), (0.2, (2, 0)), (0.3, (2, 0))]],
-    "matrix repeats": [[(np.array([[1e16, 1.0], [1.0, -0.0]]), (1,)),
-                        (np.full((2, 2), 1.0), (1,)), (np.full((2, 2), -1e16), (1,))],
-                       [(np.eye(2), (0,)), (0.3 * np.eye(2), (0,))]],
+    "scalar repeats": [poly_written([(1e16, (1, 0)), (1.0, (0, 1)), (1.0, (1, 0)),
+                                     (-1e16, (1, 0))]),
+                       poly_written([(-0.0, (0, 1)), (0.1, (2, 0)), (0.2, (2, 0)),
+                                     (0.3, (2, 0))])],
+    "matrix repeats": [poly_written([(np.array([[1e16, 1.0], [1.0, -0.0]]), (1,)),
+                                     (np.full((2, 2), 1.0), (1,)),
+                                     (np.full((2, 2), -1e16), (1,))]),
+                       poly_written([(np.eye(2), (0,)), (0.3 * np.eye(2), (0,))])],
     "scalar family": _family(builtin_field("double_well_scalar")._q, 2),
     "matrix family": _family(builtin_field("perturbed_gaussian_spd")._p, 2),
 }
 
 
+def _same_terms(got, want) -> bool:
+    """The polynomial ``got`` has the terms of the term list ``want``, bit for bit."""
+    got = poly_terms(got)
+    return ([degs for _, degs in got] == [tuple(degs) for _, degs in want]
+            and all(_same(np.asarray(c), np.asarray(w)) for (c, _), (w, _) in zip(got, want)))
+
+
 class TestPolyStack:
     @pytest.mark.parametrize("name", POLYS)
     def test_equals_the_per_monomial_loop(self, name):
-        got, want = poly_stack(POLYS[name]), _loop_poly_stack(POLYS[name])
-        assert [degs for _, degs in got] == [degs for _, degs in want]
-        assert all(_same(c, w) for (c, _), (w, _) in zip(got, want))
+        got = poly_stack(POLYS[name])
+        assert _same_terms(got, _loop_poly_stack([poly_terms(p) for p in POLYS[name]]))
 
     def test_one_read_only_block(self):
         got = poly_stack(POLYS["matrix family"])
-        assert all(not c.flags.writeable and c.base is got[0][0].base for c, _ in got)
+        assert not got.coeffs.flags.writeable and not got.exps.flags.writeable
 
     def test_the_family_axis_goes_behind_a_member_axis(self):
         field = builtin_field("raufi_corrected", {"s": np.array([0.3, 0.75])})
-        for terms in (field._q, field._p):
-            polys = _family(terms, 2)
-            got, want = poly_stack(polys, lead=1), _loop_poly_stack(polys)
-            assert [degs for _, degs in got] == [degs for _, degs in want]
-            assert all(_same(c, np.moveaxis(w, 0, 1)) for (c, _), (w, _) in zip(got, want))
-            assert all(not c.flags.writeable for c, _ in got)
+        for poly in (field._q, field._p):
+            polys = _family(poly, 2)
+            got, want = poly_stack(polys, lead=1), _loop_poly_stack([poly_terms(p) for p in polys])
+            assert _same_terms(got, [(np.moveaxis(w, 0, 1), degs) for w, degs in want])
+            assert not got.coeffs.flags.writeable
+
+
+# -- the polynomial type against the term lists it replaced ----------------------
+
+
+@st.composite
+def term_list_cases(draw):
+    """(n, terms) with n <= 3 variables and degrees <= 4, monomials repeated, -0.0 among
+    the coefficients; float or symmetric 2 x 2 coefficients, with or without a member axis
+    of 2."""
+    n = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from([(), (2, 2)]))
+    lead = draw(st.sampled_from([(), (2,)]))
+    values = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 0.1, 0.3, 1e16, -1e16, 3.0e-3])
+    monomials = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=4))
+    terms = []
+    size = 3 * (lead[0] if lead else 1)  # three entries of a symmetric 2 x 2 per member
+    for _ in range(draw(st.integers(1, 7))):
+        entries = np.array(draw(st.lists(values, min_size=size, max_size=size)))
+        entries = entries.reshape(lead + (3,))
+        if shape:
+            a, b, d = entries[..., 0], entries[..., 1], entries[..., 2]
+            coeff = np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2)
+        else:
+            coeff = entries[..., 0] if lead else float(entries[0])
+        terms.append((coeff, draw(st.sampled_from(monomials))))
+    return n, terms
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=term_list_cases(), seed=st.integers(0, 2**16))
+def test_the_polynomial_type_equals_the_term_lists_bit_for_bit(case, seed):
+    """Collection, value, the first and second partials, their stacked family and the
+    substitution of 1 and 2 leading coordinates equal the term lists, bit for bit (a
+    zero polynomial has no terms: the term lists' zero term, ``_or_zero``, is left out)."""
+    n, terms = case
+    with mock.patch.object(term_lists, "_or_zero", lambda out, terms, dropped=0: out):
+        _check_against_term_lists(n, terms, seed)
+
+
+def _check_against_term_lists(n, terms, seed):
+    poly, ref = poly_collect(*poly_arrays(terms)), term_lists.poly_collect(terms)
+    assert _same_terms(poly, ref)
+    x = np.random.default_rng(seed).uniform(-2.0, 2.0, (5, n))
+    assert _same(poly_eval(poly, x), term_lists.poly_eval(ref, x))
+    assert _same(poly_eval(poly, x[0]), term_lists.poly_eval(ref, x[0]))
+    pairs = [(j, k) for j in range(n) for k in range(j, n)]
+    d1 = [poly_diff(poly, j) for j in range(n)]
+    ref_d1 = [term_lists.poly_diff(ref, j) for j in range(n)]
+    d2 = [poly_diff(d1[j], k) for j, k in pairs]
+    ref_d2 = [term_lists.poly_diff(ref_d1[j], k) for j, k in pairs]
+    for got, want in zip(d1 + d2, ref_d1 + ref_d2):
+        assert _same_terms(got, want)
+    lead = 1 if np.ndim(terms[0][0]) in (1, 3) else 0
+    parts = [(0, ()), *((0, (j,)) for j in range(n)), *((0, pair) for pair in pairs)]
+    got = poly_partials([poly], parts, lead)
+    want = term_lists.poly_stack([ref] + ref_d1 + ref_d2, lead)
+    assert _same_terms(got, want)
+    assert _same(poly_eval(got, x), term_lists.poly_eval(want, x))
+    for n0 in (1, 2):
+        if n0 < n:
+            rng = np.random.default_rng(seed + n0)  # 0.0 among values whose powers round
+            t = np.where(rng.random(n0) < 0.2, 0.0, rng.uniform(-2.0, 2.0, n0))
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = poly_substitute_prefix(poly, t)
+                want = term_lists.poly_substitute_prefix(ref, t)
+            assert got.n == n - n0 and _same_terms(got, want)

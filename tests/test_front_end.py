@@ -82,7 +82,26 @@ UNPARSED = [
     ["nakano", "--fie", "raufi_corrected", "--point", "0,0"],
     ["nakano", *_AT, "--tol-psd", "x"], ["griffiths", *_AT, "--seed", "1.5"],
     ["nakano", *_AT, "--"], ["nakano", "--", *_AT], ["nakano", *_AT, "--", "x"],
-    ["nakano", "--field", "raufi_corrected", "--point", "-0.1,0"],
+    ["nakano", "--field", "raufi_corrected", "--point", "--tol-psd", "1e-9"],
+]
+
+#: (argv with a negative value as the next word, the same argv with "flag=value"): the
+#: coordinates of --point, --v0, --t and --box, a list with an exponent, a tolerance.
+NEGATIVE_VALUES = [
+    (["nakano", "--field", "raufi_corrected", "--point", "-0.1,0"],
+     ["nakano", "--field", "raufi_corrected", "--point=-0.1,0"]),
+    (["schur", *_AT, "--n0", "1", "--v0", "-1,0"], ["schur", *_AT, "--n0", "1", "--v0=-1,0"]),
+    (["prekopa", "--field", "perturbed_gaussian_spd", "--n0", "1", "--order", "8",
+      "--t", "-0.2"],
+     ["prekopa", "--field", "perturbed_gaussian_spd", "--n0", "1", "--order", "8",
+      "--t=-0.2"]),
+    (["bl", "--field", "gaussian_scalar", "--test-fn", "poly:y", "--rule", "uniform_grid",
+      "--box", "-6,6", "--resolution", "64"],
+     ["bl", "--field", "gaussian_scalar", "--test-fn", "poly:y", "--rule", "uniform_grid",
+      "--box=-6,6", "--resolution", "64"]),
+    (["griffiths", "--field", "raufi_corrected", "--poi", "-1e-2,2.5E-2", "--n-starts", "8"],
+     ["griffiths", "--field", "raufi_corrected", "--poi=-1e-2,2.5E-2", "--n-starts", "8"]),
+    (["nakano", *_AT, "--tol-psd", "-1e-9"], ["nakano", *_AT, "--tol-psd=-1e-9"]),
 ]
 
 
@@ -113,6 +132,22 @@ def test_usage_errors_print_what_the_top_level_parser_prints(argv):
     with contextlib.redirect_stdout(printed_out), contextlib.redirect_stderr(printed_err):
         assert run(argv) == code
     assert (printed_out.getvalue(), printed_err.getvalue()) == (out, err)
+
+
+def _report(argv):
+    """The exit code, stdout and stderr of ``run(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([*argv, "--no-timestamp"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, joined", NEGATIVE_VALUES, ids=lambda a: " ".join(a))
+def test_a_negative_value_as_the_next_word_is_the_value(argv, joined):
+    """``--point -0.1,0`` parses, and reports, as ``--point=-0.1,0`` does."""
+    assert vars(_parse(argv)) == vars(_parse(joined)) == vars(_make_parser().parse_args(argv))
+    report = _report(argv)
+    assert report == _report(joined) and report[0] in (0, 1, 3) and report[2] == ""
 
 
 @pytest.fixture

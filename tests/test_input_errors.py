@@ -66,6 +66,15 @@ CLI_ERRORS = {
                              "parameter 's' is not of the form name=value"),
     "param_not_a_number": (["nakano", "--field", "raufi_corrected", "--param", "s=abc",
                             "--point", "0,0"], "parameter value 'abc' is not a number"),
+    # a value that overflows or is nan named only the field's coefficients
+    "param_overflows": (["nakano", "--field", "raufi_corrected", "--param", "s=1e999",
+                         "--point", "0,0"],
+                        "--param s: the value must be a finite number, got '1e999'"),
+    "param_nan": (["schur", "--field", "raufi_corrected", "--param", "s=nan", "--point", "0,0",
+                   "--n0", "1"], "--param s: the value must be a finite number, got 'nan'"),
+    "param_infinite_entry": (["nakano", "--field", "gaussian_times_spd", "--param", "a12=-inf",
+                              "--point", "0"],
+                             "--param a12: the value must be a finite number, got '-inf'"),
     "empty_component": (["bl", *GAUSS2, "--test-fn", "poly:x1;"], "empty polynomial component"),
     "unknown_variable": (["bl", *GAUSS1, "--test-fn", "poly:z"], "unknown variable 'z'"),
     "variable_out_of_range": (["bl", *GAUSS2, "--test-fn", "poly:x3"],
@@ -220,6 +229,14 @@ def test_a_field_json_degree_error_in_a_report_entry(tmp_path, capsys):
         "--field-json", str(field), "--point", "0.5"]}]}))
     code = run(["report", "--config", str(cfg), "--no-timestamp"])
     _assert_config_error(capsys, code, FIELD_JSON_ERRORS["negative_q_degree"][1])
+
+
+def test_a_param_that_is_not_finite_in_a_report_entry(tmp_path, capsys):
+    cfg = tmp_path / "checks.json"
+    cfg.write_text(json.dumps({"checks": [{"name": "nakano", "args": [
+        "--field", "raufi_corrected", "--param", "s=1e999", "--point", "0,0"]}]}))
+    code = run(["report", "--config", str(cfg), "--no-timestamp"])
+    _assert_config_error(capsys, code, "--param s: the value must be a finite number, got '1e999'")
 
 
 def test_integral_float_degrees_are_whole_numbers(tmp_path, capsys):

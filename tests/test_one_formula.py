@@ -3,8 +3,8 @@
 ``MatrixField.value`` and ``MatrixField.jet(x).value`` then read g by the same
 formula, bit for bit, exact and finite-difference, at a point and over a stack;
 and a field that repeats a monomial computes, bit for bit, what the same field
-written with each monomial once computes.  ``poly_collect`` is the one place
-where like monomials are summed.
+written with each monomial once computes.  ``poly_collect`` is where a field's
+like monomials are summed.
 """
 
 import numpy as np
@@ -22,6 +22,7 @@ from mlcc import (
     restrict_field,
     variance_functional,
 )
+from conftest import poly_arrays, poly_terms, poly_written
 from mlcc._poly import poly_collect, poly_substitute_prefix
 from mlcc.fields import BUILTIN_PARAMS, _entry_terms
 
@@ -148,6 +149,7 @@ def test_the_field_holds_its_twins_terms(case):
     field, twin = polynomial_field_from_json(REPEATED[case]), polynomial_field_from_json(
         _twin(REPEATED[case]))
     for got, want in ((field._q, twin._q), (field._p, twin._p)):
+        got, want = poly_terms(got), poly_terms(want)
         assert [degs for _, degs in got] == [degs for _, degs in want]
         assert [_bits(c) for c, _ in got] == [_bits(c) for c, _ in want]
 
@@ -173,41 +175,48 @@ def test_json_entries_are_one_term_per_monomial():
     np.testing.assert_array_equal(terms[1][1], [[2.0, 0.0], [0.0, 0.0]])
     np.testing.assert_array_equal(terms[3][1], [[0.0, -4.0], [-4.0, 0.0]])
     field = polynomial_field(1, 2, {"1,1": [[1.0, [0]], [2.0, [0]]], "1,2": [[3.0, [0]]]})
-    assert [degs for _, degs in field._p] == [(0,)]
-    np.testing.assert_array_equal(field._p[0][0], [[3.0, 3.0], [3.0, 0.0]])
-    assert not field._p[0][0].flags.writeable
+    assert [degs for _, degs in poly_terms(field._p)] == [(0,)]
+    np.testing.assert_array_equal(field._p.coeffs[0], [[3.0, 3.0], [3.0, 0.0]])
+    assert not field._p.coeffs.flags.writeable
 
 
 # -- the collector ----------------------------------------------------------------
 
 
+def _collect(terms):
+    return poly_terms(poly_collect(*poly_arrays(terms)))
+
+
 class TestPolyCollect:
     def test_first_occurrence_order_and_left_to_right_sums(self):
         a, b, c = 0.1, 0.2, 0.3
-        got = poly_collect([(a, (1, 0)), (1.0, (0, 1)), (b, (1, 0)), (c, (1, 0))])
+        got = _collect([(a, (1, 0)), (1.0, (0, 1)), (b, (1, 0)), (c, (1, 0))])
         assert got == [((a + b) + c, (1, 0)), (1.0, (0, 1))]
 
     def test_no_zero_start(self):
         # a zero start would turn -0.0 into 0.0
-        assert _bits(poly_collect([(-0.0, (2,))])[0][0]) == _bits(-0.0)
-        assert _bits(poly_collect([(-0.0, (2,)), (-0.0, (2,))])[0][0]) == _bits(-0.0)
+        assert _bits(_collect([(-0.0, (2,))])[0][0]) == _bits(-0.0)
+        assert _bits(_collect([(-0.0, (2,)), (-0.0, (2,))])[0][0]) == _bits(-0.0)
 
     def test_a_lone_coefficient_is_the_same_object(self):
+        # with no repeat the polynomial keeps the given arrays, read-only
         m = np.eye(2)
-        terms = [(m, (0, 1)), (2.0 * m, (1, 0))]
-        got = poly_collect(terms)
-        assert [c is t for (c, _), (t, _) in zip(got, terms)] == [True, True]
+        exps, coeffs = poly_arrays([(m, (0, 1)), (2.0 * m, (1, 0))])
+        got = poly_collect(exps, coeffs)
+        assert got.exps is exps and got.coeffs is coeffs and not coeffs.flags.writeable
 
     def test_sums_are_new_read_only_arrays(self):
         m, k = np.eye(2), np.ones((2, 2))
-        ((c, degs),) = poly_collect([(m, (1,)), (k, (1,))])
-        assert degs == (1,) and not c.flags.writeable
+        exps, coeffs = poly_arrays([(m, (1,)), (k, (1,))])
+        got = poly_collect(exps, coeffs)
+        ((c, degs),) = poly_terms(got)
+        assert degs == (1,) and not got.coeffs.flags.writeable and got.coeffs is not coeffs
         np.testing.assert_array_equal(c, [[2.0, 1.0], [1.0, 2.0]])
         np.testing.assert_array_equal(m, np.eye(2))
-        assert m.flags.writeable and k.flags.writeable
+        assert m.flags.writeable and k.flags.writeable and coeffs.flags.writeable
 
     def test_substitution_collects_by_it(self):
         terms = [(0.3, (1, 2)), (0.7, (0, 2)), (-0.1, (2, 2)), (1.0, (0, 0))]
         t = np.array([0.4])
         frozen = [(c * t[0] ** degs[0] if degs[0] else c, degs[1:]) for c, degs in terms]
-        assert poly_substitute_prefix(terms, t) == poly_collect(frozen)
+        assert poly_terms(poly_substitute_prefix(poly_written(terms), t)) == _collect(frozen)

@@ -28,6 +28,7 @@ from mlcc import (  # noqa: E402
     nakano_verdict,
     prekopa_check,
 )
+from conftest import poly_terms  # noqa: E402
 from mlcc.curvature import _circle_poly  # noqa: E402
 from mlcc.fields import MatrixField  # noqa: E402
 from mlcc.metric import metric_pencil  # noqa: E402
@@ -172,7 +173,8 @@ def test_value_and_jet_value_are_one_formula_with_repeated_terms(n, d, seed, jet
                   for w in rng.dirichlet(np.ones(rng.integers(2, 4)))]
         return [pieces[i] for i in rng.permutation(len(pieces))]
 
-    split = MatrixField(n, d, repeated(field._q), [(degs, c) for c, degs in repeated(field._p)],
+    split = MatrixField(n, d, repeated(poly_terms(field._q)),
+                        [(degs, c) for c, degs in repeated(poly_terms(field._p))],
                         jet_mode=jet_mode)
     for x in (rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, (64, n))):
         value, jet_value = split.value(x), split.jet(x).value.entries

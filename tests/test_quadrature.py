@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mlcc._poly
 import mlcc.quadrature
 
 from mlcc import (
@@ -225,13 +226,14 @@ class TestVectorFieldFn:
         np.testing.assert_allclose(fd.hess(x), exact.hess(x), atol=1e-4)
 
     def test_polynomial_hessian_terms_are_built_on_first_use(self, monkeypatch):
-        stacks, original = [], mlcc.quadrature.poly_stack
+        stacks, original = [], mlcc._poly.poly_family
 
-        def counting(terms):
-            stacks.append(len(terms))
-            return original(terms)
+        def counting(n, rows, coeffs, groups, lead=0):  # the stacks and their sizes
+            stacks.extend(len(parts) for parts in groups)
+            return original(n, rows, coeffs, groups, lead)
 
-        monkeypatch.setattr(mlcc.quadrature, "poly_stack", counting)
+        monkeypatch.setattr(mlcc.quadrature, "poly_family", counting)
+        monkeypatch.setattr(mlcc._poly, "poly_family", counting)
         fn = VectorFieldFn.polynomial(2, [[(1.0, (2, 1)), (0.5, (0, 3))], [(2.0, (1, 0))]])
         x = np.array([[0.7, -0.4], [0.3, 0.2]])
         fn.value(x), fn.grad(x)

@@ -63,6 +63,7 @@ from mlcc import (
     weighted_laplacian,
     weighted_mean,
 )
+from conftest import poly_of, poly_terms, poly_written
 from mlcc._poly import poly_diff, poly_eval, poly_substitute_prefix
 from mlcc.curvature import curvature_from_jet
 from mlcc.fields import MatrixField
@@ -179,32 +180,33 @@ class TestExactJetAgainstSympy:
 class TestCoefficientsUnchanged:
     def test_field_operations_leave_coefficients_alone(self):
         field = builtin_field("perturbed_gaussian_spd")
-        before = [(c.copy(), degs) for c, degs in field._p]
+        before = [(c.copy(), degs) for c, degs in poly_terms(field._p)]
         x = np.array([0.3, -0.2])
         field.value(x)
         field.jet(x)
         field.with_jet_mode("finite_difference").jet(x)
         restrict_field(field, [0.4]).jet(np.array([0.1]))
         conjugate_field(field, np.array([[0.0, 1.0], [1.0, 0.0]])).value(x)
-        for (c, degs), (c0, degs0) in zip(field._p, before):
-            assert not c.flags.writeable
+        assert not field._p.coeffs.flags.writeable and not field._p.exps.flags.writeable
+        for (c, degs), (c0, degs0) in zip(poly_terms(field._p), before):
             assert degs == degs0
             np.testing.assert_array_equal(c, c0)
 
     def test_term_list_helpers_do_not_mutate_arrays(self):
         a = np.array([[1.0, 2.0], [2.0, 5.0]])
-        terms = [(a, (0, 0)), (a.copy(), (1, 2))]
-        np.testing.assert_array_equal(poly_eval(terms, [2.0, 3.0]), 19.0 * a)
-        poly_substitute_prefix(terms, [2.0])
-        poly_diff(terms, 1)
-        for c, _ in terms:
+        poly = poly_of([(a, (0, 0)), (a.copy(), (1, 2))])
+        np.testing.assert_array_equal(poly_eval(poly, [2.0, 3.0]), 19.0 * a)
+        poly_substitute_prefix(poly, [2.0])
+        poly_diff(poly, 1)
+        for c, _ in poly_terms(poly):
             np.testing.assert_array_equal(c, [[1.0, 2.0], [2.0, 5.0]])
+        np.testing.assert_array_equal(poly.exps, [[0, 0], [1, 2]])
+        np.testing.assert_array_equal(a, [[1.0, 2.0], [2.0, 5.0]])
 
     def test_empty_derivative_keeps_coefficient_shape(self):
-        terms = [(np.eye(3), (0, 1))]
-        zero = poly_eval(poly_diff(terms, 0), [0.5, 0.5])
+        zero = poly_eval(poly_diff(poly_of([(np.eye(3), (0, 1))]), 0), [0.5, 0.5])
         np.testing.assert_array_equal(zero, np.zeros((3, 3)))
-        frozen = poly_substitute_prefix([(np.eye(3), (1, 1))], [0.0])
+        frozen = poly_substitute_prefix(poly_of([(np.eye(3), (1, 1))]), [0.0])
         np.testing.assert_array_equal(poly_eval(frozen, [0.5]), np.zeros((3, 3)))
 
 
@@ -1366,17 +1368,17 @@ class TestPolyEval:
         rng = np.random.default_rng(n)
         terms = _random_terms(rng, n, shape, 2) + [(np.ones(shape) if shape else 1.0, (0,) * n)]
         x = rng.uniform(-3, 3, (40, n))
-        got = poly_eval(terms, x)
+        got = poly_eval(poly_written(terms), x)
         assert got.shape == (40,) + shape and got.flags.c_contiguous
         np.testing.assert_array_equal(got, poly_eval_power_reference(terms, x))
-        np.testing.assert_array_equal(poly_eval(terms, x[7]), got[7])
+        np.testing.assert_array_equal(poly_eval(poly_written(terms), x[7]), got[7])
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_a_higher_power_is_within_4_ulp_of_pow(self, k):
         x = np.random.default_rng(k).uniform(-3, 3, (500, 2))
         terms = [(1.0, (k, 0)), (1.0, (0, k))]
         for j in range(2):
-            got = poly_eval(terms[j:j + 1], x)
+            got = poly_eval(poly_written(terms[j:j + 1]), x)
             ref = poly_eval_power_reference(terms[j:j + 1], x)
             assert (np.abs(got - ref) <= 4 * np.finfo(float).eps * np.abs(ref)).all()
 
@@ -1387,7 +1389,7 @@ class TestPolyEval:
         rng = np.random.default_rng(10 + n)
         terms = _random_terms(rng, n, shape, 6)
         x = rng.uniform(-2, 2, (40, n))
-        got = poly_eval(terms, x)
+        got = poly_eval(poly_written(terms), x)
         assert got.shape == (40,) + shape and got.flags.c_contiguous
         magnitude = poly_eval_power_reference([(np.abs(c), d) for c, d in terms], np.abs(x))
         ref = poly_eval_power_reference(terms, x)
@@ -1397,17 +1399,18 @@ class TestPolyEval:
         x = np.array([[-1.0], [0.0], [0.5], [1.0], [2.0]])
         for k in (10**12, 10**12 + 1):
             with np.errstate(over="ignore"):
-                got, ref = poly_eval([(1.0, (k,))], x), x[:, 0] ** k
+                got, ref = poly_eval(poly_written([(1.0, (k,))]), x), x[:, 0] ** k
             np.testing.assert_array_equal(got, ref)
 
     def test_leaves_no_reference_cycle(self):
         # a cycle would keep each call's power cache alive until the next full collection
         terms = [(np.ones(2), (3, 1)), (np.ones(2), (0, 2))]
         x = np.random.default_rng(4).uniform(-1, 1, (64, 2))
+        poly = poly_written(terms)
         gc.collect()
         gc.disable()
         try:
-            poly_eval(terms, x)
+            poly_eval(poly, x)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -1415,9 +1418,10 @@ class TestPolyEval:
     def test_a_lead_shape_of_points_is_kept(self):
         terms = [(np.eye(2), (3, 1)), (np.ones((2, 2)), (0, 2))]
         x = np.random.default_rng(2).uniform(-1, 1, (3, 4, 2))
-        got = poly_eval(terms, x)
+        got = poly_eval(poly_written(terms), x)
         assert got.shape == (3, 4, 2, 2) and got.flags.c_contiguous
-        np.testing.assert_array_equal(got.reshape(12, 2, 2), poly_eval(terms, x.reshape(12, 2)))
+        np.testing.assert_array_equal(got.reshape(12, 2, 2),
+                                      poly_eval(poly_written(terms), x.reshape(12, 2)))
 
 
 def _forms_with_null_nodes(rng, count, dim, null_nodes):

@@ -14,7 +14,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import mlcc._poly
 import mlcc.fields
 import mlcc.inequalities
 from mlcc import (
@@ -30,6 +29,7 @@ from mlcc import (
     prekopa_check,
     theta_alpha_decomposed,
 )
+from conftest import poly_terms, poly_written
 from mlcc._poly import poly_substitute_prefix
 from mlcc.curvature import curvature_from_jet
 from mlcc.inequalities import _fiber_pass, _marginal_jet, _nodes
@@ -115,8 +115,7 @@ def _substitute_with_np_any(terms, t):
                 c = c * ti**di
         rest = degs[n0:]
         collected[rest] = collected[rest] + c if rest in collected else c
-    out = [(c, degs) for degs, c in collected.items() if np.any(c)]
-    return mlcc._poly._or_zero(out, terms, n0)
+    return [(c, degs) for degs, c in collected.items() if np.any(c)]
 
 
 _E = np.array([[1.0, 2.0], [2.0, -1.0]])
@@ -145,17 +144,20 @@ SUBSTITUTIONS = {
 def test_substitution_drops_exactly_the_all_zero_terms(case):
     terms, t = SUBSTITUTIONS[case]
     t = np.asarray(t)
-    got, ref = poly_substitute_prefix(terms, t), _substitute_with_np_any(terms, t)
+    got = poly_terms(poly_substitute_prefix(poly_written(terms), t))
+    ref = _substitute_with_np_any(terms, t)
     assert [degs for _, degs in got] == [degs for _, degs in ref]
     for (c, _), (r, _) in zip(got, ref):
         assert np.shape(c) == np.shape(r) and _bits(c) == _bits(r)
 
 
 def test_substitution_keeps_nan_and_drops_signed_zeros():
-    terms = [(-1.0, (1, 0)), (np.nan, (1, 1)), (np.zeros((2, 2)), (0, 2)), (1.0, (0, 3))]
-    got = poly_substitute_prefix(terms, np.array([0.0]))
+    # a polynomial has one coefficient shape: the floats as multiples of the identity
+    eye = np.eye(2)
+    terms = [(-eye, (1, 0)), (np.nan * eye, (1, 1)), (np.zeros((2, 2)), (0, 2)), (eye, (0, 3))]
+    got = poly_terms(poly_substitute_prefix(poly_written(terms), np.array([0.0])))
     assert [degs for _, degs in got] == [(1,), (3,)]
-    assert np.isnan(got[0][0])
+    assert np.isnan(got[0][0][0, 0])
 
 
 @pytest.mark.parametrize("seed", range(4))
