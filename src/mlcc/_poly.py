@@ -198,16 +198,16 @@ def poly_family(n: int, rows: list, coeffs: np.ndarray, groups, lead: int = 0) -
     for parts in groups:
         index, width = {}, len(parts)
         setdefault = index.setdefault
-        for k, (i, j) in enumerate(parts):
+        for k, (i, j) in enumerate(parts, size):
             if j is None:
-                slots += [size + setdefault(e, len(index)) * width + k for e in rows[i]]
+                slots += [k + setdefault(e, len(index)) * width for e in rows[i]]
                 picks += range(start[i], start[i + 1])
                 scales += [1] * len(rows[i])
                 continue
             for t, e in enumerate(rows[i], start[i]):
                 if e[j]:
-                    slots.append(size + setdefault(e[:j] + (e[j] - 1,) + e[j + 1 :], len(index))
-                                 * width + k)
+                    key = e[:j] + (e[j] - 1,) + e[j + 1 :]
+                    slots.append(k + setdefault(key, len(index)) * width)
                     picks.append(t)
                     scales.append(e[j])
         unions.append((index, width))
@@ -233,7 +233,8 @@ def poly_partials(polys: list[Poly], parts, lead: int = 0) -> Poly:
     its d_j and (i, (j, k)) the d_k of its d_j, ``poly_diff(polys[i], j)``."""
     if not any(len(p.exps) for p in polys):  # zero polynomials: a zero stack
         block = np.zeros((0, len(parts)) + polys[0].coeffs.shape[1:])
-        return Poly(np.zeros((0, polys[0].n), dtype=np.int64), block.swapaxes(1, 2) if lead else block)
+        exps = np.zeros((0, polys[0].n), dtype=np.int64)
+        return Poly(exps, block.swapaxes(1, 2) if lead else block)
     firsts = {(i, part[0]): None for i, part in parts if len(part) == 2}
     polys = [*polys, *(poly_diff(polys[i], j) for i, j in firsts)]
     firsts = dict(zip(firsts, count(len(polys) - len(firsts))))

@@ -41,7 +41,8 @@ def poly_arrays(terms, n=None):
     """The exponent matrix and the coefficient block of a ``(coeff, degs)`` term list
     (``n`` variables when the list is empty)."""
     exps = np.array([degs for _, degs in terms], dtype=np.int64)
-    return exps.reshape(len(terms), -1 if terms else n), np.array([c for c, _ in terms], dtype=float)
+    coeffs = np.array([c for c, _ in terms], dtype=float)
+    return exps.reshape(len(terms), -1 if terms else n), coeffs
 
 
 def poly_of(terms, n=None):
