@@ -15,12 +15,21 @@ from ``x**k``.  ``poly_rows`` returns that sum as it is, points last;
 ``poly_eval`` copies it points first.
 Exact differentiation (``poly_diff``, ``poly_family``) is what makes the
 closed-form jet oracles of the field module possible.
+
+Where each coefficient goes depends on the exponents alone, so that layout is derived
+once per monomial structure and cached, bounded and read-only: ``_family_layout`` per
+``poly_family`` structure (n, rows, groups), ``_exps_layout`` per exponent matrix (its
+dtype, shape and bytes) for ``poly_collect`` and ``poly_substitute_prefix``; 32 of each
+are kept, least recently used first out.  A call on a cached layout only gathers, scales
+and sums the coefficients, in the order a fresh layout gives, so every value has the
+bits it would have without the caches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, chain, count
 
 import numpy as np
@@ -47,24 +56,53 @@ class Poly:
 def poly_collect(exps, coeffs) -> Poly:
     """The polynomial of the terms with degrees ``exps`` (T, n) and coefficients ``coeffs``
     (T, ...): like monomials collected, in the order of first occurrence.  Repeats are
-    found by hashing the rows and summed from the left, starting from the first
-    coefficient and not from 0.0 (a lone -0.0 stays), by one unbuffered ``np.add.at``;
-    with none, the polynomial keeps the given arrays."""
+    summed from the left, starting from the first coefficient and not from 0.0 (a lone
+    -0.0 stays), by one unbuffered ``np.add.at``; with none, the polynomial keeps the given
+    arrays.  Which rows repeat which is read from ``_exps_layout``, cached per exponent
+    matrix, so the rows are hashed once per matrix, not once per call."""
     exps, coeffs = np.asarray(exps), np.asarray(coeffs, dtype=float)
-    rows = list(map(tuple, exps.tolist()))
-    if len(set(rows)) == len(rows):
+    repeats = _exps_layout(exps.dtype, exps.shape, exps.tobytes())[0] if len(exps) > 1 else None
+    if repeats is None:
         return Poly(exps, coeffs)
+    kept_exps, kept, rest, slots = repeats
+    block = coeffs.take(kept, axis=0)
+    np.add.at(block, slots, coeffs.take(rest, axis=0))
+    return Poly(kept_exps, block)
+
+
+@lru_cache(maxsize=32)
+def _exps_layout(dtype: np.dtype, shape: tuple, data: bytes):
+    """``(repeats, columns)``: what ``poly_collect`` and ``poly_substitute_prefix`` read of
+    the exponent matrix of ``dtype``, ``shape`` and bytes ``data``, derived once per matrix
+    (at most 32 kept, least recently used first out), its arrays read-only.
+
+    ``repeats`` is None when no row repeats, else ``(exps, kept, rest, slots)``: the rows
+    collected, in the order of first occurrence (found by hashing the rows), the index of
+    each one's first occurrence, the index of every later row and the collected row it
+    adds to.  ``columns[j]`` is ``(degrees, inverse)``: column j's distinct degrees (ints)
+    and the index of each row's degree among them.
+    """
+    exps = np.frombuffer(data, dtype).reshape(shape)
+    columns = []
+    for col in exps.T.tolist():
+        index = {}
+        inverse = np.array([index.setdefault(e, len(index)) for e in col], dtype=np.intp)
+        inverse.setflags(write=False)
+        columns.append((tuple(index), inverse))
     index, kept, rest, slots = {}, [], [], []
-    for t, row in enumerate(rows):
+    for t, row in enumerate(map(tuple, exps.tolist())):
         u = index.setdefault(row, len(index))
         if u == len(kept):
             kept.append(t)
         else:
             rest.append(t)
             slots.append(u)
-    block = coeffs.take(kept, axis=0)
-    np.add.at(block, np.array(slots, dtype=np.intp), coeffs.take(rest, axis=0))
-    return Poly(exps.take(kept, axis=0), block)
+    if not rest:
+        return None, tuple(columns)
+    repeats = exps.take(kept, axis=0), *(np.array(a, dtype=np.intp) for a in (kept, rest, slots))
+    for a in repeats:
+        a.setflags(write=False)
+    return repeats, tuple(columns)
 
 
 def poly_rows(poly: Poly, x) -> np.ndarray:
@@ -188,10 +226,40 @@ def poly_family(n: int, rows: list, coeffs: np.ndarray, groups, lead: int = 0) -
     its exponent matrix's rows) and its coefficients, those of every polynomial
     concatenated in ``coeffs``.  A part's terms are its polynomial's rows in their order
     (for d_j those with e_j > 0, e_j lowered, the coefficient times e_j), and a
-    polynomial's repeats of a monomial are summed with the rest.  A group's monomials,
-    the union of its parts', are found by hashing the rows (a dict keeps the order of
-    first occurrence); the coefficients of every group are gathered, scaled and summed
-    from 0.0 into one block by one ``np.add.at``.
+    polynomial's repeats of a monomial are summed with the rest.  Where each term goes
+    depends on ``n``, ``rows`` and ``groups`` alone: ``_family_layout`` derives it once per
+    such structure and caches it.  Per call, the coefficients of every group are only
+    gathered, scaled and summed from 0.0 into one block by one ``np.add.at``, in the
+    layout's slot order, so a cached layout gives the bits of a fresh one.
+    """
+    picks, scales, slots, unions = _family_layout(n, tuple(map(tuple, rows)),
+                                                  tuple(map(tuple, groups)))
+    shape = coeffs.shape[1:]
+    if picks is not None:
+        coeffs = coeffs.take(picks, axis=0)
+    if scales is not None:
+        coeffs = coeffs * scales.reshape((-1,) + (1,) * len(shape))
+    block = np.zeros((sum(len(exps) * width for exps, width in unions),) + shape)
+    np.add.at(block, slots, coeffs)
+    out = []
+    for exps, width in unions:
+        stack, block = block[: len(exps) * width], block[len(exps) * width :]
+        stack = stack.reshape((len(exps), width) + shape)
+        out.append(Poly(exps, stack.swapaxes(1, 2) if lead else stack))
+    return out
+
+
+@lru_cache(maxsize=32)
+def _family_layout(n: int, rows: tuple, groups: tuple):
+    """``(picks, scales, slots, unions)``: the layout of ``poly_family``'s stacks, derived
+    once per structure ``(n, rows, groups)`` (at most 32 kept, least recently used first
+    out), its arrays read-only.
+
+    A group's monomials, the union of its parts', are found by hashing the rows (a dict
+    keeps the order of first occurrence).  Term k of the gathered coefficients is the
+    coefficient ``picks[k]`` (None: every coefficient in order) times ``scales[k]`` (None:
+    all 1), and it adds to the slot ``slots[k]`` of the groups' stacks, laid end to end;
+    ``unions`` holds per group its exponent matrix and its number of parts.
     """
     start = list(accumulate(map(len, rows), initial=0))
     unions, slots, picks, scales, size = [], [], [], [], 0
@@ -210,22 +278,16 @@ def poly_family(n: int, rows: list, coeffs: np.ndarray, groups, lead: int = 0) -
                     slots.append(k + setdefault(key, len(index)) * width)
                     picks.append(t)
                     scales.append(e[j])
-        unions.append((index, width))
-        size += len(index) * width
-    shape = coeffs.shape[1:]
-    if picks != list(range(len(coeffs))):
-        coeffs = coeffs.take(picks, axis=0)
-    if len(scales) > scales.count(1):
-        coeffs = coeffs * np.array(scales).reshape((-1,) + (1,) * len(shape))
-    block = np.zeros((size,) + shape)
-    np.add.at(block, np.array(slots, dtype=np.intp), coeffs)
-    out = []
-    for index, width in unions:
-        stack, block = block[: len(index) * width], block[len(index) * width :]
-        stack = stack.reshape((len(index), width) + shape)
         exps = np.fromiter(chain.from_iterable(index), np.int64, len(index) * n).reshape(-1, n)
-        out.append(Poly(exps, stack.swapaxes(1, 2) if lead else stack))
-    return out
+        unions.append((exps, width))
+        size += len(index) * width
+    picks = None if picks == list(range(start[-1])) else np.array(picks, dtype=np.intp)
+    scales = None if len(scales) == scales.count(1) else np.array(scales)
+    slots = np.array(slots, dtype=np.intp)
+    for a in (picks, scales, slots, *(exps for exps, _ in unions)):
+        if a is not None:
+            a.setflags(write=False)
+    return picks, scales, slots, tuple(unions)
 
 
 def poly_partials(polys: list[Poly], parts, lead: int = 0) -> Poly:
@@ -249,14 +311,17 @@ def poly_substitute_prefix(poly: Poly, t) -> Poly:
 
     Each coefficient is multiplied by t_1^{e_1}, then t_2^{e_2}, ..., each power by the
     scalar ``pow`` of a NumPy float (NumPy's array power may round differently), and a
-    power t_j^0 is 1.0, an exact factor.  Returns a polynomial in the remaining
-    trailing variables, collected (see ``poly_collect``), without the monomials whose
-    coefficient is all zeros (0.0, -0.0 or a zero matrix; a NaN coefficient stays).
+    power t_j^0 is 1.0, an exact factor; each distinct power of a column is formed once
+    (the column's distinct degrees from ``_exps_layout``) and gathered per term.  Returns a
+    polynomial in the remaining trailing variables, collected (see ``poly_collect``),
+    without the monomials whose coefficient is all zeros (0.0, -0.0 or a zero matrix; a
+    NaN coefficient stays).
     """
-    rows, coeffs = poly.exps.tolist(), poly.coeffs
+    coeffs, columns = poly.coeffs, _exps_layout(poly.exps.dtype, poly.exps.shape,
+                                                poly.exps.tobytes())[1]
     lift = (-1,) + (1,) * (coeffs.ndim - 1)
-    for j, tj in enumerate(map(np.float64, t)):
-        coeffs = coeffs * np.array([tj ** e[j] for e in rows]).reshape(lift)
+    for (degrees, inverse), tj in zip(columns, map(np.float64, t)):
+        coeffs = coeffs * np.array([tj**e for e in degrees])[inverse].reshape(lift)
     out = poly_collect(poly.exps[:, len(t) :], coeffs)
     nonzero = (out.coeffs != 0.0).reshape(len(out.exps), math.prod(out.coeffs.shape[1:])).any(1)
     return out if nonzero.all() else Poly(out.exps[nonzero], out.coeffs[nonzero])

@@ -152,8 +152,11 @@ def griffiths_min_gap(
     to rounding of the pencil's size (about eps * max|P|, not eps * |value|): every
     stationary angle of the one-angle function that the maximization over u leaves is a
     root of one polynomial of degree 8, and the value is the largest at those angles, each
-    refined by one Newton step.  There ``n_starts``, ``max_iter`` and ``seed`` are
-    checked but not used, and no random number is drawn.
+    refined by one Newton step.  When min(n, d) = 1 every vector is rank-one, so the value
+    is Nakano's lambda_max, the top generalized eigenvalue (``generalized_spectrum``; -inf
+    if it is NaN, as for a search whose starts are all NaN).  On both shapes
+    ``n_starts``, ``max_iter`` and ``seed`` are checked but not used, and no random number
+    is drawn.
 
     Every other shape runs an alternating maximization (top generalized eigenvector in u
     at fixed y, top eigenvector in y at fixed u), multi-started.  The starts run as one
@@ -179,6 +182,8 @@ def griffiths_min_gap(
     if not _is_integer(seed) or seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     d, n = cm.d, cm.n
+    if min(n, d) == 1:
+        return float(np.fmax(generalized_spectrum(cm)[-1], -np.inf))  # NaN: -inf, as below
     _, invroot = cm.g.sqrt_and_invsqrt()
     # theta_tilde and its pencil, shaped (n, d, n, d), hold entry (a, b) of block
     # (j, k) at [k, a, j, b]; row (j, k) of P is the pencil of block (j, k), and as

@@ -17,6 +17,10 @@ class NotPositiveError(_StackError):
     """A matrix required to be positive definite is not."""
 
 
+class _UnderflowError(NotPositiveError):
+    """A weight e^{-q} P is not positive definite because e^{-q} underflows to 0."""
+
+
 class NotPsdError(ArithmeticError):
     """A quadratic form required to be positive semidefinite is indefinite."""
 

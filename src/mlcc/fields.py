@@ -20,7 +20,7 @@ import numpy as np
 
 from ._poly import (Poly, poly_collect, poly_degrees, poly_eval, poly_partials,
                     poly_substitute_prefix)
-from .errors import InputError, NotPositiveError
+from .errors import InputError, NotPositiveError, _UnderflowError
 from .metric import SpdMatrix, _first
 
 #: Default central-difference step for finite-difference jets.
@@ -286,11 +286,8 @@ class MatrixField:
         except NotPositiveError as exc:
             index, where, q_i = exc.index, self._where(x, exc.index), np.ravel(q)[exc.index or 0]
             if np.exp(-q_i) < np.finfo(float).tiny:
-                raise NotPositiveError(
-                    f"{where}: the weight underflows to 0 (e^-q with q = {q_i:.4g}); "
-                    "a quadrature rule reaching this far into the tail needs a lower "
-                    "--order or --scale",
-                    index,
+                raise _UnderflowError(
+                    f"{where}: the weight underflows to 0 (e^-q with q = {q_i:.4g})", index
                 ) from None
             if self.members is not None:  # named by its member: its own message, not its index
                 try:

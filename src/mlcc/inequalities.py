@@ -37,6 +37,7 @@ from .quadrature import (
     VectorFieldFn,
     _check_test_fns,
     _integral,
+    _rule_nodes,
     integrate_field,
     variance_functional,
 )
@@ -196,7 +197,8 @@ def ipp_residual(
     _finite_tolerance("tol_res", tol_res)
     _check_test_fns(field, f, g_fn)
     x = rule.nodes
-    jet = field.jet(x)
+    with _rule_nodes():
+        jet = field.jet(x)
     gv = jet.value.entries
     f_grad = f.grad(x)
     lf = _laplacian(jet, f_grad, f.hess(x))
@@ -225,7 +227,8 @@ def bochner_residual(
     _finite_tolerance("tol_res", tol_res)
     _check_test_fns(field, psi)
     x = rule.nodes
-    jet = field.jet(x)
+    with _rule_nodes():
+        jet = field.jet(x)
     gv = jet.value.entries
     cm = curvature_matrix(field, x, jet)
     grad, h = psi.grad(x), psi.hess(x)  # (N, d, n), (N, d, n, n)
@@ -345,7 +348,8 @@ def _fiber_pass(field: MatrixField, t: np.ndarray,
     """The jet and the curvature stack of ``field`` over the fiber nodes (t, y_i),
     from one jet evaluation; an asymmetric jet names its fiber point."""
     x = _fiber_nodes(t, rule)
-    jet = field.jet(x)
+    with _rule_nodes():
+        jet = field.jet(x)
     return jet, curvature_matrix(field, x, jet)
 
 

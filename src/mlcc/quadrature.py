@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from ._poly import Poly, poly_degrees, poly_eval, poly_family, poly_partials, poly_rows
 from .curvature import curvature_matrix
-from .errors import NODE_BUDGET, BudgetError, InputError, QuadratureError
+from .errors import NODE_BUDGET, BudgetError, InputError, QuadratureError, _UnderflowError
 from .fields import MatrixField, _whole_number, central_differences
 from .metric import DEFAULT_NULL_TOL, ExtendedReal, PolarOperator, QuadraticFormSpec, SpdMatrix
 
@@ -271,10 +272,22 @@ class VectorFieldFn:
         return fn
 
 
+@contextmanager
+def _rule_nodes():
+    """Around an evaluation at a rule's nodes: a weight that underflows there says which
+    flags move the nodes in, which a pointwise command does not take."""
+    try:
+        yield
+    except _UnderflowError as exc:
+        raise _UnderflowError(f"{exc}; a quadrature rule reaching this far into the tail "
+                              "needs a lower --order or --scale", exc.index) from None
+
+
 def _node_values(field: MatrixField, rule: QuadratureRule) -> np.ndarray:
     if field.n != rule.m:
         raise InputError("field and rule dimensions differ")
-    return field.value(rule.nodes)
+    with _rule_nodes():
+        return field.value(rule.nodes)
 
 
 def _frobenius(a: np.ndarray) -> float:
@@ -445,7 +458,8 @@ def _polar_over_nodes(field: MatrixField, rule: QuadratureRule) -> PolarOperator
     """The polar operators of -Theta at the rule's nodes, from one curvature stack."""
     if field.n != rule.m:
         raise InputError("field and rule dimensions differ")
-    cm = curvature_matrix(field, rule.nodes)
+    with _rule_nodes():
+        cm = curvature_matrix(field, rule.nodes)
     return PolarOperator(QuadraticFormSpec(cm.g, -cm.theta_tilde))
 
 

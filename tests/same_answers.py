@@ -3,8 +3,8 @@
     PYTHONPATH=src python3 tests/same_answers.py > answers.txt
 
 Each command runs in process through ``cli.run``, in a fresh temporary
-directory that holds the ``checks.json`` the README's ``report`` command reads
-and the ``field.json`` of ``FIELD_JSON``.
+directory that holds the ``checks.json`` the README's ``report`` command reads,
+the ``field.json`` of ``FIELD_JSON`` and the ``field2.json`` of ``FIELD_JSON_2``.
 Its line hashes the exit code, stdout, stderr and every file the command wrote
 there (the scan CSVs).  Every command gets ``--no-timestamp``, so the output is
 the same from run to run.  Run it with ``PYTHONPATH`` on two checkouts and diff
@@ -18,6 +18,9 @@ commands cover the README's CLI block; ``nakano``, ``griffiths``, ``schur`` and
 and two frozen coordinates on an n = 3, d = 2 ``--field-json`` field (``FIELD_JSON``) whose
 q writes a monomial twice and whose P has mixed cubic terms; ``bl``, ``ipp`` and
 ``bochner`` at GH 8 and 16;
+one monomial structure twice in a row with other coefficients (``WARM``: two ``bl`` cubics,
+``nakano`` on ``FIELD_JSON`` and on ``FIELD_JSON_2``, ``prekopa`` at two t), so the second of
+each pair runs on the polynomial layouts the first one cached;
 what the front end prints for argvs that do not parse or that a check rejects
 (``FRONT_END``); a ``schur`` report with a "-inf" gap and empty settings (exit 3);
 and a ``bl`` report with diagnostics.  Pytest does not collect this file.
@@ -71,6 +74,28 @@ FIELD_JSON = {
                 "1,2": [[0.03, [1, 0, 0]], [0.01, [1, 1, 1]]],
                 "2,2": [[1.0, [0, 0, 0]], [0.012, [0, 2, 1]], [-0.01, [2, 0, 1]]]},
 }
+
+#: ``FIELD_JSON``'s monomials, x1 x2 written twice in q too, with other coefficients.
+FIELD_JSON_2 = {
+    "n": 3, "d": 2,
+    "q": [[0.45, [2, 0, 0]], [0.65, [0, 2, 0]], [0.55, [0, 0, 2]], [-0.1, [1, 1, 0]],
+          [0.12, [0, 1, 1]], [0.05, [1, 1, 0]]],
+    "entries": {"1,1": [[1.0, [0, 0, 0]], [0.03, [2, 0, 1]], [-0.01, [1, 1, 1]]],
+                "1,2": [[-0.02, [1, 0, 0]], [0.015, [1, 1, 1]]],
+                "2,2": [[1.0, [0, 0, 0]], [0.01, [0, 2, 1]], [0.02, [2, 0, 1]]]},
+}
+
+#: Pairs of argvs that run one monomial structure with two sets of coefficients.
+WARM = (
+    ["bl", "--field", "perturbed_gaussian_spd", "--order", "8", "--test-fn",
+     "poly:x1^3-0.5*x1*x2^2+x2;x2^3+x1^2"],
+    ["bl", "--field", "perturbed_gaussian_spd", "--order", "8", "--test-fn",
+     "poly:0.3*x1^3+2*x1*x2^2-x2;-x2^3+0.7*x1^2"],
+    ["nakano", "--field-json", "field.json", "--point=0.2,0.1,-0.3"],
+    ["nakano", "--field-json", "field2.json", "--point=0.2,0.1,-0.3"],
+    ["prekopa", "--field", "perturbed_gaussian_spd", "--t", "0.25", "--n0", "1", "--order", "16"],
+    ["prekopa", "--field", "perturbed_gaussian_spd", "--t=-0.35", "--n0", "1", "--order", "16"],
+)
 
 _AT = ["--field", "raufi_corrected", "--point", "0,0"]
 
@@ -128,15 +153,17 @@ def argvs() -> list[list[str]]:
                 "--n0", "1"])
     out.append(["bl", "--field", "gaussian_scalar", "--test-fn", "poly:y^2", "--order", "8",
                 "--scale", "0.3"])
-    return out
+    return out + list(WARM)
 
 
 def answer(argv: list[str]) -> str:
     """SHA-256 over the exit code, stdout, stderr and written files of one command."""
     with tempfile.TemporaryDirectory() as tmp:
-        config, field = Path(tmp, "checks.json"), Path(tmp, "field.json")
+        config, field, field_2 = (Path(tmp, name) for name in
+                                  ("checks.json", "field.json", "field2.json"))
         config.write_text(json.dumps(CHECKS))
         field.write_text(json.dumps(FIELD_JSON))
+        field_2.write_text(json.dumps(FIELD_JSON_2))
         stdout, stderr, cwd = io.StringIO(), io.StringIO(), os.getcwd()
         os.chdir(tmp)
         try:
@@ -146,7 +173,7 @@ def answer(argv: list[str]) -> str:
             os.chdir(cwd)
         digest = hashlib.sha256(f"{code}\0{stdout.getvalue()}\0{stderr.getvalue()}".encode())
         for path in sorted(Path(tmp).iterdir()):
-            if path not in (config, field):
+            if path not in (config, field, field_2):
                 digest.update(b"\0" + path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
 

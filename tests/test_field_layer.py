@@ -16,7 +16,7 @@ import pytest
 import term_lists
 from conftest import poly_arrays, poly_terms, poly_written
 from hypothesis import given, settings, strategies as st
-from mlcc import VectorFieldFn, builtin_field, polynomial_field
+from mlcc import VectorFieldFn, _poly, builtin_field, polynomial_field
 from mlcc._poly import (poly_collect, poly_diff, poly_eval, poly_partials, poly_stack,
                         poly_substitute_prefix)
 from mlcc.fields import central_differences
@@ -192,6 +192,16 @@ class TestPolyStack:
 # -- the polynomial type against the term lists it replaced ----------------------
 
 
+def _coefficient(entries, shape, lead):
+    """A coefficient of ``shape`` behind ``lead`` from three entries per member: a float,
+    or the symmetric 2 x 2 matrix [[a, b], [b, d]]."""
+    entries = np.array(entries).reshape(lead + (3,))
+    if not shape:
+        return entries[..., 0] if lead else float(entries[0])
+    a, b, d = entries[..., 0], entries[..., 1], entries[..., 2]
+    return np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2)
+
+
 @st.composite
 def term_list_cases(draw):
     """(n, terms) with n <= 3 variables and degrees <= 4, monomials repeated, -0.0 among
@@ -205,13 +215,7 @@ def term_list_cases(draw):
     terms = []
     size = 3 * (lead[0] if lead else 1)  # three entries of a symmetric 2 x 2 per member
     for _ in range(draw(st.integers(1, 7))):
-        entries = np.array(draw(st.lists(values, min_size=size, max_size=size)))
-        entries = entries.reshape(lead + (3,))
-        if shape:
-            a, b, d = entries[..., 0], entries[..., 1], entries[..., 2]
-            coeff = np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2)
-        else:
-            coeff = entries[..., 0] if lead else float(entries[0])
+        coeff = _coefficient(draw(st.lists(values, min_size=size, max_size=size)), shape, lead)
         terms.append((coeff, draw(st.sampled_from(monomials))))
     return n, terms
 
@@ -254,3 +258,123 @@ def _check_against_term_lists(n, terms, seed):
                 got = poly_substitute_prefix(poly, t)
                 want = term_lists.poly_substitute_prefix(ref, t)
             assert got.n == n - n0 and _same_terms(got, want)
+
+
+# -- the layout caches: a warm cache gives the bits of a cold one -----------------
+
+
+@st.composite
+def structure_cases(draw):
+    """(n, structure, lead, two coefficient draws): 1 to 3 polynomials in n <= 3
+    variables, each a list of 1 to 6 monomials from a pool of at most 4 (so repeated),
+    with float or symmetric 2 x 2 coefficients, with or without a member axis of 2."""
+    n = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from([(), (2, 2)]))
+    lead = draw(st.sampled_from([(), (2,)]))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=4))
+    structure = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=6),
+                              min_size=1, max_size=3))
+    values = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 0.1, 0.3, 1e16, -1e16, 3.0e-3])
+    size = 3 * (lead[0] if lead else 1)
+    draws = [[[_coefficient(draw(st.lists(values, min_size=size, max_size=size)), shape, lead)
+               for _ in monomials] for monomials in structure] for _ in range(2)]
+    return n, structure, lead, draws
+
+
+def _clear_layouts():
+    _poly._family_layout.cache_clear()
+    _poly._exps_layout.cache_clear()
+
+
+def _builds(n, polys, lead, t):
+    """Every polynomial built from the term lists ``polys``: each collected, their stacked
+    family of values, first and second partials as written, and each with its leading
+    coordinates frozen at ``t``; then the family as ``VectorFieldFn.polynomial`` groups it
+    (float coefficients without a member axis only)."""
+    written = [poly_written(terms) for terms in polys]
+    pairs = [(j, k) for j in range(n) for k in range(j, n)]
+    parts = [(i, part) for i in range(len(polys))
+             for part in [(), *((j,) for j in range(n)), *pairs]]
+    out = [poly_collect(*poly_arrays(terms)) for terms in polys]
+    out.append(poly_partials(written, parts, int(bool(lead))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out += [poly_substitute_prefix(p, t) for p in written if len(t) < n]
+    if written[0].coeffs.ndim == 1:
+        rows = [list(map(tuple, p.exps.tolist())) for p in written]
+        out += _poly.poly_family(n, rows, np.concatenate([p.coeffs for p in written]), [
+            [(i, None) for i in range(len(rows))],
+            [(i, j) for i in range(len(rows)) for j in range(n)]])
+    return out
+
+
+def _references(n, polys, lead, t):
+    """``_builds``' first polynomials from the term lists of ``term_lists``."""
+    pairs = [(j, k) for j in range(n) for k in range(j, n)]
+    family = []
+    for ref in polys:
+        d1 = [term_lists.poly_diff(ref, j) for j in range(n)]
+        family += [ref, *d1, *(term_lists.poly_diff(d1[j], k) for j, k in pairs)]
+    out = [term_lists.poly_collect(ref) for ref in polys]
+    out.append(term_lists.poly_stack(family, int(bool(lead))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out += [term_lists.poly_substitute_prefix(ref, t) for ref in polys if len(t) < n]
+    return out
+
+
+def _same_poly(a, b) -> bool:
+    return _same(a.exps, b.exps) and _same(a.coeffs, b.coeffs)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=structure_cases(), t=st.sampled_from([0.0, -0.7, 1.3]))
+def test_a_warm_layout_gives_the_bits_of_a_cold_one_and_of_the_term_lists(case, t):
+    """One structure built twice with different coefficients: the second build, on the
+    layouts the first cached, equals a build with the caches cleared and the term lists,
+    bit for bit."""
+    n, structure, lead, draws = case
+    t = np.array([t, 0.4][: max(1, n - 1)])
+    for coeffs in draws:
+        polys = [list(zip(c, monomials)) for c, monomials in zip(coeffs, structure)]
+        hits = _poly._family_layout.cache_info().hits
+        warm = _builds(n, polys, lead, t)
+        if coeffs is draws[1]:  # the first build cached every layout of this structure
+            assert _poly._family_layout.cache_info().hits > hits
+        _clear_layouts()
+        cold = _builds(n, polys, lead, t)
+        assert len(warm) == len(cold) and all(map(_same_poly, warm, cold))
+        with mock.patch.object(term_lists, "_or_zero", lambda out, terms, dropped=0: out):
+            want = _references(n, polys, lead, t)
+        assert all(map(_same_terms, warm, want))
+
+
+def test_cached_layouts_are_read_only():
+    rows = (((2, 1), (0, 3), (2, 1)), ((1, 0),))
+    groups = (((0, None), (1, None)), ((0, 0), (0, 1), (1, 0), (1, 1)))
+    exps = np.array([[1, 0], [0, 2], [1, 0]])
+    layouts = [_poly._family_layout(2, rows, groups),
+               _poly._exps_layout(exps.dtype, exps.shape, exps.tobytes())]
+    arrays = list(_arrays(layouts))
+    assert len(arrays) == 11 and not any(a.flags.writeable for a in arrays)
+    # the polynomials hold the cached exponent matrices, not copies
+    assert poly_collect(exps, np.ones(3)).exps is layouts[1][0][0]
+    with pytest.raises(ValueError, match="read-only"):
+        layouts[1][0][0][0, 0] = 5
+
+
+def test_each_cache_keeps_at_most_32_layouts():
+    _clear_layouts()
+    for k in range(40):  # 40 structures, each with a repeated monomial
+        VectorFieldFn.polynomial(1, [[(1.0, (k,)), (2.0, (k,))]])
+        poly_collect(np.array([[k], [k]]), np.ones(2))
+    for helper in (_poly._family_layout, _poly._exps_layout):
+        info = helper.cache_info()
+        assert info.maxsize == 32 and info.currsize == 32 and info.misses >= 40
+
+
+def _arrays(value):
+    """Every array in a nest of tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _arrays(v)

@@ -271,8 +271,10 @@ def _curvature(name, params, n):
 
 
 #: (field, parameters, n) of a shape on the circle (n = d = 2) and of one off it
+#: the closed form on the circle, Nakano's lambda_max (min(n, d) = 1) and the search
 GRIFFITHS_SHAPES = {"circle": ("raufi_corrected", {"s": 0.75}, 2),
-                    "stack": ("gaussian_scalar", {"n": 3}, 3)}
+                    "stack": ("gaussian_scalar", {"n": 3}, 3),
+                    "search": ("gaussian_times_spd", {"n": 3, "d": 2}, 3)}
 
 
 #: name -> (call, exception type, message)

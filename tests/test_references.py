@@ -861,9 +861,12 @@ class TestStackedGriffiths:
         # n = d = 2: g's roots only, the closed form makes no eigh call
         ("raufi_corrected", {"s": 0.75}, 1, 1),
         ("raufi_corrected", {"s": 0.75}, 200, 1),
+        # min(n, d) = 1: g's root only, the top generalized eigenvalue is an eigvalsh
+        ("gaussian_scalar", {"n": 3}, 1, 1),
+        ("gaussian_scalar", {"n": 3}, 200, 1),
         # one eigensolve in u and one in y per step; no start stops before its second
-        ("gaussian_scalar", {"n": 3}, 1, 3),
-        ("gaussian_scalar", {"n": 3}, 2, 5),
+        ("gaussian_times_spd", {"n": 3, "d": 2}, 1, 3),
+        ("gaussian_times_spd", {"n": 3, "d": 2}, 2, 5),
         ("gaussian_cross_spd", {"c": 0.5, "d": 3}, 2, 5),
     ])
     def test_eigensolves_per_search(self, monkeypatch, name, params, max_iter, calls):
@@ -875,13 +878,37 @@ class TestStackedGriffiths:
 
     def test_nan_starts_are_skipped(self):
         # a NaN curvature makes every start NaN; the loop's max then keeps -inf.  n = 2
-        # with d = 1 takes the eigensolve steps, with d = 2 the closed form, whose
-        # candidates are then all NaN
+        # with d = 1 takes the top generalized eigenvalue, NaN, and with d = 2 the closed
+        # form, whose candidates are then all NaN
         for field in (builtin_field("gaussian_scalar", {"n": 2}), builtin_field("raufi_corrected")):
             cm = curvature_matrix(field, np.zeros(2))
             bad = CurvatureMatrix(cm.d, cm.n, np.full_like(cm.theta_tilde, np.nan), cm.g, 0.0)
             assert griffiths_loop(bad, 8, 3) == -np.inf
             assert griffiths_min_gap(bad, 8, 3) == -np.inf
+
+
+class TestEveryVectorIsRankOne:
+    """min(n, d) = 1: every vector is rank-one, so the value is Nakano's lambda_max, found
+    without a search and without a random number."""
+
+    @pytest.mark.parametrize("name,params", [
+        ("gaussian_times_spd", {"n": 1, "d": 3, "a12": 0.3, "a23": -0.2}),
+        ("gaussian_times_spd", {"n": 3, "d": 1}),
+        ("double_well_scalar", {}),
+    ])
+    def test_the_value_is_the_nakano_maximum(self, monkeypatch, name, params):
+        field = builtin_field(name, params)
+        points = np.random.default_rng(7).uniform(-1.5, 1.5, (4, field.n))
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a random number generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        for x in points:
+            cm = curvature_matrix(field, x)
+            lam = nakano_verdict(cm).lambda_max
+            for seed, n_starts, max_iter in GRIFFITHS_SETTINGS:
+                assert griffiths_min_gap(cm, n_starts, max_iter, seed) == lam
 
 
 #: s of raufi_corrected, down to a maximum of +4.1e-9 at s = -3e-9 (RAUFI_POINT)
@@ -920,10 +947,10 @@ class TestNewtonOnTheCircle:
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         griffiths_min_gap(self._raufi(0.5))
-        # other shapes draw their starts
+        # shapes with n, d >= 2 other than n = d = 2 draw their starts
         with pytest.raises(AssertionError, match="generator was made"):
-            griffiths_min_gap(curvature_matrix(builtin_field("gaussian_scalar", {"n": 3}),
-                                               np.zeros(3)))
+            griffiths_min_gap(curvature_matrix(builtin_field("gaussian_times_spd",
+                                                             {"n": 3, "d": 2}), np.zeros(3)))
 
     def test_a_maximum_just_above_tol_psd_fails(self, capsys):
         argv = ["griffiths", "--field", "raufi_corrected", "--param", "s=-3e-9",

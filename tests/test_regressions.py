@@ -273,6 +273,30 @@ def test_underflowing_envelope_is_named(capsys):
     assert "not positive definite" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ipp", "--test-fn", "poly:x1", "--test-fn-g", "poly:x2", "--order", "20"],
+    ["bochner", "--test-fn", "poly:x1", "--order", "20"],
+    ["prekopa", "--n0", "1", "--t", "6", "--order", "5"],
+])
+def test_every_quadrature_underflow_names_the_rule_flags(capsys, argv):
+    # the rule's nodes (for prekopa the fiber nodes (t, y_i)) reach where e^{-q} is 0
+    code = run([argv[0], "--field", "double_well_scalar", *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "the weight underflows to 0" in err and "lower --order or --scale" in err
+
+
+@pytest.mark.parametrize("command", [["nakano"], ["griffiths"], ["schur", "--n0", "1"]])
+def test_a_pointwise_underflow_names_no_rule_flag(capsys, command):
+    # the pointwise commands take neither --order nor --scale, so the message stops at
+    # the underflow; the quadrature commands add the rule hint (above)
+    code = run([*command, "--field", "double_well_scalar", "--point", "6,5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("error: field double_well_scalar at x = [6. 5.]: the weight underflows "
+                   "to 0 (e^-q with q = 1250)\n")
+
+
 def test_fiber_node_off_the_cone_is_a_config_error_after_a_gate_failure(tmp_path, capsys):
     # q = t^2 - y^4 fails the gate at the first GH 5 fiber node; P = y^2 - 0.01 leaves the
     # SPD cone at the middle one, y = 0, which the whole fiber stack now reaches
