@@ -16,13 +16,12 @@ from ``x**k``.  ``poly_rows`` returns that sum as it is, points last;
 Exact differentiation (``poly_diff``, ``poly_family``) is what makes the
 closed-form jet oracles of the field module possible.
 
-Where each coefficient goes depends on the exponents alone, so that layout is derived
-once per monomial structure and cached, bounded and read-only: ``_family_layout`` per
-``poly_family`` structure (n, rows, groups), ``_exps_layout`` per exponent matrix (its
-dtype, shape and bytes) for ``poly_collect`` and ``poly_substitute_prefix``; 32 of each
-are kept, least recently used first out.  A call on a cached layout only gathers, scales
-and sums the coefficients, in the order a fresh layout gives, so every value has the
-bits it would have without the caches.
+Where each coefficient of a ``poly_family`` goes depends on its monomial structure
+(n, rows, groups) alone, so ``_family_layout`` derives that layout once per structure
+and caches it, read-only, keyed on the structure's tuples; 32 are kept, least recently
+used first out.  A call on a cached layout only gathers, scales and sums the
+coefficients, in the order a fresh layout gives, so every value has the bits it would
+have without the cache.
 """
 
 from __future__ import annotations
@@ -56,53 +55,24 @@ class Poly:
 def poly_collect(exps, coeffs) -> Poly:
     """The polynomial of the terms with degrees ``exps`` (T, n) and coefficients ``coeffs``
     (T, ...): like monomials collected, in the order of first occurrence.  Repeats are
-    summed from the left, starting from the first coefficient and not from 0.0 (a lone
-    -0.0 stays), by one unbuffered ``np.add.at``; with none, the polynomial keeps the given
-    arrays.  Which rows repeat which is read from ``_exps_layout``, cached per exponent
-    matrix, so the rows are hashed once per matrix, not once per call."""
+    found by hashing the rows and summed from the left, starting from the first
+    coefficient and not from 0.0 (a lone -0.0 stays), by one unbuffered ``np.add.at``;
+    with none, the polynomial keeps the given arrays."""
     exps, coeffs = np.asarray(exps), np.asarray(coeffs, dtype=float)
-    repeats = _exps_layout(exps.dtype, exps.shape, exps.tobytes())[0] if len(exps) > 1 else None
-    if repeats is None:
+    rows = list(map(tuple, exps.tolist()))
+    if len(set(rows)) == len(rows):
         return Poly(exps, coeffs)
-    kept_exps, kept, rest, slots = repeats
-    block = coeffs.take(kept, axis=0)
-    np.add.at(block, slots, coeffs.take(rest, axis=0))
-    return Poly(kept_exps, block)
-
-
-@lru_cache(maxsize=32)
-def _exps_layout(dtype: np.dtype, shape: tuple, data: bytes):
-    """``(repeats, columns)``: what ``poly_collect`` and ``poly_substitute_prefix`` read of
-    the exponent matrix of ``dtype``, ``shape`` and bytes ``data``, derived once per matrix
-    (at most 32 kept, least recently used first out), its arrays read-only.
-
-    ``repeats`` is None when no row repeats, else ``(exps, kept, rest, slots)``: the rows
-    collected, in the order of first occurrence (found by hashing the rows), the index of
-    each one's first occurrence, the index of every later row and the collected row it
-    adds to.  ``columns[j]`` is ``(degrees, inverse)``: column j's distinct degrees (ints)
-    and the index of each row's degree among them.
-    """
-    exps = np.frombuffer(data, dtype).reshape(shape)
-    columns = []
-    for col in exps.T.tolist():
-        index = {}
-        inverse = np.array([index.setdefault(e, len(index)) for e in col], dtype=np.intp)
-        inverse.setflags(write=False)
-        columns.append((tuple(index), inverse))
     index, kept, rest, slots = {}, [], [], []
-    for t, row in enumerate(map(tuple, exps.tolist())):
+    for t, row in enumerate(rows):
         u = index.setdefault(row, len(index))
         if u == len(kept):
             kept.append(t)
         else:
             rest.append(t)
             slots.append(u)
-    if not rest:
-        return None, tuple(columns)
-    repeats = exps.take(kept, axis=0), *(np.array(a, dtype=np.intp) for a in (kept, rest, slots))
-    for a in repeats:
-        a.setflags(write=False)
-    return repeats, tuple(columns)
+    block = coeffs.take(kept, axis=0)
+    np.add.at(block, np.array(slots, dtype=np.intp), coeffs.take(rest, axis=0))
+    return Poly(exps.take(kept, axis=0), block)
 
 
 def poly_rows(poly: Poly, x) -> np.ndarray:
@@ -311,17 +281,14 @@ def poly_substitute_prefix(poly: Poly, t) -> Poly:
 
     Each coefficient is multiplied by t_1^{e_1}, then t_2^{e_2}, ..., each power by the
     scalar ``pow`` of a NumPy float (NumPy's array power may round differently), and a
-    power t_j^0 is 1.0, an exact factor; each distinct power of a column is formed once
-    (the column's distinct degrees from ``_exps_layout``) and gathered per term.  Returns a
-    polynomial in the remaining trailing variables, collected (see ``poly_collect``),
-    without the monomials whose coefficient is all zeros (0.0, -0.0 or a zero matrix; a
-    NaN coefficient stays).
+    power t_j^0 is 1.0, an exact factor.  Returns a polynomial in the remaining
+    trailing variables, collected (see ``poly_collect``), without the monomials whose
+    coefficient is all zeros (0.0, -0.0 or a zero matrix; a NaN coefficient stays).
     """
-    coeffs, columns = poly.coeffs, _exps_layout(poly.exps.dtype, poly.exps.shape,
-                                                poly.exps.tobytes())[1]
+    rows, coeffs = poly.exps.tolist(), poly.coeffs
     lift = (-1,) + (1,) * (coeffs.ndim - 1)
-    for (degrees, inverse), tj in zip(columns, map(np.float64, t)):
-        coeffs = coeffs * np.array([tj**e for e in degrees])[inverse].reshape(lift)
+    for j, tj in enumerate(map(np.float64, t)):
+        coeffs = coeffs * np.array([tj ** e[j] for e in rows]).reshape(lift)
     out = poly_collect(poly.exps[:, len(t) :], coeffs)
     nonzero = (out.coeffs != 0.0).reshape(len(out.exps), math.prod(out.coeffs.shape[1:])).any(1)
     return out if nonzero.all() else Poly(out.exps[nonzero], out.coeffs[nonzero])

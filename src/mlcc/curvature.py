@@ -153,8 +153,9 @@ def griffiths_min_gap(
     stationary angle of the one-angle function that the maximization over u leaves is a
     root of one polynomial of degree 8, and the value is the largest at those angles, each
     refined by one Newton step.  When min(n, d) = 1 every vector is rank-one, so the value
-    is Nakano's lambda_max, the top generalized eigenvalue (``generalized_spectrum``; -inf
-    if it is NaN, as for a search whose starts are all NaN).  On both shapes
+    is Nakano's lambda_max, the top generalized eigenvalue (as ``generalized_spectrum``
+    gives it), or -inf without an eigensolve if the pencil has an entry that is not
+    finite, as for a search whose starts are all NaN.  On both shapes
     ``n_starts``, ``max_iter`` and ``seed`` are checked but not used, and no random number
     is drawn.
 
@@ -182,13 +183,14 @@ def griffiths_min_gap(
     if not _is_integer(seed) or seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     d, n = cm.d, cm.n
-    if min(n, d) == 1:
-        return float(np.fmax(generalized_spectrum(cm)[-1], -np.inf))  # NaN: -inf, as below
     _, invroot = cm.g.sqrt_and_invsqrt()
+    pencil = metric_pencil(invroot, cm.theta_tilde)
+    if min(n, d) == 1:
+        return float(np.linalg.eigvalsh(pencil)[-1]) if np.isfinite(pencil).all() else -np.inf
     # theta_tilde and its pencil, shaped (n, d, n, d), hold entry (a, b) of block
     # (j, k) at [k, a, j, b]; row (j, k) of P is the pencil of block (j, k), and as
     # the pencil is linear in the block, the u-step's pencil at y is (y (x) y) P
-    p_mat = metric_pencil(invroot, cm.theta_tilde).reshape(n, d, n, d)
+    p_mat = pencil.reshape(n, d, n, d)
     p_mat = p_mat.transpose(2, 0, 1, 3).reshape(n * n, d * d)
     if n == d == 2:
         return _circle_max(p_mat)

@@ -260,7 +260,7 @@ def _check_against_term_lists(n, terms, seed):
             assert got.n == n - n0 and _same_terms(got, want)
 
 
-# -- the layout caches: a warm cache gives the bits of a cold one -----------------
+# -- the family layout cache: a warm cache gives the bits of a cold one -----------
 
 
 @st.composite
@@ -279,11 +279,6 @@ def structure_cases(draw):
     draws = [[[_coefficient(draw(st.lists(values, min_size=size, max_size=size)), shape, lead)
                for _ in monomials] for monomials in structure] for _ in range(2)]
     return n, structure, lead, draws
-
-
-def _clear_layouts():
-    _poly._family_layout.cache_clear()
-    _poly._exps_layout.cache_clear()
 
 
 def _builds(n, polys, lead, t):
@@ -329,7 +324,7 @@ def _same_poly(a, b) -> bool:
 @given(case=structure_cases(), t=st.sampled_from([0.0, -0.7, 1.3]))
 def test_a_warm_layout_gives_the_bits_of_a_cold_one_and_of_the_term_lists(case, t):
     """One structure built twice with different coefficients: the second build, on the
-    layouts the first cached, equals a build with the caches cleared and the term lists,
+    layouts the first cached, equals a build with the cache cleared and the term lists,
     bit for bit."""
     n, structure, lead, draws = case
     t = np.array([t, 0.4][: max(1, n - 1)])
@@ -339,7 +334,7 @@ def test_a_warm_layout_gives_the_bits_of_a_cold_one_and_of_the_term_lists(case, 
         warm = _builds(n, polys, lead, t)
         if coeffs is draws[1]:  # the first build cached every layout of this structure
             assert _poly._family_layout.cache_info().hits > hits
-        _clear_layouts()
+        _poly._family_layout.cache_clear()
         cold = _builds(n, polys, lead, t)
         assert len(warm) == len(cold) and all(map(_same_poly, warm, cold))
         with mock.patch.object(term_lists, "_or_zero", lambda out, terms, dropped=0: out):
@@ -350,25 +345,22 @@ def test_a_warm_layout_gives_the_bits_of_a_cold_one_and_of_the_term_lists(case, 
 def test_cached_layouts_are_read_only():
     rows = (((2, 1), (0, 3), (2, 1)), ((1, 0),))
     groups = (((0, None), (1, None)), ((0, 0), (0, 1), (1, 0), (1, 1)))
-    exps = np.array([[1, 0], [0, 2], [1, 0]])
-    layouts = [_poly._family_layout(2, rows, groups),
-               _poly._exps_layout(exps.dtype, exps.shape, exps.tobytes())]
-    arrays = list(_arrays(layouts))
-    assert len(arrays) == 11 and not any(a.flags.writeable for a in arrays)
+    layout = _poly._family_layout(2, rows, groups)
+    arrays = list(_arrays(layout))
+    assert len(arrays) == 5 and not any(a.flags.writeable for a in arrays)
     # the polynomials hold the cached exponent matrices, not copies
-    assert poly_collect(exps, np.ones(3)).exps is layouts[1][0][0]
+    family = _poly.poly_family(2, rows, np.arange(4.0), groups)
+    assert all(p.exps is exps for p, (exps, _) in zip(family, layout[3]))
     with pytest.raises(ValueError, match="read-only"):
-        layouts[1][0][0][0, 0] = 5
+        layout[3][0][0][0, 0] = 5
 
 
-def test_each_cache_keeps_at_most_32_layouts():
-    _clear_layouts()
+def test_the_cache_keeps_at_most_32_layouts():
+    _poly._family_layout.cache_clear()
     for k in range(40):  # 40 structures, each with a repeated monomial
         VectorFieldFn.polynomial(1, [[(1.0, (k,)), (2.0, (k,))]])
-        poly_collect(np.array([[k], [k]]), np.ones(2))
-    for helper in (_poly._family_layout, _poly._exps_layout):
-        info = helper.cache_info()
-        assert info.maxsize == 32 and info.currsize == 32 and info.misses >= 40
+    info = _poly._family_layout.cache_info()
+    assert info.maxsize == 32 and info.currsize == 32 and info.misses >= 40
 
 
 def _arrays(value):

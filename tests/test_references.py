@@ -910,6 +910,18 @@ class TestEveryVectorIsRankOne:
             for seed, n_starts, max_iter in GRIFFITHS_SETTINGS:
                 assert griffiths_min_gap(cm, n_starts, max_iter, seed) == lam
 
+    @pytest.mark.parametrize("n,d", [(1, 3), (3, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_curvature_not_finite_gives_minus_inf(self, monkeypatch, n, d, bad):
+        # LAPACK fails to converge on a 3 x 3 NaN pencil, so none is eigensolved
+        cm = curvature_matrix(builtin_field("gaussian_times_spd", {"n": n, "d": d}), np.zeros(n))
+        theta = cm.theta_tilde.copy()
+        theta[0, 0] = bad
+        counted = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+        with np.errstate(invalid="ignore"):  # inf * 0.0 in the congruence
+            assert griffiths_min_gap(CurvatureMatrix(d, n, theta, cm.g, 0.0)) == -np.inf
+        assert counted == []
+
 
 #: s of raufi_corrected, down to a maximum of +4.1e-9 at s = -3e-9 (RAUFI_POINT)
 RAUFI_S = [1.0, 0.5, 0.15, 0.05, 0.02, 0.005, -3e-9]
