@@ -154,10 +154,10 @@ def griffiths_min_gap(
     root of one polynomial of degree 8, and the value is the largest at those angles, each
     refined by one Newton step.  When min(n, d) = 1 every vector is rank-one, so the value
     is Nakano's lambda_max, the top generalized eigenvalue (as ``generalized_spectrum``
-    gives it), or -inf without an eigensolve if the pencil has an entry that is not
-    finite, as for a search whose starts are all NaN.  On both shapes
-    ``n_starts``, ``max_iter`` and ``seed`` are checked but not used, and no random number
-    is drawn.
+    gives it).  On both shapes ``n_starts``, ``max_iter`` and ``seed`` are checked but not
+    used, and no random number is drawn.  On every shape, a pencil with an entry that is
+    not finite gives -inf, as for a search whose starts are all NaN, with no eigensolve and
+    no random number (LAPACK fails to converge on a 3 x 3 NaN matrix).
 
     Every other shape runs an alternating maximization (top generalized eigenvector in u
     at fixed y, top eigenvector in y at fixed u), multi-started.  The starts run as one
@@ -185,8 +185,10 @@ def griffiths_min_gap(
     d, n = cm.d, cm.n
     _, invroot = cm.g.sqrt_and_invsqrt()
     pencil = metric_pencil(invroot, cm.theta_tilde)
+    if not np.isfinite(pencil).all():
+        return -np.inf
     if min(n, d) == 1:
-        return float(np.linalg.eigvalsh(pencil)[-1]) if np.isfinite(pencil).all() else -np.inf
+        return float(np.linalg.eigvalsh(pencil)[-1])
     # theta_tilde and its pencil, shaped (n, d, n, d), hold entry (a, b) of block
     # (j, k) at [k, a, j, b]; row (j, k) of P is the pencil of block (j, k), and as
     # the pencil is linear in the block, the u-step's pencil at y is (y (x) y) P

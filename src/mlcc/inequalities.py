@@ -12,6 +12,7 @@ quadrature marginal versus the curvature-plus-variance decomposition.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -27,10 +28,9 @@ from .curvature import (
     nakano_verdict,
     schur_gap,
 )
-from .errors import InputError
+from .errors import InputError, _UnderflowError
 from .fields import Jet2, MatrixField, _checked_differences, _step, restrict_field
-from .metric import (DEFAULT_NULL_TOL, ColumnBlockMatrix, PolarOperator, QuadraticFormSpec,
-                     metric_pencil)
+from .metric import DEFAULT_NULL_TOL, ColumnBlockMatrix, PolarOperator, metric_pencil
 from .quadrature import (
     DirichletEvaluator,
     QuadratureRule,
@@ -254,6 +254,18 @@ def bochner_residual(
     )
 
 
+@contextmanager
+def _frozen_t():
+    """Around an evaluation at the fiber nodes (t, y_i), or at route A's nodes
+    (t +- k h, y_i), inside ``_rule_nodes``: a weight that underflows there also names
+    --t, which puts those nodes where they are whatever the rule."""
+    try:
+        yield
+    except _UnderflowError as exc:
+        raise _UnderflowError(f"{exc}, or another --t (every rule puts its fiber nodes "
+                              "(t, y_i) at this t)", exc.index) from None
+
+
 def _marginal_jet(field: MatrixField, t, rule: QuadratureRule, h: float) -> Jet2:
     """2-jet of alpha(t) = int g(t, y) dy by Richardson-extrapolated differences in t."""
     h = _step(h, _MARGINAL_STEP_NAME)
@@ -261,7 +273,8 @@ def _marginal_jet(field: MatrixField, t, rule: QuadratureRule, h: float) -> Jet2
     integrals = []  # validated, in stencil order: the centre is the jet's value
 
     def alpha(ts):
-        integrals[:] = [integrate_field(restrict_field(field, tt), rule) for tt in ts]
+        with _frozen_t():
+            integrals[:] = [integrate_field(restrict_field(field, tt), rule) for tt in ts]
         return np.stack([a.entries for a in integrals])
 
     d1, d2 = _checked_differences(alpha, t, h, richardson=True, what=_MARGINAL_STEP_NAME)
@@ -304,29 +317,35 @@ def theta_alpha_decomposed(
     return term_curv00 + term_var, term_curv00, term_var
 
 
-def _schur_margin(cm: CurvatureMatrix, n0: int):
+def _schur_margin(cm: CurvatureMatrix, n0: int, pencil: np.ndarray | None = None):
     """Smallest generalized eigenvalue of (S, id_n0 (x) g) over one fiber node or a
     stack, the node attaining it (None for one node) and its eigenvector V0 with
-    <V0, V0>_g = 1.  S = -Theta_00 - Theta_10^T (-Theta_11)^+ Theta_10, the matrix of
-    V0 -> schur_gap(split, V0), is the polar form of -Theta_11 on the columns of
-    (id_n1 (x) g)^{-1} Theta_10; -inf (no node, no V0) when a column leaves its range.
+    <V0, V0>_g = 1.  S = -Theta_00 - Theta_10^T (-Theta_11)^+ Theta_10 is the matrix of
+    V0 -> schur_gap(split, V0); -inf (no node, no V0) when a column of Theta_10 leaves
+    the range of -Theta_11.
+
+    All of it is read off the blocks of the curvature pencil P = (id_n (x) g)^{-1/2}
+    Theta (id_n (x) g)^{-1/2} (``pencil``, formed here when None): the generalized
+    eigenvalues of (S, id_n0 (x) g) are those of S~ = -P_00 - P_10^T (-P_11)^+ P_10,
+    whose pseudo-inverse part is the polar form of -P_11 under the identity metric
+    (``PolarOperator._of_pencil``, with its null rule) on the columns of P_10, and
+    V0 = (id_n0 (x) g^{-1/2}) w for S~'s eigenvector w.  The S~ stack stays in pencil
+    coordinates: S itself is its congruence by (id_n0 (x) g^{1/2}).
     """
-    split = block_split(cm, n0)
-    d, lead = split.d, cm.theta_tilde.shape[:-2]
-    polar = PolarOperator(QuadraticFormSpec(cm.g, -split.theta11))
-    mixed = np.linalg.solve(cm.g.entries[..., None, :, :],
-                            split.theta01_tilde.reshape(lead + (split.n1, d, n0 * d)))
-    coords = polar._coord_map @ mixed.reshape(lead + (split.n1 * d, n0 * d))
+    _, invroot = cm.g.sqrt_and_invsqrt()
+    if pencil is None:
+        pencil = metric_pencil(invroot, cm.theta_tilde)
+    d, cut, lead = cm.d, n0 * cm.d, pencil.shape[:-2]
+    polar = PolarOperator._of_pencil(-pencil[..., cut:, cut:])
+    coords = polar._coord_map @ pencil[..., cut:, :cut]
     denominators, off_range = polar._denominators_and_off_range(
         np.moveaxis(coords, -1, 0) ** 2)
     if off_range is not None and off_range.any():
         return -np.inf, None, None
-    inv = coords / denominators[..., None]
-    s = -split.theta00 - coords.swapaxes(-1, -2) @ inv
-    _, invroot = cm.g.sqrt_and_invsqrt()
-    lam, w = np.linalg.eigh(metric_pencil(invroot, s))
+    s = -pencil[..., :cut, :cut] - coords.swapaxes(-1, -2) @ (coords / denominators[..., None])
+    lam, w = np.linalg.eigh(s)  # S~ from its lower triangle: s is symmetric up to rounding
     # V0 = (id_n0 (x) g^{-1/2}) w at every node
-    v0 = (w[..., :, 0].reshape(lead + (n0, d)) @ invroot).reshape(-1, n0 * d)
+    v0 = (w[..., :, 0].reshape(lead + (n0, d)) @ invroot).reshape(-1, cut)
     lam_min = lam[..., 0].reshape(-1)
     i = int(np.argmin(lam_min))
     return float(lam_min[i]), i if lead else None, v0[i]
@@ -348,9 +367,21 @@ def _fiber_pass(field: MatrixField, t: np.ndarray,
     """The jet and the curvature stack of ``field`` over the fiber nodes (t, y_i),
     from one jet evaluation; an asymmetric jet names its fiber point."""
     x = _fiber_nodes(t, rule)
-    with _rule_nodes():
+    with _frozen_t(), _rule_nodes():
         jet = field.jet(x)
     return jet, curvature_matrix(field, x, jet)
+
+
+def _certified(pencil: np.ndarray, tol_psd: float) -> bool:
+    """Whether every pencil P of a stack is certified P <= tol_psd I, with no spectrum: a
+    Cholesky factorization of tol_psd I - P succeeds and its factor is finite (OpenBLAS
+    factors a NaN matrix into NaNs without raising).  The verdict can differ from the
+    spectrum's only where lambda_max(P) lies within rounding of ``tol_psd``."""
+    try:
+        factor = np.linalg.cholesky(tol_psd * np.eye(pencil.shape[-1]) - pencil)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
 
 
 def prekopa_check(
@@ -365,15 +396,22 @@ def prekopa_check(
     N-log-concave at ``t``, with two-route agreement on the quadratic form.
 
     The hypothesis gate requires N-log-concavity of the field at every fiber
-    node (t, y_i); if it fails, the report is degenerate and
+    node (t, y_i): the curvature pencil P = (id_n (x) g)^{-1/2} Theta
+    (id_n (x) g)^{-1/2}, formed once per check, must satisfy P <= tol_psd I.
+    It passes when a Cholesky factorization of tol_psd I - P gives a finite
+    factor at every node (``_certified``); only where one does not is the
+    spectrum of P computed, and then it decides.  So the gate's verdict can
+    differ from the spectrum's only where lambda_max(P) lies within rounding of
+    ``tol_psd``.  If the gate fails, the report is degenerate and
     ``lambda_max_nodes`` is the largest curvature eigenvalue at the first node
     above ``tol_psd``.  ``route_diff`` is d*n0 times the spectral norm of the
     difference of the two routes' matrices, which bounds
     |v (A - B) v| / (1 + |v B v|) over the box [-1, 1]^{d*n0}.
     ``schur_margin`` is the smallest generalized eigenvalue of (Schur
     complement S, id_n0 (x) g) over the fiber nodes before the first gate
-    failure (all of them on a passing gate), -inf (and the status degenerate)
-    when the form is infinite along some direction.  ``schur_route_diff`` is
+    failure (all of them on a passing gate), read off the blocks of the same
+    pencil (``_schur_margin``), -inf (and the status degenerate) when the form
+    is infinite along some direction.  ``schur_route_diff`` is
     |schur_gap - schur_margin| / max(1, |schur_margin|) for schur_gap at the
     attaining node and its unit eigenvector V0; it is held to ``ROUTE_TOL``
     (1e-4, reported as ``tol_route``) with ``route_diff``, and absent when the
@@ -386,22 +424,25 @@ def prekopa_check(
     h = _step(h, _MARGINAL_STEP_NAME)
     settings = {"rule": rule.kind, "nodes": rule.count, "h": h}
     jet, cm = _fiber_pass(field, t, rule)
-    lambda_max = generalized_spectrum(cm)[:, -1]
-    above = np.flatnonzero(lambda_max > tol_psd)
-    if above.size:
-        first = int(above[0])
-        if first:
-            # the margin goes unreported, but an indefinite -Theta_11 at a node
-            # before the first failure still raises NotPsdError
-            _schur_margin(_nodes(cm, slice(first)), n0)
-        return CheckReport(
-            name="prekopa_check",
-            status="degenerate",
-            metrics={"lambda_max_nodes": float(lambda_max[first])},
-            tolerances={"tol_psd": tol_psd},
-            settings=settings,
-        )
-    schur_margin, node, v0 = _schur_margin(cm, n0)
+    pencil = metric_pencil(cm.g.sqrt_and_invsqrt()[1], cm.theta_tilde)
+    if not _certified(pencil, tol_psd):
+        # the spectrum decides, and names the first node above tol_psd
+        lambda_max = np.linalg.eigvalsh(pencil)[:, -1]
+        above = np.flatnonzero(lambda_max > tol_psd)
+        if above.size:
+            first = int(above[0])
+            if first:
+                # the margin goes unreported, but an indefinite -Theta_11 at a node
+                # before the first failure still raises NotPsdError
+                _schur_margin(_nodes(cm, slice(first)), n0, pencil[:first])
+            return CheckReport(
+                name="prekopa_check",
+                status="degenerate",
+                metrics={"lambda_max_nodes": float(lambda_max[first])},
+                tolerances={"tol_psd": tol_psd},
+                settings=settings,
+            )
+    schur_margin, node, v0 = _schur_margin(cm, n0, pencil)
     cm_alpha = marginal_theta_fd(field, t, rule, h)
     lambda_max_alpha = float(generalized_spectrum(cm_alpha)[-1])
     total, _, _ = theta_alpha_decomposed(field, t, rule, (jet, cm))

@@ -278,7 +278,23 @@ class PolarOperator:
 
     def __init__(self, spec: QuadraticFormSpec):
         root, invroot = spec.metric.sqrt_and_invsqrt()
-        lam, w = np.linalg.eigh(metric_pencil(invroot, spec.form))
+        self._build(metric_pencil(invroot, spec.form), root)
+
+    @classmethod
+    def _of_pencil(cls, pencil: np.ndarray) -> "PolarOperator":
+        """The polar operator of a form under the identity metric, built on ``pencil`` (a
+        symmetric matrix or a stack) as ``__init__`` builds it on a metric pencil: the same
+        ``eigh``, indefiniteness check and null rule.  Its eigencoordinate map is w^T, so a
+        form already congruenced by its metric's inverse root, such as a block of a
+        curvature pencil, is not congruenced again."""
+        polar = object.__new__(cls)
+        polar._build(pencil, None)
+        return polar
+
+    def _build(self, pencil: np.ndarray, root: np.ndarray | None) -> None:
+        """Diagonalize ``pencil``, check that each form is PSD, and keep the eigenvalues and
+        the eigencoordinate map w^T (id_n (x) root), or w^T when ``root`` is None."""
+        lam, w = np.linalg.eigh(pencil)
         lam_min, lam_max = lam[..., 0], lam[..., -1]
         if lam_min.min() < -PSD_TOL:
             bad = (lam_min < -PSD_TOL * np.maximum(lam_max, 0.0)) & (lam_min < -PSD_TOL)
@@ -290,10 +306,12 @@ class PolarOperator:
                 )
         self.eigenvalues = np.maximum(lam, 0.0)
         self.lam_max = np.maximum(lam_max, 0.0)
-        # maps v to its metric-orthonormal eigencoordinates w^T (id_n (x) root) v
-        d, nd = root.shape[-1], w.shape[-1]
-        wt = w.swapaxes(-1, -2).reshape(w.shape[:-2] + (nd * nd // d, d))
-        self._coord_map = (wt @ root).reshape(w.shape)
+        self._coord_map = w.swapaxes(-1, -2)
+        if root is not None:
+            # maps v to its metric-orthonormal eigencoordinates w^T (id_n (x) root) v
+            d, nd = root.shape[-1], w.shape[-1]
+            wt = self._coord_map.reshape(w.shape[:-2] + (nd * nd // d, d))
+            self._coord_map = (wt @ root).reshape(w.shape)
         if w.ndim > 2:  # a stack: (dn, dn, N) and (dn, N) rows behind node-first views
             self._coord_rows = np.ascontiguousarray(self._coord_map.transpose(1, 2, 0))
             eigen_rows = np.ascontiguousarray(self.eigenvalues.T)

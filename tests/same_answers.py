@@ -23,7 +23,9 @@ one monomial structure twice in a row with other coefficients (``WARM``: two ``b
 each pair runs on the polynomial layouts the first one cached;
 what the front end prints for argvs that do not parse or that a check rejects
 (``FRONT_END``); a ``schur`` report with a "-inf" gap and empty settings (exit 3);
-and a ``bl`` report with diagnostics.  Pytest does not collect this file.
+a ``bl`` report with diagnostics; and ``prekopa`` on ``double_well_scalar`` at t = 0, where
+the hypothesis gate fails (exit 3), and at t = 1.5, where it passes.  Pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -153,6 +155,8 @@ def argvs() -> list[list[str]]:
                 "--n0", "1"])
     out.append(["bl", "--field", "gaussian_scalar", "--test-fn", "poly:y^2", "--order", "8",
                 "--scale", "0.3"])
+    out += [["prekopa", "--field", "double_well_scalar", "--n0", "1", "--t", t]
+            for t in ("0", "1.5")]
     return out + list(WARM)
 
 

@@ -47,6 +47,7 @@ from mlcc import (
     curvature_matrix,
     dirichlet_energy,
     generalized_spectrum,
+    griffiths_check,
     griffiths_min_gap,
     integrate_field,
     ipp_residual,
@@ -67,7 +68,7 @@ from conftest import poly_of, poly_terms, poly_written
 from mlcc._poly import poly_diff, poly_eval, poly_substitute_prefix
 from mlcc.curvature import curvature_from_jet
 from mlcc.fields import MatrixField
-from mlcc.inequalities import _schur_margin
+from mlcc.inequalities import _certified, _schur_margin
 from mlcc.metric import PolarOperator, metric_pencil
 
 from conftest import random_orthogonal
@@ -886,6 +887,27 @@ class TestStackedGriffiths:
             assert griffiths_loop(bad, 8, 3) == -np.inf
             assert griffiths_min_gap(bad, 8, 3) == -np.inf
 
+    @pytest.mark.parametrize("name,params", [
+        ("gaussian_times_spd", {"n": 3, "d": 2}),
+        ("gaussian_cross_spd", {"c": 0.5, "d": 3}),
+    ])
+    def test_a_nan_curvature_skips_the_search(self, monkeypatch, name, params):
+        # LAPACK fails to converge on these shapes' 3 x 3 NaN u- or y-step matrices, so
+        # a pencil that is not finite is -inf before any start is drawn or eigensolved
+        field = builtin_field(name, params)
+        cm = curvature_matrix(field, np.full(field.n, 0.1))
+        bad = CurvatureMatrix(cm.d, cm.n, np.full_like(cm.theta_tilde, np.nan), cm.g, 0.0)
+        cm.g.sqrt_and_invsqrt()  # g's roots are not counted below
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a random number generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        counted = _count_calls(monkeypatch, np.linalg, "eigh")
+        assert griffiths_min_gap(bad) == -np.inf
+        assert griffiths_check(bad).status == "degenerate"
+        assert counted == []
+
 
 class TestEveryVectorIsRankOne:
     """min(n, d) = 1: every vector is rank-one, so the value is Nakano's lambda_max, found
@@ -1334,8 +1356,14 @@ class TestOneFiberPass:
 
         monkeypatch.setattr(SpdMatrix, "sqrt_and_invsqrt", recording)
         assert prekopa_check(field, [0.1], 1, rule).passed
-        # the gate's spectrum, the polar operator of -Theta_11 and the Schur pencil
-        assert len(outs) == 3 and all(o[1] is outs[0][1] for o in outs)
+        # the fiber pencil of the gate and the Schur margin, and the margin's map to V0
+        assert len(outs) == 2 and all(o[1] is outs[0][1] for o in outs)
+
+    def test_a_pencil_that_is_not_finite_is_not_certified(self):
+        # OpenBLAS factors a NaN matrix into NaNs without raising; the gate's spectrum
+        # then decides, as it did for every stack before the certificate
+        pencils = np.stack([-np.eye(4), np.full((4, 4), np.nan)])
+        assert _certified(pencils[:1], 1e-8) and not _certified(pencils, 1e-8)
 
     def test_the_shared_fiber_gives_the_same_route_b(self):
         field = builtin_field("perturbed_gaussian_spd")

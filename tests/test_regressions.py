@@ -284,6 +284,21 @@ def test_every_quadrature_underflow_names_the_rule_flags(capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert "the weight underflows to 0" in err and "lower --order or --scale" in err
+    assert ("--t" in err) == (argv[0] == "prekopa")
+
+
+@pytest.mark.parametrize("argv", [
+    # the fiber pass: e^{-q} is 0 at every node (40, y_i), whatever the rule
+    ["--field", "gaussian_cross_spd", "--t", "40"],
+    # route A: the fiber nodes at t = 1.5 pass the gate, the restriction at t + h underflows
+    ["--field", "double_well_scalar", "--t", "1.5", "--marginal-h", "4"],
+])
+def test_a_prekopa_underflow_names_t(capsys, argv):
+    code = run(["prekopa", "--n0", "1", "--order", "5", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "the weight underflows to 0" in err
+    assert "lower --order or --scale, or another --t" in err
 
 
 @pytest.mark.parametrize("command", [["nakano"], ["griffiths"], ["schur", "--n0", "1"]])

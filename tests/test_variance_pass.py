@@ -235,9 +235,9 @@ def test_single_forms_build_no_node_last_rows_and_a_stack_has_them_from_construc
     Prekopa fiber's or the evaluator's, has them from its construction: contiguous
     read-only rows, node axis last, behind the node-first ``_coord_map`` and
     ``eigenvalues``."""
-    built, init = [], PolarOperator.__init__
-    monkeypatch.setattr(PolarOperator, "__init__",
-                        lambda self, spec: built.append(self) or init(self, spec))
+    built, build = [], PolarOperator._build  # both constructors build through it
+    monkeypatch.setattr(PolarOperator, "_build",
+                        lambda self, pencil, root: built.append(self) or build(self, pencil, root))
     field = builtin_field("gaussian_cross_spd", {"c": 0.5, "d": 2})
     cm = curvature_matrix(field, np.array([0.1, -0.2]))
     schur_gap(block_split(cm, 1), ColumnBlockMatrix([np.array([0.6, 0.8])]))
@@ -246,12 +246,12 @@ def test_single_forms_build_no_node_last_rows_and_a_stack_has_them_from_construc
                 "--n0", "1", "--no-timestamp"]) == 0
     assert len(built) == 3 and not any(hasattr(p, "_coord_rows") for p in built)
     built.clear()
-    # the fiber's stack for the Schur margin, then one form for schur_gap at its node
+    # the fiber pencil's stack for the Schur margin, then one form for schur_gap at its node
     assert prekopa_check(field, [0.1], 1, build_rule("gauss_hermite", order=48, m=1)).passed
     assert [p._coord_map.ndim for p in built] == [3, 2]
     assert not hasattr(built[1], "_coord_rows")
     ev = _evaluator(field)
-    for polar, dn, count in ((built[0], 2, 48), (ev._polar, 4, 144)):  # -Theta_11, -Theta
+    for polar, dn, count in ((built[0], 2, 48), (ev._polar, 4, 144)):  # -P_11, -Theta
         rows = polar._coord_rows
         assert rows.shape == (dn, dn, count) and rows.flags.c_contiguous
         assert polar._coord_map.base is rows and polar.eigenvalues.shape == (count, dn)
