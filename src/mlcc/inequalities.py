@@ -254,16 +254,20 @@ def bochner_residual(
     )
 
 
+_FIBER_T_HINT = ", or another --t (every rule puts its fiber nodes (t, y_i) at this t)"
+_ROUTE_A_T_HINT = (", or another --t or a smaller --marginal-h (every rule puts route A's "
+                   "nodes (s, y_i) at s = t, t +- h/2 and t +- h)")
+
+
 @contextmanager
-def _frozen_t():
-    """Around an evaluation at the fiber nodes (t, y_i), or at route A's nodes
-    (t +- k h, y_i), inside ``_rule_nodes``: a weight that underflows there also names
-    --t, which puts those nodes where they are whatever the rule."""
+def _frozen_t(hint: str):
+    """Around an evaluation inside ``_rule_nodes`` at nodes whose first coordinates the
+    rule does not choose: a weight that underflows there also gets ``hint``, which names
+    the flags that put those coordinates where they are."""
     try:
         yield
     except _UnderflowError as exc:
-        raise _UnderflowError(f"{exc}, or another --t (every rule puts its fiber nodes "
-                              "(t, y_i) at this t)", exc.index) from None
+        raise _UnderflowError(f"{exc}{hint}", exc.index) from None
 
 
 def _marginal_jet(field: MatrixField, t, rule: QuadratureRule, h: float) -> Jet2:
@@ -273,7 +277,7 @@ def _marginal_jet(field: MatrixField, t, rule: QuadratureRule, h: float) -> Jet2
     integrals = []  # validated, in stencil order: the centre is the jet's value
 
     def alpha(ts):
-        with _frozen_t():
+        with _frozen_t(_ROUTE_A_T_HINT):
             integrals[:] = [integrate_field(restrict_field(field, tt), rule) for tt in ts]
         return np.stack([a.entries for a in integrals])
 
@@ -317,15 +321,15 @@ def theta_alpha_decomposed(
     return term_curv00 + term_var, term_curv00, term_var
 
 
-def _schur_margin(cm: CurvatureMatrix, n0: int, pencil: np.ndarray | None = None):
+def _schur_margin(cm: CurvatureMatrix, n0: int, pencil: np.ndarray):
     """Smallest generalized eigenvalue of (S, id_n0 (x) g) over one fiber node or a
     stack, the node attaining it (None for one node) and its eigenvector V0 with
     <V0, V0>_g = 1.  S = -Theta_00 - Theta_10^T (-Theta_11)^+ Theta_10 is the matrix of
     V0 -> schur_gap(split, V0); -inf (no node, no V0) when a column of Theta_10 leaves
     the range of -Theta_11.
 
-    All of it is read off the blocks of the curvature pencil P = (id_n (x) g)^{-1/2}
-    Theta (id_n (x) g)^{-1/2} (``pencil``, formed here when None): the generalized
+    All of it is read off the blocks of ``pencil``, the curvature pencil P = (id_n (x)
+    g)^{-1/2} Theta (id_n (x) g)^{-1/2} of ``cm`` that the caller formed: the generalized
     eigenvalues of (S, id_n0 (x) g) are those of S~ = -P_00 - P_10^T (-P_11)^+ P_10,
     whose pseudo-inverse part is the polar form of -P_11 under the identity metric
     (``PolarOperator._of_pencil``, with its null rule) on the columns of P_10, and
@@ -333,8 +337,6 @@ def _schur_margin(cm: CurvatureMatrix, n0: int, pencil: np.ndarray | None = None
     coordinates: S itself is its congruence by (id_n0 (x) g^{1/2}).
     """
     _, invroot = cm.g.sqrt_and_invsqrt()
-    if pencil is None:
-        pencil = metric_pencil(invroot, cm.theta_tilde)
     d, cut, lead = cm.d, n0 * cm.d, pencil.shape[:-2]
     polar = PolarOperator._of_pencil(-pencil[..., cut:, cut:])
     coords = polar._coord_map @ pencil[..., cut:, :cut]
@@ -367,21 +369,9 @@ def _fiber_pass(field: MatrixField, t: np.ndarray,
     """The jet and the curvature stack of ``field`` over the fiber nodes (t, y_i),
     from one jet evaluation; an asymmetric jet names its fiber point."""
     x = _fiber_nodes(t, rule)
-    with _frozen_t(), _rule_nodes():
+    with _frozen_t(_FIBER_T_HINT), _rule_nodes():
         jet = field.jet(x)
     return jet, curvature_matrix(field, x, jet)
-
-
-def _certified(pencil: np.ndarray, tol_psd: float) -> bool:
-    """Whether every pencil P of a stack is certified P <= tol_psd I, with no spectrum: a
-    Cholesky factorization of tol_psd I - P succeeds and its factor is finite (OpenBLAS
-    factors a NaN matrix into NaNs without raising).  The verdict can differ from the
-    spectrum's only where lambda_max(P) lies within rounding of ``tol_psd``."""
-    try:
-        factor = np.linalg.cholesky(tol_psd * np.eye(pencil.shape[-1]) - pencil)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.isfinite(factor).all())
 
 
 def prekopa_check(
@@ -396,13 +386,9 @@ def prekopa_check(
     N-log-concave at ``t``, with two-route agreement on the quadratic form.
 
     The hypothesis gate requires N-log-concavity of the field at every fiber
-    node (t, y_i): the curvature pencil P = (id_n (x) g)^{-1/2} Theta
-    (id_n (x) g)^{-1/2}, formed once per check, must satisfy P <= tol_psd I.
-    It passes when a Cholesky factorization of tol_psd I - P gives a finite
-    factor at every node (``_certified``); only where one does not is the
-    spectrum of P computed, and then it decides.  So the gate's verdict can
-    differ from the spectrum's only where lambda_max(P) lies within rounding of
-    ``tol_psd``.  If the gate fails, the report is degenerate and
+    node (t, y_i): the top eigenvalue of the curvature pencil P = (id_n (x)
+    g)^{-1/2} Theta (id_n (x) g)^{-1/2}, formed once per check, must be at most
+    ``tol_psd`` at every node.  If the gate fails, the report is degenerate and
     ``lambda_max_nodes`` is the largest curvature eigenvalue at the first node
     above ``tol_psd``.  ``route_diff`` is d*n0 times the spectral norm of the
     difference of the two routes' matrices, which bounds
@@ -425,23 +411,21 @@ def prekopa_check(
     settings = {"rule": rule.kind, "nodes": rule.count, "h": h}
     jet, cm = _fiber_pass(field, t, rule)
     pencil = metric_pencil(cm.g.sqrt_and_invsqrt()[1], cm.theta_tilde)
-    if not _certified(pencil, tol_psd):
-        # the spectrum decides, and names the first node above tol_psd
-        lambda_max = np.linalg.eigvalsh(pencil)[:, -1]
-        above = np.flatnonzero(lambda_max > tol_psd)
-        if above.size:
-            first = int(above[0])
-            if first:
-                # the margin goes unreported, but an indefinite -Theta_11 at a node
-                # before the first failure still raises NotPsdError
-                _schur_margin(_nodes(cm, slice(first)), n0, pencil[:first])
-            return CheckReport(
-                name="prekopa_check",
-                status="degenerate",
-                metrics={"lambda_max_nodes": float(lambda_max[first])},
-                tolerances={"tol_psd": tol_psd},
-                settings=settings,
-            )
+    lambda_max = np.linalg.eigvalsh(pencil)[:, -1]
+    above = np.flatnonzero(lambda_max > tol_psd)
+    if above.size:
+        first = int(above[0])
+        if first:
+            # the margin goes unreported, but an indefinite -Theta_11 at a node
+            # before the first failure still raises NotPsdError
+            _schur_margin(_nodes(cm, slice(first)), n0, pencil[:first])
+        return CheckReport(
+            name="prekopa_check",
+            status="degenerate",
+            metrics={"lambda_max_nodes": float(lambda_max[first])},
+            tolerances={"tol_psd": tol_psd},
+            settings=settings,
+        )
     schur_margin, node, v0 = _schur_margin(cm, n0, pencil)
     cm_alpha = marginal_theta_fd(field, t, rule, h)
     lambda_max_alpha = float(generalized_spectrum(cm_alpha)[-1])

@@ -31,9 +31,8 @@ from mlcc import (  # noqa: E402
 from conftest import poly_terms  # noqa: E402
 from mlcc.curvature import _circle_poly  # noqa: E402
 from mlcc.fields import MatrixField  # noqa: E402
-from mlcc.inequalities import _certified, _schur_margin  # noqa: E402
 from mlcc.metric import metric_pencil  # noqa: E402
-from test_references import griffiths_loop, schur_margin_dense  # noqa: E402
+from test_references import griffiths_loop, schur_margin_dense, schur_margin_of  # noqa: E402
 
 GH32 = build_rule("gauss_hermite", order=32, m=1)
 
@@ -182,27 +181,6 @@ def test_value_and_jet_value_are_one_formula_with_repeated_terms(n, d, seed, jet
         assert value.shape == jet_value.shape and value.tobytes() == jet_value.tobytes()
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), nodes=st.integers(1, 6), dim=st.sampled_from([1, 2, 4, 6]),
-       log_scale=st.floats(-3.0, 3.0), tol_psd=st.sampled_from([1e-9, 1e-8, 0.5]))
-def test_the_cholesky_certificate_agrees_with_the_spectrum(seed, nodes, dim, log_scale,
-                                                           tol_psd):
-    """On a stack of symmetric pencils whose top eigenvalues sit 10^-13 to 1 of their scale
-    above or below tol_psd, the Prekopa gate's certificate (a finite Cholesky factor of
-    tol_psd I - P at every node) says pass exactly when every lambda_max <= tol_psd,
-    wherever each lambda_max is farther than 1e-12 max(1, ||P||_2) from tol_psd."""
-    rng = np.random.default_rng(seed)
-    scale = 10.0**log_scale
-    a = scale * rng.standard_normal((nodes, dim, dim))
-    p = 0.5 * (a + a.swapaxes(1, 2))
-    gap = rng.choice([-1.0, 1.0], nodes) * scale * 10.0 ** rng.uniform(-13.0, 0.0, nodes)
-    p -= (np.linalg.eigvalsh(p)[:, -1] - tol_psd - gap)[:, None, None] * np.eye(dim)
-    lam = np.linalg.eigvalsh(p)
-    norm = np.abs(lam).max(axis=1)
-    if np.all(np.abs(lam[:, -1] - tol_psd) > 1e-12 * np.maximum(1.0, norm)):
-        assert _certified(p, tol_psd) == bool(np.all(lam[:, -1] <= tol_psd))
-
-
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n0=st.sampled_from([1, 2]), n1=st.sampled_from([1, 2]),
        d=st.sampled_from([1, 2, 3]), nodes=st.integers(1, 5), null=st.booleans())
@@ -228,7 +206,7 @@ def test_the_pencil_margin_is_the_dense_schur_margin(seed, n0, n1, d, nodes, nul
     m = rng.standard_normal((nodes, d, d))
     g = SpdMatrix(m @ m.swapaxes(1, 2) + 0.5 * np.eye(d))
     cm = CurvatureMatrix(d, n0 + n1, theta, g, np.zeros(nodes))
-    margin = _schur_margin(cm, n0)[0]
+    margin = schur_margin_of(cm, n0)[0]
     if null:
         assert margin == -np.inf
     else:

@@ -41,8 +41,9 @@ from mlcc import (
 from mlcc.cli import _make_parser, run
 from mlcc.curvature import NakanoVerdict
 from mlcc.fields import BUILTIN_PARAMS, MatrixField, polynomial_field_from_json
-from mlcc.inequalities import _schur_margin
 from mlcc.quadrature import GH_MAX_ORDER, NODE_BUDGET, _gauss_hermite_axis, _hermgauss
+
+from test_references import schur_margin_of
 
 
 class TestPrekopaTolPsd:
@@ -114,7 +115,7 @@ class TestPrekopaSchurMargin:
         # Theta_01 V0 has a component along the null direction of Theta_11
         theta = np.array([[-1.0, 0.1], [0.1, 0.0]])
         cm = CurvatureMatrix(d=1, n=2, theta_tilde=theta, g=SpdMatrix(np.eye(1)), asymmetry=0.0)
-        assert _schur_margin(cm, 1)[0] == -np.inf
+        assert schur_margin_of(cm, 1)[0] == -np.inf
 
 
 def test_prekopa_n_v0_flag_is_gone(capsys):
@@ -287,18 +288,21 @@ def test_every_quadrature_underflow_names_the_rule_flags(capsys, argv):
     assert ("--t" in err) == (argv[0] == "prekopa")
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv,hint", [
     # the fiber pass: e^{-q} is 0 at every node (40, y_i), whatever the rule
-    ["--field", "gaussian_cross_spd", "--t", "40"],
+    (["--field", "gaussian_cross_spd", "--t", "40"],
+     "or another --t (every rule puts its fiber nodes (t, y_i) at this t)"),
     # route A: the fiber nodes at t = 1.5 pass the gate, the restriction at t + h underflows
-    ["--field", "double_well_scalar", "--t", "1.5", "--marginal-h", "4"],
+    (["--field", "double_well_scalar", "--t", "1.5", "--marginal-h", "4"],
+     "or another --t or a smaller --marginal-h (every rule puts route A's nodes (s, y_i) "
+     "at s = t, t +- h/2 and t +- h)"),
 ])
-def test_a_prekopa_underflow_names_t(capsys, argv):
+def test_a_prekopa_underflow_names_t(capsys, argv, hint):
     code = run(["prekopa", "--n0", "1", "--order", "5", *argv])
     err = capsys.readouterr().err
     assert code == 2
     assert "the weight underflows to 0" in err
-    assert "lower --order or --scale, or another --t" in err
+    assert f"lower --order or --scale, {hint}" in err
 
 
 @pytest.mark.parametrize("command", [["nakano"], ["griffiths"], ["schur", "--n0", "1"]])

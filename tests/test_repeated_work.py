@@ -50,8 +50,8 @@ def _bits(a) -> bytes:
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of the eigensolvers, np.linalg.solve and cholesky, np.any, SpdMatrix's
-    validation and restrict_field."""
+    """Calls of the eigensolvers, np.linalg.solve, np.any, SpdMatrix's validation and
+    restrict_field."""
     seen = Counter()
 
     def counted(owner, name, key):
@@ -63,7 +63,7 @@ def counts(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("eigh", "eigvalsh", "solve", "cholesky"):
+    for name in ("eigh", "eigvalsh", "solve"):
         counted(np.linalg, name, name)
     counted(np, "any", "np.any")
     counted(SpdMatrix, "__init__", "SpdMatrix")
@@ -73,9 +73,9 @@ def counts(monkeypatch):
 
 class TestPrekopaCounts:
     """One GH 16 check on each benchmark field, counted call by call: the fiber
-    stack and every integral of route A validated once, no standard spectrum, no
-    fiber spectrum behind a passing gate, one g^{-1/2} per stack, one g^{-1} d_j g
-    per jet, and no np.any in the restrictions."""
+    stack and every integral of route A validated once, no standard spectrum,
+    one g^{-1/2} per stack, one g^{-1} d_j g per jet, and no np.any in the
+    restrictions."""
 
     @pytest.mark.parametrize("name", sorted(BENCH_FIXTURES))
     @pytest.mark.parametrize("t", [-0.3, 0.1])
@@ -84,11 +84,9 @@ class TestPrekopaCounts:
         rule = build_rule("gauss_hermite", order=16, m=1)
         counts.clear()
         assert prekopa_check(field, [t], 1, rule).status == "pass"
-        # eigvalsh: the fiber stack's validation, the 5 node stacks and 5 integrals of
-        # route A, route B's integral and the marginal's spectrum (a passing gate's
-        # certificate is one Cholesky factorization, with no spectrum)
-        assert counts["eigvalsh"] == 13
-        assert counts["cholesky"] == 1
+        # eigvalsh: the fiber stack's validation, the gate's spectrum, the 5 node stacks
+        # and 5 integrals of route A, route B's integral and the marginal's spectrum
+        assert counts["eigvalsh"] == 14
         # eigh: the fiber's and the marginal's roots, the polar operator of -P_11 and
         # S~ of the Schur margin, and the polar operator of its second route
         assert counts["eigh"] == 5
