@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from ._poly import (Poly, poly_collect, poly_degrees, poly_eval, poly_partials,
+from ._poly import (Poly, poly_collect, poly_degrees, poly_diff, poly_eval, poly_rows,
                     poly_substitute_prefix)
 from .errors import InputError, NotPositiveError, _UnderflowError
 from .metric import SpdMatrix, _first
@@ -248,15 +248,21 @@ class MatrixField:
 
     @cached_property
     def _jet_terms(self):
-        """q and P with their partials, derived once, each stacked into one polynomial after
-        any member axis: entry 0 the polynomial, 1 + j its d_j, ``second[j, k]`` its d_j d_k."""
-        pairs = [(j, k) for j in range(self.n) for k in range(j, self.n)]
-        second = np.empty((self.n, self.n), dtype=int)
+        """q's and P's partials, derived once per field by ``poly_diff``: for each, the list
+        [p, d_j p for each j, d_k d_j p for j <= k, row-major], and ``second[j, k]`` the
+        index of d_j d_k in it.  A polynomial with no rows is its own partial."""
+        n = self.n
+        pairs = [(j, k) for j in range(n) for k in range(j, n)]
+        second = np.empty((n, n), dtype=int)
         for i, (j, k) in enumerate(pairs):
-            second[j, k] = second[k, j] = 1 + self.n + i
-        parts = [(0, part) for part in [(), *((j,) for j in range(self.n)), *pairs]]
-        lead = int(self.members is not None)
-        return poly_partials([self._q], parts, lead), poly_partials([self._p], parts, lead), second
+            second[j, k] = second[k, j] = 1 + n + i
+
+        def partials(poly):
+            diff = poly_diff if len(poly.exps) else lambda p, j: p
+            d1 = [diff(poly, j) for j in range(n)]
+            return [poly, *d1, *(diff(d1[j], k) for j, k in pairs)]
+
+        return partials(self._q), partials(self._p), second
 
     # -- evaluation: at one point, shape (n,), or a stack of them, (N, n) ----
 
@@ -326,9 +332,16 @@ class MatrixField:
             value = stack[:: stack.entries.shape[0] // len(x)] if x.ndim == 2 else stack[0]
             return Jet2(value=value, d1=d1, d2=d2)
         n = self.n
-        q_terms, p_terms, second = self._jet_terms
-        q = poly_eval(q_terms, x)[..., None, None]  # (..., K, 1, 1)
-        p = poly_eval(p_terms, x)  # (..., K, d, d)
+        q_parts, p_parts, second = self._jet_terms
+
+        def parts(polys):  # C-contiguous, points first, then any member axis, then K
+            rows = poly_rows(polys, x)  # (K, [M], shape, N)
+            front = (-1, 0) if self.members is None else (-1, 1, 0)
+            rows = rows.transpose(*front, *range(len(front) - 1, rows.ndim - 1))
+            return np.ascontiguousarray(rows).reshape(x.shape[:-1] + rows.shape[1:])
+
+        q = parts(q_parts)[..., None, None]  # (..., K, 1, 1)
+        p = parts(p_parts)  # (..., K, d, d)
         env = np.exp(-q[..., 0, :, :])
         p0, q1, p1 = p[..., 0, :, :], q[..., 1 : n + 1, :, :], p[..., 1 : n + 1, :, :]
         q2, p2 = q[..., second, :, :], p[..., second, :, :]

@@ -200,12 +200,14 @@ def ipp_residual(
     with _rule_nodes():
         jet = field.jet(x)
     gv = jet.value.entries
-    f_grad = f.grad(x)
+    # the gradients are read C-contiguous, as in _laplacian: the einsum's order of
+    # summation follows its operands' strides
+    f_grad, g_grad = (np.ascontiguousarray(fn.grad(x)) for fn in (f, g_fn))
     lf = _laplacian(jet, f_grad, f.hess(x))
     # Z is the gate on the weight: positive definite, the tail checked
     lhs, rhs = map(float, _integral(
         rule, gv, _node_form(lf, gv, g_fn.value(x)),
-        -np.einsum("nlk,nlm,nmk->n", f_grad, gv, g_fn.grad(x)))[1:])
+        -np.einsum("nlk,nlm,nmk->n", f_grad, gv, g_grad))[1:])
     residual = abs(lhs - rhs)
     tol = tol_res * max(1.0, abs(lhs), abs(rhs))
     return CheckReport(

@@ -279,6 +279,12 @@ class PolarOperator:
     def __init__(self, spec: QuadraticFormSpec):
         root, invroot = spec.metric.sqrt_and_invsqrt()
         self._build(metric_pencil(invroot, spec.form), root)
+        if self._coord_map.ndim > 2:  # a stack: (dn, dn, N) and (dn, N) rows behind views
+            self._coord_rows = np.ascontiguousarray(self._coord_map.transpose(1, 2, 0))
+            eigen_rows = np.ascontiguousarray(self.eigenvalues.T)
+            for a in (self._coord_rows, eigen_rows):
+                a.setflags(write=False)
+            self._coord_map, self.eigenvalues = self._coord_rows.transpose(2, 0, 1), eigen_rows.T
 
     @classmethod
     def _of_pencil(cls, pencil: np.ndarray) -> "PolarOperator":
@@ -286,7 +292,8 @@ class PolarOperator:
         symmetric matrix or a stack) as ``__init__`` builds it on a metric pencil: the same
         ``eigh``, indefiniteness check and null rule.  Its eigencoordinate map is w^T, so a
         form already congruenced by its metric's inverse root, such as a block of a
-        curvature pencil, is not congruenced again."""
+        curvature pencil, is not congruenced again.  It is read through ``_coord_map`` and
+        the null split, not :meth:`value`, so a stack lays out no node-last rows."""
         polar = object.__new__(cls)
         polar._build(pencil, None)
         return polar
@@ -312,12 +319,6 @@ class PolarOperator:
             d, nd = root.shape[-1], w.shape[-1]
             wt = self._coord_map.reshape(w.shape[:-2] + (nd * nd // d, d))
             self._coord_map = (wt @ root).reshape(w.shape)
-        if w.ndim > 2:  # a stack: (dn, dn, N) and (dn, N) rows behind node-first views
-            self._coord_rows = np.ascontiguousarray(self._coord_map.transpose(1, 2, 0))
-            eigen_rows = np.ascontiguousarray(self.eigenvalues.T)
-            for a in (self._coord_rows, eigen_rows):
-                a.setflags(write=False)
-            self._coord_map, self.eigenvalues = self._coord_rows.transpose(2, 0, 1), eigen_rows.T
         self._null_split = (None, None, None)  # (rel_null_tol, null flags, denominators)
 
     def _denominators_and_off_range(self, c2, rel_null_tol: float = DEFAULT_NULL_TOL):

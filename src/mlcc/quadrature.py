@@ -17,7 +17,7 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from ._poly import Poly, poly_degrees, poly_eval, poly_family, poly_partials, poly_rows
+from ._poly import poly_collect, poly_degrees, poly_diff, poly_rows
 from .curvature import curvature_matrix
 from .errors import NODE_BUDGET, BudgetError, InputError, QuadratureError, _UnderflowError
 from .fields import MatrixField, _whole_number, central_differences
@@ -223,15 +223,17 @@ class VectorFieldFn:
 
         ``n`` is an int >= 1 and there is at least one component; each degree
         tuple must have length n with whole degrees >= 0 (see ``poly_degrees``)
-        and each coefficient must be finite, else an InputError.  The components, as
-        written, their first partials and their second partials are stacked into one
-        polynomial each (``poly_family``; a component's repeats of a monomial are summed
-        there, from 0.0), so a value, gradient or Hessian is one evaluation for a whole
-        stack of points.
-        Values and gradients are node-first views of ``poly_rows``' node-last
-        rows, (d, N) and (d n, N) with row l n + j for d_j F_l, not copies:
-        the Brascamp-Lieb node pass reads F node-last (``_moments``,
-        ``_energy``).  At one point, or as Hessians, they are contiguous.
+        and each coefficient must be finite, else an InputError.  The components are
+        collected once (``poly_collect``) into one polynomial F with a (T, d)
+        coefficient block, by the fields' convention: a monomial that a component
+        writes twice, a and b, is the one term (a + b) e, in F and in its partials.
+        The partials d_j F and, on first use, d_k d_j F are ``poly_diff``'s
+        polynomials, so a value, gradient or Hessian is one ``poly_rows`` block for
+        a whole stack of points.
+        Values and gradients are node-first views of the blocks' node-last rows,
+        (d, N) and (n, d, N) with row j d + l for d_j F_l, not copies: the
+        Brascamp-Lieb node pass reads them node-last (``_moments``, and ``_energy``
+        with no copy).  At one point, or as Hessians, they are contiguous.
         """
 
         components = list(components)
@@ -239,33 +241,34 @@ class VectorFieldFn:
             raise InputError(f"a polynomial test function needs n >= 1 variables and at least "
                              f"one component, got n = {n!r} and {len(components)} components")
 
-        rows, coeffs = [], []  # per component its exponent rows; every coefficient
-        for comp in components:
-            rows.append([])
+        exps, cols, coeffs = [], [], []  # per term its degrees, component and coefficient
+        for l, comp in enumerate(components):
             for c, degs in comp:
                 if not math.isfinite(c := float(c)):
                     raise InputError(f"test function coefficients must be finite, got {c!r}")
-                rows[-1].append(poly_degrees(degs, n))
+                exps.append(poly_degrees(degs, n))
+                cols.append(l)
                 coeffs.append(c)
-        coeffs, d = np.array(coeffs), len(rows)
-        value_terms, grad_terms = poly_family(n, rows, coeffs, [
-            [(l, None) for l in range(d)], [(l, j) for l in range(d) for j in range(n)]])
-        hess_terms = None  # built on first use: a variance or energy pass never asks for them
+        d = len(components)
+        block = np.zeros((len(coeffs), d))  # term t's coefficient in its component's column
+        block[np.arange(len(coeffs)), np.array(cols, dtype=np.intp)] = coeffs
+        poly = poly_collect(np.array(exps, dtype=np.int64).reshape(-1, n), block)
+        grads = [poly_diff(poly, j) for j in range(n)]
+        hessians = None  # built on first use: a variance or energy pass never asks for them
 
         def value(x):
-            return poly_rows(value_terms, x).T.reshape(x.shape[:-1] + (d,))
+            return poly_rows([poly], x)[0].T.reshape(x.shape[:-1] + (d,))
 
         def grad(x):
-            return poly_rows(grad_terms, x).T.reshape(x.shape[:-1] + (d, n))
+            rows = poly_rows(grads, x).T  # (N, d, n)
+            return rows.reshape(x.shape[:-1] + (d, n)) if x.ndim > 1 else rows[0].copy()
 
         def hess(x):
-            nonlocal hess_terms
-            if hess_terms is None:  # the components as written, d_k of each d_j F_l
-                comps = [Poly(np.array(r, dtype=np.int64).reshape(-1, n), c) for r, c in
-                         zip(rows, np.split(coeffs, np.cumsum([len(r) for r in rows])))]
-                hess_terms = poly_partials(comps, [(l, (j, k)) for l in range(d)
-                                                   for j in range(n) for k in range(n)])
-            return poly_eval(hess_terms, x).reshape(x.shape[:-1] + (d, n, n))
+            nonlocal hessians
+            if hessians is None:  # part j n + k is d_k d_j F
+                hessians = [poly_diff(g, k) for g in grads for k in range(n)]
+            rows = poly_rows(hessians, x).reshape(n, n, d, -1).transpose(3, 2, 0, 1)
+            return np.ascontiguousarray(rows).reshape(x.shape[:-1] + (d, n, n))
 
         fn = cls(n, d, value)
         fn._value, fn._grad, fn._hess = value, grad, hess  # stack-native, not row-mapped
@@ -465,8 +468,8 @@ def _polar_over_nodes(field: MatrixField, rule: QuadratureRule) -> PolarOperator
 
 def _energy(polar: PolarOperator, rule: QuadratureRule, f: VectorFieldFn,
             rel_null_tol: float) -> ExtendedReal:
-    grad = f.grad(rule.nodes)  # (N, d, n); a polynomial F's is a view of (d n, N) rows
-    # node axis last, (j, l) -> row j*d + l: one copy of the gradient
+    grad = f.grad(rule.nodes)  # (N, d, n); a polynomial F's is a view of (n, d, N) rows
+    # node axis last, (j, l) -> row j*d + l: those rows, or one copy of a callable's gradient
     rows = grad.transpose(2, 1, 0).reshape(-1, grad.shape[0])
     values = polar.value(rows.T, rel_null_tol)
     if np.isinf(values).any():

@@ -19,8 +19,11 @@ and two frozen coordinates on an n = 3, d = 2 ``--field-json`` field (``FIELD_JS
 q writes a monomial twice and whose P has mixed cubic terms; ``bl``, ``ipp`` and
 ``bochner`` at GH 8 and 16;
 one monomial structure twice in a row with other coefficients (``WARM``: two ``bl`` cubics,
-``nakano`` on ``FIELD_JSON`` and on ``FIELD_JSON_2``, ``prekopa`` at two t), so the second of
-each pair runs on the polynomial layouts the first one cached;
+``nakano`` on ``FIELD_JSON`` and on ``FIELD_JSON_2``, ``prekopa`` at two t);
+``bl``, ``ipp`` and ``bochner`` at GH 8 and 16 with test functions that repeat a cubic
+monomial within a component and share monomials across components (``REPEATED``), and
+``prekopa`` with one and two frozen coordinates on ``FIELD_JSON_2``, whose P has mixed
+cubic terms;
 what the front end prints for argvs that do not parse or that a check rejects
 (``FRONT_END``); a ``schur`` report with a "-inf" gap and empty settings (exit 3);
 a ``bl`` report with diagnostics; and ``prekopa`` on ``double_well_scalar`` at t = 0, where
@@ -99,6 +102,15 @@ WARM = (
     ["prekopa", "--field", "perturbed_gaussian_spd", "--t=-0.35", "--n0", "1", "--order", "16"],
 )
 
+#: (field arguments, test function, second test function): a component writes a cubic
+#: monomial twice, and the components share monomials.
+REPEATED = (
+    (["--field", "perturbed_gaussian_spd"], "poly:0.1*x1^3+x1*x2^2+0.7*x1^3;x1^3-0.3*x1*x2^2+x2",
+     "poly:x1^2*x2+0.2*x1^2*x2;x1^3+x2"),
+    (["--field", "gaussian_times_spd", "--param", "a12=0.3"], "poly:0.1*y^3+y+0.7*y^3;y^3-0.4*y",
+     "poly:y^3;y^2+0.3*y^3+0.6*y^3"),
+)
+
 _AT = ["--field", "raufi_corrected", "--point", "0,0"]
 
 #: Argvs of the front end: no command, help, an unknown subcommand, a missing
@@ -157,7 +169,17 @@ def argvs() -> list[list[str]]:
                 "--scale", "0.3"])
     out += [["prekopa", "--field", "double_well_scalar", "--n0", "1", "--t", t]
             for t in ("0", "1.5")]
-    return out + list(WARM)
+    out += list(WARM)
+    for order in ("8", "16"):
+        for field, f, g in REPEATED:
+            rule = [*field, "--order", order]
+            out += [["bl", *rule, "--test-fn", f], ["ipp", *rule, "--test-fn", f,
+                    "--test-fn-g", g], ["bochner", *rule, "--test-fn", f]]
+    for jet in JETS[:2]:
+        for n0, t in (("1", "--t=0.1"), ("2", "--t=0.1,-0.05")):
+            out.append(["prekopa", "--field-json", "field2.json", "--n0", n0, t, "--order", "16",
+                        "--scale", "0.5", *jet])
+    return out
 
 
 def answer(argv: list[str]) -> str:

@@ -70,40 +70,6 @@ def _power(row: np.ndarray, k: int) -> np.ndarray:
         base = base * base
 
 
-def poly_stack(polys: list[list[Term]], lead: int = 0) -> list[Term]:
-    """One term list that evaluates every polynomial of ``polys`` at once.
-
-    Its coefficients have a new axis behind their first ``lead`` axes (a member
-    axis), entry k holding polynomial k's coefficient of that monomial, so its value
-    at a point is the stack ``[poly_eval(p, x) for p in polys]`` along that axis
-    (bit for bit for the first polynomial if it is collected, see ``poly_collect``;
-    up to rounding otherwise).  The coefficients are read-only views of one block,
-    and a polynomial's repeats of a monomial are summed from 0.0, left to right.
-    Every polynomial needs at least one term, and all coefficients one shape.
-    """
-    index: dict[tuple[int, ...], int] = {}
-    slots, coeffs = [], []  # each term's (monomial, polynomial) slot, row-major
-    for k, terms in enumerate(polys):
-        for c, degs in terms:
-            slots.append(index.setdefault(degs, len(index)) * len(polys) + k)
-            coeffs.append(c)
-    size = len(index) * len(polys)
-    if isinstance(coeffs[0], np.ndarray):
-        coeffs = np.array(coeffs, dtype=float)
-        block = np.zeros((size,) + coeffs.shape[1:])
-        np.add.at(block, np.array(slots), coeffs)  # unbuffered: a repeat adds in term order
-    else:  # floats: the same IEEE sums, without a NumPy call per term
-        flat = [0.0] * size
-        for slot, c in zip(slots, coeffs):
-            flat[slot] += c
-        block = np.array(flat)
-    block = block.reshape((len(index), len(polys)) + block.shape[1:])
-    if lead:
-        block = np.moveaxis(block, 1, 1 + lead)
-    block.setflags(write=False)
-    return [(block[m], degs) for m, degs in enumerate(index)]
-
-
 def _or_zero(out: list[Term], terms: list[Term], dropped: int = 0) -> list[Term]:
     """``out``, or a zero term of the coefficients' shape if every term dropped out."""
     if out or not terms:

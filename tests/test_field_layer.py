@@ -1,10 +1,11 @@
 """The field layer's whole-array steps equal, bit for bit, the loops they replaced.
 
 ``fields.central_differences`` forms its stencil from a cached plan and its
-differences by slicing one value stack; ``_poly.poly_stack`` sums a family's
-coefficients into one block.  The per-direction and per-monomial loops they
-replaced are kept here as the references, and ``term_lists`` keeps the term-list
-polynomials that the exponent matrix and coefficient block replaced.
+differences by slicing one value stack; the per-direction loop it replaced is
+kept here as the reference, and ``term_lists`` keeps the term-list polynomials
+that the exponent matrix and coefficient block replaced.  Every exact partial,
+of a field's jet or of a polynomial test function, is ``poly_diff``'s polynomial
+summed by ``poly_rows``.
 """
 
 from itertools import product
@@ -14,11 +15,10 @@ import numpy as np
 import pytest
 
 import term_lists
-from conftest import poly_arrays, poly_terms, poly_written
+from conftest import poly_arrays, poly_terms
 from hypothesis import given, settings, strategies as st
-from mlcc import VectorFieldFn, _poly, builtin_field, polynomial_field
-from mlcc._poly import (poly_collect, poly_diff, poly_eval, poly_partials, poly_stack,
-                        poly_substitute_prefix)
+from mlcc import VectorFieldFn, builtin_field, polynomial_field, polynomial_field_from_json
+from mlcc._poly import poly_collect, poly_diff, poly_eval, poly_rows, poly_substitute_prefix
 from mlcc.fields import central_differences
 from mlcc.quadrature import FD_STEP
 
@@ -62,21 +62,6 @@ def _loop_central_differences(fn, x, h, richardson=False, second=True):
             if second:
                 d2 = (4.0 * d2_half - d2) / 3.0
     return d1, d2
-
-
-def _loop_poly_stack(polys):
-    """The per-monomial accumulation that ``poly_stack`` replaced."""
-    collected = {}
-    if not any(polys):
-        return []
-    shape = np.asarray(next(c for terms in polys for c, _ in terms)).shape
-    for k, terms in enumerate(polys):
-        for coeff, degs in terms:
-            c = collected.get(degs)
-            if c is None:
-                c = collected[degs] = np.zeros((len(polys),) + shape)
-            c[k] += coeff
-    return [(c, degs) for degs, c in collected.items()]
 
 
 def _same(a, b) -> bool:
@@ -143,50 +128,11 @@ class TestCentralDifferences:
             assert _same(fn.hess(x), 0.5 * (hess + hess.swapaxes(-1, -2)))
 
 
-def _family(poly, n):
-    d1 = [poly_diff(poly, j) for j in range(n)]
-    return [poly] + d1 + [poly_diff(d1[j], k) for j in range(n) for k in range(j, n)]
-
-
-#: name -> polynomials to stack; the repeats are summed in an order that rounding shows
-POLYS = {
-    "scalar repeats": [poly_written([(1e16, (1, 0)), (1.0, (0, 1)), (1.0, (1, 0)),
-                                     (-1e16, (1, 0))]),
-                       poly_written([(-0.0, (0, 1)), (0.1, (2, 0)), (0.2, (2, 0)),
-                                     (0.3, (2, 0))])],
-    "matrix repeats": [poly_written([(np.array([[1e16, 1.0], [1.0, -0.0]]), (1,)),
-                                     (np.full((2, 2), 1.0), (1,)),
-                                     (np.full((2, 2), -1e16), (1,))]),
-                       poly_written([(np.eye(2), (0,)), (0.3 * np.eye(2), (0,))])],
-    "scalar family": _family(builtin_field("double_well_scalar")._q, 2),
-    "matrix family": _family(builtin_field("perturbed_gaussian_spd")._p, 2),
-}
-
-
 def _same_terms(got, want) -> bool:
     """The polynomial ``got`` has the terms of the term list ``want``, bit for bit."""
     got = poly_terms(got)
     return ([degs for _, degs in got] == [tuple(degs) for _, degs in want]
             and all(_same(np.asarray(c), np.asarray(w)) for (c, _), (w, _) in zip(got, want)))
-
-
-class TestPolyStack:
-    @pytest.mark.parametrize("name", POLYS)
-    def test_equals_the_per_monomial_loop(self, name):
-        got = poly_stack(POLYS[name])
-        assert _same_terms(got, _loop_poly_stack([poly_terms(p) for p in POLYS[name]]))
-
-    def test_one_read_only_block(self):
-        got = poly_stack(POLYS["matrix family"])
-        assert not got.coeffs.flags.writeable and not got.exps.flags.writeable
-
-    def test_the_family_axis_goes_behind_a_member_axis(self):
-        field = builtin_field("raufi_corrected", {"s": np.array([0.3, 0.75])})
-        for poly in (field._q, field._p):
-            polys = _family(poly, 2)
-            got, want = poly_stack(polys, lead=1), _loop_poly_stack([poly_terms(p) for p in polys])
-            assert _same_terms(got, [(np.moveaxis(w, 0, 1), degs) for w, degs in want])
-            assert not got.coeffs.flags.writeable
 
 
 # -- the polynomial type against the term lists it replaced ----------------------
@@ -223,9 +169,10 @@ def term_list_cases(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(case=term_list_cases(), seed=st.integers(0, 2**16))
 def test_the_polynomial_type_equals_the_term_lists_bit_for_bit(case, seed):
-    """Collection, value, the first and second partials, their stacked family and the
-    substitution of 1 and 2 leading coordinates equal the term lists, bit for bit (a
-    zero polynomial has no terms: the term lists' zero term, ``_or_zero``, is left out)."""
+    """Collection, value, the first and second partials, each part of one ``poly_rows``
+    block of them and the substitution of 1 and 2 leading coordinates equal the term
+    lists, bit for bit (a zero polynomial has no terms: the term lists' zero term,
+    ``_or_zero``, is left out)."""
     n, terms = case
     with mock.patch.object(term_lists, "_or_zero", lambda out, terms, dropped=0: out):
         _check_against_term_lists(n, terms, seed)
@@ -244,12 +191,10 @@ def _check_against_term_lists(n, terms, seed):
     ref_d2 = [term_lists.poly_diff(ref_d1[j], k) for j, k in pairs]
     for got, want in zip(d1 + d2, ref_d1 + ref_d2):
         assert _same_terms(got, want)
-    lead = 1 if np.ndim(terms[0][0]) in (1, 3) else 0
-    parts = [(0, ()), *((0, (j,)) for j in range(n)), *((0, pair) for pair in pairs)]
-    got = poly_partials([poly], parts, lead)
-    want = term_lists.poly_stack([ref] + ref_d1 + ref_d2, lead)
-    assert _same_terms(got, want)
-    assert _same(poly_eval(got, x), term_lists.poly_eval(want, x))
+    # every part is term_lists.poly_eval of term_lists.poly_diff (zeros with no terms)
+    for got, want in zip(poly_rows([poly, *d1, *d2], x), [ref, *ref_d1, *ref_d2]):
+        want = term_lists.poly_eval(want, x) if want else np.zeros((len(x),) + got.shape[:-1])
+        assert _same(np.moveaxis(got, -1, 0), want)
     for n0 in (1, 2):
         if n0 < n:
             rng = np.random.default_rng(seed + n0)  # 0.0 among values whose powers round
@@ -260,113 +205,67 @@ def _check_against_term_lists(n, terms, seed):
             assert got.n == n - n0 and _same_terms(got, want)
 
 
-# -- the family layout cache: a warm cache gives the bits of a cold one -----------
+# -- one derivative: every exact partial is poly_diff's polynomial -------------
 
 
-@st.composite
-def structure_cases(draw):
-    """(n, structure, lead, two coefficient draws): 1 to 3 polynomials in n <= 3
-    variables, each a list of 1 to 6 monomials from a pool of at most 4 (so repeated),
-    with float or symmetric 2 x 2 coefficients, with or without a member axis of 2."""
-    n = draw(st.integers(1, 3))
-    shape = draw(st.sampled_from([(), (2, 2)]))
-    lead = draw(st.sampled_from([(), (2,)]))
-    pool = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=4))
-    structure = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=6),
-                              min_size=1, max_size=3))
-    values = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 0.1, 0.3, 1e16, -1e16, 3.0e-3])
-    size = 3 * (lead[0] if lead else 1)
-    draws = [[[_coefficient(draw(st.lists(values, min_size=size, max_size=size)), shape, lead)
-               for _ in monomials] for monomials in structure] for _ in range(2)]
-    return n, structure, lead, draws
+@pytest.mark.parametrize("n, degs", [(1, (3,)), (2, (2, 1)), (2, (0, 4)), (3, (1, 1, 1))])
+def test_a_repeated_test_function_monomial_is_the_monomial_written_once(n, degs):
+    """As a field collects q and P, a polynomial test function collects its components: a
+    monomial that a component writes twice, a and b, gives the value, gradient and
+    Hessian bits of the same function with (a + b) written once."""
+    other = (-0.3, (1,) + (0,) * (n - 1))
+    x = np.random.default_rng(n).uniform(-1.5, 1.5, (7, n))
+    for a, b in ((0.1, 0.7), (1.0 / 3.0, 0.2), (-2.5, 1e-3)):
+        twice = VectorFieldFn.polynomial(n, [[(a, degs), other, (b, degs)], [other]])
+        once = VectorFieldFn.polynomial(n, [[(a + b, degs), other], [other]])
+        for points in (x, x[0]):
+            for method in ("value", "grad", "hess"):
+                got, want = getattr(twice, method)(points), getattr(once, method)(points)
+                assert _same(got, want), (a, b, method)
 
 
-def _builds(n, polys, lead, t):
-    """Every polynomial built from the term lists ``polys``: each collected, their stacked
-    family of values, first and second partials as written, and each with its leading
-    coordinates frozen at ``t``; then the family as ``VectorFieldFn.polynomial`` groups it
-    (float coefficients without a member axis only)."""
-    written = [poly_written(terms) for terms in polys]
-    pairs = [(j, k) for j in range(n) for k in range(j, n)]
-    parts = [(i, part) for i in range(len(polys))
-             for part in [(), *((j,) for j in range(n)), *pairs]]
-    out = [poly_collect(*poly_arrays(terms)) for terms in polys]
-    out.append(poly_partials(written, parts, int(bool(lead))))
-    with np.errstate(over="ignore", invalid="ignore"):
-        out += [poly_substitute_prefix(p, t) for p in written if len(t) < n]
-    if written[0].coeffs.ndim == 1:
-        rows = [list(map(tuple, p.exps.tolist())) for p in written]
-        out += _poly.poly_family(n, rows, np.concatenate([p.coeffs for p in written]), [
-            [(i, None) for i in range(len(rows))],
-            [(i, j) for i in range(len(rows)) for j in range(n)]])
-    return out
+#: Fields with an envelope q, stacked over a parameter or not, beside ``FIELDS``.
+JET_FIELDS = [
+    *FIELDS.values(),
+    builtin_field("double_well_scalar"),
+    builtin_field("perturbed_gaussian_spd", {"eps": np.array([0.02, 0.2])}),
+    builtin_field("gaussian_cross_spd", {"c": np.array([0.5, -0.3]), "d": 3}),
+    polynomial_field_from_json({
+        "n": 3, "d": 2,
+        "q": [[0.5, [2, 0, 0]], [0.2, [1, 1, 0]], [0.01, [2, 1, 1]], [0.15, [1, 1, 0]],
+              [-0.02, [0, 3, 0]], [0.7, [0, 0, 2]]],
+        "entries": {"1,1": [[1.0, [0, 0, 0]], [0.02, [2, 0, 1]], [0.015, [1, 1, 1]]],
+                    "1,2": [[0.03, [1, 0, 0]], [0.01, [1, 2, 1]]],
+                    "2,2": [[1.0, [0, 0, 0]], [0.012, [0, 2, 1]], [-0.01, [3, 0, 1]]]}}),
+]
 
 
-def _references(n, polys, lead, t):
-    """``_builds``' first polynomials from the term lists of ``term_lists``."""
-    pairs = [(j, k) for j in range(n) for k in range(j, n)]
-    family = []
-    for ref in polys:
-        d1 = [term_lists.poly_diff(ref, j) for j in range(n)]
-        family += [ref, *d1, *(term_lists.poly_diff(d1[j], k) for j, k in pairs)]
-    out = [term_lists.poly_collect(ref) for ref in polys]
-    out.append(term_lists.poly_stack(family, int(bool(lead))))
-    with np.errstate(over="ignore", invalid="ignore"):
-        out += [term_lists.poly_substitute_prefix(ref, t) for ref in polys if len(t) < n]
-    return out
+@pytest.mark.parametrize("field", JET_FIELDS, ids=lambda f: f"{f.name}-n{f.n}")
+@pytest.mark.parametrize("stack", [False, True])
+def test_each_jet_partial_is_poly_eval_of_its_poly_diff_chain(field, stack):
+    """The exact jet reads each partial of q and P as ``poly_eval`` of its ``poly_diff``
+    chain, d_j p and d_k d_j p for j <= k: its derivatives are the closed form assembled
+    from those values, bit for bit, for a stacked (member) field too."""
+    x, q, p, n = _points(field.n, stack), field._q, field._p, field.n
 
+    def at(poly, *js):
+        for j in js:
+            poly = poly_diff(poly, j)
+        return poly_eval(poly, x)
 
-def _same_poly(a, b) -> bool:
-    return _same(a.exps, b.exps) and _same(a.coeffs, b.coeffs)
+    def lift(a):
+        return a[..., None, None]
 
+    p0, env = at(p), np.exp(-lift(at(q)))
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(case=structure_cases(), t=st.sampled_from([0.0, -0.7, 1.3]))
-def test_a_warm_layout_gives_the_bits_of_a_cold_one_and_of_the_term_lists(case, t):
-    """One structure built twice with different coefficients: the second build, on the
-    layouts the first cached, equals a build with the cache cleared and the term lists,
-    bit for bit."""
-    n, structure, lead, draws = case
-    t = np.array([t, 0.4][: max(1, n - 1)])
-    for coeffs in draws:
-        polys = [list(zip(c, monomials)) for c, monomials in zip(coeffs, structure)]
-        hits = _poly._family_layout.cache_info().hits
-        warm = _builds(n, polys, lead, t)
-        if coeffs is draws[1]:  # the first build cached every layout of this structure
-            assert _poly._family_layout.cache_info().hits > hits
-        _poly._family_layout.cache_clear()
-        cold = _builds(n, polys, lead, t)
-        assert len(warm) == len(cold) and all(map(_same_poly, warm, cold))
-        with mock.patch.object(term_lists, "_or_zero", lambda out, terms, dropped=0: out):
-            want = _references(n, polys, lead, t)
-        assert all(map(_same_terms, warm, want))
+    def second(j, k):
+        lo, hi = min(j, k), max(j, k)
+        qj, qk, pj, pk = lift(at(q, j)), lift(at(q, k)), at(p, j), at(p, k)
+        return env * (at(p, lo, hi) - (qj * pk + qk * pj) + (qj * qk - lift(at(q, lo, hi))) * p0)
 
-
-def test_cached_layouts_are_read_only():
-    rows = (((2, 1), (0, 3), (2, 1)), ((1, 0),))
-    groups = (((0, None), (1, None)), ((0, 0), (0, 1), (1, 0), (1, 1)))
-    layout = _poly._family_layout(2, rows, groups)
-    arrays = list(_arrays(layout))
-    assert len(arrays) == 5 and not any(a.flags.writeable for a in arrays)
-    # the polynomials hold the cached exponent matrices, not copies
-    family = _poly.poly_family(2, rows, np.arange(4.0), groups)
-    assert all(p.exps is exps for p, (exps, _) in zip(family, layout[3]))
-    with pytest.raises(ValueError, match="read-only"):
-        layout[3][0][0][0, 0] = 5
-
-
-def test_the_cache_keeps_at_most_32_layouts():
-    _poly._family_layout.cache_clear()
-    for k in range(40):  # 40 structures, each with a repeated monomial
-        VectorFieldFn.polynomial(1, [[(1.0, (k,)), (2.0, (k,))]])
-    info = _poly._family_layout.cache_info()
-    assert info.maxsize == 32 and info.currsize == 32 and info.misses >= 40
-
-
-def _arrays(value):
-    """Every array in a nest of tuples and lists."""
-    if isinstance(value, np.ndarray):
-        yield value
-    elif isinstance(value, (tuple, list)):
-        for v in value:
-            yield from _arrays(v)
+    jet = field.jet(x)
+    d1 = np.stack([env * (at(p, j) - lift(at(q, j)) * p0) for j in range(n)], axis=-3)
+    d2 = np.stack([np.stack([second(j, k) for k in range(n)], axis=-3) for j in range(n)],
+                  axis=-4)
+    assert _same(jet.d1, d1) and _same(jet.d2, d2)
+    assert _same(jet.value.entries, field.value(x))

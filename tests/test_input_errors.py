@@ -424,7 +424,7 @@ LIBRARY_ERRORS = {
                                  .value(np.empty((0, 2))),
                                  InputError, "expected at least one point in R^2, got an empty "
                                  "stack"),
-    # both raised an IndexError from poly_stack
+    # both raised an IndexError once
     "test_function_without_components": (lambda: VectorFieldFn.polynomial(2, []), InputError,
                                          "a polynomial test function needs n >= 1 variables and "
                                          "at least one component, got n = 2 and 0 components"),

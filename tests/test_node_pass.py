@@ -126,11 +126,12 @@ class TestOneNodePass:
 
 def _ipp_as_before(field, f, g_fn, rule):
     """ipp_residual's lhs and rhs as they were: g by field.value, L F by
-    weighted_laplacian."""
+    weighted_laplacian; the gradients C-contiguous, as the residual reads them."""
     x, w = rule.nodes, rule.weights
     gv = field.value(x)
     lhs = float(pairwise_sum(w * _node_form(weighted_laplacian(field, f, x), gv, g_fn.value(x))))
-    rhs = float(pairwise_sum(-w * np.einsum("nlk,nlm,nmk->n", f.grad(x), gv, g_fn.grad(x))))
+    f_grad, g_grad = (np.ascontiguousarray(fn.grad(x)) for fn in (f, g_fn))
+    rhs = float(pairwise_sum(-w * np.einsum("nlk,nlm,nmk->n", f_grad, gv, g_grad)))
     return lhs, rhs
 
 

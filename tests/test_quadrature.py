@@ -226,20 +226,20 @@ class TestVectorFieldFn:
         np.testing.assert_allclose(fd.hess(x), exact.hess(x), atol=1e-4)
 
     def test_polynomial_hessian_terms_are_built_on_first_use(self, monkeypatch):
-        stacks, original = [], mlcc._poly.poly_family
+        calls, original = [], mlcc._poly.poly_diff
 
-        def counting(n, rows, coeffs, groups, lead=0):  # the stacks and their sizes
-            stacks.extend(len(parts) for parts in groups)
-            return original(n, rows, coeffs, groups, lead)
+        def counting(poly, j):  # the variable of each partial taken
+            calls.append(j)
+            return original(poly, j)
 
-        monkeypatch.setattr(mlcc.quadrature, "poly_family", counting)
-        monkeypatch.setattr(mlcc._poly, "poly_family", counting)
+        monkeypatch.setattr(mlcc.quadrature, "poly_diff", counting)
         fn = VectorFieldFn.polynomial(2, [[(1.0, (2, 1)), (0.5, (0, 3))], [(2.0, (1, 0))]])
         x = np.array([[0.7, -0.4], [0.3, 0.2]])
         fn.value(x), fn.grad(x)
-        assert stacks == [2, 4]  # the values and the gradients
+        assert calls == [0, 1]  # the gradients' d_0 F and d_1 F, at the build
         first = fn.hess(x)
-        assert np.array_equal(fn.hess(x), first) and stacks == [2, 4, 8]
+        # d_k d_j F for (j, k) row-major, on the first Hessian only
+        assert np.array_equal(fn.hess(x), first) and calls == [0, 1, 0, 1, 0, 1]
         # d^2/dy0^2 of y0^2 y1 + 0.5 y1^3 is 2 y1; d^2/dy1^2 is 3 y1; the rest is exact too
         np.testing.assert_array_equal(first[:, 0, 0, 0], 2.0 * x[:, 1])
         np.testing.assert_array_equal(first[:, 0, 1, 1], 3.0 * x[:, 1])

@@ -440,14 +440,14 @@ class TestStackedPointwise:
 
     @pytest.mark.parametrize("n,d", [(1, 1), (1, 3), (2, 2), (3, 2)])
     def test_test_function_views_equal_the_per_point_calls(self, n, d):
-        """A stack's value and gradient are node-first views of (d, N) and (d n, N) rows,
-        row l n + j holding d_j F_l; one point and the Hessians are contiguous arrays.
+        """A stack's value and gradient are node-first views of (d, N) and (n, d, N) rows,
+        row j d + l holding d_j F_l; one point and the Hessians are contiguous arrays.
         Each stacked entry has the per-point call's bits."""
         fn = _cubic_fn(np.random.default_rng(10 * n + d), n, d)
         xs = np.random.default_rng(47).uniform(-0.5, 0.5, (9, n))
         value, grad, hess = fn.value(xs), fn.grad(xs), fn.hess(xs)
         assert value.shape == (9, d) and value.T.flags.c_contiguous
-        assert grad.shape == (9, d, n) and grad.transpose(1, 2, 0).flags.c_contiguous
+        assert grad.shape == (9, d, n) and grad.transpose(2, 1, 0).flags.c_contiguous
         assert hess.shape == (9, d, n, n) and hess.flags.c_contiguous
         for i, x in enumerate(xs):
             one = fn.value(x), fn.grad(x), fn.hess(x)

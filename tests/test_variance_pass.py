@@ -231,10 +231,10 @@ def test_stacked_and_one_node_polar_values_agree(name, params):
 
 def test_single_forms_build_no_node_last_rows_and_a_stack_has_them_from_construction(
         monkeypatch):
-    """schur_gap and polar_value on one form build no coordinate rows; a stack, the
-    Prekopa fiber's or the evaluator's, has them from its construction: contiguous
-    read-only rows, node axis last, behind the node-first ``_coord_map`` and
-    ``eigenvalues``."""
+    """schur_gap and polar_value on one form build no coordinate rows, and neither does
+    the Schur margin's stack of the Prekopa fiber, whose ``value`` no caller reads; the
+    evaluator's stack has them from its construction: contiguous read-only rows, node
+    axis last, behind the node-first ``_coord_map`` and ``eigenvalues``."""
     built, build = [], PolarOperator._build  # both constructors build through it
     monkeypatch.setattr(PolarOperator, "_build",
                         lambda self, pencil, root: built.append(self) or build(self, pencil, root))
@@ -249,11 +249,10 @@ def test_single_forms_build_no_node_last_rows_and_a_stack_has_them_from_construc
     # the fiber pencil's stack for the Schur margin, then one form for schur_gap at its node
     assert prekopa_check(field, [0.1], 1, build_rule("gauss_hermite", order=48, m=1)).passed
     assert [p._coord_map.ndim for p in built] == [3, 2]
-    assert not hasattr(built[1], "_coord_rows")
-    ev = _evaluator(field)
-    for polar, dn, count in ((built[0], 2, 48), (ev._polar, 4, 144)):  # -P_11, -Theta
-        rows = polar._coord_rows
-        assert rows.shape == (dn, dn, count) and rows.flags.c_contiguous
-        assert polar._coord_map.base is rows and polar.eigenvalues.shape == (count, dn)
-        for view in (polar._coord_map, polar.eigenvalues):
-            assert np.moveaxis(view, 0, -1).flags.c_contiguous and not view.flags.writeable
+    assert not any(hasattr(p, "_coord_rows") for p in built)
+    polar = _evaluator(field)._polar  # -Theta over 144 nodes, 4 x 4 forms
+    rows = polar._coord_rows
+    assert rows.shape == (4, 4, 144) and rows.flags.c_contiguous
+    assert polar._coord_map.base is rows and polar.eigenvalues.shape == (144, 4)
+    for view in (polar._coord_map, polar.eigenvalues):
+        assert np.moveaxis(view, 0, -1).flags.c_contiguous and not view.flags.writeable
