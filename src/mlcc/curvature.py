@@ -10,6 +10,7 @@ only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -56,8 +57,8 @@ class CurvatureMatrix:
     Index (j, l) of the flattened space is j*d + l for column j and
     coordinate l (0-based).  The metric id_n (x) g is carried as ``g``.
     ``asymmetry`` records the pre-symmetrization asymmetry norm.  Built from
-    a stack of jets, ``theta_tilde``, ``g`` and ``asymmetry`` carry a leading
-    node axis.
+    a stack of jets, ``theta_tilde``, ``g``, ``asymmetry`` and ``pencil`` carry
+    a leading node axis.
     """
 
     d: int
@@ -69,6 +70,18 @@ class CurvatureMatrix:
     @property
     def dim(self) -> int:
         return self.d * self.n
+
+    @cached_property
+    def pencil(self) -> np.ndarray:
+        """The pencil P = (id_n (x) g)^{-1/2} theta_tilde (id_n (x) g)^{-1/2}, whose
+        eigenvalues are the generalized ones of (theta_tilde, id_n (x) g).
+
+        Formed by ``metric_pencil`` from g^{-1/2} on first read, once per curvature,
+        and returned read-only; every verdict reads this one.
+        """
+        pencil = metric_pencil(self.g.sqrt_and_invsqrt()[1], self.theta_tilde)
+        pencil.setflags(write=False)
+        return pencil
 
     def quadratic_form(self, u: ColumnBlockMatrix) -> float:
         v = u.flatten()
@@ -135,9 +148,9 @@ def nakano_verdict(cm: CurvatureMatrix, tol_psd: float = TOL_PSD) -> NakanoVerdi
 
 
 def generalized_spectrum(cm: CurvatureMatrix) -> np.ndarray:
-    """All generalized eigenvalues of (theta_tilde, id_n (x) g), ascending."""
-    _, invroot = cm.g.sqrt_and_invsqrt()
-    return np.linalg.eigvalsh(metric_pencil(invroot, cm.theta_tilde))
+    """All generalized eigenvalues of (theta_tilde, id_n (x) g), ascending: the
+    spectrum of ``cm.pencil``."""
+    return np.linalg.eigvalsh(cm.pencil)
 
 
 def griffiths_min_gap(
@@ -182,13 +195,11 @@ def griffiths_min_gap(
         raise InputError(f"max_iter must be a positive integer, got {max_iter!r}")
     if not _is_integer(seed) or seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
-    d, n = cm.d, cm.n
-    _, invroot = cm.g.sqrt_and_invsqrt()
-    pencil = metric_pencil(invroot, cm.theta_tilde)
+    d, n, pencil = cm.d, cm.n, cm.pencil
     if not np.isfinite(pencil).all():
         return -np.inf
     if min(n, d) == 1:
-        return float(np.linalg.eigvalsh(pencil)[-1])
+        return float(generalized_spectrum(cm)[-1])
     # theta_tilde and its pencil, shaped (n, d, n, d), hold entry (a, b) of block
     # (j, k) at [k, a, j, b]; row (j, k) of P is the pencil of block (j, k), and as
     # the pencil is linear in the block, the u-step's pencil at y is (y (x) y) P

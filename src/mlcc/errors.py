@@ -33,10 +33,12 @@ class QuadratureError(ArithmeticError):
     """A quadrature result is unusable (non-positive integral, rule too coarse)."""
 
 
-#: Cap on the node count of a tensor-product rule, the points of a scan and
-#: the starts of a rank-one search.
+#: Cap on the node count of a tensor-product rule, the points of a scan, the
+#: starts of a rank-one search and the (n d)^2 entries of a field's curvature
+#: matrix at one point; a field over it is refused before any of its terms or
+#: arrays are built.
 NODE_BUDGET = 10**7
 
 
 class BudgetError(ValueError):
-    """A rule, scan or search would exceed ``NODE_BUDGET``."""
+    """A rule, scan, search or field shape would exceed ``NODE_BUDGET``."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._poly import (Poly, poly_collect, poly_degrees, poly_diff, poly_eval, poly_rows,
                     poly_substitute_prefix)
-from .errors import InputError, NotPositiveError, _UnderflowError
+from .errors import NODE_BUDGET, BudgetError, InputError, NotPositiveError, _UnderflowError
 from .metric import SpdMatrix, _first
 
 #: Default central-difference step for finite-difference jets.
@@ -188,6 +188,16 @@ def _checked_poly(terms, n: int, lead: tuple, shape: tuple) -> Poly:
     return poly_collect(np.array(exps, dtype=np.int64).reshape(-1, n), block)
 
 
+def _within_budget(n: int, d: int) -> None:
+    """A BudgetError naming n and d when one point's curvature matrix, (n d)^2 entries,
+    exceeds ``NODE_BUDGET``."""
+    entries = (int(n) * int(d)) ** 2
+    if entries > NODE_BUDGET:
+        raise BudgetError(f"a field with n = {n} and d = {d} has a curvature matrix of "
+                          f"(n d)^2 = {entries} entries at each point, beyond the budget "
+                          f"of {NODE_BUDGET}")
+
+
 class MatrixField:
     """A map x -> exp(-q(x)) * P(x) into the d x d symmetric matrices.
 
@@ -225,6 +235,7 @@ class MatrixField:
     ):
         if n < 1 or d < 1:
             raise InputError("field dimensions must be positive")
+        _within_budget(n, d)
         if jet_mode not in ("exact", "finite_difference"):
             raise InputError(f"unknown jet mode {jet_mode!r}")
         self.n = n
@@ -473,9 +484,10 @@ def _member_axis(params: dict):
     return key, values
 
 
-def _spd_from_params(params: dict, lead: tuple) -> np.ndarray:
-    """``A`` of an SPD-envelope builtin, or Id_d (d = 2) with the entries a11, a12, ...
-    (behind the member axis ``lead`` when an entry is an array of values)."""
+def _spd_from_params(params: dict, lead: tuple, n: int) -> np.ndarray:
+    """``A`` of an SPD-envelope builtin of n variables, or Id_d (d = 2) with the entries
+    a11, a12, ... (behind the member axis ``lead`` when an entry is an array of values);
+    a d over the budget (``_within_budget``) is a BudgetError before Id_d is built."""
     if params.get("A") is not None:
         a = np.asarray(params["A"], dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -484,6 +496,7 @@ def _spd_from_params(params: dict, lead: tuple) -> np.ndarray:
                              "(give its entries as a11, a12, ...)")
         return a
     d = _whole_number("d", params.get("d", 2), 1)
+    _within_budget(n, d)
     a = np.empty(lead + (d, d))
     a[...] = np.eye(d)
     for key, val in params.items():
@@ -540,17 +553,18 @@ def builtin_field(name: str, params: dict | None = None, **jet_kwargs) -> Matrix
 
     if name == "gaussian_scalar":
         n = _whole_number("n", params.get("n", 1), 1)
+        _within_budget(n, 1)
         return field(n, 1, _sq_norm_terms(n, 0.5), [((0,) * n, np.eye(1))])
     if name == "gaussian_times_spd":
         n = _whole_number("n", params.get("n", 1), 1)
-        a = _spd_from_params(params, lead)
+        a = _spd_from_params(params, lead, n)
         return field(n, a.shape[-1], _sq_norm_terms(n, 1.0), [((0,) * n, a)])
     if name in ("raufi_printed", "raufi_corrected"):
         terms = _raufi_terms(number("s", 0.0), corrected=(name == "raufi_corrected"))
         return field(2, 2, [], terms)
     if name == "gaussian_cross_spd":
         # exp(-(x1^2 + x2^2 + c x1 x2)) * A, non-product in (t, y) for c != 0
-        a = _spd_from_params(params, lead)
+        a = _spd_from_params(params, lead, 2)
         q = _sq_norm_terms(2, 1.0) + [(number("c", 0.5), (1, 1))]
         return field(2, a.shape[-1], q, [((0, 0), a)])
     if name == "perturbed_gaussian_spd":
@@ -602,6 +616,7 @@ def polynomial_field(n: int, d: int, entries: dict, **jet_kwargs) -> MatrixField
     ``entries`` maps "i,j" (1-based, i <= j) to a list of
     ``[coeff, [deg_1, ..., deg_n]]`` monomials.
     """
+    _within_budget(n, d)
     return MatrixField(n, d, [], _entry_terms(d, entries), name="polynomial", **jet_kwargs)
 
 
@@ -621,6 +636,7 @@ def polynomial_field_from_json(path_or_obj, **jet_kwargs) -> MatrixField:
                          f"{type(obj).__name__}")
     try:
         n, d = _whole_number("n", obj["n"], 1), _whole_number("d", obj["d"], 1)
+        _within_budget(n, d)
         q = _term_list(obj.get("q", []))
         return MatrixField(n, d, q, _entry_terms(d, obj["entries"]), name="polynomial",
                            **jet_kwargs)

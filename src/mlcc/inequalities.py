@@ -30,7 +30,7 @@ from .curvature import (
 )
 from .errors import InputError, _UnderflowError
 from .fields import Jet2, MatrixField, _checked_differences, _step, restrict_field
-from .metric import DEFAULT_NULL_TOL, ColumnBlockMatrix, PolarOperator, metric_pencil
+from .metric import DEFAULT_NULL_TOL, ColumnBlockMatrix, PolarOperator
 from .quadrature import (
     DirichletEvaluator,
     QuadratureRule,
@@ -113,16 +113,18 @@ def schur_check(cm: CurvatureMatrix, n0: int, v0: ColumnBlockMatrix | None = Non
                 tol_gap: float = 1e-8) -> CheckReport:
     """Block Schur inequality at one point: ``schur_gap`` of the first ``n0``
     column-blocks at ``v0`` (e_1 in every column when None) is at least
-    -``tol_gap``.  An infinite polar (gap -inf) is degenerate.  A zero ``v0`` is an
+    -``tol_gap``; ``n0`` is checked first, by ``block_split``.  An infinite polar
+    (gap -inf) is degenerate.  A zero ``v0`` is an
     InputError: its gap is 0 on every field, so the check would pass unread."""
     _finite_tolerance("tol_gap", tol_gap)
     _one_point(cm, "schur_check")
+    split = block_split(cm, n0)
     if v0 is None:
         v0 = ColumnBlockMatrix([np.eye(cm.d)[0]] * n0)
     elif not v0.flatten().any():
         raise InputError("V0 (--v0) is zero; the Schur inequality holds at V0 = 0 for every "
                          "field, so it tests nothing")
-    gap = schur_gap(block_split(cm, n0), v0).value
+    gap = schur_gap(split, v0).value
     return CheckReport(name="schur", status=_status(gap, gap >= -tol_gap),
                        metrics={"gap": gap}, tolerances={"tol_gap": tol_gap})
 
@@ -323,22 +325,22 @@ def theta_alpha_decomposed(
     return term_curv00 + term_var, term_curv00, term_var
 
 
-def _schur_margin(cm: CurvatureMatrix, n0: int, pencil: np.ndarray):
+def _schur_margin(cm: CurvatureMatrix, n0: int):
     """Smallest generalized eigenvalue of (S, id_n0 (x) g) over one fiber node or a
     stack, the node attaining it (None for one node) and its eigenvector V0 with
     <V0, V0>_g = 1.  S = -Theta_00 - Theta_10^T (-Theta_11)^+ Theta_10 is the matrix of
     V0 -> schur_gap(split, V0); -inf (no node, no V0) when a column of Theta_10 leaves
     the range of -Theta_11.
 
-    All of it is read off the blocks of ``pencil``, the curvature pencil P = (id_n (x)
-    g)^{-1/2} Theta (id_n (x) g)^{-1/2} of ``cm`` that the caller formed: the generalized
-    eigenvalues of (S, id_n0 (x) g) are those of S~ = -P_00 - P_10^T (-P_11)^+ P_10,
-    whose pseudo-inverse part is the polar form of -P_11 under the identity metric
-    (``PolarOperator._of_pencil``, with its null rule) on the columns of P_10, and
-    V0 = (id_n0 (x) g^{-1/2}) w for S~'s eigenvector w.  The S~ stack stays in pencil
-    coordinates: S itself is its congruence by (id_n0 (x) g^{1/2}).
+    All of it is read off the blocks of ``cm.pencil``, P = (id_n (x) g)^{-1/2} Theta
+    (id_n (x) g)^{-1/2}: the generalized eigenvalues of (S, id_n0 (x) g) are those of
+    S~ = -P_00 - P_10^T (-P_11)^+ P_10, whose pseudo-inverse part is the polar form of
+    -P_11 under the identity metric (``PolarOperator._of_pencil``, with its null rule) on
+    the columns of P_10, and V0 = (id_n0 (x) g^{-1/2}) w for S~'s eigenvector w.  The S~
+    stack stays in pencil coordinates: S itself is its congruence by (id_n0 (x) g^{1/2}).
     """
     _, invroot = cm.g.sqrt_and_invsqrt()
+    pencil = cm.pencil
     d, cut, lead = cm.d, n0 * cm.d, pencil.shape[:-2]
     polar = PolarOperator._of_pencil(-pencil[..., cut:, cut:])
     coords = polar._coord_map @ pencil[..., cut:, :cut]
@@ -357,8 +359,12 @@ def _schur_margin(cm: CurvatureMatrix, n0: int, pencil: np.ndarray):
 
 def _nodes(cm: CurvatureMatrix, index) -> CurvatureMatrix:
     """The curvature at node ``index`` of a stack, or at the nodes a slice selects;
-    its g keeps the stack's validation and roots."""
-    return CurvatureMatrix(cm.d, cm.n, cm.theta_tilde[index], cm.g[index], cm.asymmetry[index])
+    its g keeps the stack's validation and roots, and it reads its part of the stack's
+    pencil once that is formed."""
+    node = CurvatureMatrix(cm.d, cm.n, cm.theta_tilde[index], cm.g[index], cm.asymmetry[index])
+    if "pencil" in cm.__dict__:
+        node.__dict__["pencil"] = cm.pencil[index]
+    return node
 
 
 def _fiber_nodes(t: np.ndarray, rule: QuadratureRule) -> np.ndarray:
@@ -388,8 +394,8 @@ def prekopa_check(
     N-log-concave at ``t``, with two-route agreement on the quadratic form.
 
     The hypothesis gate requires N-log-concavity of the field at every fiber
-    node (t, y_i): the top eigenvalue of the curvature pencil P = (id_n (x)
-    g)^{-1/2} Theta (id_n (x) g)^{-1/2}, formed once per check, must be at most
+    node (t, y_i): the top eigenvalue of the fiber curvature's pencil
+    (``CurvatureMatrix.pencil``, formed once per check) must be at most
     ``tol_psd`` at every node.  If the gate fails, the report is degenerate and
     ``lambda_max_nodes`` is the largest curvature eigenvalue at the first node
     above ``tol_psd``.  ``route_diff`` is d*n0 times the spectral norm of the
@@ -412,15 +418,14 @@ def prekopa_check(
     h = _step(h, _MARGINAL_STEP_NAME)
     settings = {"rule": rule.kind, "nodes": rule.count, "h": h}
     jet, cm = _fiber_pass(field, t, rule)
-    pencil = metric_pencil(cm.g.sqrt_and_invsqrt()[1], cm.theta_tilde)
-    lambda_max = np.linalg.eigvalsh(pencil)[:, -1]
+    lambda_max = generalized_spectrum(cm)[:, -1]
     above = np.flatnonzero(lambda_max > tol_psd)
     if above.size:
         first = int(above[0])
         if first:
             # the margin goes unreported, but an indefinite -Theta_11 at a node
             # before the first failure still raises NotPsdError
-            _schur_margin(_nodes(cm, slice(first)), n0, pencil[:first])
+            _schur_margin(_nodes(cm, slice(first)), n0)
         return CheckReport(
             name="prekopa_check",
             status="degenerate",
@@ -428,7 +433,7 @@ def prekopa_check(
             tolerances={"tol_psd": tol_psd},
             settings=settings,
         )
-    schur_margin, node, v0 = _schur_margin(cm, n0, pencil)
+    schur_margin, node, v0 = _schur_margin(cm, n0)
     cm_alpha = marginal_theta_fd(field, t, rule, h)
     lambda_max_alpha = float(generalized_spectrum(cm_alpha)[-1])
     total, _, _ = theta_alpha_decomposed(field, t, rule, (jet, cm))

@@ -42,8 +42,9 @@ class SpdMatrix:
 
     def __init__(self, entries):
         a = np.asarray(entries, dtype=float)
-        if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-            raise InputError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not a.size:
+            raise InputError(f"expected a nonempty square matrix or a stack of them, got shape "
+                             f"{a.shape}")
         if not np.isfinite(a).all():
             raise InputError("matrix entries must be finite")
         half = 0.5 * a  # halved before the sum: finite entries cannot overflow
@@ -127,6 +128,8 @@ class ColumnBlockMatrix:
     @classmethod
     def from_flat(cls, v: np.ndarray, d: int) -> "ColumnBlockMatrix":
         v = np.asarray(v, dtype=float)
+        if d < 1:
+            raise InputError(f"d must be at least 1, got {d}")
         if v.size % d:
             raise InputError("flat vector length is not a multiple of d")
         return cls(tuple(v[k * d : (k + 1) * d] for k in range(v.size // d)))
@@ -340,14 +343,19 @@ class PolarOperator:
 
     def value(self, v, rel_null_tol: float = DEFAULT_NULL_TOL):
         """Q°(v) as an ExtendedReal; on a stack, v is (N, dn) and the result an
-        (N,) array of floats, inf where v leaves the range of that node's form."""
+        (N,) array of floats, inf where v leaves the range of that node's form.  A v of
+        any other shape is an InputError."""
         v = np.asarray(v, dtype=float)
+        shape = self._coord_map.shape[:-1]
+        if v.shape != shape:
+            which = "form" if len(shape) == 1 else "stack"
+            raise InputError(f"v has shape {v.shape}; the {which} takes shape {shape}")
         if self._coord_map.ndim == 2:
             # one form: column by column, the products added in index order, as the
             # stack's einsum adds them at each node
-            c = _sum_rows((self._coord_map.T * v[..., None]).swapaxes(0, -2))
+            c = _sum_rows((self._coord_map.T * v[:, None]).swapaxes(0, -2))
         else:
-            c = np.einsum("ijn,jn->in", self._coord_rows, v.T if v.ndim == 2 else v[:, None]).T
+            c = np.einsum("ijn,jn->in", self._coord_rows, v.T).T
         c2 = c**2  # eigen axis last; on a stack, a node-first view of (dn, N) rows
         denominators, off_range = self._denominators_and_off_range(c2, rel_null_tol)
         out = _sum_rows((c2 / denominators).T)

@@ -100,6 +100,16 @@ def _rule_dimension(m: int) -> int:
     return m
 
 
+def _per_axis(key: str, value, m: int) -> np.ndarray:
+    """``value`` as one float per axis of m, from a number or m of them; else an
+    InputError naming ``key``."""
+    try:
+        return np.broadcast_to(np.asarray(value, dtype=float), (m,))
+    except (TypeError, ValueError):
+        raise InputError(f"{key} must be a number or {m} of them, one per axis, got "
+                         f"{value!r}") from None
+
+
 def build_rule(kind: str, **params) -> QuadratureRule:
     """Build a tensor-product rule.
 
@@ -108,7 +118,8 @@ def build_rule(kind: str, **params) -> QuadratureRule:
     uniform_grid: box (a list of one finite (lo, hi) pair per axis, lo < hi),
     resolution (>= 2 points per axis), trapezoid weights.  order, m and resolution are
     whole numbers (64.0 is one; 8.9, "12" and True are not), and every parameter is
-    checked before any node is computed.
+    checked before any node is computed: a missing or malformed one is an InputError
+    that names it.
     """
     if kind == "gauss_hermite":
         order = _whole_number("order", params.get("order", 64))
@@ -117,10 +128,8 @@ def build_rule(kind: str, **params) -> QuadratureRule:
             raise InputError(f"gauss_hermite order must lie in [2, {GH_MAX_ORDER}], got {order}")
         if order**m > NODE_BUDGET:
             raise BudgetError(f"{order}^{m} nodes exceed the budget of {NODE_BUDGET}")
-        center = np.broadcast_to(
-            np.asarray(params.get("center", 0.0), dtype=float), (m,)
-        )
-        scale = np.broadcast_to(np.asarray(params.get("scale", 1.0), dtype=float), (m,))
+        center = _per_axis("center", params.get("center", 0.0), m)
+        scale = _per_axis("scale", params.get("scale", 1.0), m)
         if not np.isfinite(center).all():
             raise InputError(f"center must be finite, got {params['center']}")
         if not np.isfinite(scale).all():
@@ -129,7 +138,14 @@ def build_rule(kind: str, **params) -> QuadratureRule:
             raise InputError("scale must be positive")
         axes = [_gauss_hermite_axis(order, center[i], scale[i]) for i in range(m)]
     elif kind == "uniform_grid":
-        box = [(float(lo), float(hi)) for lo, hi in params["box"]]
+        for key in ("box", "resolution"):
+            if key not in params:
+                raise InputError(f"uniform_grid needs {key!r}")
+        try:
+            box = [(float(lo), float(hi)) for lo, hi in params["box"]]
+        except (TypeError, ValueError):
+            raise InputError(f"box must be a list of (lo, hi) pairs, one per axis, got "
+                             f"{params['box']!r}") from None
         for lo, hi in box:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise InputError(f"box must be finite with lo < hi on every axis, got "

@@ -26,9 +26,10 @@ monomial within a component and share monomials across components (``REPEATED``)
 cubic terms;
 what the front end prints for argvs that do not parse or that a check rejects
 (``FRONT_END``); a ``schur`` report with a "-inf" gap and empty settings (exit 3);
-a ``bl`` report with diagnostics; and ``prekopa`` on ``double_well_scalar`` at t = 0, where
-the hypothesis gate fails (exit 3), and at t = 1.5, where it passes.  Pytest does not
-collect this file.
+a ``bl`` report with diagnostics; ``prekopa`` on ``double_well_scalar`` at t = 0, where
+the hypothesis gate fails (exit 3), and at t = 1.5, where it passes; and ``schur`` with
+``--n0`` 0 and -1, which ``block_split`` rejects (exit 2).  Pytest does not collect this
+file.
 """
 
 from __future__ import annotations
@@ -179,6 +180,7 @@ def argvs() -> list[list[str]]:
         for n0, t in (("1", "--t=0.1"), ("2", "--t=0.1,-0.05")):
             out.append(["prekopa", "--field-json", "field2.json", "--n0", n0, t, "--order", "16",
                         "--scale", "0.5", *jet])
+    out += [["schur", *_AT, "--n0", n0] for n0 in ("0", "-1")]
     return out
 
 

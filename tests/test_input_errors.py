@@ -35,6 +35,8 @@ from mlcc import (
     ipp_residual,
     nakano_check,
     pairwise_sum,
+    polar_value,
+    polynomial_field,
     polynomial_field_from_json,
     prekopa_check,
     restrict_field,
@@ -44,6 +46,7 @@ from mlcc import (
     weighted_mean,
 )
 from mlcc.cli import run
+from mlcc.errors import NODE_BUDGET
 
 RAUFI = ["--field", "raufi_corrected", "--param", "s=0.75", "--point", "0,0"]
 GAUSS1 = ["--field", "gaussian_scalar", "--order", "4"]
@@ -56,6 +59,14 @@ OVERFLOWING_FIELD = {"n": 1, "d": 1, "q": [[-1.0, [0]], [0.5, [2]]],
 
 FD_1E300 = ("the finite-difference step h (--h) = 1e-300 gives derivatives that are not "
             "finite; central differences need a larger step")
+
+N0_OF_RAUFI = "n0 must satisfy 1 <= n0 < 2"
+
+
+def budget_message(n, d):
+    return (f"a field with n = {n} and d = {d} has a curvature matrix of (n d)^2 = "
+            f"{(n * d) ** 2} entries at each point, beyond the budget of {NODE_BUDGET}")
+
 
 ZERO_V0 = ("V0 (--v0) is zero; the Schur inequality holds at V0 = 0 for every field, so it "
            "tests nothing")
@@ -88,6 +99,15 @@ CLI_ERRORS = {
                            "no field given (use --field)"),
     "v0_of_the_wrong_length": (["schur", *RAUFI, "--n0", "1", "--v0", "1,2,3"],
                                "flat vector length is not a multiple of d"),
+    # an n0 below 1 was read as V0's column count: "need at least one column"
+    **{f"schur_n0_{name}": (["schur", *RAUFI, "--n0", n0], N0_OF_RAUFI)
+       for name, n0 in (("zero", "0"), ("negative", "-1"))},
+    # the field was built, with n tuples of n degrees or a d x d identity, before n or d
+    # was bounded
+    "builtin_n_over_the_budget": (["nakano", "--field", "gaussian_scalar", "--param",
+                                   "n=1000000", "--point", "0"], budget_message(10**6, 1)),
+    "builtin_d_over_the_budget": (["nakano", "--field", "gaussian_times_spd", "--param",
+                                   "d=100000", "--point", "0"], budget_message(1, 10**5)),
     # a zero V0 passed with a gap of -0.0
     "zero_v0": (["schur", *RAUFI, "--n0", "1", "--v0", "0,-0"], ZERO_V0),
     "zero_scale": (["bl", *GAUSS1, "--test-fn", "poly:y", "--scale", "0"],
@@ -277,6 +297,11 @@ GRIFFITHS_SHAPES = {"circle": ("raufi_corrected", {"s": 0.75}, 2),
                     "search": ("gaussian_times_spd", {"n": 3, "d": 2}, 3)}
 
 
+#: One 2-dim form and a stack of three, for the polar value's vector shapes.
+ONE_FORM = QuadraticFormSpec(SpdMatrix(np.eye(2)), np.diag([1.0, 4.0]))
+THREE_FORMS = QuadraticFormSpec(SpdMatrix(np.stack([np.eye(2)] * 3)),
+                                np.stack([np.diag([1.0, 4.0])] * 3))
+
 #: name -> (call, exception type, message)
 LIBRARY_ERRORS = {
     "nan_scalar_coefficient": (lambda: MatrixField(1, 1, [(np.nan, (0,))], []),
@@ -456,6 +481,59 @@ LIBRARY_ERRORS = {
            ("boolean_seed", {"seed": False}, "seed must be a non-negative integer, got False"))},
     "zero_v0": (lambda: schur_check(_curvature("raufi_corrected", {"s": 0.75}, 2), 1,
                                     ColumnBlockMatrix([[0.0, 0.0]])), InputError, ZERO_V0),
+    # an n0 below 1 was read as V0's column count
+    **{f"schur_n0_{n0}": (lambda n0=n0: schur_check(_curvature("raufi_corrected", {"s": 0.75}, 2),
+                                                    n0), InputError, N0_OF_RAUFI)
+       for n0 in (0, -1)},
+    # a vector of the wrong length was broadcast: [1.0] and 1.0 read as (1, 1), 1.25; a
+    # length-3 vector and a stack's wrong node count raised NumPy's ValueError
+    **{f"polar_of_{name}": (lambda spec=spec, v=v: polar_value(spec, v), InputError, message)
+       for name, spec, v, message in (
+           ("one_entry", ONE_FORM, [1.0], "v has shape (1,); the form takes shape (2,)"),
+           ("a_number", ONE_FORM, 1.0, "v has shape (); the form takes shape (2,)"),
+           ("three_entries", ONE_FORM, [1.0, 2.0, 3.0],
+            "v has shape (3,); the form takes shape (2,)"),
+           ("the_wrong_node_count", THREE_FORMS, np.ones((2, 2)),
+            "v has shape (2, 2); the stack takes shape (3, 2)"))},
+    # the terms or the identity of a field were built before n or d was bounded
+    "builtin_n_over_the_budget": (lambda: builtin_field("gaussian_scalar", {"n": 10**6}),
+                                  BudgetError, budget_message(10**6, 1)),
+    "builtin_d_over_the_budget": (lambda: builtin_field("gaussian_times_spd", {"d": 10**5}),
+                                  BudgetError, budget_message(1, 10**5)),
+    "polynomial_field_over_the_budget": (lambda: polynomial_field(10**4, 1, {}), BudgetError,
+                                         budget_message(10**4, 1)),
+    "field_json_over_the_budget": (lambda: polynomial_field_from_json(
+                                       {"n": 1, "d": 10**5, "entries": {}}),
+                                   BudgetError, budget_message(1, 10**5)),
+    "matrix_field_over_the_budget": (lambda: MatrixField(3163, 1, [], []), BudgetError,
+                                     budget_message(3163, 1)),
+    # a KeyError, or NumPy's or Python's ValueError
+    "grid_without_box": (lambda: build_rule("uniform_grid", resolution=3), InputError,
+                         "uniform_grid needs 'box'"),
+    "grid_without_resolution": (lambda: build_rule("uniform_grid", box=[(0, 1)]), InputError,
+                                "uniform_grid needs 'resolution'"),
+    "malformed_box_pair": (lambda: build_rule("uniform_grid", box=[(0, 1, 2)], resolution=3),
+                           InputError, "box must be a list of (lo, hi) pairs, one per axis, "
+                           "got [(0, 1, 2)]"),
+    "center_that_is_not_a_number": (lambda: build_rule("gauss_hermite", order=4, center="a"),
+                                    InputError, "center must be a number or 1 of them, one "
+                                    "per axis, got 'a'"),
+    "center_of_the_wrong_length": (lambda: build_rule("gauss_hermite", order=4, m=2,
+                                                      center=[0.0, 1.0, 2.0]),
+                                   InputError, "center must be a number or 2 of them, one per "
+                                   "axis, got [0.0, 1.0, 2.0]"),
+    "scale_of_the_wrong_length": (lambda: build_rule("gauss_hermite", order=4, m=2,
+                                                     scale=[1.0, 2.0, 3.0]),
+                                  InputError, "scale must be a number or 2 of them, one per "
+                                  "axis, got [1.0, 2.0, 3.0]"),
+    # an IndexError and NumPy's ValueError
+    "empty_matrix": (lambda: SpdMatrix(np.zeros((0, 0))), InputError,
+                     "expected a nonempty square matrix or a stack of them, got shape (0, 0)"),
+    "empty_stack": (lambda: SpdMatrix(np.zeros((0, 2, 2))), InputError,
+                    "expected a nonempty square matrix or a stack of them, got shape (0, 2, 2)"),
+    # a ZeroDivisionError
+    "flat_vector_of_zero_d": (lambda: ColumnBlockMatrix.from_flat([1.0, 2.0], 0), InputError,
+                              "d must be at least 1, got 0"),
     "restriction_that_overflows": (lambda: restrict_field(
                                        builtin_field("perturbed_gaussian_spd"), [1e200]),
                                    InputError, "perturbed_gaussian_spd at t = [1e+200]: field "

@@ -693,8 +693,8 @@ def _random_field_3():
 
 
 def schur_margin_of(cm, n0):
-    """``_schur_margin`` on the curvature pencil of ``cm``, as ``prekopa_check`` forms it."""
-    return _schur_margin(cm, n0, metric_pencil(cm.g.sqrt_and_invsqrt()[1], cm.theta_tilde))
+    """``_schur_margin`` on ``cm``, as ``prekopa_check`` calls it: off ``cm.pencil``."""
+    return _schur_margin(cm, n0)
 
 
 def schur_margin_dense(cm, n0):

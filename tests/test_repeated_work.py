@@ -9,11 +9,13 @@ a fresh validation of the marginal's centre integral, one ``pairwise_sum``
 call per weighted sum of route B, and one solve of g^{-1} d_j g per jet.
 """
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import mlcc.curvature
 import mlcc.fields
 import mlcc.inequalities
 from mlcc import (
@@ -24,6 +26,8 @@ from mlcc import (
     bochner_residual,
     build_rule,
     builtin_field,
+    curvature_matrix,
+    griffiths_min_gap,
     marginal_theta_fd,
     nakano_verdict,
     prekopa_check,
@@ -33,6 +37,7 @@ from conftest import poly_terms, poly_written
 from mlcc._poly import poly_substitute_prefix
 from mlcc.curvature import curvature_from_jet
 from mlcc.inequalities import _fiber_pass, _marginal_jet, _nodes
+from mlcc.metric import metric_pencil
 from mlcc.quadrature import _frobenius, integrate_field, pairwise_sum
 
 pytestmark = pytest.mark.filterwarnings("ignore:outermost quadrature node")
@@ -266,12 +271,47 @@ class TestNodesOfAValidatedStack:
         rule = build_rule("gauss_hermite", order=8, m=1)
         _, cm = _fiber_pass(field, np.array([0.1]), rule)
         cm.g.sqrt_and_invsqrt()
+        cm.pencil  # formed on the stack before its nodes are taken
         for index in (4, slice(3)):
             node = _nodes(cm, index)
             fresh = SpdMatrix(cm.g.entries[index])
             assert _bits(node.g.entries) == _bits(fresh.entries)
             for a, b in zip(node.g.sqrt_and_invsqrt(), fresh.sqrt_and_invsqrt()):
                 assert _bits(a) == _bits(b)
+            # the node reads its part of the stack's pencil, as a fresh formation gives it
+            assert np.shares_memory(node.pencil, cm.pencil)
+            fresh_pencil = metric_pencil(fresh.sqrt_and_invsqrt()[1], cm.theta_tilde[index])
+            assert _bits(node.pencil) == _bits(fresh_pencil)
+
+
+class TestOnePencilPerCurvature:
+    """The pencil of a curvature is formed once, by its first reader, and read-only."""
+
+    @pytest.fixture
+    def cm(self):
+        return curvature_matrix(builtin_field("gaussian_times_spd", {"n": 3, "d": 2}),
+                                np.array([0.1, -0.2, 0.3]))
+
+    def test_the_verdicts_form_one_pencil_between_them(self, cm, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return metric_pencil(*args)
+
+        monkeypatch.setattr(mlcc.curvature, "metric_pencil", counted)
+        nakano_verdict(cm)
+        griffiths_min_gap(cm)
+        assert len(calls) == 1
+
+    def test_the_pencil_is_read_only(self, cm):
+        pencil = cm.pencil
+        assert not pencil.flags.writeable and cm.pencil is pencil
+        with pytest.raises(ValueError):
+            pencil[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cm.pencil = np.zeros_like(pencil)
+        assert cm.pencil is pencil
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_FIXTURES))
