@@ -5,9 +5,11 @@ matrix ``exps`` (T, n), row t the degrees of term t, and a read-only coefficient
 block ``coeffs`` (T, then any member axis, then the coefficient shape: () for a
 float, (d, d) for a matrix, (d,) for a vector field's components), row t the
 coefficient of term t; T = 0 is a zero polynomial.  ``poly_collect`` builds one
-with a row per monomial, like monomials collected: a monomial written twice, a
-and b, is the one term (a + b) e.  The fields' q and P and the polynomial test
-functions are built so, and everything derived from them keeps a row per monomial.
+with a row per monomial, like monomials collected, by the rule its docstring
+states: a monomial written twice, a and b, is the one term (a + b) e.  The fields'
+q and P are built by it, and the polynomial test functions by the same rule as
+their terms are read (``VectorFieldFn.polynomial``); everything derived from them
+keeps a row per monomial.
 ``(coeff, degs)`` term lists are only the input format.
 Evaluation takes one point, shape (n,), or a stack of points, shape (N, n);
 it works with the points on the last axis (coefficient-major) and forms
@@ -48,10 +50,14 @@ class Poly:
 
 def poly_collect(exps, coeffs) -> Poly:
     """The polynomial of the terms with degrees ``exps`` (T, n) and coefficients ``coeffs``
-    (T, ...): like monomials collected, in the order of first occurrence.  Repeats are
-    found by hashing the rows and summed from the left, starting from the first
-    coefficient and not from 0.0 (a lone -0.0 stays), by one unbuffered ``np.add.at``;
-    with none, the polynomial keeps the given arrays."""
+    (T, ...), like monomials collected.
+
+    The rule, which every polynomial with a row per monomial is built by: a row per
+    monomial, in the order of first occurrence, whose coefficient is the first term's
+    as it is (not 0.0 plus it, so a lone -0.0 stays), with each later term's whole
+    coefficient added from the left, entry by entry.  Here repeats are found by hashing
+    the rows and summed by one unbuffered ``np.add.at``; with none, the polynomial keeps
+    the given arrays."""
     exps, coeffs = np.asarray(exps), np.asarray(coeffs, dtype=float)
     rows = list(map(tuple, exps.tolist()))
     if len(set(rows)) == len(rows):
@@ -75,8 +81,9 @@ def poly_rows(polys: list[Poly], x) -> np.ndarray:
     shape, then N), part k the value of ``polys[k]``, K the number of polynomials and N
     the number of points.
 
-    Each sum runs over its polynomial's own rows, in index order, from 0.0, and is
-    accumulated coefficient-major: each term is one broadcast of ``coeff[..., None]``
+    Each sum runs over its polynomial's own rows, in index order, from 0.0 (a zero
+    polynomial's part is that 0.0, and costs nothing more), and is accumulated
+    coefficient-major: each term is one broadcast of ``coeff[..., None]``
     over contiguous rows of point values, so part k has the bits of ``polys[k]`` alone.
     Each power x_j^k is formed once per call, for the whole list, by multiplication
     (see ``_power``), not by libm ``pow``; ``x * x`` has the bits of ``x**2``, so only
@@ -90,6 +97,8 @@ def poly_rows(polys: list[Poly], x) -> np.ndarray:
     powers = {}  # (j, k) -> x_j^k
     out = np.zeros((len(polys),) + polys[0].coeffs.shape[1:] + cols.shape[1:])
     for total, poly in zip(out, polys):
+        if not len(poly.exps):  # a zero polynomial: its part stays 0.0
+            continue
         for m, degs in zip(poly.coeffs[..., None], poly.exps.tolist()):
             fresh = False  # whether m is a new array of this term, safe to update in place
             for j, dj in enumerate(degs):

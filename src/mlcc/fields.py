@@ -152,20 +152,30 @@ def _checked_differences(fn, x, h: float, richardson: bool, what: str):
 
 
 def _checked_poly(terms, n: int, lead: tuple, shape: tuple) -> Poly:
-    """q or P of a field from its ``(coeff, degs)`` terms, collected (``poly_collect``), or
-    a derived field's polynomial as it is.
+    """q or P of a field from its terms, collected (``poly_collect``), or a derived field's
+    polynomial as it is.  Terms are ``(coeff, degs)`` pairs for q (``shape`` ()) and
+    ``(degs, matrix)`` pairs for P.
 
-    Each coefficient has ``shape``, behind the member axis ``lead`` (or is repeated along
-    it), and each degree tuple is checked (``poly_degrees``); the block of coefficients
-    is then checked once: finite and, as matrices, symmetric.  The first bad term is the
-    InputError, its shape, entries and degrees checked in that order.
+    Each term is a pair with a real coefficient, each coefficient has ``shape``, behind
+    the member axis ``lead`` (or is repeated along it), and each degree tuple is checked
+    (``poly_degrees``); the block of coefficients is then checked once: finite and, as
+    matrices, symmetric.  The first bad term is the InputError, its pair, shape, entries
+    and degrees checked in that order.
     """
     if isinstance(terms, Poly):
         block, fault = terms.coeffs, None
     else:
         full, coeffs, exps, fault = lead + shape, [], [], None
-        for c, degs in terms:
-            c = np.asarray(c, dtype=float)
+        for term in terms:
+            try:
+                c, degs = term
+                c, degs = (degs, c) if shape else (c, degs)
+                c = np.asarray(c, dtype=float)
+            except (TypeError, ValueError):
+                pair = "(degs, matrix)" if shape else "(coeff, degs)"
+                fault = InputError(f"field {'P' if shape else 'q'} term {term!r} is not a "
+                                   f"{pair} pair with a real coefficient")
+                break
             if c.shape not in (full, shape):
                 fault = InputError(f"field coefficient has shape {c.shape}, expected {shape}")
                 break
@@ -204,9 +214,11 @@ class MatrixField:
     q and P are given as term lists, ``q_terms`` as ``(coeff, degs)`` and ``p_terms`` as
     ``(degs, matrix)`` pairs (no terms give 0), and kept as polynomials of
     :mod:`mlcc._poly`; a field derived from another passes its polynomials as they are.
-    Each degree tuple is checked (``poly_degrees``: length n, whole degrees >= 0, else an
-    InputError), and so is each polynomial's coefficient block, once.  Both are
-    collected here, once (``poly_collect``), so values and jets read g by one formula.
+    Each term must be such a pair with a real coefficient (else an InputError naming q
+    or P and the term), each degree tuple is checked (``poly_degrees``: length n, whole
+    degrees >= 0, else an InputError), and so is each polynomial's coefficient block,
+    once.  Both are collected here, once (``poly_collect``), so values and jets read g
+    by one formula.
     Positivity is enforced per evaluation: querying a point where the value
     is not positive definite raises :class:`NotPositiveError`.  Jets come
     either from exact differentiation of the closed form or from central
@@ -247,8 +259,7 @@ class MatrixField:
         self.richardson = bool(richardson)
         lead = () if members is None else (len(members[1]),)
         self._q = _checked_poly(q_terms, n, lead, ())
-        p = p_terms if isinstance(p_terms, Poly) else [(c, degs) for degs, c in p_terms]
-        self._p = _checked_poly(p, n, lead, (d, d))
+        self._p = _checked_poly(p_terms, n, lead, (d, d))
 
     def _derived(self, q: Poly, p: Poly, name: str, **jet) -> "MatrixField":
         """A field of the polynomials q and P, keeping the jet settings."""

@@ -17,7 +17,7 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from ._poly import poly_collect, poly_degrees, poly_diff, poly_rows
+from ._poly import Poly, poly_degrees, poly_diff, poly_rows
 from .curvature import curvature_matrix
 from .errors import NODE_BUDGET, BudgetError, InputError, QuadratureError, _UnderflowError
 from .fields import MatrixField, _whole_number, central_differences
@@ -237,38 +237,38 @@ class VectorFieldFn:
     def polynomial(cls, n: int, components) -> "VectorFieldFn":
         """Exact polynomial vector field; ``components[l]`` is a term list.
 
-        ``n`` is an int >= 1 and there is at least one component; each degree
-        tuple must have length n with whole degrees >= 0 (see ``poly_degrees``)
-        and each coefficient must be finite, else an InputError.  The components are
-        collected once (``poly_collect``) into one polynomial F with a (T, d)
-        coefficient block, by the fields' convention: a monomial that a component
-        writes twice, a and b, is the one term (a + b) e, in F and in its partials.
-        The partials d_j F and, on first use, d_k d_j F are ``poly_diff``'s
-        polynomials, so a value, gradient or Hessian is one ``poly_rows`` block for
-        a whole stack of points.
-        Values and gradients are node-first views of the blocks' node-last rows,
-        (d, N) and (n, d, N) with row j d + l for d_j F_l, not copies: the
-        Brascamp-Lieb node pass reads them node-last (``_moments``, and ``_energy``
-        with no copy).  At one point, or as Hessians, they are contiguous.
+        ``n`` is an int >= 1 and there is at least one component; a term that is not a
+        ``(coeff, degs)`` pair with a real coefficient (named with its component), a coefficient
+        that is not finite and degrees that ``poly_degrees`` refuses are InputErrors.  F is
+        collected as the terms are read, by ``poly_collect``'s rule on rows (term t's
+        coefficient in its component's column, 0.0 in the others), into a (T, d) block; d_j F
+        and, on first use, d_k d_j F are ``poly_diff``'s, one ``poly_rows`` block each for a
+        stack of points.  Values and gradients are node-first views of those node-last rows,
+        (d, N) and (n, d, N) with row j d + l for d_j F_l, which the Brascamp-Lieb node pass
+        reads with no copy; at one point, or as Hessians, they are contiguous.
         """
-
         components = list(components)
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1 or not components:
             raise InputError(f"a polynomial test function needs n >= 1 variables and at least "
                              f"one component, got n = {n!r} and {len(components)} components")
 
-        exps, cols, coeffs = [], [], []  # per term its degrees, component and coefficient
+        d, rows = len(components), {}  # degrees -> row of F, in the order of first occurrence
         for l, comp in enumerate(components):
-            for c, degs in comp:
-                if not math.isfinite(c := float(c)):
+            for term in comp:
+                try:
+                    c, degs = term
+                    c = float(c)
+                except (TypeError, ValueError):
+                    raise InputError(f"test function component {l}: term {term!r} is not a "
+                                     "(coeff, degs) pair with a real coefficient") from None
+                if not math.isfinite(c):
                     raise InputError(f"test function coefficients must be finite, got {c!r}")
-                exps.append(poly_degrees(degs, n))
-                cols.append(l)
-                coeffs.append(c)
-        d = len(components)
-        block = np.zeros((len(coeffs), d))  # term t's coefficient in its component's column
-        block[np.arange(len(coeffs)), np.array(cols, dtype=np.intp)] = coeffs
-        poly = poly_collect(np.array(exps, dtype=np.int64).reshape(-1, n), block)
+                row = [0.0] * d
+                row[l] = c
+                if (old := rows.setdefault(poly_degrees(degs, n), row)) is not row:
+                    old[:] = [a + b for a, b in zip(old, row)]  # the whole row, from the left
+        poly = Poly(np.array(list(rows), dtype=np.int64).reshape(-1, n),
+                    np.array(list(rows.values())).reshape(-1, d))
         grads = [poly_diff(poly, j) for j in range(n)]
         hessians = None  # built on first use: a variance or energy pass never asks for them
 

@@ -27,9 +27,11 @@ cubic terms;
 what the front end prints for argvs that do not parse or that a check rejects
 (``FRONT_END``); a ``schur`` report with a "-inf" gap and empty settings (exit 3);
 a ``bl`` report with diagnostics; ``prekopa`` on ``double_well_scalar`` at t = 0, where
-the hypothesis gate fails (exit 3), and at t = 1.5, where it passes; and ``schur`` with
-``--n0`` 0 and -1, which ``block_split`` rejects (exit 2).  Pytest does not collect this
-file.
+the hypothesis gate fails (exit 3), and at t = 1.5, where it passes; ``schur`` with
+``--n0`` 0 and -1, which ``block_split`` rejects (exit 2); and ``bl``, ``ipp`` and
+``bochner`` at GH 16 with test functions whose components each write one monomial twice,
+share every monomial in different orders and start a monomial with a -0 coefficient
+(``SIGNED_ZERO``).  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -112,6 +114,17 @@ REPEATED = (
      "poly:y^3;y^2+0.3*y^3+0.6*y^3"),
 )
 
+#: (field arguments, test function, second test function): each component writes one
+#: monomial twice, the components share every monomial in different orders, and a -0
+#: coefficient comes first for its monomial, so that row adds -0.0 + 0.0.
+SIGNED_ZERO = (
+    (["--field", "gaussian_times_spd"], "poly:-0*y+0.5*y^3+y^2+0.25*y^3;0.3*y^2-0.2*y^3+y+0.1*y^3",
+     "poly:y^2-0*y+0.4*y;0.6*y+y^2+0.3*y^2"),
+    (["--field", "perturbed_gaussian_spd"],
+     "poly:-0*x2+x1^3+0.5*x1*x2^2+0.2*x1^3;x1*x2^2+x2-0.3*x1^3+0.6*x1*x2^2",
+     "poly:x1^2*x2+x1-0*x1;x1+0.2*x1^2*x2+x1^2*x2"),
+)
+
 _AT = ["--field", "raufi_corrected", "--point", "0,0"]
 
 #: Argvs of the front end: no command, help, an unknown subcommand, a missing
@@ -181,6 +194,10 @@ def argvs() -> list[list[str]]:
             out.append(["prekopa", "--field-json", "field2.json", "--n0", n0, t, "--order", "16",
                         "--scale", "0.5", *jet])
     out += [["schur", *_AT, "--n0", n0] for n0 in ("0", "-1")]
+    for field, f, g in SIGNED_ZERO:
+        rule = [*field, "--order", "16"]
+        out += [["bl", *rule, "--test-fn", f], ["ipp", *rule, "--test-fn", f, "--test-fn-g", g],
+                ["bochner", *rule, "--test-fn", f]]
     return out
 
 

@@ -5,7 +5,8 @@ differences by slicing one value stack; the per-direction loop it replaced is
 kept here as the reference, and ``term_lists`` keeps the term-list polynomials
 that the exponent matrix and coefficient block replaced.  Every exact partial,
 of a field's jet or of a polynomial test function, is ``poly_diff``'s polynomial
-summed by ``poly_rows``.
+summed by ``poly_rows``; ``scattered_build`` keeps the test functions' build that
+collected a scattered block, which the build as the terms are read equals.
 """
 
 from itertools import product
@@ -14,6 +15,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import mlcc.quadrature
+import scattered_build
 import term_lists
 from conftest import poly_arrays, poly_terms
 from hypothesis import given, settings, strategies as st
@@ -269,3 +272,47 @@ def test_each_jet_partial_is_poly_eval_of_its_poly_diff_chain(field, stack):
                   axis=-4)
     assert _same(jet.d1, d1) and _same(jet.d2, d2)
     assert _same(jet.value.entries, field.value(x))
+
+
+# -- a polynomial test function collected as its terms are read ---------------------
+
+
+@st.composite
+def vector_field_cases(draw):
+    """(n, components) with n <= 3 variables and d <= 3 components, some of them empty;
+    each term's monomial is drawn from a pool of at most 4, so monomials repeat within a
+    component and across components, and each coefficient from signed zeros, 1/3 and
+    +-1e16 among others."""
+    n = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=4))
+    values = st.sampled_from([-0.0, 0.0, 1.0, 0.1, 1.0 / 3.0, 1e16, -1e16])
+    term = st.tuples(values, st.sampled_from(pool))
+    return n, draw(st.lists(st.lists(term, max_size=6), min_size=1, max_size=3))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=vector_field_cases(), seed=st.integers(0, 2**16))
+def test_the_test_function_build_equals_the_scattered_block_bit_for_bit(case, seed):
+    """F's exponent matrix and coefficient block, its gradient polynomials and the value,
+    gradient and Hessian on a stack of points and at one point equal the scatter-and-
+    collect build of ``scattered_build``, bit for bit (-0.0 + 0.0 is 0.0 there too)."""
+    n, components = case
+    built = []  # (the polynomial differentiated, its partial) per poly_diff call
+    original = mlcc.quadrature.poly_diff
+
+    def spy(poly, j):
+        built.append((poly, original(poly, j)))
+        return built[-1][1]
+
+    with mock.patch.object(mlcc.quadrature, "poly_diff", spy):
+        fn = VectorFieldFn.polynomial(n, components)
+    ref_fn, ref, ref_grads = scattered_build.polynomial(n, components)
+    got = built[0][0]
+    assert all(poly is got for poly, _ in built) and len(built) == n
+    for poly, want in zip([got, *(g for _, g in built)], [ref, *ref_grads]):
+        assert _same(poly.exps, want.exps) and poly.exps.dtype == want.exps.dtype
+        assert _same(poly.coeffs, want.coeffs) and poly.coeffs.dtype == want.coeffs.dtype
+    x = np.random.default_rng(seed).uniform(-2.0, 2.0, (5, n))
+    for points in (x, x[0]):
+        for method in ("value", "grad", "hess"):
+            assert _same(getattr(fn, method)(points), getattr(ref_fn, method)(points)), method

@@ -541,6 +541,52 @@ LIBRARY_ERRORS = {
 }
 
 
+#: name -> (call, message): a term that is not a pair with a real coefficient, named
+#: with its component (or q or P); before, each raised a raw ValueError or TypeError
+MALFORMED_TERMS = {
+    "string_test_function_coefficient": (lambda: VectorFieldFn.polynomial(1, [[("x", (1,))]]),
+                                         "test function component 0: term ('x', (1,)) is not"),
+    "complex_test_function_coefficient": (lambda: VectorFieldFn.polynomial(
+                                              1, [[(1.0, (0,))], [(1j, (1,))]]),
+                                          "test function component 1: term (1j, (1,)) is not"),
+    "none_test_function_coefficient": (lambda: VectorFieldFn.polynomial(1, [[(None, (1,))]]),
+                                       "test function component 0: term (None, (1,)) is not"),
+    "array_test_function_coefficient": (lambda: VectorFieldFn.polynomial(
+                                            1, [[(np.array([2.0]), (1,))]]),
+                                        "test function component 0: term (array([2.]), (1,))"),
+    "test_function_term_not_a_pair": (lambda: VectorFieldFn.polynomial(1, [[(1.0,)]]),
+                                      "test function component 0: term (1.0,) is not a "
+                                      "(coeff, degs) pair with a real coefficient"),
+    "string_q_coefficient": (lambda: MatrixField(1, 2, [("x", (2,))], [((0,), np.eye(2))]),
+                             "field q term ('x', (2,)) is not a (coeff, degs) pair"),
+    "string_p_coefficient": (lambda: MatrixField(1, 2, [], [((0,), "eye")]),
+                             "field P term ((0,), 'eye') is not a (degs, matrix) pair"),
+    "q_term_not_a_pair": (lambda: MatrixField(1, 2, [(1.0,)], [((0,), np.eye(2))]),
+                          "field q term (1.0,) is not a (coeff, degs) pair"),
+    "p_term_not_a_pair": (lambda: MatrixField(1, 2, [], [((0,),)]),
+                          "field P term ((0,),) is not a (degs, matrix) pair"),
+    "complex_q_coefficient": (lambda: MatrixField(1, 2, [(1j, (2,))], [((0,), np.eye(2))]),
+                              "field q term (1j, (2,)) is not a (coeff, degs) pair with a "
+                              "real coefficient"),
+    # the first bad term is the error, as for the other checks of a term
+    "nan_before_a_malformed_term": (lambda: MatrixField(1, 1, [(np.nan, (0,)), ("x", (1,))],
+                                                        []),
+                                    "field coefficients must be finite"),
+    "malformed_term_before_a_nan": (lambda: MatrixField(1, 1, [], [((0,),), ((1,), [[np.nan]])]),
+                                    "field P term ((0,),) is not a (degs, matrix) pair"),
+    "malformed_term_before_a_bad_degree": (lambda: VectorFieldFn.polynomial(
+                                               1, [[(1.0, (-1,))], [(1.0,)]]),
+                                           "monomial of degrees (-1,)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TERMS))
+def test_a_malformed_term_is_an_input_error(case):
+    call, message = MALFORMED_TERMS[case]
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()
+
+
 @pytest.mark.parametrize("case", sorted(LIBRARY_ERRORS))
 def test_library_error(case):
     call, error, message = LIBRARY_ERRORS[case]

@@ -245,3 +245,19 @@ class TestVectorFieldFn:
         np.testing.assert_array_equal(first[:, 0, 1, 1], 3.0 * x[:, 1])
         np.testing.assert_array_equal(first[:, 0, 0, 1], 2.0 * x[:, 0])
         np.testing.assert_array_equal(first[:, 1], 0.0)
+
+    def test_the_build_collects_without_poly_collect(self, monkeypatch):
+        # the rows are collected as the terms are read: no scattered block to collect
+        calls, original = [], mlcc._poly.poly_collect
+
+        def counting(exps, coeffs):
+            calls.append(len(exps))
+            return original(exps, coeffs)
+
+        monkeypatch.setattr(mlcc._poly, "poly_collect", counting)
+        assert not hasattr(mlcc.quadrature, "poly_collect")
+        comps = [[(1.0, (2, 1)), (0.5, (0, 3)), (-0.0, (2, 1))], [(2.0, (0, 3)), (1.0, (1, 0))]]
+        fn = VectorFieldFn.polynomial(2, comps)
+        x = np.array([[0.7, -0.4], [0.3, 0.2]])
+        fn.value(x), fn.grad(x), fn.hess(x)
+        assert calls == []
