@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _whole
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -141,32 +141,21 @@ def poly_degrees(degs, n: int) -> tuple[int, ...]:
     """The degree tuple ``degs`` of one monomial in ``n`` variables, as ints.
 
     A tuple of another length is an InputError, and so is a degree that is not
-    a whole number >= 0 (an integral float such as 2.0 is taken as 2): ``_power``
-    forms no other, and a negative one would never end.  A degree of 2**63 or more
-    does not fit the exponent matrix and is an InputError too.  The error names the
-    monomial by its degrees.
+    a whole number >= 0 (``_whole``: an integral float such as 2.0 is taken as 2):
+    ``_power`` forms no other, and a negative one would never end.  A degree of 2**63
+    or more does not fit the exponent matrix and is an InputError too.  The error names
+    the monomial by its degrees.
     """
     degs = tuple(degs)
     if len(degs) != n:
         raise InputError("polynomial degree tuples must have length n")
     for k in degs:
         if type(k) is not int or not 0 <= k < 2**63:  # plain ints in range pass as they are
-            return tuple(_whole(k, degs) for k in degs)
+            whole = tuple(_whole(f"monomial of degrees {degs}: each degree", k, 0) for k in degs)
+            if max(whole) >= 2**63:
+                raise InputError(f"monomial of degrees {degs}: each degree must be below 2**63")
+            return whole
     return degs
-
-
-def _whole(k, degs) -> int:
-    """The degree ``k`` of the monomial of degrees ``degs`` as an int, if it is whole, >= 0
-    and below 2**63 (a bool is not a degree)."""
-    try:
-        i = -1 if isinstance(k, (bool, np.bool_)) else int(k)
-    except (TypeError, ValueError, OverflowError):
-        i = -1
-    if i < 0 or i != k:
-        raise InputError(f"monomial of degrees {degs}: each degree must be a whole number >= 0")
-    if i >= 2**63:
-        raise InputError(f"monomial of degrees {degs}: each degree must be below 2**63")
-    return i
 
 
 def poly_diff(poly: Poly, j: int) -> Poly:

@@ -30,6 +30,7 @@ from .errors import (
     NotPsdError,
     QuadratureError,
     SymmetryError,
+    _real,
 )
 from .fields import BUILTIN_PARAMS, SHAPE_PARAMS, builtin_field, polynomial_field_from_json
 from .inequalities import (
@@ -58,11 +59,16 @@ TOLERANCES = ("tol_psd", "tol_gap", "tol_res")
 # -- parsing helpers -----------------------------------------------------------
 
 
-def _parse_point(text: str) -> np.ndarray:
+def _parse_point(text: str, flag: str) -> np.ndarray:
+    """The comma-separated numbers of ``flag`` (--point, --t or --v0); an entry that is
+    not a finite number is an InputError naming the flag."""
     try:
-        return np.array([float(p) for p in text.split(",")])
+        point = np.array([float(p) for p in text.split(",")])
     except ValueError as exc:
-        raise InputError(f"malformed point {text!r}") from exc
+        raise InputError(f"{flag} must be comma-separated numbers, got {text!r}") from exc
+    if not np.isfinite(point).all():
+        raise InputError(f"{flag} must be finite, got {text!r}")
+    return point
 
 
 def _parse_params(pairs) -> dict:
@@ -221,7 +227,7 @@ def _exit_code(checks: list) -> int:
 
 def _curvature(args):
     """The field's curvature matrix at --point (nakano, griffiths, schur)."""
-    return curvature_matrix(_build_field(args), _parse_point(args.point))
+    return curvature_matrix(_build_field(args), _parse_point(args.point, "--point"))
 
 
 def _field_rule_and_test_fns(args, *specs):
@@ -268,7 +274,7 @@ def _cmd_scan(args, diagnostics):
         raise BudgetError(f"--param-range {span!r} has {steps + 1:.3g} points, "
                           f"beyond the budget of {NODE_BUDGET}")
     base = _parse_params(args.param)
-    point = _parse_point(args.point)
+    point = _parse_point(args.point, "--point")
     # whole steps, forgiving rounding: 0:0.3:0.1 is 2.9999999999999996 steps, 0:1:0.6 one
     count = math.floor(steps + SCAN_STEP_TOL * (1.0 + steps)) + 1
     # one field, jet, curvature assembly and generalized spectrum per block; a value
@@ -301,10 +307,7 @@ def _cmd_schur(args, diagnostics):
     cm = _curvature(args)
     v0 = None
     if args.v0:
-        flat = _parse_point(args.v0)
-        if not np.isfinite(flat).all():
-            raise InputError(f"--v0 must be finite, got {args.v0!r}")
-        v0 = ColumnBlockMatrix.from_flat(flat, cm.d)
+        v0 = ColumnBlockMatrix.from_flat(_parse_point(args.v0, "--v0"), cm.d)
     return [schur_check(cm, args.n0, v0, tol_gap=args.tol_gap)]
 
 
@@ -315,8 +318,9 @@ def _cmd_bl(args, diagnostics):
 
 def _cmd_prekopa(args, diagnostics):
     field = _build_field(args)
-    t = _parse_point(args.t)
-    rule = _build_rule(args, field.n - args.n0)
+    t = _parse_point(args.t, "--t")
+    # an n0 out of range is prekopa_check's error, named so, not an empty rule's
+    rule = _build_rule(args, max(field.n - args.n0, 1))
     return [
         prekopa_check(
             field, t, args.n0, rule, h=args.marginal_h, tol_psd=args.tol_psd
@@ -503,9 +507,7 @@ def _settle(args) -> None:
     finite number is an InputError naming the flag; MLCC_SEED sets --seed
     where the subcommand has one."""
     for key in TOLERANCES:
-        value = getattr(args, key, 0.0)
-        if not math.isfinite(value):
-            raise InputError(f"--{key.replace('_', '-')} must be a finite number, got {value!r}")
+        _real(f"--{key.replace('_', '-')}", getattr(args, key, 0.0))
     env = os.environ.get("MLCC_SEED")
     if env is not None and hasattr(args, "seed"):
         try:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NODE_BUDGET, BudgetError, InputError, SymmetryError
+from .errors import NODE_BUDGET, BudgetError, InputError, SymmetryError, _reals, _whole
 from .fields import Jet2, MatrixField
 from .metric import (
     ColumnBlockMatrix,
@@ -43,7 +43,7 @@ def theta_block(jet: Jet2, j: int, k: int) -> np.ndarray:
     Indices are 0-based.  Solves against g, never forming its inverse.  On a
     stack of jets, the result is each point's block, with the stack's lead axes.
     """
-    n = jet.n
+    n, j, k = jet.n, _whole("j", j), _whole("k", k)
     if not (0 <= j < n and 0 <= k < n):
         raise InputError(f"block index ({j}, {k}) out of range for n={n}")
     return np.linalg.solve(jet.value.entries, jet.d2[..., k, j, :, :]
@@ -119,10 +119,10 @@ def curvature_from_jet(jet: Jet2) -> CurvatureMatrix:
 def curvature_matrix(field: MatrixField, x, jet: Jet2 | None = None) -> CurvatureMatrix:
     """Curvature operator of ``field`` at ``x``, or at each point of a stack.
 
-    ``jet``, when given, is the jet of ``field`` at ``x``, already evaluated.
-    An asymmetric jet names its point.
+    ``jet``, when given, is the jet of ``field`` at ``x``, already evaluated; else
+    ``field.jet`` reads x (``_points``).  An asymmetric jet names its point.
     """
-    x = np.asarray(x, dtype=float)
+    x = _reals("x", x)
     try:
         return curvature_from_jet(field.jet(x) if jet is None else jet)
     except SymmetryError as exc:
@@ -182,19 +182,13 @@ def griffiths_min_gap(
     the pencil, which can leave it a few units in the last place above the maximum.
     Start s draws its y then its u from ``default_rng(seed)``.
 
-    ``n_starts`` is an integer in [8, NODE_BUDGET], ``max_iter`` a positive integer and
-    ``seed`` a non-negative integer (a bool is none of them), on every shape.
+    ``n_starts`` is a whole number (``_whole``) in [8, NODE_BUDGET], ``max_iter`` one
+    >= 1 and ``seed`` one >= 0, on every shape.
     """
-    if not _is_integer(n_starts):
-        raise InputError(f"n_starts must be an integer, got {n_starts!r}")
-    if n_starts < 8:
-        raise InputError("need at least 8 starts")
+    n_starts = _whole("n_starts", n_starts, 8)
     if n_starts > NODE_BUDGET:
         raise BudgetError(f"{n_starts} starts exceed the budget of {NODE_BUDGET}")
-    if not _is_integer(max_iter) or max_iter < 1:
-        raise InputError(f"max_iter must be a positive integer, got {max_iter!r}")
-    if not _is_integer(seed) or seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    max_iter, seed = _whole("max_iter", max_iter, 1), _whole("seed", seed, 0)
     d, n, pencil = cm.d, cm.n, cm.pencil
     if not np.isfinite(pencil).all():
         return -np.inf
@@ -227,11 +221,6 @@ def griffiths_min_gap(
         prev[live] = val
         live, y = live[~done], w_y[~done, :, -1]
     return float(np.fmax.reduce(prev, initial=-np.inf))
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is a Python or NumPy integer other than a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 #: Rows: the coefficients of 1, cos 2t and sin 2t in (cos t, sin t) m (cos t, sin t)^T,
@@ -332,9 +321,11 @@ class BlockSplit:
 
 
 def block_split(cm: CurvatureMatrix, n0: int) -> BlockSplit:
-    """Split off the first ``n0`` column-blocks of the curvature operator."""
+    """Split off the first ``n0`` column-blocks of the curvature operator: ``n0`` is a
+    whole number (``_whole``) with 1 <= n0 < n."""
+    n0 = _whole("n0", n0)
     if not 1 <= n0 < cm.n:
-        raise InputError(f"n0 must satisfy 1 <= n0 < {cm.n}")
+        raise InputError(f"n0 must satisfy 1 <= n0 < {cm.n}, got {n0}")
     d = cm.d
     n1 = cm.n - n0
     cut = n0 * d

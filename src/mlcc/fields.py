@@ -20,20 +20,14 @@ import numpy as np
 
 from ._poly import (Poly, poly_collect, poly_degrees, poly_diff, poly_eval, poly_rows,
                     poly_substitute_prefix)
-from .errors import NODE_BUDGET, BudgetError, InputError, NotPositiveError, _UnderflowError
+from .errors import (NODE_BUDGET, BudgetError, InputError, NotPositiveError, _points, _real,
+                     _reals, _UnderflowError, _whole)
 from .metric import SpdMatrix, _first
 
 #: Default central-difference step for finite-difference jets.
 DEFAULT_FD_STEP = 1e-4
 
 _FD_STEP_NAME = "the finite-difference step h (--h)"
-
-
-def _step(h, what: str) -> float:
-    """``h`` as a float if it is a finite step > 0, else an InputError naming ``what``."""
-    if not 0.0 < float(h) < np.inf:
-        raise InputError(f"{what} must be finite and > 0, got {float(h)!r}")
-    return float(h)
 
 
 @dataclass(frozen=True)
@@ -170,8 +164,8 @@ def _checked_poly(terms, n: int, lead: tuple, shape: tuple) -> Poly:
             try:
                 c, degs = term
                 c, degs = (degs, c) if shape else (c, degs)
-                c = np.asarray(c, dtype=float)
-            except (TypeError, ValueError):
+                c = _reals("coefficient", c)
+            except (TypeError, ValueError):  # an InputError too
                 pair = "(degs, matrix)" if shape else "(coeff, degs)"
                 fault = InputError(f"field {'P' if shape else 'q'} term {term!r} is not a "
                                    f"{pair} pair with a real coefficient")
@@ -198,14 +192,16 @@ def _checked_poly(terms, n: int, lead: tuple, shape: tuple) -> Poly:
     return poly_collect(np.array(exps, dtype=np.int64).reshape(-1, n), block)
 
 
-def _within_budget(n: int, d: int) -> None:
-    """A BudgetError naming n and d when one point's curvature matrix, (n d)^2 entries,
-    exceeds ``NODE_BUDGET``."""
-    entries = (int(n) * int(d)) ** 2
+def _field_shape(n, d) -> tuple[int, int]:
+    """n and d as whole numbers >= 1 (``_whole``), and a BudgetError naming them when one
+    point's curvature matrix, (n d)^2 entries, exceeds ``NODE_BUDGET``."""
+    n, d = _whole("n", n, 1), _whole("d", d, 1)
+    entries = (n * d) ** 2
     if entries > NODE_BUDGET:
         raise BudgetError(f"a field with n = {n} and d = {d} has a curvature matrix of "
                           f"(n d)^2 = {entries} entries at each point, beyond the budget "
                           f"of {NODE_BUDGET}")
+    return n, d
 
 
 class MatrixField:
@@ -214,6 +210,7 @@ class MatrixField:
     q and P are given as term lists, ``q_terms`` as ``(coeff, degs)`` and ``p_terms`` as
     ``(degs, matrix)`` pairs (no terms give 0), and kept as polynomials of
     :mod:`mlcc._poly`; a field derived from another passes its polynomials as they are.
+    n and d are whole numbers >= 1 and h a finite number > 0 (``mlcc.errors``' rule).
     Each term must be such a pair with a real coefficient (else an InputError naming q
     or P and the term), each degree tuple is checked (``poly_degrees``: length n, whole
     degrees >= 0, else an InputError), and so is each polynomial's coefficient block,
@@ -245,9 +242,7 @@ class MatrixField:
         name: str = "custom",
         members: tuple | None = None,
     ):
-        if n < 1 or d < 1:
-            raise InputError("field dimensions must be positive")
-        _within_budget(n, d)
+        n, d = _field_shape(n, d)
         if jet_mode not in ("exact", "finite_difference"):
             raise InputError(f"unknown jet mode {jet_mode!r}")
         self.n = n
@@ -255,7 +250,7 @@ class MatrixField:
         self.name = name
         self.members = members
         self.jet_mode = jet_mode
-        self.h = _step(h, _FD_STEP_NAME)
+        self.h = _real(_FD_STEP_NAME, h, positive=True)
         self.richardson = bool(richardson)
         lead = () if members is None else (len(members[1]),)
         self._q = _checked_poly(q_terms, n, lead, ())
@@ -287,14 +282,6 @@ class MatrixField:
         return partials(self._q), partials(self._p), second
 
     # -- evaluation: at one point, shape (n,), or a stack of them, (N, n) ----
-
-    def _points(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.n or not np.isfinite(x).all():
-            raise InputError(f"expected a finite point in R^{self.n} or a stack of them")
-        if not x.size:
-            raise InputError(f"expected at least one point in R^{self.n}, got an empty stack")
-        return x
 
     def _where(self, x: np.ndarray, index) -> str:
         """Names the point (and member) at the flat ``index`` of values over ``x``."""
@@ -330,14 +317,14 @@ class MatrixField:
 
     def _value(self, x) -> SpdMatrix:
         """The values at ``x`` as one validated SpdMatrix (a stack for a stack of points)."""
-        x = self._points(x)
+        x = _points("x", x, self.n)
         q = poly_eval(self._q, x)
         return self._spd(x, q, np.exp(-q)[..., None, None] * poly_eval(self._p, x))
 
     # -- jets ----------------------------------------------------------------
 
     def jet(self, x) -> Jet2:
-        x = self._points(x)
+        x = _points("x", x, self.n)
         if self.jet_mode == "finite_difference":
             stencil = []
 
@@ -350,8 +337,9 @@ class MatrixField:
                 d1, d2 = d1.swapaxes(-4, -3), np.moveaxis(d2, -3, -5)
             # the validated stencil holds P points per centre, the centre first: its
             # value is a node of that stack, not validated again
-            stack = stencil[0]
-            value = stack[:: stack.entries.shape[0] // len(x)] if x.ndim == 2 else stack[0]
+            stack, lead = stencil[0], x.shape[:-1]
+            centres = np.arange(0, len(stack.entries), len(stack.entries) // math.prod(lead))
+            value = stack[centres.reshape(lead)] if lead else stack[0]
             return Jet2(value=value, d1=d1, d2=d2)
         n = self.n
         q_parts, p_parts, second = self._jet_terms
@@ -397,7 +385,7 @@ class MatrixField:
 
 def conjugate_field(field: MatrixField, p) -> MatrixField:
     """Congruence of the field by an orthogonal matrix: x -> P^T g(x) P."""
-    p = np.asarray(p, dtype=float)
+    p = _reals("conjugating matrix", p)
     if p.shape != (field.d, field.d):
         raise InputError("conjugating matrix has wrong shape")
     if np.abs(p.T @ p - np.eye(field.d)).max() > 1e-12:
@@ -414,11 +402,8 @@ def restrict_field(field: MatrixField, t) -> MatrixField:
     that are not finite (powers of t that overflow) are an InputError naming the
     field and t, raised without a floating-point warning.
     """
-    try:
-        vec = np.atleast_1d(np.asarray(t, dtype=float))
-    except (TypeError, ValueError):
-        vec = None
-    if vec is None or vec.ndim != 1 or not np.isfinite(vec).all():
+    vec = np.atleast_1d(_reals(f"{field.name}: t", t))
+    if vec.ndim != 1 or not np.isfinite(vec).all():
         raise InputError(f"{field.name}: t must be a finite 1-D vector, got {t!r}")
     if vec.shape[0] >= field.n:
         raise InputError("cannot freeze all coordinates of the field")
@@ -450,19 +435,6 @@ BUILTIN_PARAMS = {
 }
 
 
-def _whole_number(key: str, value, least: int | None = None) -> int:
-    """``value`` as an int if it is a whole number such as 64 or 64.0, not a bool or a
-    string, and at least ``least`` when one is given; else an InputError naming ``key``."""
-    try:
-        whole = float(value).is_integer() and not isinstance(value, (bool, np.bool_, str, bytes))
-    except (TypeError, ValueError):
-        whole = False
-    if not whole or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise InputError(f"{key} must be a whole number{bound}, got {value!r}")
-    return int(value)
-
-
 def _sq_norm_terms(n: int, factor: float) -> list:
     return [(factor, tuple(2 if i == j else 0 for i in range(n))) for j in range(n)]
 
@@ -477,8 +449,9 @@ def _member_axis(params: dict):
     """``(name, values)`` of the one parameter given as an array (or a list or tuple) of
     values, or None.
 
-    More than one array, an array that is not 1-D or is empty, or an array of
-    more than one n or d is an InputError (``A`` is a matrix, not an array of values).
+    More than one array, an array that is not 1-D, is empty or holds a value that is not a
+    real (``_real``), or an array of more than one n or d is an InputError (``A`` is a
+    matrix, not an array of values).
     """
     arrays = [key for key, val in params.items()
               if key != "A" and isinstance(val, (np.ndarray, list, tuple))]
@@ -487,9 +460,11 @@ def _member_axis(params: dict):
     if len(arrays) > 1:
         raise InputError(f"only one parameter may take an array of values, got {arrays}")
     key = arrays[0]
-    values = np.array(params[key], dtype=float)
+    values = _reals(f"parameter {key!r}", params[key])
     if values.ndim != 1 or not values.size:
         raise InputError(f"parameter {key!r} must be a number or a 1-D array of numbers")
+    for value in values.tolist():  # each a real, as a single value is
+        _real(key, value)
     if key in SHAPE_PARAMS and values.size > 1:
         raise InputError(f"{key} sets the field's shape: give one value at a time")
     return key, values
@@ -498,25 +473,33 @@ def _member_axis(params: dict):
 def _spd_from_params(params: dict, lead: tuple, n: int) -> np.ndarray:
     """``A`` of an SPD-envelope builtin of n variables, or Id_d (d = 2) with the entries
     a11, a12, ... (behind the member axis ``lead`` when an entry is an array of values);
-    a d over the budget (``_within_budget``) is a BudgetError before Id_d is built."""
+    a d over the budget (``_field_shape``) is a BudgetError before Id_d is built, and each
+    entry is read by ``_param``."""
     if params.get("A") is not None:
-        a = np.asarray(params["A"], dtype=float)
+        a = _reals("parameter 'A'", params["A"])
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             shown = np.asarray(params["A"]).tolist()
             raise InputError(f"parameter 'A' must be a square matrix, got {shown!r} "
                              "(give its entries as a11, a12, ...)")
         return a
-    d = _whole_number("d", params.get("d", 2), 1)
-    _within_budget(n, d)
+    _, d = _field_shape(n, params.get("d", 2))
     a = np.empty(lead + (d, d))
     a[...] = np.eye(d)
-    for key, val in params.items():
+    for key in params:
         if _ENTRY.fullmatch(key):
             i, j = int(key[1]) - 1, int(key[2]) - 1
             if not (0 <= i < d and 0 <= j < d):
                 raise InputError(f"matrix entry {key!r} out of range for d={d}")
-            a[..., i, j] = a[..., j, i] = val
+            a[..., i, j] = a[..., j, i] = _param(params, key, None)
     return a
+
+
+def _param(params: dict, key: str, default) -> np.ndarray:
+    """A real parameter of a builtin: its member values when it takes an array of them
+    (the one array ``_member_axis`` leaves in ``params``), else the number (``_real``)
+    as a 0-d array."""
+    value = params.get(key, default)
+    return value if isinstance(value, np.ndarray) else np.asarray(_real(key, value))
 
 
 def _raufi_terms(s: np.ndarray, corrected: bool) -> list:
@@ -558,30 +541,25 @@ def builtin_field(name: str, params: dict | None = None, **jet_kwargs) -> Matrix
         else:
             params[key], lead = values, values.shape
     field = partial(MatrixField, name=name, members=members, **jet_kwargs)
-
-    def number(key, default):
-        return np.asarray(params.get(key, default), dtype=float)
-
     if name == "gaussian_scalar":
-        n = _whole_number("n", params.get("n", 1), 1)
-        _within_budget(n, 1)
+        n, _ = _field_shape(params.get("n", 1), 1)
         return field(n, 1, _sq_norm_terms(n, 0.5), [((0,) * n, np.eye(1))])
     if name == "gaussian_times_spd":
-        n = _whole_number("n", params.get("n", 1), 1)
+        n = _whole("n", params.get("n", 1), 1)
         a = _spd_from_params(params, lead, n)
         return field(n, a.shape[-1], _sq_norm_terms(n, 1.0), [((0,) * n, a)])
     if name in ("raufi_printed", "raufi_corrected"):
-        terms = _raufi_terms(number("s", 0.0), corrected=(name == "raufi_corrected"))
+        terms = _raufi_terms(_param(params, "s", 0.0), corrected=(name == "raufi_corrected"))
         return field(2, 2, [], terms)
     if name == "gaussian_cross_spd":
         # exp(-(x1^2 + x2^2 + c x1 x2)) * A, non-product in (t, y) for c != 0
         a = _spd_from_params(params, lead, 2)
-        q = _sq_norm_terms(2, 1.0) + [(number("c", 0.5), (1, 1))]
+        q = _sq_norm_terms(2, 1.0) + [(_param(params, "c", 0.5), (1, 1))]
         return field(2, a.shape[-1], q, [((0, 0), a)])
     if name == "perturbed_gaussian_spd":
         # exp(-|x|^2) * (Id + eps (x1 + x2) B): integrable, N-log-concave for
         # small eps, with a genuinely nonconstant matrix direction.
-        eps_b = number("eps", 0.02)[..., None, None] * PERTURBATION_DIRECTION
+        eps_b = _param(params, "eps", 0.02)[..., None, None] * PERTURBATION_DIRECTION
         p = [((0, 0), np.eye(2)), ((1, 0), eps_b), ((0, 1), eps_b)]
         return field(2, 2, _sq_norm_terms(2, 1.0), p)
     # double_well_scalar, exp(-((x1^2 - 1)^2 + x2^2)): integrable but not
@@ -592,10 +570,10 @@ def builtin_field(name: str, params: dict | None = None, **jet_kwargs) -> Matrix
 
 def _term_list(monomials) -> list:
     """A JSON list of ``[coeff, [deg_1, ..., deg_n]]`` as a (coeff, degs) term list.
-    The degrees are kept as written, for the field to check (``poly_degrees``):
-    2.7 is not truncated to 2."""
+    The coefficients and degrees are kept as written, for the field to check (``_reals``,
+    ``poly_degrees``): "1.5" is not read as 1.5, nor 2.7 truncated to 2."""
     try:
-        return [(float(c), tuple(degs)) for c, degs in monomials]
+        return [(c, tuple(degs)) for c, degs in monomials]
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed monomial list {monomials!r}") from exc
 
@@ -617,7 +595,8 @@ def _entry_terms(d: int, entries: dict) -> list:
             raise InputError(f"entry key {key!r} out of range (need i <= j <= d)")
         e = np.zeros((d, d))
         e[i, j] = e[j, i] = 1.0
-        terms += [(degs, coeff * e) for coeff, degs in _term_list(monomials)]
+        terms += [(degs, _reals(f"entry {key!r}: coefficient", c)[..., None, None] * e)
+                  for c, degs in _term_list(monomials)]
     return terms
 
 
@@ -627,7 +606,7 @@ def polynomial_field(n: int, d: int, entries: dict, **jet_kwargs) -> MatrixField
     ``entries`` maps "i,j" (1-based, i <= j) to a list of
     ``[coeff, [deg_1, ..., deg_n]]`` monomials.
     """
-    _within_budget(n, d)
+    n, d = _field_shape(n, d)
     return MatrixField(n, d, [], _entry_terms(d, entries), name="polynomial", **jet_kwargs)
 
 
@@ -646,8 +625,7 @@ def polynomial_field_from_json(path_or_obj, **jet_kwargs) -> MatrixField:
         raise InputError("field JSON must be an object with keys n, d and entries, got "
                          f"{type(obj).__name__}")
     try:
-        n, d = _whole_number("n", obj["n"], 1), _whole_number("d", obj["d"], 1)
-        _within_budget(n, d)
+        n, d = _field_shape(obj["n"], obj["d"])
         q = _term_list(obj.get("q", []))
         return MatrixField(n, d, q, _entry_terms(d, obj["entries"]), name="polynomial",
                            **jet_kwargs)

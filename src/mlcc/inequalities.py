@@ -28,8 +28,8 @@ from .curvature import (
     nakano_verdict,
     schur_gap,
 )
-from .errors import InputError, _UnderflowError
-from .fields import Jet2, MatrixField, _checked_differences, _step, restrict_field
+from .errors import InputError, _points, _real, _reals, _UnderflowError, _whole
+from .fields import Jet2, MatrixField, _checked_differences, restrict_field
 from .metric import DEFAULT_NULL_TOL, ColumnBlockMatrix, PolarOperator
 from .quadrature import (
     DirichletEvaluator,
@@ -71,12 +71,6 @@ def _status(value: float, ok: bool) -> str:
     return "degenerate" if not math.isfinite(value) else "pass" if ok else "fail"
 
 
-def _finite_tolerance(key: str, value) -> None:
-    """A tolerance ``key`` that is not a finite number is an InputError: inf passes, NaN fails."""
-    if not math.isfinite(value):
-        raise InputError(f"{key} must be a finite number, got {value!r}")
-
-
 def _one_point(cm: CurvatureMatrix, check: str) -> None:
     """The pointwise checks' guard: the curvature of a stack of points is an InputError
     naming the ``check``."""
@@ -88,7 +82,7 @@ def _one_point(cm: CurvatureMatrix, check: str) -> None:
 def nakano_check(cm: CurvatureMatrix, tol_psd: float = TOL_PSD) -> CheckReport:
     """Nakano check at one point: N-log-concave when the largest generalized
     eigenvalue of (theta_tilde, id_n (x) g) is at most ``tol_psd``."""
-    _finite_tolerance("tol_psd", tol_psd)
+    _real("tol_psd", tol_psd)
     _one_point(cm, "nakano_check")
     verdict = nakano_verdict(cm, tol_psd=tol_psd)
     return CheckReport(name="nakano", status=_status(verdict.lambda_max, verdict.is_nlogconcave),
@@ -102,7 +96,7 @@ def griffiths_check(cm: CurvatureMatrix, n_starts: int = 32, seed: int = 0,
                     tol_psd: float = TOL_PSD) -> CheckReport:
     """Rank-one check at one point: ``griffiths_min_gap``'s best value is at most
     ``tol_psd``.  A search that found no number (-inf, every start NaN) is degenerate."""
-    _finite_tolerance("tol_psd", tol_psd)
+    _real("tol_psd", tol_psd)
     _one_point(cm, "griffiths_check")
     value = griffiths_min_gap(cm, n_starts=n_starts, seed=seed)
     return CheckReport(name="griffiths", status=_status(value, value <= tol_psd),
@@ -116,11 +110,11 @@ def schur_check(cm: CurvatureMatrix, n0: int, v0: ColumnBlockMatrix | None = Non
     -``tol_gap``; ``n0`` is checked first, by ``block_split``.  An infinite polar
     (gap -inf) is degenerate.  A zero ``v0`` is an
     InputError: its gap is 0 on every field, so the check would pass unread."""
-    _finite_tolerance("tol_gap", tol_gap)
+    _real("tol_gap", tol_gap)
     _one_point(cm, "schur_check")
     split = block_split(cm, n0)
     if v0 is None:
-        v0 = ColumnBlockMatrix([np.eye(cm.d)[0]] * n0)
+        v0 = ColumnBlockMatrix([np.eye(cm.d)[0]] * split.n0)
     elif not v0.flatten().any():
         raise InputError("V0 (--v0) is zero; the Schur inequality holds at V0 = 0 for every "
                          "field, so it tests nothing")
@@ -167,7 +161,7 @@ def weighted_laplacian(field: MatrixField, f: VectorFieldFn, x) -> np.ndarray:
     the classical operator Delta - grad phi . grad, and it is the sign that
     makes the integration-by-parts identity hold (see ipp_residual).
     """
-    x = np.asarray(x, dtype=float)
+    x = _reals("x", x)  # read as a point by field.jet
     return _laplacian(field.jet(x), f.grad(x), f.hess(x))
 
 
@@ -196,7 +190,7 @@ def ipp_residual(
     tol_res: float = 1e-6,
 ) -> CheckReport:
     """Integration by parts: int <LF, G>_g = -int <grad F, grad G>_{id (x) g}."""
-    _finite_tolerance("tol_res", tol_res)
+    _real("tol_res", tol_res)
     _check_test_fns(field, f, g_fn)
     x = rule.nodes
     with _rule_nodes():
@@ -228,7 +222,7 @@ def bochner_residual(
     tol_res: float = 1e-6,
 ) -> CheckReport:
     """Bochner identity: int ||L Psi||_g^2 equals curvature plus Hessian terms."""
-    _finite_tolerance("tol_res", tol_res)
+    _real("tol_res", tol_res)
     _check_test_fns(field, psi)
     x = rule.nodes
     with _rule_nodes():
@@ -276,8 +270,8 @@ def _frozen_t(hint: str):
 
 def _marginal_jet(field: MatrixField, t, rule: QuadratureRule, h: float) -> Jet2:
     """2-jet of alpha(t) = int g(t, y) dy by Richardson-extrapolated differences in t."""
-    h = _step(h, _MARGINAL_STEP_NAME)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    h = _real(_MARGINAL_STEP_NAME, h, positive=True)
+    t = np.atleast_1d(_reals("t", t))
     integrals = []  # validated, in stencil order: the centre is the jet's value
 
     def alpha(ts):
@@ -311,7 +305,7 @@ def theta_alpha_decomposed(
     are made here.  int g comes from ``_integral`` with the three other sums:
     its tail is checked, and not positive definite it is a QuadratureError.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t = np.atleast_1d(_reals("t", t))
     n0, d = t.shape[0], field.d
     if rule.m != field.n - n0:
         raise InputError("rule dimension must equal the number of integrated variables")
@@ -411,11 +405,15 @@ def prekopa_check(
     (1e-4, reported as ``tol_route``) with ``route_diff``, and absent when the
     margin is -inf.
     """
-    _finite_tolerance("tol_psd", tol_psd)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.shape[0] != n0 or not 1 <= n0 < field.n:
+    _real("tol_psd", tol_psd)
+    n0 = _whole("n0", n0)
+    if not 1 <= n0 < field.n:
+        raise InputError(f"n0 must satisfy 1 <= n0 < {field.n}, got {n0}")
+    t = np.atleast_1d(_reals("t", t))
+    if t.shape != (n0,):
         raise InputError("t must have length n0 with 1 <= n0 < n")
-    h = _step(h, _MARGINAL_STEP_NAME)
+    t = _points("t", t, n0)
+    h = _real(_MARGINAL_STEP_NAME, h, positive=True)
     settings = {"rule": rule.kind, "nodes": rule.count, "h": h}
     jet, cm = _fiber_pass(field, t, rule)
     lambda_max = generalized_spectrum(cm)[:, -1]

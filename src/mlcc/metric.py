@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, NotPositiveError, NotPsdError
+from .errors import InputError, NotPositiveError, NotPsdError, _real, _reals, _whole
 
 #: Eigenvalues of a nominally PSD form are accepted down to this relative level;
 #: finite-difference assembly leaves O(h^2) noise on the small end of the spectrum.
@@ -41,7 +41,7 @@ class SpdMatrix:
     entries: np.ndarray
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)
+        a = _reals("matrix entries", entries)
         if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not a.size:
             raise InputError(f"expected a nonempty square matrix or a stack of them, got shape "
                              f"{a.shape}")
@@ -105,7 +105,7 @@ class ColumnBlockMatrix:
     columns: tuple
 
     def __init__(self, columns):
-        cols = tuple(np.asarray(c, dtype=float) for c in columns)
+        cols = tuple(_reals("column", c) for c in columns)
         if not cols:
             raise InputError("need at least one column")
         d = cols[0].shape
@@ -127,10 +127,8 @@ class ColumnBlockMatrix:
 
     @classmethod
     def from_flat(cls, v: np.ndarray, d: int) -> "ColumnBlockMatrix":
-        v = np.asarray(v, dtype=float)
-        if d < 1:
-            raise InputError(f"d must be at least 1, got {d}")
-        if v.size % d:
+        v, d = _reals("v", v), _whole("d", d, 1)
+        if v.ndim != 1 or v.size % d:
             raise InputError("flat vector length is not a multiple of d")
         return cls(tuple(v[k * d : (k + 1) * d] for k in range(v.size // d)))
 
@@ -185,7 +183,7 @@ class QuadraticFormSpec:
     form: np.ndarray = field(repr=False)
 
     def __init__(self, metric: SpdMatrix, form):
-        a = np.asarray(form, dtype=float)
+        a = _reals("form", form)
         if (a.ndim != metric.entries.ndim or a.shape[-1] != a.shape[-2]
                 or a.shape[:-2] != metric.entries.shape[:-2] or a.shape[-1] % metric.dim):
             raise InputError("form dimension is not a multiple of the metric's")
@@ -205,7 +203,7 @@ class QuadraticFormSpec:
         return self.form.shape[-1]
 
     def __call__(self, u) -> float:
-        u = np.asarray(u, dtype=float)
+        u = _reals("u", u)
         return float(u @ self.form @ u)
 
 
@@ -225,8 +223,7 @@ def metric_pencil(invroot: np.ndarray, form: np.ndarray) -> np.ndarray:
 
 def g_inner(g: SpdMatrix, u, v) -> float:
     """Weighted inner product <g u, v>."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = _reals("u", u), _reals("v", v)
     if u.shape != (g.dim,) or v.shape != (g.dim,):
         raise InputError("vector dimensions do not match the metric")
     return float(u @ g.entries @ v)
@@ -241,7 +238,7 @@ def tensor_inner(g: SpdMatrix, U: ColumnBlockMatrix, V: ColumnBlockMatrix) -> fl
 
 def g_adjoint(g: SpdMatrix, a) -> np.ndarray:
     """Adjoint of the operator ``a`` w.r.t. the g-inner product: g^{-1} a^T g."""
-    a = np.asarray(a, dtype=float)
+    a = _reals("operator", a)
     if a.shape != (g.dim, g.dim):
         raise InputError("operator shape does not match the metric")
     return np.linalg.solve(g.entries, a.T @ g.entries)
@@ -329,7 +326,7 @@ class PolarOperator:
         squared eigencoordinates ``c2`` (eigen axis last) leave the range: their null
         part exceeds rel_null_tol of their norm (None when no eigenvalue is null).
         The null split is kept for the last tolerance asked for."""
-        if not 0.0 < rel_null_tol <= 1e-3:
+        if not 0.0 < _real("rel_null_tol", rel_null_tol) <= 1e-3:
             raise InputError("rel_null_tol must lie in (0, 1e-3]")
         if self._null_split[0] != rel_null_tol:
             null = self.eigenvalues <= rel_null_tol * self.lam_max[..., None]
@@ -345,7 +342,7 @@ class PolarOperator:
         """Q°(v) as an ExtendedReal; on a stack, v is (N, dn) and the result an
         (N,) array of floats, inf where v leaves the range of that node's form.  A v of
         any other shape is an InputError."""
-        v = np.asarray(v, dtype=float)
+        v = _reals("v", v)
         shape = self._coord_map.shape[:-1]
         if v.shape != shape:
             which = "form" if len(shape) == 1 else "stack"

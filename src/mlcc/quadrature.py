@@ -19,8 +19,9 @@ import numpy as np
 
 from ._poly import Poly, poly_degrees, poly_diff, poly_rows
 from .curvature import curvature_matrix
-from .errors import NODE_BUDGET, BudgetError, InputError, QuadratureError, _UnderflowError
-from .fields import MatrixField, _whole_number, central_differences
+from .errors import (NODE_BUDGET, BudgetError, InputError, QuadratureError, _points, _real,
+                     _reals, _UnderflowError, _whole)
+from .fields import MatrixField, central_differences
 from .metric import DEFAULT_NULL_TOL, ExtendedReal, PolarOperator, QuadraticFormSpec, SpdMatrix
 
 #: Relative size of the outermost integrand summand that triggers a tail warning.
@@ -43,7 +44,7 @@ def pairwise_sum(terms):
     odd last item is carried up, so the result depends on N alone, not on
     how the items were produced.
     """
-    items = np.asarray(terms if isinstance(terms, np.ndarray) else list(terms), dtype=float)
+    items = _reals("terms", terms if isinstance(terms, np.ndarray) else list(terms))
     if items.ndim == 0 or items.shape[0] == 0:
         raise InputError("nothing to sum")
     while items.shape[0] > 1:
@@ -66,6 +67,8 @@ class QuadratureRule:
             raise InputError("node/weight shapes inconsistent")
         if not (self.weights > 0).all():
             raise InputError("weights must be positive")
+        if not (np.isfinite(self.nodes).all() and np.isfinite(self.weights).all()):
+            raise InputError("rule nodes and weights must be finite")
 
     @property
     def count(self) -> int:
@@ -94,66 +97,52 @@ def _gauss_hermite_axis(order: int, center: float, scale: float):
     return nodes, weights
 
 
-def _rule_dimension(m: int) -> int:
-    if m < 1:
-        raise InputError(f"a rule integrates over m >= 1 variables, got m = {m}")
-    return m
-
-
-def _per_axis(key: str, value, m: int) -> np.ndarray:
-    """``value`` as one float per axis of m, from a number or m of them; else an
-    InputError naming ``key``."""
-    try:
-        return np.broadcast_to(np.asarray(value, dtype=float), (m,))
-    except (TypeError, ValueError):
-        raise InputError(f"{key} must be a number or {m} of them, one per axis, got "
-                         f"{value!r}") from None
-
-
 def build_rule(kind: str, **params) -> QuadratureRule:
     """Build a tensor-product rule.
 
-    gauss_hermite: order (2 to ``GH_MAX_ORDER`` = 370), m, center (finite,
-    scalar or per-axis), scale (finite and > 0).
-    uniform_grid: box (a list of one finite (lo, hi) pair per axis, lo < hi),
-    resolution (>= 2 points per axis), trapezoid weights.  order, m and resolution are
-    whole numbers (64.0 is one; 8.9, "12" and True are not), and every parameter is
-    checked before any node is computed: a missing or malformed one is an InputError
-    that names it.
+    gauss_hermite: order (2 to ``GH_MAX_ORDER`` = 370), m, center (a number or m of
+    them, one per axis) and scale (the same, each > 0).
+    uniform_grid: box (a list of one (lo, hi) pair per axis, lo < hi), resolution (>= 2
+    points per axis), trapezoid weights.  order, m and resolution are whole numbers and
+    center, scale and the box's ends reals (``mlcc.errors``' rule: 64.0 is a whole
+    number; 8.9, "12" and True are not), and every parameter is checked before any node
+    is computed: a missing or malformed one is an InputError that names it.
     """
     if kind == "gauss_hermite":
-        order = _whole_number("order", params.get("order", 64))
-        m = _rule_dimension(_whole_number("m", params.get("m", 1)))
+        order = _whole("order", params.get("order", 64))
+        m = _whole("m", params.get("m", 1), 1)
         if not 2 <= order <= GH_MAX_ORDER:
             raise InputError(f"gauss_hermite order must lie in [2, {GH_MAX_ORDER}], got {order}")
         if order**m > NODE_BUDGET:
             raise BudgetError(f"{order}^{m} nodes exceed the budget of {NODE_BUDGET}")
-        center = _per_axis("center", params.get("center", 0.0), m)
-        scale = _per_axis("scale", params.get("scale", 1.0), m)
-        if not np.isfinite(center).all():
-            raise InputError(f"center must be finite, got {params['center']}")
-        if not np.isfinite(scale).all():
-            raise InputError(f"scale must be finite, got {params['scale']}")
-        if not (scale > 0).all():
-            raise InputError("scale must be positive")
-        axes = [_gauss_hermite_axis(order, center[i], scale[i]) for i in range(m)]
+        per_axis = []
+        for key, default in (("center", 0.0), ("scale", 1.0)):
+            value = params.get(key, default)
+            a = _reals(key, value)
+            if a.ndim > 1 or a.size not in (1, m):
+                raise InputError(f"{key} must be a number or {m} of them, one per axis, got "
+                                 f"{value!r}")
+            per_axis.append([_real(key, v, positive=key == "scale")
+                             for v in np.broadcast_to(a, (m,)).tolist()])
+        axes = [_gauss_hermite_axis(order, c, s) for c, s in zip(*per_axis)]
     elif kind == "uniform_grid":
         for key in ("box", "resolution"):
             if key not in params:
                 raise InputError(f"uniform_grid needs {key!r}")
         try:
-            box = [(float(lo), float(hi)) for lo, hi in params["box"]]
+            box = [(lo, hi) for lo, hi in params["box"]]
         except (TypeError, ValueError):
+            box = []
+        if not box:
             raise InputError(f"box must be a list of (lo, hi) pairs, one per axis, got "
-                             f"{params['box']!r}") from None
+                             f"{params['box']!r}")
+        box = [(_real("box", lo), _real("box", hi)) for lo, hi in box]
         for lo, hi in box:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            if not lo < hi:
                 raise InputError(f"box must be finite with lo < hi on every axis, got "
                                  f"({lo!r}, {hi!r})")
-        resolution = _whole_number("resolution", params["resolution"])
-        if resolution < 2:
-            raise InputError("resolution must be >= 2")
-        m = _rule_dimension(len(box))
+        resolution = _whole("resolution", params["resolution"], 2)
+        m = len(box)
         if resolution**m > NODE_BUDGET:
             raise BudgetError("grid exceeds the node budget")
         axes = []
@@ -175,13 +164,18 @@ def build_rule(kind: str, **params) -> QuadratureRule:
     return QuadratureRule(m=len(axes), nodes=nodes, weights=weights, kind=kind)
 
 
-def _rowwise(fn):
-    """A per-point callable mapped over the rows of a stack of points."""
+def _rowwise(fn, d: int):
+    """A per-point callable mapped over the rows of a stack of points; values that are
+    not d reals each are an InputError."""
 
     def stacked(x):
         rows = x.reshape(-1, x.shape[-1])
-        out = np.stack([np.atleast_1d(np.asarray(fn(row), dtype=float)) for row in rows])
-        return out.reshape(x.shape[:-1] + out.shape[1:])
+        out = np.stack([np.atleast_1d(fn(row)) for row in rows])
+        out = _reals("the vector field's value", out).reshape(x.shape[:-1] + out.shape[1:])
+        if out.shape != x.shape[:-1] + (d,):
+            raise InputError(f"vector field value has shape {out.shape}, "
+                             f"want {x.shape[:-1] + (d,)}")
+        return out
 
     return stacked
 
@@ -195,41 +189,29 @@ class VectorFieldFn:
     over the rows of a stack; its gradient and Hessian are central first
     differences (step ``FD_STEP``) of the value and of the gradient.
     :meth:`polynomial` evaluates whole stacks, with exact derivatives.
+    ``value``, ``grad`` and ``hess`` read x by ``_points``; the differences call
+    ``_value`` and ``_grad`` on their stencils, which need no second reading.
     """
 
     def __init__(self, n, d, value):
-        self.n = int(n)
-        self.d = int(d)
-        self._value = _rowwise(value)
-        self._grad = self._hess = None
-
-    def _points(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.n,):
-            raise InputError(f"points of shape {x.shape} do not have the test function's "
-                             f"n = {self.n} coordinates")
-        return x
+        self.n, self.d = _whole("n", n, 1), _whole("d", d, 1)
+        self._value = _rowwise(value, self.d)
 
     def value(self, x) -> np.ndarray:
-        x = self._points(x)
-        out = np.asarray(self._value(x), dtype=float)
-        if out.shape != x.shape[:-1] + (self.d,):
-            raise InputError(f"vector field value has shape {out.shape}, "
-                             f"want {x.shape[:-1] + (self.d,)}")
-        return out
+        return self._value(_points("x", x, self.n))
 
     def grad(self, x) -> np.ndarray:
-        x = self._points(x)
-        if self._grad is not None:
-            return self._grad(x)
-        d1, _ = central_differences(self.value, x, FD_STEP, second=False)
-        return d1.swapaxes(-1, -2)
+        return self._grad(_points("x", x, self.n))
 
     def hess(self, x) -> np.ndarray:
-        x = self._points(x)
-        if self._hess is not None:
-            return self._hess(x)
-        d1, _ = central_differences(self.grad, x, FD_STEP, second=False)
+        return self._hess(_points("x", x, self.n))
+
+    def _grad(self, x) -> np.ndarray:
+        d1, _ = central_differences(self._value, x, FD_STEP, second=False)
+        return d1.swapaxes(-1, -2)
+
+    def _hess(self, x) -> np.ndarray:
+        d1, _ = central_differences(self._grad, x, FD_STEP, second=False)
         out = np.moveaxis(d1, -3, -1)
         return 0.5 * (out + out.swapaxes(-1, -2))
 
@@ -237,9 +219,9 @@ class VectorFieldFn:
     def polynomial(cls, n: int, components) -> "VectorFieldFn":
         """Exact polynomial vector field; ``components[l]`` is a term list.
 
-        ``n`` is an int >= 1 and there is at least one component; a term that is not a
-        ``(coeff, degs)`` pair with a real coefficient (named with its component), a coefficient
-        that is not finite and degrees that ``poly_degrees`` refuses are InputErrors.  F is
+        ``n`` is a whole number >= 1 and there is at least one component; a term that is not
+        a ``(coeff, degs)`` pair, a coefficient that is not a real (``_real``), each named with
+        its component, and degrees that ``poly_degrees`` refuses are InputErrors.  F is
         collected as the terms are read, by ``poly_collect``'s rule on rows (term t's
         coefficient in its component's column, 0.0 in the others), into a (T, d) block; d_j F
         and, on first use, d_k d_j F are ``poly_diff``'s, one ``poly_rows`` block each for a
@@ -247,24 +229,21 @@ class VectorFieldFn:
         (d, N) and (n, d, N) with row j d + l for d_j F_l, which the Brascamp-Lieb node pass
         reads with no copy; at one point, or as Hessians, they are contiguous.
         """
-        components = list(components)
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1 or not components:
-            raise InputError(f"a polynomial test function needs n >= 1 variables and at least "
-                             f"one component, got n = {n!r} and {len(components)} components")
+        n, components = _whole("n", n, 1), list(components)
+        if not components:
+            raise InputError("a polynomial test function needs at least one component")
 
         d, rows = len(components), {}  # degrees -> row of F, in the order of first occurrence
         for l, comp in enumerate(components):
             for term in comp:
                 try:
                     c, degs = term
-                    c = float(c)
                 except (TypeError, ValueError):
                     raise InputError(f"test function component {l}: term {term!r} is not a "
                                      "(coeff, degs) pair with a real coefficient") from None
-                if not math.isfinite(c):
-                    raise InputError(f"test function coefficients must be finite, got {c!r}")
-                row = [0.0] * d
-                row[l] = c
+                row = [0.0] * d  # a plain finite float passes as it is
+                row[l] = c if type(c) is float and math.isfinite(c) else _real(
+                    f"test function component {l}: the coefficient", c)
                 if (old := rows.setdefault(poly_degrees(degs, n), row)) is not row:
                     old[:] = [a + b for a, b in zip(old, row)]  # the whole row, from the left
         poly = Poly(np.array(list(rows), dtype=np.int64).reshape(-1, n),
@@ -286,8 +265,8 @@ class VectorFieldFn:
             rows = poly_rows(hessians, x).reshape(n, n, d, -1).transpose(3, 2, 0, 1)
             return np.ascontiguousarray(rows).reshape(x.shape[:-1] + (d, n, n))
 
-        fn = cls(n, d, value)
-        fn._value, fn._grad, fn._hess = value, grad, hess  # stack-native, not row-mapped
+        fn = cls.__new__(cls)  # n and d are read above; the callables are stack-native
+        fn.n, fn.d, fn._value, fn._grad, fn._hess = n, d, value, grad, hess
         return fn
 
 

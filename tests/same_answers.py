@@ -31,7 +31,9 @@ the hypothesis gate fails (exit 3), and at t = 1.5, where it passes; ``schur`` w
 ``--n0`` 0 and -1, which ``block_split`` rejects (exit 2); and ``bl``, ``ipp`` and
 ``bochner`` at GH 16 with test functions whose components each write one monomial twice,
 share every monomial in different orders and start a monomial with a -0 coefficient
-(``SIGNED_ZERO``).  Pytest does not collect this file.
+(``SIGNED_ZERO``); and the config errors of malformed inputs (``MALFORMED``): a ``--t``,
+``--v0`` or ``--point`` that is not finite, too few ``--n-starts``, a fractional ``n`` and
+a ``--param`` that is not finite.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -142,6 +144,17 @@ FRONT_END = (
 )
 
 
+#: Config errors of malformed inputs, each message read from the one input rule.
+MALFORMED = [
+    ["prekopa", "--field", "gaussian_cross_spd", "--t", "nan", "--n0", "1"],
+    ["schur", *_AT, "--n0", "1", "--v0", "nan,0"],
+    ["nakano", "--field", "raufi_corrected", "--point", "nan,0"],
+    ["griffiths", *_AT, "--n-starts", "7"],
+    ["nakano", "--field", "gaussian_scalar", "--param", "n=2.5", "--point", "0,0"],
+    ["nakano", "--field", "raufi_corrected", "--param", "s=nan", "--point", "0,0"],
+]
+
+
 def argvs() -> list[list[str]]:
     """The fixed command lines, without ``--no-timestamp``."""
     out = [shlex.split(cmd)[1:] for cmd in readme_commands()]
@@ -198,7 +211,7 @@ def argvs() -> list[list[str]]:
         rule = [*field, "--order", "16"]
         out += [["bl", *rule, "--test-fn", f], ["ipp", *rule, "--test-fn", f, "--test-fn-g", g],
                 ["bochner", *rule, "--test-fn", f]]
-    return out
+    return out + MALFORMED
 
 
 def answer(argv: list[str]) -> str:

@@ -131,6 +131,19 @@ class TestCentralDifferences:
             assert _same(fn.hess(x), 0.5 * (hess + hess.swapaxes(-1, -2)))
 
 
+@pytest.mark.parametrize("jet_mode", ["exact", "finite_difference"])
+def test_a_field_reads_a_stack_of_any_rank_as_its_rows(jet_mode):
+    # a point validator shared with test functions takes (..., n) stacks, so a field
+    # evaluates a (2, 2, n) stack as the (4, n) stack of its rows, member axis included
+    for field in (builtin_field("perturbed_gaussian_spd", jet_mode=jet_mode),
+                  builtin_field("raufi_corrected", {"s": [0.2, 0.5]}, jet_mode=jet_mode)):
+        rows = _points(2, True)[:4]
+        flat, square = field.jet(rows), field.jet(rows.reshape(2, 2, 2))
+        for a, b in ((flat.value.entries, square.value.entries), (flat.d1, square.d1),
+                     (flat.d2, square.d2), (field.value(rows), field.value(rows.reshape(2, 2, 2)))):
+            assert b.shape[:2] == (2, 2) and _same(b.reshape(a.shape), a)
+
+
 def _same_terms(got, want) -> bool:
     """The polynomial ``got`` has the terms of the term list ``want``, bit for bit."""
     got = poly_terms(got)

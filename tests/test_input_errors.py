@@ -6,9 +6,11 @@ one ``error:`` line on stderr.  In the library it is the exception named here.
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlcc import (
     BudgetError,
@@ -60,7 +62,7 @@ OVERFLOWING_FIELD = {"n": 1, "d": 1, "q": [[-1.0, [0]], [0.5, [2]]],
 FD_1E300 = ("the finite-difference step h (--h) = 1e-300 gives derivatives that are not "
             "finite; central differences need a larger step")
 
-N0_OF_RAUFI = "n0 must satisfy 1 <= n0 < 2"
+N0_OF_RAUFI = "n0 must satisfy 1 <= n0 < 2, got {}"
 
 
 def budget_message(n, d):
@@ -100,7 +102,7 @@ CLI_ERRORS = {
     "v0_of_the_wrong_length": (["schur", *RAUFI, "--n0", "1", "--v0", "1,2,3"],
                                "flat vector length is not a multiple of d"),
     # an n0 below 1 was read as V0's column count: "need at least one column"
-    **{f"schur_n0_{name}": (["schur", *RAUFI, "--n0", n0], N0_OF_RAUFI)
+    **{f"schur_n0_{name}": (["schur", *RAUFI, "--n0", n0], N0_OF_RAUFI.format(n0))
        for name, n0 in (("zero", "0"), ("negative", "-1"))},
     # the field was built, with n tuples of n degrees or a d x d identity, before n or d
     # was bounded
@@ -111,20 +113,21 @@ CLI_ERRORS = {
     # a zero V0 passed with a gap of -0.0
     "zero_v0": (["schur", *RAUFI, "--n0", "1", "--v0", "0,-0"], ZERO_V0),
     "zero_scale": (["bl", *GAUSS1, "--test-fn", "poly:y", "--scale", "0"],
-                   "scale must be positive"),
+                   "scale must be finite and > 0, got 0.0"),
     # a non-finite centre or scale was blamed on the field's points, a bad box on the weights
     "nan_center": (["bl", *GAUSS1, "--test-fn", "poly:y", "--center", "nan"],
-                   "center must be finite, got nan"),
+                   "center must be a finite number, got nan"),
     "infinite_scale": (["bl", *GAUSS1, "--test-fn", "poly:y", "--scale", "inf"],
-                       "scale must be finite, got inf"),
+                       "scale must be finite and > 0, got inf"),
     "nan_box": (["bl", *GAUSS1, "--test-fn", "poly:y", "--rule", "uniform_grid", "--box=0,nan",
                  "--resolution", "5"],
-                "box must be finite with lo < hi on every axis, got (0.0, nan)"),
+                "box must be a finite number, got nan"),
     "reversed_box": (["bl", *GAUSS1, "--test-fn", "poly:y", "--rule", "uniform_grid",
                       "--box=1,0", "--resolution", "5"],
                      "box must be finite with lo < hi on every axis, got (1.0, 0.0)"),
     "one_point_grid": (["bl", *GAUSS1, "--test-fn", "poly:y", "--rule", "uniform_grid",
-                        "--box=-1,1", "--resolution", "1"], "resolution must be >= 2"),
+                        "--box=-1,1", "--resolution", "1"],
+                       "resolution must be a whole number >= 2, got 1"),
     "grid_over_the_budget": (["bl", *GAUSS2, "--test-fn", "poly:x1", "--rule", "uniform_grid",
                               "--box=-1,1", "--resolution", "4000"],
                              "grid exceeds the node budget"),
@@ -172,9 +175,17 @@ CLI_ERRORS = {
                           "--jet", "fd"], "[0.]"),
            ("bl", ["bl", "--field-json", OVERFLOWING_FIELD, "--test-fn", "poly:y", "--order",
                    "8"], "[-0.381187]"))},
+    # a non-finite t or point was "expected a finite point in R^n" of the whole field
+    "nan_t": (["prekopa", "--field", "gaussian_cross_spd", "--t", "nan", "--n0", "1"],
+              "--t must be finite, got 'nan'"),
+    "nan_point": (["nakano", *RAUFI[:4], "--point", "nan,0"], "--point must be finite, got 'nan,0'"),
+    # "malformed point 'a'" named no flag
+    "t_that_is_not_a_number": (["prekopa", "--field", "gaussian_cross_spd", "--t", "a", "--n0",
+                                "1"], "--t must be comma-separated numbers, got 'a'"),
     # an overflowing coefficient made ipp and bl report fail on inf or nan sums
     "infinite_test_function_coefficient": (["bl", *GAUSS1, "--test-fn", "poly:1e999*y"],
-                                           "test function coefficients must be finite, got inf"),
+                                           "test function component 0: the coefficient must be "
+                                           "a finite number, got inf"),
 }
 
 
@@ -211,22 +222,25 @@ FIELD_JSON_ERRORS = {
                                           "polynomial degree tuples must have length n"),
     # a negative degree never finished evaluating; 2.7 was truncated to 2
     "negative_q_degree": ({"n": 1, "d": 1, "q": [[0.5, [-2]]], "entries": {"1,1": [[1.0, [0]]]}},
-                          "monomial of degrees (-2,): each degree must be a whole number >= 0"),
+                          "monomial of degrees (-2,): each degree must be a whole number >= 0, "
+                          "got -2"),
     "fractional_q_degree": ({"n": 1, "d": 1, "q": [[0.5, [2.7]]],
                              "entries": {"1,1": [[1.0, [0]]]}},
-                            "monomial of degrees (2.7,): each degree must be a whole number >= 0"),
+                            "monomial of degrees (2.7,): each degree must be a whole number >= 0, "
+                            "got 2.7"),
     # JSON's true was read as n = 1 and as the degree 1
     "boolean_n": ({"n": True, "d": 1, "entries": {"1,1": [[1.0, [0]]]}},
                   "n must be a whole number >= 1, got True"),
     "boolean_degree": ({"n": 1, "d": 1, "entries": {"1,1": [[1.0, [0]], [0.5, [True]]]}},
-                       "monomial of degrees (True,): each degree must be a whole number >= 0"),
+                       "monomial of degrees (True,): each degree must be a whole number >= 0, "
+                       "got True"),
     "fractional_entry_degree": ({"n": 2, "d": 1, "entries": {"1,1": [[1.0, [0, 0]],
                                                                    [0.1, [1, 0.5]]]}},
                                 "monomial of degrees (1, 0.5): each degree must be a whole "
-                                "number >= 0"),
+                                "number >= 0, got 0.5"),
     "degree_that_is_not_a_number": ({"n": 1, "d": 1, "entries": {"1,1": [[1.0, ["2"]]]}},
                                     "monomial of degrees ('2',): each degree must be a whole "
-                                    "number >= 0"),
+                                    "number >= 0, got '2'"),
 }
 
 
@@ -343,7 +357,7 @@ LIBRARY_ERRORS = {
                                 InputError, "monomial of degrees (-1,): each degree must be a "
                                 "whole number >= 0"),
     "no_variables": (lambda: MatrixField(0, 1, [], []), InputError,
-                     "field dimensions must be positive"),
+                     "n must be a whole number >= 1, got 0"),
     "unknown_jet_mode": (lambda: MatrixField(1, 1, [], [], jet_mode="spectral"), InputError,
                          "unknown jet mode 'spectral'"),
     "degree_tuple_of_the_wrong_length": (lambda: MatrixField(2, 1, [(1.0, (2,))], []),
@@ -374,36 +388,43 @@ LIBRARY_ERRORS = {
                                            "polynomial degree tuples must have length n"),
     # bl_gap reported fail with nan lhs, rhs and gap; ipp_residual failed on inf
     "nan_test_function_coefficient": (lambda: VectorFieldFn.polynomial(1, [[(np.nan, (1,))]]),
-                                      InputError,
-                                      "test function coefficients must be finite, got nan"),
+                                      InputError, "test function component 0: the coefficient "
+                                      "must be a finite number, got nan"),
     "infinite_test_function_coefficient": (lambda: VectorFieldFn.polynomial(
                                                1, [[(1.0, (1,))], [(-np.inf, (0,))]]),
-                                           InputError,
-                                           "test function coefficients must be finite, got -inf"),
+                                           InputError, "test function component 1: the "
+                                           "coefficient must be a finite number, got -inf"),
     "rule_shapes": (lambda: QuadratureRule(1, np.zeros((3, 2)), np.ones(3), "custom"),
                     InputError, "node/weight shapes inconsistent"),
     "rule_weights": (lambda: QuadratureRule(1, np.zeros((3, 1)), np.array([1.0, 0.0, 1.0]),
                                             "custom"),
                      InputError, "weights must be positive"),
+    # an infinite weight was blamed on the field ("not positive definite"), a NaN node on x
+    **{f"rule_{what}": (lambda nodes=nodes, weights=weights: QuadratureRule(
+                            1, np.array(nodes), np.array(weights), "custom"),
+                        InputError, "rule nodes and weights must be finite")
+       for what, nodes, weights in (("infinite_weight", [[0.0], [1.0]], [1.0, np.inf]),
+                                    ("nan_node", [[0.0], [np.nan]], [1.0, 1.0]))},
     "grid_over_the_budget": (lambda: build_rule("uniform_grid", box=[(-1.0, 1.0)] * 2,
                                                 resolution=4000),
                              BudgetError, "grid exceeds the node budget"),
     # 8.9 and 1.5 were truncated to a 1-D rule of order 8, 3.7 to 3 points, and "12" read as 12
     **{f"{what}_{key}": (lambda kind=kind, kw=kw: build_rule(kind, **kw), InputError,
-                         f"{key} must be a whole number, got {kw[key]!r}")
-       for kind, what, key, kw in (
-           ("gauss_hermite", "fractional", "order", {"order": 8.9, "m": 1.5}),
-           ("gauss_hermite", "fractional", "m", {"order": 8, "m": 1.5}),
-           ("gauss_hermite", "string", "order", {"order": "12"}),
-           ("gauss_hermite", "boolean", "m", {"order": 4, "m": True}),
-           ("uniform_grid", "fractional", "resolution", {"box": [(0, 1)], "resolution": 3.7}))},
+                         f"{key} must be a whole number{bound}, got {kw[key]!r}")
+       for kind, what, key, bound, kw in (
+           ("gauss_hermite", "fractional", "order", "", {"order": 8.9, "m": 1.5}),
+           ("gauss_hermite", "fractional", "m", " >= 1", {"order": 8, "m": 1.5}),
+           ("gauss_hermite", "string", "order", "", {"order": "12"}),
+           ("gauss_hermite", "boolean", "m", " >= 1", {"order": 4, "m": True}),
+           ("uniform_grid", "fractional", "resolution", " >= 2",
+            {"box": [(0, 1)], "resolution": 3.7}))},
     "nan_center": (lambda: build_rule("gauss_hermite", order=4, m=2, center=[0.0, np.nan]),
-                   InputError, "center must be finite, got [0.0, nan]"),
+                   InputError, "center must be a finite number, got nan"),
     "infinite_scale": (lambda: build_rule("gauss_hermite", order=4, m=1, scale=-np.inf),
-                       InputError, "scale must be finite, got -inf"),
+                       InputError, "scale must be finite and > 0, got -inf"),
     "nan_box": (lambda: build_rule("uniform_grid", box=[(-1.0, 1.0), (np.nan, 1.0)],
                                    resolution=5),
-                InputError, "box must be finite with lo < hi on every axis, got (nan, 1.0)"),
+                InputError, "box must be a finite number, got nan"),
     "empty_box": (lambda: build_rule("uniform_grid", box=[(0.5, 0.5)], resolution=5),
                   InputError, "box must be finite with lo < hi on every axis, got (0.5, 0.5)"),
     "empty_sum": (lambda: pairwise_sum([]), InputError, "nothing to sum"),
@@ -438,25 +459,26 @@ LIBRARY_ERRORS = {
                           InputError, "conjugating matrix has wrong shape"),
     # an empty stack of points failed inside SpdMatrix with NumPy's bare ValueError
     "empty_stack_value": (lambda: builtin_field("perturbed_gaussian_spd").value(np.empty((0, 2))),
-                          InputError, "expected at least one point in R^2, got an empty stack"),
+                          InputError, "x must be a point in R^2 or a nonempty stack of them, "
+                          "got shape (0, 2)"),
     "empty_stack_exact_jet": (lambda: builtin_field("perturbed_gaussian_spd").jet(
                                   np.empty((0, 2))),
-                              InputError, "expected at least one point in R^2, got an empty stack"),
+                              InputError, "x must be a point in R^2 or a nonempty stack of them, "
+                              "got shape (0, 2)"),
     "empty_stack_fd_jet": (lambda: builtin_field("gaussian_scalar", jet_mode="finite_difference")
                            .jet(np.empty((0, 1))),
-                           InputError, "expected at least one point in R^1, got an empty stack"),
+                           InputError, "x must be a point in R^1 or a nonempty stack of them, "
+                           "got shape (0, 1)"),
     "empty_stack_member_value": (lambda: builtin_field("raufi_corrected", {"s": [0.5, 0.75]})
                                  .value(np.empty((0, 2))),
-                                 InputError, "expected at least one point in R^2, got an empty "
-                                 "stack"),
+                                 InputError, "x must be a point in R^2 or a nonempty stack of "
+                                 "them, got shape (0, 2)"),
     # both raised an IndexError once
     "test_function_without_components": (lambda: VectorFieldFn.polynomial(2, []), InputError,
-                                         "a polynomial test function needs n >= 1 variables and "
-                                         "at least one component, got n = 2 and 0 components"),
+                                         "a polynomial test function needs at least one "
+                                         "component"),
     "test_function_in_no_variables": (lambda: VectorFieldFn.polynomial(0, [[(1.0, ())]]),
-                                      InputError, "a polynomial test function needs n >= 1 "
-                                      "variables and at least one component, got n = 0 and 1 "
-                                      "components"),
+                                      InputError, "n must be a whole number >= 1, got 0"),
     # a TypeError; and a RuntimeWarning from the frozen powers before the finiteness error
     "restriction_to_a_matrix_of_t": (lambda: restrict_field(
                                          builtin_field("perturbed_gaussian_spd"), [[0.1]]),
@@ -472,18 +494,18 @@ LIBRARY_ERRORS = {
                                _curvature(*GRIFFITHS_SHAPES[shape]), **kw), InputError, message)
        for shape in GRIFFITHS_SHAPES
        for what, kw, message in (
-           ("fractional_starts", {"n_starts": 8.5}, "n_starts must be an integer, got 8.5"),
-           ("boolean_starts", {"n_starts": True}, "n_starts must be an integer, got True"),
-           ("no_steps", {"max_iter": 0}, "max_iter must be a positive integer, got 0"),
-           ("fractional_steps", {"max_iter": 2.5}, "max_iter must be a positive integer, got 2.5"),
-           ("boolean_steps", {"max_iter": True}, "max_iter must be a positive integer, got True"),
-           ("fractional_seed", {"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
-           ("boolean_seed", {"seed": False}, "seed must be a non-negative integer, got False"))},
+           ("fractional_starts", {"n_starts": 8.5}, "n_starts must be a whole number >= 8, got 8.5"),
+           ("boolean_starts", {"n_starts": True}, "n_starts must be a whole number >= 8, got True"),
+           ("no_steps", {"max_iter": 0}, "max_iter must be a whole number >= 1, got 0"),
+           ("fractional_steps", {"max_iter": 2.5}, "max_iter must be a whole number >= 1, got 2.5"),
+           ("boolean_steps", {"max_iter": True}, "max_iter must be a whole number >= 1, got True"),
+           ("fractional_seed", {"seed": 1.5}, "seed must be a whole number >= 0, got 1.5"),
+           ("boolean_seed", {"seed": False}, "seed must be a whole number >= 0, got False"))},
     "zero_v0": (lambda: schur_check(_curvature("raufi_corrected", {"s": 0.75}, 2), 1,
                                     ColumnBlockMatrix([[0.0, 0.0]])), InputError, ZERO_V0),
     # an n0 below 1 was read as V0's column count
     **{f"schur_n0_{n0}": (lambda n0=n0: schur_check(_curvature("raufi_corrected", {"s": 0.75}, 2),
-                                                    n0), InputError, N0_OF_RAUFI)
+                                                    n0), InputError, N0_OF_RAUFI.format(n0))
        for n0 in (0, -1)},
     # a vector of the wrong length was broadcast: [1.0] and 1.0 read as (1, 1), 1.25; a
     # length-3 vector and a stack's wrong node count raised NumPy's ValueError
@@ -516,8 +538,7 @@ LIBRARY_ERRORS = {
                            InputError, "box must be a list of (lo, hi) pairs, one per axis, "
                            "got [(0, 1, 2)]"),
     "center_that_is_not_a_number": (lambda: build_rule("gauss_hermite", order=4, center="a"),
-                                    InputError, "center must be a number or 1 of them, one "
-                                    "per axis, got 'a'"),
+                                    InputError, "center must be real, got 'a'"),
     "center_of_the_wrong_length": (lambda: build_rule("gauss_hermite", order=4, m=2,
                                                       center=[0.0, 1.0, 2.0]),
                                    InputError, "center must be a number or 2 of them, one per "
@@ -533,7 +554,53 @@ LIBRARY_ERRORS = {
                     "expected a nonempty square matrix or a stack of them, got shape (0, 2, 2)"),
     # a ZeroDivisionError
     "flat_vector_of_zero_d": (lambda: ColumnBlockMatrix.from_flat([1.0, 2.0], 0), InputError,
-                              "d must be at least 1, got 0"),
+                              "d must be a whole number >= 1, got 0"),
+    # each was a raw TypeError (or, for h = 'a' and s = 'a', a ValueError); 2.5 was
+    # truncated to 2 and 1.9 to 1; True was read as 1
+    **{f"matrix_field_{what}": (lambda value=value: MatrixField(value, 1, [], []), InputError,
+                                f"n must be a whole number >= 1, got {value!r}")
+       for what, value in (("fractional_n", 2.5), ("boolean_n", True), ("string_n", "2"))},
+    "schur_fractional_n0": (lambda: schur_check(_curvature("raufi_corrected", {"s": 0.75}, 2),
+                                                1.5),
+                            InputError, "n0 must be a whole number, got 1.5"),
+    "schur_boolean_n0": (lambda: schur_check(_curvature("raufi_corrected", {"s": 0.75}, 2), True),
+                         InputError, "n0 must be a whole number, got True"),
+    "prekopa_fractional_n0": (lambda: prekopa_check(builtin_field("gaussian_cross_spd"), [0.1],
+                                                    1.5, _gh(1)),
+                              InputError, "n0 must be a whole number, got 1.5"),
+    "flat_vector_of_fractional_d": (lambda: ColumnBlockMatrix.from_flat([1.0, 2.0], 2.5),
+                                    InputError, "d must be a whole number >= 1, got 2.5"),
+    **{f"tol_psd_{what}": (lambda value=value: nakano_check(
+                               _curvature("raufi_corrected", {"s": 0.75}, 2), tol_psd=value),
+                           InputError, f"tol_psd must be a finite number, got {value!r}")
+       for what, value in (("string", "a"), ("complex", 1j))},
+    **{f"fd_step_{what}": (lambda value=value: MatrixField(1, 1, [], [], h=value), InputError,
+                           f"the finite-difference step h (--h) must be finite and > 0, got "
+                           f"{value!r}")
+       for what, value in (("string", "a"), ("complex", 1j))},
+    **{f"builtin_s_{what}": (lambda value=value: builtin_field("raufi_corrected", {"s": value}),
+                             InputError, f"s must be a finite number, got {value!r}")
+       for what, value in (("string", "a"), ("complex", 1j), ("boolean", True))},
+    "vector_field_fractional_shape": (lambda: VectorFieldFn(2.5, 1.9, lambda x: x), InputError,
+                                      "n must be a whole number >= 1, got 2.5"),
+    # cut to the real part with only a ComplexWarning
+    "numpy_complex_q_coefficient": (lambda: MatrixField(1, 1, [(np.complex128(2 + 1j), (1,))],
+                                                        [((0,), np.eye(1))]),
+                                    InputError, "field q term (np.complex128(2+1j), (1,)) is not "
+                                    "a (coeff, degs) pair with a real coefficient"),
+    "complex_p_coefficient": (lambda: MatrixField(1, 2, [], [((0,), np.eye(2) * (1 + 1j))]),
+                              InputError, "field P term ((0,), array([[1.+1.j, 0.+0.j],"),
+    "numpy_complex_test_function_coefficient": (lambda: VectorFieldFn.polynomial(
+                                                    1, [[(np.complex128(2 + 1j), (1,))]]),
+                                                InputError, "test function component 0: the "
+                                                "coefficient must be a finite number, got "
+                                                "np.complex128(2+1j)"),
+    "complex_point": (lambda: builtin_field("raufi_corrected").value([1j, 0.0]), InputError,
+                      "x must be real, got [1j, 0.0]"),
+    # the fiber pass named R^2, the field's n, although t has one coordinate
+    "prekopa_nan_t": (lambda: prekopa_check(builtin_field("gaussian_cross_spd"), [np.nan], 1,
+                                            _gh(1)),
+                      InputError, "t must be finite, got array([nan])"),
     "restriction_that_overflows": (lambda: restrict_field(
                                        builtin_field("perturbed_gaussian_spd"), [1e200]),
                                    InputError, "perturbed_gaussian_spd at t = [1e+200]: field "
@@ -545,15 +612,19 @@ LIBRARY_ERRORS = {
 #: with its component (or q or P); before, each raised a raw ValueError or TypeError
 MALFORMED_TERMS = {
     "string_test_function_coefficient": (lambda: VectorFieldFn.polynomial(1, [[("x", (1,))]]),
-                                         "test function component 0: term ('x', (1,)) is not"),
+                                         "test function component 0: the coefficient must be a "
+                                         "finite number, got 'x'"),
     "complex_test_function_coefficient": (lambda: VectorFieldFn.polynomial(
                                               1, [[(1.0, (0,))], [(1j, (1,))]]),
-                                          "test function component 1: term (1j, (1,)) is not"),
+                                          "test function component 1: the coefficient must be a "
+                                          "finite number, got 1j"),
     "none_test_function_coefficient": (lambda: VectorFieldFn.polynomial(1, [[(None, (1,))]]),
-                                       "test function component 0: term (None, (1,)) is not"),
+                                       "test function component 0: the coefficient must be a "
+                                       "finite number, got None"),
     "array_test_function_coefficient": (lambda: VectorFieldFn.polynomial(
                                             1, [[(np.array([2.0]), (1,))]]),
-                                        "test function component 0: term (array([2.]), (1,))"),
+                                        "test function component 0: the coefficient must be a "
+                                        "finite number, got array([2.])"),
     "test_function_term_not_a_pair": (lambda: VectorFieldFn.polynomial(1, [[(1.0,)]]),
                                       "test function component 0: term (1.0,) is not a "
                                       "(coeff, degs) pair with a real coefficient"),
@@ -695,5 +766,127 @@ class TestTestFunctionShape:
         for x, shape in ((np.zeros((5, 3)), "(5, 3)"), (np.zeros(1), "(1,)"),
                          (np.float64(0.5), "()")):
             with pytest.raises(InputError, match=re.escape(
-                    f"points of shape {shape} do not have the test function's n = 2 coordinates")):
+                    f"x must be a point in R^2 or a nonempty stack of them, got shape {shape}")):
                 getattr(f, method)(x)
+
+
+@pytest.mark.filterwarnings("ignore:outermost quadrature node")
+class TestIntegralFloatsAreWholeNumbers:
+    """The one whole-number rule: 2.0 is 2 wherever a whole number is read, with the report
+    of the int; these were a TypeError or an InputError before."""
+
+    CM = _curvature("gaussian_times_spd", {"n": 3, "d": 2}, 3)
+
+    def test_the_rank_one_search(self):
+        assert griffiths_min_gap(self.CM, n_starts=32.0, max_iter=200.0, seed=np.float64(3)) \
+            == griffiths_min_gap(self.CM, n_starts=32, max_iter=200, seed=3)
+
+    def test_a_polynomial_test_function(self):
+        x = np.linspace(-1.0, 1.0, 6).reshape(3, 2)
+        whole, integral = (VectorFieldFn.polynomial(n, [[(1.0, (2, 1))]]) for n in (2, 2.0))
+        assert integral.n == 2 and integral.grad(x).tobytes() == whole.grad(x).tobytes()
+
+    def test_a_matrix_field(self):
+        terms = ([(0.5, (2, 0)), (0.5, (0, 2))], [((0, 0), np.eye(2))])
+        x = np.array([0.3, -0.2])
+        whole, integral = MatrixField(2, 2, *terms), MatrixField(2.0, np.float64(2), *terms)
+        assert (integral.n, integral.d) == (2, 2) and type(integral.n) is int
+        assert integral.jet(x).d2.tobytes() == whole.jet(x).d2.tobytes()
+
+    def test_n0(self):
+        cm = _curvature("raufi_corrected", {"s": 0.75}, 2)
+        assert schur_check(cm, 1.0) == schur_check(cm, 1)
+        field, rule = builtin_field("gaussian_cross_spd"), _gh(1)
+        assert prekopa_check(field, [0.1], 1.0, rule) == prekopa_check(field, [0.1], 1, rule)
+
+    def test_a_flat_vector(self):
+        v = [1.0, 2.0, 3.0, 4.0]
+        integral, whole = (ColumnBlockMatrix.from_flat(v, d) for d in (2.0, 2))
+        assert integral.n == 2 and integral.flatten().tobytes() == whole.flatten().tobytes()
+
+
+#: Values that no whole number, real or point is: a bool, a string, bytes, None, complex
+#: numbers, values that are not finite, a fraction, a negative number and nested lists.
+MALFORMED = [True, np.bool_(False), "2", b"2", None, 1j, np.complex128(1 + 1j), np.nan,
+             np.inf, -np.inf, 2.5, -1, [[1.0, 2.0]], [[True]], [1j, 0.0], [[1.0], [2.0, 3.0]]]
+
+
+def _malformed_calls():
+    """name -> a call that puts one value where a public entry point reads one input."""
+    cm = _curvature("raufi_corrected", {"s": 0.75}, 2)
+    cm3 = _curvature("gaussian_times_spd", {"n": 3, "d": 2}, 3)
+    g1, gh = builtin_field("gaussian_scalar"), build_rule("gauss_hermite", order=64, m=1)
+    cross, gh48 = builtin_field("gaussian_cross_spd"), build_rule("gauss_hermite", order=48, m=1)
+    y, y2 = (VectorFieldFn.polynomial(1, [[(1.0, (k,))]]) for k in (1, 2))
+    json = {"n": 1, "d": 1, "q": [[0.5, [2]]], "entries": {"1,1": [[1.0, [0]]]}}
+    return {
+        "MatrixField n": lambda v: MatrixField(v, 1, [], []),
+        "MatrixField d": lambda v: MatrixField(1, v, [], []),
+        "MatrixField q coefficient": lambda v: MatrixField(1, 1, [(v, (2,))], []),
+        "MatrixField P coefficient": lambda v: MatrixField(1, 1, [], [((0,), v)]),
+        "MatrixField degree": lambda v: MatrixField(1, 1, [(1.0, (v,))], []),
+        "MatrixField h": lambda v: MatrixField(1, 1, [], [], jet_mode="finite_difference", h=v),
+        "field value": lambda v: g1.value(v),
+        "field jet": lambda v: g1.jet(v),
+        "builtin s": lambda v: builtin_field("raufi_corrected", {"s": v}),
+        "builtin n": lambda v: builtin_field("gaussian_scalar", {"n": v}),
+        "builtin d": lambda v: builtin_field("gaussian_times_spd", {"d": v}),
+        "builtin A": lambda v: builtin_field("gaussian_times_spd", {"A": v}),
+        "builtin a12": lambda v: builtin_field("gaussian_cross_spd", {"a12": v}),
+        "field JSON n": lambda v: polynomial_field_from_json({**json, "n": v}),
+        "field JSON d": lambda v: polynomial_field_from_json({**json, "d": v}),
+        "field JSON q coefficient": lambda v: polynomial_field_from_json({**json, "q": [[v, [2]]]}),
+        "field JSON entry coefficient": lambda v: polynomial_field_from_json(
+            {**json, "entries": {"1,1": [[v, [0]]]}}),
+        "field JSON degree": lambda v: polynomial_field_from_json({**json, "q": [[0.5, [v]]]}),
+        "VectorFieldFn n": lambda v: VectorFieldFn(v, 1, lambda x: x),
+        "VectorFieldFn d": lambda v: VectorFieldFn(1, v, lambda x: x),
+        "VectorFieldFn point": lambda v: y.value(v),
+        "polynomial n": lambda v: VectorFieldFn.polynomial(v, [[(1.0, (1,))]]),
+        "polynomial coefficient": lambda v: VectorFieldFn.polynomial(1, [[(v, (1,))]]),
+        "polynomial degree": lambda v: VectorFieldFn.polynomial(1, [[(1.0, (v,))]]),
+        "rule order": lambda v: build_rule("gauss_hermite", order=v),
+        "rule m": lambda v: build_rule("gauss_hermite", order=4, m=v),
+        "rule center": lambda v: build_rule("gauss_hermite", order=4, center=v),
+        "rule scale": lambda v: build_rule("gauss_hermite", order=4, scale=v),
+        "grid box": lambda v: build_rule("uniform_grid", box=v, resolution=3),
+        "grid box end": lambda v: build_rule("uniform_grid", box=[(0.0, v)], resolution=3),
+        "grid resolution": lambda v: build_rule("uniform_grid", box=[(0.0, 1.0)], resolution=v),
+        "from_flat v": lambda v: ColumnBlockMatrix.from_flat(v, 1),
+        "from_flat d": lambda v: ColumnBlockMatrix.from_flat([1.0, 2.0], v),
+        "rank-one n_starts": lambda v: griffiths_min_gap(cm3, n_starts=v),
+        "rank-one max_iter": lambda v: griffiths_min_gap(cm3, max_iter=v),
+        "rank-one seed": lambda v: griffiths_min_gap(cm3, seed=v),
+        "nakano_check tol_psd": lambda v: nakano_check(cm, tol_psd=v),
+        "griffiths_check n_starts": lambda v: griffiths_check(cm, n_starts=v),
+        "griffiths_check seed": lambda v: griffiths_check(cm, seed=v),
+        "griffiths_check tol_psd": lambda v: griffiths_check(cm, tol_psd=v),
+        "schur_check n0": lambda v: schur_check(cm, v),
+        "schur_check tol_gap": lambda v: schur_check(cm, 1, tol_gap=v),
+        "bl_gap rel_null_tol": lambda v: bl_gap(g1, y, gh, rel_null_tol=v),
+        "ipp_residual tol_res": lambda v: ipp_residual(g1, y2, y, gh, tol_res=v),
+        "bochner_residual tol_res": lambda v: bochner_residual(g1, y2, gh, tol_res=v),
+        "prekopa_check t": lambda v: prekopa_check(cross, v, 1, gh48),
+        "prekopa_check n0": lambda v: prekopa_check(cross, [0.1], v, gh48),
+        "prekopa_check h": lambda v: prekopa_check(cross, [0.1], 1, gh48, h=v),
+        "prekopa_check tol_psd": lambda v: prekopa_check(cross, [0.1], 1, gh48, tol_psd=v),
+    }
+
+
+MALFORMED_CALLS = _malformed_calls()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(entry=st.sampled_from(sorted(MALFORMED_CALLS)),
+       value=st.recursive(st.sampled_from(MALFORMED), lambda inner: st.lists(inner, min_size=1,
+                                                                             max_size=2),
+                          max_leaves=3))
+def test_a_malformed_input_is_an_input_error(entry, value):
+    """Where a value is not what the input takes, only an InputError or a BudgetError
+    comes out, with no warning; where it is (-1 as a tolerance, say), the call returns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            MALFORMED_CALLS[entry](value)
+        except (InputError, BudgetError):
+            pass

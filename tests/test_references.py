@@ -1179,8 +1179,8 @@ class TestArrayParameter:
          "only one parameter may take an array of values"),
         ({"c": np.zeros((2, 2))}, "'c' must be a number or a 1-D array"),
         ({"c": np.array([])}, "'c' must be a number or a 1-D array"),
-        ({"c": np.array([0.5, np.nan])}, "field coefficients must be finite"),
-        ({"a12": np.array([0.5, np.inf])}, "field coefficients must be finite"),
+        ({"c": np.array([0.5, np.nan])}, "c must be a finite number, got nan"),
+        ({"a12": np.array([0.5, np.inf])}, "a12 must be a finite number, got inf"),
     ])
     def test_malformed_arrays_are_input_errors(self, params, message):
         with pytest.raises(InputError, match=message):

@@ -212,23 +212,24 @@ class TestBuildRuleOrder:
 
 
 class TestRuleWithoutVariables:
-    @pytest.mark.parametrize("argv", [
-        ["--field", "gaussian_times_spd", "--t", "0.1", "--n0", "1", "--order", "32"],
-        ["--field", "gaussian_scalar", "--param", "n=2", "--t", "0.1", "--n0", "2",
-         "--order", "8"],
+    @pytest.mark.parametrize("argv,n", [
+        (["--field", "gaussian_times_spd", "--t", "0.1", "--n0", "1", "--order", "32"], 1),
+        (["--field", "gaussian_scalar", "--param", "n=2", "--t", "0.1", "--n0", "2",
+          "--order", "8"], 2),
     ])
-    def test_prekopa_with_n0_at_least_n_is_a_config_error(self, capsys, argv):
+    def test_prekopa_with_n0_at_least_n_is_a_config_error(self, capsys, argv, n):
         assert run(["prekopa", *argv]) == 2
         err = capsys.readouterr().err
-        assert err == "error: a rule integrates over m >= 1 variables, got m = 0\n"
+        assert err == f"error: n0 must satisfy 1 <= n0 < {n}, got {n}\n"
 
-    @pytest.mark.parametrize("params", [
-        {"kind": "gauss_hermite", "order": 8, "m": 0},
-        {"kind": "gauss_hermite", "order": 8, "m": -1},
-        {"kind": "uniform_grid", "box": [], "resolution": 8},
+    @pytest.mark.parametrize("params,message", [
+        ({"kind": "gauss_hermite", "order": 8, "m": 0}, "m must be a whole number >= 1, got 0"),
+        ({"kind": "gauss_hermite", "order": 8, "m": -1}, "m must be a whole number >= 1, got -1"),
+        ({"kind": "uniform_grid", "box": [], "resolution": 8},
+         "box must be a list of (lo, hi) pairs, one per axis, got []"),
     ])
-    def test_build_rule_rejects_m_below_one(self, params):
-        with pytest.raises(InputError, match="m >= 1"):
+    def test_build_rule_rejects_m_below_one(self, params, message):
+        with pytest.raises(InputError, match=re.escape(message)):
             build_rule(**params)
 
 
@@ -478,12 +479,12 @@ class TestGriffithsStartsAndSeed:
         assert peak < 10**5
 
     def test_negative_seed_is_an_input_error(self, cm):
-        with pytest.raises(InputError, match="seed must be a non-negative integer, got -1"):
+        with pytest.raises(InputError, match="seed must be a whole number >= 0, got -1"):
             griffiths_min_gap(cm, seed=-1)
 
     @pytest.mark.parametrize("extra,code,message", [
         (["--n-starts", str(10**15)], 2, f"exceed the budget of {NODE_BUDGET}"),
-        (["--n-starts", "4"], 2, "need at least 8 starts"),
+        (["--n-starts", "4"], 2, "n_starts must be a whole number >= 8, got 4"),
         (["--seed", "-1"], 2, "got -1"),
     ])
     def test_cli_rejects_the_starts_and_seed(self, capsys, extra, code, message):
@@ -495,7 +496,7 @@ class TestGriffithsStartsAndSeed:
         monkeypatch.setenv("MLCC_SEED", "-3")
         assert run(GRIFFITHS_ARGV) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "seed must be a non-negative integer, got -3" in err
+        assert out == "" and "seed must be a whole number >= 0, got -3" in err
 
 
 class TestScanBudget:
