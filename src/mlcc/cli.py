@@ -214,12 +214,8 @@ def _emit(config: dict, checks: list, diagnostics: list, args) -> None:
 
 
 def _exit_code(checks: list) -> int:
-    statuses = [c.status for c in checks]
-    if any(s == "fail" for s in statuses):
-        return 1
-    if statuses and any(s == "degenerate" for s in statuses):
-        return 3
-    return 0
+    statuses = {c.status for c in checks}
+    return 1 if "fail" in statuses else 3 if "degenerate" in statuses else 0
 
 
 # -- subcommands ---------------------------------------------------------------

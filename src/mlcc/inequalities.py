@@ -1,12 +1,15 @@
 """Executable certifications: pointwise curvature verdicts, variance inequality,
 Bochner identities, marginals.
 
-Each check returns a structured :class:`CheckReport` whose status comes from
-one rule (``_status``).  The pointwise checks (Nakano, rank-one, Schur) read
-one curvature matrix; the quadrature checks compare two independent
-computation routes.  The headline anti-bug oracle is the two-route
-computation of the marginal's curvature: finite differences on the
-quadrature marginal versus the curvature-plus-variance decomposition.
+Each check returns a structured :class:`CheckReport` whose status one rule
+(``_verdict``) derives from the check's conditions, (name, value, bound, side)
+with side "<=" or ">=": degenerate when a value is not a finite number, else
+fail when one is on the wrong side of its bound, else pass.  The pointwise
+checks (Nakano, rank-one, Schur) read one curvature matrix; the quadrature
+checks compare two independent computation routes.  The headline anti-bug
+oracle is the two-route computation of the marginal's curvature: finite
+differences on the quadrature marginal versus the curvature-plus-variance
+decomposition.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ from .quadrature import (
 
 #: Largest route_diff and schur_route_diff of a passing Prekopa check.
 ROUTE_TOL = 1e-4
+#: The Brascamp-Lieb check's tolerance on its gap, relative to max(1, rhs).
+_BL_REL_TOL = 1e-6
 
 _MARGINAL_STEP_NAME = "the marginal step h (--marginal-h)"
 
@@ -63,12 +68,12 @@ class CheckReport:
         return self.status == "pass"
 
 
-def _status(value: float, ok: bool) -> str:
-    """The status of every check from its metric ``value``: degenerate when the value
-    is not a finite number (an overflowed integral, an infinite polar, a NaN
-    eigenvalue), else pass when ``ok`` and fail when not.  A Prekopa check whose
-    hypothesis gate fails is the one report that is degenerate without it."""
-    return "degenerate" if not math.isfinite(value) else "pass" if ok else "fail"
+def _verdict(conditions: list[tuple[str, float, float, str]]) -> str:
+    """The status of every check from its (name, value, bound, side) conditions, as the
+    module docstring states; a failed Prekopa gate is the one degenerate without them."""
+    if not all(math.isfinite(v) for _, v, _, _ in conditions):
+        return "degenerate"
+    return "pass" if all(v <= b if s == "<=" else v >= b for _, v, b, s in conditions) else "fail"
 
 
 def _one_point(cm: CurvatureMatrix, check: str) -> None:
@@ -84,10 +89,9 @@ def nakano_check(cm: CurvatureMatrix, tol_psd: float = TOL_PSD) -> CheckReport:
     eigenvalue of (theta_tilde, id_n (x) g) is at most ``tol_psd``."""
     _real("tol_psd", tol_psd)
     _one_point(cm, "nakano_check")
-    verdict = nakano_verdict(cm, tol_psd=tol_psd)
-    return CheckReport(name="nakano", status=_status(verdict.lambda_max, verdict.is_nlogconcave),
-                       metrics={"lambda_max": verdict.lambda_max,
-                                "lambda_max_std": verdict.lambda_max_std,
+    lam, _, lam_std = nakano_verdict(cm)
+    return CheckReport(name="nakano", status=_verdict([("lambda_max", lam, tol_psd, "<=")]),
+                       metrics={"lambda_max": lam, "lambda_max_std": lam_std,
                                 "asymmetry": cm.asymmetry},
                        tolerances={"tol_psd": tol_psd})
 
@@ -99,7 +103,7 @@ def griffiths_check(cm: CurvatureMatrix, n_starts: int = 32, seed: int = 0,
     _real("tol_psd", tol_psd)
     _one_point(cm, "griffiths_check")
     value = griffiths_min_gap(cm, n_starts=n_starts, seed=seed)
-    return CheckReport(name="griffiths", status=_status(value, value <= tol_psd),
+    return CheckReport(name="griffiths", status=_verdict([("rank_one_max", value, tol_psd, "<=")]),
                        metrics={"rank_one_max": value}, tolerances={"tol_psd": tol_psd})
 
 
@@ -119,7 +123,7 @@ def schur_check(cm: CurvatureMatrix, n0: int, v0: ColumnBlockMatrix | None = Non
         raise InputError("V0 (--v0) is zero; the Schur inequality holds at V0 = 0 for every "
                          "field, so it tests nothing")
     gap = schur_gap(split, v0).value
-    return CheckReport(name="schur", status=_status(gap, gap >= -tol_gap),
+    return CheckReport(name="schur", status=_verdict([("gap", gap, -tol_gap, ">=")]),
                        metrics={"gap": gap}, tolerances={"tol_gap": tol_gap})
 
 
@@ -142,11 +146,11 @@ def bl_gap(
         evaluator = DirichletEvaluator(field, rule)
     lhs = variance_functional(field, f, rule, evaluator)
     rhs = evaluator.energy(f, rel_null_tol)
-    gap, tol = ((math.inf, 1e-6) if rhs.is_infinite
-                else (rhs.value - lhs, 1e-6 * max(1.0, rhs.value)))
+    gap, tol = ((math.inf, _BL_REL_TOL) if rhs.is_infinite
+                else (rhs.value - lhs, _BL_REL_TOL * max(1.0, rhs.value)))
     return CheckReport(
         name="bl_gap",
-        status=_status(gap, gap >= -tol),
+        status=_verdict([("gap", gap, -tol, ">=")]),
         metrics={"lhs": lhs, "rhs": rhs.value, "gap": gap},
         tolerances={"tol_gap": tol, "rel_null_tol": rel_null_tol},
         settings={"rule": rule.kind, "nodes": rule.count},
@@ -208,7 +212,7 @@ def ipp_residual(
     tol = tol_res * max(1.0, abs(lhs), abs(rhs))
     return CheckReport(
         name="ipp_residual",
-        status=_status(residual, residual <= tol),
+        status=_verdict([("residual", residual, tol, "<=")]),
         metrics={"lhs": lhs, "rhs": rhs, "residual": residual},
         tolerances={"tol_res": tol},
         settings={"rule": rule.kind, "nodes": rule.count},
@@ -240,7 +244,7 @@ def bochner_residual(
     tol = tol_res * max(1.0, abs(lhs), abs(term_curv) + abs(term_hess))
     return CheckReport(
         name="bochner_residual",
-        status=_status(residual, residual <= tol),
+        status=_verdict([("residual", residual, tol, "<=")]),
         metrics={
             "lhs": lhs,
             "term_curv": term_curv,
@@ -438,16 +442,14 @@ def prekopa_check(
     route_diff = field.d * n0 * float(np.linalg.norm(cm_alpha.theta_tilde - total, 2))
     metrics = {"lambda_max_alpha": lambda_max_alpha, "route_diff": route_diff,
                "schur_margin": schur_margin}
-    ok = False
     if schur_margin != -np.inf:
         # the second route: schur_gap at the node and V0 that attain the margin
         gap = schur_gap(block_split(_nodes(cm, node), n0), ColumnBlockMatrix.from_flat(v0, cm.d))
-        diff = abs(gap.value - schur_margin) / max(1.0, abs(schur_margin))
-        metrics["schur_route_diff"] = diff
-        ok = lambda_max_alpha <= tol_psd and max(route_diff, diff) <= ROUTE_TOL
+        metrics["schur_route_diff"] = abs(gap.value - schur_margin) / max(1.0, abs(schur_margin))
+    bounds = {"lambda_max_alpha": tol_psd, "schur_margin": math.inf}  # a finite margin passes
     return CheckReport(
         name="prekopa_check",
-        status=_status(schur_margin, ok),
+        status=_verdict([(k, v, bounds.get(k, ROUTE_TOL), "<=") for k, v in metrics.items()]),
         metrics=metrics,
         tolerances={"tol_psd": tol_psd, "tol_route": ROUTE_TOL},
         settings=settings,

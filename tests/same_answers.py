@@ -33,7 +33,9 @@ the hypothesis gate fails (exit 3), and at t = 1.5, where it passes; ``schur`` w
 share every monomial in different orders and start a monomial with a -0 coefficient
 (``SIGNED_ZERO``); and the config errors of malformed inputs (``MALFORMED``): a ``--t``,
 ``--v0`` or ``--point`` that is not finite, too few ``--n-starts``, a fractional ``n`` and
-a ``--param`` that is not finite.  Pytest does not collect this file.
+a ``--param`` that is not finite; and ``nakano``, ``schur`` and ``griffiths`` with a
+condition exactly on its bound and one ulp beyond it (``BOUNDARY``), which pins the side
+of each comparison at equality.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -154,6 +156,19 @@ MALFORMED = [
     ["nakano", "--field", "raufi_corrected", "--param", "s=nan", "--point", "0,0"],
 ]
 
+_RAUFI_AT = ["--field", "raufi_corrected", "--param", "s=0.75", "--point", "0,0"]
+
+#: Argvs that put a condition exactly on its bound (pass) and one ulp beyond it (fail):
+#: nakano's lambda_max -1.0 against --tol-psd, schur's gap 0.8333333333333334 against
+#: -(--tol-gap) and griffiths' rank_one_max -0.75 against --tol-psd.
+BOUNDARY = [
+    *(["nakano", "--field", "gaussian_scalar", "--param", "n=2", "--point", "0.3,-0.2",
+       "--tol-psd", tol] for tol in ("-1", "-1.0000000000000002")),
+    *(["schur", *_RAUFI_AT, "--n0", "1", "--tol-gap", tol]
+      for tol in ("-0.8333333333333334", "-0.8333333333333335")),
+    *(["griffiths", *_RAUFI_AT, "--tol-psd", tol] for tol in ("-0.75", "-0.7500000000000001")),
+]
+
 
 def argvs() -> list[list[str]]:
     """The fixed command lines, without ``--no-timestamp``."""
@@ -211,7 +226,7 @@ def argvs() -> list[list[str]]:
         rule = [*field, "--order", "16"]
         out += [["bl", *rule, "--test-fn", f], ["ipp", *rule, "--test-fn", f, "--test-fn-g", g],
                 ["bochner", *rule, "--test-fn", f]]
-    return out + MALFORMED
+    return out + MALFORMED + BOUNDARY
 
 
 def answer(argv: list[str]) -> str:

@@ -863,8 +863,8 @@ class TestScanReadsOneSpectrum:
 
 class TestNoStatusFromNan:
     """A metric that is not a finite number gives no verdict: a rank-one maximum, a
-    Nakano lambda_max, a Schur gap and a residual are degenerate, exit 3, not pass or
-    fail."""
+    Nakano lambda_max, a Schur gap, a residual and a Prekopa lambda_max_alpha are
+    degenerate, exit 3, not pass or fail."""
 
     @pytest.mark.parametrize("value", [-np.inf, np.inf, np.nan])
     def test_griffiths(self, capsys, monkeypatch, value):
@@ -891,6 +891,17 @@ class TestNoStatusFromNan:
         assert run(["schur", *GRIFFITHS_ARGV[1:], "--n0", "1", "--no-timestamp"]) == 3
         check = json.loads(capsys.readouterr().out)["checks"][0]
         assert check["status"] == "degenerate" and check["metrics"]["gap"] == "nan"
+
+    def test_prekopa(self, capsys, monkeypatch):
+        # route A's spectrum is NaN; the fiber nodes' (a stack) are read as they are
+        spectrum = mlcc.inequalities.generalized_spectrum
+        monkeypatch.setattr(mlcc.inequalities, "generalized_spectrum", lambda cm: spectrum(cm)
+                            if cm.theta_tilde.ndim == 3 else np.full(cm.n * cm.d, np.nan))
+        assert run(["prekopa", "--field", "gaussian_cross_spd", "--t", "0.1", "--n0", "1",
+                    "--order", "16", "--no-timestamp"]) == 3
+        check = json.loads(capsys.readouterr().out)["checks"][0]
+        assert check["status"] == "degenerate"
+        assert check["metrics"]["lambda_max_alpha"] == "nan"
 
     @pytest.mark.parametrize("command", ["ipp", "bochner"])
     def test_an_overflowing_test_function(self, capsys, command):
